@@ -455,8 +455,7 @@ def max_principle_check(
     rep = solve_linear(grid, gamma, q, f=trace, scheme=scheme)
     vals = rep.solution.values
     sup = float(np.max(np.abs(vals)))
-    interior = np.ones(grid.n_space, dtype=bool)
-    interior[grid.boundary_flat_indices()] = False
+    interior = grid.interior_mask()
     flat = vals.reshape(grid.n_levels, -1)
     overall_min = float(np.min(flat[:, interior]))
     later = flat[1:, interior]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forward import Propagator
+from .forward import Propagator, potential_values
 from .grid import (
     DOMAIN_Q,
     BoundaryPortion,
@@ -145,16 +145,6 @@ class CGOSolution:
         }
 
 
-def _q_level_arrays(grid: SpaceTimeGrid, q) -> np.ndarray:
-    if q is None:
-        return np.zeros((grid.n_levels, *grid.nx))
-    if np.isscalar(q):
-        return np.full((grid.n_levels, *grid.nx), float(q))
-    if isinstance(q, Field) and q.domain == DOMAIN_Q:
-        return q.values
-    raise GridError("q must be None, a scalar, or a Q field")
-
-
 class CGOFactory:
     """Builds CGO remainders against a fixed potential, caching the stepper
     per (rho, omega, direction) since the profile operator is independent of
@@ -163,11 +153,10 @@ class CGOFactory:
     def __init__(self, grid: SpaceTimeGrid, q=None, scheme: str = "be", partial: bool = False):
         self.grid = grid
         self.q = q
-        self.q_levels = _q_level_arrays(grid, q)
+        self.q_levels = potential_values(grid, q)
         self.scheme = scheme
         self.partial = partial
         self._props: dict = {}
-        self._backward_cache: dict = {}
 
     def _propagator(self, params: CGOParameters) -> Propagator:
         key = (params.rho, params.omega, params.direction)
@@ -274,6 +263,13 @@ def build(grid: SpaceTimeGrid, q, params: CGOParameters, scheme="be", partial=Fa
     return CGOFactory(grid, q, scheme, partial).build(params)
 
 
+def phi_rho(rho, t, T):
+    """Ramp product phi_rho(t) of a matched pair: the forward ramp at t times
+    the backward ramp at T - t."""
+    rho34 = rho**0.75
+    return 1.0 - np.exp(-rho34 * t) - np.exp(-rho34 * (T - t)) + np.exp(-rho34 * T)
+
+
 def product_symbol(fwd: CGOParameters, bwd: CGOParameters, grid: SpaceTimeGrid) -> Field:
     """Leading profile product phi_rho(t) exp(-i(x,t).(xi,tau)) of a matched
     pair; the carrier product is identically one."""
@@ -281,16 +277,7 @@ def product_symbol(fwd: CGOParameters, bwd: CGOParameters, grid: SpaceTimeGrid) 
         raise CGOError("need a (forward, backward) pair")
     if fwd.rho != bwd.rho or fwd.omega != bwd.omega:
         raise CGOError("pair must share rho and omega")
-    rho34 = fwd.rho**0.75
-    levels = []
-    for t in grid.times():
-        phi = (
-            1.0
-            - np.exp(-rho34 * t)
-            - np.exp(-rho34 * (grid.T - t))
-            + np.exp(-rho34 * grid.T)
-        )
-        levels.append(phi * phase(fwd, grid, t))
+    levels = [phi_rho(fwd.rho, t, grid.T) * phase(fwd, grid, t) for t in grid.times()]
     return Field(grid, np.array(levels), DOMAIN_Q)
 
 

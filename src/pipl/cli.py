@@ -89,12 +89,6 @@ class ConfigError(ValueError):
     pass
 
 
-class CheckFailure(RuntimeError):
-    def __init__(self, failures):
-        super().__init__("; ".join(failures))
-        self.failures = failures
-
-
 # ---------------------------------------------------------------------------
 # Config parsing
 
@@ -261,6 +255,8 @@ def run_forward(cfg, grid, outdir, jobs):
         report["metrics"]["oracle_rel_l2q_error"] = err
 
     failures = []
+    if not rep.converged:
+        failures.append(f"semilinear solve did not converge in {rep.iterations} iterations")
     sizes = _ints(section.get("convergence", "33 65 129 257"))
     if oracle_src and sizes:
         t0 = time.time()

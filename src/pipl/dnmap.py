@@ -15,7 +15,6 @@ import numpy as np
 
 from .grid import (
     DOMAIN_Q,
-    DOMAIN_SIGMA,
     Field,
     GridError,
     ResolvedPortion,
@@ -33,9 +32,6 @@ class DNMeasurement:
     portion: ResolvedPortion
     values: np.ndarray                      # (n_levels, n_portion_nodes)
     noise: dict = dc_field(default_factory=dict)
-
-    def as_field(self) -> Field:
-        return Field(self.grid, self.values, DOMAIN_SIGMA, self.portion)
 
     def l2(self) -> float:
         per_level = (np.abs(self.values) ** 2) @ self.portion.weights

@@ -151,8 +151,7 @@ def assemble_operator(
     if q_level is not None:
         qv = np.asarray(q_level, dtype=float).reshape(-1) if not np.isscalar(q_level) else None
         diag = np.zeros(n)
-        interior = np.ones(n, dtype=bool)
-        interior[grid.boundary_flat_indices()] = False
+        interior = grid.interior_mask()
         if qv is None:
             diag[interior] = float(q_level)
         else:
@@ -161,19 +160,15 @@ def assemble_operator(
     return L.tocsr()
 
 
-def _q_levels(grid: SpaceTimeGrid, q) -> tuple:
-    """Returns (levels, time_dependent): levels is None (q absent), a scalar,
-    or an (n_levels, n_space) array."""
+def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
+    """A potential given as None (zero), a scalar or a Q field, as values
+    shaped (n_levels, *nx)."""
     if q is None:
-        return None, False
+        return np.zeros((grid.n_levels, *grid.nx))
     if np.isscalar(q):
-        return float(q), False
-    if isinstance(q, Field):
-        if q.domain != DOMAIN_Q:
-            raise GridError("potential field must live on Q")
-        arr = q.values.reshape(grid.n_levels, -1)
-        td = any(not np.array_equal(arr[0], arr[k]) for k in range(1, grid.n_levels))
-        return arr, td
+        return np.full((grid.n_levels, *grid.nx), float(q))
+    if isinstance(q, Field) and q.domain == DOMAIN_Q:
+        return q.values
     raise GridError("q must be None, a scalar, or a Q field")
 
 
@@ -189,24 +184,17 @@ class Propagator:
         self.theta = SCHEMES[scheme]
         self.gamma = gamma
         self.advection = advection
-        self.q_levels, q_td = _q_levels(grid, q)
+        self.q_levels = potential_values(grid, q).reshape(grid.n_levels, -1)
+        q_td = any(not np.array_equal(self.q_levels[0], lvl) for lvl in self.q_levels[1:])
         gamma_td = gamma.time_dependent() if gamma is not None else False
         self.time_dependent = q_td or gamma_td
         self.boundary_idx = grid.boundary_flat_indices()
-        self.interior_mask = np.ones(grid.n_space, dtype=bool)
-        self.interior_mask[self.boundary_idx] = False
+        self.interior_mask = grid.interior_mask()
         self._build()
-
-    def _q_at(self, level: int):
-        if self.q_levels is None:
-            return None
-        if np.isscalar(self.q_levels):
-            return self.q_levels
-        return self.q_levels[level]
 
     def _L(self, level: int) -> sp.csr_matrix:
         return assemble_operator(
-            self.grid, self.gamma, self._q_at(level), level * self.grid.dt, self.advection
+            self.grid, self.gamma, self.q_levels[level], level * self.grid.dt, self.advection
         )
 
     def _build(self):
@@ -491,8 +479,7 @@ def _newton(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings):
     n = grid.n_space
     dt = grid.dt
     bd = grid.boundary_flat_indices()
-    interior = np.ones(n, dtype=bool)
-    interior[bd] = False
+    interior = grid.interior_mask()
     meshes = grid.meshes()
     xs = meshes[0].reshape(-1)
     ys = meshes[1].reshape(-1) if grid.dim == 2 else 0.0
@@ -597,11 +584,3 @@ def solve_backward(
     )
     rep.solution = Field(grid, rep.solution.values[::-1].copy(), DOMAIN_Q)
     return rep
-
-
-def restrict_to_subinterval(grid: SpaceTimeGrid, level: int) -> SpaceTimeGrid:
-    """Grid covering [t_level, T] with the same spatial layout and step."""
-    nt_rest = grid.nt - level
-    if nt_rest < 2:
-        raise GridError("need at least 2 remaining steps")
-    return SpaceTimeGrid(grid.dim, grid.lower, grid.upper, grid.nx, nt_rest, nt_rest * grid.dt)

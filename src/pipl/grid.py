@@ -158,6 +158,12 @@ class SpaceTimeGrid:
                 idx.add(self.flat_index(mi))
         return np.array(sorted(idx), dtype=int)
 
+    def interior_mask(self) -> np.ndarray:
+        """Flat boolean mask over the space slice, False on boundary nodes."""
+        mask = np.ones(self.n_space, dtype=bool)
+        mask[self.boundary_flat_indices()] = False
+        return mask
+
     def digest(self) -> str:
         payload = repr((self.dim, self.lower, self.upper, self.nx, self.nt, self.T))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -196,14 +202,6 @@ class BoundaryPortion:
         omega = tuple(float(v) for v in np.atleast_1d(omega))
         return cls("directional", omega=omega, eps=float(eps), sign=int(sign))
 
-    def describe(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "faces":
-            d["faces"] = list(self.faces)
-        if self.kind == "directional":
-            d.update(omega=list(self.omega), eps=self.eps, sign=self.sign)
-        return d
-
 
 @dataclass(frozen=True)
 class ResolvedPortion:
@@ -222,9 +220,6 @@ class ResolvedPortion:
 
     def coords(self) -> np.ndarray:
         return np.array([self.grid.node_coords(mi) for mi in self.multi_indices])
-
-    def normals(self) -> np.ndarray:
-        return np.array([self.grid.face_normal(f) for f in self.face_of_node])
 
 
 def _selected_faces(grid: SpaceTimeGrid, portion: BoundaryPortion) -> list:
@@ -286,6 +281,15 @@ def resolve_portion(grid: SpaceTimeGrid, portion: BoundaryPortion) -> ResolvedPo
         np.asarray(flat, dtype=int),
         np.asarray(weights, dtype=float),
     )
+
+
+def complement_portion(grid: SpaceTimeGrid, portion: BoundaryPortion) -> ResolvedPortion:
+    """The faces that the portion does not select."""
+    taken = set(_selected_faces(grid, portion))
+    rest = [FACE_NAMES[f] for f in grid.faces() if f not in taken]
+    if not rest:
+        raise GridError("no faces left for candidate data")
+    return resolve_portion(grid, BoundaryPortion.named(*rest))
 
 
 def classify_boundary(grid: SpaceTimeGrid, portion: BoundaryPortion) -> set:

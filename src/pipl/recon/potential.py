@@ -2,14 +2,20 @@
 
 Twin experiments: a truth model generates boundary data, a reference model
 is available to the reconstructor.  All probe algebra is done on CGO
-profiles (carriers cancelled), so the boundary functional
+profiles (carriers cancelled).  A probe is one zero-data sweep of the
+forward CGO profile W_ref times a coefficient field c: the difference
+profile d solves the truth-side equation with source c W_ref, and the probe
+records d_nu d on the observation portion.  For potential recovery
+c = q_ref - q_truth; a Taylor probe of order k takes
+c = -(delta_truth - delta_ref) P with P the positive-solution product, one
+sweep by linearity.  Pairing with the matched backward CGO w_bwd, built
+once per (rho, omega, aperture), gives the boundary functional
 
-    integral_Sigma  w_bwd  d_nu(W_truth - W_ref)  dS dt
-      = - integral_Q (q_ref - q_truth) W_truth w_bwd dx dt
+    - integral_Sigma  w_bwd  d_nu d  dS dt  =  integral_Q c W_truth w_bwd dx dt
 
-is evaluated without ever materializing an exponential carrier.  The
-functional approximates a phi_rho-weighted Fourier sample of the
-coefficient difference, which the FourierSampleSet synthesis inverts.
+without ever materializing an exponential carrier.  The functional
+approximates a phi_rho-weighted Fourier sample of c, which the
+FourierSampleSet synthesis inverts.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..cgo import CGOFactory, CGOParameters
+from ..cgo import CGOFactory, CGOParameters, phi_rho
 from ..dnmap import normal_derivative_matrix
-from ..forward import Propagator, solve_linear
+from ..forward import Propagator, potential_values, solve_linear
 from ..grid import (
     DOMAIN_Q,
     DOMAIN_SIGMA,
@@ -29,6 +35,8 @@ from ..grid import (
     GridError,
     ResolvedPortion,
     SpaceTimeGrid,
+    complement_portion,
+    l2q_inner,
     norm,
     resolve_portion,
 )
@@ -53,43 +61,79 @@ class ReconstructionResult:
         return err
 
 
-def _q_field(grid, q):
-    if q is None:
-        return Field(grid, np.zeros((grid.n_levels, *grid.nx)), DOMAIN_Q)
-    if np.isscalar(q):
-        return Field(grid, np.full((grid.n_levels, *grid.nx), float(q)), DOMAIN_Q)
-    return q
-
-
-def _minus_portion(grid, omega, aperture) -> ResolvedPortion:
-    """Observation faces for partial data: everything whose outward normal
-    does not point into the omega aperture (nu.omega <= aperture)."""
-    plus = resolve_portion(grid, BoundaryPortion.directional(omega, aperture, +1))
-    plus_faces = set(plus.faces)
-    rest = [f for f in grid.faces() if f not in plus_faces]
-    from ..grid import FACE_NAMES
-
-    return resolve_portion(grid, BoundaryPortion.named(*[FACE_NAMES[f] for f in rest]))
-
-
 @dataclass
 class PotentialProbe:
     """One synthesized measurement: the profile-form DN difference for a
-    matched CGO probe pair against the reference model."""
+    forward CGO probe against the reference model."""
 
     params: CGOParameters
     dn_difference: np.ndarray          # (n_levels, n_portion_nodes), complex
     portion: ResolvedPortion
     remainder_fwd: float
-    remainder_bwd: float
     warnings: tuple = ()
     volume_functional: complex | None = None   # truth-side diagnostic
     order: int = 1
 
 
+def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_xi, n_tau,
+                  partial=False, aperture=0.0, order=1):
+    """Probe sweep shared by potential and Taylor synthesis.
+
+    Per omega: one Propagator for q_sweep with the profile advection and one
+    normal-derivative matrix on the observation portion (the faces outside
+    the omega aperture for partial data).  Per lattice point: one zero-data
+    solve with source coefficient * forward CGO profile.  Yields (probe,
+    profile values, solution levels).
+    """
+    if omegas is None:
+        omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
+    for omega in omegas:
+        portion = (
+            complement_portion(grid, BoundaryPortion.directional(omega, aperture, +1))
+            if partial
+            else resolve_portion(grid, BoundaryPortion.full())
+        )
+        B = normal_derivative_matrix(grid, portion)
+        adv = tuple(-2.0 * rho * w for w in omega)
+        prop = Propagator(grid, None, q_sweep, factory.scheme, adv)
+        pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
+        for xi, tau in pairs:
+            fwd = factory.build(
+                CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
+            )
+            profile = fwd.profile().values
+            d = prop.run(source=(coefficient * profile).reshape(grid.n_levels, -1))
+            probe = PotentialProbe(
+                fwd.params, (B @ d.T).T, portion, fwd.remainder_norm, tuple(fwd.warnings),
+                order=order,
+            )
+            yield probe, profile, d
+
+
 def _sigma_integral(grid, portion, a_vals, b_vals) -> complex:
     per_level = ((a_vals * b_vals) @ portion.weights).astype(complex)
     return complex(np.dot(grid.time_weights(), per_level))
+
+
+def _pairings(grid, probes, q, scheme="be", partial=False):
+    """One Fourier sample per probe: minus the Sigma integral of the matched
+    backward profile against the probe's DN difference, which equals the
+    volume functional integral_Q c W_truth w_bwd of the sweep coefficient c.
+    The backward CGO depends only on (rho, omega, aperture) and is built
+    once per distinct triple."""
+    factory = CGOFactory(grid, q, scheme, partial=partial)
+    backward = {}
+    for p in probes:
+        key = p.params.matched_backward()
+        if key not in backward:
+            bwd = factory.build(key)
+            backward[key] = (bwd.profile().values.reshape(grid.n_levels, -1), bwd.remainder_norm)
+        w_bwd, remainder_bwd = backward[key]
+        boundary = _sigma_integral(grid, p.portion, w_bwd[:, p.portion.flat], p.dn_difference)
+        yield FourierSample(
+            p.params.omega, p.params.xi, p.params.tau, -boundary, p.params.rho,
+            p.remainder_fwd, remainder_bwd, p.warnings,
+        )
 
 
 def synthesize_potential_probes(
@@ -113,99 +157,33 @@ def synthesize_potential_probes(
     (q_ref - q_truth) W_ref), and records the profile DN trace of d on the
     observation portion.
     """
-    q_truth = _q_field(grid, q_truth)
-    q_ref = _q_field(grid, q_ref)
-    if omegas is None:
-        omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
     partial = mode == "partial"
     factory = CGOFactory(grid, q_ref, scheme, partial=partial)
+    dq_vals = potential_values(grid, q_ref) - potential_values(grid, q_truth)
     probes = []
-    dq_vals = q_ref.values - q_truth.values
-    for omega in omegas:
-        pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
-        portion = (
-            _minus_portion(grid, omega, aperture)
-            if partial
-            else resolve_portion(grid, BoundaryPortion.full())
-        )
-        B = normal_derivative_matrix(grid, portion)
-        adv = tuple(-2.0 * rho * w for w in omega)
-        prop_truth = Propagator(grid, None, q_truth, scheme, adv)
-        bwd = factory.build(CGOParameters.make(rho, omega, direction="backward", aperture=aperture))
-        for xi, tau in pairs:
-            fwd = factory.build(
-                CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
+    backward = {}
+    for probe, w_ref, d in _sweep_probes(
+        grid, factory, q_truth, dq_vals, rho, omegas, lattice, n_xi, n_tau, partial, aperture
+    ):
+        if keep_diagnostics:
+            # volume side of the identity: integral (q_ref - q_truth)
+            # W_truth w_bwd over Q, which must equal -boundary functional
+            key = probe.params.matched_backward()
+            if key not in backward:
+                backward[key] = factory.build(key).profile().values
+            w_truth = Field(grid, w_ref + d.reshape(w_ref.shape), DOMAIN_Q)
+            probe.volume_functional = l2q_inner(
+                Field(grid, dq_vals * backward[key], DOMAIN_Q), w_truth
             )
-            w_ref = fwd.profile()
-            src = (dq_vals * w_ref.values).reshape(grid.n_levels, -1)
-            d = prop_truth.run(source=src)
-            dn_diff = (B @ d.T).T
-            vol = None
-            if keep_diagnostics:
-                # volume side of the identity: integral (q_ref - q_truth)
-                # W_truth w_bwd over Q, which must equal -boundary functional
-                w_truth = Field(grid, (w_ref.values.reshape(grid.n_levels, -1) + d).reshape(
-                    grid.n_levels, *grid.nx), DOMAIN_Q)
-                w_bwd = bwd.profile()
-                from ..grid import l2q_inner
-
-                vol = l2q_inner(
-                    Field(grid, dq_vals * w_bwd.values, DOMAIN_Q), w_truth
-                )
-            probes.append(
-                PotentialProbe(
-                    fwd.params,
-                    dn_diff,
-                    portion,
-                    fwd.remainder_norm,
-                    bwd.remainder_norm,
-                    tuple(fwd.warnings),
-                    vol,
-                )
-            )
+        probes.append(probe)
     return probes
-
-
-def _phi_rho(rho, T):
-    rho34 = rho**0.75
-
-    def w(_rho, t):
-        return 1.0 - np.exp(-rho34 * t) - np.exp(-rho34 * (T - t)) + np.exp(-rho34 * T)
-
-    return w
 
 
 def assemble_samples(
     grid: SpaceTimeGrid, probes, q_ref, scheme="be", mode="full"
 ) -> FourierSampleSet:
     """Boundary functionals -> Fourier samples of (q_ref - q_truth)."""
-    q_ref = _q_field(grid, q_ref)
-    partial = mode == "partial"
-    factory = CGOFactory(grid, q_ref, scheme, partial=partial)
-    sset = FourierSampleSet(grid)
-    for p in probes:
-        bwd = factory.build(
-            CGOParameters.make(
-                p.params.rho, p.params.omega, direction="backward", aperture=p.params.aperture
-            )
-        )
-        w_bwd = bwd.profile().values.reshape(grid.n_levels, -1)[:, p.portion.flat]
-        boundary = _sigma_integral(grid, p.portion, w_bwd, p.dn_difference)
-        # identity: integral_Q (q_ref-q_truth) W_truth w_bwd = -boundary
-        value = -boundary
-        sset.add(
-            FourierSample(
-                p.params.omega,
-                p.params.xi,
-                p.params.tau,
-                value,
-                p.params.rho,
-                p.remainder_fwd,
-                bwd.remainder_norm,
-                p.warnings,
-            )
-        )
-    return sset
+    return FourierSampleSet(grid, list(_pairings(grid, probes, q_ref, scheme, mode == "partial")))
 
 
 def recover_potential(
@@ -225,7 +203,7 @@ def recover_potential(
     if big_remainder > 0.5:
         notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
     defect = sset.conjugate_symmetry_defect()
-    recovered = sset.synthesize(alpha=alpha, ramp=_phi_rho(probes[0].params.rho, grid.T))
+    recovered = sset.synthesize(alpha=alpha, ramp=lambda rho, t: phi_rho(rho, t, grid.T))
     result = ReconstructionResult(
         recovered,
         residuals={"conjugate_symmetry_defect": defect},
@@ -243,22 +221,13 @@ def reciprocity_report(grid: SpaceTimeGrid, probes, q_ref, scheme="be", mode="fu
     """Relative gap between the volume functional (truth-side diagnostic) and
     the boundary functional, per probe.  Needs probes synthesized with
     keep_diagnostics=True."""
-    q_ref = _q_field(grid, q_ref)
-    factory = CGOFactory(grid, q_ref, scheme, partial=(mode == "partial"))
+    if any(p.volume_functional is None for p in probes):
+        raise GridError("probe lacks the volume diagnostic")
     gaps = []
-    for p in probes:
-        if p.volume_functional is None:
-            raise GridError("probe lacks the volume diagnostic")
-        bwd = factory.build(
-            CGOParameters.make(
-                p.params.rho, p.params.omega, direction="backward", aperture=p.params.aperture
-            )
-        )
-        w_bwd = bwd.profile().values.reshape(grid.n_levels, -1)[:, p.portion.flat]
-        boundary = _sigma_integral(grid, p.portion, w_bwd, p.dn_difference)
+    for p, s in zip(probes, _pairings(grid, probes, q_ref, scheme, mode == "partial")):
         vol = p.volume_functional
-        scale = max(abs(vol), abs(boundary))
-        gaps.append(abs(vol - (-boundary)) / scale if scale > 0 else 0.0)
+        scale = max(abs(vol), abs(s.value))
+        gaps.append(abs(vol - s.value) / scale if scale > 0 else 0.0)
     return {"per_probe": gaps, "max": max(gaps) if gaps else 0.0}
 
 
@@ -308,8 +277,7 @@ def positive_solution(
     rep = solve_linear(grid, gamma, q, f=trace, scheme=scheme)
     vals = rep.solution.values
     sup = float(np.max(np.abs(vals)))
-    interior = np.ones(grid.n_space, dtype=bool)
-    interior[grid.boundary_flat_indices()] = False
+    interior = grid.interior_mask()
     flat = vals.reshape(grid.n_levels, -1)
     overall_min = float(np.min(flat[:, interior]))
     late_min = float(np.min(flat[1:, interior]))
@@ -374,7 +342,8 @@ def synthesize_taylor_probes(
 
         P_qbar W_j = -d_u^M b_j(.,0) * (theta + z) * prod positive_fields,
 
-    with zero data.  The measured object is d_nu(W_truth - W_ref).
+    with zero data.  The measured object is d_nu(W_truth - W_ref); by
+    linearity it is one sweep with coefficient -(delta_truth - delta_ref) P.
     """
     if order < 2:
         raise GridError("orders below 2 reduce to potential recovery")
@@ -387,38 +356,14 @@ def synthesize_taylor_probes(
     pos_prod = np.ones_like(qbar.values)
     for v in positive_fields:
         pos_prod = pos_prod * v.values
-
-    if omegas is None:
-        omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
+    coefficient = -(delta1.values - delta2.values) * pos_prod
     factory = CGOFactory(grid, qbar, scheme)
-    full = resolve_portion(grid, BoundaryPortion.full())
-    B = normal_derivative_matrix(grid, full)
-    probes = []
-    for omega in omegas:
-        pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
-        adv = tuple(-2.0 * rho * w for w in omega)
-        prop = Propagator(grid, None, qbar, scheme, adv)
-        bwd = factory.build(CGOParameters.make(rho, omega, direction="backward"))
-        for xi, tau in pairs:
-            fwd = factory.build(CGOParameters.make(rho, omega, xi=xi, tau=tau))
-            carrier_profile = fwd.profile().values
-            traces = []
-            for dl in (delta1, delta2):
-                src = (-dl.values * carrier_profile * pos_prod).reshape(grid.n_levels, -1)
-                W = prop.run(source=src)
-                traces.append((B @ W.T).T)
-            probes.append(
-                PotentialProbe(
-                    fwd.params,
-                    traces[0] - traces[1],
-                    full,
-                    fwd.remainder_norm,
-                    bwd.remainder_norm,
-                    tuple(fwd.warnings),
-                    order=order,
-                )
-            )
-    return probes
+    return [
+        probe
+        for probe, _, _ in _sweep_probes(
+            grid, factory, qbar, coefficient, rho, omegas, lattice, n_xi, n_tau, order=order
+        )
+    ]
 
 
 def recover_taylor(
@@ -445,21 +390,11 @@ def recover_taylor(
     """
     qbar = _coefficient_field(grid, nl_ref, 1)
     sset = FourierSampleSet(grid)
-    factory = CGOFactory(grid, qbar, scheme)
-    for p in probes:
-        bwd = factory.build(
-            CGOParameters.make(p.params.rho, p.params.omega, direction="backward")
-        )
-        w_bwd = bwd.profile().values.reshape(grid.n_levels, -1)[:, p.portion.flat]
-        boundary = _sigma_integral(grid, p.portion, w_bwd, p.dn_difference)
-        # sign: source is -delta * V, so the sample flips once more
-        sset.add(
-            FourierSample(
-                p.params.omega, p.params.xi, p.params.tau, boundary, p.params.rho,
-                p.remainder_fwd, bwd.remainder_norm, p.warnings,
-            )
-        )
-    product = sset.synthesize(alpha=alpha, ramp=_phi_rho(probes[0].params.rho, grid.T))
+    for sample in _pairings(grid, probes, qbar, scheme):
+        # sign: the sweep coefficient is -delta * P, so the sample flips once more
+        sample.value = -sample.value
+        sset.add(sample)
+    product = sset.synthesize(alpha=alpha, ramp=lambda rho, t: phi_rho(rho, t, grid.T))
     pos_prod = np.ones_like(product.values)
     for v in positive_fields:
         pos_prod = pos_prod * v.values

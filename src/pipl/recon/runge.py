@@ -19,6 +19,7 @@ from ..grid import (
     Field,
     GridError,
     SpaceTimeGrid,
+    complement_portion,
     resolve_portion,
 )
 from .control import control_basis
@@ -58,14 +59,7 @@ def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None, ape
     if mode == "partial":
         if omega is None:
             raise GridError("partial mode needs omega")
-        minus = resolve_portion(grid, BoundaryPortion.directional(omega, aperture, -1))
-        minus_faces = set(minus.faces)
-        rest = [f for f in grid.faces() if f not in minus_faces]
-        if not rest:
-            raise GridError("no faces left for candidate data")
-        from ..grid import FACE_NAMES
-
-        portion = resolve_portion(grid, BoundaryPortion.named(*[FACE_NAMES[f] for f in rest]))
+        portion = complement_portion(grid, BoundaryPortion.directional(omega, aperture, -1))
     else:
         portion = resolve_portion(grid, BoundaryPortion.full())
     n_nodes = len(set(portion.flat.tolist()))

@@ -63,6 +63,36 @@ def test_kind_mismatch_exits_2(tmp_path):
     assert run("maxprin", cfg, tmp_path / "o") == EXIT_PARSE
 
 
+def test_forward_unconverged_semilinear_fails_check(tmp_path):
+    # large data for u^5: Picard stalls, and --check must not exit 0
+    cfg = write_config(
+        tmp_path,
+        "fwd.ini",
+        """
+[grid]
+nx = 9
+nt = 4
+T = 0.5
+
+[model]
+nonlinearity = "u^5"
+class = admissible-analytic
+
+[experiment]
+kind = forward
+scheme = be
+
+[forward]
+initial = "40*sin(pi*x)"
+""",
+    )
+    out = tmp_path / "out"
+    assert run("forward", cfg, out, check=True) == EXIT_CHECK
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+    failures = json.loads((out / "check_failures.json").read_text())
+    assert any("did not converge" in f for f in failures)
+
+
 def test_cgo_check_failure_exit_4(tmp_path):
     # coarse time grid + huge rho: unresolved boundary layer, remainders
     # need not decay -> check mode must gate it

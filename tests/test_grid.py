@@ -76,6 +76,11 @@ def test_portion_partition_covers_boundary():
     # overlap only on tangential faces (nu . omega = 0)
     tang = {g.flat_index(mi) for f in [(1, 0), (1, 1)] for mi in g.face_multi_indices(f)}
     assert plus & minus == tang
+    # the interior mask is the complement of the boundary nodes, 1D and 2D
+    for gg in (grid1d(), g):
+        mask = gg.interior_mask()
+        assert mask.shape == (gg.n_space,)
+        assert set(np.flatnonzero(~mask)) == set(gg.boundary_flat_indices())
 
 
 def test_non_unit_omega_rejected():

@@ -28,6 +28,7 @@ from pipl.recon import (
     synthesize_potential_probes,
     synthesize_taylor_probes,
 )
+from pipl.recon.potential import assemble_samples
 
 
 def grid1d(nx=65, nt=64, T=1.0):
@@ -116,6 +117,52 @@ def test_recover_potential_2d_temporal_truth():
     assert res.truth_error <= 0.30
 
 
+def _per_probe_pairing(g, probes, q_ref, mode):
+    # reference: the per-probe loop that builds the backward CGO for every probe
+    fac = CGOFactory(g, q_ref, "be", partial=(mode == "partial"))
+    values = []
+    for p in probes:
+        bwd = fac.build(
+            CGOParameters.make(
+                p.params.rho, p.params.omega, direction="backward", aperture=p.params.aperture
+            )
+        )
+        w_bwd = bwd.profile().values.reshape(g.n_levels, -1)[:, p.portion.flat]
+        per_level = ((w_bwd * p.dn_difference) @ p.portion.weights).astype(complex)
+        values.append(-complex(np.dot(g.time_weights(), per_level)))
+    return values
+
+
+@pytest.mark.parametrize("mode", ["full", "partial"])
+def test_assemble_samples_match_per_probe_pairing(mode):
+    g = grid1d(33, 32)
+    dq = bump_dq(g)
+    probes = synthesize_potential_probes(g, dq, 0.3, rho=16.0, n_tau=2, mode=mode)
+    sset = assemble_samples(g, probes, 0.3, mode=mode)
+    assert [s.value for s in sset.samples] == _per_probe_pairing(g, probes, 0.3, mode)
+
+
+def test_recover_potential_one_backward_build_per_direction(monkeypatch):
+    builds = []
+    real_build = CGOFactory.build
+
+    def counting_build(self, params):
+        builds.append(params)
+        return real_build(self, params)
+
+    monkeypatch.setattr(CGOFactory, "build", counting_build)
+    g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
+    for g, expected in ((grid1d(17, 16), 1), (g2, 2)):
+        dq = field_from_function(g, lambda *args: 0 * args[0] + np.sin(math.pi * args[-1]), "Q")
+        builds.clear()
+        probes = synthesize_potential_probes(g, dq, None, rho=8.0, n_xi=1, n_tau=1)
+        assert all(p.direction == "forward" for p in builds)
+        builds.clear()
+        recover_potential(g, probes, None)
+        backward = [p for p in builds if p.direction == "backward"]
+        assert len(backward) == len({(p.rho, p.omega, p.aperture) for p in backward}) == expected
+
+
 def test_underresolved_lattice_rejected():
     from pipl.grid import GridError
     from pipl.recon.fourier import FourierSample, FourierSampleSet
@@ -194,6 +241,34 @@ def test_recover_taylor_quadratic_constant_mean():
     vals = res.recovered.values
     mean = float(np.mean(vals[vals != 0.0]))
     assert abs(mean - 2 * c) / (2 * c) <= 0.15
+
+
+def test_taylor_probe_one_sweep_matches_two_sweep_difference():
+    from pipl.dnmap import normal_derivative_matrix
+    from pipl.forward import Propagator
+
+    g = grid1d(33, 32)
+    rho = 32.0
+    nl_truth = Nonlinearity.parse("0.7*u^2")
+    nl_ref = Nonlinearity.parse("(0.3 + 0.2*x)*u^2")
+    v2, _ = positive_solution(g, None, None, ramp_time=0.15)
+    probes = synthesize_taylor_probes(g, nl_truth, nl_ref, 2, [v2], rho=rho, n_tau=2)
+    x = g.axis(0)
+    deltas = [
+        np.array([np.broadcast_to(nl(x, t, 0.0, k=2), g.nx) for t in g.times()])
+        for nl in (nl_truth, nl_ref)
+    ]
+    B = normal_derivative_matrix(g, resolve_portion(g, BoundaryPortion.full()))
+    fac = CGOFactory(g, None)
+    prop = Propagator(g, None, None, "be", (-2.0 * rho,))
+    for p in probes:
+        profile = fac.build(p.params).profile().values
+        traces = []
+        for delta in deltas:
+            W = prop.run(source=(-delta * profile * v2.values).reshape(g.n_levels, -1))
+            traces.append((B @ W.T).T)
+        ref = traces[0] - traces[1]
+        assert np.max(np.abs(p.dn_difference - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_taylor_rejects_mismatched_base_potential():
