@@ -384,9 +384,7 @@ def run_linearize(cfg, grid, outdir, jobs):
     gamma = build_gamma(cfg)
     nl = build_nonlinearity(cfg, grid)
     g0 = _expr_field(grid, section.get("base_initial", "0.8*sin(pi*x)"))
-    setup = LinearizationSetup(
-        grid, gamma, nl, g0, scheme=scheme, strategy=section.get("strategy", "newton")
-    )
+    setup = LinearizationSetup(grid, gamma, nl, g0, scheme=scheme)
     shapes = [
         probe_trace(grid, lambda x, s=shift: np.cos(s * x) + 1.5)
         for shift in (1.0, 2.0, 3.0)

@@ -88,11 +88,11 @@ def passive_map(
     g: Field,
     portion,
     scheme: str = "be",
-    strategy: str = "picard",
 ) -> DNMeasurement:
-    """Passive measurement: solve with f = 0 driven by the initial data g
-    and measure the DN trace on the portion."""
-    report = solve_semilinear(grid, gamma, nl, f=None, g=g, strategy=strategy, scheme=scheme)
+    """Passive measurement: solve the semilinear equation (solve_semilinear)
+    with f = 0 driven by the initial data g and measure the DN trace on the
+    portion."""
+    report = solve_semilinear(grid, gamma, nl, f=None, g=g, scheme=scheme)
     return measure(report.solution, portion)
 
 

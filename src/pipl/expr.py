@@ -446,6 +446,19 @@ def substitute(node: Node, name: str, replacement: Node) -> Node:
     return node
 
 
+def mentions(node: Node, name: str) -> bool:
+    """Whether variable ``name`` occurs anywhere in the tree."""
+    if isinstance(node, Var):
+        return node.name == name
+    if isinstance(node, Neg):
+        return mentions(node.arg, name)
+    if isinstance(node, BinOp):
+        return mentions(node.left, name) or mentions(node.right, name)
+    if isinstance(node, (Call, Sign)):
+        return mentions(node.arg, name)
+    return False
+
+
 class Expression:
     """Parsed expression with cached u-derivatives of any order."""
 
@@ -482,18 +495,7 @@ class Expression:
         return self.derivative_root(var, order).ev(env) if order else self.root.ev(env)
 
     def uses(self, name: str) -> bool:
-        def walk(n: Node):
-            if isinstance(n, Var) and n.name == name:
-                return True
-            if isinstance(n, Neg):
-                return walk(n.arg)
-            if isinstance(n, BinOp):
-                return walk(n.left) or walk(n.right)
-            if isinstance(n, (Call, Sign)):
-                return walk(n.arg)
-            return False
-
-        return walk(self.root)
+        return mentions(self.root, name)
 
     def __str__(self):
         return self.source

@@ -7,7 +7,8 @@ Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
 The Propagator owns the per-level step matrices and their factorizations and
 provides exact discrete adjoint accumulation, which the reconstruction
-module uses for gradient iterations.
+module uses for gradient iterations.  Semilinear terms affine in u are one
+linear sweep; all others take per-step Newton.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .grid import (
     resolve_portion,
     zero_field,
 )
-from .model import DiffusionTensor, Nonlinearity, freeze_quotient, zero_order_source
+from .model import CLASS_ANALYTIC, DiffusionTensor, Nonlinearity, taylor_table
 
 SCHEMES = {"be": 1.0, "cn": 0.5}
 
@@ -399,17 +400,22 @@ def solve_semilinear(
     nl: Nonlinearity,
     f=None,
     g: Field | None = None,
-    strategy: str = "picard",
     scheme: str = "be",
     tol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int = 30,
     smallness_gate: float = 1.0,
     compat_tol: float = 1e-9,
 ) -> SolveReport:
-    """u_t - div(gamma grad u) + nl(x,t,u) = 0 by frozen-potential Picard
-    iteration (default) or per-step Newton."""
-    from .model import CLASS_ANALYTIC
+    """u_t - div(gamma grad u) + nl(x,t,u) = 0, u|Sigma = f, u(0) = g.
 
+    A term affine in u (Nonlinearity.is_affine) is one linear sweep with the
+    potential d_u nl(x,t,0) and the source -nl(x,t,0); there one Newton step
+    per level would be exact.  Any other term is solved by Newton's method on
+    each time level of the theta-scheme, at most max_iter iterations per
+    level; a level that reaches the cap leaves converged False and a warning.
+    """
+    if max_iter < 1:
+        raise SolverError(f"max_iter must be >= 1, got {max_iter}")
     full = resolve_portion(grid, BoundaryPortion.full())
     f_vals = _full_trace_values(grid, f, full)
     check_compatibility(grid, g, f_vals, compat_tol)
@@ -427,54 +433,21 @@ def solve_semilinear(
                 "well-posedness not asserted"
             )
 
-    base_src = zero_order_source(nl, grid)
-    src0 = None if base_src is None else -base_src.values
-
-    if strategy == "picard":
-        return _picard(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings)
-    if strategy == "newton":
-        return _newton(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings)
-    raise SolverError(f"unknown strategy {strategy!r}")
-
-
-def _picard(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings):
-    z = zero_field(grid)
-    if g is not None:
-        z.values[:] = np.broadcast_to(g.values, (grid.n_levels, *grid.nx))
-    history = []
-    prev_update = np.inf
-    u_field = z
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        q_z = freeze_quotient(nl, z)
-        prop = Propagator(grid, gamma, q_z, scheme)
-        vals = prop.run(
-            g0=None if g is None else g.values.reshape(-1), f=f_vals, source=src0
-        )
-        if not np.all(np.isfinite(vals)):
-            raise SolverError(f"picard iterate {it} produced non-finite values (possible blow-up)")
-        u_field = Field(grid, vals.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-        diff = u_field - z
-        update = norm(diff, "L2Q")
-        scale = max(1.0, norm(u_field, "L2Q"))
-        history.append(update / scale)
-        if update / scale < tol:
-            z = u_field
-            converged = True
-            break
-        if update > prev_update:
-            # damp when the undamped update grows
-            z = Field(grid, z.values + 0.5 * diff.values, DOMAIN_Q)
-        else:
-            z = u_field
-        prev_update = update
-    if not converged:
-        warnings.append("picard did not converge; returning last iterate")
-    return SolveReport(z if converged else u_field, it, history, converged, scheme, warnings)
+    if nl.is_affine():
+        a0, q = taylor_table(nl, zero_field(grid), 1).coefficients
+        src = -a0.values if np.any(a0.values != 0.0) else None
+        rep = solve_linear(grid, gamma, q, f, g, src, scheme, compat_tol)
+        rep.warnings = warnings
+        return rep
+    return _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings)
 
 
-def _newton(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings):
+def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings):
+    """Per-level Newton: v + dt theta (L v + a(v)) = u_k - dt (1 - theta)
+    (L u_k + a(u_k)) on interior rows, v = f on the boundary.  The Jacobian
+    I + dt theta (L + diag(d_u a)) already has identity boundary rows, because
+    L and d_u a vanish there.  residual_history holds each level's last
+    scaled Newton update."""
     theta = SCHEMES[scheme]
     n = grid.n_space
     dt = grid.dt
@@ -495,17 +468,10 @@ def _newton(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings):
             L0_cache[level] = assemble_operator(grid, gamma, None, level * grid.dt)
         return L0_cache[level]
 
-    def b_of(level, uvec):
-        t = level * grid.dt
-        out = np.broadcast_to(np.asarray(nl(xs, t, uvec, y=ys, k=0), dtype=float), (n,)).copy()
-        out[~interior] = 0.0
-        return out
-
-    def bu_of(level, uvec):
-        t = level * grid.dt
-        out = np.broadcast_to(np.asarray(nl(xs, t, uvec, y=ys, k=1), dtype=float), (n,)).copy()
-        out[~interior] = 0.0
-        return out
+    def a_of(level, uvec, k):
+        """k-th u-derivative of nl at uvec, zero off the interior."""
+        out = np.broadcast_to(np.asarray(nl(xs, level * dt, uvec, y=ys, k=k), dtype=float), (n,))
+        return np.where(interior, out, 0.0)
 
     u = np.zeros((grid.n_levels, n))
     if g is not None:
@@ -513,34 +479,32 @@ def _newton(grid, gamma, nl, f_vals, g, src0, scheme, tol, max_iter, warnings):
     if f_vals is not None:
         u[0, bd] = f_vals[0]
     total_newton = 0
+    converged = True
     history = []
     for k in range(grid.nt):
-        rhs_expl = u[k] - dt * (1 - theta) * (L0(k) @ u[k] + b_of(k, u[k]))
-        if src0 is not None:
-            s = src0.reshape(grid.n_levels, -1)
-            rhs_expl = rhs_expl + dt * np.where(interior, theta * s[k + 1] + (1 - theta) * s[k], 0.0)
+        rhs_expl = u[k] - dt * (1 - theta) * (L0(k) @ u[k] + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
         A_lin = eye + dt * theta * L0(k + 1)
-        for newton_it in range(30):
-            res = v + dt * theta * ((L0(k + 1) @ v) + b_of(k + 1, v)) - rhs_expl
+        for _ in range(max_iter):
+            res = v + dt * theta * ((L0(k + 1) @ v) + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
-            J = (A_lin + sp.diags(np.where(interior, dt * theta * bu_of(k + 1, v), 0.0))).tolil()
-            J[bd, :] = 0.0
-            J[bd, bd] = 1.0
-            delta = spla.spsolve(J.tocsc(), res)
+            J = (A_lin + sp.diags(dt * theta * a_of(k + 1, v, 1))).tocsc()
+            delta = spla.spsolve(J, res)
             v = v - delta
             total_newton += 1
-            if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(v))):
+            scale = max(1.0, np.max(np.abs(v)))
+            if np.max(np.abs(delta)) <= tol * scale:
                 break
         else:
+            converged = False
             warnings.append(f"newton stalled at time level {k + 1}")
         if not np.all(np.isfinite(v)):
             raise SolverError(f"newton produced non-finite values at time level {k + 1}")
         u[k + 1] = v
-        history.append(float(np.max(np.abs(v))))
+        history.append(float(np.max(np.abs(delta)) / scale))
     sol = Field(grid, u.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-    return SolveReport(sol, total_newton, history, True, scheme, warnings)
+    return SolveReport(sol, total_newton, history, converged, scheme, warnings)
 
 
 def time_reversed_gamma(gamma: DiffusionTensor | None, T: float) -> DiffusionTensor | None:

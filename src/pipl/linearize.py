@@ -47,7 +47,6 @@ class LinearizationSetup:
     nl: Nonlinearity
     g: Field | None = None
     scheme: str = "be"
-    strategy: str = "picard"
     smallness_gate: float = 1.0
     tol: float = 1e-13
 
@@ -63,7 +62,6 @@ class LinearizationSetup:
                 self.nl,
                 f=None,
                 g=self.g,
-                strategy=self.strategy,
                 scheme=self.scheme,
                 smallness_gate=self.smallness_gate,
                 tol=self.tol,
@@ -88,7 +86,6 @@ class LinearizationSetup:
             self.nl,
             f=trace,
             g=self.g,
-            strategy=self.strategy,
             scheme=self.scheme,
             smallness_gate=self.smallness_gate,
             tol=self.tol,

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .expr import Expression
+from .expr import Expression, mentions
 from .grid import DOMAIN_Q, Field, SpaceTimeGrid
 
 CLASS_A = "A_T"                      # C^1 with sub-sqrt-log growth of the u-derivative
@@ -148,6 +148,13 @@ class Nonlinearity:
         if worst > 1e-12:
             raise ModelError(f"class {self.tag}: term does not vanish at u=0 (max |b(x,t,0)| = {worst:.3g})")
 
+    def is_affine(self) -> bool:
+        """Whether a is affine in u, read off the expression, not the tag: its
+        u-derivative does not involve u.  (Asking only that the second
+        u-derivative fold to 0 would pass abs(u), as sign(u) differentiates
+        to 0.)"""
+        return not mentions(self.expr.derivative_root("u", 1), "u")
+
     def __call__(self, x, t, u, y=0.0, k: int = 0):
         """Value of the k-th u-derivative at broadcastable points."""
         if k < 0:
@@ -207,65 +214,6 @@ def check_growth(nl: Nonlinearity, grid: SpaceTimeGrid, y_max: float = 1e6,
         else f"sampled violation: envelope tail {tail:.3g} vs peak {peak:.3g}"
     )
     return GrowthReport(ok, y_grid, curve, note)
-
-
-# ---------------------------------------------------------------------------
-# Frozen-potential quotient q_z = (a(x,t,z) - a(x,t,0)) / z
-
-
-THETA_SWITCH = 1e-8
-
-
-def freeze_quotient(nl: Nonlinearity, z: Field) -> Field:
-    """Potential field q_z(x,t) = (a(x,t,z) - a(x,t,0))/z with the u-derivative
-    branch at z = 0, linearly blended across |z| <= THETA_SWITCH.
-
-    For admissible terms (a(x,t,0) = 0) this is the fixed-point quotient of
-    the local well-posedness construction.
-    """
-    if z.domain != DOMAIN_Q:
-        raise ModelError("freeze_quotient expects a Q field")
-    g = z.grid
-    meshes = g.meshes()
-    x = meshes[0]
-    y = meshes[1] if g.dim == 2 else 0.0
-    out = np.empty_like(z.values, dtype=float)
-    for k, t in enumerate(g.times()):
-        zk = z.values[k]
-        base = np.broadcast_to(np.asarray(nl(x, t, 0.0, y=y, k=0), dtype=float), zk.shape)
-        deriv0 = np.broadcast_to(np.asarray(nl(x, t, 0.0, y=y, k=1), dtype=float), zk.shape)
-        big = np.abs(zk) > THETA_SWITCH
-        quo = np.array(deriv0, dtype=float, copy=True)
-        if np.any(big):
-            vals = np.broadcast_to(
-                np.asarray(nl(x, t, np.where(big, zk, 1.0), y=y, k=0), dtype=float), zk.shape
-            )
-            quo_big = (vals - base) / np.where(big, zk, 1.0)
-            # linear blend toward the derivative branch near the switch
-            lam = np.clip((np.abs(zk) - THETA_SWITCH) / THETA_SWITCH, 0.0, 1.0)
-            quo = np.where(big, lam * quo_big + (1.0 - lam) * deriv0, deriv0)
-        if not np.all(np.isfinite(quo)):
-            bad = np.argwhere(~np.isfinite(quo))[0]
-            raise ModelError(f"non-finite frozen quotient at level {k}, node {tuple(bad)}")
-        out[k] = quo
-    return Field(g, out, DOMAIN_Q)
-
-
-def zero_order_source(nl: Nonlinearity, grid: SpaceTimeGrid) -> Field | None:
-    """Field a(x,t,0), or None when it vanishes identically on the grid.
-    Used as the constant source in the frozen-potential linear solve."""
-    meshes = grid.meshes()
-    x = meshes[0]
-    y = meshes[1] if grid.dim == 2 else 0.0
-    levels = []
-    nonzero = False
-    for t in grid.times():
-        v = np.broadcast_to(np.asarray(nl(x, t, 0.0, y=y, k=0), dtype=float), grid.nx).copy()
-        nonzero = nonzero or bool(np.any(v != 0.0))
-        levels.append(v)
-    if not nonzero:
-        return None
-    return Field(grid, np.array(levels), DOMAIN_Q)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from ..dnmap import DNMeasurement, measure, normal_derivative_matrix
 from ..forward import Propagator, solve_semilinear
 from ..grid import (
     DOMAIN_OMEGA,
-    DOMAIN_Q,
     Field,
     ResolvedPortion,
     SpaceTimeGrid,
     norm,
 )
-from ..model import CLASS_LINEAR, Nonlinearity, freeze_quotient
+from ..model import Nonlinearity, taylor_table
 from .potential import ReconstructionResult
 
 
@@ -124,7 +123,7 @@ def recover_initial(
     """Minimize ||measure(solve(g)) - data||^2_{L2(Gamma_0 x (0,T))} + alpha ||g||^2
     over discrete initial data with f = 0 and a known nonlinearity."""
     portion = data.portion
-    linear = nl.tag == CLASS_LINEAR or not nl.expr.uses("u")
+    linear = nl.is_affine()
     if outer_iters is None:
         outer_iters = 1 if linear else 3
 
@@ -134,21 +133,15 @@ def recover_initial(
     converged = True
 
     def build_map(g_current):
-        if linear:
-            q = freeze_quotient(nl, Field(grid, np.zeros((grid.n_levels, *grid.nx)), DOMAIN_Q))
-            base = Field(grid, np.zeros((grid.n_levels, *grid.nx)), DOMAIN_Q)
-        else:
-            rep = solve_semilinear(
-                grid, gamma, nl,
-                g=Field(grid, g_current.reshape(grid.nx), DOMAIN_OMEGA),
-                scheme=scheme,
-            )
-            if not rep.converged:
-                notes.append("inner semilinear solve did not converge")
-            base = rep.solution
-            from ..model import taylor_table
-
-            q = taylor_table(nl, base, 1).coefficient(1)
+        rep = solve_semilinear(
+            grid, gamma, nl,
+            g=Field(grid, g_current.reshape(grid.nx), DOMAIN_OMEGA),
+            scheme=scheme,
+        )
+        if not rep.converged:
+            notes.append("inner semilinear solve did not converge")
+        base = rep.solution
+        q = taylor_table(nl, base, 1).coefficient(1)
         return InitialDataMap(grid, gamma, q, portion, scheme), base
 
     def solve_at(alpha_value):
@@ -157,10 +150,7 @@ def recover_initial(
         iters_total = 0
         for _ in range(outer_iters):
             lin_map, base = build_map(g_cur)
-            if linear:
-                misfit = lin_map.forward(g_cur) - data.values
-            else:
-                misfit = measure(base, portion).values - data.values
+            misfit = measure(base, portion).values - data.values
             rhs = -lin_map.adjoint(misfit) - alpha_value * lin_map.w_space * g_cur
             op = lin_map.normal_operator(alpha_value)
             delta, iters = _cg(op, rhs, tol=cg_tol, max_iter=cg_max)

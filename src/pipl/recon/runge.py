@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..forward import solve_linear
+from ..forward import Propagator, solve_linear
 from ..grid import (
     DOMAIN_Q,
     BoundaryPortion,
@@ -104,9 +104,10 @@ def runge_fit(
     w_space = _region_weights(grid, region)
     w_time = grid.time_weights()
 
+    prop = Propagator(grid, gamma, q, scheme)
     fields = []
     for tr in family:
-        rep = solve_linear(grid, gamma, q, f=tr, scheme=scheme)
+        rep = solve_linear(grid, f=tr, scheme=scheme, propagator=prop)
         fields.append(rep.solution.values.reshape(grid.n_levels, -1))
     tgt = target.values.reshape(grid.n_levels, -1)
 

@@ -168,7 +168,7 @@ def test_criterion_05_integral_identity_reciprocity():
 def test_criterion_06_linearization_rates():
     g = SpaceTimeGrid.make([0.0], [1.0], [49], 48, 0.5)
     g0 = field_from_function(g, lambda x: 0.8 * np.sin(math.pi * x), "Omega")
-    setup = LinearizationSetup(g, None, Nonlinearity.parse("u^3"), g0, strategy="newton")
+    setup = LinearizationSetup(g, None, Nonlinearity.parse("u^3"), g0)
     shapes = [probe_trace(g, lambda x, s=s: np.cos(s * x) + 1.5) for s in (1.0, 2.0, 3.0)]
     schedules = {1: [1e-2, 1e-3], 2: [1e-2, 1e-3], 3: [3e-3, 1e-3]}
     slopes = {}

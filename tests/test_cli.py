@@ -1,6 +1,9 @@
+import functools
 import json
 
+from pipl import cli
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, emit_plotdata, main, run
+from pipl.forward import solve_semilinear
 
 
 def write_config(tmp_path, name, text):
@@ -63,12 +66,7 @@ def test_kind_mismatch_exits_2(tmp_path):
     assert run("maxprin", cfg, tmp_path / "o") == EXIT_PARSE
 
 
-def test_forward_unconverged_semilinear_fails_check(tmp_path):
-    # large data for u^5: Picard stalls, and --check must not exit 0
-    cfg = write_config(
-        tmp_path,
-        "fwd.ini",
-        """
+U5_FORWARD_CFG = """
 [grid]
 nx = 9
 nt = 4
@@ -84,8 +82,23 @@ scheme = be
 
 [forward]
 initial = "40*sin(pi*x)"
-""",
-    )
+"""
+
+
+def test_forward_large_data_semilinear_converges(tmp_path):
+    # large data for u^5: per-step Newton converges where a fixed-point
+    # iteration on the frozen potential stalls
+    cfg = write_config(tmp_path, "fwd.ini", U5_FORWARD_CFG)
+    out = tmp_path / "out"
+    assert run("forward", cfg, out, check=True) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["converged"] is True
+
+
+def test_forward_unconverged_semilinear_fails_check(tmp_path, monkeypatch):
+    # a solve capped at one Newton iteration per level does not converge,
+    # and --check must not exit 0
+    monkeypatch.setattr(cli, "solve_semilinear", functools.partial(solve_semilinear, max_iter=1))
+    cfg = write_config(tmp_path, "fwd.ini", U5_FORWARD_CFG)
     out = tmp_path / "out"
     assert run("forward", cfg, out, check=True) == EXIT_CHECK
     assert json.loads((out / "report.json").read_text())["converged"] is False

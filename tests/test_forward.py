@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipl.grid import (
     Field,
@@ -12,10 +14,14 @@ from pipl.grid import (
     omega_slice,
     zero_field,
 )
-from pipl.model import DiffusionTensor, Nonlinearity
+from pipl import forward
+from pipl.model import CLASS_A, DiffusionTensor, Nonlinearity
 from pipl.forward import (
+    SCHEMES,
     CompatibilityError,
     Propagator,
+    _newton,
+    assemble_operator,
     boundary_trace,
     solve_backward,
     solve_linear,
@@ -173,23 +179,115 @@ def test_semilinear_cubic_self_convergence():
     assert rel < 0.01
 
 
-def test_picard_residual_history_decreasing():
+def test_newton_residual_history_per_level():
     g = grid1d(nx=33, nt=32, T=0.1)
     nl = Nonlinearity.parse("u^3 + 0.5*u^2")
     g0 = field_from_function(g, lambda x: 0.3 * np.sin(math.pi * x), "Omega")
     rep = solve_semilinear(g, None, nl, g=g0)
+    assert rep.converged and not rep.warnings
+    # one scaled last Newton update per time level, each below the tolerance;
+    # quadratic convergence needs only a few iterations per level
+    assert len(rep.residual_history) == g.nt
+    assert max(rep.residual_history) <= 1e-10
+    assert g.nt < rep.iterations <= 4 * g.nt
+
+
+def _theta_residual(grid, gamma, nl, u, scheme):
+    """Largest scaled interior residual of the theta-scheme equations
+    u_{k+1} - u_k + dt (theta F_{k+1} + (1 - theta) F_k) = 0 with
+    F_k = L_k u_k + a(x, t_k, u_k), rebuilt from assemble_operator."""
+    theta = SCHEMES[scheme]
+    interior = grid.interior_mask()
+    meshes = grid.meshes()
+    xs = meshes[0].reshape(-1)
+    ys = meshes[1].reshape(-1) if grid.dim == 2 else 0.0
+    flat = u.reshape(grid.n_levels, -1)
+
+    def F(k):
+        t = k * grid.dt
+        a = np.broadcast_to(nl(xs, t, flat[k], y=ys), flat[k].shape)
+        return assemble_operator(grid, gamma, None, t) @ flat[k] + np.where(interior, a, 0.0)
+
+    worst = 0.0
+    for k in range(grid.nt):
+        r = flat[k + 1] - flat[k] + grid.dt * (theta * F(k + 1) + (1 - theta) * F(k))
+        scale = max(1.0, float(np.max(np.abs(flat[k + 1]))))
+        worst = max(worst, float(np.max(np.abs(r[interior]))) / scale)
+    return worst
+
+
+NONAFFINE = ("u^3", "u^3 + 0.5*u^2", "sin(u) + x*u^2", "u^3 + 1 + x*t")
+AFFINE = ("0", "(1 + x)*u", "2*x", "sin(t)*u - exp(x) + 0.5")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    n=st.integers(5, 11),
+    nt=st.integers(2, 8),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_src=st.sampled_from((None, "1 + 0.3*x", "1 + 0.2*t")),
+    amp=st.floats(0.0, 1.0),
+    f_amp=st.floats(0.0, 0.5),
+    nonaffine=st.sampled_from(NONAFFINE),
+    affine=st.sampled_from(AFFINE),
+)
+def test_semilinear_property_random_grids(
+    dim, n, nt, T, scheme, gamma_src, amp, f_amp, nonaffine, affine
+):
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [n] * dim, nt, T)
+    gamma = None if gamma_src is None else DiffusionTensor.scalar(gamma_src)
+    g0 = zero_field(grid, "Omega")
+    g0.values[:] = amp * np.prod([np.sin(math.pi * m) for m in grid.meshes()], axis=0)
+    nb = len(grid.boundary_flat_indices())
+    f = f_amp * np.outer(grid.times() / T, np.linspace(-1.0, 1.0, nb))
+
+    # Newton satisfies the discrete equations at every level
+    nl = Nonlinearity.parse(nonaffine, tag=CLASS_A)
+    rep = solve_semilinear(grid, gamma, nl, f=f, g=g0, scheme=scheme)
     assert rep.converged
-    hist = rep.residual_history
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(hist[1:], hist[2:]))
+    assert _theta_residual(grid, gamma, nl, rep.solution.values, scheme) <= 1e-10
+    bd = grid.boundary_flat_indices()
+    assert np.allclose(rep.solution.values.reshape(grid.n_levels, -1)[:, bd], f, atol=1e-12)
+
+    # an affine term is one linear sweep, equal to Newton on the same equations
+    nl = Nonlinearity.parse(affine, tag=CLASS_A)
+    sweep = solve_semilinear(grid, gamma, nl, f=f, g=g0, scheme=scheme)
+    newton = _newton(grid, gamma, nl, f, g0, scheme, 1e-10, 30, [])
+    assert newton.converged
+    scale = max(1.0, float(np.max(np.abs(newton.solution.values))))
+    assert np.max(np.abs(sweep.solution.values - newton.solution.values)) <= 1e-12 * scale
+    assert _theta_residual(grid, gamma, nl, sweep.solution.values, scheme) <= 1e-10
 
 
-def test_picard_newton_agreement():
-    g = grid1d(nx=33, nt=32, T=0.1)
+def test_newton_cap_reports_unconverged():
+    g = grid1d(nx=17, nt=8, T=0.1)
     nl = Nonlinearity.parse("u^3")
-    g0 = field_from_function(g, lambda x: 0.2 * np.sin(math.pi * x), "Omega")
-    rp = solve_semilinear(g, None, nl, g=g0, strategy="picard", tol=1e-12)
-    rn = solve_semilinear(g, None, nl, g=g0, strategy="newton", tol=1e-12)
-    assert norm(rp.solution - rn.solution, "L2Q") < 1e-10
+    g0 = field_from_function(g, lambda x: 0.5 * np.sin(math.pi * x), "Omega")
+    rep = solve_semilinear(g, None, nl, g=g0, max_iter=1)
+    assert rep.converged is False
+    assert rep.iterations == g.nt
+    assert any("newton stalled" in w for w in rep.warnings)
+    assert solve_semilinear(g, None, nl, g=g0).converged is True
+
+
+def test_semilinear_propagator_builds(monkeypatch):
+    # an affine term is one sweep (one Propagator); Newton builds none
+    built = []
+
+    class Counting(Propagator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "Propagator", Counting)
+    g = grid1d(nx=17, nt=8, T=0.1)
+    g0 = sin_initial(g)
+    solve_semilinear(g, None, Nonlinearity.linear_potential("1 + x"), g=g0)
+    assert len(built) == 1
+    solve_semilinear(g, None, Nonlinearity.parse("u^3"), g=g0)
+    assert len(built) == 1
 
 
 def test_smallness_gate_warns_but_solves():

@@ -12,7 +12,6 @@ from pipl.model import (
     Nonlinearity,
     check_growth,
     evaluate,
-    freeze_quotient,
     taylor_table,
 )
 
@@ -91,42 +90,23 @@ def test_growth_quadratic_violated_with_witness():
     assert w.shape[1] == 2 and np.all(np.diff(w[:, 0]) > 0)
 
 
-def test_freeze_quotient_cubic_constant():
-    g = grid1d()
-    nl = Nonlinearity.parse("u^3")
-    z = Field(g, 2.0 * np.ones((g.n_levels, *g.nx)), "Q")
-    qz = freeze_quotient(nl, z)
-    assert np.allclose(qz.values, 4.0)
-
-
-def test_freeze_quotient_zero_branch():
-    g = grid1d()
-    nl = Nonlinearity.parse("u^3")
-    z = Field(g, np.zeros((g.n_levels, *g.nx)), "Q")
-    qz = freeze_quotient(nl, z)
-    assert np.allclose(qz.values, 0.0)  # d/du u^3 at 0
-
-
-def test_freeze_quotient_continuous_across_branch():
-    g = grid1d()
-    nl = Nonlinearity.parse("sin(u)")
-    z = Field(g, 1e-12 * np.ones((g.n_levels, *g.nx)), "Q")
-    qz = freeze_quotient(nl, z)
-    assert np.allclose(qz.values, 1.0, atol=1e-9)
-
-
-def test_freeze_quotient_consistency_as_z_shrinks():
-    g = grid1d(nx=9, nt=4)
-    nl = Nonlinearity.parse("u^2 + sin(u)*t")
-    x = g.meshes()[0]
-    for amp in (1e-2, 1e-4, 1e-6):
-        z = field_from_function(g, lambda x, t: amp * (np.sin(3 * x) + 0.5), "Q")
-        qz = freeze_quotient(nl, z)
-        worst = 0.0
-        for lvl, t in enumerate(g.times()):
-            resid = np.abs(nl(x, t, z.values[lvl]) - qz.values[lvl] * z.values[lvl])
-            worst = max(worst, float(np.max(resid)))
-        assert worst < 10 * amp**2 + 1e-12
+@pytest.mark.parametrize(
+    "source, affine",
+    [
+        ("0", True),
+        ("2*x", True),
+        ("(1 + x)*u", True),
+        ("u/2 + sin(t)*u - exp(x)", True),
+        ("u^3", False),
+        ("u^2 + x", False),
+        ("sin(u)", False),
+        ("abs(u)", False),   # d_u = sign(u) differentiates to 0, but is not constant in u
+    ],
+)
+def test_is_affine_reads_the_expression(source, affine):
+    # the class tag plays no part: the CLI default tag is linear-potential
+    assert Nonlinearity.parse(source, tag="linear-potential").is_affine() is affine
+    assert Nonlinearity.parse(source, tag=CLASS_A).is_affine() is affine
 
 
 def test_diffusion_symmetry_and_ellipticity():

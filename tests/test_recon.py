@@ -304,6 +304,16 @@ def test_recover_initial_linear_twin():
     assert res.truth_error <= 0.10
 
 
+def test_recover_initial_affine_source_term():
+    # a(x,t,0) = 2x drives the solution even for zero initial data; the
+    # misfit must keep it whatever the class tag says
+    g = grid1d(49, 48, T=0.5)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    nl = Nonlinearity.parse("2*x", tag="linear-potential")
+    res = recover_initial(g, None, nl, passive_map(g, None, nl, truth, LEFT), truth=truth)
+    assert res.truth_error < 0.01
+
+
 def test_recover_initial_nonlinear_graceful():
     g = grid1d(49, 48, T=0.5)
     truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
@@ -408,15 +418,26 @@ def _cgo_target(g, q, rho=2.0, tau=2 * math.pi):
     return Field(g, vals / np.max(np.abs(vals)), "Q")
 
 
-def test_runge_exact_member_recovered():
+def test_runge_exact_member_recovered(monkeypatch):
+    from pipl import forward
     from pipl.forward import solve_linear
-    from pipl.recon import runge_basis
+    from pipl.recon import runge, runge_basis
 
     g = grid1d(33, 32, T=0.5)
     basis = runge_basis(g, 6)
     target = solve_linear(g, None, None, f=basis[2]).solution
+    built = []
+
+    class Counting(forward.Propagator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "Propagator", Counting)
+    monkeypatch.setattr(runge, "Propagator", Counting)
     fit = runge_fit(g, target, n_basis=6)
     assert fit.gap < 1e-8 * max(1.0, fit.target_norm)
+    assert len(built) == 1   # one (gamma, q): one Propagator for all basis columns
 
 
 def test_runge_nested_gaps_decrease_full_and_partial():
