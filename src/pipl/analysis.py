@@ -547,7 +547,7 @@ def nonuniqueness_demo(
     if np.allclose(s1, s2):
         raise AnalysisError("degenerate input: the two states must differ at t = 0")
 
-    L0 = assemble_operator(grid, gamma, None, 0.0)
+    L0 = assemble_operator(grid, gamma, 0.0)
     sources = []
     fields = []
     for s in (s1, s2):

@@ -83,23 +83,27 @@ def ramp(params: CGOParameters, t):
     return 1.0 - np.exp(-params.rho**0.75 * t)
 
 
-def phase(params: CGOParameters, grid: SpaceTimeGrid, t):
-    """exp(-i (xi.x + tau t)) sampled over the space slice."""
+def spatial_phase(params: CGOParameters, grid: SpaceTimeGrid):
+    """xi.x sampled over the space slice."""
     meshes = grid.meshes()
     s = params.xi[0] * meshes[0]
     if grid.dim == 2:
         s = s + params.xi[1] * meshes[1]
+    return s
+
+
+def phase(params: CGOParameters, s, t):
+    """exp(-i (xi.x + tau t)) from the spatial phase s = spatial_phase(params, grid)."""
     return np.exp(-1j * (s + params.tau * t))
 
 
 def theta_field(grid: SpaceTimeGrid, params: CGOParameters) -> Field:
     """Oscillatory profile theta: vanishes at t=0 (forward) or t=T (backward)."""
-    levels = []
-    for t in grid.times():
-        if params.direction == "forward":
-            levels.append(ramp(params, t) * phase(params, grid, t))
-        else:
-            levels.append(ramp(params, grid.T - t) * np.ones(grid.nx))
+    if params.direction == "forward":
+        s = spatial_phase(params, grid)
+        levels = [ramp(params, t) * phase(params, s, t) for t in grid.times()]
+    else:
+        levels = [ramp(params, grid.T - t) * np.ones(grid.nx) for t in grid.times()]
     vals = np.array(levels)
     if params.direction == "backward":
         vals = vals.astype(float)
@@ -158,7 +162,8 @@ class CGOFactory:
         self.partial = partial
         self._props: dict = {}
 
-    def _propagator(self, params: CGOParameters) -> Propagator:
+    def propagator(self, params: CGOParameters) -> Propagator:
+        """The profile stepper for (rho, omega, direction), built on first use."""
         key = (params.rho, params.omega, params.direction)
         if key not in self._props:
             sign = -2.0 if params.direction == "forward" else +2.0
@@ -203,7 +208,7 @@ class CGOFactory:
         theta = theta_field(grid, params)
         src = self._source(params)
         trace, bc = self._portion_trace(params, theta.values)
-        prop = self._propagator(params)
+        prop = self.propagator(params)
         if params.direction == "forward":
             zvals = prop.run(f=trace, source=src)
         else:
@@ -223,13 +228,14 @@ class CGOFactory:
         grid = self.grid
         rho34 = params.rho**0.75
         xi2 = float(np.dot(params.xi, params.xi))
+        s = spatial_phase(params, grid)
         levels = []
         for k, t in enumerate(grid.times()):
             qk = self.q_levels[k]
             if params.direction == "forward":
                 phi = ramp(params, t)
                 dphi = rho34 * np.exp(-rho34 * t)
-                E = phase(params, grid, t)
+                E = phase(params, s, t)
                 levels.append(-(dphi + (xi2 - 1j * params.tau + qk) * phi) * E)
             else:
                 phi = ramp(params, grid.T - t)
@@ -277,7 +283,8 @@ def product_symbol(fwd: CGOParameters, bwd: CGOParameters, grid: SpaceTimeGrid) 
         raise CGOError("need a (forward, backward) pair")
     if fwd.rho != bwd.rho or fwd.omega != bwd.omega:
         raise CGOError("pair must share rho and omega")
-    levels = [phi_rho(fwd.rho, t, grid.T) * phase(fwd, grid, t) for t in grid.times()]
+    s = spatial_phase(fwd, grid)
+    levels = [phi_rho(fwd.rho, t, grid.T) * phase(fwd, s, t) for t in grid.times()]
     return Field(grid, np.array(levels), DOMAIN_Q)
 
 

@@ -5,10 +5,13 @@ diffusion tensor sampled at cell midpoints, so the interior operator is
 symmetric and adjoint sweeps are exact transposes of the time stepping.
 Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
-The Propagator owns the per-level step matrices and their factorizations and
-provides exact discrete adjoint accumulation, which the reconstruction
-module uses for gradient iterations.  Semilinear terms affine in u are one
-linear sweep; all others take per-step Newton.
+The q-free operator is assembled from index arrays in one COO -> CSR step
+and leaves boundary rows zero; a potential enters as a diagonal on interior
+rows, so Dirichlet rows need no rewriting.  The Propagator owns the
+per-level step matrices, their factorizations and the transposes its exact
+discrete adjoint sweep uses, which the reconstruction module takes for
+gradient iterations.  Semilinear terms affine in u are one linear sweep; all
+others take per-step Newton.
 """
 
 from __future__ import annotations
@@ -91,32 +94,24 @@ def _midpoint_samples(grid: SpaceTimeGrid, gamma: DiffusionTensor | None, t: flo
 def assemble_operator(
     grid: SpaceTimeGrid,
     gamma: DiffusionTensor | None,
-    q_level: np.ndarray | float | None,
     t: float,
     advection=None,
 ) -> sp.csr_matrix:
-    """Sparse L with L u = -div(gamma grad u) + advection . grad u + q u on
-    interior rows; boundary rows are left zero (Dirichlet handled by the
-    stepper)."""
-    n = grid.n_space
+    """Sparse L with L u = -div(gamma grad u) + advection . grad u on interior
+    rows; boundary rows are zero.  A potential q enters the stepper as the
+    diagonal diag(q) on interior rows."""
     samples = _midpoint_samples(grid, gamma, t)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
     if grid.dim == 1:
-        nx = grid.nx[0]
         h = grid.h[0]
         gm = samples["g11_mid"]  # gm[i] at midpoint i+1/2
         a = float(advection[0]) if advection is not None else 0.0
-        for i in range(1, nx - 1):
-            gl, gr = gm[i - 1], gm[i]
-            add(i, i - 1, -gl / h**2 - a / (2 * h))
-            add(i, i, (gl + gr) / h**2)
-            add(i, i + 1, -gr / h**2 + a / (2 * h))
+        r = np.arange(1, grid.nx[0] - 1)
+        gl, gr = gm[:-1], gm[1:]
+        entries = [
+            (r - 1, -gl / h**2 - a / (2 * h)),
+            (r, (gl + gr) / h**2),
+            (r + 1, -gr / h**2 + a / (2 * h)),
+        ]
     else:
         nx, ny = grid.nx
         hx, hy = grid.h
@@ -125,40 +120,28 @@ def assemble_operator(
         g12 = samples["g12_node"]   # node values
         ax = float(advection[0]) if advection is not None else 0.0
         ay = float(advection[1]) if advection is not None else 0.0
-        has_cross = bool(np.any(g12 != 0.0))
-
-        def fi(i, j):
-            return i * ny + j
-
-        for i in range(1, nx - 1):
-            for j in range(1, ny - 1):
-                r = fi(i, j)
-                gl, gr = g11[i - 1, j], g11[i, j]
-                gb, gt = g22[i, j - 1], g22[i, j]
-                add(r, fi(i - 1, j), -gl / hx**2 - ax / (2 * hx))
-                add(r, fi(i + 1, j), -gr / hx**2 + ax / (2 * hx))
-                add(r, fi(i, j - 1), -gb / hy**2 - ay / (2 * hy))
-                add(r, fi(i, j + 1), -gt / hy**2 + ay / (2 * hy))
-                add(r, r, (gl + gr) / hx**2 + (gb + gt) / hy**2)
-                if has_cross:
-                    # -d/dx(g12 du/dy) - d/dy(g12 du/dx), centered both ways
-                    cxy = 1.0 / (4 * hx * hy)
-                    for si in (-1, 1):
-                        for sj in (-1, 1):
-                            coeff = -si * sj * cxy * (g12[i + si, j] + g12[i, j + sj])
-                            add(r, fi(i + si, j + sj), coeff)
-
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    if q_level is not None:
-        qv = np.asarray(q_level, dtype=float).reshape(-1) if not np.isscalar(q_level) else None
-        diag = np.zeros(n)
-        interior = grid.interior_mask()
-        if qv is None:
-            diag[interior] = float(q_level)
-        else:
-            diag[interior] = qv[interior]
-        L = L + sp.diags(diag)
-    return L.tocsr()
+        r = np.arange(nx * ny).reshape(nx, ny)[1:-1, 1:-1]
+        gl, gr = g11[:-1, 1:-1], g11[1:, 1:-1]
+        gb, gt = g22[1:-1, :-1], g22[1:-1, 1:]
+        entries = [
+            (r - ny, -gl / hx**2 - ax / (2 * hx)),
+            (r + ny, -gr / hx**2 + ax / (2 * hx)),
+            (r - 1, -gb / hy**2 - ay / (2 * hy)),
+            (r + 1, -gt / hy**2 + ay / (2 * hy)),
+            (r, (gl + gr) / hx**2 + (gb + gt) / hy**2),
+        ]
+        if np.any(g12 != 0.0):
+            # -d/dx(g12 du/dy) - d/dy(g12 du/dx), centered both ways
+            cxy = 1.0 / (4 * hx * hy)
+            for si in (-1, 1):
+                for sj in (-1, 1):
+                    g12_x = g12[1 + si:nx - 1 + si, 1:-1]
+                    g12_y = g12[1:-1, 1 + sj:ny - 1 + sj]
+                    entries.append((r + si * ny + sj, -si * sj * cxy * (g12_x + g12_y)))
+    rows = np.concatenate([np.ravel(r)] * len(entries))
+    cols = np.concatenate([np.ravel(c) for c, _ in entries])
+    vals = np.concatenate([np.ravel(v) for _, v in entries])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_space, grid.n_space))
 
 
 def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
@@ -175,7 +158,16 @@ def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
 
 class Propagator:
     """theta-scheme time stepper with cached LU factorizations and exact
-    discrete adjoint sweeps."""
+    discrete adjoint sweeps.
+
+    Step k solves A_k u_{k+1} = M_k u_k (+ source, + boundary values) with
+    A_k = I + dt theta L_{k+1} and M_k = I_interior - dt (1 - theta) L_k,
+    where L_k is the q-free operator plus diag(q_k) on interior rows.  L_k
+    vanishes on boundary rows, so A_k has identity and M_k zero boundary
+    rows: the stepper writes the Dirichlet values into the right-hand side.
+    The stencil is assembled once per distinct gamma level; A_k, its LU, M_k
+    and a CSR copy of M_k^T for the adjoint sweep are kept once per distinct
+    level (once in all when neither q nor gamma depends on time)."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -187,53 +179,38 @@ class Propagator:
         self.advection = advection
         self.q_levels = potential_values(grid, q).reshape(grid.n_levels, -1)
         q_td = any(not np.array_equal(self.q_levels[0], lvl) for lvl in self.q_levels[1:])
-        gamma_td = gamma.time_dependent() if gamma is not None else False
-        self.time_dependent = q_td or gamma_td
+        self.gamma_td = gamma.time_dependent() if gamma is not None else False
+        self.time_dependent = q_td or self.gamma_td
         self.boundary_idx = grid.boundary_flat_indices()
         self.interior_mask = grid.interior_mask()
         self._build()
 
-    def _L(self, level: int) -> sp.csr_matrix:
-        return assemble_operator(
-            self.grid, self.gamma, self.q_levels[level], level * self.grid.dt, self.advection
-        )
-
     def _build(self):
         g = self.grid
-        n = g.n_space
         dt = g.dt
         theta = self.theta
-        eye = sp.identity(n, format="csr")
-        bd = self.boundary_idx
+        eye = sp.identity(g.n_space, format="csr")
+        interior = sp.diags(self.interior_mask.astype(float), format="csr")
+        stencils = {}
 
-        def dirichletize_A(A):
-            A = A.tolil()
-            A[bd, :] = 0.0
-            A[bd, bd] = 1.0
-            return A.tocsc()
+        def L(level):
+            key = level if self.gamma_td else 0
+            if key not in stencils:
+                stencils[key] = assemble_operator(g, self.gamma, key * dt, self.advection)
+            return stencils[key] + sp.diags(np.where(self.interior_mask, self.q_levels[level], 0.0))
 
-        def zero_rows_M(M):
-            M = M.tolil()
-            M[bd, :] = 0.0
-            return M.tocsr()
+        def step(L_new, L_old):
+            A = (eye + dt * theta * L_new).tocsc()
+            M = interior - dt * (1 - theta) * L_old
+            return A, M, M.T.tocsr(), spla.splu(A)
 
-        if not self.time_dependent:
-            L = self._L(0)
-            A = dirichletize_A(eye + dt * theta * L)
-            M = zero_rows_M(eye - dt * (1 - theta) * L)
-            lu = spla.splu(A)
-            self.A_list = [A] * g.nt
-            self.M_list = [M] * g.nt
-            self.lu_list = [lu] * g.nt
-            return
-        Ls = [self._L(k) for k in range(g.n_levels)]
-        self.A_list, self.M_list, self.lu_list = [], [], []
-        for k in range(g.nt):
-            A = dirichletize_A(eye + dt * theta * Ls[k + 1])
-            M = zero_rows_M(eye - dt * (1 - theta) * Ls[k])
-            self.A_list.append(A)
-            self.M_list.append(M)
-            self.lu_list.append(spla.splu(A))
+        if self.time_dependent:
+            Ls = [L(k) for k in range(g.n_levels)]
+            steps = [step(Ls[k + 1], Ls[k]) for k in range(g.nt)]
+        else:
+            L0 = L(0)
+            steps = [step(L0, L0)] * g.nt
+        self.A_list, self.M_list, self.MT_list, self.lu_list = (list(m) for m in zip(*steps))
 
     # -- forward sweep -------------------------------------------------------
 
@@ -303,7 +280,7 @@ class Propagator:
             y = self._solve_T(self.lu_list[k], lam)
             if want_f_grad:
                 grad_f[k + 1] = y[self.boundary_idx]
-            lam = c[k] + self.M_list[k].T @ y
+            lam = c[k] + self.MT_list[k] @ y
         grad_g = lam
         grad_g = np.where(self.interior_mask, grad_g, 0.0)
         return grad_g, grad_f
@@ -446,8 +423,9 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings):
     """Per-level Newton: v + dt theta (L v + a(v)) = u_k - dt (1 - theta)
     (L u_k + a(u_k)) on interior rows, v = f on the boundary.  The Jacobian
     I + dt theta (L + diag(d_u a)) already has identity boundary rows, because
-    L and d_u a vanish there.  residual_history holds each level's last
-    scaled Newton update."""
+    L and d_u a vanish there; its CSC structure is built once per distinct
+    gamma level and each iteration overwrites only its diagonal.
+    residual_history holds each level's last scaled Newton update."""
     theta = SCHEMES[scheme]
     n = grid.n_space
     dt = grid.dt
@@ -459,14 +437,22 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings):
 
     eye = sp.identity(n, format="csr")
     gamma_td = gamma.time_dependent() if gamma is not None else False
-    L0_cache = {}
+    operators = {}
 
-    def L0(level):
+    def operator(level):
+        """L0 at a level, the CSC matrix J = I + dt theta L0, the positions
+        of its diagonal in J.data and the diagonal's values."""
         if not gamma_td:
             level = 0
-        if level not in L0_cache:
-            L0_cache[level] = assemble_operator(grid, gamma, None, level * grid.dt)
-        return L0_cache[level]
+        if level not in operators:
+            L0 = assemble_operator(grid, gamma, level * dt)
+            J = (eye + dt * theta * L0).tocsc()
+            cols = np.repeat(np.arange(n), np.diff(J.indptr))
+            diag = np.flatnonzero(J.indices == cols)
+            if len(diag) != n:
+                raise SolverError("newton Jacobian has a structural zero on its diagonal")
+            operators[level] = L0, J, diag, J.data[diag]
+        return operators[level]
 
     def a_of(level, uvec, k):
         """k-th u-derivative of nl at uvec, zero off the interior."""
@@ -482,14 +468,14 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings):
     converged = True
     history = []
     for k in range(grid.nt):
-        rhs_expl = u[k] - dt * (1 - theta) * (L0(k) @ u[k] + a_of(k, u[k], 0))
+        rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0] @ u[k] + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
-        A_lin = eye + dt * theta * L0(k + 1)
+        L1, J, diag, J_diag = operator(k + 1)
         for _ in range(max_iter):
-            res = v + dt * theta * ((L0(k + 1) @ v) + a_of(k + 1, v, 0)) - rhs_expl
+            res = v + dt * theta * ((L1 @ v) + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
-            J = (A_lin + sp.diags(dt * theta * a_of(k + 1, v, 1))).tocsc()
+            J.data[diag] = J_diag + dt * theta * a_of(k + 1, v, 1)
             delta = spla.spsolve(J, res)
             v = v - delta
             total_newton += 1

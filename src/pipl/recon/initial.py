@@ -128,7 +128,6 @@ def recover_initial(
         outer_iters = 1 if linear else 3
 
     g_vec = np.zeros(grid.n_space)
-    lin_map = None
     notes = []
     converged = True
 
@@ -144,12 +143,14 @@ def recover_initial(
         q = taylor_table(nl, base, 1).coefficient(1)
         return InitialDataMap(grid, gamma, q, portion, scheme), base
 
+    # every alpha trial starts from g = 0, so its first linearization is shared
+    at_zero = build_map(g_vec)
+
     def solve_at(alpha_value):
-        nonlocal lin_map
         g_cur = np.zeros(grid.n_space)
         iters_total = 0
-        for _ in range(outer_iters):
-            lin_map, base = build_map(g_cur)
+        for i in range(outer_iters):
+            lin_map, base = build_map(g_cur) if i else at_zero
             misfit = measure(base, portion).values - data.values
             rhs = -lin_map.adjoint(misfit) - alpha_value * lin_map.w_space * g_cur
             op = lin_map.normal_operator(alpha_value)
@@ -162,8 +163,7 @@ def recover_initial(
 
     scale = None
     if alpha is None:
-        probe_map, _ = build_map(g_vec)
-        scale = probe_map.operator_scale()
+        scale = at_zero[0].operator_scale()
         if noise_norm > 0:
             # Morozov: largest alpha whose discrepancy sits at tau * noise
             chosen = None

@@ -79,7 +79,8 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_x
                   partial=False, aperture=0.0, order=1):
     """Probe sweep shared by potential and Taylor synthesis.
 
-    Per omega: one Propagator for q_sweep with the profile advection and one
+    Per omega: one Propagator for q_sweep with the profile advection (the
+    factory's own when q_sweep is the factory's potential) and one
     normal-derivative matrix on the observation portion (the faces outside
     the omega aperture for partial data).  Per lattice point: one zero-data
     solve with source coefficient * forward CGO profile.  Yields (probe,
@@ -94,8 +95,12 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_x
             else resolve_portion(grid, BoundaryPortion.full())
         )
         B = normal_derivative_matrix(grid, portion)
-        adv = tuple(-2.0 * rho * w for w in omega)
-        prop = Propagator(grid, None, q_sweep, factory.scheme, adv)
+        if q_sweep is factory.q:
+            # the factory's forward-profile stepper has this q and advection
+            prop = factory.propagator(CGOParameters.make(rho, omega))
+        else:
+            adv = tuple(-2.0 * rho * w for w in omega)
+            prop = Propagator(grid, None, q_sweep, factory.scheme, adv)
         pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
         for xi, tau in pairs:
             fwd = factory.build(

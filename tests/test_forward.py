@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pipl.grid import (
@@ -20,6 +21,7 @@ from pipl.forward import (
     SCHEMES,
     CompatibilityError,
     Propagator,
+    _midpoint_samples,
     _newton,
     assemble_operator,
     boundary_trace,
@@ -206,7 +208,7 @@ def _theta_residual(grid, gamma, nl, u, scheme):
     def F(k):
         t = k * grid.dt
         a = np.broadcast_to(nl(xs, t, flat[k], y=ys), flat[k].shape)
-        return assemble_operator(grid, gamma, None, t) @ flat[k] + np.where(interior, a, 0.0)
+        return assemble_operator(grid, gamma, t) @ flat[k] + np.where(interior, a, 0.0)
 
     worst = 0.0
     for k in range(grid.nt):
@@ -360,3 +362,170 @@ def test_propagator_adjoint_wrt_boundary_exact():
     _, grad_f = prop.adjoint(w, want_f_grad=True)
     rhs = float(np.sum(f * grad_f))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+# -- step matrices against the node-loop builder -------------------------------
+
+
+def _loop_operator(grid, gamma, q_level, t, advection=None):
+    """Node-by-node assembly of L = -div(gamma grad) + advection . grad + q on
+    interior rows, boundary rows zero: the reference for assemble_operator."""
+    n = grid.n_space
+    samples = _midpoint_samples(grid, gamma, t)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    if grid.dim == 1:
+        nx = grid.nx[0]
+        h = grid.h[0]
+        gm = samples["g11_mid"]
+        a = float(advection[0]) if advection is not None else 0.0
+        for i in range(1, nx - 1):
+            gl, gr = gm[i - 1], gm[i]
+            add(i, i - 1, -gl / h**2 - a / (2 * h))
+            add(i, i, (gl + gr) / h**2)
+            add(i, i + 1, -gr / h**2 + a / (2 * h))
+    else:
+        nx, ny = grid.nx
+        hx, hy = grid.h
+        g11, g22, g12 = samples["g11_midx"], samples["g22_midy"], samples["g12_node"]
+        ax = float(advection[0]) if advection is not None else 0.0
+        ay = float(advection[1]) if advection is not None else 0.0
+        has_cross = bool(np.any(g12 != 0.0))
+
+        def fi(i, j):
+            return i * ny + j
+
+        for i in range(1, nx - 1):
+            for j in range(1, ny - 1):
+                r = fi(i, j)
+                gl, gr = g11[i - 1, j], g11[i, j]
+                gb, gt = g22[i, j - 1], g22[i, j]
+                add(r, fi(i - 1, j), -gl / hx**2 - ax / (2 * hx))
+                add(r, fi(i + 1, j), -gr / hx**2 + ax / (2 * hx))
+                add(r, fi(i, j - 1), -gb / hy**2 - ay / (2 * hy))
+                add(r, fi(i, j + 1), -gt / hy**2 + ay / (2 * hy))
+                add(r, r, (gl + gr) / hx**2 + (gb + gt) / hy**2)
+                if has_cross:
+                    cxy = 1.0 / (4 * hx * hy)
+                    for si in (-1, 1):
+                        for sj in (-1, 1):
+                            coeff = -si * sj * cxy * (g12[i + si, j] + g12[i, j + sj])
+                            add(r, fi(i + si, j + sj), coeff)
+
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    diag = np.zeros(n)
+    interior = grid.interior_mask()
+    diag[interior] = np.asarray(q_level, dtype=float).reshape(-1)[interior]
+    return (L + sp.diags(diag)).tocsr()
+
+
+def _loop_step_matrices(prop):
+    """A_k and M_k from per-level node-loop operators with the Dirichlet rows
+    rewritten through LIL: the reference for Propagator's step matrices."""
+    g = prop.grid
+    dt, theta = g.dt, prop.theta
+    eye = sp.identity(g.n_space, format="csr")
+    bd = prop.boundary_idx
+    Ls = [
+        _loop_operator(g, prop.gamma, prop.q_levels[k], k * dt, prop.advection)
+        for k in range(g.n_levels)
+    ]
+    A_list, M_list = [], []
+    for k in range(g.nt):
+        A = (eye + dt * theta * Ls[k + 1]).tolil()
+        A[bd, :] = 0.0
+        A[bd, bd] = 1.0
+        M = (eye - dt * (1 - theta) * Ls[k]).tolil()
+        M[bd, :] = 0.0
+        A_list.append(A.tocsc())
+        M_list.append(M.tocsr())
+    return A_list, M_list
+
+
+GAMMAS = {
+    "identity": lambda dim: DiffusionTensor.identity(),
+    "scalar": lambda dim: DiffusionTensor.scalar("1 + 0.3*x"),
+    "matrix": lambda dim: DiffusionTensor.matrix2d("1 + 0.2*y", "0.1 + 0.2*x + 0.1*y*y", "0.9"),
+    "time": lambda dim: (
+        DiffusionTensor.scalar("1 + 0.2*t + 0.1*x")
+        if dim == 1
+        else DiffusionTensor.matrix2d("1", "0.05 + 0.1*t*x + 0.1*y", "0.9 + 0.1*t")
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.integers(4, 10),
+    ny=st.integers(4, 10),
+    nt=st.integers(2, 6),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_kind=st.sampled_from(sorted(GAMMAS)),
+    advect=st.booleans(),
+    q_kind=st.sampled_from(("none", "scalar", "time")),
+    seed=st.integers(0, 2**16),
+)
+def test_step_matrices_match_loop_oracle(
+    dim, nx, ny, nt, T, scheme, gamma_kind, advect, q_kind, seed
+):
+    assume(dim == 2 or gamma_kind != "matrix")
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, T)
+    gamma = GAMMAS[gamma_kind](dim)
+    advection = (-3.5, 1.25)[:dim] if advect else None
+    q = {
+        "none": None,
+        "scalar": 1.3,
+        "time": field_from_function(grid, lambda *a: 1.0 + a[0] * a[-1] + 0.5 * a[-2], "Q"),
+    }[q_kind]
+    prop = Propagator(grid, gamma, q, scheme, advection)
+    A_ref, M_ref = _loop_step_matrices(prop)
+    bd = prop.boundary_idx
+    for k in range(nt):
+        A, M = prop.A_list[k], prop.M_list[k]
+        assert np.array_equal(A.toarray(), A_ref[k].toarray())
+        assert np.array_equal(M.toarray(), M_ref[k].toarray())
+        assert np.array_equal(A.toarray()[bd], np.eye(grid.n_space)[bd])
+        assert not np.any(M.toarray()[bd])
+
+    # the adjoint sweep is the exact transpose of the forward sweep
+    rng = np.random.default_rng(seed)
+    g0 = np.where(prop.interior_mask, rng.standard_normal(grid.n_space), 0.0)
+    c = rng.standard_normal((grid.n_levels, grid.n_space))
+    u = prop.run(g0=g0)
+    grad_g, _ = prop.adjoint(c)
+    lhs, rhs = float(np.dot(grad_g, g0)), float(np.sum(c * u))
+    assert abs(lhs - rhs) <= 1e-12 * float(np.sum(np.abs(c * u)))
+
+
+def test_propagator_work_counts(monkeypatch):
+    # one stencil assembly per gamma level; one LU per distinct step matrix
+    counts = {"assemble": 0, "splu": 0}
+    real_assemble, real_splu = forward.assemble_operator, forward.spla.splu
+
+    def assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def splu(*args, **kwargs):
+        counts["splu"] += 1
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "assemble_operator", assemble)
+    monkeypatch.setattr(forward.spla, "splu", splu)
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
+    q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
+    gamma = DiffusionTensor.scalar("1 + 0.3*x")
+    for q, expected in ((q_time, (1, g.nt)), (2.0, (1, 1)), (None, (1, 1))):
+        counts.update(assemble=0, splu=0)
+        Propagator(g, gamma, q, "cn", (1.0, -2.0))
+        assert (counts["assemble"], counts["splu"]) == expected
+    counts.update(assemble=0, splu=0)
+    Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
+    assert (counts["assemble"], counts["splu"]) == (g.n_levels, g.nt)

@@ -450,3 +450,52 @@ def test_runge_nested_gaps_decrease_full_and_partial():
     ):
         gaps = [runge_fit(g, target, q=q, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
         assert all(b < a for a, b in zip(gaps, gaps[1:])), (mode, gaps)
+
+
+def test_synthesis_and_morozov_work_counts(monkeypatch):
+    from pipl import cgo
+    from pipl.recon import initial, potential
+
+    g = grid1d(17, 16, T=0.5)
+    v2, _ = positive_solution(g, None, None, ramp_time=0.15)
+    built = []
+
+    class Counting(cgo.Propagator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cgo, "Propagator", Counting)
+    monkeypatch.setattr(potential, "Propagator", Counting)
+    # a Taylor sweep runs on the factory's own potential: one stepper per omega
+    nl = Nonlinearity.parse("0.7*u^2")
+    synthesize_taylor_probes(g, nl, Nonlinearity.zero(), 2, [v2], rho=8.0, n_xi=1, n_tau=2)
+    assert len(built) == 1
+    # potential synthesis sweeps q_truth, not the factory's q_ref: two per omega
+    built.clear()
+    synthesize_potential_probes(g, bump_dq(g), None, rho=8.0, n_xi=1, n_tau=1)
+    assert len(built) == 2
+
+    # every Morozov trial starts from the one g = 0 linearization
+    maps, trials = [], []
+    real_map, real_discrepancy = initial.InitialDataMap, initial._discrepancy
+
+    def counting_map(*args, **kwargs):
+        maps.append(1)
+        return real_map(*args, **kwargs)
+
+    def counting_discrepancy(*args, **kwargs):
+        trials.append(1)
+        return real_discrepancy(*args, **kwargs)
+
+    monkeypatch.setattr(initial, "InitialDataMap", counting_map)
+    monkeypatch.setattr(initial, "_discrepancy", counting_discrepancy)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    clean = passive_map(g, None, Nonlinearity.zero(), truth, LEFT)
+    noisy = add_noise(clean, "gaussian-relative", 0.01, seed=3)
+    m = float(np.sqrt(np.dot(g.time_weights(), (np.abs(noisy.values - clean.values) ** 2)
+                             @ clean.portion.weights)))
+    res = recover_initial(g, None, Nonlinearity.zero(), noisy, noise_norm=m)
+    assert res.regularization["selection"] == "morozov"
+    assert len(trials) > 2      # at least two alpha trials and the final discrepancy
+    assert len(maps) == 1
