@@ -34,7 +34,7 @@ from .analysis import (
     nonuniqueness_demo,
 )
 from .cgo import CGOFactory, CGOParameters
-from .dnmap import add_noise, passive_map, save_measurement
+from .dnmap import DNMeasurement, add_noise, passive_map, save_measurement
 from .expr import Expression, ExprError, ParseError
 from .forward import SolverError, solve_linear, solve_semilinear
 from .grid import (
@@ -506,9 +506,7 @@ def run_recover_g(cfg, grid, outdir, jobs):
     noise_norm = 0.0
     if noise > 0:
         noisy = add_noise(data, "gaussian-relative", noise, _seed(cfg))
-        diff = noisy.values - data.values
-        per_level = (np.abs(diff) ** 2) @ data.portion.weights
-        noise_norm = float(np.sqrt(np.dot(grid.time_weights(), per_level)))
+        noise_norm = DNMeasurement(grid, data.portion, noisy.values - data.values).l2()
         data = noisy
     res = recover_initial(
         grid, gamma, nl, data, noise_norm=noise_norm, scheme=scheme, truth=truth
@@ -562,9 +560,7 @@ def run_stability(cfg, grid, outdir, jobs):
     )
     failures = []
     means = [curve.mean_errors[d] for d in sorted(deltas, reverse=True)]
-    from scipy.stats import spearmanr
-
-    rho_rank = float(spearmanr(curve.magnitudes, curve.errors).statistic)
+    rho_rank = _spearman(curve.magnitudes, curve.errors)
     report["metrics"]["rank_correlation"] = rho_rank
     if not all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:])):
         failures.append(f"mean error not monotone across deltas: {means}")
@@ -573,6 +569,16 @@ def run_stability(cfg, grid, outdir, jobs):
     if curve.fit_two_term.get("residual", 0.0) > curve.fit_linear.get("residual", 0.0) + 1e-12:
         failures.append("two-term fit residual exceeds the pure-linear fit")
     return report, failures
+
+
+def _spearman(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of the ranks, tied
+    values sharing the mean of their ranks."""
+    ranks = []
+    for v in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+        s = np.sort(v)
+        ranks.append((np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2)
+    return float(np.corrcoef(*ranks)[0, 1])
 
 
 def run_carleman(cfg, grid, outdir, jobs):

@@ -9,9 +9,9 @@ The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
 rows, so Dirichlet rows need no rewriting.  The Propagator owns the
 per-level step matrices, their factorizations and the transposes its exact
-discrete adjoint sweep uses, which the reconstruction module takes for
-gradient iterations.  Semilinear terms affine in u are one linear sweep; all
-others take per-step Newton.
+discrete adjoint sweep uses; a forward sweep carries any number of
+initial-value columns with one multi-column solve per step.  Semilinear
+terms affine in u are one linear sweep; all others take per-step Newton.
 """
 
 from __future__ import annotations
@@ -217,6 +217,8 @@ class Propagator:
     def _solve(self, lu, rhs):
         if np.iscomplexobj(rhs):
             both = lu.solve(np.column_stack([rhs.real, rhs.imag]))
+            if rhs.ndim == 2:  # m columns: real parts, then imaginary parts
+                return both[:, : rhs.shape[1]] + 1j * both[:, rhs.shape[1] :]
             return both[:, 0] + 1j * both[:, 1]
         return lu.solve(rhs)
 
@@ -229,9 +231,10 @@ class Propagator:
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
 
-        g0: initial values (n_space,) or space-shaped; f: boundary trace
+        g0: initial values (n_space,) or space-shaped, or m columns (n_space, m)
+        marched at once into (n_levels, n_space, m); f: boundary trace
         (n_levels, n_boundary) in boundary_flat_indices order; source: values
-        (n_levels, n_space) added as +source on the right-hand side.
+        (n_levels, n_space) added as +source on every column's right-hand side.
         """
         grid = self.grid
         n = grid.n_space
@@ -242,17 +245,21 @@ class Propagator:
             or (f is not None and np.iscomplexobj(f))
             or (g0 is not None and np.iscomplexobj(g0))
         ) else float
-        u = np.zeros((grid.n_levels, n), dtype=dtype)
+        columns = np.shape(g0)[1:] if np.ndim(g0) == 2 and len(g0) == n else ()
+        lift = (Ellipsis,) + (None,) * len(columns)  # per-node arrays onto every column
+        u = np.zeros((grid.n_levels, n, *columns), dtype=dtype)
         if g0 is not None:
-            u[0] = np.asarray(g0).reshape(-1)
+            u[0] = np.asarray(g0).reshape(n, *columns)
         if f is not None:
+            f = np.asarray(f)[lift]
             u[0, self.boundary_idx] = f[0]
-        src = None if source is None else np.asarray(source).reshape(grid.n_levels, -1)
+        interior = self.interior_mask[lift]
+        src = None if source is None else np.asarray(source).reshape(grid.n_levels, -1)[lift]
         for k in range(grid.nt):
             rhs = self.M_list[k] @ u[k]
             if src is not None:
                 add = dt * (theta * src[k + 1] + (1 - theta) * src[k])
-                rhs = rhs + np.where(self.interior_mask, add, 0.0)
+                rhs = rhs + np.where(interior, add, 0.0)
             rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
             u[k + 1] = self._solve(self.lu_list[k], rhs)
         return u

@@ -1,6 +1,6 @@
 """Inverse solvers: potential and Taylor-coefficient recovery through CGO
-Fourier probing, initial-data recovery by adjoint-gradient Tikhonov
-iteration, boundary null control, and Runge approximation fitting."""
+Fourier probing, initial-data recovery by dense-column Tikhonov with SVD
+filter factors, boundary null control, and Runge approximation fitting."""
 
 from .fourier import FourierSample, FourierSampleSet, frequency_lattice
 from .initial import InitialDataMap, recover_initial, stability_curve

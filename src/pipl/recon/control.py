@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from ..forward import Propagator, solve_semilinear
 from ..grid import (
@@ -43,6 +42,24 @@ class BTStructure:
         self.tail.validate(grid)
 
 
+def bspline_element(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B-spline of degree len(knots) - 2 on the given knots at x, by the
+    Cox-de Boor recursion; zero off the half-open support [knots[0], knots[-1])."""
+    x = np.asarray(x, dtype=float)
+    b = [((lo <= x) & (x < hi)).astype(float) for lo, hi in zip(knots[:-1], knots[1:])]
+
+    def ramp(b_i, rise, width):  # a zero-width span contributes nothing
+        return b_i / width * rise if width > 0 else 0.0
+
+    for p in range(1, len(knots) - 1):
+        b = [
+            ramp(b[i], x - knots[i], knots[i + p] - knots[i])
+            + ramp(b[i + 1], knots[i + p + 1] - x, knots[i + p + 1] - knots[i + 1])
+            for i in range(len(b) - 1)
+        ]
+    return b[0]
+
+
 def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, horizon: float):
     """Tensor basis: hat per portion node x quadratic B-splines on [0, horizon]
     that vanish at t = 0.  Returns trace arrays over the FULL boundary node
@@ -56,9 +73,7 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
     knots = np.concatenate([[0.0] * degree, inner, [horizon] * degree])
     splines = []
     for j in range(n_time):
-        b = BSpline.basis_element(knots[j : j + degree + 2], extrapolate=False)
-        vals = np.nan_to_num(b(np.clip(times, 0, horizon)), nan=0.0)
-        vals[times > horizon] = 0.0
+        vals = bspline_element(knots[j : j + degree + 2], times)
         if abs(vals[0]) > 1e-14:  # drop splines active at t = 0 (compatibility)
             continue
         if np.max(np.abs(vals)) == 0.0:

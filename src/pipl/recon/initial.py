@@ -1,21 +1,23 @@
 """Initial-data recovery from passive DN traces.
 
-Tikhonov-regularized output least squares solved by conjugate gradients on
-the normal equations; the forward map's transpose is the exact discrete
-adjoint sweep of the time stepper, so gradients are accurate to rounding.
-Mild nonlinearities are handled by Gauss-Newton relinearization around the
-current semilinear solve.  The regularization weight follows the Morozov
-discrepancy rule when a noise level is supplied.
+Tikhonov-regularized output least squares on the linearized map F, formed
+as dense columns by one batched sweep; one SVD of K = W^{1/2} F D^{-1/2} (W,
+D the data and interior quadrature) gives every alpha's solution through the
+filter factors s / (s^2 + alpha) (Hansen, Discrete Inverse Problems, ch. 4-5).
+Morozov's rule picks alpha given a noise level.  A term affine in u is its
+own linearization, so each discrepancy is ||W^{1/2}(F g + base - data)||;
+other terms take Gauss-Newton steps around semilinear solves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..dnmap import DNMeasurement, measure, normal_derivative_matrix
-from ..forward import Propagator, solve_semilinear
+from ..dnmap import DNMeasurement, add_noise, measure, normal_derivative_matrix, passive_map
+from ..forward import Propagator, SolverError, solve_semilinear
 from ..grid import (
     DOMAIN_OMEGA,
     Field,
@@ -26,10 +28,13 @@ from ..grid import (
 from ..model import Nonlinearity, taylor_table
 from .potential import ReconstructionResult
 
+# Most values one dense build may hold: its sweep's n_levels x n_space x n_interior.
+DENSE_CAP = 2**24
+
 
 class InitialDataMap:
     """Linearized map: initial data (interior nodes, zero trace) -> DN trace
-    on a portion, with its exact discrete adjoint."""
+    on a portion, as dense columns, with its exact discrete adjoint."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma, q, portion: ResolvedPortion, scheme="be"):
         self.grid = grid
@@ -52,57 +57,47 @@ class InitialDataMap:
         grad_g, _ = self.prop.adjoint(cost_grad)
         return grad_g
 
-    def data_norm(self, trace: np.ndarray) -> float:
-        per_level = (np.abs(trace) ** 2) @ self.w_portion
-        return float(np.sqrt(np.dot(self.w_time, per_level)))
-
-    def normal_operator(self, alpha: float):
-        def apply(g_vec):
-            out = self.adjoint(self.forward(g_vec)) + alpha * self.w_space * g_vec
-            out[self.prop.boundary_idx] = g_vec[self.prop.boundary_idx]
-            return out
-
-        return apply
-
-    def operator_scale(self, seed: int = 0, iters: int = 6) -> float:
-        """Power-iteration estimate of ||F^T F|| used to express alpha
-        relative to the map's strength."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.grid.n_space)
-        v[self.prop.boundary_idx] = 0.0
-        v /= np.linalg.norm(v)
-        lam = 1.0
-        for _ in range(iters):
-            w = self.adjoint(self.forward(v))
-            lam = float(np.linalg.norm(w))
-            if lam == 0:
-                return 1.0
-            v = w / lam
-        return lam
+    def dense(self) -> np.ndarray:
+        """F shaped (n_levels * n_portion, n_interior): column j is the trace
+        of the j-th interior unit vector, level by level, from one sweep."""
+        grid = self.grid
+        interior = np.flatnonzero(self.prop.interior_mask)
+        rows, cols = grid.n_levels * self.portion.n_nodes, len(interior)
+        held = grid.n_levels * grid.n_space * cols
+        if held > DENSE_CAP:
+            raise SolverError(
+                f"dense initial-data map F of {rows} rows x {cols} columns needs a sweep "
+                f"of {held} values, above the cap of {DENSE_CAP}"
+            )
+        units = np.zeros((grid.n_space, cols))
+        units[interior, np.arange(cols)] = 1.0
+        return np.matmul(self.B.toarray(), self.prop.run(g0=units)).reshape(rows, cols)
 
 
-def _cg(apply_op, rhs, x0=None, tol=1e-10, max_iter=200):
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
-    r = rhs - apply_op(x)
-    p = r.copy()
-    rs = float(np.dot(r, r))
-    rhs_norm = float(np.linalg.norm(rhs)) or 1.0
-    it = 0
-    for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        denom = float(np.dot(p, Ap))
-        if denom <= 0:
-            break
-        a = rs / denom
-        x += a * p
-        r -= a * Ap
-        rs_new = float(np.dot(r, r))
-        if np.sqrt(rs_new) <= tol * rhs_norm:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it
+class _Tikhonov:
+    """Solutions around one linearization g_lin with trace misfit `misfit`:
+    g(alpha) minimises ||W^{1/2}(F (g - g_lin) + misfit)||^2 + alpha ||D^{1/2} g||^2.
+    With K = W^{1/2} F D^{-1/2} = U S V^T and r = W^{1/2}(F g_lin - misfit),
+    g(alpha) = D^{-1/2} V diag(s / (s^2 + alpha)) U^T r on interior nodes."""
+
+    def __init__(self, lin_map: InitialDataMap, misfit: np.ndarray, g_lin: np.ndarray):
+        self.interior = lin_map.prop.interior_mask
+        sqrt_w = np.sqrt(np.outer(lin_map.w_time, lin_map.w_portion)).reshape(-1)
+        d_half = np.sqrt(lin_map.w_space[self.interior])
+        self.WF = sqrt_w[:, None] * lin_map.dense()
+        self.r = self.WF @ g_lin[self.interior] - sqrt_w * misfit.reshape(-1)
+        U, self.s, Vt = np.linalg.svd(self.WF / d_half, full_matrices=False)
+        self.to_nodes = Vt.T / d_half[:, None]
+        self.beta = U.T @ self.r
+
+    def solve(self, alpha: float) -> np.ndarray:
+        g_vec = np.zeros(len(self.interior))
+        g_vec[self.interior] = self.to_nodes @ (self.s / (self.s**2 + alpha) * self.beta)
+        return g_vec
+
+    def discrepancy(self, g_vec: np.ndarray) -> float:
+        """||W^{1/2}(F (g - g_lin) + misfit)||, the linearized data misfit."""
+        return float(np.linalg.norm(self.WF @ g_vec[self.interior] - self.r))
 
 
 def recover_initial(
@@ -115,8 +110,6 @@ def recover_initial(
     alpha_floor_rel: float = 1e-8,
     scheme: str = "be",
     outer_iters: int | None = None,
-    cg_tol: float = 1e-9,
-    cg_max: int = 300,
     morozov_tau: float = 1.05,
     truth: Field | None = None,
 ) -> ReconstructionResult:
@@ -127,11 +120,10 @@ def recover_initial(
     if outer_iters is None:
         outer_iters = 1 if linear else 3
 
-    g_vec = np.zeros(grid.n_space)
     notes = []
     converged = True
 
-    def build_map(g_current):
+    def linearize(g_current):
         rep = solve_semilinear(
             grid, gamma, nl,
             g=Field(grid, g_current.reshape(grid.nx), DOMAIN_OMEGA),
@@ -141,59 +133,48 @@ def recover_initial(
             notes.append("inner semilinear solve did not converge")
         base = rep.solution
         q = taylor_table(nl, base, 1).coefficient(1)
-        return InitialDataMap(grid, gamma, q, portion, scheme), base
+        misfit = measure(base, portion).values - data.values
+        return _Tikhonov(InitialDataMap(grid, gamma, q, portion, scheme), misfit, g_current)
 
     # every alpha trial starts from g = 0, so its first linearization is shared
-    at_zero = build_map(g_vec)
+    at_zero = linearize(np.zeros(grid.n_space))
 
+    @functools.cache  # the chosen alpha's trial solution is reused
     def solve_at(alpha_value):
         g_cur = np.zeros(grid.n_space)
-        iters_total = 0
         for i in range(outer_iters):
-            lin_map, base = build_map(g_cur) if i else at_zero
-            misfit = measure(base, portion).values - data.values
-            rhs = -lin_map.adjoint(misfit) - alpha_value * lin_map.w_space * g_cur
-            op = lin_map.normal_operator(alpha_value)
-            delta, iters = _cg(op, rhs, tol=cg_tol, max_iter=cg_max)
-            iters_total += iters
-            g_cur = g_cur + delta
+            g_cur = (linearize(g_cur) if i else at_zero).solve(alpha_value)
             if linear:
                 break
-        return g_cur, iters_total
+        return g_cur
+
+    def discrepancy(g_vec):
+        if linear:
+            return at_zero.discrepancy(g_vec)
+        return _discrepancy(grid, gamma, nl, g_vec, data, scheme)
 
     scale = None
     if alpha is None:
-        scale = at_zero[0].operator_scale()
+        # sigma_max(W^{1/2} F)^2, the normal operator's norm, sets alpha's scale
+        scale = float(np.linalg.norm(at_zero.WF, 2) ** 2) or 1.0
         if noise_norm > 0:
             # Morozov: largest alpha whose discrepancy sits at tau * noise
-            chosen = None
-            for alpha_rel in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-                cand = alpha_rel * scale
-                g_try, _ = solve_at(cand)
-                disc = _discrepancy(grid, gamma, nl, g_try, data, scheme)
-                if disc <= morozov_tau * noise_norm:
-                    chosen = cand
-                    g_vec = g_try
-                    break
-            if chosen is None:
-                chosen = alpha_floor_rel * scale
-                g_vec, _ = solve_at(chosen)
+            ladder = (rel * scale for rel in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
+            fits = (a for a in ladder if discrepancy(solve_at(a)) <= morozov_tau * noise_norm)
+            alpha = next(fits, None)
+            if alpha is None:
                 notes.append("morozov sweep exhausted; using the floor alpha")
                 converged = False
-            alpha = chosen
-        else:
+        if alpha is None:
             alpha = alpha_floor_rel * scale
-            g_vec, _ = solve_at(alpha)
-    else:
-        g_vec, _ = solve_at(alpha)
+    g_vec = solve_at(alpha)
 
     g_field = Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA)
-    final_disc = _discrepancy(grid, gamma, nl, g_vec, data, scheme)
     result = ReconstructionResult(
         g_field,
-        residuals={"data_misfit": final_disc, "data_norm": data.l2()},
+        residuals={"data_misfit": discrepancy(g_vec), "data_norm": data.l2()},
         regularization={
-            "method": "tikhonov-adjoint-cg",
+            "method": "tikhonov-dense-svd",
             "alpha": alpha,
             "selection": "morozov" if noise_norm > 0 else "floor",
             "noise_norm": noise_norm,
@@ -208,13 +189,9 @@ def recover_initial(
 
 
 def _discrepancy(grid, gamma, nl, g_vec, data, scheme) -> float:
-    rep = solve_semilinear(
-        grid, gamma, nl, g=Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA), scheme=scheme
-    )
-    m = measure(rep.solution, data.portion)
-    diff = m.values - data.values
-    per_level = (np.abs(diff) ** 2) @ data.portion.weights
-    return float(np.sqrt(np.dot(grid.time_weights(), per_level)))
+    g = Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA)
+    trace = passive_map(grid, gamma, nl, g, data.portion, scheme).values
+    return DNMeasurement(grid, data.portion, trace - data.values).l2()
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +233,12 @@ def stability_curve(
     """Twin experiments across noise levels; fits error(m) by the two-term
     logarithmic-stability model C1 m + C2 / |ln(delta0 m)| and compares its
     residual with a pure-linear fit."""
-    from ..dnmap import add_noise
-
-    rep = solve_semilinear(grid, gamma, nl, g=truth, scheme=scheme)
-    clean = measure(rep.solution, portion)
+    clean = passive_map(grid, gamma, nl, truth, portion, scheme)
     mags, errs, dlist = [], [], []
     for i, delta in enumerate(deltas):
         for trial in range(trials):
             noisy = add_noise(clean, noise_model, delta, seed + 1000 * i + trial)
-            diff = noisy.values - clean.values
-            per_level = (np.abs(diff) ** 2) @ clean.portion.weights
-            m = float(np.sqrt(np.dot(grid.time_weights(), per_level)))
+            m = DNMeasurement(grid, clean.portion, noisy.values - clean.values).l2()
             rec = recover_initial(
                 grid, gamma, nl, noisy, noise_norm=m if m > 0 else 0.0, scheme=scheme
             )

@@ -1,5 +1,11 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 from pipl import cli
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, emit_plotdata, main, run
@@ -212,3 +218,29 @@ def test_main_entrypoint(tmp_path):
 
 def test_unreadable_config(tmp_path):
     assert run("forward", tmp_path / "missing.ini", tmp_path / "o") == EXIT_PARSE
+
+
+def test_spearman_matches_scipy_with_ties():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(3, 30))
+        x = rng.integers(0, 5, n).astype(float)
+        y = x + rng.integers(-2, 3, n)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue
+        assert abs(cli._spearman(x, y) - spearmanr(x, y).statistic) <= 1e-12
+
+
+def test_cli_import_skips_scipy_interpolate_and_stats():
+    code = (
+        "import sys, pipl.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy.interpolate', 'scipy.stats'))])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

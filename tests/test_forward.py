@@ -504,6 +504,39 @@ def test_step_matrices_match_loop_oracle(
     assert abs(lhs - rhs) <= 1e-12 * float(np.sum(np.abs(c * u)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.integers(4, 10),
+    ny=st.integers(4, 10),
+    nt=st.integers(2, 6),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    m=st.integers(1, 4),
+    complex_columns=st.booleans(),
+    with_f=st.booleans(),
+    with_source=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_run_matches_columns(
+    dim, nx, ny, nt, T, scheme, m, complex_columns, with_f, with_source, seed
+):
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, T)
+    q = field_from_function(grid, lambda *a: 1.0 + a[0] * a[-1] + 0.5 * a[-2], "Q")
+    prop = Propagator(grid, DiffusionTensor.scalar("1 + 0.3*x"), q, scheme)
+    rng = np.random.default_rng(seed)
+    g0 = rng.standard_normal((grid.n_space, m))
+    if complex_columns:
+        g0 = g0 + 1j * rng.standard_normal((grid.n_space, m))
+    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx))) if with_f else None
+    source = rng.standard_normal((grid.n_levels, grid.n_space)) if with_source else None
+    u = prop.run(g0=g0, f=f, source=source)
+    assert u.shape == (grid.n_levels, grid.n_space, m)
+    for j in range(m):
+        ref = prop.run(g0=g0[:, j], f=f, source=source)
+        assert np.max(np.abs(u[..., j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_propagator_work_counts(monkeypatch):
     # one stencil assembly per gamma level; one LU per distinct step matrix
     counts = {"assemble": 0, "splu": 0}

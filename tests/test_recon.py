@@ -476,9 +476,11 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
     synthesize_potential_probes(g, bump_dq(g), None, rho=8.0, n_xi=1, n_tau=1)
     assert len(built) == 2
 
-    # every Morozov trial starts from the one g = 0 linearization
-    maps, trials = [], []
+    # an affine Morozov recovery: one linearization, one batched sweep for its
+    # dense columns, and every discrepancy in closed form
+    maps, trials, sweeps = [], [], {"batched": 0, "adjoint": 0}
     real_map, real_discrepancy = initial.InitialDataMap, initial._discrepancy
+    real_run, real_adjoint = initial.Propagator.run, initial.Propagator.adjoint
 
     def counting_map(*args, **kwargs):
         maps.append(1)
@@ -488,8 +490,18 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
         trials.append(1)
         return real_discrepancy(*args, **kwargs)
 
+    def counting_run(self, g0=None, **kwargs):
+        sweeps["batched"] += np.ndim(g0) == 2
+        return real_run(self, g0=g0, **kwargs)
+
+    def counting_adjoint(*args, **kwargs):
+        sweeps["adjoint"] += 1
+        return real_adjoint(*args, **kwargs)
+
     monkeypatch.setattr(initial, "InitialDataMap", counting_map)
     monkeypatch.setattr(initial, "_discrepancy", counting_discrepancy)
+    monkeypatch.setattr(initial.Propagator, "run", counting_run)
+    monkeypatch.setattr(initial.Propagator, "adjoint", counting_adjoint)
     truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     clean = passive_map(g, None, Nonlinearity.zero(), truth, LEFT)
     noisy = add_noise(clean, "gaussian-relative", 0.01, seed=3)
@@ -497,5 +509,134 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
                              @ clean.portion.weights)))
     res = recover_initial(g, None, Nonlinearity.zero(), noisy, noise_norm=m)
     assert res.regularization["selection"] == "morozov"
-    assert len(trials) > 2      # at least two alpha trials and the final discrepancy
+    assert res.regularization["alpha"] < 1e-1 * res.regularization["operator_scale"]
     assert len(maps) == 1
+    assert sweeps == {"batched": 1, "adjoint": 0}
+    assert trials == []
+
+
+def test_stability_morozov_choices_unchanged(monkeypatch):
+    # the stability config (41 x 40, seed 20260809) picks alpha / scale =
+    # 1e-4, 1e-5, 1e-6, 1e-7 for its four noise levels, five trials each, as
+    # the matrix-free CG solver did
+    from pipl.recon import initial
+
+    chosen = []
+    real = initial.recover_initial
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        chosen.append(res.regularization["alpha"] / res.regularization["operator_scale"])
+        return res
+
+    monkeypatch.setattr(initial, "recover_initial", recording)
+    g = grid1d(41, 40, T=0.5)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    stability_curve(
+        g, None, Nonlinearity.zero(), truth, LEFT, [1e-1, 1e-2, 1e-3, 1e-4],
+        trials=5, seed=20260809,
+    )
+    expected = np.repeat([1e-4, 1e-5, 1e-6, 1e-7], 5)
+    assert np.allclose(chosen, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dense_columns_match_exact_adjoint(dim):
+    from pipl.recon import InitialDataMap
+
+    if dim == 1:
+        g, portion = grid1d(17, 12, T=0.3), LEFT
+    else:
+        g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [7, 8], 6, 0.2)
+        portion = BoundaryPortion.named("left", "top")
+    q = field_from_function(g, lambda *a: 1.0 + a[0] * a[-1] + 0.5 * a[-2], "Q")
+    lin = InitialDataMap(g, None, q, resolve_portion(g, portion))
+    F = lin.dense()
+    interior = lin.prop.interior_mask
+    assert F.shape == (g.n_levels * lin.portion.n_nodes, int(interior.sum()))
+    rng = np.random.default_rng(dim)
+    g_vec = np.where(interior, rng.standard_normal(g.n_space), 0.0)
+    fwd = lin.forward(g_vec).reshape(-1)
+    assert np.linalg.norm(F @ g_vec[interior] - fwd) <= 1e-12 * np.linalg.norm(fwd)
+    y = rng.standard_normal((g.n_levels, lin.portion.n_nodes))
+    weighted = (np.outer(lin.w_time, lin.w_portion) * y).reshape(-1)
+    adj = lin.adjoint(y)
+    assert not np.any(adj[~interior])
+    assert np.linalg.norm(F.T @ weighted - adj[interior]) <= 1e-12 * np.linalg.norm(adj)
+
+
+def test_filter_factor_solution_solves_normal_equations():
+    # g(alpha) from the SVD solves (F^T W F + alpha D) g = F^T W (data - base),
+    # the system the matrix-free CG solved; a(x,t,0) = 2x gives a nonzero base
+    from pipl.recon import InitialDataMap
+
+    g = grid1d(17, 12, T=0.3)
+    nl = Nonlinearity.parse("2*x", tag="linear-potential")
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    noisy = add_noise(passive_map(g, None, nl, truth, LEFT), "gaussian-relative", 0.01, seed=2)
+    base = passive_map(g, None, nl, Field(g, np.zeros(g.nx), "Omega"), LEFT)
+    lin = InitialDataMap(g, None, None, resolve_portion(g, LEFT))
+    F, interior = lin.dense(), lin.prop.interior_mask
+    W = np.outer(lin.w_time, lin.w_portion).reshape(-1)
+    for alpha in (1e-2, 1e-5):
+        normal = F.T @ (W[:, None] * F) + alpha * np.diag(lin.w_space[interior])
+        expected = np.linalg.solve(normal, F.T @ (W * (noisy.values - base.values).reshape(-1)))
+        got = recover_initial(g, None, nl, noisy, alpha=alpha).recovered.values.reshape(-1)
+        assert not np.any(got[~interior])
+        assert np.max(np.abs(got[interior] - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_gauss_newton_reaches_a_stationary_point():
+    # at the Gauss-Newton limit the exact adjoint gradient of the Tikhonov
+    # functional, taken around the nonlinear solve, vanishes
+    from pipl.dnmap import measure
+    from pipl.forward import solve_semilinear
+    from pipl.model import taylor_table
+    from pipl.recon import InitialDataMap
+
+    g = grid1d(17, 12, T=0.3)
+    nl = Nonlinearity.parse("0.5*u^3")
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    data = passive_map(g, None, nl, truth, LEFT)
+    alpha = 1e-4
+    rec = recover_initial(g, None, nl, data, alpha=alpha, outer_iters=6).recovered
+    base = solve_semilinear(g, None, nl, g=rec).solution
+    lin = InitialDataMap(g, None, taylor_table(nl, base, 1).coefficient(1), resolve_portion(g, LEFT))
+    interior = lin.prop.interior_mask
+    reg = alpha * lin.w_space * rec.values.reshape(-1)
+    grad = lin.adjoint(measure(base, LEFT).values - data.values) + reg
+    assert np.linalg.norm(grad[interior]) <= 1e-6 * np.linalg.norm(reg[interior])
+
+
+def test_dense_map_size_cap(monkeypatch):
+    from pipl.forward import SolverError
+    from pipl.recon import InitialDataMap, initial
+
+    g = grid1d(17, 12, T=0.3)
+    lin = InitialDataMap(g, None, None, resolve_portion(g, LEFT))
+    held = g.n_levels * g.n_space * (g.n_space - 2)
+    monkeypatch.setattr(initial, "DENSE_CAP", held)
+    assert lin.dense().shape == (g.n_levels, g.n_space - 2)
+    monkeypatch.setattr(initial, "DENSE_CAP", held - 1)
+    with pytest.raises(SolverError, match=f"{g.n_levels} rows x 15 columns .* cap of {held - 1}"):
+        lin.dense()
+
+
+def test_bspline_element_matches_scipy():
+    from scipy.interpolate import BSpline
+
+    from pipl.recon.control import bspline_element
+
+    for n_time in (3, 6, 12):
+        for horizon, nt in ((0.4, 40), (0.75, 48), (1.0, 33)):
+            times = np.linspace(0.0, 1.0, nt + 1)
+            inner = np.linspace(0.0, horizon, n_time - 1)
+            knots = np.concatenate([[0.0, 0.0], inner, [horizon, horizon]])
+            for j in range(n_time):
+                element = BSpline.basis_element(knots[j : j + 4], extrapolate=False)
+                ref = np.nan_to_num(element(np.clip(times, 0, horizon)), nan=0.0)
+                ref[times > horizon] = 0.0
+                got = bspline_element(knots[j : j + 4], times)
+                assert np.max(np.abs(got - ref)) <= 1e-15
+            # half-open support: the last element is 0 at the horizon itself
+            assert bspline_element(knots[-4:], np.array([horizon]))[0] == 0.0
