@@ -407,6 +407,8 @@ def run_linearize(cfg, grid, outdir, jobs):
         "gaps": gaps_rows,
         "slopes": {str(k): v for k, v in slopes.items()},
         "corner_solves": corner_solves,
+        "newton_calls": setup.newton_calls,
+        "newton_iterations": setup.newton_iterations,
         "metrics": {f"slope_order_{k}": (v if v is not None else 0.0) for k, v in slopes.items()},
     }
     failures = []

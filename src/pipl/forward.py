@@ -9,9 +9,11 @@ The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
 rows, so Dirichlet rows need no rewriting.  The Propagator owns the
 per-level step matrices, their factorizations and the transposes its exact
-discrete adjoint sweep uses; a forward sweep carries any number of
-initial-value columns with one multi-column solve per step.  Semilinear
-terms affine in u are one linear sweep; all others take per-step Newton.
+discrete adjoint sweep uses; a forward sweep carries any number of columns,
+each with its own initial values, boundary trace and source, with one
+multi-column solve per step.  Semilinear solves march columns too: a term
+affine in u is one linear sweep, any other one per-step Newton whose columns
+share a block-diagonal Jacobian and one sparse solve per iteration.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .grid import (
     BoundaryPortion,
     Field,
     GridError,
-    ResolvedPortion,
     SpaceTimeGrid,
     norm,
     resolve_portion,
@@ -231,10 +232,11 @@ class Propagator:
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
 
-        g0: initial values (n_space,) or space-shaped, or m columns (n_space, m)
-        marched at once into (n_levels, n_space, m); f: boundary trace
+        g0: initial values (n_space,) or space-shaped; f: boundary trace
         (n_levels, n_boundary) in boundary_flat_indices order; source: values
-        (n_levels, n_space) added as +source on every column's right-hand side.
+        (n_levels, n_space) added as +source on the right-hand side.  Each may
+        carry m columns on a trailing axis, marched at once into (n_levels,
+        n_space, m); one without that axis is shared by every column.
         """
         grid = self.grid
         n = grid.n_space
@@ -245,16 +247,21 @@ class Propagator:
             or (f is not None and np.iscomplexobj(f))
             or (g0 is not None and np.iscomplexobj(g0))
         ) else float
-        columns = np.shape(g0)[1:] if np.ndim(g0) == 2 and len(g0) == n else ()
-        lift = (Ellipsis,) + (None,) * len(columns)  # per-node arrays onto every column
+        g_cols = np.ndim(g0) == 2 and len(g0) == n
+        f_cols = np.ndim(f) == 3
+        s_cols = np.ndim(source) == 3 and np.shape(source)[1] == n
+        columns = next((np.shape(a)[-1:] for a, c in ((g0, g_cols), (f, f_cols), (source, s_cols))
+                        if c), ())
+        lift = (Ellipsis,) + (None,) * len(columns)  # shared arrays onto every column
         u = np.zeros((grid.n_levels, n, *columns), dtype=dtype)
         if g0 is not None:
-            u[0] = np.asarray(g0).reshape(n, *columns)
+            u[0] = np.asarray(g0) if g_cols else np.asarray(g0).reshape(n)[lift]
         if f is not None:
-            f = np.asarray(f)[lift]
+            f = np.asarray(f) if f_cols else np.asarray(f)[lift]
             u[0, self.boundary_idx] = f[0]
         interior = self.interior_mask[lift]
-        src = None if source is None else np.asarray(source).reshape(grid.n_levels, -1)[lift]
+        src = None if source is None else (
+            np.asarray(source) if s_cols else np.asarray(source).reshape(grid.n_levels, n)[lift])
         for k in range(grid.nt):
             rhs = self.M_list[k] @ u[k]
             if src is not None:
@@ -310,7 +317,7 @@ def boundary_trace(grid: SpaceTimeGrid, fn=None, portion=None) -> Field:
     return Field(grid, np.array(rows), DOMAIN_SIGMA, portion)
 
 
-def _full_trace_values(grid: SpaceTimeGrid, f, full_portion: ResolvedPortion):
+def trace_values(grid: SpaceTimeGrid, f):
     """Boundary values ordered by boundary_flat_indices for every level."""
     bd = grid.boundary_flat_indices()
     if f is None:
@@ -337,11 +344,11 @@ def _full_trace_values(grid: SpaceTimeGrid, f, full_portion: ResolvedPortion):
 
 
 def check_compatibility(grid, g, f_values, tol=1e-9) -> None:
-    """Discrete compatibility g|_Gamma = f(., 0)."""
+    """Discrete compatibility g|_Gamma = f(., 0), for every column of f."""
     bd = grid.boundary_flat_indices()
     gb = np.zeros(len(bd)) if g is None else np.asarray(g.values).reshape(-1)[bd]
     fb = np.zeros(len(bd)) if f_values is None else f_values[0]
-    gap = float(np.max(np.abs(gb - fb))) if len(bd) else 0.0
+    gap = float(np.max(np.abs(gb[:, None] - np.reshape(fb, (len(bd), -1))))) if len(bd) else 0.0
     if gap > tol:
         raise CompatibilityError(f"g|Gamma vs f(.,0) mismatch {gap:.3g} exceeds {tol:.3g}")
 
@@ -362,8 +369,7 @@ def solve_linear(
     propagator: Propagator | None = None,
 ) -> SolveReport:
     """u_t - div(gamma grad u) + q u = source, u|Sigma = f, u(0) = g."""
-    full = resolve_portion(grid, BoundaryPortion.full())
-    f_vals = _full_trace_values(grid, f, full)
+    f_vals = trace_values(grid, f)
     check_compatibility(grid, g, f_vals, compat_tol)
     prop = propagator if propagator is not None else Propagator(grid, gamma, q, scheme)
     src = source.values if isinstance(source, Field) else source
@@ -372,7 +378,7 @@ def solve_linear(
         f=f_vals,
         source=src,
     )
-    if not np.all(np.isfinite(vals if not np.iscomplexobj(vals) else vals.view(float))):
+    if not np.all(np.isfinite(vals)):
         raise SolverError("linear solve produced non-finite values")
     sol = Field(grid, vals.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
     return SolveReport(sol, iterations=1, converged=True, scheme=scheme)
@@ -390,20 +396,10 @@ def solve_semilinear(
     smallness_gate: float = 1.0,
     compat_tol: float = 1e-9,
 ) -> SolveReport:
-    """u_t - div(gamma grad u) + nl(x,t,u) = 0, u|Sigma = f, u(0) = g.
-
-    A term affine in u (Nonlinearity.is_affine) is one linear sweep with the
-    potential d_u nl(x,t,0) and the source -nl(x,t,0); there one Newton step
-    per level would be exact.  Any other term is solved by Newton's method on
-    each time level of the theta-scheme, at most max_iter iterations per
-    level; a level that reaches the cap leaves converged False and a warning.
-    """
-    if max_iter < 1:
-        raise SolverError(f"max_iter must be >= 1, got {max_iter}")
-    full = resolve_portion(grid, BoundaryPortion.full())
-    f_vals = _full_trace_values(grid, f, full)
-    check_compatibility(grid, g, f_vals, compat_tol)
-
+    """u_t - div(gamma grad u) + nl(x,t,u) = 0, u|Sigma = f, u(0) = g: the
+    one-column case of semilinear_columns.  A level whose Newton reached the
+    cap leaves converged False and a warning."""
+    f_vals = trace_values(grid, f)
     warnings = []
     if nl.tag == CLASS_ANALYTIC:
         size = 0.0
@@ -416,88 +412,130 @@ def solve_semilinear(
                 f"data size {size:.3g} exceeds the smallness gate {smallness_gate:.3g}; "
                 "well-posedness not asserted"
             )
-
-    if nl.is_affine():
-        a0, q = taylor_table(nl, zero_field(grid), 1).coefficients
-        src = -a0.values if np.any(a0.values != 0.0) else None
-        rep = solve_linear(grid, gamma, q, f, g, src, scheme, compat_tol)
-        rep.warnings = warnings
-        return rep
-    return _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings)
+    res = semilinear_columns(grid, gamma, nl, None if f_vals is None else f_vals[..., None], g,
+                             scheme, tol, max_iter, compat_tol)
+    warnings += [f"newton stalled at time level {k + 1}" for k in np.flatnonzero(res.stalled)]
+    sol = Field(grid, res.values.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
+    return SolveReport(sol, res.iterations, res.history[:, 0].tolist(), bool(res.converged[0]),
+                       scheme, warnings)
 
 
-def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter, warnings):
-    """Per-level Newton: v + dt theta (L v + a(v)) = u_k - dt (1 - theta)
-    (L u_k + a(u_k)) on interior rows, v = f on the boundary.  The Jacobian
-    I + dt theta (L + diag(d_u a)) already has identity boundary rows, because
-    L and d_u a vanish there; its CSC structure is built once per distinct
-    gamma level and each iteration overwrites only its diagonal.
-    residual_history holds each level's last scaled Newton update."""
+@dataclass
+class ColumnSolves:
+    """m semilinear solves marched together: values (n_levels, n_space, m),
+    each column's Newton iterations (iterations is their sum), stalled
+    (nt, m) marking the levels whose Newton reached the cap, and history
+    (nt, m), each level's last scaled Newton update (no rows for a sweep)."""
+
+    values: np.ndarray
+    column_iterations: np.ndarray
+    stalled: np.ndarray
+    history: np.ndarray
+
+    def __post_init__(self):
+        self.iterations = int(self.column_iterations.sum())
+        self.converged = ~self.stalled.any(axis=0)
+
+
+def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10, max_iter=30,
+                       compat_tol=1e-9) -> ColumnSolves:
+    """m solves of u_t - div(gamma grad u) + nl(x,t,u) = 0, u(0) = g, one per
+    boundary trace column of f_vals (n_levels, n_boundary, m), or one with
+    u|Sigma = 0 for f_vals None.  A term affine in u (Nonlinearity.is_affine)
+    is one m-column linear sweep with the potential d_u nl(x,t,0) and the
+    source -nl(x,t,0); any other is one batched _newton."""
+    if max_iter < 1:
+        raise SolverError(f"max_iter must be >= 1, got {max_iter}")
+    check_compatibility(grid, g, f_vals, compat_tol)
+    if not nl.is_affine():
+        return _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter)
+    a0, q = taylor_table(nl, zero_field(grid), 1).coefficients
+    src = -a0.values if np.any(a0.values != 0.0) else None
+    vals = Propagator(grid, gamma, q, scheme).run(
+        g0=None if g is None else g.values.reshape(-1), f=f_vals, source=src
+    ).reshape(grid.n_levels, grid.n_space, -1)
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("linear solve produced non-finite values")
+    m = vals.shape[-1]
+    return ColumnSolves(vals, np.ones(m, dtype=int), np.zeros((grid.nt, m), bool), np.zeros((0, m)))
+
+
+def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
+    """Per-level Newton for m boundary-data columns at once: v + dt theta
+    (L v + a(v)) = u_k - dt (1 - theta) (L u_k + a(u_k)) on interior rows,
+    v = f on the boundary.  The columns share one block-diagonal CSC Jacobian
+    kron(I_m, I + dt theta L) + dt theta diag(d_u a), which already has
+    identity boundary rows because L and d_u a vanish there; it is built
+    once per distinct gamma level, and each iteration overwrites only its
+    diagonal and makes one spsolve.  A column whose scaled update passes the
+    tolerance is frozen for the rest of the level, so every column takes
+    exactly the iterates of its own single-column solve."""
     theta = SCHEMES[scheme]
     n = grid.n_space
+    m = 1 if f_vals is None else f_vals.shape[-1]
     dt = grid.dt
     bd = grid.boundary_flat_indices()
-    interior = grid.interior_mask()
+    interior = grid.interior_mask()[:, None]
     meshes = grid.meshes()
-    xs = meshes[0].reshape(-1)
-    ys = meshes[1].reshape(-1) if grid.dim == 2 else 0.0
+    xs = meshes[0].reshape(-1, 1)
+    ys = meshes[1].reshape(-1, 1) if grid.dim == 2 else 0.0
 
     eye = sp.identity(n, format="csr")
     gamma_td = gamma.time_dependent() if gamma is not None else False
     operators = {}
 
     def operator(level):
-        """L0 at a level, the CSC matrix J = I + dt theta L0, the positions
-        of its diagonal in J.data and the diagonal's values."""
+        """L0 at a level, the CSC Jacobian kron(I_m, I + dt theta L0), the
+        positions of its diagonal in its data and the diagonal's values."""
         if not gamma_td:
             level = 0
         if level not in operators:
             L0 = assemble_operator(grid, gamma, level * dt)
-            J = (eye + dt * theta * L0).tocsc()
-            cols = np.repeat(np.arange(n), np.diff(J.indptr))
+            J = sp.kron(sp.identity(m), eye + dt * theta * L0, format="csc")
+            cols = np.repeat(np.arange(n * m), np.diff(J.indptr))
             diag = np.flatnonzero(J.indices == cols)
-            if len(diag) != n:
+            if len(diag) != n * m:
                 raise SolverError("newton Jacobian has a structural zero on its diagonal")
             operators[level] = L0, J, diag, J.data[diag]
         return operators[level]
 
-    def a_of(level, uvec, k):
-        """k-th u-derivative of nl at uvec, zero off the interior."""
-        out = np.broadcast_to(np.asarray(nl(xs, level * dt, uvec, y=ys, k=k), dtype=float), (n,))
+    def a_of(level, v, k):
+        """k-th u-derivative of nl at the columns v, zero off the interior."""
+        out = np.broadcast_to(np.asarray(nl(xs, level * dt, v, y=ys, k=k), dtype=float), (n, m))
         return np.where(interior, out, 0.0)
 
-    u = np.zeros((grid.n_levels, n))
+    u = np.zeros((grid.n_levels, n, m))
     if g is not None:
-        u[0] = g.values.reshape(-1)
+        u[0] = g.values.reshape(-1, 1)
     if f_vals is not None:
         u[0, bd] = f_vals[0]
-    total_newton = 0
-    converged = True
-    history = []
+    iterations = np.zeros(m, dtype=int)
+    stalled = np.zeros((grid.nt, m), dtype=bool)
+    history = np.zeros((grid.nt, m))
     for k in range(grid.nt):
         rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0] @ u[k] + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
         L1, J, diag, J_diag = operator(k + 1)
+        active = np.ones(m, dtype=bool)
         for _ in range(max_iter):
             res = v + dt * theta * ((L1 @ v) + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
-            J.data[diag] = J_diag + dt * theta * a_of(k + 1, v, 1)
-            delta = spla.spsolve(J, res)
-            v = v - delta
-            total_newton += 1
-            scale = max(1.0, np.max(np.abs(v)))
-            if np.max(np.abs(delta)) <= tol * scale:
+            J.data[diag] = J_diag + dt * theta * a_of(k + 1, v, 1).ravel("F")
+            delta = spla.spsolve(J, res.ravel("F")).reshape(m, n).T
+            v[:, active] -= delta[:, active]
+            iterations += active
+            scale = np.maximum(1.0, np.max(np.abs(v), axis=0))
+            step = np.max(np.abs(delta), axis=0)
+            history[k, active] = step[active] / scale[active]
+            active &= ~(step <= tol * scale)
+            if not active.any():
                 break
-        else:
-            converged = False
-            warnings.append(f"newton stalled at time level {k + 1}")
+        stalled[k] = active
         if not np.all(np.isfinite(v)):
             raise SolverError(f"newton produced non-finite values at time level {k + 1}")
         u[k + 1] = v
-        history.append(float(np.max(np.abs(delta)) / scale))
-    sol = Field(grid, u.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-    return SolveReport(sol, total_newton, history, converged, scheme, warnings)
+    return ColumnSolves(u, iterations, stalled, history)
 
 
 def time_reversed_gamma(gamma: DiffusionTensor | None, T: float) -> DiffusionTensor | None:

@@ -5,17 +5,21 @@ quotients of the nonlinear solver (corner sums over amplitude cubes) and
 direct solves of the linearized equations with frozen Taylor coefficients.
 The quotient is what an experimenter could actually form from data; the
 direct solve is its oracle, and the gap between them shrinks at O(eps).
+All corners of one order are one batched nonlinear solve; the direct
+fields share one Propagator, one multi-column sweep per subset size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .dnmap import DNMeasurement, measure
-from .forward import solve_linear, solve_semilinear
+from .forward import (Propagator, SolverError, check_compatibility, semilinear_columns,
+                      solve_linear, trace_values)
 from .grid import (
     DOMAIN_Q,
     DOMAIN_SIGMA,
@@ -40,6 +44,8 @@ class LinearizationSetup:
 
     Corner sums divide by products of the amplitudes, so the nonlinear
     solves run at a tighter tolerance than the solver default.
+    newton_calls and newton_iterations count the batched Newton solves and
+    their per-column iterations.
     """
 
     grid: SpaceTimeGrid
@@ -47,28 +53,18 @@ class LinearizationSetup:
     nl: Nonlinearity
     g: Field | None = None
     scheme: str = "be"
-    smallness_gate: float = 1.0
     tol: float = 1e-13
 
     def __post_init__(self):
         self._base = None
         self._tables = {}
+        self.newton_calls = 0
+        self.newton_iterations = 0
 
     def base_solution(self) -> Field:
         if self._base is None:
-            rep = solve_semilinear(
-                self.grid,
-                self.gamma,
-                self.nl,
-                f=None,
-                g=self.g,
-                scheme=self.scheme,
-                smallness_gate=self.smallness_gate,
-                tol=self.tol,
-            )
-            if not rep.converged:
-                raise RuntimeError("base solve did not converge")
-            self._base = rep.solution
+            vals = self.solve_columns(None, ["base solve"])
+            self._base = Field(self.grid, vals.reshape(self.grid.n_levels, *self.grid.nx), DOMAIN_Q)
         return self._base
 
     def coefficient(self, k: int) -> Field:
@@ -79,20 +75,25 @@ class LinearizationSetup:
                 self._tables[j] = table.coefficient(j)
         return self._tables[k]
 
-    def solve_probe(self, trace: Field | None) -> Field:
-        rep = solve_semilinear(
-            self.grid,
-            self.gamma,
-            self.nl,
-            f=trace,
-            g=self.g,
-            scheme=self.scheme,
-            smallness_gate=self.smallness_gate,
-            tol=self.tol,
-        )
-        if not rep.converged:
-            raise RuntimeError("probe solve did not converge")
-        return rep.solution
+    @cached_property
+    def propagator(self) -> Propagator:
+        """Stepper of the linearized equation: potential coefficient(1)."""
+        return Propagator(self.grid, self.gamma, self.coefficient(1), self.scheme)
+
+    def solve_columns(self, traces, labels) -> np.ndarray:
+        """Nonlinear solves from the base initial data, one per boundary
+        trace column of traces (n_levels, n_boundary, m), in one batch;
+        values (n_levels, n_space, m).  A column that stalls raises
+        SolverError with its label and first stalled time level."""
+        res = semilinear_columns(self.grid, self.gamma, self.nl, traces, self.g,
+                                 self.scheme, self.tol)
+        if not self.nl.is_affine():
+            self.newton_calls += 1
+            self.newton_iterations += res.iterations
+        for j in np.flatnonzero(~res.converged):
+            level = int(np.argmax(res.stalled[:, j])) + 1
+            raise SolverError(f"{labels[j]}: newton stalled at time level {level}")
+        return res.values
 
 
 def probe_trace(grid: SpaceTimeGrid, spatial_fn, ramp_power: int = 2, portion=None) -> Field:
@@ -130,19 +131,6 @@ class ProbeFamily:
     @property
     def order(self) -> int:
         return len(self.shapes)
-
-
-def _scaled(trace: Field, eps: float) -> Field:
-    return Field(trace.grid, eps * trace.values, DOMAIN_SIGMA, trace.portion)
-
-
-def _combine(shapes, eps_vec) -> Field | None:
-    active = [(e, f) for e, f in zip(eps_vec, shapes) if e != 0.0]
-    if not active:
-        return None
-    g = active[0][1]
-    vals = sum(e * f.values for e, f in active)
-    return Field(g.grid, vals, DOMAIN_SIGMA, g.portion)
 
 
 def _fit_slope(eps_list, gaps):
@@ -196,14 +184,17 @@ def first_order(setup: LinearizationSetup, probe: Field, eps_schedule=None) -> F
     """v = d/d eps of the solution map at the base, both as a difference
     quotient of nonlinear solves and as the direct frozen-potential solve."""
     eps_schedule = tuple(eps_schedule) if eps_schedule is not None else (1e-2, 1e-3, 1e-4)
+    grid = setup.grid
     base = setup.base_solution()
-    q1 = setup.coefficient(1)
-    direct = solve_linear(setup.grid, setup.gamma, q1, f=probe, scheme=setup.scheme).solution
+    direct = solve_linear(grid, f=probe, scheme=setup.scheme, propagator=setup.propagator).solution
+    trace = trace_values(grid, probe)
+    solved = setup.solve_columns(np.stack([eps * trace for eps in eps_schedule], axis=-1),
+                                 [f"order-1 probe at amplitude {eps}" for eps in eps_schedule])
 
     quotients, gaps = [], []
-    for eps in eps_schedule:
-        u_eps = setup.solve_probe(_scaled(probe, eps))
-        quotient = Field(setup.grid, (u_eps.values - base.values) / eps, DOMAIN_Q)
+    for j, eps in enumerate(eps_schedule):
+        u_eps = solved[..., j].reshape(base.values.shape)
+        quotient = Field(grid, (u_eps - base.values) / eps, DOMAIN_Q)
         quotients.append(quotient)
         gaps.append(norm(quotient - direct, "L2Q"))
 
@@ -248,33 +239,34 @@ def _partitions_with_first(elements):
             yield [block] + tail
 
 
-def _direct_mixed_fields(setup: LinearizationSetup, probes):
-    """All mixed linearized fields w^S for subsets S of the probe index set,
-    solved bottom-up: the order-|S| equation carries the frozen potential and
-    the partition-structured source sum over lower blocks."""
+def _direct_mixed_fields(setup: LinearizationSetup, traces):
+    """All mixed linearized fields w^S for subsets S of the probe index set
+    (probe traces on the last axis of traces), solved bottom-up with one sweep
+    per subset size on the setup's Propagator: the order-|S| equation carries
+    the frozen potential and the partition-structured source sum over lower
+    blocks."""
     grid = setup.grid
-    q1 = setup.coefficient(1)
-    M = len(probes)
-    fields = {}
-    for i in range(M):
-        fields[(i,)] = solve_linear(
-            grid, setup.gamma, q1, f=probes[i], scheme=setup.scheme
-        ).solution
+    shape = (grid.n_levels, *grid.nx)
+    M = traces.shape[-1]
+    check_compatibility(grid, None, traces)
+    first = setup.propagator.run(f=traces)
+    fields = {(i,): first[..., i].reshape(shape) for i in range(M)}
     for size in range(2, M + 1):
-        for subset in combinations(range(M), size):
-            src = np.zeros_like(fields[(0,)].values)
+        subsets = list(combinations(range(M), size))
+        sources = []
+        for subset in subsets:
+            src = np.zeros(shape)
             for part in _partitions_with_first(subset):
                 if len(part) < 2:
                     continue  # the single-block term is the lhs potential term
                 prod = setup.coefficient(len(part)).values.copy()
                 for block in part:
-                    prod = prod * fields[tuple(sorted(block))].values
+                    prod = prod * fields[tuple(sorted(block))]
                 src += prod
-            w = solve_linear(
-                grid, setup.gamma, q1, source=Field(grid, -src, DOMAIN_Q), scheme=setup.scheme
-            ).solution
-            fields[subset] = w
-    return fields
+            sources.append(-src.reshape(grid.n_levels, -1))
+        solved = setup.propagator.run(source=np.stack(sources, axis=-1))
+        fields.update({s: solved[..., j].reshape(shape) for j, s in enumerate(subsets)})
+    return {s: Field(grid, v, DOMAIN_Q) for s, v in fields.items()}
 
 
 def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderResult:
@@ -314,44 +306,43 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
             "intermediate u-derivatives are nonzero along the base; "
             "direct solve includes the lower-order partition terms"
         )
-    direct = _direct_mixed_fields(setup, probes)[tuple(range(M))]
-    direct_valid = True
+    traces = np.stack([trace_values(grid, p) for p in probes], axis=-1)
+    direct = _direct_mixed_fields(setup, traces)[tuple(range(M))]
+
+    # every corner of every amplitude level in one batch; the empty corner is the base
+    corners = [s for size in range(M + 1) for s in combinations(range(M), size)]
+    live = [amps for amps in levels if not (zero_probe or float(np.prod(amps)) == 0.0)]
+    batch = [(amps, s) for amps in live for s in corners[1:]]
+    solved = iter(())
+    if batch:
+        values = setup.solve_columns(
+            np.stack([sum(amps[i] * traces[..., i] for i in s) for amps, s in batch], axis=-1),
+            [f"order-{M} corner {s} at amplitudes {amps}" for amps, s in batch],
+        )
+        solved = (values[..., j].reshape(base.values.shape) for j in range(len(batch)))
 
     quotient = None
     gaps, eps_size, floors = [], [], []
     for amps in levels:
-        cache = {}
-        corner_peak = 0.0
-
-        def corner(subset):
-            if subset not in cache:
-                eps_vec = [amps[i] if i in subset else 0.0 for i in range(M)]
-                trace = _combine(probes, eps_vec)
-                u = base if trace is None else setup.solve_probe(trace)
-                cache[subset] = u.values
-            return cache[subset]
-
-        acc = np.zeros_like(base.values)
-        denom = float(np.prod(amps))
-        if zero_probe or denom == 0.0:
+        if amps not in live:
             quotient = zero_field(grid)
-            gaps.append(0.0 if direct is None else norm(quotient - direct, "L2Q"))
+            gaps.append(norm(quotient - direct, "L2Q"))
             eps_size.append(max(amps) if amps else 0.0)
             floors.append(0.0)
             continue
-        for size in range(M + 1):
-            for subset in combinations(range(M), size):
-                sign = (-1.0) ** (M - size)
-                vals = corner(frozenset(subset))
-                corner_peak = max(corner_peak, float(np.max(np.abs(vals))))
-                acc = acc + sign * vals
+        acc = np.zeros_like(base.values)
+        corner_peak = 0.0
+        for s in corners:
+            vals = base.values if not s else next(solved)
+            corner_peak = max(corner_peak, float(np.max(np.abs(vals))))
+            acc = acc + (-1.0) ** (M - len(s)) * vals
+        denom = float(np.prod(amps))
         quotient = Field(grid, acc / denom, DOMAIN_Q)
         floors.append(np.finfo(float).eps * corner_peak * 2**M / denom)
         eps_size.append(max(amps))
-        if direct is not None:
-            gaps.append(norm(quotient - direct, "L2Q"))
+        gaps.append(norm(quotient - direct, "L2Q"))
 
-    rate = _rate_report(eps_size, gaps) if (direct is not None and len(levels) >= 2) else None
+    rate = _rate_report(eps_size, gaps) if len(levels) >= 2 else None
     gap = gaps[-1] if gaps else None
     qmag = norm(quotient, "L2Q")
     floor = floors[-1] if floors else 0.0
@@ -360,7 +351,7 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
         notes.append(
             f"rounding noise floor {floor:.3g} exceeds 10% of quotient magnitude {qmag:.3g}"
         )
-    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, direct_valid, notes)
+    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, True, notes)
 
 
 def linearized_dn(field: Field, portion) -> DNMeasurement:

@@ -2,10 +2,11 @@
 
 The steering functional ||u(., T-eps)||^2 + alpha ||f||^2 is minimized over a
 finite control basis (boundary-node hats times time B-splines vanishing at
-t = 0) by conjugate-gradient iteration with exact discrete adjoints.  The
-control is extended by zero on [T-eps, T]; for a B_T-structured nonlinearity
-whose tail vanishes at u = 0 the continued free solution then stays near
-zero, which the continuation check certifies.
+t = 0) by conjugate-gradient iteration on the normal equations of the
+control-to-state columns, which one multi-column sweep forms.  The control
+is extended by zero on [T-eps, T]; for a B_T-structured nonlinearity whose
+tail vanishes at u = 0 the continued free solution then stays near zero,
+which the continuation check certifies.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ def null_control(
     free_terminal = u_free[K]
     free_norm = float(np.sqrt(np.dot(free_terminal**2, w_space)))
 
-    def F(coeff):
-        trace = sum(c * b for c, b in zip(coeff, basis))
-        u = prop.run(f=trace)
-        return u[K]
-
     # Gramian of the basis in L2(Sigma_0 x (0, T-eps)) for the alpha term
     w_time = grid.time_weights()
     bd = grid.boundary_flat_indices()
@@ -156,8 +152,8 @@ def null_control(
             val = float(np.einsum("kb,kb,k,b->", basis[i], basis[j], w_time, bweights))
             G[i, j] = G[j, i] = val
 
-    # columns of F are cheap at desk scale; cache them for the CG products
-    cols = np.column_stack([F(np.eye(n_b)[i]) for i in range(n_b)])
+    # control-to-state columns at T - eps, one per basis trace, from one sweep
+    cols = prop.run(f=np.stack(basis, axis=-1))[K]
 
     def normal(coeff):
         return cols.T @ ((cols @ coeff) * w_space) + alpha * (G @ coeff)

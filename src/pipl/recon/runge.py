@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..forward import Propagator, solve_linear
+from ..forward import Propagator, check_compatibility, trace_values
 from ..grid import (
     DOMAIN_Q,
     BoundaryPortion,
@@ -104,11 +104,10 @@ def runge_fit(
     w_space = _region_weights(grid, region)
     w_time = grid.time_weights()
 
-    prop = Propagator(grid, gamma, q, scheme)
-    fields = []
-    for tr in family:
-        rep = solve_linear(grid, f=tr, scheme=scheme, propagator=prop)
-        fields.append(rep.solution.values.reshape(grid.n_levels, -1))
+    traces = np.stack([trace_values(grid, tr) for tr in family], axis=-1)
+    check_compatibility(grid, None, traces)
+    swept = Propagator(grid, gamma, q, scheme).run(f=traces)
+    fields = np.ascontiguousarray(np.moveaxis(swept, -1, 0))
     tgt = target.values.reshape(grid.n_levels, -1)
 
     n = len(fields)
@@ -127,6 +126,6 @@ def runge_fit(
         notes.append(f"rank-deficient Gram matrix (cond {cond:.3g}); regularized solve")
     coeff, *_ = np.linalg.lstsq(A + rcond * np.trace(A) / max(n, 1) * np.eye(n), b, rcond=None)
 
-    approx = np.tensordot(coeff, np.array(fields), axes=(0, 0))
+    approx = np.tensordot(coeff, fields, axes=(0, 0))
     gap = _region_l2(grid, w_space, w_time, approx - tgt.real)
     return RungeFit(coeff, gap, _region_l2(grid, w_space, w_time, tgt.real), n, notes)

@@ -256,10 +256,11 @@ def test_semilinear_property_random_grids(
     # an affine term is one linear sweep, equal to Newton on the same equations
     nl = Nonlinearity.parse(affine, tag=CLASS_A)
     sweep = solve_semilinear(grid, gamma, nl, f=f, g=g0, scheme=scheme)
-    newton = _newton(grid, gamma, nl, f, g0, scheme, 1e-10, 30, [])
-    assert newton.converged
-    scale = max(1.0, float(np.max(np.abs(newton.solution.values))))
-    assert np.max(np.abs(sweep.solution.values - newton.solution.values)) <= 1e-12 * scale
+    newton = _newton(grid, gamma, nl, f[..., None], g0, scheme, 1e-10, 30)
+    assert newton.converged.all()
+    newton_values = newton.values[..., 0].reshape(sweep.solution.values.shape)
+    scale = max(1.0, float(np.max(np.abs(newton_values))))
+    assert np.max(np.abs(sweep.solution.values - newton_values)) <= 1e-12 * scale
     assert _theta_residual(grid, gamma, nl, sweep.solution.values, scheme) <= 1e-10
 
 
@@ -514,27 +515,86 @@ def test_step_matrices_match_loop_oracle(
     scheme=st.sampled_from(("be", "cn")),
     m=st.integers(1, 4),
     complex_columns=st.booleans(),
-    with_f=st.booleans(),
-    with_source=st.booleans(),
+    g0_kind=st.sampled_from(("shared", "columns")),
+    f_kind=st.sampled_from((None, "shared", "columns")),
+    source_kind=st.sampled_from((None, "shared", "columns")),
     seed=st.integers(0, 2**16),
 )
 def test_batched_run_matches_columns(
-    dim, nx, ny, nt, T, scheme, m, complex_columns, with_f, with_source, seed
+    dim, nx, ny, nt, T, scheme, m, complex_columns, g0_kind, f_kind, source_kind, seed
 ):
+    # every argument either shared by all columns or one per column; each
+    # column of the batch equals its own single-column sweep
+    if "columns" not in (g0_kind, f_kind, source_kind):
+        g0_kind = "columns"
     grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, T)
     q = field_from_function(grid, lambda *a: 1.0 + a[0] * a[-1] + 0.5 * a[-2], "Q")
     prop = Propagator(grid, DiffusionTensor.scalar("1 + 0.3*x"), q, scheme)
     rng = np.random.default_rng(seed)
-    g0 = rng.standard_normal((grid.n_space, m))
-    if complex_columns:
-        g0 = g0 + 1j * rng.standard_normal((grid.n_space, m))
-    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx))) if with_f else None
-    source = rng.standard_normal((grid.n_levels, grid.n_space)) if with_source else None
+
+    def data(kind, *shape):
+        if kind is None:
+            return None
+        vals = rng.standard_normal(shape + ((m,) if kind == "columns" else ()))
+        if complex_columns and kind == "columns":
+            vals = vals + 1j * rng.standard_normal(vals.shape)
+        return vals
+
+    def column(vals, kind, j):
+        return vals[..., j] if kind == "columns" else vals
+
+    g0 = data(g0_kind, grid.n_space)
+    f = data(f_kind, grid.n_levels, len(prop.boundary_idx))
+    source = data(source_kind, grid.n_levels, grid.n_space)
+    if source_kind == "shared" and dim == 2:
+        source = source.reshape(grid.n_levels, *grid.nx)  # space-shaped levels
     u = prop.run(g0=g0, f=f, source=source)
     assert u.shape == (grid.n_levels, grid.n_space, m)
     for j in range(m):
-        ref = prop.run(g0=g0[:, j], f=f, source=source)
+        ref = prop.run(g0=column(g0, g0_kind, j), f=column(f, f_kind, j),
+                       source=column(source, source_kind, j))
         assert np.max(np.abs(u[..., j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    n=st.integers(4, 9),
+    nt=st.integers(2, 6),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_src=st.sampled_from((None, "1 + 0.3*x", "1 + 0.2*t")),
+    nonaffine=st.sampled_from(NONAFFINE),
+    m=st.integers(2, 4),
+    tol=st.sampled_from((1e-4, 1e-10)),
+    max_iter=st.sampled_from((2, 30)),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_newton_matches_columns(
+    dim, n, nt, T, scheme, gamma_src, nonaffine, m, tol, max_iter, seed
+):
+    # columns of very different size converge after different iteration
+    # counts (or stall at max_iter = 2); a loose tolerance makes any extra
+    # step on a converged column visible far above rounding
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [n] * dim, nt, T)
+    gamma = None if gamma_src is None else DiffusionTensor.scalar(gamma_src)
+    nl = Nonlinearity.parse(nonaffine, tag=CLASS_A)
+    g0 = zero_field(grid, "Omega")
+    g0.values[:] = 0.5 * np.prod([np.sin(math.pi * x) for x in grid.meshes()], axis=0)
+    rng = np.random.default_rng(seed)
+    nb = len(grid.boundary_flat_indices())
+    amps = np.array([0.0, 2.0, 0.01, 1.0])[:m]
+    f = (grid.times() / T)[:, None, None] ** 2 * rng.uniform(0.5, 1.0, (nb, m)) * amps
+    batch = _newton(grid, gamma, nl, f, g0, scheme, tol, max_iter)
+    assert batch.values.shape == (grid.n_levels, grid.n_space, m)
+    for j in range(m):
+        ref = _newton(grid, gamma, nl, f[..., j:j + 1], g0, scheme, tol, max_iter)
+        scale = max(1.0, float(np.max(np.abs(ref.values))))
+        assert np.max(np.abs(batch.values[..., j] - ref.values[..., 0])) <= 1e-13 * scale
+        assert batch.column_iterations[j] == ref.iterations
+        assert batch.converged[j] == ref.converged[0]
+        assert np.array_equal(batch.stalled[:, j], ref.stalled[:, 0])
+    assert batch.iterations == int(batch.column_iterations.sum())
 
 
 def test_propagator_work_counts(monkeypatch):

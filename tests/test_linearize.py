@@ -172,3 +172,44 @@ def test_linearized_dn_delegates():
     res = first_order(setup, probe)
     m = linearized_dn(res.direct, BoundaryPortion.named("left"))
     assert m.values.shape == (setup.grid.n_levels, 1)
+
+
+def test_linearize_work_counts(monkeypatch):
+    # one Propagator per setup, shared by the direct fields of every order;
+    # one batched Newton for the base and one per higher_order call
+    from pipl import forward
+
+    built, newton_iterations = [], []
+    real_init, real_newton = forward.Propagator.__init__, forward._newton
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def newton(*args, **kwargs):
+        res = real_newton(*args, **kwargs)
+        newton_iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(forward.Propagator, "__init__", init)
+    monkeypatch.setattr(forward, "_newton", newton)
+    setup = make_setup("u^3", nx=17, nt=16, g_amp=0.5)
+    probes = [probe_trace(setup.grid, lambda x, s=s: np.cos(s * x) + 1.5) for s in (1.0, 2.0, 3.0)]
+    for order in (1, 2, 3):
+        higher_order(setup, probes[:order], [3e-3, 1e-3])
+    assert len(built) == 1
+    assert len(newton_iterations) == 1 + 3
+    assert setup.newton_calls == 4
+    assert setup.newton_iterations == sum(newton_iterations)
+
+
+def test_stalled_corner_names_order_amplitudes_and_level():
+    from pipl.forward import SolverError
+
+    setup = make_setup("u^3", nx=9, nt=8, g_amp=0.5)
+    setup.base_solution()
+    setup.tol = -1.0  # no update can meet it: every corner stalls at level 1
+    with pytest.raises(SolverError, match=r"order-2 corner \(0,\) at amplitudes \(0\.01, 0\.02\): "
+                                          r"newton stalled at time level 1"):
+        higher_order(setup, [ramp_probe(setup.grid, "left"), ramp_probe(setup.grid, "right")],
+                     [(1e-2, 2e-2)])
