@@ -1,13 +1,21 @@
 """Experiment orchestration.
 
-Config files are INI-style sections of ``key = value`` lines with quoted
-expression strings.  Every run writes a manifest (resolved config, tool
-version, seed, wall time) plus reports and tidy CSVs into the output
-directory.  ``--check`` binds the acceptance thresholds to the run and exits
-nonzero when a gate fails.
+A config file holds INI sections of ``key = value`` lines, with expressions
+as quoted strings.  ``SCHEMA`` names, for every experiment kind, the
+sections and keys that kind reads, each with its parser and default.
+``load_config`` resolves a file against it before any runner starts, and
+runners read only the resolved values.  An unknown section, a key the kind
+does not read, a malformed or non-finite number, a value outside its
+choices and a non-integer ``PIPL_SEED`` raise ConfigError, which names the
+section, the key and the line.
 
-Exit codes: 0 success, 2 config/expression parse error, 3 solver failure,
-4 check-mode threshold failure.
+Every run writes a manifest (resolved config, tool version, seed, wall
+time) plus reports and tidy CSVs into the output directory.  ``--check``
+binds the acceptance thresholds to the run and exits nonzero when a gate
+fails.
+
+Exit codes: 0 success, 2 config, expression or parameter-constraint error,
+3 solver failure, 4 check-mode threshold failure.
 """
 
 from __future__ import annotations
@@ -17,15 +25,18 @@ import configparser
 import json
 import math
 import os
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    AnalysisError,
     CarlemanConfig,
     carleman_check_1,
     carleman_check_2,
@@ -35,9 +46,10 @@ from .analysis import (
 )
 from .cgo import CGOFactory, CGOParameters
 from .dnmap import DNMeasurement, add_noise, passive_map, save_measurement
-from .expr import Expression, ExprError, ParseError
-from .forward import SolverError, solve_linear, solve_semilinear
+from .expr import Expression, ExprError
+from .forward import SCHEMES, SolverError, solve_linear, solve_semilinear
 from .grid import (
+    FACE_IDS,
     BoundaryPortion,
     Field,
     GridError,
@@ -48,7 +60,7 @@ from .grid import (
     save_field_csv,
 )
 from .linearize import LinearizationSetup, higher_order, probe_trace
-from .model import DiffusionTensor, ModelError, Nonlinearity
+from .model import CLASSES, DiffusionTensor, ModelError, Nonlinearity
 from .recon import (
     BTStructure,
     RegionMask,
@@ -63,22 +75,6 @@ from .recon import (
     synthesize_taylor_probes,
 )
 
-KINDS = (
-    "forward",
-    "dnmap",
-    "cgo-verify",
-    "linearize",
-    "recover-q",
-    "recover-b",
-    "recover-g",
-    "stability",
-    "carleman",
-    "maxprin",
-    "runge",
-    "control",
-    "nonunique-demo",
-)
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
@@ -86,11 +82,220 @@ EXIT_CHECK = 4
 
 
 class ConfigError(ValueError):
-    pass
+    """A config fault, located by section, key and line where it has them."""
+
+    def __init__(self, message, section=None, key=None, line=None, offset=None):
+        where = " ".join(
+            part for part in (section and f"[{section}]", key, line and f"(line {line})") if part
+        )
+        super().__init__(f"{where}: {message}" if where else message)
+        self.section, self.key, self.line, self.offset = section, key, line, offset
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Value parsers: each takes the unquoted text of one key and raises ValueError
+
+
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _list(parse):
+    def parse_list(text):
+        values = tuple(parse(v) for v in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+
+    return parse_list
+
+
+_floats, _ints = _list(_float), _list(int)
+
+
+def _expr(text: str) -> str:
+    Expression(text)  # a malformed expression raises ParseError with its byte offset
+    return text
+
+
+def _optional_expr(text: str):
+    """An expression, or None for an empty value."""
+    return _expr(text) if text else None
+
+
+def _choice(*options, parse=str):
+    def choose(text):
+        value = parse(text)
+        if value not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(map(str, options))}")
+        return value
+
+    return choose
+
+
+def _faces(text: str) -> BoundaryPortion:
+    names = tuple(s.strip() for s in text.split(","))
+    unknown = [n for n in names if n not in FACE_IDS]
+    if unknown:
+        raise ValueError(f"unknown face {unknown[0]!r}; faces are {', '.join(FACE_IDS)}")
+    return BoundaryPortion.named(*names)
+
+
+def _portion(text: str) -> BoundaryPortion:
+    return BoundaryPortion.full() if text == "full" else _faces(text)
+
+
+# ---------------------------------------------------------------------------
+# The schema: kind -> section -> key -> (parser, default).  A callable
+# default is a function of the resolved [grid] section.
+
+_LEFT = BoundaryPortion.named("left")
+_SIZES = (33, 65, 129, 257)  # nx of the refined grids of a convergence sweep
+
+_GRID = {
+    "dim": (_choice(1, 2, parse=int), 1),
+    "lower": (_floats, lambda g: (0.0,) * g["dim"]),
+    "upper": (_floats, lambda g: (1.0,) * g["dim"]),
+    "nx": (_ints, lambda g: (65,) if g["dim"] == 1 else (17,) * g["dim"]),
+    "nt": (int, 64),
+    "t": (_float, 1.0),
+}
+
+# the diffusion tensor: a scalar gamma, or the 2D entries g11, g12, g22
+_GAMMA = {
+    "gamma": (_expr, "1"),
+    "g11": (_expr, None),
+    "g12": (_expr, "0"),
+    "g22": (_expr, None),  # None: g22 = g11
+    "rho0": (_float, 0.5),
+}
+_MODEL = {
+    **_GAMMA,
+    "nonlinearity": (_expr, "0"),
+    "class": (_choice(*CLASSES), "linear-potential"),
+}
+
+
+def _kind(kind, section, keys, model=None, scheme="be"):
+    """(kind, its tables): [grid] first, so that callable defaults can read
+    it, then [experiment] (with scheme when the kind reads one), [output],
+    [model] when the kind reads it, and the kind's own section."""
+    experiment = {"kind": (_choice(kind), kind), "seed": (int, 0)}
+    if scheme:
+        experiment["scheme"] = (_choice(*SCHEMES), scheme)
+    tables = {"grid": _GRID, "experiment": experiment, "output": {"dir": (str, f"out/{kind}")}}
+    if model:
+        tables["model"] = model
+    tables[section] = keys
+    return kind, tables
+
+
+SCHEMA = dict((
+    _kind("forward", "forward", {
+        "initial": (_optional_expr, "sin(pi*x)"),  # empty: zero initial data
+        "oracle": (_optional_expr, None),
+        "convergence": (_ints, _SIZES),
+    }, _MODEL, scheme="cn"),
+    _kind("dnmap", "dnmap", {
+        "initial": (_expr, "sin(pi*x)"),
+        "portion": (_portion, _LEFT),
+        "noise": (_float, 0.0),
+        "noise_model": (_choice("gaussian-relative", "gaussian-absolute"), "gaussian-relative"),
+        "oracle_dn": (_optional_expr, None),  # in t, at the first portion node
+        "convergence": (_ints, _SIZES),
+    }, _MODEL, scheme="cn"),
+    _kind("cgo-verify", "cgo", {
+        "q": (_expr, "exp(-40*(x-0.5)^2)"),
+        "rhos": (_floats, (8.0, 16.0, 32.0, 64.0)),
+        "omega": (_floats, lambda g: (1.0,) + (0.0,) * (g["dim"] - 1)),
+    }),
+    _kind("linearize", "linearize", {
+        "base_initial": (_expr, "0.8*sin(pi*x)"),
+        "max_order": (_choice(1, 2, 3, parse=int), 3),  # one probe shape per order
+        # per-order amplitude windows balancing truncation against the eps^-M
+        # rounding floor of the corner sums
+        "eps1": (_floats, (1e-2, 1e-3)),
+        "eps2": (_floats, (1e-2, 1e-3)),
+        "eps3": (_floats, (3e-3, 1e-3)),
+    }, _MODEL),
+    _kind("recover-q", "recover_q", {
+        "rho": (_float, 32.0),
+        "n_tau": (_count, 4),
+        "truth_difference": (_expr, "(1 + 0.4*sin(pi*x))*exp(-25*(t-0.5)^2)"),
+        "mode": (_choice("full", "partial"), "full"),
+    }),
+    _kind("recover-b", "recover_b", {
+        "rho": (_float, 32.0),
+        "order": (int, 3),
+        "n_tau": (_count, 4),
+        "coefficient": (_expr, "(1 + 0.2*sin(pi*x))*exp(-16*(t-0.65)^2)"),
+    }),
+    _kind("recover-g", "recover_g", {
+        "truth": (_expr, "sin(pi*x)"),
+        "portion": (_portion, _LEFT),
+        "noise": (_float, 0.0),
+    }, _MODEL),
+    _kind("stability", "stability", {
+        "truth": (_expr, "sin(pi*x)"),
+        "portion": (_portion, _LEFT),
+        "deltas": (_floats, (1e-1, 1e-2, 1e-3, 1e-4)),
+        "trials": (_count, 5),
+    }, _MODEL),
+    _kind("carleman", "carleman", {
+        "portion": (_faces, _LEFT),
+        "a": (_float, 1.0),
+        "solution": (_expr, "exp(-pi^2*t)*sin(pi*x)"),
+        "psi": (_optional_expr, None),  # None: default_weight_base of each grid
+        "k": (_float, 0.15),
+        "t0": (_float, lambda g: 10 * (g["t"] / g["nt"])),  # 10 dt: on a level of both grids
+        "l": (_float, 1.0),
+    }, _GAMMA, scheme=None),
+    _kind("maxprin", "maxprin", {"q": (_float, 0.0)}, _GAMMA, scheme=None),
+    _kind("runge", "runge", {
+        "q": (_expr, "0.5*exp(-30*(x-0.4)^2)"),
+        "sizes": (_list(_count), (4, 8, 16, 32)),
+        "rho": (_float, 2.0),
+    }),
+    _kind("control", "control", {
+        "initial": (_expr, "sin(pi*x)"),
+        "portion": (_portion, _LEFT),
+        "eps": (_float, lambda g: 0.25 * g["t"]),
+        "tail_nonlinearity": (_expr, "u^3"),
+        "n_time": (_count, 12),
+    }, _GAMMA),
+    _kind("nonunique-demo", "nonunique", {"collar": (_float, 0.15)}, _GAMMA, scheme=None),
+))
+
+KINDS = tuple(SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# Loading
+
+
+@dataclass(frozen=True)
+class Config:
+    """A config file resolved against SCHEMA.  values[section][key] holds
+    every key the kind reads, typed (what manifest.json records); the rest
+    is built from it.  gamma None is the identity, and nl is None for a kind
+    that reads no nonlinearity."""
+
+    values: dict
+    grid: SpaceTimeGrid
+    gamma: DiffusionTensor | None
+    nl: Nonlinearity | None
+    scheme: str | None
+    seed: int
 
 
 def _unquote(v: str) -> str:
@@ -100,78 +305,103 @@ def _unquote(v: str) -> str:
     return v
 
 
-def load_config(path) -> dict:
-    cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"config file {path} not readable")
-    return {s: {k: _unquote(v) for k, v in cp[s].items()} for s in cp.sections()}
+def _key_lines(text: str) -> dict:
+    """Line numbers, read the way configparser reads the file: (section,
+    None) for each section header and (section, key) for each key."""
+    lines, section = {}, None
+    for number, line in enumerate(text.splitlines(), 1):
+        s = line.strip()
+        if not s or s[0] in "#;" or line[0].isspace():
+            continue
+        header = re.match(r"\[(.+)\]", s)
+        if header:
+            section = header[1]
+            lines[section, None] = number
+        else:
+            lines[section, re.split("[=:]", s, maxsplit=1)[0].strip().lower()] = number
+    return lines
 
 
-def _floats(value: str):
-    return [float(v) for v in value.replace(",", " ").split()]
-
-
-def _ints(value: str):
-    return [int(v) for v in value.replace(",", " ").split()]
-
-
-def build_grid(cfg: dict) -> SpaceTimeGrid:
-    g = cfg.get("grid", {})
-    dim = int(g.get("dim", 1))
-    lower = _floats(g.get("lower", "0" if dim == 1 else "0 0"))
-    upper = _floats(g.get("upper", "1" if dim == 1 else "1 1"))
-    nx = _ints(g.get("nx", "65" if dim == 1 else "17 17"))
-    nt = int(g.get("nt", 64))
-    T = float(g.get("t", g.get("horizon", 1.0)))
-    return SpaceTimeGrid.make(lower, upper, nx, nt, T)
-
-
-def build_gamma(cfg: dict):
-    m = cfg.get("model", {})
-    if "g11" in m:
+def _gamma(m: dict):
+    if m["g11"] is not None:
         return DiffusionTensor.matrix2d(
-            m["g11"], m.get("g12", "0"), m.get("g22", m["g11"]),
-            rho0=float(m.get("rho0", 0.5)),
+            m["g11"], m["g12"], m["g11"] if m["g22"] is None else m["g22"], rho0=m["rho0"]
         )
-    gam = m.get("gamma", "1")
-    if gam.strip() == "1":
+    if m["gamma"].strip() == "1":
         return None
-    return DiffusionTensor.scalar(gam, rho0=float(m.get("rho0", 0.5)))
+    return DiffusionTensor.scalar(m["gamma"], rho0=m["rho0"])
 
 
-def build_nonlinearity(cfg: dict, grid) -> Nonlinearity:
-    m = cfg.get("model", {})
-    source = m.get("nonlinearity", "0")
-    tag = m.get("class", "linear-potential")
-    nl = Nonlinearity.parse(source, tag=tag)
-    nl.validate(grid)
-    return nl
+def load_config(path, kind: str) -> Config:
+    """Resolve the config file at path against SCHEMA[kind].  The first
+    fault raises ConfigError naming its section, key and line; the
+    environment variable PIPL_SEED replaces [experiment] seed."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} not readable: {exc}") from exc
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text, source=str(path))
+    lines = _key_lines(text)
+    tables = SCHEMA[kind]
+    if cp.defaults():
+        raise ConfigError("unknown section", "DEFAULT", line=lines.get(("DEFAULT", None)))
+    values = {name: {} for name in tables}
+    # [experiment] first: a config of another kind fails on its kind key
+    for name in sorted(cp.sections(), key=lambda n: n != "experiment"):
+        if name not in tables:
+            raise ConfigError(
+                f"unknown section; {kind} reads {', '.join(tables)}", name,
+                line=lines.get((name, None)),
+            )
+        for key, raw in cp[name].items():
+            line = lines.get((name, key))
+            if key not in tables[name]:
+                raise ConfigError(
+                    f"unknown key; {kind} reads {', '.join(tables[name])} here", name, key, line
+                )
+            try:
+                values[name][key] = tables[name][key][0](_unquote(raw))
+            except ValueError as exc:  # an expression's ParseError carries its byte offset
+                raise ConfigError(str(exc), name, key, line, getattr(exc, "offset", None)) from exc
+    for name, table in tables.items():  # [grid] first: callable defaults read it
+        for key, (_, default) in table.items():
+            if key not in values[name]:
+                values[name][key] = default(values["grid"]) if callable(default) else default
+
+    g = values["grid"]
+    for key in ("lower", "upper", "nx"):
+        if len(g[key]) != g["dim"]:
+            raise ConfigError(
+                f"needs {g['dim']} entries for dim {g['dim']}", "grid", key, lines.get(("grid", key))
+            )
+    env = os.environ.get("PIPL_SEED")
+    if env is not None:
+        try:
+            values["experiment"]["seed"] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"{env!r} is not an integer", key="PIPL_SEED") from exc
+    if kind == "carleman":
+        s = values["carleman"]
+        try:
+            CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])  # checks K + t0 < min(1, 1/2L)
+        except AnalysisError as exc:
+            raise ConfigError(str(exc), "carleman", "k", lines.get(("carleman", "k"))) from exc
+
+    grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
+    m = values.get("model")
+    nl = None
+    if m and "nonlinearity" in m:
+        nl = Nonlinearity.parse(m["nonlinearity"], tag=m["class"])
+        nl.validate(grid)
+    exp = values["experiment"]
+    return Config(values, grid, _gamma(m) if m else None, nl, exp.get("scheme"), exp["seed"])
 
 
 def _expr_field(grid, source, domain="Omega"):
     e = Expression(source)
-    if domain == "Omega":
-        if grid.dim == 1:
-            return field_from_function(grid, lambda x: e(x=x), "Omega")
-        return field_from_function(grid, lambda x, y: e(x=x, y=y), "Omega")
-    if grid.dim == 1:
-        return field_from_function(grid, lambda x, t: e(x=x, t=t), "Q")
-    return field_from_function(grid, lambda x, y, t: e(x=x, y=y, t=t), "Q")
-
-
-def _portion(names: str) -> BoundaryPortion:
-    names = names.strip()
-    if names == "full":
-        return BoundaryPortion.full()
-    return BoundaryPortion.named(*[s.strip() for s in names.split(",")])
-
-
-def _seed(cfg: dict) -> int:
-    env = os.environ.get("PIPL_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg.get("experiment", {}).get("seed", 0))
+    names = ("x", "y")[: grid.dim] + (("t",) if domain == "Q" else ())
+    return field_from_function(grid, lambda *coords: e(**dict(zip(names, coords))), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -236,130 +466,93 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list:
 # Experiment runners: each returns (report dict, check failures list)
 
 
-def run_forward(cfg, grid, outdir, jobs):
-    section = cfg.get("forward", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "cn")
-    gamma = build_gamma(cfg)
-    nl = build_nonlinearity(cfg, grid)
-    g0 = _expr_field(grid, section.get("initial", "sin(pi*x)")) if section.get(
-        "initial", "sin(pi*x)"
-    ) else None
-    rep = solve_semilinear(grid, gamma, nl, g=g0, scheme=scheme)
+def _convergence(grid, sizes, error, label, report, failures):
+    """error(refined grid) on 1D grids of sizes nodes, dt proportional to h;
+    the observed order is the log-log slope of error against h, gated at 1.8."""
+    rows = []
+    for nxv in sizes:
+        ntv = max(2, int(round(grid.nt * (nxv - 1) / (grid.nx[0] - 1))))
+        gg = SpaceTimeGrid.make(grid.lower, grid.upper, [nxv], ntv, grid.T)
+        rows.append({"nx": nxv, "nt": ntv, "h": gg.h[0], "error": error(gg)})
+    order = float(
+        np.polyfit(np.log([r["h"] for r in rows]), np.log([r["error"] for r in rows]), 1)[0]
+    )
+    report["convergence"] = rows
+    report["metrics"]["observed_order"] = order
+    if order < 1.8:
+        failures.append(f"{label} order {order:.3f} < 1.8")
+
+
+def run_forward(c, outdir):
+    s = c.values["forward"]
+
+    def initial(grid):
+        return _expr_field(grid, s["initial"]) if s["initial"] else None
+
+    rep = solve_semilinear(c.grid, c.gamma, c.nl, g=initial(c.grid), scheme=c.scheme)
     save_field_csv(rep.solution, outdir / "solution.csv")
     report = {"converged": rep.converged, "iterations": rep.iterations, "metrics": {}}
 
-    oracle_src = section.get("oracle")
-    if oracle_src:
-        oracle = _expr_field(grid, oracle_src, "Q")
-        err = norm(rep.solution - oracle, "L2Q") / max(norm(oracle, "L2Q"), 1e-300)
+    oracle = s["oracle"]
+    if oracle:
+        exact = _expr_field(c.grid, oracle, "Q")
+        err = norm(rep.solution - exact, "L2Q") / max(norm(exact, "L2Q"), 1e-300)
         report["metrics"]["oracle_rel_l2q_error"] = err
 
     failures = []
     if not rep.converged:
         failures.append(f"semilinear solve did not converge in {rep.iterations} iterations")
-    sizes = _ints(section.get("convergence", "33 65 129 257"))
-    if oracle_src and sizes:
+    if oracle:
         t0 = time.time()
-        rows = []
-        for nxv in sizes:
-            # dt proportional to h: scale the step count with the node count
-            ntv = max(2, int(round(grid.nt * (nxv - 1) / (grid.nx[0] - 1))))
-            gg = SpaceTimeGrid.make(grid.lower, grid.upper, [nxv], ntv, grid.T)
-            o = _expr_field(gg, oracle_src, "Q")
-            r = solve_linear(
-                gg, gamma, None, g=_expr_field(gg, section.get("initial", "sin(pi*x)")),
-                scheme=scheme,
-            )
-            rows.append(
-                {"nx": nxv, "nt": ntv, "h": gg.h[0], "error": norm(r.solution - o, "L2Q")}
-            )
+        _convergence(c.grid, s["convergence"], lambda gg: norm(
+            solve_linear(gg, c.gamma, None, g=initial(gg), scheme=c.scheme).solution
+            - _expr_field(gg, oracle, "Q"), "L2Q",
+        ), "forward convergence", report, failures)
         elapsed = time.time() - t0
-        order = float(
-            np.polyfit(np.log([r["h"] for r in rows]), np.log([r["error"] for r in rows]), 1)[0]
-        )
-        report["convergence"] = rows
-        report["metrics"]["observed_order"] = order
         report["metrics"]["convergence_runtime_s"] = elapsed
-        if order < 1.8:
-            failures.append(f"forward convergence order {order:.3f} < 1.8")
         if elapsed >= 10.0:
             failures.append(f"convergence sweep took {elapsed:.1f}s >= 10s")
     return report, failures
 
 
-def run_dnmap(cfg, grid, outdir, jobs):
-    section = cfg.get("dnmap", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "cn")
-    gamma = build_gamma(cfg)
-    nl = build_nonlinearity(cfg, grid)
-    portion = _portion(section.get("portion", "left"))
-    g0 = _expr_field(grid, section.get("initial", "sin(pi*x)"))
-    m = passive_map(grid, gamma, nl, g0, portion, scheme=scheme)
-    noise_level = float(section.get("noise", 0.0))
-    if noise_level > 0:
-        m = add_noise(m, section.get("noise_model", "gaussian-relative"), noise_level, _seed(cfg))
+def run_dnmap(c, outdir):
+    s = c.values["dnmap"]
+    m = passive_map(c.grid, c.gamma, c.nl, _expr_field(c.grid, s["initial"]), s["portion"],
+                    scheme=c.scheme)
+    if s["noise"] > 0:
+        m = add_noise(m, s["noise_model"], s["noise"], c.seed)
     save_measurement(m, outdir / "measurement.csv", outdir / "measurement.json")
     report = {"metrics": {"trace_l2": m.l2()}}
 
     failures = []
-    oracle_src = section.get("oracle_dn")  # expression in t for the first portion node
-    sizes = _ints(section.get("convergence", "33 65 129 257"))
-    if oracle_src:
-        e = Expression(oracle_src)
-        rows = []
-        for nxv in sizes:
-            ntv = max(2, int(round(grid.nt * (nxv - 1) / (grid.nx[0] - 1))))
-            gg = SpaceTimeGrid.make(grid.lower, grid.upper, [nxv], ntv, grid.T)
-            mm = passive_map(
-                gg, gamma, nl, _expr_field(gg, section.get("initial", "sin(pi*x)")),
-                portion, scheme=scheme,
-            )
+    if s["oracle_dn"]:
+        e = Expression(s["oracle_dn"])
+
+        def error(gg):
+            mm = passive_map(gg, c.gamma, c.nl, _expr_field(gg, s["initial"]), s["portion"],
+                             scheme=c.scheme)
             ref = np.array([e(t=t) for t in gg.times()])
-            rows.append(
-                {
-                    "nx": nxv,
-                    "nt": ntv,
-                    "h": gg.h[0],
-                    "error": float(np.max(np.abs(mm.values[:, 0] - ref))),
-                }
-            )
-        order = float(
-            np.polyfit(np.log([r["h"] for r in rows]), np.log([r["error"] for r in rows]), 1)[0]
-        )
-        report["convergence"] = rows
-        report["metrics"]["observed_order"] = order
-        if order < 1.8:
-            failures.append(f"dn trace order {order:.3f} < 1.8")
+            return float(np.max(np.abs(mm.values[:, 0] - ref)))
+
+        _convergence(c.grid, s["convergence"], error, "dn trace", report, failures)
     return report, failures
 
 
-def run_cgo_verify(cfg, grid, outdir, jobs):
-    section = cfg.get("cgo", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    q_src = section.get("q", "exp(-40*(x-0.5)^2)")
-    q = _expr_field(grid, q_src, "Q")
-    rhos = _floats(section.get("rhos", "8 16 32 64"))
-    omega = _floats(section.get("omega", "1" if grid.dim == 1 else "1 0"))
-    factory = CGOFactory(grid, q, scheme)
-
-    def build_one(rho):
-        sol = factory.build(CGOParameters.make(rho, omega))
-        peak = float(np.max(np.abs(sol.profile().values)))
-        return {
+def run_cgo_verify(c, outdir):
+    s = c.values["cgo"]
+    factory = CGOFactory(c.grid, _expr_field(c.grid, s["q"], "Q"), c.scheme)
+    sweep = []
+    for rho in s["rhos"]:
+        sol = factory.build(CGOParameters.make(rho, s["omega"]))
+        sweep.append({
             "rho": rho,
             "remainder_norm": sol.remainder_norm,
             "residual": sol.residual,
             "warnings": list(sol.warnings),
-            "profile_peak": peak,
-        }
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sweep = list(pool.map(build_one, rhos))
-    else:
-        sweep = [build_one(r) for r in rhos]
+            "profile_peak": float(np.max(np.abs(sol.profile().values))),
+        })
     report = {"sweep": sweep, "metrics": {}}
-    norms = [s["remainder_norm"] for s in sweep]
+    norms = [r["remainder_norm"] for r in sweep]
     report["metrics"]["final_over_initial"] = norms[-1] / norms[0] if norms[0] else 0.0
     (outdir / "cgo_report.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))
 
@@ -368,9 +561,9 @@ def run_cgo_verify(cfg, grid, outdir, jobs):
         failures.append(f"remainder norms not strictly decreasing: {norms}")
     if norms and norms[0] and norms[-1] / norms[0] >= 0.5:
         failures.append(f"final/initial remainder ratio {norms[-1]/norms[0]:.3f} >= 0.5")
-    if any(s["profile_peak"] > math.exp(50) for s in sweep):
+    if any(r["profile_peak"] > math.exp(50) for r in sweep):
         failures.append("materialized profile exceeded the overflow guard")
-    unresolved = [s["rho"] for s in sweep if s["warnings"]]
+    unresolved = [r["rho"] for r in sweep if r["warnings"]]
     if unresolved:
         failures.append(
             f"boundary layer under-resolved at rho {unresolved}; decay not certified"
@@ -378,28 +571,22 @@ def run_cgo_verify(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_linearize(cfg, grid, outdir, jobs):
-    section = cfg.get("linearize", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    gamma = build_gamma(cfg)
-    nl = build_nonlinearity(cfg, grid)
-    g0 = _expr_field(grid, section.get("base_initial", "0.8*sin(pi*x)"))
-    setup = LinearizationSetup(grid, gamma, nl, g0, scheme=scheme)
+def run_linearize(c, outdir):
+    s = c.values["linearize"]
+    grid = c.grid
+    setup = LinearizationSetup(grid, c.gamma, c.nl, _expr_field(grid, s["base_initial"]),
+                               scheme=c.scheme)
     shapes = [
-        probe_trace(grid, lambda x, s=shift: np.cos(s * x) + 1.5)
+        probe_trace(grid, lambda x, k=shift: np.cos(k * x) + 1.5)
         for shift in (1.0, 2.0, 3.0)
     ]
-    max_order = int(section.get("max_order", 3))
-    # per-order amplitude windows balancing truncation against the eps^-M
-    # rounding floor of the corner sums
-    default_sched = {1: "1e-2 1e-3", 2: "1e-2 1e-3", 3: "3e-3 1e-3"}
     gaps_rows = []
     slopes = {}
     corner_solves = 0
-    for order in range(1, max_order + 1):
-        eps_sched = _floats(section.get(f"eps{order}", default_sched.get(order, "1e-2 1e-3")))
+    for order in range(1, s["max_order"] + 1):
+        eps_sched = s[f"eps{order}"]
         res = higher_order(setup, shapes[:order], eps_sched)
-        corner_solves += (2**order - 1) * len(eps_sched)  # base corner shared
+        corner_solves += res.corner_solves
         for e, gap in zip(eps_sched, res.rate.gaps if res.rate else []):
             gaps_rows.append({"order": order, "eps": e, "gap": gap})
         slopes[order] = res.rate.slope if res.rate else None
@@ -420,18 +607,12 @@ def run_linearize(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_recover_q(cfg, grid, outdir, jobs):
-    section = cfg.get("recover_q", cfg.get("recover-q", {}))
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    rho = float(section.get("rho", 32.0))
-    n_tau = int(section.get("n_tau", 4))
-    truth_src = section.get(
-        "truth_difference", "(1 + 0.4*sin(pi*x))*exp(-25*(t-0.5)^2)"
-    )
-    dq = _expr_field(grid, truth_src, "Q")
-    mode = section.get("mode", "full")
+def run_recover_q(c, outdir):
+    s = c.values["recover_q"]
+    grid, scheme, mode = c.grid, c.scheme, s["mode"]
+    dq = _expr_field(grid, s["truth_difference"], "Q")
     probes = synthesize_potential_probes(
-        grid, dq, None, rho=rho, n_tau=n_tau, scheme=scheme, mode=mode
+        grid, dq, None, rho=s["rho"], n_tau=s["n_tau"], scheme=scheme, mode=mode
     )
     res = recover_potential(
         grid, probes, None, scheme=scheme, mode=mode,
@@ -440,7 +621,7 @@ def run_recover_q(cfg, grid, outdir, jobs):
     save_field_csv(res.recovered, outdir / "recovered_q_difference.csv")
     # zero-difference control case
     probes0 = synthesize_potential_probes(
-        grid, dq, dq, rho=rho, n_tau=1, scheme=scheme, mode=mode
+        grid, dq, dq, rho=s["rho"], n_tau=1, scheme=scheme, mode=mode
     )
     res0 = recover_potential(grid, probes0, dq, scheme=scheme, mode=mode)
     zero_err = norm(res0.recovered, "L2Q") / max(norm(dq, "L2Q"), 1e-300)
@@ -460,28 +641,20 @@ def run_recover_q(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_recover_b(cfg, grid, outdir, jobs):
-    section = cfg.get("recover_b", cfg.get("recover-b", {}))
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    rho = float(section.get("rho", 32.0))
-    order = int(section.get("order", 3))
-    coeff_src = section.get("coefficient", "(1 + 0.2*sin(pi*x))*exp(-16*(t-0.65)^2)")
-    nl_truth = Nonlinearity.parse(f"({coeff_src})*u^{order}")
+def run_recover_b(c, outdir):
+    s = c.values["recover_b"]
+    grid, scheme, order = c.grid, c.scheme, s["order"]
+    nl_truth = Nonlinearity.parse(f"({s['coefficient']})*u^{order}")
     nl_ref = Nonlinearity.zero()
-    pos = []
-    for _ in range(order - 1):
-        v, cert = positive_solution(grid, None, None, ramp_time=0.15 * grid.T, scheme=scheme)
-        pos.append(v)
+    pos = [
+        positive_solution(grid, None, None, ramp_time=0.15 * grid.T, scheme=scheme)[0]
+        for _ in range(order - 1)
+    ]
     probes = synthesize_taylor_probes(
-        grid, nl_truth, nl_ref, order, pos, rho=rho,
-        n_tau=int(section.get("n_tau", 4)), scheme=scheme,
+        grid, nl_truth, nl_ref, order, pos, rho=s["rho"], n_tau=s["n_tau"], scheme=scheme,
     )
-    fact = math.factorial(order)
-    coeff = Expression(coeff_src)
-    if grid.dim == 1:
-        truth = field_from_function(grid, lambda x, t: fact * coeff(x=x, t=t), "Q")
-    else:
-        truth = field_from_function(grid, lambda x, y, t: fact * coeff(x=x, y=y, t=t), "Q")
+    coefficient = _expr_field(grid, s["coefficient"], "Q").values
+    truth = Field(grid, math.factorial(order) * coefficient, "Q")
     res = recover_taylor(
         grid, probes, nl_ref, order, pos, scheme=scheme, truth_difference=truth
     )
@@ -496,59 +669,47 @@ def run_recover_b(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_recover_g(cfg, grid, outdir, jobs):
-    section = cfg.get("recover_g", cfg.get("recover-g", {}))
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    gamma = build_gamma(cfg)
-    nl = build_nonlinearity(cfg, grid)
-    truth = _expr_field(grid, section.get("truth", "sin(pi*x)"))
-    portion = _portion(section.get("portion", "left"))
-    data = passive_map(grid, gamma, nl, truth, portion, scheme=scheme)
-    noise = float(section.get("noise", 0.0))
+def run_recover_g(c, outdir):
+    s = c.values["recover_g"]
+    grid = c.grid
+    truth = _expr_field(grid, s["truth"])
+    data = passive_map(grid, c.gamma, c.nl, truth, s["portion"], scheme=c.scheme)
     noise_norm = 0.0
-    if noise > 0:
-        noisy = add_noise(data, "gaussian-relative", noise, _seed(cfg))
+    if s["noise"] > 0:
+        noisy = add_noise(data, "gaussian-relative", s["noise"], c.seed)
         noise_norm = DNMeasurement(grid, data.portion, noisy.values - data.values).l2()
         data = noisy
     res = recover_initial(
-        grid, gamma, nl, data, noise_norm=noise_norm, scheme=scheme, truth=truth
+        grid, c.gamma, c.nl, data, noise_norm=noise_norm, scheme=c.scheme, truth=truth
     )
     save_field_csv(res.recovered, outdir / "recovered_initial.csv")
     report = {
+        "converged": res.converged,
+        "notes": res.notes,
         "metrics": {"rel_l2_error": res.truth_error, "data_misfit": res.residuals["data_misfit"]},
         "regularization": res.regularization,
     }
     failures = []
-    if noise == 0.0 and res.truth_error > 0.10:
+    if not res.converged:
+        failures.append(f"initial-data recovery did not converge: {'; '.join(res.notes)}")
+    if s["noise"] == 0.0 and res.truth_error > 0.10:
         failures.append(f"noiseless initial-data error {res.truth_error:.3f} > 0.10")
     return report, failures
 
 
-def run_stability(cfg, grid, outdir, jobs):
-    section = cfg.get("stability", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    gamma = build_gamma(cfg)
-    nl = build_nonlinearity(cfg, grid)
-    truth = _expr_field(grid, section.get("truth", "sin(pi*x)"))
-    portion = _portion(section.get("portion", "left"))
-    deltas = _floats(section.get("deltas", "1e-1 1e-2 1e-3 1e-4"))
-    trials = int(section.get("trials", 5))
+def run_stability(c, outdir):
+    s = c.values["stability"]
+    deltas, trials = s["deltas"], s["trials"]
     curve = stability_curve(
-        grid, gamma, nl, truth, portion, deltas, trials=trials, seed=_seed(cfg), scheme=scheme
+        c.grid, c.gamma, c.nl, _expr_field(c.grid, s["truth"]), s["portion"], deltas,
+        trials=trials, seed=c.seed, scheme=c.scheme,
     )
-    rows = []
-    i = 0
-    for delta in deltas:
-        for trial in range(trials):
-            rows.append(
-                {
-                    "delta": delta,
-                    "trial": trial,
-                    "error": curve.errors[i],
-                    "dn_diff_norm": curve.magnitudes[i],
-                }
-            )
-            i += 1
+    rows = [
+        {"delta": delta, "trial": trial, "error": err, "dn_diff_norm": mag}
+        for (delta, trial), err, mag in zip(
+            product(deltas, range(trials)), curve.errors, curve.magnitudes
+        )
+    ]
     report = {
         "trials": rows,
         "fits": {"two_term": curve.fit_two_term, "linear": curve.fit_linear},
@@ -583,28 +744,27 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(*ranks)[0, 1])
 
 
-def run_carleman(cfg, grid, outdir, jobs):
-    section = cfg.get("carleman", {})
-    gamma = build_gamma(cfg)
-    portion = _portion(section.get("portion", "left"))
-    A = float(section.get("a", 1.0))
-    u = _expr_field(grid, section.get("solution", "exp(-pi^2*t)*sin(pi*x)"), "Q")
-    F = Field(grid, A * u.values, "Q")
-    psi_src = section.get("psi")
-    psi = Expression(psi_src) if psi_src else default_weight_base(grid, tuple(
-        s.strip() for s in section.get("portion", "left").split(",")
-    ))
-    default_t0 = 10 * grid.dt  # keep t0 on a time level of both grids
-    cfg1 = CarlemanConfig(psi, K=float(section.get("k", 0.15)),
-                          t0=float(section.get("t0", default_t0)), L=float(section.get("l", 1.0)))
-    rep1 = carleman_check_1(u, F, cfg1, portion, gamma)
-    rep2 = carleman_check_2(u, F, cfg1, gamma)
+def run_carleman(c, outdir):
+    s = c.values["carleman"]
+    grid, gamma, portion = c.grid, c.gamma, s["portion"]
+
+    def checks(g):
+        """The weights on grid g and both inequality checks of the solution there."""
+        u = _expr_field(g, s["solution"], "Q")
+        F = Field(g, s["a"] * u.values, "Q")
+        psi = Expression(s["psi"]) if s["psi"] else default_weight_base(g, portion.faces)
+        weights = CarlemanConfig(psi, K=s["k"], t0=s["t0"], L=s["l"])
+        return weights, carleman_check_1(u, F, weights, portion, gamma), carleman_check_2(
+            u, F, weights, gamma
+        )
+
+    weights, rep1, rep2 = checks(grid)
     entries = [
         {**e, "check": 1} for e in rep1.entries
     ] + [{**e, "check": 2} for e in rep2.entries]
     report = {
         "entries": entries,
-        "weight_conditions": cfg1.check_weight_conditions(
+        "weight_conditions": weights.check_weight_conditions(
             grid, gamma, resolve_portion(grid, portion)
         ),
         "metrics": {"max_ratio_1": rep1.max_ratio(), "max_ratio_2": rep2.max_ratio()},
@@ -614,16 +774,9 @@ def run_carleman(cfg, grid, outdir, jobs):
     if not (rep1.all_finite() and rep2.all_finite()):
         failures.append("non-finite inequality ratio")
     # refinement stability on one halved grid
-    g2 = SpaceTimeGrid.make(grid.lower, grid.upper, [2 * (n - 1) + 1 for n in grid.nx],
-                            2 * grid.nt, grid.T)
-    u2 = _expr_field(g2, section.get("solution", "exp(-pi^2*t)*sin(pi*x)"), "Q")
-    F2 = Field(g2, A * u2.values, "Q")
-    psi2 = Expression(psi_src) if psi_src else default_weight_base(g2, tuple(
-        s.strip() for s in section.get("portion", "left").split(",")
+    _, rep1b, rep2b = checks(SpaceTimeGrid.make(
+        grid.lower, grid.upper, [2 * (n - 1) + 1 for n in grid.nx], 2 * grid.nt, grid.T
     ))
-    cfg2 = CarlemanConfig(psi2, K=cfg1.K, t0=cfg1.t0, L=cfg1.L)
-    rep1b = carleman_check_1(u2, F2, cfg2, portion, gamma)
-    rep2b = carleman_check_2(u2, F2, cfg2, gamma)
     drift = 0.0
     for a, b in zip(rep1.entries + rep2.entries, rep1b.entries + rep2b.entries):
         if a["ratio"] > 0:
@@ -633,17 +786,15 @@ def run_carleman(cfg, grid, outdir, jobs):
         failures.append(f"ratio drift {drift:.3f} >= 20% under refinement")
 
     # weight-function slice along x at mid-time, for plotting
-    import math as _math
-
     x = grid.axis(0)
-    psi_vals = np.broadcast_to(np.asarray(cfg1.psi(x=x), dtype=float), (grid.nx[0],))
+    psi_vals = np.broadcast_to(np.asarray(weights.psi(x=x), dtype=float), (grid.nx[0],))
     tmid = grid.T / 2
     tt = tmid**2 * (grid.T - tmid) ** 2
-    mu = cfg1.mus[0]
-    eta = (np.exp(mu * psi_vals) - _math.exp(2 * mu * float(np.max(psi_vals)))) / tt
+    mu = weights.mus[0]
+    eta = (np.exp(mu * psi_vals) - math.exp(2 * mu * float(np.max(psi_vals)))) / tt
     with open(outdir / "weight_slices.csv", "w") as fh:
         fh.write("x,psi,eta_mid,theta1_sq_scaled\n")
-        lam = cfg1.lambdas[0]
+        lam = weights.lambdas[0]
         scale = float(np.max(2 * lam * eta))
         for xi, pv, ev in zip(x, psi_vals, eta):
             fh.write(f"{float(xi)!r},{float(pv)!r},{float(ev)!r},"
@@ -651,11 +802,9 @@ def run_carleman(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_maxprin(cfg, grid, outdir, jobs):
-    section = cfg.get("maxprin", {})
-    gamma = build_gamma(cfg)
-    q = float(section.get("q", 0.0))
-    cert = max_principle_check(grid, gamma, q if q else None)
+def run_maxprin(c, outdir):
+    q = c.values["maxprin"]["q"]
+    cert = max_principle_check(c.grid, c.gamma, q if q else None)
     report = {
         "metrics": {
             "interior_min": cert.interior_min,
@@ -671,15 +820,14 @@ def run_maxprin(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_runge(cfg, grid, outdir, jobs):
-    section = cfg.get("runge", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    q = _expr_field(grid, section.get("q", "0.5*exp(-30*(x-0.4)^2)"), "Q")
-    sizes = _ints(section.get("sizes", "4 8 16 32"))
-    rho = float(section.get("rho", 2.0))
-    factory = CGOFactory(grid, q, scheme)
-    sol = factory.build(CGOParameters.make(rho, [1.0] if grid.dim == 1 else [1.0, 0.0],
-                                           tau=2 * math.pi / grid.T))
+def run_runge(c, outdir):
+    s = c.values["runge"]
+    grid, scheme, rho = c.grid, c.scheme, s["rho"]
+    q = _expr_field(grid, s["q"], "Q")
+    omega = [1.0] if grid.dim == 1 else [1.0, 0.0]
+    sol = CGOFactory(grid, q, scheme).build(
+        CGOParameters.make(rho, omega, tau=2 * math.pi / grid.T)
+    )
     x = grid.axis(0)
     carrier = np.array([np.exp(rho * x + rho**2 * t) for t in grid.times()])
     vals = (carrier * sol.profile().values).real if grid.dim == 1 else sol.profile().values.real
@@ -687,10 +835,9 @@ def run_runge(cfg, grid, outdir, jobs):
     fits = []
     for mode, kw in (
         ("full", {}),
-        ("partial", {"omega": [1.0] if grid.dim == 1 else [1.0, 0.0],
-                     "region": RegionMask.subinterval(grid, 0.55, 1.0)}),
+        ("partial", {"omega": omega, "region": RegionMask.subinterval(grid, 0.55, 1.0)}),
     ):
-        for N in sizes:
+        for N in s["sizes"]:
             fit = runge_fit(grid, target, q=q, n_basis=N, mode=mode, scheme=scheme, **kw)
             fits.append({"mode": mode, "n_basis": N, "gap": fit.gap})
     report = {"fits": fits, "metrics": {}}
@@ -703,18 +850,13 @@ def run_runge(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_control(cfg, grid, outdir, jobs):
-    section = cfg.get("control", {})
-    scheme = cfg.get("experiment", {}).get("scheme", "be")
-    gamma = build_gamma(cfg)
-    eps = float(section.get("eps", 0.25 * grid.T))
-    g0 = _expr_field(grid, section.get("initial", "sin(pi*x)"))
-    portion = resolve_portion(grid, _portion(section.get("portion", "left")))
-    tail_src = section.get("tail_nonlinearity", "u^3")
-    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse(tail_src), eps)
+def run_control(c, outdir):
+    s = c.values["control"]
+    grid, eps = c.grid, s["eps"]
+    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse(s["tail_nonlinearity"]), eps)
     res = null_control(
-        grid, gamma, None, g0, eps=eps, portion=portion,
-        n_time=int(section.get("n_time", 12)), scheme=scheme, bt=bt,
+        grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=eps,
+        portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, bt=bt,
     )
     report = {
         "terminal_history": res.terminal_history,
@@ -734,13 +876,8 @@ def run_control(cfg, grid, outdir, jobs):
     return report, failures
 
 
-def run_nonunique(cfg, grid, outdir, jobs):
-    section = cfg.get("nonunique", {})
-    gamma = build_gamma(cfg)
-    demo = nonuniqueness_demo(
-        grid, gamma,
-        collar=float(section.get("collar", 0.15)),
-    )
+def run_nonunique(c, outdir):
+    demo = nonuniqueness_demo(c.grid, c.gamma, collar=c.values["nonunique"]["collar"])
     save_field_csv(demo.g1, outdir / "g1.csv")
     save_field_csv(demo.g2, outdir / "g2.csv")
     report = {
@@ -775,26 +912,25 @@ RUNNERS = {
 }
 
 
+def _plain(value):
+    """JSON form of the one resolved value type json cannot encode: a
+    BoundaryPortion, as its face names or "full"."""
+    return list(value.faces) or value.kind
+
+
 def run(kind: str, config_path, out_dir=None, check: bool = False, jobs: int = 1) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.  jobs is
+    recorded in the manifest and changes nothing else."""
     t_start = time.time()
+    outdir = out_dir
     try:
-        cfg = load_config(config_path)
-        cfg_kind = cfg.get("experiment", {}).get("kind")
-        if cfg_kind and cfg_kind != kind:
-            raise ConfigError(f"config kind {cfg_kind!r} does not match requested {kind!r}")
         if kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        grid = build_grid(cfg)
-        outdir = Path(out_dir if out_dir else cfg.get("output", {}).get("dir", f"out/{kind}"))
+        c = load_config(config_path, kind)
+        outdir = Path(out_dir if out_dir else c.values["output"]["dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, configparser.Error, ExprError, GridError, ModelError) as exc:
-        _write_error(out_dir, kind, exc, EXIT_PARSE)
-        return EXIT_PARSE
-
-    try:
-        report, failures = RUNNERS[kind](cfg, grid, outdir, jobs)
-    except (ParseError, ExprError, ConfigError, GridError, ModelError) as exc:
+        report, failures = RUNNERS[kind](c, outdir)
+    except (ConfigError, configparser.Error, ExprError, GridError, ModelError, AnalysisError) as exc:
         _write_error(outdir, kind, exc, EXIT_PARSE)
         return EXIT_PARSE
     except (SolverError, RuntimeError, np.linalg.LinAlgError) as exc:
@@ -804,13 +940,15 @@ def run(kind: str, config_path, out_dir=None, check: bool = False, jobs: int = 1
     manifest = {
         "kind": kind,
         "version": __version__,
-        "seed": _seed(cfg),
-        "config": cfg,
+        "seed": c.seed,
+        "config": c.values,
         "check": check,
         "jobs": jobs,
         "wall_time_s": time.time() - t_start,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (outdir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True, default=_plain)
+    )
     (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True, default=float))
     emit_plotdata(report, kind, outdir)
 
@@ -828,7 +966,9 @@ def _write_error(outdir, kind, exc, code):
         "type": type(exc).__name__,
         "exit_code": code,
     }
-    if isinstance(exc, ParseError):
+    if isinstance(exc, ConfigError):
+        payload.update(section=exc.section, key=exc.key, line=exc.line)
+    if getattr(exc, "offset", None) is not None:  # ParseError, or a ConfigError wrapping one
         payload["byte_offset"] = exc.offset
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text, file=sys.stderr)
@@ -848,7 +988,8 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=KINDS, help="experiment kind")
     parser.add_argument("--config", required=True, help="path to the experiment config")
     parser.add_argument("--check", action="store_true", help="enforce acceptance thresholds")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for internal sweeps")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="recorded in the manifest; every sweep runs in one thread")
     parser.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
     return run(args.kind, args.config, args.out, args.check, args.jobs)

@@ -135,12 +135,13 @@ class ProbeFamily:
 
 def _fit_slope(eps_list, gaps):
     gaps = np.asarray(gaps, dtype=float)
+    eps = np.asarray(eps_list, dtype=float)
     if np.all(gaps < EXACT_GAP):
         return None
-    mask = gaps > 0
+    mask = (gaps > 0) & (eps > 0)  # a skipped zero-amplitude level has no rate
     if np.sum(mask) < 2:
         return None
-    return float(np.polyfit(np.log(np.asarray(eps_list)[mask]), np.log(gaps[mask]), 1)[0])
+    return float(np.polyfit(np.log(eps[mask]), np.log(gaps[mask]), 1)[0])
 
 
 @dataclass
@@ -216,6 +217,7 @@ class MixedOrderResult:
     noise_flagged: bool
     direct_valid: bool
     notes: list = dc_field(default_factory=list)
+    corner_solves: int = 0  # corner columns solved; a skipped amplitude level adds none
 
 
 def second_order(setup: LinearizationSetup, f1: Field, f2: Field, eps1: float, eps2: float) -> MixedOrderResult:
@@ -351,7 +353,7 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
         notes.append(
             f"rounding noise floor {floor:.3g} exceeds 10% of quotient magnitude {qmag:.3g}"
         )
-    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, True, notes)
+    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, True, notes, len(batch))
 
 
 def linearized_dn(field: Field, portion) -> DNMeasurement:

@@ -17,7 +17,7 @@ CLASS_B = "B_T"                      # A_T on [0, T-eps] glued to a zero-at-zero
 CLASS_ANALYTIC = "admissible-analytic"
 CLASS_LINEAR = "linear-potential"
 
-_CLASSES = (CLASS_A, CLASS_B, CLASS_ANALYTIC, CLASS_LINEAR)
+CLASSES = (CLASS_A, CLASS_B, CLASS_ANALYTIC, CLASS_LINEAR)
 
 
 class ModelError(ValueError):
@@ -117,7 +117,7 @@ class Nonlinearity:
 
     def __post_init__(self):
         self.expr = _as_expression(self.expr)
-        if self.tag not in _CLASSES:
+        if self.tag not in CLASSES:
             raise ModelError(f"unknown class tag {self.tag!r}")
 
     @classmethod

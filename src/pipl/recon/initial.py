@@ -124,6 +124,7 @@ def recover_initial(
     converged = True
 
     def linearize(g_current):
+        nonlocal converged
         rep = solve_semilinear(
             grid, gamma, nl,
             g=Field(grid, g_current.reshape(grid.nx), DOMAIN_OMEGA),
@@ -131,6 +132,7 @@ def recover_initial(
         )
         if not rep.converged:
             notes.append("inner semilinear solve did not converge")
+            converged = False
         base = rep.solution
         q = taylor_table(nl, base, 1).coefficient(1)
         misfit = measure(base, portion).values - data.values

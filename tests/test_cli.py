@@ -6,10 +6,22 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pipl import cli
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, emit_plotdata, main, run
 from pipl.forward import solve_semilinear
+from pipl.recon import initial
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.ini"))
+# the section of each kind's own keys
+OWN_SECTION = {
+    "carleman": "carleman", "cgo-verify": "cgo", "control": "control", "dnmap": "dnmap",
+    "forward": "forward", "linearize": "linearize", "maxprin": "maxprin",
+    "nonunique-demo": "nonunique", "recover-b": "recover_b", "recover-g": "recover_g",
+    "recover-q": "recover_q", "runge": "runge", "stability": "stability",
+}
 
 
 def write_config(tmp_path, name, text):
@@ -244,3 +256,168 @@ def test_cli_import_skips_scipy_interpolate_and_stats():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", SHIPPED)
+def test_shipped_config_passes_check(kind, tmp_path):
+    out = tmp_path / "out"
+    assert run(kind, CONFIGS / f"{kind}.ini", out, check=True) == EXIT_OK
+    if kind == "linearize":
+        # 1 + 3 + 7 corners, two amplitude levels each
+        assert json.loads((out / "report.json").read_text())["corner_solves"] == 22
+
+
+def test_every_kind_has_a_shipped_config():
+    assert SHIPPED == sorted(cli.KINDS) == sorted(OWN_SECTION)
+
+
+def _config_error(kind, text, tmp_path):
+    """Run kind on config text under --check; expect exit 2 and return error.json."""
+    cfg = write_config(tmp_path, "bad.ini", text)
+    out = tmp_path / "out"
+    assert run(kind, cfg, out, check=True) == EXIT_PARSE
+    return json.loads((out / "error.json").read_text())
+
+
+@pytest.mark.parametrize("kind", SHIPPED)
+def test_misspelled_key_exits_2(kind, tmp_path):
+    lines = (CONFIGS / f"{kind}.ini").read_text().splitlines()
+    header = lines.index(f"[{OWN_SECTION[kind]}]")
+    key, value = lines[header + 1].split("=", 1)
+    typo = key.strip() + key.strip()[-1]  # rho -> rhoo
+    lines.insert(header + 1, f"{typo} ={value}")
+    err = _config_error(kind, "\n".join(lines) + "\n", tmp_path)
+    assert (err["section"], err["key"], err["line"]) == (OWN_SECTION[kind], typo, header + 2)
+    assert err["type"] == "ConfigError"
+
+
+def _edit(kind, old, new):
+    text = (CONFIGS / f"{kind}.ini").read_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, section, key",
+    [
+        ("maxprin", "[output]", "[bogus]\na = 1\n\n[output]", "bogus", None),
+        ("maxprin", "q = 0", "nonlinearity = \"u^3\"", "maxprin", "nonlinearity"),
+        ("recover-q", "rho = 32", "rho = abc", "recover_q", "rho"),
+        ("recover-q", "n_tau = 4", "n_tau = 4\nmode = partail", "recover_q", "mode"),
+        ("recover-q", "nt = 128", "nt = 6x4", "grid", "nt"),
+        ("maxprin", "q = 0", "q = nan", "maxprin", "q"),
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 16 inf", "cgo", "rhos"),
+        ("runge", "sizes = 4 8 16 32", "sizes =", "runge", "sizes"),
+        ("control", "n_time = 12", "n_time = 0", "control", "n_time"),
+        ("forward", "scheme = cn", "scheme = bee", "experiment", "scheme"),
+        ("forward", "kind = forward", "kind = dnmap", "experiment", "kind"),
+        ("forward", "dim = 1", "dim = 2", "grid", "lower"),
+        ("dnmap", "portion = left", "portion = lft", "dnmap", "portion"),
+        ("linearize", "max_order = 3", "max_order = 4", "linearize", "max_order"),
+        # carleman weights need K + t0 < min(1, 1/(2L))
+        ("carleman", "a = 1.0", "a = 1.0\nk = 0.6", "carleman", "k"),
+    ],
+)
+def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
+    text = _edit(kind, old, new)
+    err = _config_error(kind, text, tmp_path)
+    assert (err["section"], err["key"]) == (section, key)
+    marker = f"[{section}]" if key is None else key
+    assert text.splitlines()[err["line"] - 1].strip().startswith(marker)
+
+
+def test_non_integer_seed_exits_2_without_traceback(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "pipl.cli", "forward", "--config", str(CONFIGS / "forward.ini"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PIPL_SEED": "x",
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert out.returncode == EXIT_PARSE
+    assert "Traceback" not in out.stderr
+    err = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert err["key"] == "PIPL_SEED"
+
+
+def test_nonunique_collar_too_wide_exits_2(tmp_path):
+    # the collar leaves no room for the interior supports: a parameter
+    # constraint of the demo, not a solver failure
+    err = _config_error("nonunique-demo", _edit("nonunique-demo", "0.15", "0.6"), tmp_path)
+    assert err["type"] == "AnalysisError"
+
+
+@pytest.mark.parametrize("kind", ["maxprin", "cgo-verify"])
+def test_2d_defaults_from_dim(kind, tmp_path):
+    # lower, upper and nx (and cgo's omega) default by [grid] dim
+    cfg = write_config(tmp_path, "2d.ini", "[grid]\ndim = 2\n")
+    out = tmp_path / "out"
+    assert run(kind, cfg, out, check=True) == EXIT_OK
+    grid = json.loads((out / "manifest.json").read_text())["config"]["grid"]
+    assert (grid["lower"], grid["upper"], grid["nx"]) == ([0.0, 0.0], [1.0, 1.0], [17, 17])
+
+
+def test_manifest_records_resolved_values(tmp_path):
+    out = tmp_path / "out"
+    assert run("carleman", CONFIGS / "carleman.ini", out) == EXIT_OK
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["carleman"]["portion"] == ["left"]
+    assert config["carleman"]["t0"] == 10 * 0.5 / 64  # 10 dt
+    assert config["grid"]["t"] == 0.5 and config["experiment"]["seed"] == 1
+
+
+LINEARIZE_CFG = """
+[grid]
+nx = 17
+nt = 16
+T = 0.5
+
+[model]
+nonlinearity = "u^3"
+class = admissible-analytic
+
+[linearize]
+max_order = 2
+"""
+
+
+def test_linearize_counts_solved_corners(tmp_path):
+    def corner_solves(text, name):
+        out = tmp_path / name
+        assert run("linearize", write_config(tmp_path, f"{name}.ini", text), out) == EXIT_OK
+        return json.loads((out / "report.json").read_text())["corner_solves"]
+
+    assert corner_solves(LINEARIZE_CFG, "full") == 2 * 1 + 2 * 3
+    # a zero amplitude level is skipped, not solved
+    assert corner_solves(LINEARIZE_CFG + "eps1 = 0 1e-2\n", "skip") == 1 + 2 * 3
+
+
+RECOVER_G_CFG = """
+[grid]
+nx = 17
+nt = 16
+T = 0.5
+
+[model]
+nonlinearity = "u^3"
+class = admissible-analytic
+
+[recover_g]
+truth = "8*sin(pi*x)"
+"""
+
+
+def test_recover_g_unconverged_inner_solve_fails_check(tmp_path, monkeypatch):
+    # inner semilinear solves capped at one Newton iteration per level do not
+    # converge, and --check must not exit 0
+    monkeypatch.setattr(
+        initial, "solve_semilinear", functools.partial(solve_semilinear, max_iter=1)
+    )
+    cfg = write_config(tmp_path, "rg.ini", RECOVER_G_CFG)
+    out = tmp_path / "out"
+    assert run("recover-g", cfg, out, check=True) == EXIT_CHECK
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False
+    assert "inner semilinear solve did not converge" in report["notes"]
+    failures = json.loads((out / "check_failures.json").read_text())
+    assert any("did not converge" in f for f in failures)
