@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forward import Propagator, potential_values
+from .forward import Propagator, SolverError, potential_values
 from .grid import (
     DOMAIN_Q,
     BoundaryPortion,
@@ -83,30 +83,24 @@ def ramp(params: CGOParameters, t):
     return 1.0 - np.exp(-params.rho**0.75 * t)
 
 
-def spatial_phase(params: CGOParameters, grid: SpaceTimeGrid):
-    """xi.x sampled over the space slice."""
+def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
+    """exp(-i (xi.x + tau t)) on every node of Q, shaped (n_levels, *nx), from
+    one exp of the summed phase (not a product of space and time factors),
+    so each value is the one a per-level evaluation gives."""
     meshes = grid.meshes()
-    s = params.xi[0] * meshes[0]
+    s = xi[0] * meshes[0]
     if grid.dim == 2:
-        s = s + params.xi[1] * meshes[1]
-    return s
-
-
-def phase(params: CGOParameters, s, t):
-    """exp(-i (xi.x + tau t)) from the spatial phase s = spatial_phase(params, grid)."""
-    return np.exp(-1j * (s + params.tau * t))
+        s = s + xi[1] * meshes[1]
+    return np.exp(-1j * (s + tau * grid.level_times()))
 
 
 def theta_field(grid: SpaceTimeGrid, params: CGOParameters) -> Field:
     """Oscillatory profile theta: vanishes at t=0 (forward) or t=T (backward)."""
+    t = grid.level_times()
     if params.direction == "forward":
-        s = spatial_phase(params, grid)
-        levels = [ramp(params, t) * phase(params, s, t) for t in grid.times()]
+        vals = ramp(params, t) * plane_wave(grid, params.xi, params.tau)
     else:
-        levels = [ramp(params, grid.T - t) * np.ones(grid.nx) for t in grid.times()]
-    vals = np.array(levels)
-    if params.direction == "backward":
-        vals = vals.astype(float)
+        vals = ramp(params, grid.T - t) * np.ones(grid.nx)
     return Field(grid, vals, DOMAIN_Q)
 
 
@@ -124,29 +118,13 @@ class CGOSolution:
     grid: SpaceTimeGrid
     z: Field                           # remainder profile on Q
     remainder_norm: float
-    boundary_condition: dict
     warnings: list = dc_field(default_factory=list)
     residual: float = 0.0              # discrete-system residual of the z solve
 
-    def theta(self) -> Field:
-        return theta_field(self.grid, self.params)
-
     def profile(self) -> Field:
-        th = self.theta()
-        return Field(self.grid, th.values + self.z.values, DOMAIN_Q)
-
-    def report(self) -> dict:
-        return {
-            "rho": self.params.rho,
-            "omega": list(self.params.omega),
-            "xi": list(self.params.xi),
-            "tau": self.params.tau,
-            "direction": self.params.direction,
-            "remainder_norm": self.remainder_norm,
-            "residual": self.residual,
-            "warnings": list(self.warnings),
-            "boundary_condition": self.boundary_condition,
-        }
+        """theta + z on Q."""
+        return Field(self.grid, theta_field(self.grid, self.params).values + self.z.values,
+                     DOMAIN_Q)
 
 
 class CGOFactory:
@@ -175,27 +153,22 @@ class CGOFactory:
             self._props[key] = Propagator(self.grid, None, qf, self.scheme, advection)
         return self._props[key]
 
-    def _portion_trace(self, params: CGOParameters, theta_vals: np.ndarray):
-        """Lateral data for z: zero everywhere (full variant) or -theta on the
-        designated aperture portion extended by zero (partial variant)."""
-        grid = self.grid
-        bd = grid.boundary_flat_indices()
+    def _portion_trace(self, params: CGOParameters):
+        """Lateral data for z: zero everywhere (full variant, None) or -theta
+        on the designated aperture portion extended by zero (partial variant)."""
         if not self.partial:
-            return None, {"variant": "full", "portion": "all faces, homogeneous"}
+            return None
+        grid = self.grid
         sign = -1 if params.direction == "forward" else +1
         portion = resolve_portion(
             grid, BoundaryPortion.directional(params.omega, params.aperture, sign)
         )
-        pos = {int(flat): i for i, flat in enumerate(bd)}
-        trace = np.zeros((grid.n_levels, len(bd)), dtype=theta_vals.dtype)
-        flatvals = theta_vals.reshape(grid.n_levels, -1)
-        for flat in set(portion.flat.tolist()):
-            trace[:, pos[flat]] = -flatvals[:, flat]
-        name = "Gamma_-" if params.direction == "forward" else "Gamma_+"
-        return trace, {
-            "variant": "partial",
-            "portion": f"{name} (aperture {params.aperture}), profile pinned to -theta there",
-        }
+        bd = grid.boundary_flat_indices()
+        pinned = np.isin(bd, portion.flat)
+        theta = theta_field(grid, params).values.reshape(grid.n_levels, -1)
+        trace = np.zeros((grid.n_levels, len(bd)), dtype=theta.dtype)
+        trace[:, pinned] = -theta[:, bd[pinned]]
+        return trace
 
     def build(self, params: CGOParameters) -> CGOSolution:
         grid = self.grid
@@ -205,9 +178,8 @@ class CGOFactory:
             warnings.append(
                 f"boundary layer under-resolved: rho^(3/4)*dt = {layer:.3g} > {RESOLUTION_LIMIT}"
             )
-        theta = theta_field(grid, params)
         src = self._source(params)
-        trace, bc = self._portion_trace(params, theta.values)
+        trace = self._portion_trace(params)
         prop = self.propagator(params)
         if params.direction == "forward":
             zvals = prop.run(f=trace, source=src)
@@ -221,27 +193,27 @@ class CGOFactory:
         zf = Field(grid, zvals.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
         peak = float(np.max(np.abs(zf.values)))
         if peak > OVERFLOW_LIMIT:
-            raise CGOError("materialized profile exceeded the overflow guard")
-        return CGOSolution(params, grid, zf, norm(zf, "L2Q"), bc, warnings, residual)
+            raise SolverError(
+                f"CGO remainder at rho {params.rho} exceeded the overflow guard "
+                f"(peak {peak:.3g} > e^50)"
+            )
+        return CGOSolution(params, grid, zf, norm(zf, "L2Q"), warnings, residual)
 
     def _source(self, params: CGOParameters) -> np.ndarray:
         grid = self.grid
         rho34 = params.rho**0.75
-        xi2 = float(np.dot(params.xi, params.xi))
-        s = spatial_phase(params, grid)
-        levels = []
-        for k, t in enumerate(grid.times()):
-            qk = self.q_levels[k]
-            if params.direction == "forward":
-                phi = ramp(params, t)
-                dphi = rho34 * np.exp(-rho34 * t)
-                E = phase(params, s, t)
-                levels.append(-(dphi + (xi2 - 1j * params.tau + qk) * phi) * E)
-            else:
-                phi = ramp(params, grid.T - t)
-                dphi = rho34 * np.exp(-rho34 * (grid.T - t))
-                levels.append(-(dphi + qk * phi) * np.ones(grid.nx))
-        return np.array(levels).reshape(grid.n_levels, -1)
+        t = grid.level_times()
+        if params.direction == "forward":
+            phi = ramp(params, t)
+            dphi = rho34 * np.exp(-rho34 * t)
+            xi2 = float(np.dot(params.xi, params.xi))
+            E = plane_wave(grid, params.xi, params.tau)
+            vals = -(dphi + (xi2 - 1j * params.tau + self.q_levels) * phi) * E
+        else:
+            phi = ramp(params, grid.T - t)
+            dphi = rho34 * np.exp(-rho34 * (grid.T - t))
+            vals = -(dphi + self.q_levels * phi)
+        return vals.reshape(grid.n_levels, -1)
 
     def _discrete_residual(self, prop, params, zvals, src, trace) -> float:
         """Consistency of the linear algebra: max residual of the stepped
@@ -283,9 +255,9 @@ def product_symbol(fwd: CGOParameters, bwd: CGOParameters, grid: SpaceTimeGrid) 
         raise CGOError("need a (forward, backward) pair")
     if fwd.rho != bwd.rho or fwd.omega != bwd.omega:
         raise CGOError("pair must share rho and omega")
-    s = spatial_phase(fwd, grid)
-    levels = [phi_rho(fwd.rho, t, grid.T) * phase(fwd, s, t) for t in grid.times()]
-    return Field(grid, np.array(levels), DOMAIN_Q)
+    t = grid.level_times()
+    vals = phi_rho(fwd.rho, t, grid.T) * plane_wave(grid, fwd.xi, fwd.tau)
+    return Field(grid, vals, DOMAIN_Q)
 
 
 def pairing(f: Field, sol_fwd: CGOSolution, sol_bwd: CGOSolution):
@@ -309,15 +281,4 @@ def pairing(f: Field, sol_fwd: CGOSolution, sol_bwd: CGOSolution):
 def fourier_integral(f: Field, xi, tau) -> complex:
     """Direct trapezoidal quadrature of integral f exp(-i(x,t).(xi,tau)),
     the oracle the pairing converges to as rho grows."""
-    grid = f.grid
-    meshes = grid.meshes()
-    s = xi[0] * meshes[0]
-    if grid.dim == 2:
-        s = s + xi[1] * meshes[1]
-    w = grid.space_weights().reshape(-1)
-    tw = grid.time_weights()
-    total = 0.0 + 0.0j
-    for k, t in enumerate(grid.times()):
-        E = np.exp(-1j * (s + tau * t))
-        total += tw[k] * np.sum((f.values[k] * E).reshape(-1) * w)
-    return complex(total)
+    return complex(l2q_inner(f, Field(f.grid, plane_wave(f.grid, xi, tau), DOMAIN_Q)))

@@ -21,7 +21,7 @@ from .grid import (
     SpaceTimeGrid,
     resolve_portion,
 )
-from .forward import solve_semilinear
+from .forward import SolverError, solve_semilinear
 
 
 @dataclass
@@ -91,8 +91,12 @@ def passive_map(
 ) -> DNMeasurement:
     """Passive measurement: solve the semilinear equation (solve_semilinear)
     with f = 0 driven by the initial data g and measure the DN trace on the
-    portion."""
+    portion.  A solve that did not converge raises SolverError naming its
+    first stalled level."""
     report = solve_semilinear(grid, gamma, nl, f=None, g=g, scheme=scheme)
+    if not report.converged:
+        stalled = next(w for w in report.warnings if w.startswith("newton stalled"))
+        raise SolverError(f"passive map: {stalled}")
     return measure(report.solution, portion)
 
 

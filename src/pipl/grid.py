@@ -92,6 +92,10 @@ class SpaceTimeGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_levels) * self.dt
 
+    def level_times(self) -> np.ndarray:
+        """times() shaped (n_levels, 1[, 1]) to broadcast against Q values."""
+        return self.times().reshape(-1, *(1,) * self.dim)
+
     def meshes(self):
         """Spatial coordinate arrays shaped like a space slice (ij indexing)."""
         axes = [self.axis(i) for i in range(self.dim)]

@@ -243,11 +243,10 @@ def taylor_table(nl: Nonlinearity, base: Field, order: int) -> TaylorTable:
     meshes = g.meshes()
     x = meshes[0]
     y = meshes[1] if g.dim == 2 else 0.0
-    coeffs = []
-    for k in range(order + 1):
-        levels = []
-        for lvl, t in enumerate(g.times()):
-            v = nl(x, t, base.values[lvl], y=y, k=k)
-            levels.append(np.broadcast_to(np.asarray(v, dtype=float), g.nx).copy())
-        coeffs.append(Field(g, np.array(levels), DOMAIN_Q))
-    return TaylorTable(base, coeffs)
+    t = g.level_times()
+
+    def coefficient(k):
+        v = np.asarray(nl(x, t, base.values, y=y, k=k), dtype=float)
+        return Field(g, np.broadcast_to(v, (g.n_levels, *g.nx)).copy(), DOMAIN_Q)
+
+    return TaylorTable(base, [coefficient(k) for k in range(order + 1)])

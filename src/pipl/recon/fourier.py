@@ -13,7 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..grid import DOMAIN_Q, Field, GridError, SpaceTimeGrid
+from ..cgo import phi_rho
+from ..grid import DOMAIN_Q, Field, SpaceTimeGrid
 
 
 @dataclass
@@ -86,59 +87,40 @@ class FourierSampleSet:
 
     # -- synthesis ----------------------------------------------------------
 
-    def _basis_modes(self):
-        """Distinct (xi, tau) synthesis modes across all samples."""
+    def modes(self):
+        """Distinct (xi, tau) frequencies across all samples: the synthesis basis."""
         seen = {}
         for s in self.samples:
             key = (tuple(np.round(s.xi, 12)), round(s.tau, 12))
             seen.setdefault(key, (s.xi, s.tau))
         return list(seen.values())
 
-    def synthesize(self, alpha: float = 1e-6, ramp=None, modes=None) -> Field:
-        """Least-squares fit of sum_j c_j exp(+i(xi_j.x + tau_j t)) to the
-        samples; returns the real part as a Q field.
+    def synthesize(self, alpha: float = 1e-6) -> Field:
+        """Least-squares fit of sum_j c_j exp(+i(xi_j.x + tau_j t)), one term
+        per distinct sample frequency, to the samples; returns the real part
+        as a Q field.
 
-        ramp(rho, t) -> weight w(t) multiplying the kernel for a sample taken
-        at carrier strength rho (the phi_rho product ramp); identity if None.
-        modes: explicit synthesis basis (defaults to the distinct sample
-        frequencies); requesting more modes than samples is rejected.
+        Sample m integrates against phi_rho(t) exp(-i(xi_m.x + tau_m t)) at its
+        own carrier strength rho.  Kernels and modes factor into space and
+        time, so the design matrix is the entrywise product of a space Gram
+        and a ramp-weighted time Gram, and the output is one matmul.
         """
         grid = self.grid
-        modes = self._basis_modes() if modes is None else list(modes)
-        if len(self.samples) < len(modes):
-            raise GridError("under-resolved lattice: fewer samples than synthesis modes")
-        meshes = grid.meshes()
-        w_space = grid.space_weights().reshape(-1)
-        w_time = grid.time_weights()
-        times = grid.times()
-
-        def mode_phase(xi, tau, sign):
-            s = xi[0] * meshes[0]
-            if grid.dim == 2:
-                s = s + xi[1] * meshes[1]
-            return [np.exp(sign * 1j * (s + tau * t)).reshape(-1) for t in times]
-
-        basis_levels = [mode_phase(xi, tau, +1) for xi, tau in modes]
-        G = np.zeros((len(self.samples), len(modes)), dtype=complex)
-        rhs = np.zeros(len(self.samples), dtype=complex)
-        for m, s in enumerate(self.samples):
-            kern = mode_phase(s.xi, s.tau, -1)
-            wt = (
-                np.ones(grid.n_levels)
-                if ramp is None
-                else np.array([ramp(s.rho, t) for t in times])
-            )
-            for j in range(len(modes)):
-                acc = 0.0 + 0.0j
-                for k in range(grid.n_levels):
-                    acc += w_time[k] * wt[k] * np.dot(basis_levels[j][k] * kern[k], w_space)
-                G[m, j] = acc
-            rhs[m] = s.value
+        x = np.stack([m.reshape(-1) for m in grid.meshes()])      # (dim, n_space)
+        t = grid.times()
+        xi = np.array([s.xi for s in self.samples])
+        tau = np.array([s.tau for s in self.samples])
+        rho = np.array([s.rho for s in self.samples])
+        modes = self.modes()
+        space_modes = np.exp(1j * (np.array([m[0] for m in modes]) @ x))
+        time_modes = np.exp(1j * np.outer([m[1] for m in modes], t))
+        space_gram = (np.exp(-1j * (xi @ x)) * grid.space_weights().reshape(-1)) @ space_modes.T
+        time_weights = grid.time_weights() * phi_rho(rho[:, None], t, grid.T)
+        time_gram = (np.exp(-1j * np.outer(tau, t)) * time_weights) @ time_modes.T
+        G = space_gram * time_gram
+        rhs = np.array([s.value for s in self.samples])
         scale = float(np.max(np.abs(G))) or 1.0
         lhs = G.conj().T @ G + alpha * scale**2 * np.eye(len(modes))
         coeff = np.linalg.solve(lhs, G.conj().T @ rhs)
-        out = np.zeros((grid.n_levels, grid.n_space))
-        for j, c in enumerate(coeff):
-            for k in range(grid.n_levels):
-                out[k] += (c * basis_levels[j][k]).real
+        out = ((time_modes.T * coeff) @ space_modes).real
         return Field(grid, out.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)

@@ -208,6 +208,7 @@ class StabilityCurve:
     mean_errors: dict           # per-delta mean
     fit_two_term: dict
     fit_linear: dict
+    converged: bool = True      # every trial's recover_initial converged
 
     def to_dict(self):
         return {
@@ -237,6 +238,7 @@ def stability_curve(
     residual with a pure-linear fit."""
     clean = passive_map(grid, gamma, nl, truth, portion, scheme)
     mags, errs, dlist = [], [], []
+    converged = True
     for i, delta in enumerate(deltas):
         for trial in range(trials):
             noisy = add_noise(clean, noise_model, delta, seed + 1000 * i + trial)
@@ -245,6 +247,7 @@ def stability_curve(
                 grid, gamma, nl, noisy, noise_norm=m if m > 0 else 0.0, scheme=scheme
             )
             err = norm(rec.recovered - truth, "L2Omega")
+            converged = converged and rec.converged
             mags.append(m)
             errs.append(err)
             dlist.append(delta)
@@ -276,4 +279,4 @@ def stability_curve(
             "C": float(c1[0]),
             "residual": float(np.linalg.norm(e_arr[pos] - pred1)),
         }
-    return StabilityCurve(list(deltas), mags, errs, mean_errors, fit_two, fit_lin)
+    return StabilityCurve(list(deltas), mags, errs, mean_errors, fit_two, fit_lin, converged)

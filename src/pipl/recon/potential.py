@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..cgo import CGOFactory, CGOParameters, phi_rho
+from ..cgo import CGOFactory, CGOParameters
 from ..dnmap import normal_derivative_matrix
 from ..forward import Propagator, potential_values, solve_linear
 from ..grid import (
@@ -39,8 +39,9 @@ from ..grid import (
     l2q_inner,
     norm,
     resolve_portion,
+    zero_field,
 )
-from ..model import Nonlinearity
+from ..model import Nonlinearity, taylor_table
 from .fourier import FourierSample, FourierSampleSet, frequency_lattice
 
 
@@ -211,12 +212,12 @@ def recover_potential(
     if big_remainder > 0.5:
         notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
     defect = sset.conjugate_symmetry_defect()
-    recovered = sset.synthesize(alpha=alpha, ramp=lambda rho, t: phi_rho(rho, t, grid.T))
+    recovered = sset.synthesize(alpha=alpha)
     result = ReconstructionResult(
         recovered,
         residuals={"conjugate_symmetry_defect": defect},
         regularization={"method": "tikhonov-fourier-synthesis", "alpha": alpha,
-                        "modes": len(sset.samples)},
+                        "modes": len(sset.modes())},
         notes=notes,
         samples=sset,
     )
@@ -307,27 +308,13 @@ def positive_solution(
 
 
 def _check_shared_base_potential(grid, nl1, nl2):
-    meshes = grid.meshes()
-    x = meshes[0]
-    y = meshes[1] if grid.dim == 2 else 0.0
-    for t in (0.0, grid.T / 2, grid.T):
-        a = np.broadcast_to(np.asarray(nl1(x, t, 0.0, y=y, k=1), dtype=float), grid.nx)
-        b = np.broadcast_to(np.asarray(nl2(x, t, 0.0, y=y, k=1), dtype=float), grid.nx)
-        if np.max(np.abs(a - b)) > 1e-10:
-            raise GridError(
-                "first-order coefficients differ at the base; recover order 1 first"
-            )
+    if np.max(np.abs(_coefficient_field(grid, nl1, 1).values
+                     - _coefficient_field(grid, nl2, 1).values)) > 1e-10:
+        raise GridError("first-order coefficients differ at the base; recover order 1 first")
 
 
 def _coefficient_field(grid, nl, order) -> Field:
-    meshes = grid.meshes()
-    x = meshes[0]
-    y = meshes[1] if grid.dim == 2 else 0.0
-    levels = []
-    for t in grid.times():
-        v = np.broadcast_to(np.asarray(nl(x, t, 0.0, y=y, k=order), dtype=float), grid.nx)
-        levels.append(v.copy())
-    return Field(grid, np.array(levels), DOMAIN_Q)
+    return taylor_table(nl, zero_field(grid), order).coefficient(order)
 
 
 def synthesize_taylor_probes(
@@ -402,7 +389,7 @@ def recover_taylor(
         # sign: the sweep coefficient is -delta * P, so the sample flips once more
         sample.value = -sample.value
         sset.add(sample)
-    product = sset.synthesize(alpha=alpha, ramp=lambda rho, t: phi_rho(rho, t, grid.T))
+    product = sset.synthesize(alpha=alpha)
     pos_prod = np.ones_like(product.values)
     for v in positive_fields:
         pos_prod = pos_prod * v.values

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipl import cli
-from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, emit_plotdata, main, run
+from pipl import cgo, cli, dnmap
+from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, emit_plotdata, main, run
 from pipl.forward import solve_semilinear
 from pipl.recon import initial
 
@@ -419,5 +419,78 @@ def test_recover_g_unconverged_inner_solve_fails_check(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
     assert "inner semilinear solve did not converge" in report["notes"]
+    failures = json.loads((out / "check_failures.json").read_text())
+    assert any("did not converge" in f for f in failures)
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = -8 16"),
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 16 32 64\nomega = 2"),
+        ("recover-q", "rho = 32", "rho = 0"),
+    ],
+)
+def test_invalid_cgo_parameters_exit_2(kind, old, new, tmp_path):
+    err = _config_error(kind, _edit(kind, old, new), tmp_path)
+    assert err["type"] == "CGOError"
+
+
+def test_cgo_overflow_guard_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cgo, "OVERFLOW_LIMIT", 0.0)
+    cfg = write_config(tmp_path, "cgo.ini", "[grid]\nnx = 17\nnt = 16\n\n[cgo]\nrhos = 8 16\n")
+    out = tmp_path / "out"
+    assert run("cgo-verify", cfg, out, check=True) == EXIT_SOLVER
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "SolverError" and "overflow guard" in err["error"]
+
+
+U3_CFG = """
+[grid]
+nx = 9
+nt = 8
+T = 0.5
+
+[model]
+nonlinearity = "u^3"
+class = admissible-analytic
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, section",
+    [
+        ("dnmap", '[dnmap]\ninitial = "8*sin(pi*x)"\n'),
+        ("recover-g", '[recover_g]\ntruth = "8*sin(pi*x)"\n'),
+        ("stability", '[stability]\ntruth = "8*sin(pi*x)"\ndeltas = 1e-2\ntrials = 1\n'),
+    ],
+)
+def test_unconverged_passive_map_exits_3(kind, section, tmp_path, monkeypatch):
+    # a passive measurement whose semilinear solve is capped at one Newton
+    # iteration per level did not converge: the run fails, naming the level
+    monkeypatch.setattr(dnmap, "solve_semilinear", functools.partial(solve_semilinear, max_iter=1))
+    cfg = write_config(tmp_path, "u3.ini", U3_CFG + "\n" + section)
+    out = tmp_path / "out"
+    assert run(kind, cfg, out, check=True) == EXIT_SOLVER
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "SolverError"
+    assert "passive map: newton stalled at time level 1" in err["error"]
+
+
+def test_stability_reports_unconverged_trials(tmp_path, monkeypatch):
+    out = tmp_path / "shipped"
+    assert run("stability", CONFIGS / "stability.ini", out, check=True) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["converged"] is True
+    # inner semilinear solves capped at one Newton iteration per level do not
+    # converge, and --check must not exit 0
+    monkeypatch.setattr(
+        initial, "solve_semilinear", functools.partial(solve_semilinear, max_iter=1)
+    )
+    section = '[stability]\ntruth = "8*sin(pi*x)"\ndeltas = 1e-1 1e-2\ntrials = 1\n'
+    cfg = write_config(tmp_path, "st.ini", U3_CFG + "\n" + section)
+    out = tmp_path / "out"
+    assert run("stability", cfg, out, check=True) == EXIT_CHECK
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+    assert "converged" not in json.loads((out / "stability_report.json").read_text())
     failures = json.loads((out / "check_failures.json").read_text())
     assert any("did not converge" in f for f in failures)
