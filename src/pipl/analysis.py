@@ -374,18 +374,19 @@ def stability_audit(
 ) -> StabilityAudit:
     """Along g2 = g_base + s * direction, record the DN difference and the
     initial-data gap, then report the smallest empirical (C, delta0) making
-    the two-term logarithmic bound dominate every sampled scale."""
+    the two-term logarithmic bound dominate every sampled scale.  A solve
+    that did not converge raises SolverError naming its first stalled level."""
     from .forward import solve_semilinear
 
     resolved = gamma0 if isinstance(gamma0, ResolvedPortion) else resolve_portion(grid, gamma0)
     base_rep = solve_semilinear(grid, gamma, nl, g=g_base, scheme=scheme)
-    base_dn = measure(base_rep.solution, resolved)
+    base_dn = measure(base_rep.require_converged("stability audit base solve").solution, resolved)
     dn_diffs, lhs_vals = [], []
     M = max(_h1_norm(Field(grid, s * direction.values, DOMAIN_OMEGA)) for s in scales)
     for s in scales:
         g2 = Field(grid, g_base.values + s * direction.values, DOMAIN_OMEGA)
         rep = solve_semilinear(grid, gamma, nl, g=g2, scheme=scheme)
-        dn = measure(rep.solution, resolved)
+        dn = measure(rep.require_converged(f"stability audit at scale {s:g}").solution, resolved)
         diff = dn.values - base_dn.values
         per_level = (np.abs(diff) ** 2) @ resolved.weights
         dn_diffs.append(float(np.sqrt(np.dot(grid.time_weights(), per_level))))

@@ -13,6 +13,12 @@ profile to zero on the designated aperture portion instead).  Backward
 probes carry psi_plus = 1/psi_minus and theta_minus = 1 - exp(-rho^(3/4)(T-t)).
 Carriers are never materialized; products of a matched forward/backward pair
 cancel them exactly, which is the only way the pipeline ever uses them.
+
+The profile operator depends on (rho, omega, direction) alone, so the
+remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
+one multi-column sweep (CGOFactory.build_columns).  Each of a batch's
+buffers (sources, theta values, remainders) is n_levels x n_space x columns;
+batch_width keeps it under BATCH_CAP values.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ from .grid import (
 
 OVERFLOW_LIMIT = np.exp(50.0)
 RESOLUTION_LIMIT = 0.5   # warn when rho^(3/4) * dt exceeds this
+# Most values one build_columns buffer should hold: its sources, its theta
+# values and its remainders are each n_levels x n_space x columns.
+BATCH_CAP = 2**19
 
 
 class CGOError(ValueError):
@@ -94,16 +103,6 @@ def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
     return np.exp(-1j * (s + tau * grid.level_times()))
 
 
-def theta_field(grid: SpaceTimeGrid, params: CGOParameters) -> Field:
-    """Oscillatory profile theta: vanishes at t=0 (forward) or t=T (backward)."""
-    t = grid.level_times()
-    if params.direction == "forward":
-        vals = ramp(params, t) * plane_wave(grid, params.xi, params.tau)
-    else:
-        vals = ramp(params, grid.T - t) * np.ones(grid.nx)
-    return Field(grid, vals, DOMAIN_Q)
-
-
 def carrier_residual(params: CGOParameters) -> float:
     """Normalized heat residual of the bare carrier: substituting
     psi = exp(+-(rho w.x + rho^2 t)) into d_t - Lap gives
@@ -116,6 +115,7 @@ def carrier_residual(params: CGOParameters) -> float:
 class CGOSolution:
     params: CGOParameters
     grid: SpaceTimeGrid
+    theta: np.ndarray                  # oscillatory profile on Q, 0 at t = 0 or T
     z: Field                           # remainder profile on Q
     remainder_norm: float
     warnings: list = dc_field(default_factory=list)
@@ -123,8 +123,14 @@ class CGOSolution:
 
     def profile(self) -> Field:
         """theta + z on Q."""
-        return Field(self.grid, theta_field(self.grid, self.params).values + self.z.values,
-                     DOMAIN_Q)
+        return Field(self.grid, self.theta + self.z.values, DOMAIN_Q)
+
+
+def batch_width(grid: SpaceTimeGrid) -> int:
+    """Most columns one build_columns call should take on this grid, so that
+    each of its (n_levels, n_space, columns) buffers stays under BATCH_CAP
+    (one column at least)."""
+    return max(1, BATCH_CAP // (grid.n_levels * grid.n_space))
 
 
 class CGOFactory:
@@ -153,9 +159,10 @@ class CGOFactory:
             self._props[key] = Propagator(self.grid, None, qf, self.scheme, advection)
         return self._props[key]
 
-    def _portion_trace(self, params: CGOParameters):
-        """Lateral data for z: zero everywhere (full variant, None) or -theta
-        on the designated aperture portion extended by zero (partial variant)."""
+    def _portion_trace(self, params: CGOParameters, theta):
+        """Lateral data for z, per column of theta (n_levels, n_space, m):
+        zero everywhere (full variant, None) or -theta on the designated
+        aperture portion extended by zero (partial variant)."""
         if not self.partial:
             return None
         grid = self.grid
@@ -165,41 +172,64 @@ class CGOFactory:
         )
         bd = grid.boundary_flat_indices()
         pinned = np.isin(bd, portion.flat)
-        theta = theta_field(grid, params).values.reshape(grid.n_levels, -1)
-        trace = np.zeros((grid.n_levels, len(bd)), dtype=theta.dtype)
+        trace = np.zeros((grid.n_levels, len(bd), theta.shape[-1]), dtype=theta.dtype)
         trace[:, pinned] = -theta[:, bd[pinned]]
         return trace
 
     def build(self, params: CGOParameters) -> CGOSolution:
+        """One probe: the one-column case of build_columns."""
+        return self.build_columns([params])[0]
+
+    def build_columns(self, params_list) -> list:
+        """One CGOSolution per params, all sharing (rho, omega, direction,
+        aperture), from one multi-column sweep of their shared stepper; the
+        thetas and remainders of the solutions are columns of one array each.
+        Each column's remainder, norm, residual and warnings are those of its
+        own one-column build."""
+        first = params_list[0]
+        shared = (first.rho, first.omega, first.direction, first.aperture)
+        if any((p.rho, p.omega, p.direction, p.aperture) != shared for p in params_list):
+            raise CGOError("build_columns needs one (rho, omega, direction, aperture) for all")
         grid = self.grid
         warnings = []
-        layer = params.rho**0.75 * grid.dt
+        layer = first.rho**0.75 * grid.dt
         if layer > RESOLUTION_LIMIT:
             warnings.append(
                 f"boundary layer under-resolved: rho^(3/4)*dt = {layer:.3g} > {RESOLUTION_LIMIT}"
             )
-        src = self._source(params)
-        trace = self._portion_trace(params)
-        prop = self.propagator(params)
-        if params.direction == "forward":
-            zvals = prop.run(f=trace, source=src)
-        else:
+        shape = (grid.n_levels, grid.n_space, len(params_list))
+        dtype = complex if first.direction == "forward" else float
+        theta, src = np.empty(shape, dtype), np.empty(shape, dtype)
+        for j, params in enumerate(params_list):
+            theta[..., j], src[..., j] = self._fields(params)
+        trace = self._portion_trace(first, theta)
+        prop = self.propagator(first)
+        if first.direction == "backward":
             # time-reversed solve: s = T - t turns the backward profile
             # equation into the forward scheme with advection +2 rho w
-            src_rev = src[::-1].copy()
-            trace_rev = None if trace is None else trace[::-1].copy()
-            zvals = prop.run(f=trace_rev, source=src_rev)[::-1]
-        residual = self._discrete_residual(prop, params, zvals, src, trace)
-        zf = Field(grid, zvals.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-        peak = float(np.max(np.abs(zf.values)))
-        if peak > OVERFLOW_LIMIT:
-            raise SolverError(
-                f"CGO remainder at rho {params.rho} exceeded the overflow guard "
-                f"(peak {peak:.3g} > e^50)"
-            )
-        return CGOSolution(params, grid, zf, norm(zf, "L2Q"), warnings, residual)
+            src = src[::-1]
+            trace = None if trace is None else trace[::-1]
+        z = prop.run(f=trace, source=src)
+        residuals = self._discrete_residual(prop, z, src, trace)
+        if first.direction == "backward":
+            z = z[::-1]
+        out = []
+        for j, params in enumerate(params_list):
+            zf = Field(grid, z[..., j].reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
+            peak = float(np.max(np.abs(zf.values)))
+            if peak > OVERFLOW_LIMIT:
+                raise SolverError(
+                    f"CGO remainder at rho {params.rho} exceeded the overflow guard "
+                    f"(peak {peak:.3g} > e^50)"
+                )
+            out.append(CGOSolution(params, grid, theta[..., j].reshape(zf.values.shape), zf,
+                                   norm(zf, "L2Q"), list(warnings), float(residuals[j])))
+        return out
 
-    def _source(self, params: CGOParameters) -> np.ndarray:
+    def _fields(self, params: CGOParameters):
+        """theta and the source of the profile equation for one probe, each
+        shaped (n_levels, n_space); a forward probe evaluates its plane wave
+        E once for both."""
         grid = self.grid
         rho34 = params.rho**0.75
         t = grid.level_times()
@@ -208,32 +238,33 @@ class CGOFactory:
             dphi = rho34 * np.exp(-rho34 * t)
             xi2 = float(np.dot(params.xi, params.xi))
             E = plane_wave(grid, params.xi, params.tau)
+            theta = phi * E
             vals = -(dphi + (xi2 - 1j * params.tau + self.q_levels) * phi) * E
         else:
             phi = ramp(params, grid.T - t)
             dphi = rho34 * np.exp(-rho34 * (grid.T - t))
+            theta = phi * np.ones(grid.nx)
             vals = -(dphi + self.q_levels * phi)
-        return vals.reshape(grid.n_levels, -1)
+        return theta.reshape(grid.n_levels, -1), vals.reshape(grid.n_levels, -1)
 
-    def _discrete_residual(self, prop, params, zvals, src, trace) -> float:
-        """Consistency of the linear algebra: max residual of the stepped
-        systems, normalized by the source scale."""
+    def _discrete_residual(self, prop, z, src, trace) -> np.ndarray:
+        """Consistency of the linear algebra, per column of the sweep
+        (n_levels, n_space, m) that solved it: max residual of the stepped
+        systems, normalized by the column's source scale."""
+        if z.ndim == 3 and z.shape[-1] == 1:  # one column: the same check on vectors
+            return self._discrete_residual(prop, z[..., 0], src[..., 0],
+                                           None if trace is None else trace[..., 0])[None]
         grid = self.grid
-        if params.direction == "backward":
-            zvals = zvals[::-1]
-            src = src[::-1]
-            trace = None if trace is None else trace[::-1]
-        z = zvals.reshape(grid.n_levels, -1)
-        worst = 0.0
         theta_w = prop.theta
-        scale = max(1.0, float(np.max(np.abs(src))))
+        interior = prop.interior_mask.reshape(-1, *(1,) * (z.ndim - 2))
+        worst = np.zeros(z.shape[2:])
         for k in range(grid.nt):
             rhs = prop.M_list[k] @ z[k]
             add = grid.dt * (theta_w * src[k + 1] + (1 - theta_w) * src[k])
-            rhs = rhs + np.where(prop.interior_mask, add, 0.0)
+            rhs = rhs + np.where(interior, add, 0.0)
             rhs[prop.boundary_idx] = trace[k + 1] if trace is not None else 0.0
-            worst = max(worst, float(np.max(np.abs(prop.A_list[k] @ z[k + 1] - rhs))))
-        return worst / scale
+            worst = np.maximum(worst, np.max(np.abs(prop.A_list[k] @ z[k + 1] - rhs), axis=0))
+        return worst / np.maximum(1.0, np.max(np.abs(src), axis=(0, 1)))
 
 
 def build(grid: SpaceTimeGrid, q, params: CGOParameters, scheme="be", partial=False) -> CGOSolution:

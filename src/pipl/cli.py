@@ -857,7 +857,9 @@ def run_control(c, outdir):
         grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=eps,
         portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, bt=bt,
     )
+    converged = res.continuation.get("converged", True)
     report = {
+        "converged": converged,
         "terminal_history": res.terminal_history,
         "metrics": {
             "uncontrolled_norm": res.uncontrolled_norm,
@@ -872,6 +874,9 @@ def run_control(c, outdir):
         failures.append("terminal norm reduction below 100x")
     if res.continuation.get("sup_norm_over_tail", 0.0) > 10 * res.terminal_norm:
         failures.append("continued free solution exceeds 10x the terminal norm")
+    if not converged:
+        failures.append("free continuation did not converge: "
+                        + "; ".join(res.continuation["warnings"]))
     return report, failures
 
 

@@ -21,7 +21,7 @@ from .grid import (
     SpaceTimeGrid,
     resolve_portion,
 )
-from .forward import SolverError, solve_semilinear
+from .forward import solve_semilinear
 
 
 @dataclass
@@ -94,10 +94,7 @@ def passive_map(
     portion.  A solve that did not converge raises SolverError naming its
     first stalled level."""
     report = solve_semilinear(grid, gamma, nl, f=None, g=g, scheme=scheme)
-    if not report.converged:
-        stalled = next(w for w in report.warnings if w.startswith("newton stalled"))
-        raise SolverError(f"passive map: {stalled}")
-    return measure(report.solution, portion)
+    return measure(report.require_converged("passive map").solution, portion)
 
 
 def add_noise(m: DNMeasurement, model: str, level: float, seed: int) -> DNMeasurement:

@@ -58,6 +58,13 @@ class SolveReport:
     scheme: str = "be"
     warnings: list = dc_field(default_factory=list)
 
+    def require_converged(self, what: str) -> "SolveReport":
+        """This report, or SolverError naming what and the first stalled level."""
+        if not self.converged:
+            stalled = next(w for w in self.warnings if w.startswith("newton stalled"))
+            raise SolverError(f"{what}: {stalled}")
+        return self
+
 
 # ---------------------------------------------------------------------------
 # Spatial operator assembly
@@ -145,6 +152,33 @@ def assemble_operator(
     return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_space, grid.n_space))
 
 
+def _pattern(off, diag_rows, fmt):
+    """The nonzero off-diagonal entries of the sparse matrix off plus a
+    diagonal entry on each of diag_rows, canonical in fmt ("csr" or "csc"),
+    and the positions of that diagonal in its data."""
+    off = off.tocoo()
+    keep = (off.row != off.col) & (off.data != 0)
+    P = sp.coo_matrix(
+        (np.concatenate([off.data[keep], np.ones(len(diag_rows))]),
+         (np.concatenate([off.row[keep], diag_rows]), np.concatenate([off.col[keep], diag_rows]))),
+        shape=off.shape,
+    ).asformat(fmt)
+    major = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+    return P, np.flatnonzero(P.indices == major)
+
+
+def _with_diagonal(P, diag, values):
+    """P sharing its pattern, with values on its diagonal; an entry that comes
+    out zero is dropped, as a sum of sparse matrices drops it."""
+    data = P.data.copy()
+    data[diag] = values
+    out = type(P)((data, P.indices, P.indptr), shape=P.shape)
+    if not np.all(values):
+        out = out.copy()  # own index arrays before pruning them
+        out.eliminate_zeros()
+    return out
+
+
 def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
     """A potential given as None (zero), a scalar or a Q field, as values
     shaped (n_levels, *nx)."""
@@ -166,9 +200,11 @@ class Propagator:
     where L_k is the q-free operator plus diag(q_k) on interior rows.  L_k
     vanishes on boundary rows, so A_k has identity and M_k zero boundary
     rows: the stepper writes the Dirichlet values into the right-hand side.
-    The stencil is assembled once per distinct gamma level; A_k, its LU, M_k
-    and a CSR copy of M_k^T for the adjoint sweep are kept once per distinct
-    level (once in all when neither q nor gamma depends on time)."""
+    The stencil is assembled once per distinct gamma level, and with it the
+    sparsity patterns of A and M, which a level fills by writing only their
+    diagonals; A_k, its LU, M_k and a CSR copy of M_k^T for the adjoint sweep
+    are kept once per distinct level (once in all when neither q nor gamma
+    depends on time)."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -188,29 +224,35 @@ class Propagator:
 
     def _build(self):
         g = self.grid
-        dt = g.dt
-        theta = self.theta
-        eye = sp.identity(g.n_space, format="csr")
-        interior = sp.diags(self.interior_mask.astype(float), format="csr")
-        stencils = {}
+        ca, cm = g.dt * self.theta, g.dt * (1 - self.theta)
+        q = np.where(self.interior_mask, self.q_levels, 0.0)
+        interior = np.flatnonzero(self.interior_mask)
+        patterns = {}
 
-        def L(level):
+        def pattern(level):
+            """Per gamma level: the stencil's diagonal and the patterns of A
+            (CSC, every row) and M (CSR, interior rows) with their
+            off-diagonal values dt theta L and -dt (1 - theta) L."""
             key = level if self.gamma_td else 0
-            if key not in stencils:
-                stencils[key] = assemble_operator(g, self.gamma, key * dt, self.advection)
-            return stencils[key] + sp.diags(np.where(self.interior_mask, self.q_levels[level], 0.0))
+            if key not in patterns:
+                S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
+                patterns[key] = (S.diagonal(), _pattern(ca * S, np.arange(g.n_space), "csc"),
+                                 _pattern(-(cm * S), interior, "csr"))
+            return patterns[key]
 
-        def step(L_new, L_old):
-            A = (eye + dt * theta * L_new).tocsc()
-            M = interior - dt * (1 - theta) * L_old
+        def step(new, old):
+            # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
+            # with L = stencil + diag(q): only the diagonals change per level
+            s_new, (A, a_diag), _ = pattern(new)
+            s_old, _, (M, m_diag) = pattern(old)
+            A = _with_diagonal(A, a_diag, 1.0 + ca * (s_new + q[new]))
+            M = _with_diagonal(M, m_diag, (1.0 - cm * (s_old + q[old]))[interior])
             return A, M, M.T.tocsr(), spla.splu(A)
 
         if self.time_dependent:
-            Ls = [L(k) for k in range(g.n_levels)]
-            steps = [step(Ls[k + 1], Ls[k]) for k in range(g.nt)]
+            steps = [step(k + 1, k) for k in range(g.nt)]
         else:
-            L0 = L(0)
-            steps = [step(L0, L0)] * g.nt
+            steps = [step(0, 0)] * g.nt
         self.A_list, self.M_list, self.MT_list, self.lu_list = (list(m) for m in zip(*steps))
 
     # -- forward sweep -------------------------------------------------------
@@ -252,23 +294,30 @@ class Propagator:
         s_cols = np.ndim(source) == 3 and np.shape(source)[1] == n
         columns = next((np.shape(a)[-1:] for a, c in ((g0, g_cols), (f, f_cols), (source, s_cols))
                         if c), ())
-        lift = (Ellipsis,) + (None,) * len(columns)  # shared arrays onto every column
         u = np.zeros((grid.n_levels, n, *columns), dtype=dtype)
+        vals = u
+        if columns == (1,):
+            # one column marches as a vector: the same arithmetic, cheaper steps
+            g0, f, source = (a[..., 0] if c else a
+                             for a, c in ((g0, g_cols), (f, f_cols), (source, s_cols)))
+            g_cols = f_cols = s_cols = False
+            columns, vals = (), u[..., 0]
+        lift = (Ellipsis,) + (None,) * len(columns)  # shared arrays onto every column
         if g0 is not None:
-            u[0] = np.asarray(g0) if g_cols else np.asarray(g0).reshape(n)[lift]
+            vals[0] = np.asarray(g0) if g_cols else np.asarray(g0).reshape(n)[lift]
         if f is not None:
             f = np.asarray(f) if f_cols else np.asarray(f)[lift]
-            u[0, self.boundary_idx] = f[0]
+            vals[0, self.boundary_idx] = f[0]
         interior = self.interior_mask[lift]
         src = None if source is None else (
             np.asarray(source) if s_cols else np.asarray(source).reshape(grid.n_levels, n)[lift])
         for k in range(grid.nt):
-            rhs = self.M_list[k] @ u[k]
+            rhs = self.M_list[k] @ vals[k]
             if src is not None:
                 add = dt * (theta * src[k + 1] + (1 - theta) * src[k])
                 rhs = rhs + np.where(interior, add, 0.0)
             rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
-            u[k + 1] = self._solve(self.lu_list[k], rhs)
+            vals[k + 1] = self._solve(self.lu_list[k], rhs)
         return u
 
     # -- exact adjoint sweep ---------------------------------------------------

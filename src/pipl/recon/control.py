@@ -201,7 +201,8 @@ def null_control(
 
 def _continue_free(grid, gamma, bt: BTStructure, steered_terminal, K, scheme) -> dict:
     """Free (f = 0) continuation on [T-eps, T] under the tail nonlinearity;
-    reports how far the solution drifts from zero."""
+    reports how far the solution drifts from zero and whether its solve
+    converged."""
     nt_tail = grid.nt - K
     if nt_tail < 2:
         return {"skipped": "tail window shorter than 2 steps"}
@@ -219,4 +220,6 @@ def _continue_free(grid, gamma, bt: BTStructure, steered_terminal, K, scheme) ->
         "sup_norm_over_tail": float(np.max(norms)),
         "terminal_tail_norm": float(norms[-1]),
         "levels": int(tail_grid.n_levels),
+        "converged": rep.converged,
+        "warnings": rep.warnings,
     }

@@ -16,6 +16,10 @@ once per (rho, omega, aperture), gives the boundary functional
 without ever materializing an exponential carrier.  The functional
 approximates a phi_rho-weighted Fourier sample of c, which the
 FourierSampleSet synthesis inverts.
+
+The probes of one omega go in batches of at most cgo.batch_width lattice
+points (the cgo.BATCH_CAP memory cap): one CGOFactory.build_columns call
+and one multi-column difference sweep per batch.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..cgo import CGOFactory, CGOParameters
+from ..cgo import CGOFactory, CGOParameters, batch_width
 from ..dnmap import normal_derivative_matrix
 from ..forward import Propagator, potential_values, solve_linear
 from ..grid import (
@@ -77,43 +81,83 @@ class PotentialProbe:
 
 
 def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_xi, n_tau,
-                  partial=False, aperture=0.0, order=1):
-    """Probe sweep shared by potential and Taylor synthesis.
+                  partial=False, aperture=0.0, order=1, volume=None):
+    """Probe sweep shared by potential and Taylor synthesis: a list of
+    PotentialProbe, omega by omega.
 
     Per omega: one Propagator for q_sweep with the profile advection (the
     factory's own when q_sweep is the factory's potential) and one
     normal-derivative matrix on the observation portion (the faces outside
-    the omega aperture for partial data).  Per lattice point: one zero-data
-    solve with source coefficient * forward CGO profile.  Yields (probe,
-    profile values, solution levels).
+    the omega aperture for partial data).  The lattice points go in batches
+    of at most cgo.batch_width columns; per batch, one build_columns call
+    makes the forward CGO profiles and one zero-data sweep of source
+    coefficient * profile makes their difference profiles.  volume, if
+    given, maps (forward CGOSolution, difference levels (n_levels, n_space))
+    to the probe's volume functional.
     """
     if omegas is None:
         omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
+    probes = []
     for omega in omegas:
-        portion = (
-            complement_portion(grid, BoundaryPortion.directional(omega, aperture, +1))
-            if partial
-            else resolve_portion(grid, BoundaryPortion.full())
-        )
-        B = normal_derivative_matrix(grid, portion)
-        if q_sweep is factory.q:
-            # the factory's forward-profile stepper has this q and advection
-            prop = factory.propagator(CGOParameters.make(rho, omega))
-        else:
-            adv = tuple(-2.0 * rho * w for w in omega)
-            prop = Propagator(grid, None, q_sweep, factory.scheme, adv)
         pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
-        for xi, tau in pairs:
-            fwd = factory.build(
-                CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
-            )
-            profile = fwd.profile().values
-            d = prop.run(source=(coefficient * profile).reshape(grid.n_levels, -1))
-            probe = PotentialProbe(
-                fwd.params, (B @ d.T).T, portion, fwd.remainder_norm, tuple(fwd.warnings),
-                order=order,
-            )
-            yield probe, profile, d
+        params = [CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
+                  for xi, tau in pairs]
+        # the omega's Propagator and batches live in _sweep_omega's frame
+        # alone, so they are freed before the next omega builds its own
+        probes += _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order,
+                               volume)
+    return probes
+
+
+def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, volume):
+    if not params:
+        return []
+    first = params[0]
+    portion = (
+        complement_portion(grid, BoundaryPortion.directional(first.omega, first.aperture, +1))
+        if partial
+        else resolve_portion(grid, BoundaryPortion.full())
+    )
+    B = normal_derivative_matrix(grid, portion)
+    if q_sweep is factory.q:
+        # the factory's forward-profile stepper has this q and advection
+        prop = factory.propagator(first)
+    else:
+        prop = Propagator(grid, None, q_sweep, factory.scheme,
+                          tuple(-2.0 * first.rho * w for w in first.omega))
+    batches = np.array_split(np.arange(len(params)), -(-len(params) // batch_width(grid)))
+    # one difference-sweep source buffer for all batches of the omega
+    src = np.empty((grid.n_levels, grid.n_space, len(batches[0])), dtype=complex)
+    return [
+        probe
+        for batch in batches
+        for probe in _probe_batch(grid, factory, prop, B, portion, coefficient,
+                                  [params[i] for i in batch], order, volume, src[..., :len(batch)])
+    ]
+
+
+def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, volume, src):
+    """One batch: its forward CGO profiles W_ref from one build_columns call,
+    the sweep source coefficient * W_ref formed in src, and the difference
+    profiles from one multi-column sweep."""
+    sols = factory.build_columns(params)
+    for j, fwd in enumerate(sols):
+        np.add(fwd.theta.reshape(grid.n_levels, -1), fwd.z.values.reshape(grid.n_levels, -1),
+               out=src[..., j])
+    src *= coefficient.reshape(grid.n_levels, -1, 1)
+    probes = [
+        PotentialProbe(fwd.params, None, portion, fwd.remainder_norm, tuple(fwd.warnings),
+                       order=order)
+        for fwd in sols
+    ]
+    if volume is None:
+        sols = None  # frees the batch's theta and remainder buffers before the sweep
+    d = prop.run(source=src)
+    for j, probe in enumerate(probes):
+        probe.dn_difference = (B @ d[..., j].T).T
+        if sols is not None:
+            probe.volume_functional = volume(sols[j], d[..., j])
+    return probes
 
 
 def _sigma_integral(grid, portion, a_vals, b_vals) -> complex:
@@ -169,23 +213,19 @@ def synthesize_potential_probes(
     partial = mode == "partial"
     factory = CGOFactory(grid, q_ref, scheme, partial=partial)
     dq_vals = potential_values(grid, q_ref) - potential_values(grid, q_truth)
-    probes = []
     backward = {}
-    for probe, w_ref, d in _sweep_probes(
-        grid, factory, q_truth, dq_vals, rho, omegas, lattice, n_xi, n_tau, partial, aperture
-    ):
-        if keep_diagnostics:
-            # volume side of the identity: integral (q_ref - q_truth)
-            # W_truth w_bwd over Q, which must equal -boundary functional
-            key = probe.params.matched_backward()
-            if key not in backward:
-                backward[key] = factory.build(key).profile().values
-            w_truth = Field(grid, w_ref + d.reshape(w_ref.shape), DOMAIN_Q)
-            probe.volume_functional = l2q_inner(
-                Field(grid, dq_vals * backward[key], DOMAIN_Q), w_truth
-            )
-        probes.append(probe)
-    return probes
+
+    def volume(fwd, d):
+        # volume side of the identity: integral (q_ref - q_truth) W_truth
+        # w_bwd over Q, which must equal -boundary functional
+        key = fwd.params.matched_backward()
+        if key not in backward:
+            backward[key] = factory.build(key).profile().values
+        w_truth = Field(grid, fwd.profile().values + d.reshape(dq_vals.shape), DOMAIN_Q)
+        return l2q_inner(Field(grid, dq_vals * backward[key], DOMAIN_Q), w_truth)
+
+    return _sweep_probes(grid, factory, q_truth, dq_vals, rho, omegas, lattice, n_xi, n_tau,
+                         partial, aperture, volume=volume if keep_diagnostics else None)
 
 
 def assemble_samples(
@@ -353,12 +393,8 @@ def synthesize_taylor_probes(
         pos_prod = pos_prod * v.values
     coefficient = -(delta1.values - delta2.values) * pos_prod
     factory = CGOFactory(grid, qbar, scheme)
-    return [
-        probe
-        for probe, _, _ in _sweep_probes(
-            grid, factory, qbar, coefficient, rho, omegas, lattice, n_xi, n_tau, order=order
-        )
-    ]
+    return _sweep_probes(grid, factory, qbar, coefficient, rho, omegas, lattice, n_xi, n_tau,
+                         order=order)
 
 
 def recover_taylor(

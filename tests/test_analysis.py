@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from pipl.analysis import (
     nonuniqueness_demo,
     stability_audit,
 )
-from pipl.forward import solve_linear
+from pipl.forward import SolverError, solve_linear
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -136,6 +137,19 @@ def test_stability_audit_monotone_and_bounded():
     assert np.isfinite(audit.best_C)
     for lhs, bound in zip(audit.lhs_values, audit.bound_values):
         assert lhs <= bound * (1 + 1e-9)
+
+
+def test_stability_audit_unconverged_solve_raises(monkeypatch):
+    # a semilinear solve capped at one Newton iteration per level stalls,
+    # and the audit names the solve and its first stalled level
+    from pipl import forward
+
+    monkeypatch.setattr(forward, "solve_semilinear",
+                        functools.partial(forward.solve_semilinear, max_iter=1))
+    g = grid1d(17, 8)
+    base = field_from_function(g, lambda x: 8 * np.sin(math.pi * x), "Omega")
+    with pytest.raises(SolverError, match="audit base solve: newton stalled at time level 1"):
+        stability_audit(g, None, Nonlinearity.parse("u^3", tag=CLASS_A), base, base, LEFT)
 
 
 def test_stability_audit_identical_pair():

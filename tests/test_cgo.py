@@ -12,7 +12,6 @@ from pipl.cgo import (
     fourier_integral,
     pairing,
     product_symbol,
-    theta_field,
 )
 from pipl.grid import Field, SpaceTimeGrid, field_from_function
 
@@ -46,10 +45,10 @@ def test_carrier_identity():
 
 def test_theta_vanishes_at_endpoints():
     g = grid1d(nx=17, nt=8)
-    fwd = theta_field(g, CGOParameters.make(16.0, [1.0], tau=2 * math.pi))
-    assert np.all(fwd.values[0] == 0.0)
-    bwd = theta_field(g, CGOParameters.make(16.0, [1.0], direction="backward"))
-    assert np.all(bwd.values[-1] == 0.0)
+    fwd = build(g, None, CGOParameters.make(16.0, [1.0], tau=2 * math.pi)).theta
+    assert np.all(fwd[0] == 0.0)
+    bwd = build(g, None, CGOParameters.make(16.0, [1.0], direction="backward")).theta
+    assert np.all(bwd[-1] == 0.0)
 
 
 def test_remainder_zero_data_exact():

@@ -1,20 +1,41 @@
-"""Broadcast CGO fields and the separable Fourier synthesis against
-level-by-level reference code on random grids.
+"""Broadcast CGO fields, column-batched CGO builds and probe sweeps, and the
+separable Fourier synthesis against reference code on random grids.
 
-The reference functions below build each plane wave once per time level and
-the synthesis design matrix by a samples x modes x levels loop: the plain
-quadrature the production code factors.
+The reference functions below build each plane wave once per time level,
+sweep the probes one at a time, and build the synthesis design matrix by a
+samples x modes x levels loop: the plain code the production code batches
+and factors.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pipl.cgo import CGOFactory, CGOParameters, phi_rho, product_symbol, ramp, theta_field
-from pipl.grid import Field, SpaceTimeGrid
+from pipl import cgo
+from pipl.cgo import (
+    CGOError,
+    CGOFactory,
+    CGOParameters,
+    phi_rho,
+    product_symbol,
+    ramp,
+)
+from pipl.dnmap import normal_derivative_matrix
+from pipl.forward import Propagator, potential_values
+from pipl.grid import (
+    BoundaryPortion,
+    Field,
+    SpaceTimeGrid,
+    complement_portion,
+    l2q_inner,
+    resolve_portion,
+)
 from pipl.recon.fourier import FourierSample, FourierSampleSet, frequency_lattice
+from pipl.recon.potential import _sweep_probes, synthesize_potential_probes
 
 
 def ref_spatial_phase(params, grid):
@@ -110,6 +131,60 @@ def grids(draw):
     return SpaceTimeGrid.make(lower, upper, nx, draw(st.integers(2, 10)), draw(st.floats(0.1, 1.0)))
 
 
+def ref_sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial, aperture,
+                     dq=None):
+    """One probe at a time: per lattice point a forward CGO build and a
+    one-column sweep of coefficient * profile; returns (params, DN
+    difference, volume functional or None) per probe."""
+    omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
+    out = []
+    for omega in omegas:
+        portion = (
+            complement_portion(grid, BoundaryPortion.directional(omega, aperture, +1))
+            if partial
+            else resolve_portion(grid, BoundaryPortion.full())
+        )
+        B = normal_derivative_matrix(grid, portion)
+        advection = tuple(-2.0 * rho * w for w in omega)
+        prop = Propagator(grid, None, q_sweep, factory.scheme, advection)
+        for xi, tau in frequency_lattice(grid, omega, n_xi, n_tau):
+            fwd = factory.build(CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture))
+            profile = fwd.profile().values
+            d = prop.run(source=(coefficient * profile).reshape(grid.n_levels, -1))
+            volume = None
+            if dq is not None:
+                w_bwd = factory.build(fwd.params.matched_backward()).profile().values
+                volume = l2q_inner(Field(grid, dq * w_bwd, "Q"),
+                                   Field(grid, profile + d.reshape(profile.shape), "Q"))
+            out.append((fwd.params, (B @ d.T).T, volume))
+    return out
+
+
+@st.composite
+def cgo_batches(draw):
+    """A random grid and scheme, a t-dependent potential and 1-4 CGO
+    parameters sharing rho, omega, direction and aperture."""
+    grid = draw(grids())
+    if grid.dim == 1:
+        omega, perp = (draw(st.sampled_from((1.0, -1.0))),), (0.0,)
+    else:
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        omega, perp = (math.cos(angle), math.sin(angle)), (-math.sin(angle), math.cos(angle))
+    rho = draw(st.floats(1.0, 64.0))
+    direction = draw(st.sampled_from(("forward", "backward")))
+    aperture = draw(st.floats(0.0, 0.5))
+    frequencies = draw(st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-20.0, 20.0)),
+                                min_size=1, max_size=4))
+    params = [
+        CGOParameters.make(rho, omega, xi=tuple(k * p for p in perp), tau=tau,
+                           direction=direction, aperture=aperture)
+        for k, tau in frequencies
+    ]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
+    return grid, draw(st.sampled_from(("be", "cn"))), q, params, draw(st.booleans())
+
+
 @st.composite
 def cgo_cases(draw):
     """A random grid, a t-dependent potential and CGO parameters of either
@@ -137,9 +212,10 @@ def cgo_cases(draw):
 @given(case=cgo_cases())
 def test_cgo_fields_match_level_loop(case):
     grid, q, params, partial = case
-    assert np.array_equal(theta_field(grid, params).values, ref_theta(grid, params))
     factory = CGOFactory(grid, q, partial=partial)
-    assert np.array_equal(factory._source(params), ref_source(grid, factory.q_levels, params))
+    theta, source = factory._fields(params)
+    assert np.array_equal(theta, ref_theta(grid, params).reshape(grid.n_levels, -1))
+    assert np.array_equal(source, ref_source(grid, factory.q_levels, params))
     if params.direction == "forward":
         bwd = params.matched_backward()
         assert np.array_equal(product_symbol(params, bwd, grid).values,
@@ -152,6 +228,76 @@ def test_cgo_discrete_residual_small(case):
     grid, q, params, partial = case
     sol = CGOFactory(grid, q, partial=partial).build(params)
     assert sol.residual < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cgo_batches())
+def test_build_columns_matches_single_builds(case):
+    grid, scheme, q, params, partial = case
+    factory = CGOFactory(grid, q, scheme, partial=partial)
+    batch = factory.build_columns(params)
+    assert len({id(sol.warnings) for sol in batch}) == len(params)
+    for p, sol in zip(params, batch):
+        ref = factory.build(p)
+        assert sol.params == p
+        assert np.array_equal(sol.z.values, ref.z.values)
+        assert np.array_equal(sol.profile().values, ref.profile().values)
+        assert sol.remainder_norm == ref.remainder_norm
+        assert sol.residual == ref.residual
+        assert sol.warnings == ref.warnings
+
+
+def test_build_columns_rejects_mixed_probes():
+    grid = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [5, 5], 4, 0.5)
+    factory = CGOFactory(grid, 1.0)
+    first = CGOParameters.make(8.0, (1.0, 0.0))
+    for other in (
+        CGOParameters.make(16.0, (1.0, 0.0)),
+        CGOParameters.make(8.0, (0.0, 1.0)),
+        CGOParameters.make(8.0, (1.0, 0.0), aperture=0.2),
+        first.matched_backward(),
+    ):
+        with pytest.raises(CGOError, match="one \\(rho, omega, direction, aperture\\)"):
+            factory.build_columns([first, other])
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=grids(), scheme=st.sampled_from(("be", "cn")), partial=st.booleans(),
+       aperture=st.floats(0.0, 0.5), rho=st.floats(1.0, 32.0), n_xi=st.integers(0, 1),
+       n_tau=st.integers(0, 2), width=st.integers(1, 4), shared_q=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_batched_sweep_matches_probe_loop(grid, scheme, partial, aperture, rho, n_xi, n_tau,
+                                          width, shared_q, seed):
+    # batches of `width` columns against the one-probe-at-a-time sweep: the
+    # potential path (truth-side stepper, volume diagnostics) and the Taylor
+    # path (the factory's own stepper)
+    rng = np.random.default_rng(seed)
+    q_truth = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
+    q_ref = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
+    factory = CGOFactory(grid, q_ref, scheme, partial=partial)
+    cap = width * grid.n_levels * grid.n_space
+    with mock.patch.object(cgo, "BATCH_CAP", cap):
+        if shared_q:
+            coefficient = rng.standard_normal((grid.n_levels, *grid.nx))
+            got = _sweep_probes(grid, factory, factory.q, coefficient, rho, None, None, n_xi,
+                                n_tau, partial, aperture)
+            ref = ref_sweep_probes(grid, factory, q_ref, coefficient, rho, n_xi, n_tau, partial,
+                                   aperture)
+        else:
+            coefficient = potential_values(grid, q_ref) - potential_values(grid, q_truth)
+            got = synthesize_potential_probes(
+                grid, q_truth, q_ref, rho=rho, scheme=scheme,
+                mode="partial" if partial else "full", aperture=aperture, n_xi=n_xi,
+                n_tau=n_tau, keep_diagnostics=True,
+            )
+            ref = ref_sweep_probes(grid, factory, q_truth, coefficient, rho, n_xi, n_tau,
+                                   partial, aperture, dq=coefficient)
+    assert len(got) == len(ref)
+    for probe, (params, dn, volume) in zip(got, ref):
+        assert probe.params == params
+        assert np.max(np.abs(probe.dn_difference - dn)) <= 1e-13 * max(1e-300, np.max(np.abs(dn)))
+        if volume is not None:
+            assert abs(probe.volume_functional - volume) <= 1e-13 * abs(volume)
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 from pipl import cgo, cli, dnmap
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, emit_plotdata, main, run
 from pipl.forward import solve_semilinear
-from pipl.recon import initial
+from pipl.recon import control, initial
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.ini"))
@@ -122,6 +122,19 @@ def test_forward_unconverged_semilinear_fails_check(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["converged"] is False
     failures = json.loads((out / "check_failures.json").read_text())
     assert any("did not converge" in f for f in failures)
+
+
+def test_control_unconverged_continuation_fails_check(tmp_path, monkeypatch):
+    # the u^3 tail continuation capped at one Newton iteration per level
+    # does not converge, and --check must not exit 0
+    capped = functools.partial(solve_semilinear, max_iter=1)
+    monkeypatch.setattr(control, "solve_semilinear", capped)
+    out = tmp_path / "out"
+    assert run("control", CONFIGS / "control.ini", out, check=True) == EXIT_CHECK
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+    failures = json.loads((out / "check_failures.json").read_text())
+    assert any("free continuation did not converge: newton stalled at time level 1" in f
+               for f in failures)
 
 
 def test_cgo_check_failure_exit_4(tmp_path):

@@ -117,6 +117,50 @@ def test_recover_potential_2d_temporal_truth():
     assert res.truth_error <= 0.30
 
 
+def test_probe_sweep_work_counts_2d(monkeypatch):
+    # the 2D temporal-truth lattice: 15 points per omega go in batches of at
+    # most cgo.batch_width columns (7 here), each one build_columns call and
+    # one difference sweep: two Propagator.run calls per batch, one plane
+    # wave per forward probe, and no batch buffer above cgo.BATCH_CAP
+    from pipl import cgo, forward
+
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [33, 33], 64, 1.0)
+    dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.exp(-25 * (t - 0.5) ** 2), "Q")
+    events = []
+    real_run, real_build, real_wave = (forward.Propagator.run, cgo.CGOFactory.build_columns,
+                                       cgo.plane_wave)
+
+    def run(self, *args, **kwargs):
+        u = real_run(self, *args, **kwargs)
+        events.append(("run", u.size))
+        return u
+
+    def build_columns(self, params_list):
+        events.append(("batch", params_list[0].omega, len(params_list)))
+        return real_build(self, params_list)
+
+    def plane_wave(*args):
+        events.append(("wave",))
+        return real_wave(*args)
+
+    monkeypatch.setattr(forward.Propagator, "run", run)
+    monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
+    monkeypatch.setattr(cgo, "plane_wave", plane_wave)
+    probes = synthesize_potential_probes(g, dq, None, rho=16.0, n_xi=1, n_tau=2)
+    assert len(probes) == 30
+    assert cgo.batch_width(g) == 7
+    batches = [e for e in events if e[0] == "batch"]
+    assert [m for _, _, m in batches] == [5, 5, 5, 5, 5, 5]
+    runs, omega = {}, None
+    for e in events:  # a run belongs to the omega of the batch before it
+        omega = e[1] if e[0] == "batch" else omega
+        runs[omega] = runs.get(omega, 0) + (e[0] == "run")
+    assert runs == {(1.0, 0.0): 6, (0.0, 1.0): 6}
+    assert sum(e[0] == "run" for e in events) == 2 * len(batches)
+    assert sum(e[0] == "wave" for e in events) == len(probes)
+    assert max(e[1] for e in events if e[0] == "run") <= cgo.BATCH_CAP
+
+
 def test_recover_potential_reports_distinct_modes_2d():
     # both omegas share the xi = 0 column of the lattice: 30 samples, 25 modes
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
