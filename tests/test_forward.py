@@ -448,6 +448,21 @@ def _loop_step_matrices(prop):
     return A_list, M_list
 
 
+def test_step_matrices_drop_exact_zero_diagonals():
+    # Crank-Nicolson with dt = h^2 (h = 1/8) makes 1 - dt/2 * 2/h^2 exactly
+    # zero on the interior diagonal of M wherever q = 0: the entry is dropped,
+    # as the sparse sum the pattern fill replaces drops it, and kept where q > 0
+    g = SpaceTimeGrid.make([0.0], [1.0], [9], 32, 0.5)
+    q = field_from_function(g, lambda x, t: 0.0 * x + (t > 0.25), "Q")
+    prop = Propagator(g, None, q, "cn")
+    _, M_ref = _loop_step_matrices(prop)
+    for k in (0, g.nt - 1):
+        M = prop.M_list[k]
+        assert np.array_equal(M.toarray(), M_ref[k].toarray())
+        assert M.nnz == np.count_nonzero(M.toarray())
+    assert prop.M_list[0].nnz < prop.M_list[-1].nnz
+
+
 GAMMAS = {
     "identity": lambda dim: DiffusionTensor.identity(),
     "scalar": lambda dim: DiffusionTensor.scalar("1 + 0.3*x"),
