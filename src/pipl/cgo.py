@@ -258,13 +258,15 @@ class CGOFactory:
         theta_w = prop.theta
         interior = prop.interior_mask.reshape(-1, *(1,) * (z.ndim - 2))
         worst = np.zeros(z.shape[2:])
+        scale = np.maximum(1.0, np.max(np.abs(src[0]), axis=0))
         for k in range(grid.nt):
             rhs = prop.M_list[k] @ z[k]
             add = grid.dt * (theta_w * src[k + 1] + (1 - theta_w) * src[k])
             rhs = rhs + np.where(interior, add, 0.0)
             rhs[prop.boundary_idx] = trace[k + 1] if trace is not None else 0.0
             worst = np.maximum(worst, np.max(np.abs(prop.A_list[k] @ z[k + 1] - rhs), axis=0))
-        return worst / np.maximum(1.0, np.max(np.abs(src), axis=(0, 1)))
+            scale = np.maximum(scale, np.max(np.abs(src[k + 1]), axis=0))
+        return worst / scale
 
 
 def build(grid: SpaceTimeGrid, q, params: CGOParameters, scheme="be", partial=False) -> CGOSolution:
