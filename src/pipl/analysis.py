@@ -120,13 +120,7 @@ class CarlemanConfig:
         }
 
 
-def default_weight_base(
-    grid: SpaceTimeGrid,
-    gamma0_faces=("left",),
-    lambdas=(1.0, 2.0, 4.0),
-    mus=(0.5, 1.0),
-    budget: float = 90.0,
-) -> Expression:
+def default_weight_base(grid: SpaceTimeGrid, gamma0_faces=("left",)) -> Expression:
     """Quadratic weight base amp * (c0 + |x - x0|^2) with the center placed
     outside the domain beyond the face opposite the observation portion.
     With that placement the conormal flux condition holds on the sampled
@@ -134,9 +128,10 @@ def default_weight_base(
     checked and reported, not guaranteed.
 
     The amplitude is chosen so the exponent 2 lambda eta spans at most about
-    ``budget`` natural-log units over the clipped cylinder for the given
-    (lambda, mu) grids: the weight keeps its shape but stays resolvable in
-    double precision, which keeps inequality ratios stable under refinement.
+    90 natural-log units over the clipped cylinder for CarlemanConfig's
+    default (lambda, mu) grids: the weight keeps its shape but stays
+    resolvable in double precision, which keeps inequality ratios stable
+    under refinement.
     """
     from .grid import FACE_IDS
 
@@ -147,7 +142,8 @@ def default_weight_base(
     x0 = (grid.upper[axis] + 0.25 * span) if side == 0 else (grid.lower[axis] - 0.25 * span)
     # exponent scale at the clip edge: |eta| ~ mu * 2 psi_max / (clip-time factor)
     tmin = ENDPOINT_CLIP * grid.T * (1 - ENDPOINT_CLIP) * grid.T
-    amp = budget * tmin**2 / (2 * max(lambdas) * max(mus) * 2.0)
+    # CarlemanConfig's class attributes are its field defaults
+    amp = 90.0 * tmin**2 / (2 * max(CarlemanConfig.lambdas) * max(CarlemanConfig.mus) * 2.0)
     if grid.dim == 1:
         far = max(abs(grid.lower[0] - x0), abs(grid.upper[0] - x0))
         scale = (far**2 + 1.0) / amp
@@ -370,22 +366,22 @@ def stability_audit(
     direction: Field,
     gamma0,
     scales=(1e-1, 1e-2, 1e-3, 1e-4),
-    scheme: str = "be",
 ) -> StabilityAudit:
     """Along g2 = g_base + s * direction, record the DN difference and the
     initial-data gap, then report the smallest empirical (C, delta0) making
-    the two-term logarithmic bound dominate every sampled scale.  A solve
-    that did not converge raises SolverError naming its first stalled level."""
+    the two-term logarithmic bound dominate every sampled scale ("be"
+    solves).  A solve that did not converge raises SolverError naming its
+    first stalled level."""
     from .forward import solve_semilinear
 
     resolved = gamma0 if isinstance(gamma0, ResolvedPortion) else resolve_portion(grid, gamma0)
-    base_rep = solve_semilinear(grid, gamma, nl, g=g_base, scheme=scheme)
+    base_rep = solve_semilinear(grid, gamma, nl, g=g_base)
     base_dn = measure(base_rep.require_converged("stability audit base solve").solution, resolved)
     dn_diffs, lhs_vals = [], []
     M = max(_h1_norm(Field(grid, s * direction.values, DOMAIN_OMEGA)) for s in scales)
     for s in scales:
         g2 = Field(grid, g_base.values + s * direction.values, DOMAIN_OMEGA)
-        rep = solve_semilinear(grid, gamma, nl, g=g2, scheme=scheme)
+        rep = solve_semilinear(grid, gamma, nl, g=g2)
         dn = measure(rep.require_converged(f"stability audit at scale {s:g}").solution, resolved)
         diff = dn.values - base_dn.values
         per_level = (np.abs(diff) ** 2) @ resolved.weights
@@ -434,26 +430,15 @@ class MaxPrincipleCertificate:
     strictly_positive_later: bool
 
 
-def max_principle_check(
-    grid: SpaceTimeGrid,
-    gamma,
-    q,
-    boundary_shape=None,
-    ramp_power: int = 2,
-    scheme: str = "be",
-) -> MaxPrincipleCertificate:
-    """Solve with ramped nonnegative boundary data and zero initial data,
-    then certify the discrete minimum.  Implicit Euler on the flux stencil is
-    inverse-positive, so a violation flags a scheme or data bug."""
+def max_principle_check(grid: SpaceTimeGrid, gamma, q) -> MaxPrincipleCertificate:
+    """Solve with boundary data (t/T)^2 on the full boundary and zero
+    initial data, then certify the discrete minimum.  Implicit Euler on the
+    flux stencil is inverse-positive, so a violation flags a scheme or data
+    bug."""
     from .linearize import probe_trace
 
-    full = resolve_portion(grid, BoundaryPortion.full())
-    if boundary_shape is None:
-        boundary_shape = lambda *args: np.ones_like(np.asarray(args[0], dtype=float))
-    trace = probe_trace(grid, boundary_shape, ramp_power, full)
-    if np.min(trace.values) < 0:
-        raise AnalysisError("boundary data must be nonnegative")
-    rep = solve_linear(grid, gamma, q, f=trace, scheme=scheme)
+    trace = probe_trace(grid, lambda *args: np.ones_like(np.asarray(args[0], dtype=float)))
+    rep = solve_linear(grid, gamma, q, f=trace)
     vals = rep.solution.values
     sup = float(np.max(np.abs(vals)))
     interior = grid.interior_mask()
@@ -464,7 +449,7 @@ def max_principle_check(
     k, j = np.unravel_index(np.argmin(later), later.shape)
     nonneg = overall_min >= -1e-8 * sup
     positive = later_min > 0.0
-    if not (nonneg and (positive or np.max(np.abs(trace.values)) == 0.0)):
+    if not (nonneg and positive):
         raise AnalysisError(
             f"maximum-principle violation at level {k + 1}, interior node {j}: min {later_min:.3g}"
         )
@@ -506,26 +491,24 @@ def nonuniqueness_demo(
     collar: float = 0.15,
     centers=(0.4, 0.6),
     amplitudes=(1.0, -0.8),
-    width: float | None = None,
 ) -> NonUniquenessDemo:
     """Two time-independent states supported away from a boundary collar,
     each an exact discrete solution of u_t - div(gamma grad u) + A_j = 0 with
     A_j = div(gamma grad u_j): distinct initial data, identical (zero)
-    passive DN traces."""
+    passive DN traces.  The bumps take the largest radius that keeps each
+    inside the collar box, times 0.9."""
     if collar <= 0 or collar >= 0.5 * min(
         u - l for l, u in zip(grid.lower, grid.upper)
     ):
         raise AnalysisError("collar width must leave room for interior supports")
-    if width is None:
-        # largest radius keeping every bump inside the collar box
-        room = np.inf
-        for frac in centers:
-            for i in range(grid.dim):
-                c = grid.lower[i] + frac * (grid.upper[i] - grid.lower[i])
-                room = min(room, c - (grid.lower[i] + collar), (grid.upper[i] - collar) - c)
-        if room <= 0:
-            raise AnalysisError("bump centers sit inside the collar")
-        width = 0.9 * room
+    room = np.inf
+    for frac in centers:
+        for i in range(grid.dim):
+            c = grid.lower[i] + frac * (grid.upper[i] - grid.lower[i])
+            room = min(room, c - (grid.lower[i] + collar), (grid.upper[i] - collar) - c)
+    if room <= 0:
+        raise AnalysisError("bump centers sit inside the collar")
+    width = 0.9 * room
     meshes = grid.meshes()
 
     def state(center_frac, amp):

@@ -103,14 +103,6 @@ def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
     return np.exp(-1j * (s + tau * grid.level_times()))
 
 
-def carrier_residual(params: CGOParameters) -> float:
-    """Normalized heat residual of the bare carrier: substituting
-    psi = exp(+-(rho w.x + rho^2 t)) into d_t - Lap gives
-    rho^2 (1 - |w|^2) psi, identically zero for unit w."""
-    w = np.asarray(params.omega)
-    return abs(params.rho**2 * (1.0 - float(np.dot(w, w))))
-
-
 @dataclass
 class CGOSolution:
     params: CGOParameters
@@ -210,7 +202,11 @@ class CGOFactory:
             src = src[::-1]
             trace = None if trace is None else trace[::-1]
         z = prop.run(f=trace, source=src)
-        residuals = self._discrete_residual(prop, z, src, trace)
+        # the stepped systems' residual, per column, over its source scale
+        scale = np.ones(len(params_list))
+        for level in src:
+            scale = np.maximum(scale, np.max(np.abs(level), axis=0))
+        residuals = prop.residual(z, trace, src) / scale
         if first.direction == "backward":
             z = z[::-1]
         out = []
@@ -228,7 +224,7 @@ class CGOFactory:
 
     def _fields(self, params: CGOParameters):
         """theta and the source of the profile equation for one probe, each
-        shaped (n_levels, n_space); a forward probe evaluates its plane wave
+        shaped (n_levels, n_space); a forward probe forms its plane wave
         E once for both."""
         grid = self.grid
         rho34 = params.rho**0.75
@@ -246,32 +242,6 @@ class CGOFactory:
             theta = phi * np.ones(grid.nx)
             vals = -(dphi + self.q_levels * phi)
         return theta.reshape(grid.n_levels, -1), vals.reshape(grid.n_levels, -1)
-
-    def _discrete_residual(self, prop, z, src, trace) -> np.ndarray:
-        """Consistency of the linear algebra, per column of the sweep
-        (n_levels, n_space, m) that solved it: max residual of the stepped
-        systems, normalized by the column's source scale."""
-        if z.ndim == 3 and z.shape[-1] == 1:  # one column: the same check on vectors
-            return self._discrete_residual(prop, z[..., 0], src[..., 0],
-                                           None if trace is None else trace[..., 0])[None]
-        grid = self.grid
-        theta_w = prop.theta
-        interior = prop.interior_mask.reshape(-1, *(1,) * (z.ndim - 2))
-        worst = np.zeros(z.shape[2:])
-        scale = np.maximum(1.0, np.max(np.abs(src[0]), axis=0))
-        for k in range(grid.nt):
-            rhs = prop.M_list[k] @ z[k]
-            add = grid.dt * (theta_w * src[k + 1] + (1 - theta_w) * src[k])
-            rhs = rhs + np.where(interior, add, 0.0)
-            rhs[prop.boundary_idx] = trace[k + 1] if trace is not None else 0.0
-            worst = np.maximum(worst, np.max(np.abs(prop.A_list[k] @ z[k + 1] - rhs), axis=0))
-            scale = np.maximum(scale, np.max(np.abs(src[k + 1]), axis=0))
-        return worst / scale
-
-
-def build(grid: SpaceTimeGrid, q, params: CGOParameters, scheme="be", partial=False) -> CGOSolution:
-    """One-off CGO construction; sweeps should use CGOFactory for caching."""
-    return CGOFactory(grid, q, scheme, partial).build(params)
 
 
 def phi_rho(rho, t, T):

@@ -417,7 +417,9 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+                # repr(float(v)): numpy floats repr as np.float64(...)
+                fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
         written.append(str(path))
 
     if kind in ("forward", "dnmap"):

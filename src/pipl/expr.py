@@ -2,7 +2,7 @@
 
 Coefficients and nonlinearities are kept as small expression trees rather
 than tabulated samples so that derivatives of any order can be formed
-symbolically and then evaluated on numpy arrays.  The grammar is plain
+symbolically and then computed on numpy arrays.  The grammar is plain
 infix arithmetic with ``^`` for powers, function-call syntax for the
 supported functions, and ``pi`` as the only named constant.
 """
@@ -424,26 +424,6 @@ def parse(text: str) -> Node:
     """Parse an expression string into a tree; raises ParseError with the
     byte offset of the first fault."""
     return _Parser(text).parse()
-
-
-def substitute(node: Node, name: str, replacement: Node) -> Node:
-    """Replace every occurrence of variable ``name`` with ``replacement``."""
-    if isinstance(node, Var):
-        return replacement if node.name == name else node
-    if isinstance(node, Neg):
-        return Neg(node.offset, substitute(node.arg, name, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(
-            node.offset,
-            node.op,
-            substitute(node.left, name, replacement),
-            substitute(node.right, name, replacement),
-        )
-    if isinstance(node, Call):
-        return Call(node.offset, node.func, substitute(node.arg, name, replacement))
-    if isinstance(node, Sign):
-        return Sign(node.offset, substitute(node.arg, name, replacement))
-    return node
 
 
 def mentions(node: Node, name: str) -> bool:

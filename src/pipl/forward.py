@@ -2,18 +2,18 @@
 
 Space: second-order central differences in conservative (flux) form, the
 diffusion tensor sampled at cell midpoints, so the interior operator is
-symmetric and adjoint sweeps are exact transposes of the time stepping.
-Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
+symmetric.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
 The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
 rows, so Dirichlet rows need no rewriting.  The Propagator owns the
-per-level step matrices, their factorizations and the transposes its exact
-discrete adjoint sweep uses; a forward sweep carries any number of columns,
-each with its own initial values, boundary trace and source, with one
-multi-column solve per step.  Semilinear solves march columns too: a term
-affine in u is one linear sweep, any other one per-step Newton whose columns
-share a block-diagonal Jacobian and one sparse solve per iteration.
+per-level step matrices and their factorizations; a sweep carries any number
+of columns, each with its own initial values, boundary trace and source,
+with one multi-column solve per step, and the residual of those steps is
+checked from the same right-hand sides.  Semilinear solves march columns
+too: a term affine in u is one linear sweep, any other one per-step Newton
+whose columns share a block-diagonal Jacobian and one sparse solve per
+iteration.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .expr import BinOp, Const, Expression, Var, substitute
 from .grid import (
     DOMAIN_Q,
     DOMAIN_SIGMA,
-    BoundaryPortion,
     Field,
     GridError,
     SpaceTimeGrid,
     norm,
-    resolve_portion,
     zero_field,
 )
 from .model import CLASS_ANALYTIC, DiffusionTensor, Nonlinearity, taylor_table
@@ -192,8 +189,7 @@ def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
 
 
 class Propagator:
-    """theta-scheme time stepper with cached LU factorizations and exact
-    discrete adjoint sweeps.
+    """theta-scheme time stepper with cached LU factorizations.
 
     Step k solves A_k u_{k+1} = M_k u_k (+ source, + boundary values) with
     A_k = I + dt theta L_{k+1} and M_k = I_interior - dt (1 - theta) L_k,
@@ -202,9 +198,8 @@ class Propagator:
     rows: the stepper writes the Dirichlet values into the right-hand side.
     The stencil is assembled once per distinct gamma level, and with it the
     sparsity patterns of A and M, which a level fills by writing only their
-    diagonals; A_k, its LU, M_k and a CSR copy of M_k^T for the adjoint sweep
-    are kept once per distinct level (once in all when neither q nor gamma
-    depends on time)."""
+    diagonals; A_k, its LU and M_k are kept once per distinct level (once in
+    all when neither q nor gamma depends on time)."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -247,15 +242,15 @@ class Propagator:
             s_old, _, (M, m_diag) = pattern(old)
             A = _with_diagonal(A, a_diag, 1.0 + ca * (s_new + q[new]))
             M = _with_diagonal(M, m_diag, (1.0 - cm * (s_old + q[old]))[interior])
-            return A, M, M.T.tocsr(), spla.splu(A)
+            return A, M, spla.splu(A)
 
         if self.time_dependent:
             steps = [step(k + 1, k) for k in range(g.nt)]
         else:
             steps = [step(0, 0)] * g.nt
-        self.A_list, self.M_list, self.MT_list, self.lu_list = (list(m) for m in zip(*steps))
+        self.A_list, self.M_list, self.lu_list = (list(m) for m in zip(*steps))
 
-    # -- forward sweep -------------------------------------------------------
+    # -- sweeps ----------------------------------------------------------------
 
     def _solve(self, lu, rhs):
         if np.iscomplexobj(rhs):
@@ -265,11 +260,35 @@ class Propagator:
             return both[:, 0] + 1j * both[:, 1]
         return lu.solve(rhs)
 
-    def _solve_T(self, lu, rhs):
-        if np.iscomplexobj(rhs):
-            both = lu.solve(np.column_stack([rhs.real, rhs.imag]), trans="T")
-            return both[:, 0] + 1j * both[:, 1]
-        return lu.solve(rhs, trans="T")
+    def _operands(self, g0, f, source):
+        """The column shape of g0, f and source, and the three as the steps
+        use them: m columns on a trailing axis, an array without that axis
+        lifted onto every column.  One column marches as a vector: the same
+        arithmetic, cheaper steps."""
+        n = self.grid.n_space
+        ops = (g0, f, source)
+        cols = (np.ndim(g0) == 2 and len(g0) == n, np.ndim(f) == 3,
+                np.ndim(source) == 3 and np.shape(source)[1] == n)
+        columns = next((np.shape(a)[-1:] for a, c in zip(ops, cols) if c), ())
+        lift = (Ellipsis,) if columns in ((), (1,)) else (Ellipsis, None)
+        if columns == (1,):
+            ops = tuple(a[..., 0] if c else a for a, c in zip(ops, cols))
+            cols = (False, False, False)
+        shapes = ((n,), np.shape(ops[1]), (self.grid.n_levels, n))
+        return columns, *(
+            None if a is None else np.asarray(a) if c else np.asarray(a).reshape(shape)[lift]
+            for a, c, shape in zip(ops, cols, shapes)
+        )
+
+    def _step_rhs(self, k, z, f, src):
+        """Right-hand side of step k from the values z at level k: M_k z +
+        dt (theta s_{k+1} + (1 - theta) s_k) on interior rows, the boundary
+        values f_{k+1} (zero for f None) on boundary rows."""
+        rhs = self.M_list[k] @ z
+        if src is not None:  # on every row: the boundary rows are overwritten next
+            rhs = rhs + self.grid.dt * (self.theta * src[k + 1] + (1 - self.theta) * src[k])
+        rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
+        return rhs
 
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
@@ -281,89 +300,33 @@ class Propagator:
         n_space, m); one without that axis is shared by every column.
         """
         grid = self.grid
-        n = grid.n_space
-        dt = grid.dt
-        theta = self.theta
-        dtype = complex if (
-            (source is not None and np.iscomplexobj(source))
-            or (f is not None and np.iscomplexobj(f))
-            or (g0 is not None and np.iscomplexobj(g0))
-        ) else float
-        g_cols = np.ndim(g0) == 2 and len(g0) == n
-        f_cols = np.ndim(f) == 3
-        s_cols = np.ndim(source) == 3 and np.shape(source)[1] == n
-        columns = next((np.shape(a)[-1:] for a, c in ((g0, g_cols), (f, f_cols), (source, s_cols))
-                        if c), ())
-        u = np.zeros((grid.n_levels, n, *columns), dtype=dtype)
-        vals = u
-        if columns == (1,):
-            # one column marches as a vector: the same arithmetic, cheaper steps
-            g0, f, source = (a[..., 0] if c else a
-                             for a, c in ((g0, g_cols), (f, f_cols), (source, s_cols)))
-            g_cols = f_cols = s_cols = False
-            columns, vals = (), u[..., 0]
-        lift = (Ellipsis,) + (None,) * len(columns)  # shared arrays onto every column
+        dtype = complex if any(np.iscomplexobj(a) for a in (g0, f, source)) else float
+        columns, g0, f, src = self._operands(g0, f, source)
+        u = np.zeros((grid.n_levels, grid.n_space, *columns), dtype=dtype)
+        vals = u[..., 0] if columns == (1,) else u
         if g0 is not None:
-            vals[0] = np.asarray(g0) if g_cols else np.asarray(g0).reshape(n)[lift]
+            vals[0] = g0
         if f is not None:
-            f = np.asarray(f) if f_cols else np.asarray(f)[lift]
             vals[0, self.boundary_idx] = f[0]
-        interior = self.interior_mask[lift]
-        src = None if source is None else (
-            np.asarray(source) if s_cols else np.asarray(source).reshape(grid.n_levels, n)[lift])
         for k in range(grid.nt):
-            rhs = self.M_list[k] @ vals[k]
-            if src is not None:
-                add = dt * (theta * src[k + 1] + (1 - theta) * src[k])
-                rhs = rhs + np.where(interior, add, 0.0)
-            rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
-            vals[k + 1] = self._solve(self.lu_list[k], rhs)
+            vals[k + 1] = self._solve(self.lu_list[k], self._step_rhs(k, vals[k], f, src))
         return u
 
-    # -- exact adjoint sweep ---------------------------------------------------
-
-    def adjoint(self, cost_grad: np.ndarray, want_f_grad=False):
-        """Exact transpose of the forward sweep.
-
-        cost_grad: per-level dJ/du arrays, shape (n_levels, n_space).  Returns
-        (grad_g, grad_f) where grad_g is dJ/d(initial values) restricted to
-        interior nodes (boundary entries zeroed) and grad_f (optional) is
-        dJ/d(boundary trace) shaped (n_levels, n_boundary); its level-0 row is
-        zero because u(0) on the boundary belongs to the initial data.
-        """
-        grid = self.grid
-        c = np.asarray(cost_grad).reshape(grid.n_levels, -1)
-        lam = c[grid.nt].astype(c.dtype, copy=True)
-        grad_f = (
-            np.zeros((grid.n_levels, len(self.boundary_idx)), dtype=c.dtype)
-            if want_f_grad
-            else None
-        )
-        for k in range(grid.nt - 1, -1, -1):
-            y = self._solve_T(self.lu_list[k], lam)
-            if want_f_grad:
-                grad_f[k + 1] = y[self.boundary_idx]
-            lam = c[k] + self.MT_list[k] @ y
-        grad_g = lam
-        grad_g = np.where(self.interior_mask, grad_g, 0.0)
-        return grad_g, grad_f
+    def residual(self, u, f=None, source=None) -> np.ndarray:
+        """Per column of u (n_levels, n_space[, m]), the largest
+        |A_k u_{k+1} - rhs_k| over the steps k, with rhs_k formed from f and
+        source as run forms it; shaped like one level's columns."""
+        columns, _, f, src = self._operands(u[0], f, source)
+        z = u[..., 0] if columns == (1,) else u
+        worst = np.zeros(z.shape[2:])
+        for k in range(self.grid.nt):
+            step = np.abs(self.A_list[k] @ z[k + 1] - self._step_rhs(k, z[k], f, src))
+            worst = np.maximum(worst, np.max(step, axis=0))
+        return worst.reshape(columns)
 
 
 # ---------------------------------------------------------------------------
 # Boundary traces and compatibility
-
-
-def boundary_trace(grid: SpaceTimeGrid, fn=None, portion=None) -> Field:
-    """Sigma field on the full boundary (or a portion): fn(x[, y], t)."""
-    portion = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
-    if fn is None:
-        return zero_field(grid, DOMAIN_SIGMA, portion)
-    coords = portion.coords()
-    args = [coords[:, i] for i in range(grid.dim)]
-    rows = []
-    for t in grid.times():
-        rows.append(np.broadcast_to(np.asarray(fn(*args, t)), (portion.n_nodes,)).copy())
-    return Field(grid, np.array(rows), DOMAIN_SIGMA, portion)
 
 
 def trace_values(grid: SpaceTimeGrid, f):
@@ -392,18 +355,18 @@ def trace_values(grid: SpaceTimeGrid, f):
     return arr
 
 
-def check_compatibility(grid, g, f_values, tol=1e-9) -> None:
-    """Discrete compatibility g|_Gamma = f(., 0), for every column of f."""
+def check_compatibility(grid, g, f_values) -> None:
+    """Discrete compatibility g|_Gamma = f(., 0) to 1e-9, for every column of f."""
     bd = grid.boundary_flat_indices()
     gb = np.zeros(len(bd)) if g is None else np.asarray(g.values).reshape(-1)[bd]
     fb = np.zeros(len(bd)) if f_values is None else f_values[0]
     gap = float(np.max(np.abs(gb[:, None] - np.reshape(fb, (len(bd), -1))))) if len(bd) else 0.0
-    if gap > tol:
-        raise CompatibilityError(f"g|Gamma vs f(.,0) mismatch {gap:.3g} exceeds {tol:.3g}")
+    if gap > 1e-9:
+        raise CompatibilityError(f"g|Gamma vs f(.,0) mismatch {gap:.3g} exceeds 1e-09")
 
 
 # ---------------------------------------------------------------------------
-# Linear / semilinear / backward solves
+# Linear and semilinear solves
 
 
 def solve_linear(
@@ -414,15 +377,12 @@ def solve_linear(
     g: Field | None = None,
     source: Field | None = None,
     scheme: str = "be",
-    compat_tol: float = 1e-9,
-    propagator: Propagator | None = None,
 ) -> SolveReport:
     """u_t - div(gamma grad u) + q u = source, u|Sigma = f, u(0) = g."""
     f_vals = trace_values(grid, f)
-    check_compatibility(grid, g, f_vals, compat_tol)
-    prop = propagator if propagator is not None else Propagator(grid, gamma, q, scheme)
+    check_compatibility(grid, g, f_vals)
     src = source.values if isinstance(source, Field) else source
-    vals = prop.run(
+    vals = Propagator(grid, gamma, q, scheme).run(
         g0=None if g is None else g.values.reshape(-1),
         f=f_vals,
         source=src,
@@ -440,10 +400,8 @@ def solve_semilinear(
     f=None,
     g: Field | None = None,
     scheme: str = "be",
-    tol: float = 1e-10,
     max_iter: int = 30,
     smallness_gate: float = 1.0,
-    compat_tol: float = 1e-9,
 ) -> SolveReport:
     """u_t - div(gamma grad u) + nl(x,t,u) = 0, u|Sigma = f, u(0) = g: the
     one-column case of semilinear_columns.  A level whose Newton reached the
@@ -462,7 +420,7 @@ def solve_semilinear(
                 "well-posedness not asserted"
             )
     res = semilinear_columns(grid, gamma, nl, None if f_vals is None else f_vals[..., None], g,
-                             scheme, tol, max_iter, compat_tol)
+                             scheme, max_iter=max_iter)
     warnings += [f"newton stalled at time level {k + 1}" for k in np.flatnonzero(res.stalled)]
     sol = Field(grid, res.values.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
     return SolveReport(sol, res.iterations, res.history[:, 0].tolist(), bool(res.converged[0]),
@@ -486,8 +444,8 @@ class ColumnSolves:
         self.converged = ~self.stalled.any(axis=0)
 
 
-def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10, max_iter=30,
-                       compat_tol=1e-9) -> ColumnSolves:
+def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10,
+                       max_iter=30) -> ColumnSolves:
     """m solves of u_t - div(gamma grad u) + nl(x,t,u) = 0, u(0) = g, one per
     boundary trace column of f_vals (n_levels, n_boundary, m), or one with
     u|Sigma = 0 for f_vals None.  A term affine in u (Nonlinearity.is_affine)
@@ -495,7 +453,7 @@ def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10, 
     source -nl(x,t,0); any other is one batched _newton."""
     if max_iter < 1:
         raise SolverError(f"max_iter must be >= 1, got {max_iter}")
-    check_compatibility(grid, g, f_vals, compat_tol)
+    check_compatibility(grid, g, f_vals)
     if not nl.is_affine():
         return _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter)
     a0, q = taylor_table(nl, zero_field(grid), 1).coefficients
@@ -586,45 +544,3 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
         u[k + 1] = v
     return ColumnSolves(u, iterations, stalled, history)
 
-
-def time_reversed_gamma(gamma: DiffusionTensor | None, T: float) -> DiffusionTensor | None:
-    if gamma is None or not gamma.time_dependent():
-        return gamma
-    entries = []
-    for e in gamma.entries:
-        root = substitute(e.root, "t", BinOp(0, "-", Const(0, T), Var(0, "t")))
-        entries.append(Expression(f"({e.source}) at T-t", root))
-    return DiffusionTensor(tuple(entries), gamma.rho0)
-
-
-def solve_backward(
-    grid: SpaceTimeGrid,
-    gamma: DiffusionTensor | None = None,
-    q=None,
-    terminal: Field | None = None,
-    f=None,
-    source: Field | None = None,
-    scheme: str = "be",
-) -> SolveReport:
-    """-v_t - div(gamma grad v) + q v = source, v(T) = terminal, v|Sigma = f,
-    solved by the substitution s = T - t through the forward scheme."""
-    q_rev = q
-    if isinstance(q, Field):
-        q_rev = Field(grid, q.values[::-1].copy(), DOMAIN_Q)
-    f_rev = f
-    if isinstance(f, Field):
-        f_rev = Field(grid, f.values[::-1].copy(), DOMAIN_SIGMA, f.portion)
-    src_rev = source
-    if isinstance(source, Field):
-        src_rev = Field(grid, source.values[::-1].copy(), DOMAIN_Q)
-    rep = solve_linear(
-        grid,
-        time_reversed_gamma(gamma, grid.T),
-        q_rev,
-        f_rev,
-        terminal,
-        src_rev,
-        scheme=scheme,
-    )
-    rep.solution = Field(grid, rep.solution.values[::-1].copy(), DOMAIN_Q)
-    return rep

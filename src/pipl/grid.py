@@ -357,14 +357,14 @@ def _vals(f):
     return f.values if isinstance(f, Field) else f
 
 
-def zero_field(grid: SpaceTimeGrid, domain=DOMAIN_Q, portion=None, dtype=float) -> Field:
+def zero_field(grid: SpaceTimeGrid, domain=DOMAIN_Q) -> Field:
     if domain == DOMAIN_Q:
         shape = (grid.n_levels, *grid.nx)
     elif domain == DOMAIN_OMEGA:
         shape = grid.nx
     else:
-        shape = (grid.n_levels, portion.n_nodes)
-    return Field(grid, np.zeros(shape, dtype=dtype), domain, portion)
+        raise GridError("zero fields cover Q and Omega")
+    return Field(grid, np.zeros(shape), domain)
 
 
 def field_from_function(grid: SpaceTimeGrid, fn, domain=DOMAIN_Q, portion=None) -> Field:

@@ -17,12 +17,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .dnmap import DNMeasurement, measure
-from .forward import (Propagator, SolverError, check_compatibility, semilinear_columns,
-                      solve_linear, trace_values)
+from .forward import Propagator, SolverError, check_compatibility, semilinear_columns, trace_values
 from .grid import (
     DOMAIN_Q,
     DOMAIN_SIGMA,
+    BoundaryPortion,
     Field,
     GridError,
     SpaceTimeGrid,
@@ -30,7 +29,6 @@ from .grid import (
     resolve_portion,
     zero_field,
 )
-from .grid import BoundaryPortion
 from .model import Nonlinearity, taylor_table
 
 SLOPE_BAND = (0.8, 1.2)
@@ -96,41 +94,15 @@ class LinearizationSetup:
         return res.values
 
 
-def probe_trace(grid: SpaceTimeGrid, spatial_fn, ramp_power: int = 2, portion=None) -> Field:
-    """Boundary probe spatial(x) * (t/T)^p: vanishing value and slope at
-    t = 0 keeps the discrete compatibility conditions."""
-    resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
+def probe_trace(grid: SpaceTimeGrid, spatial_fn) -> Field:
+    """Boundary probe spatial(x) * (t/T)^2 on the full boundary: vanishing
+    value and slope at t = 0 keeps the discrete compatibility conditions."""
+    resolved = resolve_portion(grid, BoundaryPortion.full())
     coords = resolved.coords()
     args = [coords[:, i] for i in range(grid.dim)]
     spatial = np.broadcast_to(np.asarray(spatial_fn(*args), dtype=float), (resolved.n_nodes,))
-    rows = [spatial * (t / grid.T) ** ramp_power for t in grid.times()]
+    rows = [spatial * (t / grid.T) ** 2 for t in grid.times()]
     return Field(grid, np.array(rows), DOMAIN_SIGMA, resolved)
-
-
-@dataclass
-class ProbeFamily:
-    """Probe shapes f_1..f_M (each vanishing near t = 0) and the amplitude
-    schedule used for difference quotients."""
-
-    shapes: list
-    amplitudes: tuple = (1e-2, 1e-3, 1e-4)
-
-    def __post_init__(self):
-        for f in self.shapes:
-            if f.domain != DOMAIN_SIGMA:
-                raise GridError("probe shapes must be Sigma fields")
-            # discrete analogue of f(.,0) = f_t(.,0) = 0: zero first level,
-            # O(dt^2)-small second level
-            g = f.grid
-            scale = 1 + np.max(np.abs(f.values))
-            if np.max(np.abs(f.values[0])) > 0 or np.max(np.abs(f.values[1])) > 4 * (
-                g.dt / g.T
-            ) ** 2 * scale:
-                raise GridError("probe shapes must vanish near t = 0 (compatibility)")
-
-    @property
-    def order(self) -> int:
-        return len(self.shapes)
 
 
 def _fit_slope(eps_list, gaps):
@@ -175,39 +147,6 @@ def _rate_report(eps_list, gaps) -> RateReport:
 
 
 @dataclass
-class FirstOrderResult:
-    quotient: Field            # extrapolated over the schedule
-    direct: Field              # linearized-equation solve
-    rate: RateReport
-
-
-def first_order(setup: LinearizationSetup, probe: Field, eps_schedule=None) -> FirstOrderResult:
-    """v = d/d eps of the solution map at the base, both as a difference
-    quotient of nonlinear solves and as the direct frozen-potential solve."""
-    eps_schedule = tuple(eps_schedule) if eps_schedule is not None else (1e-2, 1e-3, 1e-4)
-    grid = setup.grid
-    base = setup.base_solution()
-    direct = solve_linear(grid, f=probe, scheme=setup.scheme, propagator=setup.propagator).solution
-    trace = trace_values(grid, probe)
-    solved = setup.solve_columns(np.stack([eps * trace for eps in eps_schedule], axis=-1),
-                                 [f"order-1 probe at amplitude {eps}" for eps in eps_schedule])
-
-    quotients, gaps = [], []
-    for j, eps in enumerate(eps_schedule):
-        u_eps = solved[..., j].reshape(base.values.shape)
-        quotient = Field(grid, (u_eps - base.values) / eps, DOMAIN_Q)
-        quotients.append(quotient)
-        gaps.append(norm(quotient - direct, "L2Q"))
-
-    # Richardson extrapolation across the two smallest amplitudes
-    order = np.argsort(eps_schedule)
-    e2, e1 = eps_schedule[order[0]], eps_schedule[order[1]]
-    q2, q1v = quotients[order[0]], quotients[order[1]]
-    extrap = Field(setup.grid, (e1 * q2.values - e2 * q1v.values) / (e1 - e2), DOMAIN_Q)
-    return FirstOrderResult(extrap, direct, _rate_report(eps_schedule, gaps))
-
-
-@dataclass
 class MixedOrderResult:
     quotient: Field
     direct: Field | None
@@ -215,15 +154,8 @@ class MixedOrderResult:
     rate: RateReport | None
     noise_floor: float
     noise_flagged: bool
-    direct_valid: bool
     notes: list = dc_field(default_factory=list)
     corner_solves: int = 0  # corner columns solved; a skipped amplitude level adds none
-
-
-def second_order(setup: LinearizationSetup, f1: Field, f2: Field, eps1: float, eps2: float) -> MixedOrderResult:
-    """Mixed second derivative via the 2x2 corner quotient against the direct
-    solve with source -b_uu(base) v1 v2."""
-    return higher_order(setup, [f1, f2], [(eps1, eps2)])
 
 
 def _partitions_with_first(elements):
@@ -353,9 +285,5 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
         notes.append(
             f"rounding noise floor {floor:.3g} exceeds 10% of quotient magnitude {qmag:.3g}"
         )
-    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, True, notes, len(batch))
+    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, notes, len(batch))
 
-
-def linearized_dn(field: Field, portion) -> DNMeasurement:
-    """DN trace of a linearized field; delegates to the measurement stencil."""
-    return measure(field, portion)

@@ -113,15 +113,13 @@ def null_control(
     eps: float,
     portion=None,
     n_time: int = 12,
-    alpha: float = 1e-10,
-    max_iter: int = 400,
-    tol: float = 1e-12,
     scheme: str = "be",
     bt: BTStructure | None = None,
 ) -> ControlResult:
     """Steer the linear(ized) model u_t - div(gamma grad u) + q u = 0 from
     initial data g to approximately zero at T - eps using boundary controls
-    supported on the portion."""
+    supported on the portion: at most 400 CG steps on the normal equations
+    with control weight alpha = 1e-10, to a relative residual of 1e-12."""
     resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
     horizon = grid.T - eps
     K = int(round(horizon / grid.dt))
@@ -156,7 +154,7 @@ def null_control(
     cols = prop.run(f=np.stack(basis, axis=-1))[K]
 
     def normal(coeff):
-        return cols.T @ ((cols @ coeff) * w_space) + alpha * (G @ coeff)
+        return cols.T @ ((cols @ coeff) * w_space) + 1e-10 * (G @ coeff)
 
     rhs = -(cols.T @ (free_terminal * w_space))
 
@@ -166,7 +164,7 @@ def null_control(
     rs = float(np.dot(r, r))
     history = [free_norm]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(400):
         Ap = normal(p)
         denom = float(np.dot(p, Ap))
         if denom <= 0:
@@ -177,7 +175,7 @@ def null_control(
         history.append(float(np.sqrt(np.dot(terminal**2, w_space))))
         r = r - a * Ap
         rs_new = float(np.dot(r, r))
-        if np.sqrt(rs_new) <= tol * max(1.0, float(np.linalg.norm(rhs))):
+        if np.sqrt(rs_new) <= 1e-12 * max(1.0, float(np.linalg.norm(rhs))):
             converged = True
             rs = rs_new
             break

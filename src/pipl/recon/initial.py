@@ -30,11 +30,13 @@ from .potential import ReconstructionResult
 
 # Most values one dense build may hold: its sweep's n_levels x n_space x n_interior.
 DENSE_CAP = 2**24
+# Morozov's tau: the chosen alpha's discrepancy sits at most at tau * noise.
+MOROZOV_TAU = 1.05
 
 
 class InitialDataMap:
     """Linearized map: initial data (interior nodes, zero trace) -> DN trace
-    on a portion, as dense columns, with its exact discrete adjoint."""
+    on a portion, as dense columns from one sweep."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma, q, portion: ResolvedPortion, scheme="be"):
         self.grid = grid
@@ -44,18 +46,6 @@ class InitialDataMap:
         self.w_time = grid.time_weights()
         self.w_portion = portion.weights
         self.w_space = grid.space_weights().reshape(-1)
-
-    def forward(self, g_vec: np.ndarray) -> np.ndarray:
-        u = self.prop.run(g0=g_vec)
-        return (self.B @ u.T).T
-
-    def adjoint(self, trace: np.ndarray) -> np.ndarray:
-        """Transpose against the L2(Sigma_0) inner product on the data side
-        and plain nodal values on the parameter side."""
-        weighted = trace * self.w_portion[None, :] * self.w_time[:, None]
-        cost_grad = (self.B.T @ weighted.T).T
-        grad_g, _ = self.prop.adjoint(cost_grad)
-        return grad_g
 
     def dense(self) -> np.ndarray:
         """F shaped (n_levels * n_portion, n_interior): column j is the trace
@@ -107,10 +97,8 @@ def recover_initial(
     data: DNMeasurement,
     noise_norm: float = 0.0,
     alpha: float | None = None,
-    alpha_floor_rel: float = 1e-8,
     scheme: str = "be",
     outer_iters: int | None = None,
-    morozov_tau: float = 1.05,
     truth: Field | None = None,
 ) -> ReconstructionResult:
     """Minimize ||measure(solve(g)) - data||^2_{L2(Gamma_0 x (0,T))} + alpha ||g||^2
@@ -162,13 +150,13 @@ def recover_initial(
         if noise_norm > 0:
             # Morozov: largest alpha whose discrepancy sits at tau * noise
             ladder = (rel * scale for rel in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
-            fits = (a for a in ladder if discrepancy(solve_at(a)) <= morozov_tau * noise_norm)
+            fits = (a for a in ladder if discrepancy(solve_at(a)) <= MOROZOV_TAU * noise_norm)
             alpha = next(fits, None)
             if alpha is None:
                 notes.append("morozov sweep exhausted; using the floor alpha")
                 converged = False
         if alpha is None:
-            alpha = alpha_floor_rel * scale
+            alpha = 1e-8 * scale
     g_vec = solve_at(alpha)
 
     g_field = Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA)
@@ -231,7 +219,6 @@ def stability_curve(
     trials: int = 5,
     seed: int = 0,
     scheme: str = "be",
-    noise_model: str = "gaussian-relative",
 ) -> StabilityCurve:
     """Twin experiments across noise levels; fits error(m) by the two-term
     logarithmic-stability model C1 m + C2 / |ln(delta0 m)| and compares its
@@ -241,7 +228,7 @@ def stability_curve(
     converged = True
     for i, delta in enumerate(deltas):
         for trial in range(trials):
-            noisy = add_noise(clean, noise_model, delta, seed + 1000 * i + trial)
+            noisy = add_noise(clean, "gaussian-relative", delta, seed + 1000 * i + trial)
             m = DNMeasurement(grid, clean.portion, noisy.values - clean.values).l2()
             rec = recover_initial(
                 grid, gamma, nl, noisy, noise_norm=m if m > 0 else 0.0, scheme=scheme

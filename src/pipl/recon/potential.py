@@ -48,6 +48,9 @@ from ..grid import (
 from ..model import Nonlinearity, taylor_table
 from .fourier import FourierSample, FourierSampleSet, frequency_lattice
 
+# Tikhonov weight of the Fourier synthesis in potential and Taylor recovery.
+SYNTHESIS_ALPHA = 1e-6
+
 
 @dataclass
 class ReconstructionResult:
@@ -80,10 +83,10 @@ class PotentialProbe:
     order: int = 1
 
 
-def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_xi, n_tau,
-                  partial=False, aperture=0.0, order=1, volume=None):
+def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial=False,
+                  aperture=0.0, order=1, volume=None):
     """Probe sweep shared by potential and Taylor synthesis: a list of
-    PotentialProbe, omega by omega.
+    PotentialProbe, omega by omega (e_1 in 1D, e_1 and e_2 in 2D).
 
     Per omega: one Propagator for q_sweep with the profile advection (the
     factory's own when q_sweep is the factory's potential) and one
@@ -95,13 +98,10 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, omegas, lattice, n_x
     given, maps (forward CGOSolution, difference levels (n_levels, n_space))
     to the probe's volume functional.
     """
-    if omegas is None:
-        omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
     probes = []
-    for omega in omegas:
-        pairs = lattice if lattice is not None else frequency_lattice(grid, omega, n_xi, n_tau)
+    for omega in [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]:
         params = [CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
-                  for xi, tau in pairs]
+                  for xi, tau in frequency_lattice(grid, omega, n_xi, n_tau)]
         # the omega's Propagator and batches live in _sweep_omega's frame
         # alone, so they are freed before the next omega builds its own
         probes += _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order,
@@ -193,9 +193,7 @@ def synthesize_potential_probes(
     grid: SpaceTimeGrid,
     q_truth,
     q_ref,
-    lattice=None,
     rho: float = 32.0,
-    omegas=None,
     scheme: str = "be",
     mode: str = "full",
     aperture: float = 0.0,
@@ -224,8 +222,8 @@ def synthesize_potential_probes(
         w_truth = Field(grid, fwd.profile().values + d.reshape(dq_vals.shape), DOMAIN_Q)
         return l2q_inner(Field(grid, dq_vals * backward[key], DOMAIN_Q), w_truth)
 
-    return _sweep_probes(grid, factory, q_truth, dq_vals, rho, omegas, lattice, n_xi, n_tau,
-                         partial, aperture, volume=volume if keep_diagnostics else None)
+    return _sweep_probes(grid, factory, q_truth, dq_vals, rho, n_xi, n_tau, partial, aperture,
+                         volume=volume if keep_diagnostics else None)
 
 
 def assemble_samples(
@@ -241,7 +239,6 @@ def recover_potential(
     q_ref,
     scheme: str = "be",
     mode: str = "full",
-    alpha: float = 1e-6,
     truth_difference: Field | None = None,
 ) -> ReconstructionResult:
     """Recover q_ref - q_truth from profile DN differences by CGO pairing and
@@ -252,11 +249,11 @@ def recover_potential(
     if big_remainder > 0.5:
         notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
     defect = sset.conjugate_symmetry_defect()
-    recovered = sset.synthesize(alpha=alpha)
+    recovered = sset.synthesize(alpha=SYNTHESIS_ALPHA)
     result = ReconstructionResult(
         recovered,
         residuals={"conjugate_symmetry_defect": defect},
-        regularization={"method": "tikhonov-fourier-synthesis", "alpha": alpha,
+        regularization={"method": "tikhonov-fourier-synthesis", "alpha": SYNTHESIS_ALPHA,
                         "modes": len(sset.modes())},
         notes=notes,
         samples=sset,
@@ -266,14 +263,14 @@ def recover_potential(
     return result
 
 
-def reciprocity_report(grid: SpaceTimeGrid, probes, q_ref, scheme="be", mode="full") -> dict:
+def reciprocity_report(grid: SpaceTimeGrid, probes, q_ref) -> dict:
     """Relative gap between the volume functional (truth-side diagnostic) and
-    the boundary functional, per probe.  Needs probes synthesized with
-    keep_diagnostics=True."""
+    the boundary functional, per probe, for full-data probes of the "be"
+    scheme.  Needs probes synthesized with keep_diagnostics=True."""
     if any(p.volume_functional is None for p in probes):
         raise GridError("probe lacks the volume diagnostic")
     gaps = []
-    for p, s in zip(probes, _pairings(grid, probes, q_ref, scheme, mode == "partial")):
+    for p, s in zip(probes, _pairings(grid, probes, q_ref)):
         vol = p.volume_functional
         scale = max(abs(vol), abs(s.value))
         gaps.append(abs(vol - s.value) / scale if scale > 0 else 0.0)
@@ -293,26 +290,25 @@ def positive_solution(
     grid: SpaceTimeGrid,
     gamma,
     q,
-    portion=None,
     shape_fn=None,
     scheme: str = "be",
-    ramp_power: int = 2,
     ramp_time: float | None = None,
 ):
     """Bounded positive solution of the linearized equation driven by
-    nonnegative ramped boundary data (zero initial data).  Returns
-    (field, certificate); raises if the discrete maximum principle fails.
+    nonnegative ramped boundary data on the full boundary (zero initial
+    data).  Returns (field, certificate); raises if the discrete maximum
+    principle fails.
 
-    ramp_time switches the (t/T)^p ramp to a smoothstep that saturates at 1
+    ramp_time switches the (t/T)^2 ramp to a smoothstep that saturates at 1
     for t >= ramp_time, keeping the solution bounded away from zero on most
     of the cylinder (useful as a division weight).
     """
     from ..linearize import probe_trace
 
-    resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
+    resolved = resolve_portion(grid, BoundaryPortion.full())
     if shape_fn is None:
         shape_fn = lambda *args: np.ones_like(np.asarray(args[0], dtype=float))
-    trace = probe_trace(grid, shape_fn, ramp_power, resolved)
+    trace = probe_trace(grid, shape_fn)
     if ramp_time is not None:
         coords = resolved.coords()
         args = [coords[:, i] for i in range(grid.dim)]
@@ -363,9 +359,7 @@ def synthesize_taylor_probes(
     nl_ref: Nonlinearity,
     order: int,
     positive_fields,
-    lattice=None,
     rho: float = 32.0,
-    omegas=None,
     scheme: str = "be",
     n_tau: int = 4,
     n_xi: int = 4,
@@ -393,8 +387,7 @@ def synthesize_taylor_probes(
         pos_prod = pos_prod * v.values
     coefficient = -(delta1.values - delta2.values) * pos_prod
     factory = CGOFactory(grid, qbar, scheme)
-    return _sweep_probes(grid, factory, qbar, coefficient, rho, omegas, lattice, n_xi, n_tau,
-                         order=order)
+    return _sweep_probes(grid, factory, qbar, coefficient, rho, n_xi, n_tau, order=order)
 
 
 def recover_taylor(
@@ -404,9 +397,6 @@ def recover_taylor(
     order: int,
     positive_fields,
     scheme: str = "be",
-    alpha: float = 1e-6,
-    mask_fraction: float = 1e-6,
-    division_floor: float = 0.05,
     truth_difference: Field | None = None,
 ) -> ReconstructionResult:
     """Recover delta_k = d_u^k b_truth(.,0) - d_u^k b_ref(.,0) for k >= 2.
@@ -414,9 +404,9 @@ def recover_taylor(
     The boundary functional equals integral delta_k * P over Q against the
     CGO pair kernel, with P the positive-solution product; synthesis returns
     delta_k * P, and pointwise division by P yields delta_k.  Nodes with P
-    below mask_fraction * max(P) are skipped outright (degenerate corner);
-    the recovered field is additionally zeroed below division_floor * max(P),
-    where the measurements carry no usable information and dividing only
+    at most 1e-6 max(P) are skipped outright (degenerate corner); the
+    recovered field is additionally zeroed where P is at most 0.05 max(P):
+    there the measurements carry no usable information and dividing only
     amplifies synthesis error.
     """
     qbar = _coefficient_field(grid, nl_ref, 1)
@@ -425,16 +415,16 @@ def recover_taylor(
         # sign: the sweep coefficient is -delta * P, so the sample flips once more
         sample.value = -sample.value
         sset.add(sample)
-    product = sset.synthesize(alpha=alpha)
+    product = sset.synthesize(alpha=SYNTHESIS_ALPHA)
     pos_prod = np.ones_like(product.values)
     for v in positive_fields:
         pos_prod = pos_prod * v.values
     peak = float(np.max(pos_prod))
-    threshold = mask_fraction * peak
+    threshold = 1e-6 * peak
     mask = pos_prod > threshold
     recovered_vals = np.zeros_like(product.values)
     recovered_vals[mask] = product.values[mask] / pos_prod[mask]
-    floor = division_floor * peak
+    floor = 0.05 * peak
     recovered_vals[pos_prod <= floor] = 0.0
     masked = int(np.sum(~mask))
     result = ReconstructionResult(
@@ -442,7 +432,7 @@ def recover_taylor(
         residuals={"conjugate_symmetry_defect": sset.conjugate_symmetry_defect()},
         regularization={
             "method": "tikhonov-fourier-synthesis + positive-product division",
-            "alpha": alpha,
+            "alpha": SYNTHESIS_ALPHA,
             "masked_nodes": masked,
             "mask_threshold": threshold,
             "division_floor": floor,

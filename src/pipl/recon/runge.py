@@ -33,10 +33,10 @@ class RegionMask:
     mask: np.ndarray
 
     @classmethod
-    def subinterval(cls, grid: SpaceTimeGrid, lo: float, hi: float, axis: int = 0):
-        meshes = grid.meshes()
-        coord = meshes[axis]
-        return cls((coord >= lo) & (coord <= hi))
+    def subinterval(cls, grid: SpaceTimeGrid, lo: float, hi: float):
+        """The nodes with lo <= x <= hi."""
+        x = grid.meshes()[0]
+        return cls((x >= lo) & (x <= hi))
 
 
 def _region_weights(grid: SpaceTimeGrid, region: RegionMask | None) -> np.ndarray:
@@ -51,8 +51,8 @@ def _region_l2(grid, w_space, w_time, values) -> float:
     return float(np.sqrt(np.dot(w_time, flat @ w_space)))
 
 
-def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None, aperture: float = 0.0,
-                n_time: int | None = None):
+def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None,
+                aperture: float = 0.0):
     """First n elements of the nested boundary-data family.  In partial mode
     candidate data vanish on Gamma_{-,omega,eps}: the basis lives on the
     complementary faces only."""
@@ -63,8 +63,7 @@ def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None, ape
     else:
         portion = resolve_portion(grid, BoundaryPortion.full())
     n_nodes = len(set(portion.flat.tolist()))
-    if n_time is None:
-        n_time = max(4, -(-n // n_nodes) + 3)
+    n_time = max(4, -(-n // n_nodes) + 3)
     family = control_basis(grid, portion, n_time, grid.T)
     if len(family) < n:
         raise GridError(f"basis family holds only {len(family)} elements; asked for {n}")

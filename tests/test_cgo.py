@@ -7,8 +7,6 @@ from pipl.cgo import (
     CGOError,
     CGOFactory,
     CGOParameters,
-    build,
-    carrier_residual,
     fourier_integral,
     pairing,
     product_symbol,
@@ -37,25 +35,26 @@ def test_parameter_validation():
 
 
 def test_carrier_identity():
-    p = CGOParameters.make(64.0, [1.0])
-    assert carrier_residual(p) < 1e-10
-    p2 = CGOParameters.make(32.0, [0.6, 0.8])
-    assert carrier_residual(p2) < 1e-10
+    # psi = exp(+-(rho w.x + rho^2 t)) in d_t - Lap leaves rho^2 (1 - |w|^2) psi,
+    # which vanishes for the unit omega CGOParameters enforces
+    for rho, omega in ((64.0, [1.0]), (32.0, [0.6, 0.8])):
+        p = CGOParameters.make(rho, omega)
+        assert abs(p.rho**2 * (1.0 - float(np.dot(p.omega, p.omega)))) < 1e-10
 
 
 def test_theta_vanishes_at_endpoints():
     g = grid1d(nx=17, nt=8)
-    fwd = build(g, None, CGOParameters.make(16.0, [1.0], tau=2 * math.pi)).theta
+    fwd = CGOFactory(g, None).build(CGOParameters.make(16.0, [1.0], tau=2 * math.pi)).theta
     assert np.all(fwd[0] == 0.0)
-    bwd = build(g, None, CGOParameters.make(16.0, [1.0], direction="backward")).theta
+    bwd = CGOFactory(g, None).build(CGOParameters.make(16.0, [1.0], direction="backward")).theta
     assert np.all(bwd[-1] == 0.0)
 
 
 def test_remainder_zero_data_exact():
     g = grid1d(nx=33, nt=32)
-    sol = build(g, None, CGOParameters.make(16.0, [1.0]))
+    sol = CGOFactory(g, None).build(CGOParameters.make(16.0, [1.0]))
     assert np.all(sol.z.values[0] == 0.0)
-    bwd = build(g, None, CGOParameters.make(16.0, [1.0], direction="backward"))
+    bwd = CGOFactory(g, None).build(CGOParameters.make(16.0, [1.0], direction="backward"))
     assert np.all(bwd.z.values[-1] == 0.0)
 
 
@@ -86,13 +85,13 @@ def test_backward_remainder_decays_too():
 
 def test_discrete_residual_small():
     g = grid1d(nx=65, nt=64)
-    sol = build(g, bump_q(g), CGOParameters.make(16.0, [1.0], tau=2 * math.pi))
+    sol = CGOFactory(g, bump_q(g)).build(CGOParameters.make(16.0, [1.0], tau=2 * math.pi))
     assert sol.residual < 1e-10
 
 
 def test_resolution_warning():
     g = grid1d(nx=33, nt=8, T=1.0)  # dt = 0.125
-    sol = build(g, None, CGOParameters.make(64.0, [1.0]))  # rho^(3/4) dt = 2.8
+    sol = CGOFactory(g, None).build(CGOParameters.make(64.0, [1.0]))  # rho^(3/4) dt = 2.8
     assert sol.warnings
 
 

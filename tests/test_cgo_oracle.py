@@ -279,8 +279,8 @@ def test_batched_sweep_matches_probe_loop(grid, scheme, partial, aperture, rho, 
     with mock.patch.object(cgo, "BATCH_CAP", cap):
         if shared_q:
             coefficient = rng.standard_normal((grid.n_levels, *grid.nx))
-            got = _sweep_probes(grid, factory, factory.q, coefficient, rho, None, None, n_xi,
-                                n_tau, partial, aperture)
+            got = _sweep_probes(grid, factory, factory.q, coefficient, rho, n_xi, n_tau, partial,
+                                aperture)
             ref = ref_sweep_probes(grid, factory, q_ref, coefficient, rho, n_xi, n_tau, partial,
                                    aperture)
         else:

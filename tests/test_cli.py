@@ -278,6 +278,16 @@ def test_shipped_config_passes_check(kind, tmp_path):
     if kind == "linearize":
         # 1 + 3 + 7 corners, two amplitude levels each
         assert json.loads((out / "report.json").read_text())["corner_solves"] == 22
+    # every CSV cell is a plain number, bar the text columns mode and metric;
+    # a field CSV opens with a "# shape:" line and separates levels by blank lines
+    for path in out.glob("*.csv"):
+        lines = path.read_text().splitlines()
+        header = [] if lines[0].startswith("# shape:") else lines[0].split(",")
+        text = {j for j, c in enumerate(header) if c in ("mode", "metric")}
+        for row in filter(None, lines[1:]):
+            for j, cell in enumerate(row.split(",")):
+                if j not in text:
+                    float(cell)
 
 
 def test_every_kind_has_a_shipped_config():

@@ -11,7 +11,6 @@ from pipl.model import (
     ModelError,
     Nonlinearity,
     check_growth,
-    evaluate,
     taylor_table,
 )
 
@@ -22,18 +21,18 @@ def grid1d(nx=17, nt=8, T=1.0):
 
 def test_evaluate_cubic():
     nl = Nonlinearity.parse("u^3")
-    assert evaluate(nl, 0.0, 0.0, 2.0, k=2) == 12.0
+    assert nl(0.0, 0.0, 2.0, k=2) == 12.0
 
 
 def test_evaluate_linear_potential():
     nl = Nonlinearity.linear_potential("x*t + 1")
     for u in (-3.0, 0.0, 5.0):
-        assert evaluate(nl, 0.5, 2.0, u, k=1) == pytest.approx(2.0)
+        assert nl(0.5, 2.0, u, k=1) == pytest.approx(2.0)
 
 
 def test_evaluate_sin_exp_third_derivative():
     nl = Nonlinearity.parse("sin(x)*exp(u)")
-    assert evaluate(nl, math.pi / 2, 0.0, 0.0, k=3) == pytest.approx(1.0)
+    assert nl(math.pi / 2, 0.0, 0.0, k=3) == pytest.approx(1.0)
 
 
 def test_derivative_matches_central_difference():
@@ -42,8 +41,8 @@ def test_derivative_matches_central_difference():
     for _ in range(20):
         x, t, u = rng.uniform(0, 1, 3)
         du = 1e-5
-        fd = (evaluate(nl, x, t, u + du) - evaluate(nl, x, t, u - du)) / (2 * du)
-        assert abs(evaluate(nl, x, t, u, k=1) - fd) < 1e-8
+        fd = (nl(x, t, u + du) - nl(x, t, u - du)) / (2 * du)
+        assert abs(nl(x, t, u, k=1) - fd) < 1e-8
 
 
 def test_analytic_class_gating():

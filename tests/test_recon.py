@@ -434,28 +434,6 @@ def test_null_control_bt_continuation():
     assert res.continuation["sup_norm_over_tail"] <= 10 * res.terminal_norm
 
 
-def test_control_columns_match_adjoint():
-    # the assembled columns used by CG agree with the exact adjoint sweep
-    from pipl.forward import Propagator
-    from pipl.recon.control import control_basis
-
-    g = grid1d(21, 16, T=0.5)
-    prop = Propagator(g, None, 1.0, "be")
-    portion = resolve_portion(g, BoundaryPortion.named("left"))
-    basis = control_basis(g, portion, 4, g.T)
-    K = g.nt
-    rng = np.random.default_rng(2)
-    w = rng.standard_normal(g.n_space)
-    cost = np.zeros((g.n_levels, g.n_space))
-    cost[K] = w
-    _, grad_f = prop.adjoint(cost, want_f_grad=True)
-    for b in basis:
-        u = prop.run(f=b)
-        lhs = float(np.dot(u[K], w))
-        rhs = float(np.sum(grad_f * b))
-        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
-
-
 # -- Runge fitting -----------------------------------------------------------
 
 
@@ -528,9 +506,9 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
 
     # an affine Morozov recovery: one linearization, one batched sweep for its
     # dense columns, and every discrepancy in closed form
-    maps, trials, sweeps = [], [], {"batched": 0, "adjoint": 0}
+    maps, trials, sweeps = [], [], {"batched": 0}
     real_map, real_discrepancy = initial.InitialDataMap, initial._discrepancy
-    real_run, real_adjoint = initial.Propagator.run, initial.Propagator.adjoint
+    real_run = initial.Propagator.run
 
     def counting_map(*args, **kwargs):
         maps.append(1)
@@ -544,14 +522,9 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
         sweeps["batched"] += np.ndim(g0) == 2
         return real_run(self, g0=g0, **kwargs)
 
-    def counting_adjoint(*args, **kwargs):
-        sweeps["adjoint"] += 1
-        return real_adjoint(*args, **kwargs)
-
     monkeypatch.setattr(initial, "InitialDataMap", counting_map)
     monkeypatch.setattr(initial, "_discrepancy", counting_discrepancy)
     monkeypatch.setattr(initial.Propagator, "run", counting_run)
-    monkeypatch.setattr(initial.Propagator, "adjoint", counting_adjoint)
     truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     clean = passive_map(g, None, Nonlinearity.zero(), truth, LEFT)
     noisy = add_noise(clean, "gaussian-relative", 0.01, seed=3)
@@ -561,7 +534,7 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
     assert res.regularization["selection"] == "morozov"
     assert res.regularization["alpha"] < 1e-1 * res.regularization["operator_scale"]
     assert len(maps) == 1
-    assert sweeps == {"batched": 1, "adjoint": 0}
+    assert sweeps == {"batched": 1}
     assert trials == []
 
 
@@ -591,7 +564,7 @@ def test_stability_morozov_choices_unchanged(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_dense_columns_match_exact_adjoint(dim):
+def test_dense_columns_match_forward_sweep(dim):
     from pipl.recon import InitialDataMap
 
     if dim == 1:
@@ -606,13 +579,8 @@ def test_dense_columns_match_exact_adjoint(dim):
     assert F.shape == (g.n_levels * lin.portion.n_nodes, int(interior.sum()))
     rng = np.random.default_rng(dim)
     g_vec = np.where(interior, rng.standard_normal(g.n_space), 0.0)
-    fwd = lin.forward(g_vec).reshape(-1)
+    fwd = (lin.B @ lin.prop.run(g0=g_vec).T).T.reshape(-1)
     assert np.linalg.norm(F @ g_vec[interior] - fwd) <= 1e-12 * np.linalg.norm(fwd)
-    y = rng.standard_normal((g.n_levels, lin.portion.n_nodes))
-    weighted = (np.outer(lin.w_time, lin.w_portion) * y).reshape(-1)
-    adj = lin.adjoint(y)
-    assert not np.any(adj[~interior])
-    assert np.linalg.norm(F.T @ weighted - adj[interior]) <= 1e-12 * np.linalg.norm(adj)
 
 
 def test_filter_factor_solution_solves_normal_equations():
@@ -637,8 +605,8 @@ def test_filter_factor_solution_solves_normal_equations():
 
 
 def test_gauss_newton_reaches_a_stationary_point():
-    # at the Gauss-Newton limit the exact adjoint gradient of the Tikhonov
-    # functional, taken around the nonlinear solve, vanishes
+    # at the Gauss-Newton limit the gradient F^T W r + alpha D g of the
+    # Tikhonov functional, taken around the nonlinear solve, vanishes
     from pipl.dnmap import measure
     from pipl.forward import solve_semilinear
     from pipl.model import taylor_table
@@ -652,10 +620,11 @@ def test_gauss_newton_reaches_a_stationary_point():
     rec = recover_initial(g, None, nl, data, alpha=alpha, outer_iters=6).recovered
     base = solve_semilinear(g, None, nl, g=rec).solution
     lin = InitialDataMap(g, None, taylor_table(nl, base, 1).coefficient(1), resolve_portion(g, LEFT))
-    interior = lin.prop.interior_mask
-    reg = alpha * lin.w_space * rec.values.reshape(-1)
-    grad = lin.adjoint(measure(base, LEFT).values - data.values) + reg
-    assert np.linalg.norm(grad[interior]) <= 1e-6 * np.linalg.norm(reg[interior])
+    F, interior = lin.dense(), lin.prop.interior_mask
+    W = np.outer(lin.w_time, lin.w_portion).reshape(-1)
+    reg = (alpha * lin.w_space * rec.values.reshape(-1))[interior]
+    grad = F.T @ (W * (measure(base, LEFT).values - data.values).reshape(-1)) + reg
+    assert np.linalg.norm(grad) <= 1e-6 * np.linalg.norm(reg)
 
 
 def test_dense_map_size_cap(monkeypatch):
