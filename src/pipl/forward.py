@@ -316,7 +316,7 @@ class Propagator:
         """Per column of u (n_levels, n_space[, m]), the largest
         |A_k u_{k+1} - rhs_k| over the steps k, with rhs_k formed from f and
         source as run forms it; shaped like one level's columns."""
-        columns, _, f, src = self._operands(u[0], f, source)
+        columns, _, f, src = self._operands(u[0], f, source)  # u[0] sets the columns
         z = u[..., 0] if columns == (1,) else u
         worst = np.zeros(z.shape[2:])
         for k in range(self.grid.nt):
