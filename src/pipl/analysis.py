@@ -1,6 +1,6 @@
 """Numerical verification suite: Carleman inequality ratio checks, the
-conditional-stability audit, the discrete maximum principle, and the
-non-uniqueness construction for passive measurements.
+discrete maximum principle, and the non-uniqueness construction for passive
+measurements.
 
 These checks witness inequalities on concrete discrete solutions; they never
 certify the estimates.  Weight functions degenerate at the time endpoints
@@ -28,10 +28,12 @@ from .grid import (
     norm,
     resolve_portion,
 )
-from .model import DiffusionTensor, Nonlinearity
+from .linearize import probe_trace
+from .model import DiffusionTensor
 
 ENDPOINT_CLIP = 0.02        # clip t in [kT, (1-k)T]; the weight vanishes there anyway
 LOG_RANGE_FLAG = 690.0      # ~ 1e300 dynamic range in natural log
+UNDERSHOOT_TOL = 1e-8       # a nonnegative solution's interior min is >= -UNDERSHOOT_TOL * sup
 
 
 class AnalysisError(ValueError):
@@ -323,139 +325,46 @@ def carleman_check_2(
 
 
 # ---------------------------------------------------------------------------
-# Conditional-stability audit
-
-
-@dataclass
-class StabilityAudit:
-    scales: list
-    dn_diffs: list
-    lhs_values: list                 # ||g1 - g2||^2 per scale
-    best_C: float
-    best_delta0: float
-    bound_values: list
-    monotone: bool
-
-    def to_dict(self):
-        return {
-            "scales": self.scales,
-            "dn_diffs": self.dn_diffs,
-            "lhs_values": self.lhs_values,
-            "best_C": self.best_C,
-            "best_delta0": self.best_delta0,
-            "bound_values": self.bound_values,
-            "monotone": self.monotone,
-        }
-
-
-def _h1_norm(f: Field) -> float:
-    g = f.grid
-    grads = [np.gradient(f.values, g.h[a], axis=a) for a in range(g.dim)]
-    total = norm(f, "L2Omega") ** 2
-    w = g.space_weights().reshape(-1)
-    for gv in grads:
-        total += float(np.dot((gv**2).reshape(-1), w))
-    return math.sqrt(total)
-
-
-def stability_audit(
-    grid: SpaceTimeGrid,
-    gamma,
-    nl: Nonlinearity,
-    g_base: Field,
-    direction: Field,
-    gamma0,
-    scales=(1e-1, 1e-2, 1e-3, 1e-4),
-) -> StabilityAudit:
-    """Along g2 = g_base + s * direction, record the DN difference and the
-    initial-data gap, then report the smallest empirical (C, delta0) making
-    the two-term logarithmic bound dominate every sampled scale ("be"
-    solves).  A solve that did not converge raises SolverError naming its
-    first stalled level."""
-    from .forward import solve_semilinear
-
-    resolved = gamma0 if isinstance(gamma0, ResolvedPortion) else resolve_portion(grid, gamma0)
-    base_rep = solve_semilinear(grid, gamma, nl, g=g_base)
-    base_dn = measure(base_rep.require_converged("stability audit base solve").solution, resolved)
-    dn_diffs, lhs_vals = [], []
-    M = max(_h1_norm(Field(grid, s * direction.values, DOMAIN_OMEGA)) for s in scales)
-    for s in scales:
-        g2 = Field(grid, g_base.values + s * direction.values, DOMAIN_OMEGA)
-        rep = solve_semilinear(grid, gamma, nl, g=g2)
-        dn = measure(rep.require_converged(f"stability audit at scale {s:g}").solution, resolved)
-        diff = dn.values - base_dn.values
-        per_level = (np.abs(diff) ** 2) @ resolved.weights
-        dn_diffs.append(float(np.sqrt(np.dot(grid.time_weights(), per_level))))
-        lhs_vals.append(norm(Field(grid, s * direction.values, DOMAIN_OMEGA), "L2Omega") ** 2)
-
-    best = (np.inf, None)
-    for delta0 in (0.9, 0.5, 0.1, 0.05, 0.01):
-        if any(delta0 * m >= 1.0 for m in dn_diffs if m > 0):
-            continue
-        needed = 0.0
-        ok = True
-        for m, lhs in zip(dn_diffs, lhs_vals):
-            if m <= 0:
-                continue
-            unit = (1 + M) / delta0 * m - M**2 / math.log(delta0 * m)
-            if unit <= 0:
-                ok = False
-                break
-            needed = max(needed, lhs / unit)
-        if ok and needed < best[0]:
-            best = (needed, delta0)
-    C, delta0 = best if best[1] is not None else (float("inf"), 0.5)
-    bounds = [
-        C * ((1 + M) / delta0 * m - M**2 / math.log(delta0 * m)) if m > 0 else 0.0
-        for m in dn_diffs
-    ]
-    pairs = sorted(zip(scales, dn_diffs, lhs_vals), reverse=True)
-    monotone = all(
-        a[1] >= b[1] - 1e-15 and a[2] >= b[2] - 1e-15 for a, b in zip(pairs, pairs[1:])
-    )
-    return StabilityAudit(list(scales), dn_diffs, lhs_vals, C, delta0, bounds, monotone)
-
-
-# ---------------------------------------------------------------------------
 # Maximum principle
 
 
 @dataclass
 class MaxPrincipleCertificate:
+    """The discrete minimum of a solution with nonnegative boundary data and
+    zero initial data.  The maximum principle holds when it is nonnegative
+    (the interior dips at most UNDERSHOOT_TOL * sup below zero) and strictly
+    positive after the first level."""
+
+    solution: Field
     interior_min: float
     min_after_first_level: float
-    location: tuple
     sup: float
-    nonnegative: bool
-    strictly_positive_later: bool
+
+    @property
+    def undershoot(self) -> float:
+        return -self.interior_min / self.sup
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.undershoot <= UNDERSHOOT_TOL
+
+    @property
+    def strictly_positive_later(self) -> bool:
+        return self.min_after_first_level > 0.0
 
 
-def max_principle_check(grid: SpaceTimeGrid, gamma, q) -> MaxPrincipleCertificate:
-    """Solve with boundary data (t/T)^2 on the full boundary and zero
-    initial data, then certify the discrete minimum.  Implicit Euler on the
-    flux stencil is inverse-positive, so a violation flags a scheme or data
-    bug."""
-    from .linearize import probe_trace
-
-    trace = probe_trace(grid, lambda *args: np.ones_like(np.asarray(args[0], dtype=float)))
-    rep = solve_linear(grid, gamma, q, f=trace)
-    vals = rep.solution.values
-    sup = float(np.max(np.abs(vals)))
-    interior = grid.interior_mask()
-    flat = vals.reshape(grid.n_levels, -1)
-    overall_min = float(np.min(flat[:, interior]))
-    later = flat[1:, interior]
-    later_min = float(np.min(later))
-    k, j = np.unravel_index(np.argmin(later), later.shape)
-    nonneg = overall_min >= -1e-8 * sup
-    positive = later_min > 0.0
-    if not (nonneg and positive):
-        raise AnalysisError(
-            f"maximum-principle violation at level {k + 1}, interior node {j}: min {later_min:.3g}"
-        )
-    return MaxPrincipleCertificate(
-        overall_min, later_min, (int(k + 1), int(j)), sup, nonneg, positive
-    )
+def max_principle_check(grid: SpaceTimeGrid, gamma, q, trace: Field | None = None,
+                        scheme: str = "be") -> MaxPrincipleCertificate:
+    """Solve with boundary data trace, by default (t/T)^2 on the full
+    boundary, and zero initial data, then measure the discrete minimum.
+    Implicit Euler on the flux stencil is inverse-positive, so a certificate
+    that does not hold flags a scheme or data bug."""
+    if trace is None:
+        trace = probe_trace(grid, lambda *args: np.ones_like(np.asarray(args[0], dtype=float)))
+    solution = solve_linear(grid, gamma, q, f=trace, scheme=scheme).solution
+    flat = solution.values.reshape(grid.n_levels, -1)[:, grid.interior_mask()]
+    return MaxPrincipleCertificate(solution, float(np.min(flat)), float(np.min(flat[1:])),
+                                   float(np.max(np.abs(solution.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +382,6 @@ class NonUniquenessDemo:
     trace_sup: float
     g_gap: float
     sup_fields: float
-
-    def passes(self) -> bool:
-        return self.trace_sup <= 1e-8 * (1 + self.sup_fields) and self.g_gap >= 0.1
 
 
 def _bump(r2):

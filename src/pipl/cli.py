@@ -6,13 +6,15 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a malformed or non-finite number, a value outside its
-choices and a non-integer ``PIPL_SEED`` raise ConfigError, which names the
-section, the key and the line.
+choices, a non-integer ``PIPL_SEED``, a gamma whose sampled eigenvalues
+leave [rho0, 1/rho0] and a class A_T nonlinearity that breaks its growth
+condition raise ConfigError, which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
-time) plus reports and tidy CSVs into the output directory.  ``--check``
-binds the acceptance thresholds to the run and exits nonzero when a gate
-fails.
+time) plus reports and tidy CSVs into the output directory.  Each runner
+records its acceptance gates in report.json (value, bound, ratio, passed);
+``--check`` exits nonzero when one failed and lists the failures in
+check_failures.json.
 
 Exit codes: 0 success, 2 config, expression or parameter-constraint error,
 3 solver failure, 4 check-mode threshold failure.
@@ -24,6 +26,7 @@ import argparse
 import configparser
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -36,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    UNDERSHOOT_TOL,
     AnalysisError,
     CarlemanConfig,
     carleman_check_1,
@@ -60,7 +64,7 @@ from .grid import (
     save_field_csv,
 )
 from .linearize import LinearizationSetup, higher_order, probe_trace
-from .model import CLASSES, DiffusionTensor, ModelError, Nonlinearity
+from .model import CLASS_A, CLASSES, DiffusionTensor, ModelError, Nonlinearity, check_growth
 from .recon import (
     BTStructure,
     RegionMask,
@@ -343,27 +347,25 @@ def load_config(path, kind: str) -> Config:
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text, source=str(path))
     lines = _key_lines(text)
+
+    def fault(message, section, key=None, offset=None):
+        return ConfigError(message, section, key, lines.get((section, key)), offset)
+
     tables = SCHEMA[kind]
     if cp.defaults():
-        raise ConfigError("unknown section", "DEFAULT", line=lines.get(("DEFAULT", None)))
+        raise fault("unknown section", "DEFAULT")
     values = {name: {} for name in tables}
     # [experiment] first: a config of another kind fails on its kind key
     for name in sorted(cp.sections(), key=lambda n: n != "experiment"):
         if name not in tables:
-            raise ConfigError(
-                f"unknown section; {kind} reads {', '.join(tables)}", name,
-                line=lines.get((name, None)),
-            )
+            raise fault(f"unknown section; {kind} reads {', '.join(tables)}", name)
         for key, raw in cp[name].items():
-            line = lines.get((name, key))
             if key not in tables[name]:
-                raise ConfigError(
-                    f"unknown key; {kind} reads {', '.join(tables[name])} here", name, key, line
-                )
+                raise fault(f"unknown key; {kind} reads {', '.join(tables[name])} here", name, key)
             try:
                 values[name][key] = tables[name][key][0](_unquote(raw))
             except ValueError as exc:  # an expression's ParseError carries its byte offset
-                raise ConfigError(str(exc), name, key, line, getattr(exc, "offset", None)) from exc
+                raise fault(str(exc), name, key, getattr(exc, "offset", None)) from exc
     for name, table in tables.items():  # [grid] first: callable defaults read it
         for key, (_, default) in table.items():
             if key not in values[name]:
@@ -372,9 +374,7 @@ def load_config(path, kind: str) -> Config:
     g = values["grid"]
     for key in ("lower", "upper", "nx"):
         if len(g[key]) != g["dim"]:
-            raise ConfigError(
-                f"needs {g['dim']} entries for dim {g['dim']}", "grid", key, lines.get(("grid", key))
-            )
+            raise fault(f"needs {g['dim']} entries for dim {g['dim']}", "grid", key)
     env = os.environ.get("PIPL_SEED")
     if env is not None:
         try:
@@ -386,16 +386,28 @@ def load_config(path, kind: str) -> Config:
         try:
             CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])  # checks K + t0 < min(1, 1/2L)
         except AnalysisError as exc:
-            raise ConfigError(str(exc), "carleman", "k", lines.get(("carleman", "k"))) from exc
+            raise fault(str(exc), "carleman", "k") from exc
 
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
+    # the hypotheses of the recovery results: a uniformly elliptic gamma, and
+    # the growth condition of class A_T
     m = values.get("model")
+    gamma = _gamma(m) if m else None
+    if gamma is not None:
+        try:
+            gamma.check_ellipticity(grid)
+        except ModelError as exc:
+            raise fault(str(exc), "model", "g11" if gamma.is_matrix else "gamma") from exc
     nl = None
     if m and "nonlinearity" in m:
         nl = Nonlinearity.parse(m["nonlinearity"], tag=m["class"])
         nl.validate(grid)
+        growth = check_growth(nl, grid) if nl.tag == CLASS_A else None
+        if growth is not None and not growth.satisfies:
+            raise fault(f"breaks the {CLASS_A} growth condition: {growth.note}", "model",
+                        "nonlinearity")
     exp = values["experiment"]
-    return Config(values, grid, _gamma(m) if m else None, nl, exp.get("scheme"), exp["seed"])
+    return Config(values, grid, gamma, nl, exp.get("scheme"), exp["seed"])
 
 
 def _expr_field(grid, source, domain="Omega"):
@@ -465,10 +477,39 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners: each returns (report dict, check failures list)
+# Experiment runners: each returns its report dict, its --check gates
+# recorded by _gate
 
 
-def _convergence(grid, sizes, error, label, report, failures):
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _gate(report, name, value, op=None, bound=None, passed=None, note=None):
+    """Record one --check gate as report["gates"][name]: value, bound, ratio
+    and passed.  A threshold gate passes when `value op bound`, or by passed
+    where its test carries slack; its ratio is value / bound under an upper
+    bound and bound / value over a lower one, so 1.0 is the edge of passing
+    (None for a zero divisor).  A flag gate (no op) passes when value is
+    true and has no ratio.  A failed gate also records its failure: note, or
+    the comparison it broke."""
+    if op is None:
+        ratio, passed = None, bool(value)
+    else:
+        num, den = (value, bound) if op[0] == "<" else (bound, value)
+        ratio = num / den if den else None
+        passed = bool(_OPS[op](value, bound) if passed is None else passed)
+    gate = {"value": value, "bound": bound, "ratio": ratio, "passed": passed}
+    if not passed:
+        gate["failure"] = note or f"{name} {value:.4g} not {op} {bound:.4g}"
+    report.setdefault("gates", {})[name] = gate
+
+
+def _step_ratio(values):
+    """Largest ratio of consecutive values: below 1 when they strictly decrease."""
+    return max((b / a if a else math.inf for a, b in zip(values, values[1:])), default=0.0)
+
+
+def _convergence(grid, sizes, error, report):
     """error(refined grid) on 1D grids of sizes nodes, dt proportional to h;
     the observed order is the log-log slope of error against h, gated at 1.8."""
     rows = []
@@ -481,8 +522,7 @@ def _convergence(grid, sizes, error, label, report, failures):
     )
     report["convergence"] = rows
     report["metrics"]["observed_order"] = order
-    if order < 1.8:
-        failures.append(f"{label} order {order:.3f} < 1.8")
+    _gate(report, "observed_order", order, ">=", 1.8)
 
 
 def run_forward(c, outdir):
@@ -494,27 +534,23 @@ def run_forward(c, outdir):
     rep = solve_semilinear(c.grid, c.gamma, c.nl, g=initial(c.grid), scheme=c.scheme)
     save_field_csv(rep.solution, outdir / "solution.csv")
     report = {"converged": rep.converged, "iterations": rep.iterations, "metrics": {}}
+    _gate(report, "converged", rep.converged,
+          note=f"semilinear solve did not converge in {rep.iterations} iterations")
 
     oracle = s["oracle"]
     if oracle:
         exact = _expr_field(c.grid, oracle, "Q")
         err = norm(rep.solution - exact, "L2Q") / max(norm(exact, "L2Q"), 1e-300)
         report["metrics"]["oracle_rel_l2q_error"] = err
-
-    failures = []
-    if not rep.converged:
-        failures.append(f"semilinear solve did not converge in {rep.iterations} iterations")
-    if oracle:
         t0 = time.time()
         _convergence(c.grid, s["convergence"], lambda gg: norm(
             solve_linear(gg, c.gamma, None, g=initial(gg), scheme=c.scheme).solution
             - _expr_field(gg, oracle, "Q"), "L2Q",
-        ), "forward convergence", report, failures)
+        ), report)
         elapsed = time.time() - t0
         report["metrics"]["convergence_runtime_s"] = elapsed
-        if elapsed >= 10.0:
-            failures.append(f"convergence sweep took {elapsed:.1f}s >= 10s")
-    return report, failures
+        _gate(report, "convergence_runtime_s", elapsed, "<", 10.0)
+    return report
 
 
 def run_dnmap(c, outdir):
@@ -526,7 +562,6 @@ def run_dnmap(c, outdir):
     save_measurement(m, outdir / "measurement.csv", outdir / "measurement.json")
     report = {"metrics": {"trace_l2": m.l2()}}
 
-    failures = []
     if s["oracle_dn"]:
         e = Expression(s["oracle_dn"])
 
@@ -536,8 +571,8 @@ def run_dnmap(c, outdir):
             ref = np.array([e(t=t) for t in gg.times()])
             return float(np.max(np.abs(mm.values[:, 0] - ref)))
 
-        _convergence(c.grid, s["convergence"], error, "dn trace", report, failures)
-    return report, failures
+        _convergence(c.grid, s["convergence"], error, report)
+    return report
 
 
 def run_cgo_verify(c, outdir):
@@ -553,22 +588,17 @@ def run_cgo_verify(c, outdir):
             "warnings": list(sol.warnings),
             "profile_peak": float(np.max(np.abs(sol.profile().values))),
         })
-    report = {"sweep": sweep, "metrics": {}}
     norms = [r["remainder_norm"] for r in sweep]
-    report["metrics"]["final_over_initial"] = norms[-1] / norms[0] if norms[0] else 0.0
+    final_over_initial = norms[-1] / norms[0] if norms[0] else 0.0
+    report = {"sweep": sweep, "metrics": {"final_over_initial": final_over_initial}}
     (outdir / "cgo_report.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))
 
-    failures = []
-    if not all(b < a for a, b in zip(norms, norms[1:])):
-        failures.append(f"remainder norms not strictly decreasing: {norms}")
-    if norms and norms[0] and norms[-1] / norms[0] >= 0.5:
-        failures.append(f"final/initial remainder ratio {norms[-1]/norms[0]:.3f} >= 0.5")
+    _gate(report, "remainder_step_ratio", _step_ratio(norms), "<", 1.0)
+    _gate(report, "final_over_initial", final_over_initial, "<", 0.5)
     unresolved = [r["rho"] for r in sweep if r["warnings"]]
-    if unresolved:
-        failures.append(
-            f"boundary layer under-resolved at rho {unresolved}; decay not certified"
-        )
-    return report, failures
+    _gate(report, "resolved", not unresolved,
+          note=f"boundary layer under-resolved at rho {unresolved}; decay not certified")
+    return report
 
 
 def run_linearize(c, outdir):
@@ -598,13 +628,13 @@ def run_linearize(c, outdir):
         "newton_iterations": setup.newton_iterations,
         "metrics": {f"slope_order_{k}": (v if v is not None else 0.0) for k, v in slopes.items()},
     }
-    failures = []
     for order, slope in slopes.items():
+        name = f"|slope_order_{order} - 1|"
         if slope is None:
-            failures.append(f"order {order}: no measurable gap slope")
-        elif not 0.8 <= slope <= 1.2:
-            failures.append(f"order {order} slope {slope:.3f} outside [0.8, 1.2]")
-    return report, failures
+            _gate(report, name, False, note=f"order {order}: no measurable gap slope")
+        else:
+            _gate(report, name, abs(slope - 1.0), "<=", 0.2)
+    return report
 
 
 def run_recover_q(c, outdir):
@@ -625,20 +655,12 @@ def run_recover_q(c, outdir):
     )
     res0 = recover_potential(grid, probes0, dq, scheme=scheme, mode=mode)
     zero_err = norm(res0.recovered, "L2Q") / max(norm(dq, "L2Q"), 1e-300)
-    report = {
-        "metrics": {
-            "rel_l2q_error": res.truth_error,
-            "zero_difference_error": zero_err,
-            "conjugate_symmetry_defect": res.residuals["conjugate_symmetry_defect"],
-        },
-        "regularization": res.regularization,
-    }
-    failures = []
-    if res.truth_error > 0.20:
-        failures.append(f"potential recovery error {res.truth_error:.3f} > 0.20")
-    if zero_err > 1e-6:
-        failures.append(f"zero-difference control error {zero_err:.3g} > 1e-6")
-    return report, failures
+    report = {"metrics": {"rel_l2q_error": res.truth_error, "zero_difference_error": zero_err,
+                          "conjugate_symmetry_defect": res.residuals["conjugate_symmetry_defect"]},
+              "regularization": res.regularization}
+    _gate(report, "rel_l2q_error", res.truth_error, "<=", 0.20)
+    _gate(report, "zero_difference_error", zero_err, "<=", 1e-6)
+    return report
 
 
 def run_recover_b(c, outdir):
@@ -657,14 +679,10 @@ def run_recover_b(c, outdir):
         grid, probes, nl_ref, order, pos, scheme=scheme, truth_difference=truth
     )
     save_field_csv(res.recovered, outdir / "recovered_taylor_difference.csv")
-    report = {
-        "metrics": {"rel_l2q_error": res.truth_error, "order": order},
-        "regularization": res.regularization,
-    }
-    failures = []
-    if res.truth_error > 0.25:
-        failures.append(f"taylor recovery error {res.truth_error:.3f} > 0.25")
-    return report, failures
+    report = {"metrics": {"rel_l2q_error": res.truth_error, "order": order},
+              "regularization": res.regularization}
+    _gate(report, "rel_l2q_error", res.truth_error, "<=", 0.25)
+    return report
 
 
 def run_recover_g(c, outdir):
@@ -687,12 +705,11 @@ def run_recover_g(c, outdir):
         "metrics": {"rel_l2_error": res.truth_error, "data_misfit": res.residuals["data_misfit"]},
         "regularization": res.regularization,
     }
-    failures = []
-    if not res.converged:
-        failures.append(f"initial-data recovery did not converge: {'; '.join(res.notes)}")
-    if s["noise"] == 0.0 and res.truth_error > 0.10:
-        failures.append(f"noiseless initial-data error {res.truth_error:.3f} > 0.10")
-    return report, failures
+    _gate(report, "converged", res.converged,
+          note=f"initial-data recovery did not converge: {'; '.join(res.notes)}")
+    if s["noise"] == 0.0:
+        _gate(report, "rel_l2_error", res.truth_error, "<=", 0.10)
+    return report
 
 
 def run_stability(c, outdir):
@@ -708,31 +725,29 @@ def run_stability(c, outdir):
             product(deltas, range(trials)), curve.errors, curve.magnitudes
         )
     ]
+    two_term = curve.fit_two_term.get("residual", 0.0)
+    linear = curve.fit_linear.get("residual", 0.0)
+    means = [curve.mean_errors[d] for d in sorted(deltas, reverse=True)]
+    rho_rank = _spearman(curve.magnitudes, curve.errors)
     report = {
         "converged": curve.converged,
         "trials": rows,
         "fits": {"two_term": curve.fit_two_term, "linear": curve.fit_linear},
-        "metrics": {
-            "two_term_residual": curve.fit_two_term.get("residual", 0.0),
-            "linear_residual": curve.fit_linear.get("residual", 0.0),
-        },
+        "metrics": {"two_term_residual": two_term, "linear_residual": linear,
+                    "rank_correlation": rho_rank},
     }
     (outdir / "stability_report.json").write_text(
         json.dumps(curve.to_dict(), indent=2, sort_keys=True)
     )
-    failures = []
-    if not curve.converged:
-        failures.append("a trial's initial-data recovery did not converge")
-    means = [curve.mean_errors[d] for d in sorted(deltas, reverse=True)]
-    rho_rank = _spearman(curve.magnitudes, curve.errors)
-    report["metrics"]["rank_correlation"] = rho_rank
-    if not all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:])):
-        failures.append(f"mean error not monotone across deltas: {means}")
-    if rho_rank < 0.9:
-        failures.append(f"rank correlation {rho_rank:.3f} < 0.9")
-    if curve.fit_two_term.get("residual", 0.0) > curve.fit_linear.get("residual", 0.0) + 1e-12:
-        failures.append("two-term fit residual exceeds the pure-linear fit")
-    return report, failures
+    _gate(report, "converged", curve.converged,
+          note="a trial's initial-data recovery did not converge")
+    # mean errors may tie to 1e-9 relative, and the two-term fit may lose to
+    # the linear one by 1e-12
+    _gate(report, "mean_error_step_ratio", _step_ratio(means), "<=", 1.0,
+          passed=all(b <= a * (1 + 1e-9) for a, b in zip(means, means[1:])))
+    _gate(report, "rank_correlation", rho_rank, ">=", 0.9)
+    _gate(report, "two_term_residual", two_term, "<=", linear, passed=two_term <= linear + 1e-12)
+    return report
 
 
 def _spearman(x, y) -> float:
@@ -771,9 +786,8 @@ def run_carleman(c, outdir):
         "metrics": {"max_ratio_1": rep1.max_ratio(), "max_ratio_2": rep2.max_ratio()},
         "notes": rep1.notes + rep2.notes,
     }
-    failures = []
-    if not (rep1.all_finite() and rep2.all_finite()):
-        failures.append("non-finite inequality ratio")
+    _gate(report, "ratios_finite", rep1.all_finite() and rep2.all_finite(),
+          note="non-finite inequality ratio")
     # refinement stability on one halved grid
     _, rep1b, rep2b = checks(SpaceTimeGrid.make(
         grid.lower, grid.upper, [2 * (n - 1) + 1 for n in grid.nx], 2 * grid.nt, grid.T
@@ -783,8 +797,7 @@ def run_carleman(c, outdir):
         if a["ratio"] > 0:
             drift = max(drift, abs(b["ratio"] - a["ratio"]) / a["ratio"])
     report["metrics"]["refinement_drift"] = drift
-    if drift >= 0.20:
-        failures.append(f"ratio drift {drift:.3f} >= 20% under refinement")
+    _gate(report, "refinement_drift", drift, "<", 0.20)
 
     # weight-function slice along x at mid-time, for plotting
     x = grid.axis(0)
@@ -800,25 +813,17 @@ def run_carleman(c, outdir):
         for xi, pv, ev in zip(x, psi_vals, eta):
             fh.write(f"{float(xi)!r},{float(pv)!r},{float(ev)!r},"
                      f"{float(np.exp(2 * lam * ev - scale))!r}\n")
-    return report, failures
+    return report
 
 
 def run_maxprin(c, outdir):
     q = c.values["maxprin"]["q"]
     cert = max_principle_check(c.grid, c.gamma, q if q else None)
-    report = {
-        "metrics": {
-            "interior_min": cert.interior_min,
-            "min_after_first_level": cert.min_after_first_level,
-            "sup": cert.sup,
-        }
-    }
-    failures = []
-    if cert.interior_min < -1e-8 * cert.sup:
-        failures.append("interior minimum below the nonnegativity tolerance")
-    if cert.min_after_first_level <= 0:
-        failures.append("interior values not strictly positive beyond the first level")
-    return report, failures
+    report = {"metrics": {"interior_min": cert.interior_min,
+                          "min_after_first_level": cert.min_after_first_level, "sup": cert.sup}}
+    _gate(report, "undershoot", cert.undershoot, "<=", UNDERSHOOT_TOL)
+    _gate(report, "min_after_first_level", cert.min_after_first_level, ">", 0.0)
+    return report
 
 
 def run_runge(c, outdir):
@@ -842,13 +847,11 @@ def run_runge(c, outdir):
             fit = runge_fit(grid, target, q=q, n_basis=N, mode=mode, scheme=scheme, **kw)
             fits.append({"mode": mode, "n_basis": N, "gap": fit.gap})
     report = {"fits": fits, "metrics": {}}
-    failures = []
     for mode in ("full", "partial"):
         gaps = [f["gap"] for f in fits if f["mode"] == mode]
         report["metrics"][f"gap_ratio_{mode}"] = gaps[-1] / gaps[0] if gaps[0] else 0.0
-        if not all(b < a for a, b in zip(gaps, gaps[1:])):
-            failures.append(f"{mode} gaps not strictly decreasing: {gaps}")
-    return report, failures
+        _gate(report, f"{mode}_gap_step_ratio", _step_ratio(gaps), "<", 1.0)
+    return report
 
 
 def run_control(c, outdir):
@@ -860,45 +863,35 @@ def run_control(c, outdir):
         portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, bt=bt,
     )
     converged = res.continuation.get("converged", True)
+    reduction = res.uncontrolled_norm / max(res.terminal_norm, 1e-300)
+    tail_sup = res.continuation.get("sup_norm_over_tail", 0.0)
     report = {
         "converged": converged,
         "terminal_history": res.terminal_history,
         "metrics": {
             "uncontrolled_norm": res.uncontrolled_norm,
             "terminal_norm": res.terminal_norm,
-            "reduction_factor": res.uncontrolled_norm / max(res.terminal_norm, 1e-300),
-            "tail_sup_norm": res.continuation.get("sup_norm_over_tail", 0.0),
+            "reduction_factor": reduction,
+            "tail_sup_norm": tail_sup,
         },
         "notes": res.notes,
     }
-    failures = []
-    if res.uncontrolled_norm / max(res.terminal_norm, 1e-300) < 100:
-        failures.append("terminal norm reduction below 100x")
-    if res.continuation.get("sup_norm_over_tail", 0.0) > 10 * res.terminal_norm:
-        failures.append("continued free solution exceeds 10x the terminal norm")
-    if not converged:
-        failures.append("free continuation did not converge: "
-                        + "; ".join(res.continuation["warnings"]))
-    return report, failures
+    _gate(report, "reduction_factor", reduction, ">=", 100.0)
+    _gate(report, "tail_sup_norm", tail_sup, "<=", 10 * res.terminal_norm)
+    _gate(report, "converged", converged, note="free continuation did not converge: "
+          + "; ".join(res.continuation.get("warnings", ())))
+    return report
 
 
 def run_nonunique(c, outdir):
     demo = nonuniqueness_demo(c.grid, c.gamma, collar=c.values["nonunique"]["collar"])
     save_field_csv(demo.g1, outdir / "g1.csv")
     save_field_csv(demo.g2, outdir / "g2.csv")
-    report = {
-        "metrics": {
-            "g_gap_l2": demo.g_gap,
-            "trace_sup": demo.trace_sup,
-            "sup_fields": demo.sup_fields,
-        }
-    }
-    failures = []
-    if demo.g_gap < 0.1:
-        failures.append(f"initial-data gap {demo.g_gap:.3f} < 0.1")
-    if demo.trace_sup > 1e-8 * (1 + demo.sup_fields):
-        failures.append("passive DN traces not negligible")
-    return report, failures
+    report = {"metrics": {"g_gap_l2": demo.g_gap, "trace_sup": demo.trace_sup,
+                          "sup_fields": demo.sup_fields}}
+    _gate(report, "g_gap_l2", demo.g_gap, ">=", 0.1)
+    _gate(report, "trace_sup", demo.trace_sup, "<=", 1e-8 * (1 + demo.sup_fields))
+    return report
 
 
 RUNNERS = {
@@ -935,7 +928,7 @@ def run(kind: str, config_path, out_dir=None, check: bool = False, jobs: int = 1
         c = load_config(config_path, kind)
         outdir = Path(out_dir if out_dir else c.values["output"]["dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        report, failures = RUNNERS[kind](c, outdir)
+        report = RUNNERS[kind](c, outdir)
     except (ConfigError, configparser.Error, ExprError, GridError, ModelError, AnalysisError,
             CGOError) as exc:
         _write_error(outdir, kind, exc, EXIT_PARSE)
@@ -944,6 +937,7 @@ def run(kind: str, config_path, out_dir=None, check: bool = False, jobs: int = 1
         _write_error(outdir, kind, exc, EXIT_SOLVER)
         return EXIT_SOLVER
 
+    failures = [g["failure"] for g in report.setdefault("gates", {}).values() if not g["passed"]]
     manifest = {
         "kind": kind,
         "version": __version__,

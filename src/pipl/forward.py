@@ -67,7 +67,7 @@ class SolveReport:
 # Spatial operator assembly
 
 
-def _midpoint_samples(grid: SpaceTimeGrid, gamma: DiffusionTensor | None, t: float):
+def _diffusion_at_midpoints(grid: SpaceTimeGrid, gamma: DiffusionTensor | None, t: float):
     """Diffusion entries at cell midpoints (per axis) and nodes (cross terms)."""
     if gamma is None:
         gamma = DiffusionTensor.identity()
@@ -105,7 +105,7 @@ def assemble_operator(
     """Sparse L with L u = -div(gamma grad u) + advection . grad u on interior
     rows; boundary rows are zero.  A potential q enters the stepper as the
     diagonal diag(q) on interior rows."""
-    samples = _midpoint_samples(grid, gamma, t)
+    samples = _diffusion_at_midpoints(grid, gamma, t)
     if grid.dim == 1:
         h = grid.h[0]
         gm = samples["g11_mid"]  # gm[i] at midpoint i+1/2
@@ -401,7 +401,6 @@ def solve_semilinear(
     g: Field | None = None,
     scheme: str = "be",
     max_iter: int = 30,
-    smallness_gate: float = 1.0,
 ) -> SolveReport:
     """u_t - div(gamma grad u) + nl(x,t,u) = 0, u|Sigma = f, u(0) = g: the
     one-column case of semilinear_columns.  A level whose Newton reached the
@@ -414,10 +413,9 @@ def solve_semilinear(
             size += norm(g, "L2Omega")
         if isinstance(f, Field):
             size += norm(f, "L2Sigma")
-        if size > smallness_gate:
+        if size > 1.0:
             warnings.append(
-                f"data size {size:.3g} exceeds the smallness gate {smallness_gate:.3g}; "
-                "well-posedness not asserted"
+                f"data size {size:.3g} exceeds the smallness gate 1; well-posedness not asserted"
             )
     res = semilinear_columns(grid, gamma, nl, None if f_vals is None else f_vals[..., None], g,
                              scheme, max_iter=max_iter)

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ..analysis import max_principle_check
 from ..cgo import CGOFactory, CGOParameters, batch_width
 from ..dnmap import normal_derivative_matrix
-from ..forward import Propagator, potential_values, solve_linear
+from ..forward import Propagator, potential_values
 from ..grid import (
     DOMAIN_Q,
     DOMAIN_SIGMA,
@@ -319,24 +320,13 @@ def positive_solution(
         raise GridError("boundary shape must be nonnegative")
     if np.max(trace.values) <= 0:
         raise GridError("boundary shape must be positive somewhere (f > 0 on a sub-portion)")
-    rep = solve_linear(grid, gamma, q, f=trace, scheme=scheme)
-    vals = rep.solution.values
-    sup = float(np.max(np.abs(vals)))
-    interior = grid.interior_mask()
-    flat = vals.reshape(grid.n_levels, -1)
-    overall_min = float(np.min(flat[:, interior]))
-    late_min = float(np.min(flat[1:, interior]))
-    if overall_min < -1e-8 * sup or late_min <= 0.0:
+    cert = max_principle_check(grid, gamma, q, trace, scheme)
+    if not (cert.nonnegative and cert.strictly_positive_later):
         raise RuntimeError(
-            f"maximum-principle violation: interior min {late_min:.3g} "
+            f"maximum-principle violation: interior min {cert.min_after_first_level:.3g} "
             "(discretization or data bug)"
         )
-    certificate = {
-        "interior_min_after_first_level": late_min,
-        "interior_min": overall_min,
-        "sup": sup,
-    }
-    return rep.solution, certificate
+    return cert.solution, cert
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -12,9 +11,8 @@ from pipl.analysis import (
     default_weight_base,
     max_principle_check,
     nonuniqueness_demo,
-    stability_audit,
 )
-from pipl.forward import SolverError, solve_linear
+from pipl.forward import solve_linear
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -24,7 +22,6 @@ from pipl.grid import (
     resolve_portion,
     zero_field,
 )
-from pipl.model import CLASS_A, Nonlinearity
 
 
 def grid1d(nx=65, nt=64, T=0.5):
@@ -126,41 +123,6 @@ def test_carleman2_scaling_invariance():
         assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-10)
 
 
-def test_stability_audit_monotone_and_bounded():
-    g = grid1d(49, 48)
-    base = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
-    direction = field_from_function(g, lambda x: np.sin(2 * math.pi * x), "Omega")
-    audit = stability_audit(
-        g, None, Nonlinearity.parse("sin(u)", tag=CLASS_A), base, direction, LEFT
-    )
-    assert audit.monotone
-    assert np.isfinite(audit.best_C)
-    for lhs, bound in zip(audit.lhs_values, audit.bound_values):
-        assert lhs <= bound * (1 + 1e-9)
-
-
-def test_stability_audit_unconverged_solve_raises(monkeypatch):
-    # a semilinear solve capped at one Newton iteration per level stalls,
-    # and the audit names the solve and its first stalled level
-    from pipl import forward
-
-    monkeypatch.setattr(forward, "solve_semilinear",
-                        functools.partial(forward.solve_semilinear, max_iter=1))
-    g = grid1d(17, 8)
-    base = field_from_function(g, lambda x: 8 * np.sin(math.pi * x), "Omega")
-    with pytest.raises(SolverError, match="audit base solve: newton stalled at time level 1"):
-        stability_audit(g, None, Nonlinearity.parse("u^3", tag=CLASS_A), base, base, LEFT)
-
-
-def test_stability_audit_identical_pair():
-    g = grid1d(33, 32)
-    base = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
-    zero_dir = Field(g, np.zeros(g.nx), "Omega")
-    audit = stability_audit(g, None, Nonlinearity.zero(), base, zero_dir, LEFT, scales=(1.0,))
-    assert audit.dn_diffs[0] == pytest.approx(0.0, abs=1e-12)
-    assert audit.lhs_values[0] == 0.0
-
-
 def test_max_principle_ramped_data():
     g = grid1d(33, 32)
     cert = max_principle_check(g, None, None)
@@ -188,7 +150,6 @@ def test_nonuniqueness_demo_passes():
     demo = nonuniqueness_demo(g)
     assert demo.g_gap >= 0.1
     assert demo.trace_sup <= 1e-8 * (1 + demo.sup_fields)
-    assert demo.passes()
 
 
 def test_nonuniqueness_solver_crosscheck():
@@ -209,10 +170,12 @@ def test_nonuniqueness_degenerate_rejected():
 def test_nonuniqueness_narrow_collar():
     g = grid1d(129, 8)
     demo = nonuniqueness_demo(g, collar=0.075)
-    assert demo.passes()
+    assert demo.g_gap >= 0.1
+    assert demo.trace_sup <= 1e-8 * (1 + demo.sup_fields)
 
 
 def test_nonuniqueness_2d():
     g2 = SpaceTimeGrid.make([0, 0], [1, 1], [33, 33], 8, 0.25)
     demo = nonuniqueness_demo(g2, collar=0.2, centers=(0.42, 0.58), amplitudes=(1.0, -1.0))
-    assert demo.passes()
+    assert demo.g_gap >= 0.1
+    assert demo.trace_sup <= 1e-8 * (1 + demo.sup_fields)

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipl import cgo, cli, dnmap
+from pipl import analysis, cgo, cli, dnmap
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, emit_plotdata, main, run
-from pipl.forward import solve_semilinear
+from pipl.forward import solve_linear, solve_semilinear
 from pipl.recon import control, initial
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.ini"))
 # the section of each kind's own keys
 OWN_SECTION = {
@@ -210,6 +212,26 @@ T = 0.5
     assert run("nonunique-demo", cfg2, tmp_path / "nu", check=True) == EXIT_OK
 
 
+def test_maxprin_violation_fails_check(tmp_path, monkeypatch):
+    # one interior value set to -1 breaks both maximum-principle gates: the
+    # run writes its report and fails --check, naming the gate
+    def violated(*args, **kwargs):
+        rep = solve_linear(*args, **kwargs)
+        rep.solution.values[-1, 1] = -1.0
+        return rep
+
+    monkeypatch.setattr(analysis, "solve_linear", violated)
+    out = tmp_path / "out"
+    assert run("maxprin", CONFIGS / "maxprin.ini", out, check=True) == EXIT_CHECK
+    gates = json.loads((out / "report.json").read_text())["gates"]
+    assert not gates["undershoot"]["passed"] and not gates["min_after_first_level"]["passed"]
+    failures = json.loads((out / "check_failures.json").read_text())
+    assert any(f.startswith("undershoot ") for f in failures)
+    # recover-b divides by the positive solution, so there the violation is a
+    # solver failure
+    assert run("recover-b", CONFIGS / "recover-b.ini", tmp_path / "b", check=True) == EXIT_SOLVER
+
+
 def test_manifest_reproducibility(tmp_path):
     cfg = write_config(tmp_path, "fwd.ini", FORWARD_CFG)
     run("forward", cfg, tmp_path / "a")
@@ -271,13 +293,36 @@ def test_cli_import_skips_scipy_interpolate_and_stats():
     assert out.stdout.strip() == "[]"
 
 
+@functools.cache
+def _perfbench_child():
+    """perfbench/child.py, whose gate_ratios recomputes each gate ratio of a
+    benchmarked kind from its outputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
+
+
+def _no_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
 @pytest.mark.parametrize("kind", SHIPPED)
 def test_shipped_config_passes_check(kind, tmp_path):
     out = tmp_path / "out"
     assert run(kind, CONFIGS / f"{kind}.ini", out, check=True) == EXIT_OK
+    report = json.loads((out / "report.json").read_text(), parse_constant=_no_constant)
+    gates = report["gates"]
+    assert gates and all(g["passed"] for g in gates.values())
+    child = _perfbench_child()
+    if kind in child.CLI_JOBS:
+        # every ratio the benchmark computes is one of the recorded gate ratios, bitwise
+        recorded = {repr(g["ratio"]) for g in gates.values()}
+        for name, ratio in child.gate_ratios(kind, out, {}).items():
+            assert repr(ratio) in recorded, name
     if kind == "linearize":
         # 1 + 3 + 7 corners, two amplitude levels each
-        assert json.loads((out / "report.json").read_text())["corner_solves"] == 22
+        assert report["corner_solves"] == 22
     # every CSV cell is a plain number, bar the text columns mode and metric;
     # a field CSV opens with a "# shape:" line and separates levels by blank lines
     for path in out.glob("*.csv"):
@@ -339,6 +384,12 @@ def _edit(kind, old, new):
         ("linearize", "max_order = 3", "max_order = 4", "linearize", "max_order"),
         # carleman weights need K + t0 < min(1, 1/(2L))
         ("carleman", "a = 1.0", "a = 1.0\nk = 0.6", "carleman", "k"),
+        # gamma's eigenvalues must lie in [rho0, 1/rho0] = [0.5, 2]
+        ("forward", 'gamma = "1"', 'gamma = "-1"', "model", "gamma"),
+        ("forward", 'gamma = "1"', 'gamma = "0.05"', "model", "gamma"),
+        # u^3 breaks the growth condition of class A_T
+        ("forward", 'nonlinearity = "0"\nclass = linear-potential',
+         'nonlinearity = "u^3"\nclass = A_T', "model", "nonlinearity"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):

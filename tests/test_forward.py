@@ -22,7 +22,7 @@ from pipl.forward import (
     SCHEMES,
     CompatibilityError,
     Propagator,
-    _midpoint_samples,
+    _diffusion_at_midpoints,
     _newton,
     assemble_operator,
     solve_linear,
@@ -298,7 +298,7 @@ def test_smallness_gate_warns_but_solves():
     g = grid1d(nx=17, nt=8)
     nl = Nonlinearity.parse("0.01*u^2")
     big = field_from_function(g, lambda x: 5.0 * np.sin(math.pi * x), "Omega")
-    rep = solve_semilinear(g, None, nl, g=big, smallness_gate=1.0)
+    rep = solve_semilinear(g, None, nl, g=big)
     assert any("smallness gate" in w for w in rep.warnings)
     assert rep.converged
 
@@ -310,7 +310,7 @@ def _loop_operator(grid, gamma, q_level, t, advection=None):
     """Node-by-node assembly of L = -div(gamma grad) + advection . grad + q on
     interior rows, boundary rows zero: the reference for assemble_operator."""
     n = grid.n_space
-    samples = _midpoint_samples(grid, gamma, t)
+    samples = _diffusion_at_midpoints(grid, gamma, t)
     rows, cols, vals = [], [], []
 
     def add(r, c, v):

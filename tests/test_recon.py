@@ -235,8 +235,8 @@ def test_underresolved_lattice_rejected():
 def test_positive_solution_certificate():
     g = grid1d(33, 32)
     v, cert = positive_solution(g, None, None)
-    assert cert["interior_min_after_first_level"] > 0
-    assert cert["interior_min"] >= -1e-8 * cert["sup"]
+    assert cert.min_after_first_level > 0
+    assert cert.interior_min >= -1e-8 * cert.sup
 
 
 def test_positive_solution_rejects_zero_data():
@@ -251,7 +251,7 @@ def test_positive_solution_with_potential():
     g = grid1d(33, 32)
     q = field_from_function(g, lambda x, t: 2.0 + np.sin(3 * x) + 0 * t, "Q")
     v, cert = positive_solution(g, None, q, ramp_time=0.2)
-    assert cert["interior_min_after_first_level"] > 0
+    assert cert.min_after_first_level > 0
 
 
 # -- Taylor recovery ---------------------------------------------------------
