@@ -6,9 +6,10 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a malformed or non-finite number, a value outside its
-choices, a non-integer ``PIPL_SEED``, a gamma whose sampled eigenvalues
-leave [rho0, 1/rho0] and a class A_T nonlinearity that breaks its growth
-condition raise ConfigError, which names the section, the key and the line.
+choices, a non-integer ``PIPL_SEED``, a rho0 outside (0, 1), a gamma whose
+sampled eigenvalues leave [rho0, 1/rho0], an analytic-class term nonzero at
+u = 0 and a class A_T nonlinearity that breaks its growth condition raise
+ConfigError, which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -331,9 +332,8 @@ def _gamma(m: dict):
         return DiffusionTensor.matrix2d(
             m["g11"], m["g12"], m["g11"] if m["g22"] is None else m["g22"], rho0=m["rho0"]
         )
-    if m["gamma"].strip() == "1":
-        return None
-    return DiffusionTensor.scalar(m["gamma"], rho0=m["rho0"])
+    gamma = DiffusionTensor.scalar(m["gamma"], rho0=m["rho0"])  # checks rho0 for "1" too
+    return None if m["gamma"].strip() == "1" else gamma
 
 
 def load_config(path, kind: str) -> Config:
@@ -392,7 +392,10 @@ def load_config(path, kind: str) -> Config:
     # the hypotheses of the recovery results: a uniformly elliptic gamma, and
     # the growth condition of class A_T
     m = values.get("model")
-    gamma = _gamma(m) if m else None
+    try:
+        gamma = _gamma(m) if m else None
+    except ModelError as exc:  # rho0 outside (0, 1)
+        raise fault(str(exc), "model", "rho0") from exc
     if gamma is not None:
         try:
             gamma.check_ellipticity(grid)
@@ -401,7 +404,10 @@ def load_config(path, kind: str) -> Config:
     nl = None
     if m and "nonlinearity" in m:
         nl = Nonlinearity.parse(m["nonlinearity"], tag=m["class"])
-        nl.validate(grid)
+        try:
+            nl.validate(grid)  # an analytic-class term or B_T tail must vanish at u = 0
+        except ModelError as exc:
+            raise fault(str(exc), "model", "nonlinearity") from exc
         growth = check_growth(nl, grid) if nl.tag == CLASS_A else None
         if growth is not None and not growth.satisfies:
             raise fault(f"breaks the {CLASS_A} growth condition: {growth.note}", "model",

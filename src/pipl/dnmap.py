@@ -152,19 +152,18 @@ def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
 
 
 def load_measurement(grid: SpaceTimeGrid, portion, csv_path) -> DNMeasurement:
+    """The rows in save_measurement's order: level by level, the portion's
+    nodes in order within a level.  A corner on two faces has two rows that
+    its node id alone does not tell apart."""
     resolved = portion if isinstance(portion, ResolvedPortion) else resolve_portion(grid, portion)
-    values = np.zeros((grid.n_levels, resolved.n_nodes))
-    pos = {int(flat): j for j, flat in enumerate(resolved.flat)}
-    times = grid.times()
+    shape = (grid.n_levels, resolved.n_nodes)
     with open(csv_path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.strip().split(",")
-            t = float(parts[0])
-            node = int(parts[1])
-            value = float(parts[-1])
-            k = int(round(t / grid.dt))
-            if abs(times[k] - t) > 1e-12 * max(1.0, grid.T):
-                raise GridError(f"time {t} is not a grid level")
-            values[k, pos[node]] = value
-    return DNMeasurement(grid, resolved, values)
+        rows = [line.strip().split(",") for line in fh][1:]
+    if len(rows) != shape[0] * shape[1]:
+        raise GridError(f"{len(rows)} rows for {shape[0]} levels x {shape[1]} portion nodes")
+    t = np.array([float(r[0]) for r in rows]).reshape(shape)
+    node = np.array([int(r[1]) for r in rows]).reshape(shape)
+    if np.any(node != resolved.flat) or np.any(
+            np.abs(t - grid.times()[:, None]) > 1e-12 * max(1.0, grid.T)):
+        raise GridError("rows are not the portion's nodes at each grid level in turn")
+    return DNMeasurement(grid, resolved, np.array([float(r[-1]) for r in rows]).reshape(shape))

@@ -7,7 +7,8 @@ symmetric.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
 rows, so Dirichlet rows need no rewriting.  The Propagator owns the
-per-level step matrices and their factorizations; a sweep carries any number
+per-level step matrices and their factorizations (SYMMETRIC_LU when every
+row is diagonally dominant, else partial pivoting); a sweep carries any number
 of columns, each with its own initial values, boundary trace and source,
 with one multi-column solve per step, and the residual of those steps is
 checked from the same right-hand sides.  Semilinear solves march columns
@@ -36,6 +37,13 @@ from .grid import (
 from .model import CLASS_ANALYTIC, DiffusionTensor, Nonlinearity, taylor_table
 
 SCHEMES = {"be": 1.0, "cn": 0.5}
+
+# SuperLU's symmetric mode: diagonal pivots in a minimum-degree order of A + A^T,
+# sparser than COLAMD with partial pivoting.  Unpivoted elimination of a row
+# diagonally dominant matrix has growth factor <= 2 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 9.5).
+SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
 
 
 class SolverError(RuntimeError):
@@ -199,7 +207,9 @@ class Propagator:
     The stencil is assembled once per distinct gamma level, and with it the
     sparsity patterns of A and M, which a level fills by writing only their
     diagonals; A_k, its LU and M_k are kept once per distinct level (once in
-    all when neither q nor gamma depends on time)."""
+    all when neither q nor gamma depends on time).  A_k is factored with
+    SYMMETRIC_LU when every row's diagonal is at least its off-diagonal
+    absolute sum, and with SuperLU's default partial pivoting otherwise."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -226,23 +236,27 @@ class Propagator:
 
         def pattern(level):
             """Per gamma level: the stencil's diagonal and the patterns of A
-            (CSC, every row) and M (CSR, interior rows) with their
-            off-diagonal values dt theta L and -dt (1 - theta) L."""
+            (CSC, every row, with its off-diagonal absolute row sums) and M
+            (CSR, interior rows), off-diagonal values dt theta L and -dt (1 - theta) L."""
             key = level if self.gamma_td else 0
             if key not in patterns:
                 S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
-                patterns[key] = (S.diagonal(), _pattern(ca * S, np.arange(g.n_space), "csc"),
+                A, a_diag = _pattern(ca * S, np.arange(g.n_space), "csc")
+                off = np.bincount(np.delete(A.indices, a_diag), np.abs(np.delete(A.data, a_diag)),
+                                  minlength=g.n_space)
+                patterns[key] = (S.diagonal(), (A, a_diag, off),
                                  _pattern(-(cm * S), interior, "csr"))
             return patterns[key]
 
         def step(new, old):
             # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
             # with L = stencil + diag(q): only the diagonals change per level
-            s_new, (A, a_diag), _ = pattern(new)
+            s_new, (A, a_diag, off), _ = pattern(new)
             s_old, _, (M, m_diag) = pattern(old)
-            A = _with_diagonal(A, a_diag, 1.0 + ca * (s_new + q[new]))
+            a_vals = 1.0 + ca * (s_new + q[new])
+            A = _with_diagonal(A, a_diag, a_vals)
             M = _with_diagonal(M, m_diag, (1.0 - cm * (s_old + q[old]))[interior])
-            return A, M, spla.splu(A)
+            return A, M, spla.splu(A, **(SYMMETRIC_LU if np.all(np.abs(a_vals) >= off) else {}))
 
         if self.time_dependent:
             steps = [step(k + 1, k) for k in range(g.nt)]

@@ -390,12 +390,18 @@ def _edit(kind, old, new):
         # u^3 breaks the growth condition of class A_T
         ("forward", 'nonlinearity = "0"\nclass = linear-potential',
          'nonlinearity = "u^3"\nclass = A_T', "model", "nonlinearity"),
+        # an admissible-analytic term must vanish at u = 0
+        ("forward", 'nonlinearity = "0"\nclass = linear-potential',
+         'nonlinearity = "u + 1"\nclass = admissible-analytic', "model", "nonlinearity"),
+        # rho0 must lie in (0, 1), also for the identity gamma
+        ("forward", 'gamma = "1"', 'gamma = "1"\nrho0 = 1.5', "model", "rho0"),
+        ("forward", 'gamma = "1"', 'gamma = "1 + 0.2*x"\nrho0 = 1.5', "model", "rho0"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
     text = _edit(kind, old, new)
     err = _config_error(kind, text, tmp_path)
-    assert (err["section"], err["key"]) == (section, key)
+    assert (err["type"], err["section"], err["key"]) == ("ConfigError", section, key)
     marker = f"[{section}]" if key is None else key
     assert text.splitlines()[err["line"] - 1].strip().startswith(marker)
 

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipl.dnmap import add_noise, load_measurement, measure, passive_map, save_measurement
 from pipl.grid import (
+    FACE_IDS,
     BoundaryPortion,
     Field,
     GridError,
@@ -134,14 +137,37 @@ def test_noise_two_seeds_differ():
     assert abs(np.std(a.values - m.values) - np.std(b.values - m.values)) < 0.02
 
 
-def test_measurement_roundtrip(tmp_path):
-    g = grid1d(nx=17, nt=6)
-    m = add_noise(measure(heat_field(g), LEFT), "gaussian-relative", 0.05, seed=9)
-    csv = tmp_path / "dn.csv"
-    sidecar = tmp_path / "dn.json"
-    save_measurement(m, csv, sidecar)
-    back = load_measurement(g, LEFT, csv)
-    assert np.allclose(back.values, m.values, rtol=0, atol=0)
-    meta = json.loads(sidecar.read_text())
-    assert meta["noise"]["seed"] == 9
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.lists(st.integers(3, 9), min_size=2, max_size=2),
+    nt=st.integers(2, 6),
+    lower=st.floats(-5.0, 5.0),
+    width=st.floats(0.1, 10.0),
+    T=st.floats(0.01, 5.0),
+    faces=st.sets(st.sampled_from(("left", "right", "bottom", "top")), min_size=1),
+    full=st.booleans(),
+    noise_model=st.sampled_from(("gaussian-relative", "gaussian-absolute")),
+    level=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measurement_roundtrip(dim, nx, nt, lower, width, T, faces, full, noise_model, level,
+                               seed, tmp_path_factory):
+    # a noisy DN measurement on a random grid and portion: the CSV gives back
+    # its values and portion bitwise, the JSON sidecar its noise and portion
+    g = SpaceTimeGrid.make([lower] * dim, [lower + width] * dim, nx[:dim], nt, T)
+    names = sorted(f for f in faces if FACE_IDS[f][0] < dim) or ["right"]
+    portion = BoundaryPortion.full() if full else BoundaryPortion.named(*names)
+    u = Field(g, np.random.default_rng(seed).standard_normal((g.n_levels, *g.nx)), "Q")
+    m = add_noise(measure(u, portion), noise_model, level, seed)
+    out = tmp_path_factory.mktemp("dn")
+    save_measurement(m, out / "dn.csv", out / "dn.json")
+    back = load_measurement(g, portion, out / "dn.csv")
+    assert back.values.shape == m.values.shape and back.values.tobytes() == m.values.tobytes()
+    assert back.portion.faces == m.portion.faces
+    assert back.portion.flat.tobytes() == m.portion.flat.tobytes()
+    meta = json.loads((out / "dn.json").read_text())
+    assert meta["noise"] == m.noise == {"model": noise_model, "level": level, "seed": seed}
+    assert meta["portion"] == {"faces": [list(f) for f in m.portion.faces],
+                               "n_nodes": m.portion.n_nodes}
     assert meta["grid_digest"] == g.digest()

@@ -401,6 +401,17 @@ def test_step_matrices_drop_exact_zero_diagonals():
     assert prop.M_list[0].nnz < prop.M_list[-1].nnz
 
 
+# cell Peclet numbers far above 1 on every grid drawn below: some rows of A
+# lose diagonal dominance even at the smallest dt theta
+STRONG_ADVECTION = (-120.0, 60.0)
+
+
+def _row_dominant(A):
+    """Whether every row's |diagonal| is at least its off-diagonal absolute sum."""
+    d = np.abs(A.diagonal())
+    return bool(np.all(d >= np.asarray(abs(A).sum(axis=1)).ravel() - d))
+
+
 GAMMAS = {
     "identity": lambda dim: DiffusionTensor.identity(),
     "scalar": lambda dim: DiffusionTensor.scalar("1 + 0.3*x"),
@@ -422,17 +433,17 @@ GAMMAS = {
     T=st.floats(0.05, 0.5),
     scheme=st.sampled_from(("be", "cn")),
     gamma_kind=st.sampled_from(sorted(GAMMAS)),
-    advect=st.booleans(),
+    advection=st.sampled_from((None, (-3.5, 1.25), STRONG_ADVECTION)),
     q_kind=st.sampled_from(("none", "scalar", "time")),
     seed=st.integers(0, 2**16),
 )
 def test_step_matrices_match_loop_oracle(
-    dim, nx, ny, nt, T, scheme, gamma_kind, advect, q_kind, seed
+    dim, nx, ny, nt, T, scheme, gamma_kind, advection, q_kind, seed
 ):
     assume(dim == 2 or gamma_kind != "matrix")
     grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, T)
     gamma = GAMMAS[gamma_kind](dim)
-    advection = (-3.5, 1.25)[:dim] if advect else None
+    advection = advection and advection[:dim]
     q = {
         "none": None,
         "scalar": 1.3,
@@ -447,6 +458,9 @@ def test_step_matrices_match_loop_oracle(
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
         assert np.array_equal(A.toarray()[bd], np.eye(grid.n_space)[bd])
         assert not np.any(M.toarray()[bd])
+    if advection == STRONG_ADVECTION[:dim]:
+        # some row is not diagonally dominant: that step takes partial pivoting
+        assert not all(_row_dominant(A) for A in prop.A_list)
 
     # the sweep is linear: superposition of initial values, boundary traces
     # and sources
@@ -462,6 +476,10 @@ def test_step_matrices_match_loop_oracle(
     ua, ub = prop.run(**a), prop.run(**b)
     u_sum = prop.run(**{key: a[key] + b[key] for key in a})
     assert np.max(np.abs(ua + ub - u_sum)) <= 1e-12 * np.max(np.abs(u_sum))
+    # either factorization solves its steps to rounding
+    norm_A = max(abs(A).sum(axis=1).max() for A in prop.A_list)
+    residual = prop.residual(ua, a["f"], a["source"])
+    assert residual <= 1e-13 * norm_A * max(1.0, np.max(np.abs(ua)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,8 +581,10 @@ def test_batched_newton_matches_columns(
 
 
 def test_propagator_work_counts(monkeypatch):
-    # one stencil assembly per gamma level; one LU per distinct step matrix
+    # one stencil assembly per gamma level; one LU per distinct step matrix,
+    # in SuperLU's symmetric mode exactly when its rows are diagonally dominant
     counts = {"assemble": 0, "splu": 0}
+    factored = []  # (splu keyword arguments, factors) per call
     real_assemble, real_splu = forward.assemble_operator, forward.spla.splu
 
     def assemble(*args, **kwargs):
@@ -573,17 +593,26 @@ def test_propagator_work_counts(monkeypatch):
 
     def splu(*args, **kwargs):
         counts["splu"] += 1
-        return real_splu(*args, **kwargs)
+        factored.append((kwargs, real_splu(*args, **kwargs)))
+        return factored[-1][1]
 
     monkeypatch.setattr(forward, "assemble_operator", assemble)
     monkeypatch.setattr(forward.spla, "splu", splu)
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     gamma = DiffusionTensor.scalar("1 + 0.3*x")
-    for q, expected in ((q_time, (1, g.nt)), (2.0, (1, 1)), (None, (1, 1))):
+    # q = -200 leaves 1 + dt theta q < 0: no interior row is dominant
+    for q, expected, mode in ((q_time, (1, g.nt), forward.SYMMETRIC_LU),
+                              (2.0, (1, 1), forward.SYMMETRIC_LU),
+                              (None, (1, 1), forward.SYMMETRIC_LU), (-200.0, (1, 1), {})):
         counts.update(assemble=0, splu=0)
-        Propagator(g, gamma, q, "cn", (1.0, -2.0))
+        factored.clear()
+        prop = Propagator(g, gamma, q, "cn", (1.0, -2.0))
         assert (counts["assemble"], counts["splu"]) == expected
+        assert all(kwargs == mode for kwargs, _ in factored)
+        assert all(_row_dominant(A) == bool(mode) for A in prop.A_list)
+        if mode:  # one symmetric permutation of rows and columns
+            assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in factored)
     counts.update(assemble=0, splu=0)
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
     assert (counts["assemble"], counts["splu"]) == (g.n_levels, g.nt)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pipl.grid import (
     BoundaryPortion,
@@ -147,12 +148,28 @@ def test_field_shape_checked():
         Field(g, np.zeros(5), "Omega")
 
 
-def test_csv_roundtrip_q_field(tmp_path):
-    g = grid2d(nx=5, ny=4, nt=3)
-    f = field_from_function(g, lambda x, y, t: x + 2 * y + t, "Q")
-    p = tmp_path / "field.csv"
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from((1, 2)),
+    nx=st.lists(st.integers(3, 9), min_size=2, max_size=2),
+    nt=st.integers(2, 6),
+    lower=st.floats(-5.0, 5.0),
+    width=st.floats(0.1, 10.0),
+    T=st.floats(0.01, 5.0),
+    domain=st.sampled_from(("Q", "Omega")),
+)
+def test_csv_roundtrip_q_field(data, dim, nx, nt, lower, width, T, domain, tmp_path_factory):
+    # Q and Omega fields on random grids, with any finite values (signed
+    # zeros and subnormals included), come back bitwise
+    g = SpaceTimeGrid.make([lower] * dim, [lower + width] * dim, nx[:dim], nt, T)
+    shape = (g.n_levels, *g.nx) if domain == "Q" else g.nx
+    values = data.draw(arrays(np.float64, shape,
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    f = Field(g, values, domain)
+    p = tmp_path_factory.mktemp("csv") / "field.csv"
     save_field_csv(f, p)
-    back = load_field_csv(g, p, "Q")
-    assert np.array_equal(back.values, f.values)
-    text = p.read_text().splitlines()
-    assert text[0] == "# shape: 5,4,3"
+    back = load_field_csv(g, p, domain)
+    assert back.domain == domain
+    assert back.values.shape == shape and back.values.tobytes() == values.tobytes()
+    assert p.read_text().splitlines()[0] == "# shape: " + ",".join(map(str, (*g.nx, nt)))
