@@ -6,7 +6,8 @@ D the data and interior quadrature) gives every alpha's solution through the
 filter factors s / (s^2 + alpha) (Hansen, Discrete Inverse Problems, ch. 4-5).
 Morozov's rule picks alpha given a noise level.  A term affine in u is its
 own linearization, so each discrepancy is ||W^{1/2}(F g + base - data)||;
-other terms take Gauss-Newton steps around semilinear solves.
+other terms take Gauss-Newton steps around semilinear solves.  A stability
+curve builds the data-free g = 0 linearization (base, F, SVD) once for all trials.
 """
 
 from __future__ import annotations
@@ -64,21 +65,41 @@ class InitialDataMap:
         return np.matmul(self.B.toarray(), self.prop.run(g0=units)).reshape(rows, cols)
 
 
+class _Linearization:
+    """The data-independent half of the Tikhonov solve around g_lin: the base
+    solve's trace and `converged`, WF = W^{1/2} F, WF g_lin, and the SVD of
+    K = W^{1/2} F D^{-1/2} = U S V^T (W, D the data and interior quadrature)."""
+
+    def __init__(self, grid, gamma, nl, portion, scheme, g_lin: np.ndarray):
+        g = Field(grid, g_lin.reshape(grid.nx), DOMAIN_OMEGA)
+        rep = solve_semilinear(grid, gamma, nl, g=g, scheme=scheme)
+        self.converged = rep.converged
+        self.base_trace = measure(rep.solution, portion).values
+        q = taylor_table(nl, rep.solution, 1).coefficient(1)
+        lin_map = InitialDataMap(grid, gamma, q, portion, scheme)
+        self.interior = lin_map.prop.interior_mask
+        self.sqrt_w = np.sqrt(np.outer(lin_map.w_time, lin_map.w_portion)).reshape(-1)
+        d_half = np.sqrt(lin_map.w_space[self.interior])
+        self.WF = self.sqrt_w[:, None] * lin_map.dense()
+        self.WF_g = self.WF @ g_lin[self.interior]
+        self.U, self.s, Vt = np.linalg.svd(self.WF / d_half, full_matrices=False)
+        self.to_nodes = Vt.T / d_half[:, None]
+
+    @functools.cached_property
+    def scale(self) -> float:  # sigma_max(W^{1/2} F)^2, the normal operator's norm
+        return float(np.linalg.norm(self.WF, 2) ** 2) or 1.0
+
+
 class _Tikhonov:
-    """Solutions around one linearization g_lin with trace misfit `misfit`:
-    g(alpha) minimises ||W^{1/2}(F (g - g_lin) + misfit)||^2 + alpha ||D^{1/2} g||^2.
-    With K = W^{1/2} F D^{-1/2} = U S V^T and r = W^{1/2}(F g_lin - misfit),
+    """One datum's solutions around a linearization: g(alpha) minimises
+    ||W^{1/2}(F (g - g_lin) + base - data)||^2 + alpha ||D^{1/2} g||^2.
+    With r = W^{1/2}(F g_lin - (base - data)),
     g(alpha) = D^{-1/2} V diag(s / (s^2 + alpha)) U^T r on interior nodes."""
 
-    def __init__(self, lin_map: InitialDataMap, misfit: np.ndarray, g_lin: np.ndarray):
-        self.interior = lin_map.prop.interior_mask
-        sqrt_w = np.sqrt(np.outer(lin_map.w_time, lin_map.w_portion)).reshape(-1)
-        d_half = np.sqrt(lin_map.w_space[self.interior])
-        self.WF = sqrt_w[:, None] * lin_map.dense()
-        self.r = self.WF @ g_lin[self.interior] - sqrt_w * misfit.reshape(-1)
-        U, self.s, Vt = np.linalg.svd(self.WF / d_half, full_matrices=False)
-        self.to_nodes = Vt.T / d_half[:, None]
-        self.beta = U.T @ self.r
+    def __init__(self, lin: _Linearization, data: np.ndarray):
+        self.interior, self.WF, self.s, self.to_nodes = lin.interior, lin.WF, lin.s, lin.to_nodes
+        self.r = lin.WF_g - lin.sqrt_w * (lin.base_trace - data).reshape(-1)
+        self.beta = lin.U.T @ self.r
 
     def solve(self, alpha: float) -> np.ndarray:
         g_vec = np.zeros(len(self.interior))
@@ -86,7 +107,7 @@ class _Tikhonov:
         return g_vec
 
     def discrepancy(self, g_vec: np.ndarray) -> float:
-        """||W^{1/2}(F (g - g_lin) + misfit)||, the linearized data misfit."""
+        """||W^{1/2}(F (g - g_lin) + base - data)||, the linearized data misfit."""
         return float(np.linalg.norm(self.WF @ g_vec[self.interior] - self.r))
 
 
@@ -103,7 +124,12 @@ def recover_initial(
 ) -> ReconstructionResult:
     """Minimize ||measure(solve(g)) - data||^2_{L2(Gamma_0 x (0,T))} + alpha ||g||^2
     over discrete initial data with f = 0 and a known nonlinearity."""
-    portion = data.portion
+    at_zero = _Linearization(grid, gamma, nl, data.portion, scheme, np.zeros(grid.n_space))
+    return _recover(at_zero, grid, gamma, nl, data, noise_norm, alpha, scheme, outer_iters, truth)
+
+
+def _recover(at_zero, grid, gamma, nl, data, noise_norm, alpha, scheme, outer_iters, truth):
+    """recover_initial from its g = 0 linearization `at_zero`."""
     linear = nl.is_affine()
     if outer_iters is None:
         outer_iters = 1 if linear else 3
@@ -111,42 +137,34 @@ def recover_initial(
     notes = []
     converged = True
 
-    def linearize(g_current):
+    def fit(lin):
         nonlocal converged
-        rep = solve_semilinear(
-            grid, gamma, nl,
-            g=Field(grid, g_current.reshape(grid.nx), DOMAIN_OMEGA),
-            scheme=scheme,
-        )
-        if not rep.converged:
+        if not lin.converged:
             notes.append("inner semilinear solve did not converge")
             converged = False
-        base = rep.solution
-        q = taylor_table(nl, base, 1).coefficient(1)
-        misfit = measure(base, portion).values - data.values
-        return _Tikhonov(InitialDataMap(grid, gamma, q, portion, scheme), misfit, g_current)
+        return _Tikhonov(lin, data.values)
 
+    relinearize = functools.partial(_Linearization, grid, gamma, nl, data.portion, scheme)
     # every alpha trial starts from g = 0, so its first linearization is shared
-    at_zero = linearize(np.zeros(grid.n_space))
+    from_zero = fit(at_zero)
 
     @functools.cache  # the chosen alpha's trial solution is reused
     def solve_at(alpha_value):
         g_cur = np.zeros(grid.n_space)
         for i in range(outer_iters):
-            g_cur = (linearize(g_cur) if i else at_zero).solve(alpha_value)
+            g_cur = (fit(relinearize(g_cur)) if i else from_zero).solve(alpha_value)
             if linear:
                 break
         return g_cur
 
     def discrepancy(g_vec):
         if linear:
-            return at_zero.discrepancy(g_vec)
+            return from_zero.discrepancy(g_vec)
         return _discrepancy(grid, gamma, nl, g_vec, data, scheme)
 
     scale = None
     if alpha is None:
-        # sigma_max(W^{1/2} F)^2, the normal operator's norm, sets alpha's scale
-        scale = float(np.linalg.norm(at_zero.WF, 2) ** 2) or 1.0
+        scale = at_zero.scale
         if noise_norm > 0:
             # Morozov: largest alpha whose discrepancy sits at tau * noise
             ladder = (rel * scale for rel in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8))
@@ -196,7 +214,7 @@ class StabilityCurve:
     mean_errors: dict           # per-delta mean
     fit_two_term: dict
     fit_linear: dict
-    converged: bool = True      # every trial's recover_initial converged
+    converged: bool = True      # every trial's recovery converged
 
     def to_dict(self):
         return {
@@ -222,16 +240,18 @@ def stability_curve(
 ) -> StabilityCurve:
     """Twin experiments across noise levels; fits error(m) by the two-term
     logarithmic-stability model C1 m + C2 / |ln(delta0 m)| and compares its
-    residual with a pure-linear fit."""
+    residual with a pure-linear fit.  Each trial is recover_initial's Morozov
+    recovery, and all trials share one g = 0 linearization."""
     clean = passive_map(grid, gamma, nl, truth, portion, scheme)
+    at_zero = _Linearization(grid, gamma, nl, clean.portion, scheme, np.zeros(grid.n_space))
     mags, errs, dlist = [], [], []
     converged = True
     for i, delta in enumerate(deltas):
         for trial in range(trials):
             noisy = add_noise(clean, "gaussian-relative", delta, seed + 1000 * i + trial)
             m = DNMeasurement(grid, clean.portion, noisy.values - clean.values).l2()
-            rec = recover_initial(
-                grid, gamma, nl, noisy, noise_norm=m if m > 0 else 0.0, scheme=scheme
+            rec = _recover(
+                at_zero, grid, gamma, nl, noisy, m if m > 0 else 0.0, None, scheme, None, None
             )
             err = norm(rec.recovered - truth, "L2Omega")
             converged = converged and rec.converged

@@ -539,6 +539,52 @@ def test_batched_run_matches_columns(
     assert np.all(prop.residual(u, f, source) >= 1.0 - 1e-9)
 
 
+# time-dependent diagonal diffusion, each entry within [GAMMA_MIN, GAMMA_MAX]
+MAX_PRINCIPLE_GAMMAS = {
+    1: DiffusionTensor.scalar("1 + 0.3*sin(5*t)*x"),
+    2: DiffusionTensor.matrix2d("1 + 0.3*sin(5*t)*x", "0", "0.8 + 0.2*cos(3*t)*y"),
+}
+GAMMA_MIN, GAMMA_MAX = 0.6, 1.3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.integers(4, 10),
+    ny=st.integers(4, 10),
+    nt=st.integers(2, 6),
+    scheme=st.sampled_from(("be", "cn")),
+    peclet=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    q_max=st.floats(0.0, 50.0),
+    dt_fraction=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_discrete_maximum_principle(dim, nx, ny, nt, scheme, peclet, q_max, dt_fraction, seed):
+    # with q >= 0, a diagonal gamma and cell Peclet |a| h / gamma <= 2 each A_k
+    # is an M-matrix; with dt below the Crank-Nicolson bound each M_k >= 0:
+    # then nonnegative g0, f and source give a nonnegative solution
+    h = 1.0 / (np.array([nx, ny][:dim]) - 1.0)
+    dt = dt_fraction * 2.0 / (2.0 * GAMMA_MAX * np.sum(h**-2.0) + q_max)
+    if scheme == "be":
+        dt *= 100.0  # M_k is the interior identity whatever dt
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, nt * dt)
+    rng = np.random.default_rng(seed)
+    q = Field(grid, q_max * rng.random((grid.n_levels, *grid.nx)), "Q")
+    advection = tuple(p * GAMMA_MIN / hi for p, hi in zip(peclet, h))
+    prop = Propagator(grid, MAX_PRINCIPLE_GAMMAS[dim], q, scheme, advection)
+    for A, M in zip(prop.A_list, prop.M_list):
+        A = A.toarray()
+        assert np.all(A - np.diag(np.diag(A)) <= 0.0)
+        assert np.all(M.toarray() >= 0.0)
+
+    def nonnegative(*shape):
+        return rng.random(shape) * (rng.random(shape) < 0.7)
+
+    u = prop.run(g0=nonnegative(grid.n_space), f=nonnegative(grid.n_levels, len(prop.boundary_idx)),
+                 source=nonnegative(grid.n_levels, grid.n_space))
+    assert np.min(u) >= -1e-12 * np.max(np.abs(u))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     dim=st.sampled_from((1, 2)),

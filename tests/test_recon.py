@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipl.cgo import CGOFactory, CGOParameters
-from pipl.dnmap import add_noise, passive_map
+from pipl.dnmap import DNMeasurement, add_noise, passive_map
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -538,6 +540,77 @@ def test_synthesis_and_morozov_work_counts(monkeypatch):
     assert trials == []
 
 
+def test_stability_curve_shares_one_linearization(monkeypatch):
+    # the shipped stability curve (41 x 40, 4 noise levels x 5 trials) builds
+    # the clean passive map, then one g = 0 base solve, map F and SVD for all
+    # 20 trials
+    from pipl import forward
+    from pipl.recon import initial
+
+    built, dense, svds, zero_maps = [], [], [], []
+    real_init, real_dense = forward.Propagator.__init__, initial.InitialDataMap.dense
+    real_svd, real_map = np.linalg.svd, initial.InitialDataMap
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counting_dense(self):
+        dense.append(1)
+        return real_dense(self)
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(forward.Propagator, "__init__", counting_init)
+    monkeypatch.setattr(initial.InitialDataMap, "dense", counting_dense)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    g = grid1d(41, 40, T=0.5)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    curve = stability_curve(
+        g, None, Nonlinearity.zero(), truth, LEFT, [1e-1, 1e-2, 1e-3, 1e-4], trials=5, seed=1
+    )
+    assert len(curve.errors) == 20
+    assert (len(built), len(dense), len(svds)) == (3, 1, 1)
+
+    # a cubic term relinearizes per trial, but around g = 0 (base u = 0, so
+    # q = 1.5 u^2 = 0) only once per curve
+    def counting_map(grid, gamma, q, *args, **kwargs):
+        zero_maps.append(not np.any(q.values))
+        return real_map(grid, gamma, q, *args, **kwargs)
+
+    monkeypatch.setattr(initial, "InitialDataMap", counting_map)
+    g = grid1d(17, 12, T=0.3)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    stability_curve(g, None, Nonlinearity.parse("0.5*u^3"), truth, LEFT, [1e-2], trials=2)
+    assert sum(zero_maps) == 1 and len(zero_maps) > 1
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_stability_trials_equal_standalone_recoveries(seed):
+    # each trial of a curve, on its shared g = 0 linearization, is bitwise the
+    # recover_initial call on the same noisy data
+    g = grid1d(17, 12, T=0.3)
+    truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    deltas, trials = [1e-1, 1e-2], 1
+    for nl in (
+        Nonlinearity.zero(),
+        Nonlinearity.parse("2*x", tag="linear-potential"),
+        Nonlinearity.parse("0.5*u^3"),
+    ):
+        curve = stability_curve(g, None, nl, truth, LEFT, deltas, trials=trials, seed=seed)
+        clean = passive_map(g, None, nl, truth, LEFT)
+        for k, err in enumerate(curve.errors):
+            i, trial = divmod(k, trials)
+            noisy = add_noise(clean, "gaussian-relative", deltas[i], seed + 1000 * i + trial)
+            m = DNMeasurement(g, clean.portion, noisy.values - clean.values).l2()
+            rec = recover_initial(g, None, nl, noisy, noise_norm=m)
+            assert curve.magnitudes[k] == m
+            assert err == norm(rec.recovered - truth, "L2Omega")
+
+
 def test_stability_morozov_choices_unchanged(monkeypatch):
     # the stability config (41 x 40, seed 20260809) picks alpha / scale =
     # 1e-4, 1e-5, 1e-6, 1e-7 for its four noise levels, five trials each, as
@@ -545,14 +618,14 @@ def test_stability_morozov_choices_unchanged(monkeypatch):
     from pipl.recon import initial
 
     chosen = []
-    real = initial.recover_initial
+    real = initial._recover
 
     def recording(*args, **kwargs):
         res = real(*args, **kwargs)
         chosen.append(res.regularization["alpha"] / res.regularization["operator_scale"])
         return res
 
-    monkeypatch.setattr(initial, "recover_initial", recording)
+    monkeypatch.setattr(initial, "_recover", recording)
     g = grid1d(41, 40, T=0.5)
     truth = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     stability_curve(
