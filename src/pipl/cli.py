@@ -52,7 +52,7 @@ from .analysis import (
 from .cgo import CGOError, CGOFactory, CGOParameters
 from .dnmap import DNMeasurement, add_noise, passive_map, save_measurement
 from .expr import Expression, ExprError
-from .forward import SCHEMES, SolverError, solve_linear, solve_semilinear
+from .forward import SCHEMES, Propagator, SolverError, solve_linear, solve_semilinear
 from .grid import (
     FACE_IDS,
     BoundaryPortion,
@@ -844,13 +844,14 @@ def run_runge(c, outdir):
     if grid.dim == 1:  # the target carries its carrier exp(rho x + rho^2 t) in 1D
         vals = np.exp(rho * grid.axis(0) + rho**2 * grid.level_times()) * vals
     target = Field(grid, vals.real / np.max(np.abs(vals.real)), "Q")
+    prop = Propagator(grid, None, q, scheme)
     fits = []
     for mode, kw in (
         ("full", {}),
         ("partial", {"omega": omega, "region": RegionMask.subinterval(grid, 0.55, 1.0)}),
     ):
         for N in s["sizes"]:
-            fit = runge_fit(grid, target, q=q, n_basis=N, mode=mode, scheme=scheme, **kw)
+            fit = runge_fit(grid, target, prop, n_basis=N, mode=mode, **kw)
             fits.append({"mode": mode, "n_basis": N, "gap": fit.gap})
     report = {"fits": fits, "metrics": {}}
     for mode in ("full", "partial"):

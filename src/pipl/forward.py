@@ -7,14 +7,16 @@ symmetric.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
 rows, so Dirichlet rows need no rewriting.  The Propagator owns the
-per-level step matrices and their factorizations (SYMMETRIC_LU when every
-row is diagonally dominant, else partial pivoting); a sweep carries any number
-of columns, each with its own initial values, boundary trace and source,
-with one multi-column solve per step, and the residual of those steps is
-checked from the same right-hand sides.  Semilinear solves march columns
-too: a term affine in u is one linear sweep, any other one per-step Newton
-whose columns share a block-diagonal Jacobian and one sparse solve per
-iteration.
+per-level step matrices and their factorizations: in 1D, where every step
+matrix is tridiagonal, LAPACK's partial-pivoting tridiagonal LU (?gttrf);
+in 2D SuperLU, with SYMMETRIC_LU when every row is diagonally dominant, else
+partial pivoting.  A sweep carries any number of columns, each with its own
+initial values, boundary trace and source, with one multi-column solve per
+step, and the residual of those steps is checked from the same right-hand
+sides.  Semilinear solves march columns too: a term affine in u is one
+linear sweep, any other one per-step Newton whose columns share a
+block-diagonal Jacobian and one solve per iteration (one tridiagonal ?gtsv
+in 1D, one sparse spsolve in 2D).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .grid import (
     DOMAIN_Q,
@@ -52,6 +55,22 @@ class SolverError(RuntimeError):
 
 class CompatibilityError(SolverError):
     """Initial and boundary data disagree on the boundary at t = 0."""
+
+
+class _TridiagonalLU:
+    """LAPACK's LU with partial pivoting (dgttrf) of the tridiagonal matrix
+    with sub-, main and super-diagonals dl, d, du, and SuperLU's solve(rhs)
+    for one or more columns (dgttrs).  An exactly singular U raises
+    SolverError naming the time level of the matrix."""
+
+    def __init__(self, dl, d, du, level):
+        *self.factors, info = lapack.dgttrf(dl, d, du)
+        if info > 0:
+            raise SolverError(f"step matrix of time level {level} is exactly singular "
+                              f"(zero pivot in row {info})")
+
+    def solve(self, rhs):
+        return lapack.dgttrs(*self.factors, rhs)[0]
 
 
 @dataclass
@@ -207,9 +226,11 @@ class Propagator:
     The stencil is assembled once per distinct gamma level, and with it the
     sparsity patterns of A and M, which a level fills by writing only their
     diagonals; A_k, its LU and M_k are kept once per distinct level (once in
-    all when neither q nor gamma depends on time).  A_k is factored with
-    SYMMETRIC_LU when every row's diagonal is at least its off-diagonal
-    absolute sum, and with SuperLU's default partial pivoting otherwise."""
+    all when neither q nor gamma depends on time).  In 1D A_k is tridiagonal
+    and factored by _TridiagonalLU from its diagonal and the stencil's +-1
+    diagonals.  In 2D SuperLU factors it, with SYMMETRIC_LU when every row's
+    diagonal is at least its off-diagonal absolute sum, and with its default
+    partial pivoting otherwise."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -235,15 +256,20 @@ class Propagator:
         patterns = {}
 
         def pattern(level):
-            """Per gamma level: the stencil's diagonal and the patterns of A
-            (CSC, every row, with its off-diagonal absolute row sums) and M
-            (CSR, interior rows), off-diagonal values dt theta L and -dt (1 - theta) L."""
+            """Per gamma level: the stencil's diagonal, the patterns of A
+            (CSC, every row) and M (CSR, interior rows), off-diagonal values
+            dt theta L and -dt (1 - theta) L, and what factoring A needs
+            besides its diagonal: in 1D its -1 and +1 diagonals, in 2D its
+            off-diagonal absolute row sums."""
             key = level if self.gamma_td else 0
             if key not in patterns:
                 S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
                 A, a_diag = _pattern(ca * S, np.arange(g.n_space), "csc")
-                off = np.bincount(np.delete(A.indices, a_diag), np.abs(np.delete(A.data, a_diag)),
-                                  minlength=g.n_space)
+                if g.dim == 1:
+                    off = (ca * S.diagonal(-1), ca * S.diagonal(1))
+                else:
+                    off = np.bincount(np.delete(A.indices, a_diag),
+                                      np.abs(np.delete(A.data, a_diag)), minlength=g.n_space)
                 patterns[key] = (S.diagonal(), (A, a_diag, off),
                                  _pattern(-(cm * S), interior, "csr"))
             return patterns[key]
@@ -256,6 +282,8 @@ class Propagator:
             a_vals = 1.0 + ca * (s_new + q[new])
             A = _with_diagonal(A, a_diag, a_vals)
             M = _with_diagonal(M, m_diag, (1.0 - cm * (s_old + q[old]))[interior])
+            if g.dim == 1:
+                return A, M, _TridiagonalLU(off[0], a_vals, off[1], new)
             return A, M, spla.splu(A, **(SYMMETRIC_LU if np.all(np.abs(a_vals) >= off) else {}))
 
         if self.time_dependent:
@@ -482,13 +510,17 @@ def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10,
 def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     """Per-level Newton for m boundary-data columns at once: v + dt theta
     (L v + a(v)) = u_k - dt (1 - theta) (L u_k + a(u_k)) on interior rows,
-    v = f on the boundary.  The columns share one block-diagonal CSC Jacobian
+    v = f on the boundary.  The columns share one block-diagonal Jacobian
     kron(I_m, I + dt theta L) + dt theta diag(d_u a), which already has
-    identity boundary rows because L and d_u a vanish there; it is built
-    once per distinct gamma level, and each iteration overwrites only its
-    diagonal and makes one spsolve.  A column whose scaled update passes the
-    tolerance is frozen for the rest of the level, so every column takes
-    exactly the iterates of its own single-column solve."""
+    identity boundary rows because L and d_u a vanish there; its off-diagonal
+    part is built once per distinct gamma level, and each iteration rewrites
+    only its diagonal and makes one solve.  In 1D the Jacobian is one
+    tridiagonal matrix whose entries coupling the blocks are exact zeros,
+    solved by LAPACK's dgtsv (partial pivoting; an exactly singular one
+    raises SolverError); in 2D it is a CSC matrix solved by spsolve.  A
+    column whose scaled update passes the tolerance is frozen for the rest
+    of the level, so every column takes exactly the iterates of its own
+    single-column solve."""
     theta = SCHEMES[scheme]
     n = grid.n_space
     m = 1 if f_vals is None else f_vals.shape[-1]
@@ -504,18 +536,35 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     operators = {}
 
     def operator(level):
-        """L0 at a level, the CSC Jacobian kron(I_m, I + dt theta L0), the
-        positions of its diagonal in its data and the diagonal's values."""
+        """L0 at a level and solve(shift, rhs, k), the solution of
+        (kron(I_m, I + dt theta L0) + diag(shift)) x = rhs at time level k,
+        shift, rhs and x stacked column after column."""
         if not gamma_td:
             level = 0
         if level not in operators:
             L0 = assemble_operator(grid, gamma, level * dt)
-            J = sp.kron(sp.identity(m), eye + dt * theta * L0, format="csc")
-            cols = np.repeat(np.arange(n * m), np.diff(J.indptr))
-            diag = np.flatnonzero(J.indices == cols)
-            if len(diag) != n * m:
-                raise SolverError("newton Jacobian has a structural zero on its diagonal")
-            operators[level] = L0, J, diag, J.data[diag]
+            block = eye + dt * theta * L0
+            if grid.dim == 1:
+                d0 = np.tile(block.diagonal(), m)
+                dl, du = (np.tile(np.append(block.diagonal(j), 0.0), m)[:-1] for j in (-1, 1))
+
+                def solve(shift, rhs, k):
+                    *_, x, info = lapack.dgtsv(dl, d0 + shift, du, rhs, overwrite_d=1)
+                    if info > 0:
+                        raise SolverError(f"newton Jacobian at time level {k} is exactly singular")
+                    return x
+            else:
+                J = sp.kron(sp.identity(m), block, format="csc")
+                cols = np.repeat(np.arange(n * m), np.diff(J.indptr))
+                diag = np.flatnonzero(J.indices == cols)
+                if len(diag) != n * m:
+                    raise SolverError("newton Jacobian has a structural zero on its diagonal")
+                d0 = J.data[diag]
+
+                def solve(shift, rhs, k):
+                    J.data[diag] = d0 + shift
+                    return spla.spsolve(J, rhs)
+            operators[level] = L0, solve
         return operators[level]
 
     def a_of(level, v, k):
@@ -535,13 +584,13 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
         rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0] @ u[k] + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
-        L1, J, diag, J_diag = operator(k + 1)
+        L1, solve = operator(k + 1)
         active = np.ones(m, dtype=bool)
         for _ in range(max_iter):
             res = v + dt * theta * ((L1 @ v) + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
-            J.data[diag] = J_diag + dt * theta * a_of(k + 1, v, 1).ravel("F")
-            delta = spla.spsolve(J, res.ravel("F")).reshape(m, n).T
+            shift = dt * theta * a_of(k + 1, v, 1).ravel("F")
+            delta = solve(shift, res.ravel("F"), k + 1).reshape(m, n).T
             v[:, active] -= delta[:, active]
             iterations += active
             scale = np.maximum(1.0, np.max(np.abs(v), axis=0))

@@ -82,20 +82,18 @@ class RungeFit:
 def runge_fit(
     grid: SpaceTimeGrid,
     target: Field,
-    q=None,
-    gamma=None,
+    prop: Propagator,
     n_basis: int = 8,
     mode: str = "full",
     omega=None,
     aperture: float = 0.0,
     region: RegionMask | None = None,
-    scheme: str = "be",
     rcond: float = 1e-10,
     basis=None,
 ) -> RungeFit:
     """Least-squares fit of sum c_i V_{f_i} to the target in L2 of the region,
-    where V_{f_i} solves the linear model with boundary data f_i and zero
-    initial data."""
+    where V_{f_i} solves the linear model that prop steps (its q, gamma and
+    scheme) with boundary data f_i and zero initial data."""
     if target.domain != DOMAIN_Q:
         raise GridError("target must live on Q")
     family = basis if basis is not None else runge_basis(grid, n_basis, mode, omega, aperture)
@@ -105,7 +103,7 @@ def runge_fit(
 
     traces = np.stack([trace_values(grid, tr) for tr in family], axis=-1)
     check_compatibility(grid, None, traces)
-    swept = Propagator(grid, gamma, q, scheme).run(f=traces)
+    swept = prop.run(f=traces)
     fields = np.ascontiguousarray(np.moveaxis(swept, -1, 0))
     tgt = target.values.reshape(grid.n_levels, -1)
 

@@ -21,7 +21,7 @@ from pipl.analysis import (
 )
 from pipl.cgo import CGOFactory, CGOParameters, fourier_integral, pairing
 from pipl.dnmap import measure, passive_map
-from pipl.forward import solve_linear
+from pipl.forward import Propagator, solve_linear
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -324,11 +324,12 @@ def test_criterion_14_runge_gaps():
     vals = (carrier * sol.profile().values).real
     target = Field(g, vals / np.max(np.abs(vals)), "Q")
     results = {}
+    prop = Propagator(g, None, q)
     for mode, kw in (
         ("full", {}),
         ("partial", {"omega": [1.0], "region": RegionMask.subinterval(g, 0.55, 1.0)}),
     ):
-        gaps = [runge_fit(g, target, q=q, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
+        gaps = [runge_fit(g, target, prop, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
         results[mode] = gaps
     ok = all(
         all(b < a for a, b in zip(gaps, gaps[1:])) for gaps in results.values()

@@ -11,7 +11,7 @@ import pytest
 
 from pipl import analysis, cgo, cli, dnmap
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, emit_plotdata, main, run
-from pipl.forward import solve_linear, solve_semilinear
+from pipl.forward import Propagator, solve_linear, solve_semilinear
 from pipl.recon import control, initial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -333,6 +333,20 @@ def test_shipped_config_passes_check(kind, tmp_path):
             for j, cell in enumerate(row.split(",")):
                 if j not in text:
                     float(cell)
+
+
+def test_runge_builds_two_propagators(tmp_path, monkeypatch):
+    # the CGO target's Propagator, and one that every fit of every basis size shares
+    built = []
+    real_init = Propagator.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "__init__", init)
+    assert run("runge", CONFIGS / "runge.ini", tmp_path / "out", check=True) == EXIT_OK
+    assert len(built) == 2
 
 
 def test_every_kind_has_a_shipped_config():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -626,24 +627,167 @@ def test_batched_newton_matches_columns(
     assert batch.iterations == int(batch.column_iterations.sum())
 
 
-def test_propagator_work_counts(monkeypatch):
-    # one stencil assembly per gamma level; one LU per distinct step matrix,
-    # in SuperLU's symmetric mode exactly when its rows are diagonally dominant
-    counts = {"assemble": 0, "splu": 0}
-    factored = []  # (splu keyword arguments, factors) per call
-    real_assemble, real_splu = forward.assemble_operator, forward.spla.splu
+# -- the 1D LAPACK path against SuperLU -----------------------------------------
 
-    def assemble(*args, **kwargs):
-        counts["assemble"] += 1
-        return real_assemble(*args, **kwargs)
+
+def _splu_steps(prop, u, f, source):
+    """Each step of Propagator.run redone from the levels u it produced: the
+    node-loop step matrices, each A_k factored by SuperLU with partial
+    pivoting, stepping u[k] to the reference for u[k + 1]."""
+    g = prop.grid
+    A_ref, M_ref = _loop_step_matrices(prop)
+    ref = np.zeros_like(u)
+    for k in range(g.nt):
+        rhs = M_ref[k] @ u[k] + g.dt * (prop.theta * source[k + 1] + (1 - prop.theta) * source[k])
+        rhs[prop.boundary_idx] = f[k + 1]
+        ref[k + 1] = spla.splu(A_ref[k]).solve(rhs)
+    return ref
+
+
+def _spsolve_newton(grid, gamma, nl, f, g0, scheme, tol, max_iter):
+    """_newton for one column, with the Jacobian I + dt theta (L + diag(d_u a))
+    built per iteration and solved by spsolve."""
+    theta, dt, n = SCHEMES[scheme], grid.dt, grid.n_space
+    bd = grid.boundary_flat_indices()
+    interior = grid.interior_mask()
+    x = grid.axis(0)
+
+    def a(level, v, k):
+        return np.where(interior, np.broadcast_to(nl(x, level * dt, v, k=k), (n,)), 0.0)
+
+    u = np.zeros((grid.n_levels, n))
+    u[0] = g0
+    u[0, bd] = f[0]
+    for k in range(grid.nt):
+        L0, L1 = (assemble_operator(grid, gamma, level * dt) for level in (k, k + 1))
+        rhs = u[k] - dt * (1 - theta) * (L0 @ u[k] + a(k, u[k], 0))
+        v = u[k].copy()
+        for _ in range(max_iter):
+            res = v + dt * theta * (L1 @ v + a(k + 1, v, 0)) - rhs
+            res[bd] = v[bd] - f[k + 1]
+            J = sp.identity(n) + dt * theta * (L1 + sp.diags(a(k + 1, v, 1)))
+            delta = spla.spsolve(J.tocsc(), res)
+            v -= delta
+            if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(v))):
+                break
+        u[k + 1] = v
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(4, 24),
+    nt=st.integers(2, 6),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_kind=st.sampled_from(("identity", "scalar", "time")),
+    advection=st.sampled_from((None, (-3.5,), STRONG_ADVECTION[:1])),
+    q_kind=st.sampled_from(("none", "time", "negative")),
+    seed=st.integers(0, 2**16),
+)
+def test_tridiagonal_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_kind, seed):
+    grid = SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
+    ca = grid.dt * SCHEMES[scheme]
+    q = {
+        "none": None,
+        "time": field_from_function(grid, lambda x, t: 1.0 + 3.0 * x * t, "Q"),
+        # 1 + dt theta q < 0: no interior row is diagonally dominant; as the
+        # Dirichlet operator's least eigenvalue is >= 8 (gamma >= 1), without
+        # advection A_k's interior block stays positive definite, its
+        # condition below 2 / h^2
+        "negative": field_from_function(grid, lambda x, t: -1.0 / ca - 2.0 - 3.0 * x * t, "Q"),
+    }[q_kind]
+    prop = Propagator(grid, GAMMAS[gamma_kind](1), q, scheme, advection)
+    if q_kind == "negative" or advection == STRONG_ADVECTION[:1]:
+        assert not all(_row_dominant(A) for A in prop.A_list)
+    rng = np.random.default_rng(seed)
+    g0 = rng.standard_normal(grid.n_space)
+    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx)))
+    source = rng.standard_normal((grid.n_levels, grid.n_space))
+    u = prop.run(g0=g0, f=f, source=source)
+    ref = _splu_steps(prop, u, f, source)
+    for k in range(1, grid.n_levels):
+        assert np.max(np.abs(u[k] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(3, 40),
+    nt=st.integers(2, 6),
+    T=st.floats(0.01, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_src=st.sampled_from((None, "1 + 0.3*x", "1 + 0.2*t + 0.1*x")),
+    # d_u a = 3 u^2 - 6 leaves the Jacobian's rows without dominance once
+    # dt theta > 1/6, while -6 stays above minus the Dirichlet operator's
+    # least eigenvalue (>= 8 for gamma >= 1), so every step has one solution
+    nonaffine=st.sampled_from(NONAFFINE + ("u^3 - 6*u",)),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_tridiagonal_newton_matches_spsolve(nx, nt, T, scheme, gamma_src, nonaffine, m, seed):
+    grid = SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
+    gamma = None if gamma_src is None else DiffusionTensor.scalar(gamma_src)
+    nl = Nonlinearity.parse(nonaffine, tag=CLASS_A)
+    g0 = zero_field(grid, "Omega")
+    g0.values[:] = 0.5 * np.sin(math.pi * grid.axis(0))
+    rng = np.random.default_rng(seed)
+    nb = len(grid.boundary_flat_indices())
+    f = (grid.times() / T)[:, None, None] ** 2 * rng.uniform(0.0, 1.0, (nb, m))
+    batch = _newton(grid, gamma, nl, f, g0, scheme, 1e-10, 30)
+    for j in range(m):
+        ref = _spsolve_newton(grid, gamma, nl, f[..., j], g0.values, scheme, 1e-10, 30)
+        assert np.max(np.abs(batch.values[..., j] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_singular_tridiagonal_step_raises():
+    # h = 1/2, dt = 1/4: the one interior row of A is 1 + (8 + q) / 4, exactly
+    # zero at q = -12, and so is the Newton Jacobian's at u = 0 for u^3 - 12 u
+    grid = SpaceTimeGrid.make([0.0], [1.0], [3], 2, 0.5)
+    with pytest.raises(forward.SolverError, match="time level 0 is exactly singular"):
+        Propagator(grid, None, -12.0)
+    nl = Nonlinearity.parse("u^3 - 12*u", tag=CLASS_A)
+    with pytest.raises(forward.SolverError, match="time level 1 is exactly singular"):
+        _newton(grid, None, nl, None, zero_field(grid, "Omega"), "be", 1e-10, 30)
+
+
+def test_propagator_work_counts(monkeypatch):
+    # one stencil assembly per gamma level; one LU per distinct step matrix:
+    # in 2D SuperLU's, in its symmetric mode exactly when the rows are
+    # diagonally dominant, in 1D LAPACK's tridiagonal one whatever the rows.
+    # Newton makes one solve per iteration: dgtsv in 1D, spsolve in 2D
+    counts = {}
+    factored = []  # (splu keyword arguments, factors) per call
+    real_splu = forward.spla.splu
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
 
     def splu(*args, **kwargs):
-        counts["splu"] += 1
         factored.append((kwargs, real_splu(*args, **kwargs)))
         return factored[-1][1]
 
-    monkeypatch.setattr(forward, "assemble_operator", assemble)
     monkeypatch.setattr(forward.spla, "splu", splu)
+    count(forward, "assemble_operator")
+    count(forward.spla, "splu")
+    count(forward.spla, "spsolve")
+    count(forward.lapack, "dgttrf")
+    count(forward.lapack, "dgtsv")
+
+    def work(**expected):
+        """Whether the counts since the last call are the expected ones, zero
+        for the names not given."""
+        seen = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        factored.clear()
+        return seen == dict(dict.fromkeys(seen, 0), **expected)
+
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     gamma = DiffusionTensor.scalar("1 + 0.3*x")
@@ -651,14 +795,28 @@ def test_propagator_work_counts(monkeypatch):
     for q, expected, mode in ((q_time, (1, g.nt), forward.SYMMETRIC_LU),
                               (2.0, (1, 1), forward.SYMMETRIC_LU),
                               (None, (1, 1), forward.SYMMETRIC_LU), (-200.0, (1, 1), {})):
-        counts.update(assemble=0, splu=0)
-        factored.clear()
         prop = Propagator(g, gamma, q, "cn", (1.0, -2.0))
-        assert (counts["assemble"], counts["splu"]) == expected
         assert all(kwargs == mode for kwargs, _ in factored)
         assert all(_row_dominant(A) == bool(mode) for A in prop.A_list)
         if mode:  # one symmetric permutation of rows and columns
             assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in factored)
-    counts.update(assemble=0, splu=0)
+        assert work(assemble_operator=expected[0], splu=expected[1])
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
-    assert (counts["assemble"], counts["splu"]) == (g.n_levels, g.nt)
+    assert work(assemble_operator=g.n_levels, splu=g.nt)
+
+    g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
+    q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")
+    for q, expected in ((q_time, (1, g1.nt)), (2.0, (1, 1)), (-200.0, (1, 1))):
+        Propagator(g1, gamma, q, "cn", (1.0,))
+        assert work(assemble_operator=expected[0], dgttrf=expected[1])
+    Propagator(g1, DiffusionTensor.scalar("1 + 0.2*t"), None)
+    assert work(assemble_operator=g1.n_levels, dgttrf=g1.nt)
+
+    nl = Nonlinearity.parse("u^3", tag=CLASS_A)
+    g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [6, 6], 4, 0.2)
+    for grid, solver in ((g1, "dgtsv"), (g2, "spsolve")):
+        g0 = zero_field(grid, "Omega")
+        g0.values[:] = 0.5
+        res = _newton(grid, None, nl, None, g0, "be", 1e-10, 30)
+        assert res.iterations > grid.nt
+        assert work(assemble_operator=1, **{solver: res.iterations})

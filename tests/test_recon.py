@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pipl.cgo import CGOFactory, CGOParameters
 from pipl.dnmap import DNMeasurement, add_noise, passive_map
+from pipl.forward import Propagator
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -297,7 +298,6 @@ def test_recover_taylor_quadratic_constant_mean():
 
 def test_taylor_probe_one_sweep_matches_two_sweep_difference():
     from pipl.dnmap import normal_derivative_matrix
-    from pipl.forward import Propagator
 
     g = grid1d(33, 32)
     rho = 32.0
@@ -449,36 +449,36 @@ def _cgo_target(g, q, rho=2.0, tau=2 * math.pi):
 
 
 def test_runge_exact_member_recovered(monkeypatch):
-    from pipl import forward
     from pipl.forward import solve_linear
-    from pipl.recon import runge, runge_basis
+    from pipl.recon import runge_basis
 
     g = grid1d(33, 32, T=0.5)
     basis = runge_basis(g, 6)
     target = solve_linear(g, None, None, f=basis[2]).solution
-    built = []
+    prop = Propagator(g)
+    runs = []
+    real_run = Propagator.run
 
-    class Counting(forward.Propagator):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def run(self, *args, **kwargs):
+        runs.append(self)
+        return real_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(forward, "Propagator", Counting)
-    monkeypatch.setattr(runge, "Propagator", Counting)
-    fit = runge_fit(g, target, n_basis=6)
+    monkeypatch.setattr(Propagator, "run", run)
+    fit = runge_fit(g, target, prop, n_basis=6)
     assert fit.gap < 1e-8 * max(1.0, fit.target_norm)
-    assert len(built) == 1   # one (gamma, q): one Propagator for all basis columns
+    assert runs == [prop]   # all basis columns in one sweep of the given Propagator
 
 
 def test_runge_nested_gaps_decrease_full_and_partial():
     g = grid1d(65, 64, T=0.5)
     q = field_from_function(g, lambda x, t: 0.5 * np.exp(-30 * (x - 0.4) ** 2) + 0 * t, "Q")
     target = _cgo_target(g, q)
+    prop = Propagator(g, None, q)
     for mode, kw in (
         ("full", {}),
         ("partial", {"omega": [1.0], "region": RegionMask.subinterval(g, 0.55, 1.0)}),
     ):
-        gaps = [runge_fit(g, target, q=q, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
+        gaps = [runge_fit(g, target, prop, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
         assert all(b < a for a, b in zip(gaps, gaps[1:])), (mode, gaps)
 
 
