@@ -70,11 +70,7 @@ class CarlemanConfig:
             )
 
     def psi_values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        meshes = grid.meshes()
-        y = meshes[1] if grid.dim == 2 else 0.0
-        vals = np.broadcast_to(
-            np.asarray(self.psi(x=meshes[0], y=y), dtype=float), grid.nx
-        ).copy()
+        vals = np.broadcast_to(np.asarray(self.psi(*grid.meshes()), dtype=float), grid.nx).copy()
         if np.min(vals) <= 0:
             raise AnalysisError("psi must be positive on the closure of Omega")
         return vals
@@ -82,17 +78,9 @@ class CarlemanConfig:
     def check_weight_conditions(self, grid: SpaceTimeGrid, gamma, gamma0: ResolvedPortion) -> dict:
         """Sampled |grad psi| > 0 interior and conormal-flux sign on the
         complement of the observation portion."""
-        meshes = grid.meshes()
-        y = meshes[1] if grid.dim == 2 else 0.0
-        gx = np.broadcast_to(
-            np.asarray(self.psi(x=meshes[0], y=y, var="x", order=1), dtype=float), grid.nx
-        )
-        grad2 = gx**2
-        if grid.dim == 2:
-            gy = np.broadcast_to(
-                np.asarray(self.psi(x=meshes[0], y=y, var="y", order=1), dtype=float), grid.nx
-            )
-            grad2 = grad2 + gy**2
+        meshes, names = grid.meshes(), "xy"[:grid.dim]
+        grads = (np.asarray(self.psi(*meshes, var=v, order=1), dtype=float) for v in names)
+        grad2 = sum(np.broadcast_to(g, grid.nx) ** 2 for g in grads)
         grad_ok = bool(np.min(grad2) > 0)
         gamma = gamma if gamma is not None else DiffusionTensor.identity()
         full = resolve_portion(grid, BoundaryPortion.full())
@@ -104,16 +92,12 @@ class CarlemanConfig:
             if (tuple(face), mi) in observed:
                 continue
             xy = grid.node_coords(mi)
-            x = xy[0]
-            yv = xy[1] if grid.dim == 2 else 0.0
-            grad = [float(self.psi(x=x, y=yv, var="x", order=1))]
-            if grid.dim == 2:
-                grad.append(float(self.psi(x=x, y=yv, var="y", order=1)))
+            grad = [float(self.psi(*xy, var=v, order=1)) for v in names]
             nu = grid.face_normal(face)
             flux = 0.0
             for i in range(grid.dim):
                 for j in range(grid.dim):
-                    flux += float(gamma.component(i, j, x, yv, 0.0)) * grad[i] * nu[j]
+                    flux += float(gamma.component(i, j, *xy, t=0.0)) * grad[i] * nu[j]
             worst_flux = max(worst_flux, flux)
         return {
             "grad_nonvanishing": grad_ok,
@@ -274,7 +258,6 @@ def carleman_check_2(
         raise AnalysisError("t0 must sit on a time level")
     grads = _gradient_fields(u)
     meshes = grid.meshes()
-    y = meshes[1] if grid.dim == 2 else 0.0
     w_space = grid.space_weights().reshape(-1)
 
     # quadratic form sum gamma_ij du_i du_j per level
@@ -283,7 +266,7 @@ def carleman_check_2(
         for i in range(grid.dim):
             for j in range(grid.dim):
                 gij = np.broadcast_to(
-                    np.asarray(gamma.component(i, j, meshes[0], y, t), dtype=float), grid.nx
+                    np.asarray(gamma.component(i, j, *meshes, t=t), dtype=float), grid.nx
                 )
                 acc = acc + gij * grads[i][k] * grads[j][k]
         return acc

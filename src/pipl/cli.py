@@ -6,10 +6,13 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a malformed or non-finite number, a value outside its
-choices, a non-integer ``PIPL_SEED``, a rho0 outside (0, 1), a gamma whose
-sampled eigenvalues leave [rho0, 1/rho0], an analytic-class term nonzero at
-u = 0 and a class A_T nonlinearity that breaks its growth condition raise
-ConfigError, which names the section, the key and the line.
+choices, a non-integer ``PIPL_SEED``, a rho0 outside (0, 1), a diffusion
+key the run would not read (gamma beside g11; g12 or g22 without g11 or on a
+1D grid), a gamma whose sampled eigenvalues leave [rho0, 1/rho0], an
+analytic-class term nonzero at u = 0, a class A_T nonlinearity that breaks
+its growth condition, and a control eps or tail that fails
+``BTStructure.validate`` raise ConfigError, which names the section, the key
+and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -389,6 +392,21 @@ def load_config(path, kind: str) -> Config:
             raise fault(str(exc), "carleman", "k") from exc
 
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
+    if kind == "control":  # the B_T structure that run_control builds
+        s = values["control"]
+        try:
+            tail = Nonlinearity.parse(s["tail_nonlinearity"])
+            BTStructure(Nonlinearity.zero(), tail, s["eps"]).validate(grid)
+        except (GridError, ModelError) as exc:
+            key = "eps" if isinstance(exc, GridError) else "tail_nonlinearity"
+            raise fault(str(exc), "control", key) from exc
+    # a diffusion key that the run would not read
+    given = {key for section, key in lines if section == "model"}
+    if {"gamma", "g11"} <= given:
+        raise fault("g11 sets the tensor, so gamma beside it is not read", "model", "gamma")
+    for key in sorted(given & {"g12", "g22"}):
+        if grid.dim == 1 or "g11" not in given:
+            raise fault(f"{key} is read only beside g11 on a 2D grid", "model", key)
     # the hypotheses of the recovery results: a uniformly elliptic gamma, and
     # the growth condition of class A_T
     m = values.get("model")
@@ -869,9 +887,9 @@ def run_control(c, outdir):
         grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=eps,
         portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, bt=bt,
     )
-    converged = res.continuation.get("converged", True)
+    converged = res.continuation["converged"]
     reduction = res.uncontrolled_norm / max(res.terminal_norm, 1e-300)
-    tail_sup = res.continuation.get("sup_norm_over_tail", 0.0)
+    tail_sup = res.continuation["sup_norm_over_tail"]
     report = {
         "converged": converged,
         "terminal_history": res.terminal_history,
@@ -886,7 +904,7 @@ def run_control(c, outdir):
     _gate(report, "reduction_factor", reduction, ">=", 100.0)
     _gate(report, "tail_sup_norm", tail_sup, "<=", 10 * res.terminal_norm)
     _gate(report, "converged", converged, note="free continuation did not converge: "
-          + "; ".join(res.continuation.get("warnings", ())))
+          + "; ".join(res.continuation["warnings"]))
     return report
 
 

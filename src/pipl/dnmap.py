@@ -41,31 +41,19 @@ class DNMeasurement:
         return DNMeasurement(self.grid, self.portion, self.values.copy(), dict(self.noise))
 
 
-def _stencil_offsets(grid: SpaceTimeGrid, face, mi):
-    """Flat indices (b, in1, in2) marching inward along the face normal."""
-    axis, side = face
-    step = -1 if side else +1
-    mi1 = list(mi)
-    mi2 = list(mi)
-    mi1[axis] += step
-    mi2[axis] += 2 * step
-    return grid.flat_index(mi), grid.flat_index(tuple(mi1)), grid.flat_index(tuple(mi2))
-
-
 def normal_derivative_matrix(grid: SpaceTimeGrid, portion: ResolvedPortion):
     """Rows map a flattened space slice to d_nu at the portion nodes:
-    (3 u_b - 4 u_1 + u_2) / (2 h) along the outward normal."""
+    (3 u_b - 4 u_1 + u_2) / (2 h) along the outward normal, with u_1 and u_2
+    one and two flat strides inward from the boundary node b."""
     import scipy.sparse as sp
 
-    rows, cols, vals = [], [], []
-    for r, (face, mi) in enumerate(zip(portion.face_of_node, portion.multi_indices)):
-        axis, _ = face
-        h = grid.h[axis]
-        b, i1, i2 = _stencil_offsets(grid, face, mi)
-        rows += [r, r, r]
-        cols += [b, i1, i2]
-        vals += [3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(portion.n_nodes, grid.n_space))
+    axis, side = np.array(portion.face_of_node, dtype=int).reshape(-1, 2).T
+    step = np.where(side == 1, -1, 1) * np.array(grid.strides)[axis]
+    vals = np.array([3.0, -4.0, 1.0]) / (2 * np.array(grid.h)[axis])[:, None]
+    cols = portion.flat[:, None] + step[:, None] * np.arange(3)
+    rows = np.repeat(np.arange(portion.n_nodes), 3)
+    shape = (portion.n_nodes, grid.n_space)
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape)
 
 
 def measure(u: Field, portion) -> DNMeasurement:
@@ -130,8 +118,7 @@ def add_noise(m: DNMeasurement, model: str, level: float, seed: int) -> DNMeasur
 def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
     coords = m.portion.coords()
     with open(csv_path, "w") as fh:
-        header = "t,node_id,x" + (",y" if m.grid.dim == 2 else "") + ",value\n"
-        fh.write(header)
+        fh.write(f"t,node_id,{','.join('xy'[:m.grid.dim])},value\n")
         for k, t in enumerate(m.grid.times()):
             for j in range(m.portion.n_nodes):
                 xy = ",".join(repr(float(c)) for c in coords[j])

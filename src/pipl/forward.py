@@ -1,8 +1,10 @@
 """Finite-difference parabolic solvers.
 
-Space: second-order central differences in conservative (flux) form, the
-diffusion tensor sampled at cell midpoints, so the interior operator is
-symmetric.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
+Space: second-order central differences in conservative (flux) form, one
+rule for every axis: the flux between a node and its neighbour along an
+axis takes the tensor's diagonal entry for that axis at their midpoint, so
+the interior operator is symmetric; in 2D the off-diagonal entry adds a
+centred cross term at the nodes.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
 The q-free operator is assembled from index arrays in one COO -> CSR step
 and leaves boundary rows zero; a potential enters as a diagonal on interior
@@ -94,33 +96,9 @@ class SolveReport:
 # Spatial operator assembly
 
 
-def _diffusion_at_midpoints(grid: SpaceTimeGrid, gamma: DiffusionTensor | None, t: float):
-    """Diffusion entries at cell midpoints (per axis) and nodes (cross terms)."""
-    if gamma is None:
-        gamma = DiffusionTensor.identity()
-    out = {}
-    if grid.dim == 1:
-        x = grid.axis(0)
-        xm = 0.5 * (x[:-1] + x[1:])
-        out["g11_mid"] = np.broadcast_to(
-            np.asarray(gamma.component(0, 0, xm, t=t), dtype=float), xm.shape
-        )
-        return out
-    X, Y = grid.meshes()
-    xm = 0.5 * (X[:-1, :] + X[1:, :])
-    ym_x = 0.5 * (Y[:-1, :] + Y[1:, :])
-    out["g11_midx"] = np.broadcast_to(
-        np.asarray(gamma.component(0, 0, xm, ym_x, t), dtype=float), xm.shape
-    )
-    xm_y = 0.5 * (X[:, :-1] + X[:, 1:])
-    ym = 0.5 * (Y[:, :-1] + Y[:, 1:])
-    out["g22_midy"] = np.broadcast_to(
-        np.asarray(gamma.component(1, 1, xm_y, ym, t), dtype=float), ym.shape
-    )
-    out["g12_node"] = np.broadcast_to(
-        np.asarray(gamma.component(0, 1, X, Y, t), dtype=float), X.shape
-    )
-    return out
+def _along(axis, s, rest):
+    """The slice tuple rest with s in place of its entry for axis."""
+    return rest[:axis] + (s,) + rest[axis + 1:]
 
 
 def assemble_operator(
@@ -130,38 +108,37 @@ def assemble_operator(
     advection=None,
 ) -> sp.csr_matrix:
     """Sparse L with L u = -div(gamma grad u) + advection . grad u on interior
-    rows; boundary rows are zero.  A potential q enters the stepper as the
-    diagonal diag(q) on interior rows."""
-    samples = _diffusion_at_midpoints(grid, gamma, t)
-    if grid.dim == 1:
-        h = grid.h[0]
-        gm = samples["g11_mid"]  # gm[i] at midpoint i+1/2
-        a = float(advection[0]) if advection is not None else 0.0
-        r = np.arange(1, grid.nx[0] - 1)
-        gl, gr = gm[:-1], gm[1:]
-        entries = [
-            (r - 1, -gl / h**2 - a / (2 * h)),
-            (r, (gl + gr) / h**2),
-            (r + 1, -gr / h**2 + a / (2 * h)),
-        ]
-    else:
+    rows; boundary rows are zero.  One flux rule serves every axis: gamma's
+    diagonal entry for the axis, sampled at the cell midpoints between a node
+    and its neighbours one flat stride away on either side, couples the node
+    to them, with the centred advection term, and the diagonal sums the axes
+    in order.  In 2D gamma's off-diagonal entry at the nodes adds a centred
+    cross term.  A potential q enters the stepper as the diagonal diag(q) on
+    interior rows.  The CSR arrays are written directly: each interior row
+    has the same column offsets."""
+    if gamma is None:
+        gamma = DiffusionTensor.identity()
+    meshes = grid.meshes()
+    every, inner = (slice(None),) * grid.dim, (slice(1, -1),) * grid.dim
+    lo, hi = slice(None, -1), slice(1, None)
+    r = np.arange(grid.n_space).reshape(grid.nx)[inner]
+    entries, diag = [], 0.0
+    for axis, (h, stride) in enumerate(zip(grid.h, grid.strides)):
+        # g[..., k, ...] at the midpoint k + 1/2 along the axis
+        mid = [0.5 * (m[_along(axis, lo, every)] + m[_along(axis, hi, every)]) for m in meshes]
+        g = np.broadcast_to(
+            np.asarray(gamma.component(axis, axis, *mid, t=t), dtype=float), mid[0].shape
+        )
+        gl, gr = g[_along(axis, lo, inner)], g[_along(axis, hi, inner)]
+        a = float(advection[axis]) if advection is not None else 0.0
+        entries += [(-stride, -gl / h**2 - a / (2 * h)), (stride, -gr / h**2 + a / (2 * h))]
+        diag = diag + (gl + gr) / h**2
+    entries.append((0, diag))
+    if grid.dim == 2:
         nx, ny = grid.nx
         hx, hy = grid.h
-        g11 = samples["g11_midx"]   # (nx-1, ny) at (i+1/2, j)
-        g22 = samples["g22_midy"]   # (nx, ny-1) at (i, j+1/2)
-        g12 = samples["g12_node"]   # node values
-        ax = float(advection[0]) if advection is not None else 0.0
-        ay = float(advection[1]) if advection is not None else 0.0
-        r = np.arange(nx * ny).reshape(nx, ny)[1:-1, 1:-1]
-        gl, gr = g11[:-1, 1:-1], g11[1:, 1:-1]
-        gb, gt = g22[1:-1, :-1], g22[1:-1, 1:]
-        entries = [
-            (r - ny, -gl / hx**2 - ax / (2 * hx)),
-            (r + ny, -gr / hx**2 + ax / (2 * hx)),
-            (r - 1, -gb / hy**2 - ay / (2 * hy)),
-            (r + 1, -gt / hy**2 + ay / (2 * hy)),
-            (r, (gl + gr) / hx**2 + (gb + gt) / hy**2),
-        ]
+        X, Y = meshes
+        g12 = np.broadcast_to(np.asarray(gamma.component(0, 1, X, Y, t), dtype=float), X.shape)
         if np.any(g12 != 0.0):
             # -d/dx(g12 du/dy) - d/dy(g12 du/dx), centered both ways
             cxy = 1.0 / (4 * hx * hy)
@@ -169,11 +146,18 @@ def assemble_operator(
                 for sj in (-1, 1):
                     g12_x = g12[1 + si:nx - 1 + si, 1:-1]
                     g12_y = g12[1:-1, 1 + sj:ny - 1 + sj]
-                    entries.append((r + si * ny + sj, -si * sj * cxy * (g12_x + g12_y)))
-    rows = np.concatenate([np.ravel(r)] * len(entries))
-    cols = np.concatenate([np.ravel(c) for c, _ in entries])
-    vals = np.concatenate([np.ravel(v) for _, v in entries])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_space, grid.n_space))
+                    entries.append((si * ny + sj, -si * sj * cxy * (g12_x + g12_y)))
+    # every interior row r holds r + offset for the same offsets: sorted
+    # once, they give each row's columns in order
+    entries.sort(key=lambda e: e[0])
+    per_row = np.zeros(grid.n_space, dtype=int)
+    per_row[r] = len(entries)
+    return sp.csr_matrix(
+        (np.stack([np.ravel(v) for _, v in entries], axis=1).ravel(),
+         (np.ravel(r)[:, None] + [o for o, _ in entries]).ravel(),
+         np.concatenate(([0], np.cumsum(per_row)))),
+        shape=(grid.n_space, grid.n_space),
+    )
 
 
 def _pattern(off, diag_rows, fmt):
@@ -381,13 +365,10 @@ def trace_values(grid: SpaceTimeGrid, f):
             raise GridError("boundary data must be a Sigma field")
         # scatter the portion trace onto the full boundary ordering, zero off
         # the portion; corners visited by two faces are averaged
-        pos = {flat: i for i, flat in enumerate(bd)}
+        pos = np.searchsorted(bd, f.portion.flat)
         acc = np.zeros((grid.n_levels, len(bd)), dtype=f.values.dtype)
-        cnt = np.zeros(len(bd))
-        for col, flat in enumerate(f.portion.flat):
-            i = pos[int(flat)]
-            acc[:, i] += f.values[:, col]
-            cnt[i] += 1
+        np.add.at(acc, (slice(None), pos), f.values)
+        cnt = np.bincount(pos, minlength=len(bd))
         nonzero = cnt > 0
         acc[:, nonzero] /= cnt[nonzero]
         return acc
@@ -527,9 +508,7 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     dt = grid.dt
     bd = grid.boundary_flat_indices()
     interior = grid.interior_mask()[:, None]
-    meshes = grid.meshes()
-    xs = meshes[0].reshape(-1, 1)
-    ys = meshes[1].reshape(-1, 1) if grid.dim == 2 else 0.0
+    xs, *ys = (m.reshape(-1, 1) for m in grid.meshes())
 
     eye = sp.identity(n, format="csr")
     gamma_td = gamma.time_dependent() if gamma is not None else False
@@ -569,7 +548,7 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
 
     def a_of(level, v, k):
         """k-th u-derivative of nl at the columns v, zero off the interior."""
-        out = np.broadcast_to(np.asarray(nl(xs, level * dt, v, y=ys, k=k), dtype=float), (n, m))
+        out = np.broadcast_to(np.asarray(nl(xs, level * dt, v, *ys, k=k), dtype=float), (n, m))
         return np.where(interior, out, 0.0)
 
     u = np.zeros((grid.n_levels, n, m))

@@ -2,15 +2,23 @@
 
 Everything downstream (solvers, measurements, reconstructions) lives on a
 uniform grid over Omega x (0, T) with Omega an interval (dim 1) or an
-axis-aligned rectangle (dim 2).  Boundary portions resolve to explicit
-(face, node) lists so that directional selections and partial measurements
-are just index sets.
+axis-aligned rectangle (dim 2).  Nodes are flattened in row-major order, and
+every node set is one rule over the axes, the same in any dimension: the
+interior is the nodes strictly inside on every axis, the boundary its
+complement, a face the nodes at one end of one axis, and a face node's
+quadrature weight the product of the trapezoid weights along the face's
+other axes (1 on the point faces of an interval).  Boundary portions resolve
+to explicit (face, node) lists so that directional selections and partial
+measurements are just index sets.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,6 +39,13 @@ FACE_IDS = {v: k for k, v in FACE_NAMES.items()}
 
 class GridError(ValueError):
     pass
+
+
+def _trapezoid(n: int, h: float) -> np.ndarray:
+    """Trapezoid-rule weights of n equally spaced nodes h apart."""
+    w = np.full(n, h)
+    w[[0, -1]] *= 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,7 @@ class SpaceTimeGrid:
 
     @property
     def n_space(self) -> int:
-        return int(np.prod(self.nx))
+        return math.prod(self.nx)
 
     @property
     def n_levels(self) -> int:
@@ -96,35 +111,26 @@ class SpaceTimeGrid:
         """times() shaped (n_levels, 1[, 1]) to broadcast against Q values."""
         return self.times().reshape(-1, *(1,) * self.dim)
 
+    @property
+    def strides(self) -> tuple:
+        """Flat-index step between neighbouring nodes along each axis."""
+        return tuple(math.prod(self.nx[i + 1:]) for i in range(self.dim))
+
     def meshes(self):
         """Spatial coordinate arrays shaped like a space slice (ij indexing)."""
-        axes = [self.axis(i) for i in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij"))
 
     def space_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over Omega, shaped like a space slice."""
-        w = None
-        for i in range(self.dim):
-            wi = np.full(self.nx[i], self.h[i])
-            wi[0] *= 0.5
-            wi[-1] *= 0.5
-            w = wi if w is None else np.multiply.outer(w, wi)
-        return w
+        return functools.reduce(np.multiply.outer, map(_trapezoid, self.nx, self.h))
 
     def time_weights(self) -> np.ndarray:
-        w = np.full(self.n_levels, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.n_levels, self.dt)
 
     # -- boundary structure ------------------------------------------------
 
     def faces(self) -> list:
-        if self.dim == 1:
-            return [(0, 0), (0, 1)]
-        return [(0, 0), (0, 1), (1, 0), (1, 1)]
+        return [(axis, side) for axis in range(self.dim) for side in (0, 1)]
 
     def face_normal(self, face) -> np.ndarray:
         axis, side = face
@@ -133,40 +139,28 @@ class SpaceTimeGrid:
         return nu
 
     def face_multi_indices(self, face) -> list:
-        """All node multi-indices on a face (2D faces include their corners)."""
+        """All node multi-indices on a face in row-major order (2D faces
+        include their corners)."""
         axis, side = face
-        fixed = self.nx[axis] - 1 if side else 0
-        if self.dim == 1:
-            return [(fixed,)]
-        other = 1 - axis
-        out = []
-        for k in range(self.nx[other]):
-            mi = [0, 0]
-            mi[axis] = fixed
-            mi[other] = k
-            out.append(tuple(mi))
-        return out
+        ranges = [range(n) for n in self.nx]
+        ranges[axis] = [self.nx[axis] - 1 if side else 0]
+        return list(itertools.product(*ranges))
 
     def flat_index(self, mi) -> int:
-        if self.dim == 1:
-            return int(mi[0])
-        return int(mi[0]) * self.nx[1] + int(mi[1])
+        return int(np.ravel_multi_index(tuple(mi), self.nx))
 
     def node_coords(self, mi) -> tuple:
         return tuple(self.lower[i] + mi[i] * self.h[i] for i in range(self.dim))
 
     def boundary_flat_indices(self) -> np.ndarray:
-        idx = set()
-        for face in self.faces():
-            for mi in self.face_multi_indices(face):
-                idx.add(self.flat_index(mi))
-        return np.array(sorted(idx), dtype=int)
+        """Flat indices of the boundary nodes, ascending."""
+        return np.flatnonzero(~self.interior_mask())
 
     def interior_mask(self) -> np.ndarray:
         """Flat boolean mask over the space slice, False on boundary nodes."""
-        mask = np.ones(self.n_space, dtype=bool)
-        mask[self.boundary_flat_indices()] = False
-        return mask
+        mask = np.zeros(self.nx, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = True
+        return mask.reshape(-1)
 
     def digest(self) -> str:
         payload = repr((self.dim, self.lower, self.upper, self.nx, self.nt, self.T))
@@ -260,30 +254,20 @@ def _selected_faces(grid: SpaceTimeGrid, portion: BoundaryPortion) -> list:
 
 
 def resolve_portion(grid: SpaceTimeGrid, portion: BoundaryPortion) -> ResolvedPortion:
+    """The portion's nodes face by face.  A node's weight is the product of
+    the trapezoid weights along its face's other axes: 1 on the point faces
+    of an interval (counting measure)."""
     faces = _selected_faces(grid, portion)
-    face_of_node, mis, flat, weights = [], [], [], []
+    face_of_node, mis, weights = [], [], [np.zeros(0)]
     for face in faces:
-        axis, _side = face
-        other = 1 - axis if grid.dim == 2 else None
         nodes = grid.face_multi_indices(face)
-        for mi in nodes:
-            face_of_node.append(face)
-            mis.append(mi)
-            flat.append(grid.flat_index(mi))
-            if grid.dim == 1:
-                w = 1.0  # 0-dimensional face: counting measure
-            else:
-                w = grid.h[other]
-                if mi[other] in (0, grid.nx[other] - 1):
-                    w *= 0.5
-            weights.append(w)
+        face_of_node += [face] * len(nodes)
+        mis += nodes
+        others = [_trapezoid(n, h) for i, (n, h) in enumerate(zip(grid.nx, grid.h)) if i != face[0]]
+        weights.append(functools.reduce(np.multiply.outer, others, np.ones(1)).reshape(-1))
+    flat = np.ravel_multi_index(np.array(mis, dtype=int).reshape(-1, grid.dim).T, grid.nx)
     return ResolvedPortion(
-        grid,
-        tuple(faces),
-        tuple(face_of_node),
-        tuple(mis),
-        np.asarray(flat, dtype=int),
-        np.asarray(weights, dtype=float),
+        grid, tuple(faces), tuple(face_of_node), tuple(mis), flat, np.concatenate(weights)
     )
 
 
@@ -337,9 +321,6 @@ class Field:
                 raise GridError("Sigma field needs a resolved portion")
             return (self.grid.n_levels, self.portion.n_nodes)
         raise GridError(f"unknown field domain {self.domain!r}")
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.domain, self.portion)
 
     def __add__(self, other):
         return Field(self.grid, self.values + _vals(other), self.domain, self.portion)

@@ -31,7 +31,6 @@ from .grid import (
 )
 from .model import Nonlinearity, taylor_table
 
-SLOPE_BAND = (0.8, 1.2)
 EXACT_GAP = 1e-9          # below this the model is linear in the probe to solver accuracy
 
 
@@ -121,29 +120,13 @@ class RateReport:
     eps: list
     gaps: list
     slope: float | None
-    in_band: bool
     linear_exact: bool
-    notes: list = dc_field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "eps": list(self.eps),
-            "gaps": list(self.gaps),
-            "slope": self.slope,
-            "slope_in_band": self.in_band,
-            "linear_exact": self.linear_exact,
-            "notes": list(self.notes),
-        }
 
 
 def _rate_report(eps_list, gaps) -> RateReport:
     slope = _fit_slope(eps_list, gaps)
     exact = slope is None and all(g < EXACT_GAP for g in gaps)
-    in_band = exact or (slope is not None and SLOPE_BAND[0] <= slope <= SLOPE_BAND[1])
-    notes = []
-    if slope is not None and not in_band:
-        notes.append(f"gap slope {slope:.3f} outside O(eps) band {SLOPE_BAND}")
-    return RateReport(list(eps_list), [float(g) for g in gaps], slope, in_band, exact, notes)
+    return RateReport(list(eps_list), [float(g) for g in gaps], slope, exact)
 
 
 @dataclass

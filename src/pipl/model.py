@@ -78,22 +78,18 @@ class DiffusionTensor:
 
     def check_ellipticity(self, grid: SpaceTimeGrid) -> None:
         """Sample eigenvalues on grid nodes at 5 times; reject those outside
-        [rho0, 1/rho0]."""
+        [rho0, 1/rho0] or not finite.  The 2x2 formula serves a scalar too:
+        a I has mean a and radius 0 (NaN where a is infinite, so rejected)."""
         meshes = grid.meshes()
-        x = meshes[0]
-        y = meshes[1] if grid.dim == 2 else 0.0
         for t in np.linspace(0.0, grid.T, 5):
-            if not self.is_matrix:
-                lam = np.broadcast_to(np.asarray(self.entries[0](x=x, y=y, t=t), dtype=float), x.shape)
-                lo, hi = float(np.min(lam)), float(np.max(lam))
-            else:
-                a = np.broadcast_to(np.asarray(self.entries[0](x=x, y=y, t=t), dtype=float), x.shape)
-                b = np.broadcast_to(np.asarray(self.entries[1](x=x, y=y, t=t), dtype=float), x.shape)
-                c = np.broadcast_to(np.asarray(self.entries[2](x=x, y=y, t=t), dtype=float), x.shape)
-                mean = (a + c) / 2
-                rad = np.sqrt(((a - c) / 2) ** 2 + b**2)
-                lo, hi = float(np.min(mean - rad)), float(np.max(mean + rad))
-            if lo < self.rho0 - 1e-12 or hi > 1.0 / self.rho0 + 1e-12:
+            a, b, c = (
+                np.broadcast_to(np.asarray(self.component(i, j, *meshes, t=t), float), grid.nx)
+                for i, j in ((0, 0), (0, 1), (1, 1))
+            )
+            mean = (a + c) / 2
+            rad = np.sqrt(((a - c) / 2) ** 2 + b**2)
+            lo, hi = float(np.min(mean - rad)), float(np.max(mean + rad))
+            if not self.rho0 - 1e-12 <= lo <= hi <= 1.0 / self.rho0 + 1e-12:
                 raise ModelError(
                     f"sampled eigenvalues [{lo:.4g}, {hi:.4g}] leave [{self.rho0}, {1/self.rho0:.4g}] at t={t:.4g}"
                 )
@@ -140,11 +136,10 @@ class Nonlinearity:
         if self.tag not in (CLASS_ANALYTIC, CLASS_B):
             return
         rng = np.random.default_rng(0)
-        xs = rng.uniform(grid.lower[0], grid.upper[0], 64)
-        ys = rng.uniform(grid.lower[1], grid.upper[1], 64) if grid.dim == 2 else 0.0
+        xy = [rng.uniform(lo, up, 64) for lo, up in zip(grid.lower, grid.upper)]
         ts = rng.uniform(0.0, grid.T, 64)
         expr = self.params["tail"] if (self.tag == CLASS_B and "tail" in self.params) else self.expr
-        vals = np.broadcast_to(np.asarray(expr(x=xs, y=ys, t=ts, u=0.0), dtype=float), (64,))
+        vals = np.broadcast_to(np.asarray(expr(*xy, t=ts, u=0.0), dtype=float), (64,))
         worst = float(np.max(np.abs(vals)))
         if worst > 1e-12:
             raise ModelError(f"class {self.tag}: term does not vanish at u=0 (max |b(x,t,0)| = {worst:.3g})")
@@ -189,13 +184,12 @@ def check_growth(nl: Nonlinearity, grid: SpaceTimeGrid, y_max: float = 1e6) -> G
     if y_max <= math.e:
         raise ModelError("y_max must exceed e so the ln^(1/2) region is sampled")
     rng = np.random.default_rng(0)
-    xs = rng.uniform(grid.lower[0], grid.upper[0], 25)
-    ys = rng.uniform(grid.lower[1], grid.upper[1], 25) if grid.dim == 2 else np.zeros(25)
+    xs, *ys = (rng.uniform(lo, up, 25) for lo, up in zip(grid.lower, grid.upper))
     ts = rng.uniform(0.0, grid.T, 25)
     y_grid = np.exp(np.linspace(1.0, math.log(y_max), 40))
     curve = np.empty(40)
     for i, yv in enumerate(y_grid):
-        d = nl(xs, ts, np.full(25, yv), y=ys, k=1)
+        d = nl(xs, ts, np.full(25, yv), *ys, k=1)
         d = np.broadcast_to(np.asarray(d, dtype=float), (25,))
         curve[i] = float(np.max(np.abs(d))) / math.sqrt(math.log(yv))
     # the condition is a limsup, so judge the decay of the suffix envelope
@@ -236,13 +230,11 @@ def taylor_table(nl: Nonlinearity, base: Field, order: int) -> TaylorTable:
     if base.domain != DOMAIN_Q:
         raise ModelError("taylor_table expects a Q base field")
     g = base.grid
-    meshes = g.meshes()
-    x = meshes[0]
-    y = meshes[1] if g.dim == 2 else 0.0
+    x, *y = g.meshes()
     t = g.level_times()
 
     def coefficient(k):
-        v = np.asarray(nl(x, t, base.values, y=y, k=k), dtype=float)
+        v = np.asarray(nl(x, t, base.values, *y, k=k), dtype=float)
         return Field(g, np.broadcast_to(v, (g.n_levels, *g.nx)).copy(), DOMAIN_Q)
 
     return TaylorTable(base, [coefficient(k) for k in range(order + 1)])

@@ -38,9 +38,25 @@ class BTStructure:
     eps: float
 
     def validate(self, grid: SpaceTimeGrid):
+        """GridError unless eps lies in (0, T) with T - eps on a time level
+        that leaves at least 2 steps before it and 2 after it; ModelError
+        unless the tail vanishes at u = 0."""
         if not 0 < self.eps < grid.T:
-            raise GridError("eps must lie in (0, T)")
+            raise GridError(f"eps = {self.eps!r} must lie in (0, T) = (0, {grid.T!r})")
+        tail_steps = grid.nt - _horizon_level(grid, self.eps)
+        if tail_steps < 2:
+            raise GridError(f"eps = {self.eps!r} leaves {tail_steps} time step(s) after T - eps; "
+                            "the free continuation needs at least 2")
         self.tail.validate(grid)
+
+
+def _horizon_level(grid: SpaceTimeGrid, eps: float) -> int:
+    """The time level K of T - eps; GridError unless it is one, with K >= 2."""
+    horizon = grid.T - eps
+    K = int(round(horizon / grid.dt))
+    if abs(K * grid.dt - horizon) > 1e-12 * grid.T or K < 2:
+        raise GridError("T - eps must sit on a time level with at least 2 steps")
+    return K
 
 
 def bspline_element(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -66,7 +82,6 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
     that vanish at t = 0.  Returns trace arrays over the FULL boundary node
     ordering, zero off the portion, zero beyond the horizon."""
     bd = grid.boundary_flat_indices()
-    pos = {int(flat): i for i, flat in enumerate(bd)}
     times = grid.times()
     degree = 2
     n_knots = n_time + degree + 1
@@ -81,8 +96,7 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
             continue
         splines.append(vals)
     basis = []
-    for flat in sorted(set(portion.flat.tolist())):
-        col = pos[int(flat)]
+    for col in np.unique(np.searchsorted(bd, portion.flat)):
         for s in splines:
             tr = np.zeros((grid.n_levels, len(bd)))
             tr[:, col] = s
@@ -119,12 +133,14 @@ def null_control(
     """Steer the linear(ized) model u_t - div(gamma grad u) + q u = 0 from
     initial data g to approximately zero at T - eps using boundary controls
     supported on the portion: at most 400 CG steps on the normal equations
-    with control weight alpha = 1e-10, to a relative residual of 1e-12."""
+    with control weight alpha = 1e-10, to a relative residual of 1e-12.  A
+    B_T structure bt (validated first) adds the free continuation on
+    [T - eps, T] under its tail."""
     resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
+    if bt is not None:
+        bt.validate(grid)
     horizon = grid.T - eps
-    K = int(round(horizon / grid.dt))
-    if abs(K * grid.dt - horizon) > 1e-12 * grid.T or K < 2:
-        raise GridError("T - eps must sit on a time level with at least 2 steps")
+    K = _horizon_level(grid, eps)
 
     prop = Propagator(grid, gamma, q, scheme)
     w_space = grid.space_weights().reshape(-1)
@@ -141,9 +157,7 @@ def null_control(
     w_time = grid.time_weights()
     bd = grid.boundary_flat_indices()
     bweights = np.zeros(len(bd))
-    pos = {int(flat): i for i, flat in enumerate(bd)}
-    for j, flat in enumerate(resolved.flat):
-        bweights[pos[int(flat)]] += resolved.weights[j]
+    np.add.at(bweights, np.searchsorted(bd, resolved.flat), resolved.weights)
     G = np.zeros((n_b, n_b))
     for i in range(n_b):
         for j in range(i, n_b):
@@ -202,8 +216,6 @@ def _continue_free(grid, gamma, bt: BTStructure, steered_terminal, K, scheme) ->
     reports how far the solution drifts from zero and whether its solve
     converged."""
     nt_tail = grid.nt - K
-    if nt_tail < 2:
-        return {"skipped": "tail window shorter than 2 steps"}
     tail_grid = SpaceTimeGrid(grid.dim, grid.lower, grid.upper, grid.nx, nt_tail, nt_tail * grid.dt)
     init = steered_terminal.copy()
     # the steered state is only approximately zero on the boundary; free

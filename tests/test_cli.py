@@ -410,6 +410,21 @@ def _edit(kind, old, new):
         # rho0 must lie in (0, 1), also for the identity gamma
         ("forward", 'gamma = "1"', 'gamma = "1"\nrho0 = 1.5', "model", "rho0"),
         ("forward", 'gamma = "1"', 'gamma = "1 + 0.2*x"\nrho0 = 1.5', "model", "rho0"),
+        # a diffusion key that the run would not read: g12 or g22 without g11
+        # or on a 1D grid, a scalar gamma beside g11
+        ("maxprin", "[grid]\nnx = 65", '[model]\ng12 = "5"\n\n[grid]\ndim = 2\nnx = 17 17',
+         "model", "g12"),
+        ("maxprin", "[grid]\nnx = 65",
+         '[model]\ng11 = "1"\ngamma = "1.9"\n\n[grid]\ndim = 2\nnx = 17 17', "model", "gamma"),
+        ("forward", 'gamma = "1"', 'g11 = "1"\ng12 = "0.1"\ng22 = "1.5"', "model", "g12"),
+        ("forward", 'gamma = "1"', 'gamma = "1"\ng22 = "1.5"', "model", "g22"),
+        # the control horizon T - eps must leave at least 2 steps of free
+        # continuation, under a tail that vanishes at u = 0
+        ("control", "eps = 0.25", "eps = -0.25", "control", "eps"),
+        ("control", "eps = 0.25", "eps = 0", "control", "eps"),
+        ("control", "eps = 0.25", "eps = 0.010416666666666666", "control", "eps"),
+        ("control", 'tail_nonlinearity = "u^3"', 'tail_nonlinearity = "u^3 + 0.5"', "control",
+         "tail_nonlinearity"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):

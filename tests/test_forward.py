@@ -23,7 +23,6 @@ from pipl.forward import (
     SCHEMES,
     CompatibilityError,
     Propagator,
-    _diffusion_at_midpoints,
     _newton,
     assemble_operator,
     solve_linear,
@@ -309,9 +308,11 @@ def test_smallness_gate_warns_but_solves():
 
 def _loop_operator(grid, gamma, q_level, t, advection=None):
     """Node-by-node assembly of L = -div(gamma grad) + advection . grad + q on
-    interior rows, boundary rows zero: the reference for assemble_operator."""
+    interior rows, boundary rows zero, with gamma sampled point by point at
+    the cell midpoints (its diagonal entries) and at the nodes (the 2D cross
+    term): the reference for assemble_operator."""
     n = grid.n_space
-    samples = _diffusion_at_midpoints(grid, gamma, t)
+    gamma = gamma if gamma is not None else DiffusionTensor.identity()
     rows, cols, vals = [], [], []
 
     def add(r, c, v):
@@ -319,23 +320,25 @@ def _loop_operator(grid, gamma, q_level, t, advection=None):
         cols.append(c)
         vals.append(v)
 
+    def gam(i, j, *point):
+        return float(gamma.component(i, j, *point, t=t))
+
     if grid.dim == 1:
         nx = grid.nx[0]
         h = grid.h[0]
-        gm = samples["g11_mid"]
+        x = grid.axis(0)
         a = float(advection[0]) if advection is not None else 0.0
         for i in range(1, nx - 1):
-            gl, gr = gm[i - 1], gm[i]
+            gl, gr = gam(0, 0, 0.5 * (x[i - 1] + x[i])), gam(0, 0, 0.5 * (x[i] + x[i + 1]))
             add(i, i - 1, -gl / h**2 - a / (2 * h))
             add(i, i, (gl + gr) / h**2)
             add(i, i + 1, -gr / h**2 + a / (2 * h))
     else:
         nx, ny = grid.nx
         hx, hy = grid.h
-        g11, g22, g12 = samples["g11_midx"], samples["g22_midy"], samples["g12_node"]
+        x, y = grid.axis(0), grid.axis(1)
         ax = float(advection[0]) if advection is not None else 0.0
         ay = float(advection[1]) if advection is not None else 0.0
-        has_cross = bool(np.any(g12 != 0.0))
 
         def fi(i, j):
             return i * ny + j
@@ -343,19 +346,21 @@ def _loop_operator(grid, gamma, q_level, t, advection=None):
         for i in range(1, nx - 1):
             for j in range(1, ny - 1):
                 r = fi(i, j)
-                gl, gr = g11[i - 1, j], g11[i, j]
-                gb, gt = g22[i, j - 1], g22[i, j]
+                gl = gam(0, 0, 0.5 * (x[i - 1] + x[i]), y[j])
+                gr = gam(0, 0, 0.5 * (x[i] + x[i + 1]), y[j])
+                gb = gam(1, 1, x[i], 0.5 * (y[j - 1] + y[j]))
+                gt = gam(1, 1, x[i], 0.5 * (y[j] + y[j + 1]))
                 add(r, fi(i - 1, j), -gl / hx**2 - ax / (2 * hx))
                 add(r, fi(i + 1, j), -gr / hx**2 + ax / (2 * hx))
                 add(r, fi(i, j - 1), -gb / hy**2 - ay / (2 * hy))
                 add(r, fi(i, j + 1), -gt / hy**2 + ay / (2 * hy))
                 add(r, r, (gl + gr) / hx**2 + (gb + gt) / hy**2)
-                if has_cross:
+                if gamma.is_matrix:
                     cxy = 1.0 / (4 * hx * hy)
                     for si in (-1, 1):
                         for sj in (-1, 1):
-                            coeff = -si * sj * cxy * (g12[i + si, j] + g12[i, j + sj])
-                            add(r, fi(i + si, j + sj), coeff)
+                            g12 = gam(0, 1, x[i + si], y[j]) + gam(0, 1, x[i], y[j + sj])
+                            add(r, fi(i + si, j + sj), -si * sj * cxy * g12)
 
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     diag = np.zeros(n)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pipl.dnmap import normal_derivative_matrix
 from pipl.grid import (
+    FACE_NAMES,
     BoundaryPortion,
     Field,
     GridError,
@@ -173,3 +176,132 @@ def test_csv_roundtrip_q_field(data, dim, nx, nt, lower, width, T, domain, tmp_p
     assert back.domain == domain
     assert back.values.shape == shape and back.values.tobytes() == values.tobytes()
     assert p.read_text().splitlines()[0] == "# shape: " + ",".join(map(str, (*g.nx, nt)))
+
+
+# -- node sets against the face-loop construction ------------------------------
+# The reference builds every node set face by face with explicit 1D and 2D
+# cases: faces, their nodes, flat indices, the boundary as a sorted set, the
+# portion weights and the one-sided normal-derivative stencil.
+
+
+def _loop_faces(grid):
+    return [(0, 0), (0, 1)] if grid.dim == 1 else [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _loop_face_nodes(grid, face):
+    axis, side = face
+    fixed = grid.nx[axis] - 1 if side else 0
+    if grid.dim == 1:
+        return [(fixed,)]
+    other = 1 - axis
+    out = []
+    for k in range(grid.nx[other]):
+        mi = [0, 0]
+        mi[axis] = fixed
+        mi[other] = k
+        out.append(tuple(mi))
+    return out
+
+
+def _loop_flat(grid, mi):
+    return int(mi[0]) if grid.dim == 1 else int(mi[0]) * grid.nx[1] + int(mi[1])
+
+
+def _loop_boundary(grid):
+    idx = {_loop_flat(grid, mi) for f in _loop_faces(grid) for mi in _loop_face_nodes(grid, f)}
+    return np.array(sorted(idx), dtype=int)
+
+
+def _loop_selected(grid, portion):
+    if portion.kind == "full":
+        return _loop_faces(grid)
+    if portion.kind == "faces":
+        return [next(f for f, name in FACE_NAMES.items() if name == n) for n in portion.faces]
+    omega = portion.sign * np.asarray(portion.omega)
+    keep = []
+    for face in _loop_faces(grid):
+        dot = omega[face[0]] * (1.0 if face[1] else -1.0)
+        if (dot >= 0.0) if portion.eps == 0.0 else (dot > portion.eps):
+            keep.append(face)
+    return keep
+
+
+def _loop_resolve(grid, portion):
+    """(face_of_node, multi_indices, flat, weights): a 1D face node weighs 1,
+    a 2D one h along the face, halved at the face's two ends."""
+    faces, mis, flat, weights = [], [], [], []
+    for face in _loop_selected(grid, portion):
+        other = 1 - face[0] if grid.dim == 2 else None
+        for mi in _loop_face_nodes(grid, face):
+            faces.append(face)
+            mis.append(mi)
+            flat.append(_loop_flat(grid, mi))
+            if grid.dim == 1:
+                w = 1.0
+            else:
+                w = grid.h[other]
+                if mi[other] in (0, grid.nx[other] - 1):
+                    w *= 0.5
+            weights.append(w)
+    return tuple(faces), tuple(mis), np.asarray(flat, dtype=int), np.asarray(weights, dtype=float)
+
+
+def _loop_normal_derivative(grid, faces, mis):
+    """(3 u_b - 4 u_1 + u_2) / (2 h), u_1 and u_2 found by stepping the
+    multi-index inward along the face normal."""
+    rows, cols, vals = [], [], []
+    for r, (face, mi) in enumerate(zip(faces, mis)):
+        axis, side = face
+        step = -1 if side else +1
+        inward = [list(mi), list(mi)]
+        inward[0][axis] += step
+        inward[1][axis] += 2 * step
+        h = grid.h[axis]
+        rows += [r, r, r]
+        cols += [_loop_flat(grid, mi)] + [_loop_flat(grid, m) for m in inward]
+        vals += [3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(faces), grid.n_space))
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from((1, 2)),
+    nx=st.lists(st.integers(3, 12), min_size=2, max_size=2),
+    lower=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    width=st.lists(st.floats(0.1, 5.0), min_size=2, max_size=2),
+    kind=st.sampled_from(("full", "faces", "directional")),
+)
+def test_node_sets_match_face_loop(data, dim, nx, lower, width, kind):
+    # interior, boundary, resolved portions and the normal-derivative rows
+    # come out bitwise as the face-by-face construction builds them
+    g = SpaceTimeGrid.make(lower[:dim], [lo + w for lo, w in zip(lower, width)][:dim],
+                           nx[:dim], 4, 1.0)
+    bd = _loop_boundary(g)
+    assert _same(g.boundary_flat_indices(), bd)
+    assert _same(g.interior_mask(), ~np.isin(np.arange(g.n_space), bd))
+    assert g.faces() == _loop_faces(g)
+    if kind == "full":
+        portion = BoundaryPortion.full()
+    elif kind == "faces":
+        names = [FACE_NAMES[f] for f in _loop_faces(g)]
+        portion = BoundaryPortion.named(*data.draw(st.permutations(names))[
+            : data.draw(st.integers(1, len(names)))])
+    else:
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        omega = [math.cos(angle), math.sin(angle)][:dim] if dim == 2 else [1.0]
+        portion = BoundaryPortion.directional(omega, data.draw(st.sampled_from((0.0, 0.3))),
+                                              data.draw(st.sampled_from((1, -1))))
+    faces, mis, flat, weights = _loop_resolve(g, portion)
+    got = resolve_portion(g, portion)
+    assert got.face_of_node == faces and got.multi_indices == mis
+    assert _same(got.flat, flat) and _same(got.weights, weights)
+    assert all(g.flat_index(mi) == f for mi, f in zip(mis, flat))
+    if got.n_nodes:
+        B, ref = normal_derivative_matrix(g, got), _loop_normal_derivative(g, faces, mis)
+        assert all(_same(getattr(B, a), getattr(ref, a)) for a in ("data", "indices", "indptr"))
