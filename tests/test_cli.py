@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import golden
 import numpy as np
 import pytest
 
@@ -323,6 +324,9 @@ def test_shipped_config_passes_check(kind, tmp_path):
     if kind == "linearize":
         # 1 + 3 + 7 corners, two amplitude levels each
         assert report["corner_solves"] == 22
+    # every numeric output matches its pin (tests/golden.py rewrites them)
+    pins = json.loads((golden.GOLDEN / f"{kind}.json").read_text())
+    assert golden.mismatches(pins, out) == []
     # every CSV cell is a plain number, bar the text columns mode and metric;
     # a field CSV opens with a "# shape:" line and separates levels by blank lines
     for path in out.glob("*.csv"):
