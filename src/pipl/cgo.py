@@ -100,7 +100,8 @@ def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
     s = xi[0] * meshes[0]
     if grid.dim == 2:
         s = s + xi[1] * meshes[1]
-    return np.exp(-1j * (s + tau * grid.level_times()))
+    phase = -1j * (s + tau * grid.level_times())
+    return np.exp(phase, out=phase)
 
 
 @dataclass
@@ -201,12 +202,13 @@ class CGOFactory:
             # equation into the forward scheme with advection +2 rho w
             src = src[::-1]
             trace = None if trace is None else trace[::-1]
-        z = prop.run(f=trace, source=src)
         # the stepped systems' residual, per column, over its source scale
+        residuals = np.zeros(len(params_list))
+        z = prop.run(f=trace, source=src, residual=residuals)
         scale = np.ones(len(params_list))
         for level in src:
             scale = np.maximum(scale, np.max(np.abs(level), axis=0))
-        residuals = prop.residual(z, trace, src) / scale
+        residuals /= scale
         if first.direction == "backward":
             z = z[::-1]
         out = []
@@ -235,7 +237,12 @@ class CGOFactory:
             xi2 = float(np.dot(params.xi, params.xi))
             E = plane_wave(grid, params.xi, params.tau)
             theta = phi * E
-            vals = -(dphi + (xi2 - 1j * params.tau + self.q_levels) * phi) * E
+            # -(dphi + (xi2 - i tau + q) phi) E, operation by operation in place
+            vals = xi2 - 1j * params.tau + self.q_levels
+            vals *= phi
+            vals += dphi
+            np.negative(vals, out=vals)
+            vals *= E
         else:
             phi = ramp(params, grid.T - t)
             dphi = rho34 * np.exp(-rho34 * (grid.T - t))

@@ -2,7 +2,8 @@
 
 The normal derivative is taken with a 3-point one-sided stencil (second
 order) at each boundary node of the requested portion, so measurement
-accuracy matches the interior discretization without ghost nodes.  Noise is
+accuracy matches the interior discretization without ghost nodes, and
+applied as a gather (NormalDerivative), not a sparse matrix.  Noise is
 applied to synthesized measurements only, never inside a solver.
 """
 
@@ -12,6 +13,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .grid import (
     DOMAIN_Q,
@@ -41,19 +43,37 @@ class DNMeasurement:
         return DNMeasurement(self.grid, self.portion, self.values.copy(), dict(self.noise))
 
 
-def normal_derivative_matrix(grid: SpaceTimeGrid, portion: ResolvedPortion):
+class NormalDerivative:
+    """Rows of three weights on three columns each, the columns ascending in
+    a row; B @ u sums each row from zero in that order, as a CSR product
+    does, so the two are bitwise equal."""
+
+    def __init__(self, cols, vals, n_space):
+        self.cols, self.vals, self.n_space = cols, vals, n_space
+
+    def __matmul__(self, u):
+        out = np.zeros((len(self.cols), *u.shape[1:]), dtype=np.result_type(self.vals, u))
+        for c, v in zip(self.cols.T, self.vals.T):
+            out += (v[:, None] if u.ndim == 2 else v) * u[c]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((len(self.cols), self.n_space))
+        np.put_along_axis(dense, self.cols, self.vals, axis=1)
+        return dense
+
+
+def normal_derivative_matrix(grid: SpaceTimeGrid, portion: ResolvedPortion) -> NormalDerivative:
     """Rows map a flattened space slice to d_nu at the portion nodes:
     (3 u_b - 4 u_1 + u_2) / (2 h) along the outward normal, with u_1 and u_2
     one and two flat strides inward from the boundary node b."""
-    import scipy.sparse as sp
-
     axis, side = np.array(portion.face_of_node, dtype=int).reshape(-1, 2).T
     step = np.where(side == 1, -1, 1) * np.array(grid.strides)[axis]
     vals = np.array([3.0, -4.0, 1.0]) / (2 * np.array(grid.h)[axis])[:, None]
     cols = portion.flat[:, None] + step[:, None] * np.arange(3)
-    rows = np.repeat(np.arange(portion.n_nodes), 3)
-    shape = (portion.n_nodes, grid.n_space)
-    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=shape)
+    down = step < 0  # columns b, b - s, b - 2 s: reversed into ascending order
+    cols[down], vals[down] = cols[down, ::-1], vals[down, ::-1]
+    return NormalDerivative(cols, vals, grid.n_space)
 
 
 def measure(u: Field, portion) -> DNMeasurement:
@@ -98,7 +118,7 @@ def add_noise(m: DNMeasurement, model: str, level: float, seed: int) -> DNMeasur
     out.noise = {"model": model, "level": level, "seed": int(seed)}
     if level == 0.0:
         return out
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     xi = rng.standard_normal(m.values.shape)
     if model == "gaussian-relative":
         total_w = float(np.sum(m.portion.weights) * np.sum(m.grid.time_weights()))
@@ -119,12 +139,10 @@ def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
     coords = m.portion.coords()
     with open(csv_path, "w") as fh:
         fh.write(f"t,node_id,{','.join('xy'[:m.grid.dim])},value\n")
-        for k, t in enumerate(m.grid.times()):
-            for j in range(m.portion.n_nodes):
-                xy = ",".join(repr(float(c)) for c in coords[j])
-                fh.write(
-                    f"{float(t)!r},{int(m.portion.flat[j])},{xy},{float(m.values[k, j])!r}\n"
-                )
+        nodes = [f"{node},{','.join(map(repr, c))}" for node, c in
+                 zip(m.portion.flat.tolist(), np.asarray(coords, dtype=float).tolist())]
+        for t, row in zip(m.grid.times().tolist(), np.asarray(m.values, dtype=float).tolist()):
+            fh.writelines(f"{t!r},{node},{v!r}\n" for node, v in zip(nodes, row))
     if sidecar_path is not None:
         sidecar = {
             "portion": {

@@ -6,29 +6,29 @@ axis takes the tensor's diagonal entry for that axis at their midpoint, so
 the interior operator is symmetric; in 2D the off-diagonal entry adds a
 centred cross term at the nodes.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
-The q-free operator is assembled from index arrays in one COO -> CSR step
-and leaves boundary rows zero; a potential enters as a diagonal on interior
-rows, so Dirichlet rows need no rewriting.  The Propagator owns the
-per-level step matrices and their factorizations: in 1D, where every step
-matrix is tridiagonal, LAPACK's partial-pivoting tridiagonal LU (?gttrf);
-in 2D SuperLU, with SYMMETRIC_LU when every row is diagonally dominant, else
-partial pivoting.  A sweep carries any number of columns, each with its own
-initial values, boundary trace and source, with one multi-column solve per
-step, and the residual of those steps is checked from the same right-hand
-sides.  Semilinear solves march columns too: a term affine in u is one
-linear sweep, any other one per-step Newton whose columns share a
+The q-free operator leaves boundary rows zero; a potential enters as a
+diagonal on interior rows, so Dirichlet rows need no rewriting.  The
+Propagator owns the per-level step matrices and their factorizations: in 1D
+three bands (Tridiagonal) and LAPACK's partial-pivoting tridiagonal LU
+(?gttrf), from numpy's bundled OpenBLAS, so a 1D run imports no scipy; in 2D
+CSR and SuperLU, with SYMMETRIC_LU when every row is diagonally dominant,
+else partial pivoting.  A sweep carries any number of columns, each with its
+own initial values, boundary trace and source, with one multi-column solve
+per step, and the residual of those steps is checked from the same
+right-hand sides.  Semilinear solves march columns too: a term affine in u
+is one linear sweep, any other one per-step Newton whose columns share a
 block-diagonal Jacobian and one solve per iteration (one tridiagonal ?gtsv
 in 1D, one sparse spsolve in 2D).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .grid import (
     DOMAIN_Q,
@@ -39,7 +39,7 @@ from .grid import (
     norm,
     zero_field,
 )
-from .model import CLASS_ANALYTIC, DiffusionTensor, Nonlinearity, taylor_table
+from .model import CLASS_ANALYTIC, DiffusionTensor, ModelError, Nonlinearity, taylor_table
 
 SCHEMES = {"be": 1.0, "cn": 0.5}
 
@@ -59,20 +59,136 @@ class CompatibilityError(SolverError):
     """Initial and boundary data disagree on the boundary at t = 0."""
 
 
+class Tridiagonal:
+    """A tridiagonal matrix as its sub-, main and super-diagonal bands dl, d,
+    du: the 1D form of every operator and step matrix."""
+
+    def __init__(self, dl, d, du):
+        self.dl, self.d, self.du = dl, d, du
+        # (rows, columns, values) of each band that is not all zero, by offset
+        lo, hi, every = slice(1, None), slice(None, -1), slice(None)
+        self._bands = [(rows, cols, band) for rows, cols, band in
+                       ((lo, hi, dl), (every, every, d), (hi, lo, du)) if np.any(band)]
+
+    def __matmul__(self, z):
+        """The product with z, shaped (n,) or (n, m), bitwise the CSR one:
+        each row sums from zero in ascending column order, and an exact zero
+        that CSR would drop adds a signed zero, which leaves a sum started
+        at +0 as it is (an all-zero band is skipped)."""
+        out = np.zeros(z.shape, dtype=np.result_type(self.d, z))
+        for rows, cols, band in self._bands:
+            out[rows] += (band[:, None] if z.ndim == 2 else band) * z[cols]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.dl, -1) + np.diag(self.d) + np.diag(self.du, 1)
+
+
+class _NumpyLapack:
+    """dgttrf, dgttrs and dgtsv of the ILP64 OpenBLAS that numpy's wheel
+    bundles, through ctypes: every argument by reference, integers as int64,
+    and after the last one gfortran's hidden size_t length of trans."""
+
+    def __init__(self, lib):
+        self.trf, self.trs, self.sv = (getattr(lib, f"scipy_{r}_64_")
+                                       for r in ("dgttrf", "dgttrs", "dgtsv"))
+        for fn, count in ((self.trf, 7), (self.trs, 11), (self.sv, 8)):
+            fn.restype = None
+            fn.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * (fn is self.trs)
+
+    def dgttrf(self, dl, d, du):
+        """The LU factors of the bands, their solve(rhs) and LAPACK's info.
+        solve binds once the factors' pointers (which keep the factors
+        alive) and a reference to n."""
+        factors = _bands(dl, d, du)
+        n = len(factors[1])
+        factors += [np.zeros(max(n - 2, 0)), np.zeros(n, dtype=np.int64)]
+        pointers = [f.ctypes.data_as(ctypes.c_void_p) for f in factors]
+        size, info = ctypes.c_int64(n), ctypes.c_int64()
+        self.trf(ctypes.byref(size), *pointers, ctypes.byref(info))
+        trs, size_ref = self.trs, ctypes.byref(size)
+
+        def solve(rhs):
+            b = np.array(rhs, dtype=float, order="F")
+            if b.ndim not in (1, 2) or len(b) != n:
+                raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
+            nrhs, status = ctypes.c_int64(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int64()
+            trs(b"N", size_ref, ctypes.byref(nrhs), *pointers, _address(b.T), size_ref,
+                ctypes.byref(status), 1)
+            return b
+
+        return factors, solve, info.value
+
+    def dgtsv(self, dl, d, du, b):
+        """x solving the tridiagonal system (dl, d, du) x = b for one column
+        b, and LAPACK's info."""
+        dl, d, du = _bands(dl, d, du)
+        x = np.array(b, dtype=float)
+        if x.shape != d.shape:
+            raise ValueError(f"right-hand side of shape {x.shape} for {len(d)} unknowns")
+        n, nrhs, info = ctypes.c_int64(len(d)), ctypes.c_int64(1), ctypes.c_int64()
+        self.sv(ctypes.byref(n), ctypes.byref(nrhs), *map(_address, (dl, d, du, x)),
+                ctypes.byref(n), ctypes.byref(info))
+        return x, info.value
+
+
+def _address(a):
+    """A reference to the first byte of the C-contiguous array a, which keeps
+    a alive; cheaper to form than a.ctypes.data."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
+
+
+def _bands(dl, d, du):
+    """Fresh contiguous float copies of the bands, checked to be those of one
+    n x n tridiagonal matrix before LAPACK writes into them."""
+    dl, d, du = (np.array(b, dtype=float) for b in (dl, d, du))
+    if d.ndim != 1 or not dl.shape == du.shape == (max(len(d) - 1, 0),):
+        raise ValueError(f"bands of shapes {dl.shape}, {d.shape}, {du.shape}")
+    return [dl, d, du]
+
+
+class _ScipyLapack:
+    """The same routines from scipy.linalg.lapack, for a numpy without them."""
+
+    def __init__(self):
+        from scipy.linalg import lapack
+
+        self.lapack = lapack
+
+    def dgttrf(self, dl, d, du):
+        *factors, info = self.lapack.dgttrf(dl, d, du)
+        return factors, lambda rhs: self.lapack.dgttrs(*factors, rhs)[0], info
+
+    def dgtsv(self, dl, d, du, b):
+        *_, x, info = self.lapack.dgtsv(dl, d, du, b)
+        return x, info
+
+
+@functools.cache
+def _lapack():
+    """numpy's bundled OpenBLAS if it exports the tridiagonal routines, else
+    scipy's LAPACK."""
+    root = Path(np.__file__).parent
+    for path in sorted((*(root.parent / "numpy.libs").glob("libscipy_openblas64_*"),
+                        *(root / ".dylibs").glob("libscipy_openblas64_*"))):
+        try:
+            return _NumpyLapack(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError):
+            continue
+    return _ScipyLapack()
+
+
 class _TridiagonalLU:
     """LAPACK's LU with partial pivoting (dgttrf) of the tridiagonal matrix
-    with sub-, main and super-diagonals dl, d, du, and SuperLU's solve(rhs)
-    for one or more columns (dgttrs).  An exactly singular U raises
-    SolverError naming the time level of the matrix."""
+    with bands dl, d, du, and SuperLU's solve(rhs) for one or more columns
+    (dgttrs).  An exactly singular U raises SolverError naming the time
+    level of the matrix."""
 
     def __init__(self, dl, d, du, level):
-        *self.factors, info = lapack.dgttrf(dl, d, du)
+        self.factors, self.solve, info = _lapack().dgttrf(dl, d, du)
         if info > 0:
             raise SolverError(f"step matrix of time level {level} is exactly singular "
                               f"(zero pivot in row {info})")
-
-    def solve(self, rhs):
-        return lapack.dgttrs(*self.factors, rhs)[0]
 
 
 @dataclass
@@ -106,18 +222,22 @@ def assemble_operator(
     gamma: DiffusionTensor | None,
     t: float,
     advection=None,
-) -> sp.csr_matrix:
-    """Sparse L with L u = -div(gamma grad u) + advection . grad u on interior
-    rows; boundary rows are zero.  One flux rule serves every axis: gamma's
+):
+    """L with L u = -div(gamma grad u) + advection . grad u on interior rows;
+    boundary rows are zero.  One flux rule serves every axis: gamma's
     diagonal entry for the axis, sampled at the cell midpoints between a node
     and its neighbours one flat stride away on either side, couples the node
     to them, with the centred advection term, and the diagonal sums the axes
     in order.  In 2D gamma's off-diagonal entry at the nodes adds a centred
     cross term.  A potential q enters the stepper as the diagonal diag(q) on
-    interior rows.  The CSR arrays are written directly: each interior row
-    has the same column offsets."""
+    interior rows.  In 1D L is its three bands (Tridiagonal), and a matrix
+    gamma raises ModelError; in 2D it is CSR, its arrays written directly:
+    each interior row has the same column offsets."""
     if gamma is None:
         gamma = DiffusionTensor.identity()
+    if grid.dim == 1 and gamma.is_matrix:
+        raise ModelError("a matrix diffusion tensor (g11, g12, g22) needs a 2D grid; "
+                         "this grid is 1D")
     meshes = grid.meshes()
     every, inner = (slice(None),) * grid.dim, (slice(1, -1),) * grid.dim
     lo, hi = slice(None, -1), slice(1, None)
@@ -150,6 +270,11 @@ def assemble_operator(
     # every interior row r holds r + offset for the same offsets: sorted
     # once, they give each row's columns in order
     entries.sort(key=lambda e: e[0])
+    if grid.dim == 1:
+        (_, lower), (_, main), (_, upper) = entries
+        return Tridiagonal(np.append(lower, 0.0), np.pad(main, 1), np.insert(upper, 0, 0.0))
+    import scipy.sparse as sp
+
     per_row = np.zeros(grid.n_space, dtype=int)
     per_row[r] = len(entries)
     return sp.csr_matrix(
@@ -164,6 +289,8 @@ def _pattern(off, diag_rows, fmt):
     """The nonzero off-diagonal entries of the sparse matrix off plus a
     diagonal entry on each of diag_rows, canonical in fmt ("csr" or "csc"),
     and the positions of that diagonal in its data."""
+    import scipy.sparse as sp
+
     off = off.tocoo()
     keep = (off.row != off.col) & (off.data != 0)
     P = sp.coo_matrix(
@@ -208,13 +335,12 @@ class Propagator:
     vanishes on boundary rows, so A_k has identity and M_k zero boundary
     rows: the stepper writes the Dirichlet values into the right-hand side.
     The stencil is assembled once per distinct gamma level, and with it the
-    sparsity patterns of A and M, which a level fills by writing only their
-    diagonals; A_k, its LU and M_k are kept once per distinct level (once in
-    all when neither q nor gamma depends on time).  In 1D A_k is tridiagonal
-    and factored by _TridiagonalLU from its diagonal and the stencil's +-1
-    diagonals.  In 2D SuperLU factors it, with SYMMETRIC_LU when every row's
-    diagonal is at least its off-diagonal absolute sum, and with its default
-    partial pivoting otherwise."""
+    off-diagonal parts of A and M, which a level completes by writing only
+    their diagonals; A_k, its LU and M_k are kept once per distinct level
+    (once in all when neither q nor gamma depends on time).  In 1D they are
+    bands and _TridiagonalLU factors A_k.  In 2D SuperLU factors it, with
+    SYMMETRIC_LU when every row's diagonal is at least its off-diagonal
+    absolute sum, and with its default partial pivoting otherwise."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -240,34 +366,39 @@ class Propagator:
         patterns = {}
 
         def pattern(level):
-            """Per gamma level: the stencil's diagonal, the patterns of A
-            (CSC, every row) and M (CSR, interior rows), off-diagonal values
-            dt theta L and -dt (1 - theta) L, and what factoring A needs
-            besides its diagonal: in 1D its -1 and +1 diagonals, in 2D its
-            off-diagonal absolute row sums."""
+            """Per gamma level: the stencil's diagonal, and A's and M's
+            off-diagonal values dt theta L and -dt (1 - theta) L: in 1D as
+            bands, in 2D on the patterns of A (CSC, every row) and M (CSR,
+            interior rows), with A's off-diagonal absolute row sums."""
             key = level if self.gamma_td else 0
             if key not in patterns:
                 S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
-                A, a_diag = _pattern(ca * S, np.arange(g.n_space), "csc")
                 if g.dim == 1:
-                    off = (ca * S.diagonal(-1), ca * S.diagonal(1))
+                    patterns[key] = (S.d, (ca * S.dl, ca * S.du), (-(cm * S.dl), -(cm * S.du)))
                 else:
+                    A, a_diag = _pattern(ca * S, np.arange(g.n_space), "csc")
                     off = np.bincount(np.delete(A.indices, a_diag),
                                       np.abs(np.delete(A.data, a_diag)), minlength=g.n_space)
-                patterns[key] = (S.diagonal(), (A, a_diag, off),
-                                 _pattern(-(cm * S), interior, "csr"))
+                    patterns[key] = (S.diagonal(), (A, a_diag, off),
+                                     _pattern(-(cm * S), interior, "csr"))
             return patterns[key]
 
         def step(new, old):
             # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
             # with L = stencil + diag(q): only the diagonals change per level
-            s_new, (A, a_diag, off), _ = pattern(new)
-            s_old, _, (M, m_diag) = pattern(old)
+            s_new, a_off, _ = pattern(new)
+            s_old, _, m_off = pattern(old)
             a_vals = 1.0 + ca * (s_new + q[new])
-            A = _with_diagonal(A, a_diag, a_vals)
-            M = _with_diagonal(M, m_diag, (1.0 - cm * (s_old + q[old]))[interior])
+            m_vals = 1.0 - cm * (s_old + q[old])
             if g.dim == 1:
-                return A, M, _TridiagonalLU(off[0], a_vals, off[1], new)
+                A = Tridiagonal(a_off[0], a_vals, a_off[1])
+                M = Tridiagonal(m_off[0], np.where(self.interior_mask, m_vals, 0.0), m_off[1])
+                return A, M, _TridiagonalLU(A.dl, A.d, A.du, new)
+            import scipy.sparse.linalg as spla
+
+            (A, a_diag, off), (M, m_diag) = a_off, m_off
+            A = _with_diagonal(A, a_diag, a_vals)
+            M = _with_diagonal(M, m_diag, m_vals[interior])
             return A, M, spla.splu(A, **(SYMMETRIC_LU if np.all(np.abs(a_vals) >= off) else {}))
 
         if self.time_dependent:
@@ -312,11 +443,15 @@ class Propagator:
         values f_{k+1} (zero for f None) on boundary rows."""
         rhs = self.M_list[k] @ z
         if src is not None:  # on every row: the boundary rows are overwritten next
-            rhs = rhs + self.grid.dt * (self.theta * src[k + 1] + (1 - self.theta) * src[k])
+            # at theta = 1 the s_k term is a signed zero, and adding one leaves
+            # M_k z, a sum started at +0, as it is
+            s = src[k + 1] if self.theta == 1.0 else (
+                self.theta * src[k + 1] + (1 - self.theta) * src[k])
+            rhs = rhs + self.grid.dt * s
         rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
         return rhs
 
-    def run(self, g0=None, f=None, source=None) -> np.ndarray:
+    def run(self, g0=None, f=None, source=None, residual=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
 
         g0: initial values (n_space,) or space-shaped; f: boundary trace
@@ -324,6 +459,9 @@ class Propagator:
         (n_levels, n_space) added as +source on the right-hand side.  Each may
         carry m columns on a trailing axis, marched at once into (n_levels,
         n_space, m); one without that axis is shared by every column.
+        residual, an array shaped like one level's columns, receives what
+        residual(u, f, source) returns, from the right-hand sides the sweep
+        formed rather than forming them again.
         """
         grid = self.grid
         dtype = complex if any(np.iscomplexobj(a) for a in (g0, f, source)) else float
@@ -334,9 +472,19 @@ class Propagator:
             vals[0] = g0
         if f is not None:
             vals[0, self.boundary_idx] = f[0]
+        worst = np.zeros(vals.shape[2:])
         for k in range(grid.nt):
-            vals[k + 1] = self._solve(self.lu_list[k], self._step_rhs(k, vals[k], f, src))
+            rhs = self._step_rhs(k, vals[k], f, src)
+            vals[k + 1] = self._solve(self.lu_list[k], rhs)
+            if residual is not None:
+                worst = self._worst(worst, k, vals[k + 1], rhs)
+        if residual is not None:
+            residual[...] = worst.reshape(columns)
         return u
+
+    def _worst(self, worst, k, z, rhs):
+        """worst raised to the per-column max of |A_k z - rhs|."""
+        return np.maximum(worst, np.max(np.abs(self.A_list[k] @ z - rhs), axis=0))
 
     def residual(self, u, f=None, source=None) -> np.ndarray:
         """Per column of u (n_levels, n_space[, m]), the largest
@@ -346,8 +494,7 @@ class Propagator:
         z = u[..., 0] if columns == (1,) else u
         worst = np.zeros(z.shape[2:])
         for k in range(self.grid.nt):
-            step = np.abs(self.A_list[k] @ z[k + 1] - self._step_rhs(k, z[k], f, src))
-            worst = np.maximum(worst, np.max(step, axis=0))
+            worst = self._worst(worst, k, z[k + 1], self._step_rhs(k, z[k], f, src))
         return worst.reshape(columns)
 
 
@@ -498,10 +645,10 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     only its diagonal and makes one solve.  In 1D the Jacobian is one
     tridiagonal matrix whose entries coupling the blocks are exact zeros,
     solved by LAPACK's dgtsv (partial pivoting; an exactly singular one
-    raises SolverError); in 2D it is a CSC matrix solved by spsolve.  A
-    column whose scaled update passes the tolerance is frozen for the rest
-    of the level, so every column takes exactly the iterates of its own
-    single-column solve."""
+    raises SolverError), and L is applied from its bands; in 2D it is a CSC
+    matrix solved by spsolve.  A column whose scaled update passes the
+    tolerance is frozen for the rest of the level, so every column takes
+    exactly the iterates of its own single-column solve."""
     theta = SCHEMES[scheme]
     n = grid.n_space
     m = 1 if f_vals is None else f_vals.shape[-1]
@@ -509,30 +656,41 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     bd = grid.boundary_flat_indices()
     interior = grid.interior_mask()[:, None]
     xs, *ys = (m.reshape(-1, 1) for m in grid.meshes())
-
-    eye = sp.identity(n, format="csr")
     gamma_td = gamma.time_dependent() if gamma is not None else False
     operators = {}
 
     def operator(level):
-        """L0 at a level and solve(shift, rhs, k), the solution of
-        (kron(I_m, I + dt theta L0) + diag(shift)) x = rhs at time level k,
-        shift, rhs and x stacked column after column."""
+        """apply(v), L0 v for the columns v at a level, and solve(shift, rhs,
+        k), the solution of (kron(I_m, I + dt theta L0) + diag(shift)) x = rhs
+        at time level k, shift, rhs and x stacked column after column."""
         if not gamma_td:
             level = 0
         if level not in operators:
             L0 = assemble_operator(grid, gamma, level * dt)
-            block = eye + dt * theta * L0
+            apply = L0.__matmul__
             if grid.dim == 1:
-                d0 = np.tile(block.diagonal(), m)
-                dl, du = (np.tile(np.append(block.diagonal(j), 0.0), m)[:-1] for j in (-1, 1))
+                def tiled(c, b0):
+                    """The bands of kron(I_m, b0 I + c L0), as the sparse sum
+                    gives them: the entries coupling the blocks are zeros."""
+                    dl, du = (np.tile(np.append(c * b, 0.0), m)[:-1] for b in (L0.dl, L0.du))
+                    return dl, np.tile(b0 + c * L0.d, m), du
+
+                Lm = Tridiagonal(*tiled(1.0, 0.0))
+                dl, d0, du = tiled(dt * theta, 1.0)
+
+                def apply(v):  # one long product over the columns end to end
+                    return (Lm @ v.T.ravel()).reshape(m, n).T
 
                 def solve(shift, rhs, k):
-                    *_, x, info = lapack.dgtsv(dl, d0 + shift, du, rhs, overwrite_d=1)
+                    x, info = _lapack().dgtsv(dl, d0 + shift, du, rhs)
                     if info > 0:
                         raise SolverError(f"newton Jacobian at time level {k} is exactly singular")
                     return x
             else:
+                import scipy.sparse as sp
+                import scipy.sparse.linalg as spla
+
+                block = sp.identity(n, format="csr") + dt * theta * L0
                 J = sp.kron(sp.identity(m), block, format="csc")
                 cols = np.repeat(np.arange(n * m), np.diff(J.indptr))
                 diag = np.flatnonzero(J.indices == cols)
@@ -543,7 +701,7 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
                 def solve(shift, rhs, k):
                     J.data[diag] = d0 + shift
                     return spla.spsolve(J, rhs)
-            operators[level] = L0, solve
+            operators[level] = apply, solve
         return operators[level]
 
     def a_of(level, v, k):
@@ -560,13 +718,13 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     stalled = np.zeros((grid.nt, m), dtype=bool)
     history = np.zeros((grid.nt, m))
     for k in range(grid.nt):
-        rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0] @ u[k] + a_of(k, u[k], 0))
+        rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0](u[k]) + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
-        L1, solve = operator(k + 1)
+        apply, solve = operator(k + 1)
         active = np.ones(m, dtype=bool)
         for _ in range(max_iter):
-            res = v + dt * theta * ((L1 @ v) + a_of(k + 1, v, 0)) - rhs_expl
+            res = v + dt * theta * (apply(v) + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
             shift = dt * theta * a_of(k + 1, v, 1).ravel("F")
             delta = solve(shift, res.ravel("F"), k + 1).reshape(m, n).T

@@ -428,9 +428,8 @@ def save_field_csv(f: Field, path) -> None:
     for k, level in enumerate(levels):
         if k:
             buf.write("\n")
-        arr = np.atleast_2d(level)
-        for row in arr:
-            buf.write(",".join(repr(float(v)) for v in row))
+        for row in np.atleast_2d(np.asarray(level, dtype=float)).tolist():
+            buf.write(",".join(map(repr, row)))
             buf.write("\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())

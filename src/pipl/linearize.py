@@ -117,7 +117,6 @@ def _fit_slope(eps_list, gaps):
 
 @dataclass
 class RateReport:
-    eps: list
     gaps: list
     slope: float | None
     linear_exact: bool
@@ -126,7 +125,7 @@ class RateReport:
 def _rate_report(eps_list, gaps) -> RateReport:
     slope = _fit_slope(eps_list, gaps)
     exact = slope is None and all(g < EXACT_GAP for g in gaps)
-    return RateReport(list(eps_list), [float(g) for g in gaps], slope, exact)
+    return RateReport([float(g) for g in gaps], slope, exact)
 
 
 @dataclass

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .expr import Expression, mentions
 from .grid import DOMAIN_Q, Field, SpaceTimeGrid
@@ -135,7 +136,7 @@ class Nonlinearity:
         u = 0 on 64 seeded samples of (x, t)."""
         if self.tag not in (CLASS_ANALYTIC, CLASS_B):
             return
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         xy = [rng.uniform(lo, up, 64) for lo, up in zip(grid.lower, grid.upper)]
         ts = rng.uniform(0.0, grid.T, 64)
         expr = self.params["tail"] if (self.tag == CLASS_B and "tail" in self.params) else self.expr
@@ -183,7 +184,7 @@ def check_growth(nl: Nonlinearity, grid: SpaceTimeGrid, y_max: float = 1e6) -> G
     """
     if y_max <= math.e:
         raise ModelError("y_max must exceed e so the ln^(1/2) region is sampled")
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     xs, *ys = (rng.uniform(lo, up, 25) for lo, up in zip(grid.lower, grid.upper))
     ts = rng.uniform(0.0, grid.T, 25)
     y_grid = np.exp(np.linspace(1.0, math.log(y_max), 40))

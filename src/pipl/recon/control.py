@@ -96,7 +96,7 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
             continue
         splines.append(vals)
     basis = []
-    for col in np.unique(np.searchsorted(bd, portion.flat)):
+    for col in sorted(set(np.searchsorted(bd, portion.flat).tolist())):  # np.unique imports numpy.ma
         for s in splines:
             tr = np.zeros((grid.n_levels, len(bd)))
             tr[:, col] = s

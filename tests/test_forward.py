@@ -18,7 +18,8 @@ from pipl.grid import (
     zero_field,
 )
 from pipl import forward
-from pipl.model import CLASS_A, DiffusionTensor, Nonlinearity
+from pipl.dnmap import normal_derivative_matrix
+from pipl.model import CLASS_A, DiffusionTensor, ModelError, Nonlinearity
 from pipl.forward import (
     SCHEMES,
     CompatibilityError,
@@ -394,17 +395,22 @@ def _loop_step_matrices(prop):
 
 def test_step_matrices_drop_exact_zero_diagonals():
     # Crank-Nicolson with dt = h^2 (h = 1/8) makes 1 - dt/2 * 2/h^2 exactly
-    # zero on the interior diagonal of M wherever q = 0: the entry is dropped,
-    # as the sparse sum the pattern fill replaces drops it, and kept where q > 0
+    # zero on the interior diagonal of M wherever q = 0.  The sparse sum drops
+    # the entry; the 1D band keeps it, and its product is bitwise the sparse
+    # one for real and complex values, one column or several
     g = SpaceTimeGrid.make([0.0], [1.0], [9], 32, 0.5)
     q = field_from_function(g, lambda x, t: 0.0 * x + (t > 0.25), "Q")
     prop = Propagator(g, None, q, "cn")
     _, M_ref = _loop_step_matrices(prop)
+    rng = np.random.default_rng(0)
     for k in (0, g.nt - 1):
         M = prop.M_list[k]
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
-        assert M.nnz == np.count_nonzero(M.toarray())
-    assert prop.M_list[0].nnz < prop.M_list[-1].nnz
+        for shape in ((g.n_space,), (g.n_space, 3)):
+            z = rng.standard_normal(shape)
+            for z in (z, z + 1j * rng.standard_normal(shape)):
+                assert _same(M @ z, M_ref[k] @ z)
+    assert M_ref[0].nnz == np.count_nonzero(prop.M_list[0].toarray()) < M_ref[-1].nnz
 
 
 # cell Peclet numbers far above 1 on every grid drawn below: some rows of A
@@ -414,8 +420,18 @@ STRONG_ADVECTION = (-120.0, 60.0)
 
 def _row_dominant(A):
     """Whether every row's |diagonal| is at least its off-diagonal absolute sum."""
-    d = np.abs(A.diagonal())
-    return bool(np.all(d >= np.asarray(abs(A).sum(axis=1)).ravel() - d))
+    A = np.abs(A.toarray())
+    return bool(np.all(np.diag(A) >= A.sum(axis=1) - np.diag(A)))
+
+
+def _norm_inf(matrices):
+    """The largest absolute row sum of the matrices."""
+    return max(np.abs(A.toarray()).sum(axis=1).max() for A in matrices)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 GAMMAS = {
@@ -483,7 +499,7 @@ def test_step_matrices_match_loop_oracle(
     u_sum = prop.run(**{key: a[key] + b[key] for key in a})
     assert np.max(np.abs(ua + ub - u_sum)) <= 1e-12 * np.max(np.abs(u_sum))
     # either factorization solves its steps to rounding
-    norm_A = max(abs(A).sum(axis=1).max() for A in prop.A_list)
+    norm_A = _norm_inf(prop.A_list)
     residual = prop.residual(ua, a["f"], a["source"])
     assert residual <= 1e-13 * norm_A * max(1.0, np.max(np.abs(ua)))
 
@@ -539,8 +555,12 @@ def test_batched_run_matches_columns(
         assert np.max(np.abs(u[..., j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     # per column, the stepped systems hold to rounding, and an interior value
     # moved by 1 at the last level (where A's diagonal is >= 1) shows up in full
-    norm_A = max(abs(A).sum(axis=1).max() for A in prop.A_list)
+    norm_A = _norm_inf(prop.A_list)
     assert np.all(prop.residual(u, f, source) <= 1e-13 * norm_A * max(1.0, np.max(np.abs(u))))
+    # the sweep's own residual is the same, bitwise
+    swept = np.empty(m)
+    assert _same(prop.run(g0=g0, f=f, source=source, residual=swept), u)
+    assert _same(swept, prop.residual(u, f, source))
     u[-1, np.flatnonzero(prop.interior_mask)[0]] += 1.0
     assert np.all(prop.residual(u, f, source) >= 1.0 - 1e-9)
 
@@ -670,7 +690,8 @@ def _spsolve_newton(grid, gamma, nl, f, g0, scheme, tol, max_iter):
         for _ in range(max_iter):
             res = v + dt * theta * (L1 @ v + a(k + 1, v, 0)) - rhs
             res[bd] = v[bd] - f[k + 1]
-            J = sp.identity(n) + dt * theta * (L1 + sp.diags(a(k + 1, v, 1)))
+            L1_sparse = sp.diags([L1.dl, L1.d, L1.du], [-1, 0, 1])
+            J = sp.identity(n) + dt * theta * (L1_sparse + sp.diags(a(k + 1, v, 1)))
             delta = spla.spsolve(J.tocsc(), res)
             v -= delta
             if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(v))):
@@ -755,14 +776,80 @@ def test_singular_tridiagonal_step_raises():
         _newton(grid, None, nl, None, zero_field(grid, "Omega"), "be", 1e-10, 30)
 
 
+def test_tridiagonal_lapack_paths_agree(monkeypatch):
+    # the 1D LU and Newton solves run on the ILP64 OpenBLAS that numpy's wheel
+    # bundles; the scipy.linalg.lapack fallback gives bitwise the same
+    # factors, pivots and solves
+    bundled = forward._lapack()
+    assert isinstance(bundled, forward._NumpyLapack)
+    rng = np.random.default_rng(3)
+    n = 40
+    # a small main diagonal: partial pivoting swaps rows
+    dl, d, du = rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n), rng.standard_normal(n - 1)
+    bands = [a.copy() for a in (dl, d, du)]
+    lu = forward._TridiagonalLU(dl, d, du, 0)
+    monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
+    fallback = forward._lapack()
+    assert isinstance(fallback, forward._ScipyLapack)
+    ref = forward._TridiagonalLU(dl, d, du, 0)
+    assert all(_same(a, b) for a, b in zip(lu.factors[:4], ref.factors[:4]))
+    assert np.array_equal(lu.factors[4], ref.factors[4])
+    assert not np.array_equal(ref.factors[4], np.arange(1, n + 1))
+    for shape in ((n,), (n, 1), (n, 7)):
+        rhs = rng.standard_normal(shape)
+        assert _same(lu.solve(rhs), ref.solve(rhs))
+    b = rng.standard_normal(n)
+    x, info = bundled.dgtsv(dl, d.copy(), du, b)
+    x_ref, info_ref = fallback.dgtsv(dl, d.copy(), du, b)
+    assert info == info_ref == 0 and _same(x, x_ref)
+    assert all(_same(a, b) for a, b in zip((dl, d, du), bands))  # the bands are left alone
+
+
+def test_1d_paths_build_no_sparse_matrix(monkeypatch):
+    # a 1D Propagator, a 1D Newton solve and the normal-derivative gather work
+    # on bands and index arrays: no scipy.sparse object is made
+    built = []
+    real_init = sp._base._spbase.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", init)
+    g = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
+    q = field_from_function(g, lambda x, t: 1.0 + x * t, "Q")
+    prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), q, "cn", (1.0,))
+    g0 = np.sin(math.pi * g.axis(0))
+    u = prop.run(g0=np.column_stack([g0, 2 * g0]))
+    assert np.all(prop.residual(u) <= 1e-12)
+    nl = Nonlinearity.parse("u^3", tag=CLASS_A)
+    assert _newton(g, None, nl, None, Field(g, g0, "Omega"), "be", 1e-10, 30).converged.all()
+    B = normal_derivative_matrix(g, resolve_portion(g, BoundaryPortion.full()))
+    assert (B @ u[-1]).shape == (2, 2) and B.toarray().shape == (2, g.n_space)
+    assert built == []
+    Propagator(SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [5, 5], 2, 0.1))  # 2D: CSR
+    assert built
+
+
+def test_matrix_gamma_on_1d_grid_raises():
+    # g12 and g22 have no meaning on a 1D grid; they are not dropped silently
+    g = grid1d(9, 4)
+    gamma = DiffusionTensor.matrix2d("1", "0.3", "5")
+    with pytest.raises(ModelError, match="needs a 2D grid"):
+        assemble_operator(g, gamma, 0.0)
+    with pytest.raises(ModelError, match="needs a 2D grid"):
+        Propagator(g, gamma)
+
+
 def test_propagator_work_counts(monkeypatch):
     # one stencil assembly per gamma level; one LU per distinct step matrix:
     # in 2D SuperLU's, in its symmetric mode exactly when the rows are
     # diagonally dominant, in 1D LAPACK's tridiagonal one whatever the rows.
-    # Newton makes one solve per iteration: dgtsv in 1D, spsolve in 2D
+    # Newton makes one solve per iteration: dgtsv in 1D, spsolve in 2D.
+    # SuperLU is counted on scipy.sparse.linalg, LAPACK on forward's binding
     counts = {}
     factored = []  # (splu keyword arguments, factors) per call
-    real_splu = forward.spla.splu
+    real_splu = spla.splu
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -778,12 +865,12 @@ def test_propagator_work_counts(monkeypatch):
         factored.append((kwargs, real_splu(*args, **kwargs)))
         return factored[-1][1]
 
-    monkeypatch.setattr(forward.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     count(forward, "assemble_operator")
-    count(forward.spla, "splu")
-    count(forward.spla, "spsolve")
-    count(forward.lapack, "dgttrf")
-    count(forward.lapack, "dgtsv")
+    count(spla, "splu")
+    count(spla, "spsolve")
+    count(forward._lapack(), "dgttrf")
+    count(forward._lapack(), "dgtsv")
 
     def work(**expected):
         """Whether the counts since the last call are the expected ones, zero

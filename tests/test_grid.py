@@ -303,5 +303,10 @@ def test_node_sets_match_face_loop(data, dim, nx, lower, width, kind):
     assert _same(got.flat, flat) and _same(got.weights, weights)
     assert all(g.flat_index(mi) == f for mi, f in zip(mis, flat))
     if got.n_nodes:
+        # the gather's columns and weights are the CSR rows', and so is its
+        # product, bitwise
         B, ref = normal_derivative_matrix(g, got), _loop_normal_derivative(g, faces, mis)
-        assert all(_same(getattr(B, a), getattr(ref, a)) for a in ("data", "indices", "indptr"))
+        assert np.array_equal(B.cols.ravel(), ref.indices) and _same(B.vals.ravel(), ref.data)
+        assert np.all(np.diff(ref.indptr) == 3)
+        u = np.random.default_rng(len(flat)).standard_normal((g.n_space, 2))
+        assert _same(B @ u, ref @ u) and _same(B @ u[:, 0], ref @ u[:, 0])
