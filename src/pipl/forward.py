@@ -7,18 +7,19 @@ the interior operator is symmetric; in 2D the off-diagonal entry adds a
 centred cross term at the nodes.  Time: implicit Euler ("be", default) or Crank-Nicolson ("cn").
 
 The q-free operator leaves boundary rows zero; a potential enters as a
-diagonal on interior rows, so Dirichlet rows need no rewriting.  The
-Propagator owns the per-level step matrices and their factorizations: in 1D
-three bands (Tridiagonal) and LAPACK's partial-pivoting tridiagonal LU
-(?gttrf), from numpy's bundled OpenBLAS, so a 1D run imports no scipy; in 2D
-CSR and SuperLU, with SYMMETRIC_LU when every row is diagonally dominant,
-else partial pivoting.  A sweep carries any number of columns, each with its
-own initial values, boundary trace and source, with one multi-column solve
-per step, and the residual of those steps is checked from the same
-right-hand sides.  Semilinear solves march columns too: a term affine in u
-is one linear sweep, any other one per-step Newton whose columns share a
-block-diagonal Jacobian and one solve per iteration (one tridiagonal ?gtsv
-in 1D, one sparse spsolve in 2D).
+diagonal on interior rows, so Dirichlet rows need no rewriting.  Every
+interior row couples a node to neighbours at the same flat offsets, so in
+any dimension each operator, step matrix and Newton Jacobian is a band
+matrix (Banded), factored by LAPACK's band LU with partial pivoting
+(_BandLU) from numpy's bundled OpenBLAS: ?gttrf for one band either side of
+the diagonal (1D), ?gbtrf for wider ones (2D, half-bandwidth the row
+stride, one more with a cross term).  A run imports no scipy.  A sweep
+carries any number of columns, each with its own initial values, boundary
+trace and source, with one multi-column solve per step, and the residual
+of those steps is checked from the same right-hand sides.  Semilinear
+solves march columns too: a term affine in u is one linear sweep, any
+other one per-step Newton whose columns share a block-diagonal Jacobian and
+one band solve per iteration (?gtsv in 1D, ?gbtrf in 2D).
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ from .model import CLASS_ANALYTIC, DiffusionTensor, ModelError, Nonlinearity, ta
 
 SCHEMES = {"be": 1.0, "cn": 0.5}
 
-# SuperLU's symmetric mode: diagonal pivots in a minimum-degree order of A + A^T,
-# sparser than COLAMD with partial pivoting.  Unpivoted elimination of a row
-# diagonally dominant matrix has growth factor <= 2 (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., 9.5).
-SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-
 
 class SolverError(RuntimeError):
     pass
@@ -59,64 +53,95 @@ class CompatibilityError(SolverError):
     """Initial and boundary data disagree on the boundary at t = 0."""
 
 
-class Tridiagonal:
-    """A tridiagonal matrix as its sub-, main and super-diagonal bands dl, d,
-    du: the 1D form of every operator and step matrix."""
+class Banded:
+    """A square band matrix as {offset: band} in ascending offset order, each
+    band as long as the matrix: band[i] is the entry (i, i + offset), zero
+    where i + offset falls outside.  The form of every operator, step matrix
+    and Newton Jacobian."""
 
-    def __init__(self, dl, d, du):
-        self.dl, self.d, self.du = dl, d, du
-        # (rows, columns, values) of each band that is not all zero, by offset
-        lo, hi, every = slice(1, None), slice(None, -1), slice(None)
-        self._bands = [(rows, cols, band) for rows, cols, band in
-                       ((lo, hi, dl), (every, every, d), (hi, lo, du)) if np.any(band)]
+    def __init__(self, bands):
+        self.bands = bands
+        self.n = len(bands[0])
+        # (offset, rows, columns, values on those rows) of each band that is
+        # not all zero, by offset
+        self._terms = [self._term(o, b) for o, b in bands.items() if np.any(b)]
+
+    def _term(self, offset, band):
+        rows = slice(max(-offset, 0), self.n - max(offset, 0))
+        return offset, rows, slice(rows.start + offset, rows.stop + offset), band[rows]
+
+    def with_diagonal(self, d) -> "Banded":
+        """This matrix with d on its diagonal, sharing its other bands."""
+        out = object.__new__(Banded)
+        out.bands, out.n = {**self.bands, 0: d}, self.n
+        out._terms = ([t for t in self._terms if t[0] < 0] + [self._term(0, d)] * bool(np.any(d))
+                      + [t for t in self._terms if t[0] > 0])
+        return out
+
+    def scaled(self, c) -> "Banded":
+        return Banded({o: c * b for o, b in self.bands.items()})
+
+    def tiled(self, m) -> "Banded":
+        """kron(I_m, self): the entries coupling the blocks are zeros."""
+        return Banded({o: np.tile(b, m) for o, b in self.bands.items()})
 
     def __matmul__(self, z):
         """The product with z, shaped (n,) or (n, m), bitwise the CSR one:
         each row sums from zero in ascending column order, and an exact zero
         that CSR would drop adds a signed zero, which leaves a sum started
         at +0 as it is (an all-zero band is skipped)."""
-        out = np.zeros(z.shape, dtype=np.result_type(self.d, z))
-        for rows, cols, band in self._bands:
+        out = np.zeros(z.shape, dtype=np.result_type(float, z))
+        for _, rows, cols, band in self._terms:
             out[rows] += (band[:, None] if z.ndim == 2 else band) * z[cols]
         return out
 
     def toarray(self) -> np.ndarray:
-        return np.diag(self.dl, -1) + np.diag(self.d) + np.diag(self.du, 1)
+        out = np.zeros((self.n, self.n))
+        for _, rows, cols, band in self._terms:
+            out[np.r_[rows], np.r_[cols]] = band
+        return out
 
 
 class _NumpyLapack:
-    """dgttrf, dgttrs and dgtsv of the ILP64 OpenBLAS that numpy's wheel
-    bundles, through ctypes: every argument by reference, integers as int64,
-    and after the last one gfortran's hidden size_t length of trans."""
+    """dgttrf, dgttrs, dgtsv, dgbtrf and dgbtrs of the ILP64 OpenBLAS that
+    numpy's wheel bundles, through ctypes: every argument by reference,
+    integers as int64, and after the last one of a solve gfortran's hidden
+    size_t length of trans."""
 
     def __init__(self, lib):
-        self.trf, self.trs, self.sv = (getattr(lib, f"scipy_{r}_64_")
-                                       for r in ("dgttrf", "dgttrs", "dgtsv"))
-        for fn, count in ((self.trf, 7), (self.trs, 11), (self.sv, 8)):
+        self.gttrf, self.gttrs, self.gtsv, self.gbtrf, self.gbtrs = (
+            getattr(lib, f"scipy_{r}_64_") for r in ("dgttrf", "dgttrs", "dgtsv", "dgbtrf", "dgbtrs"))
+        for fn, count in ((self.gttrf, 7), (self.gttrs, 11), (self.gtsv, 8), (self.gbtrf, 8),
+                          (self.gbtrs, 11)):
             fn.restype = None
-            fn.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * (fn is self.trs)
+            fn.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * (fn in (self.gttrs, self.gbtrs))
 
     def dgttrf(self, dl, d, du):
-        """The LU factors of the bands, their solve(rhs) and LAPACK's info.
-        solve binds once the factors' pointers (which keep the factors
-        alive) and a reference to n."""
+        """The LU factors of the bands, their solve(rhs) and LAPACK's info."""
         factors = _bands(dl, d, du)
         n = len(factors[1])
         factors += [np.zeros(max(n - 2, 0)), np.zeros(n, dtype=np.int64)]
         pointers = [f.ctypes.data_as(ctypes.c_void_p) for f in factors]
         size, info = ctypes.c_int64(n), ctypes.c_int64()
-        self.trf(ctypes.byref(size), *pointers, ctypes.byref(info))
-        trs, size_ref = self.trs, ctypes.byref(size)
+        self.gttrf(ctypes.byref(size), *pointers, ctypes.byref(info))
+        return factors, _solver(self.gttrs, size, (), pointers), info.value
 
-        def solve(rhs):
-            b = np.array(rhs, dtype=float, order="F")
-            if b.ndim not in (1, 2) or len(b) != n:
-                raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
-            nrhs, status = ctypes.c_int64(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int64()
-            trs(b"N", size_ref, ctypes.byref(nrhs), *pointers, _address(b.T), size_ref,
-                ctypes.byref(status), 1)
-            return b
-
+    def dgbtrf(self, ab, kl, ku):
+        """The LU factors of the band matrix in LAPACK's band storage ab
+        (2 kl + ku + 1 rows, one column per matrix column, the diagonal in
+        row kl + ku, the first kl rows left for the fill-in), their
+        solve(rhs) and LAPACK's info."""
+        lu = np.array(ab, dtype=float, order="F")
+        if lu.ndim != 2 or len(lu) != 2 * kl + ku + 1:
+            raise ValueError(f"band storage of shape {lu.shape} for kl = {kl}, ku = {ku}")
+        factors = [lu, np.zeros(lu.shape[1], dtype=np.int64)]
+        pointers = [_address(f.T) for f in factors]
+        size, lower, upper, rows = (ctypes.c_int64(v) for v in (lu.shape[1], kl, ku, len(lu)))
+        info = ctypes.c_int64()
+        self.gbtrf(*map(ctypes.byref, (size, size, lower, upper)), pointers[0], ctypes.byref(rows),
+                   pointers[1], ctypes.byref(info))
+        solve = _solver(self.gbtrs, size, map(ctypes.byref, (lower, upper)),
+                        (pointers[0], ctypes.byref(rows), pointers[1]))
         return factors, solve, info.value
 
     def dgtsv(self, dl, d, du, b):
@@ -127,9 +152,28 @@ class _NumpyLapack:
         if x.shape != d.shape:
             raise ValueError(f"right-hand side of shape {x.shape} for {len(d)} unknowns")
         n, nrhs, info = ctypes.c_int64(len(d)), ctypes.c_int64(1), ctypes.c_int64()
-        self.sv(ctypes.byref(n), ctypes.byref(nrhs), *map(_address, (dl, d, du, x)),
-                ctypes.byref(n), ctypes.byref(info))
+        self.gtsv(ctypes.byref(n), ctypes.byref(nrhs), *map(_address, (dl, d, du, x)),
+                  ctypes.byref(n), ctypes.byref(info))
         return x, info.value
+
+
+def _solver(trs, size, before, after):
+    """solve(rhs) for one or more columns of size rows: a Fortran-ordered
+    copy of rhs that trs("N", n, *before, nrhs, *after, b, ldb, info)
+    overwrites.  before and after hold the factors' references, which keep
+    them alive."""
+    n, size_ref, before, after = size.value, ctypes.byref(size), tuple(before), tuple(after)
+
+    def solve(rhs):
+        b = np.array(rhs, dtype=float, order="F")
+        if b.ndim not in (1, 2) or len(b) != n:
+            raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
+        nrhs, status = ctypes.c_int64(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int64()
+        trs(b"N", size_ref, *before, ctypes.byref(nrhs), *after, _address(b.T), size_ref,
+            ctypes.byref(status), 1)
+        return b
+
+    return solve
 
 
 def _address(a):
@@ -148,7 +192,8 @@ def _bands(dl, d, du):
 
 
 class _ScipyLapack:
-    """The same routines from scipy.linalg.lapack, for a numpy without them."""
+    """The same routines from scipy.linalg.lapack, for a numpy without them;
+    its dgbtrf counts pivots from 0."""
 
     def __init__(self):
         from scipy.linalg import lapack
@@ -159,6 +204,10 @@ class _ScipyLapack:
         *factors, info = self.lapack.dgttrf(dl, d, du)
         return factors, lambda rhs: self.lapack.dgttrs(*factors, rhs)[0], info
 
+    def dgbtrf(self, ab, kl, ku):
+        lu, piv, info = self.lapack.dgbtrf(ab, kl, ku)
+        return [lu, piv], lambda rhs: self.lapack.dgbtrs(lu, kl, ku, rhs, piv)[0], info
+
     def dgtsv(self, dl, d, du, b):
         *_, x, info = self.lapack.dgtsv(dl, d, du, b)
         return x, info
@@ -166,7 +215,7 @@ class _ScipyLapack:
 
 @functools.cache
 def _lapack():
-    """numpy's bundled OpenBLAS if it exports the tridiagonal routines, else
+    """numpy's bundled OpenBLAS if it exports the band routines, else
     scipy's LAPACK."""
     root = Path(np.__file__).parent
     for path in sorted((*(root.parent / "numpy.libs").glob("libscipy_openblas64_*"),
@@ -178,17 +227,24 @@ def _lapack():
     return _ScipyLapack()
 
 
-class _TridiagonalLU:
-    """LAPACK's LU with partial pivoting (dgttrf) of the tridiagonal matrix
-    with bands dl, d, du, and SuperLU's solve(rhs) for one or more columns
-    (dgttrs).  An exactly singular U raises SolverError naming the time
-    level of the matrix."""
+class _BandLU:
+    """LAPACK's LU with partial pivoting of the Banded matrix A, and its
+    solve(rhs) for one or more columns: dgttrf and dgttrs when A has one band
+    either side of the diagonal, else dgbtrf and dgbtrs on A's band storage.
+    An exactly singular U raises SolverError naming what A is."""
 
-    def __init__(self, dl, d, du, level):
-        self.factors, self.solve, info = _lapack().dgttrf(dl, d, du)
+    def __init__(self, A: Banded, what: str):
+        kl, ku = -min(A.bands), max(A.bands)
+        if kl == ku == 1:
+            self.factors, self.solve, info = _lapack().dgttrf(A.bands[-1][1:], A.bands[0],
+                                                              A.bands[1][:-1])
+        else:
+            ab = np.zeros((2 * kl + ku + 1, A.n), order="F")
+            for offset, rows, cols, band in A._terms:
+                ab[kl + ku - offset, cols] = band
+            self.factors, self.solve, info = _lapack().dgbtrf(ab, kl, ku)
         if info > 0:
-            raise SolverError(f"step matrix of time level {level} is exactly singular "
-                              f"(zero pivot in row {info})")
+            raise SolverError(f"{what} is exactly singular (zero pivot in row {info})")
 
 
 @dataclass
@@ -230,9 +286,8 @@ def assemble_operator(
     to them, with the centred advection term, and the diagonal sums the axes
     in order.  In 2D gamma's off-diagonal entry at the nodes adds a centred
     cross term.  A potential q enters the stepper as the diagonal diag(q) on
-    interior rows.  In 1D L is its three bands (Tridiagonal), and a matrix
-    gamma raises ModelError; in 2D it is CSR, its arrays written directly:
-    each interior row has the same column offsets."""
+    interior rows.  L is Banded: each interior row has the same column
+    offsets.  A matrix gamma on a 1D grid raises ModelError."""
     if gamma is None:
         gamma = DiffusionTensor.identity()
     if grid.dim == 1 and gamma.is_matrix:
@@ -267,51 +322,13 @@ def assemble_operator(
                     g12_x = g12[1 + si:nx - 1 + si, 1:-1]
                     g12_y = g12[1:-1, 1 + sj:ny - 1 + sj]
                     entries.append((si * ny + sj, -si * sj * cxy * (g12_x + g12_y)))
-    # every interior row r holds r + offset for the same offsets: sorted
-    # once, they give each row's columns in order
-    entries.sort(key=lambda e: e[0])
-    if grid.dim == 1:
-        (_, lower), (_, main), (_, upper) = entries
-        return Tridiagonal(np.append(lower, 0.0), np.pad(main, 1), np.insert(upper, 0, 0.0))
-    import scipy.sparse as sp
-
-    per_row = np.zeros(grid.n_space, dtype=int)
-    per_row[r] = len(entries)
-    return sp.csr_matrix(
-        (np.stack([np.ravel(v) for _, v in entries], axis=1).ravel(),
-         (np.ravel(r)[:, None] + [o for o, _ in entries]).ravel(),
-         np.concatenate(([0], np.cumsum(per_row)))),
-        shape=(grid.n_space, grid.n_space),
-    )
-
-
-def _pattern(off, diag_rows, fmt):
-    """The nonzero off-diagonal entries of the sparse matrix off plus a
-    diagonal entry on each of diag_rows, canonical in fmt ("csr" or "csc"),
-    and the positions of that diagonal in its data."""
-    import scipy.sparse as sp
-
-    off = off.tocoo()
-    keep = (off.row != off.col) & (off.data != 0)
-    P = sp.coo_matrix(
-        (np.concatenate([off.data[keep], np.ones(len(diag_rows))]),
-         (np.concatenate([off.row[keep], diag_rows]), np.concatenate([off.col[keep], diag_rows]))),
-        shape=off.shape,
-    ).asformat(fmt)
-    major = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-    return P, np.flatnonzero(P.indices == major)
-
-
-def _with_diagonal(P, diag, values):
-    """P sharing its pattern, with values on its diagonal; an entry that comes
-    out zero is dropped, as a sum of sparse matrices drops it."""
-    data = P.data.copy()
-    data[diag] = values
-    out = type(P)((data, P.indices, P.indptr), shape=P.shape)
-    if not np.all(values):
-        out = out.copy()  # own index arrays before pruning them
-        out.eliminate_zeros()
-    return out
+    # every interior row r holds r + offset for the same offsets, which
+    # Banded keeps ascending so that each row sums in column order
+    bands = {}
+    for offset, values in sorted(entries, key=lambda e: e[0]):
+        bands[offset] = np.zeros(grid.n_space)
+        bands[offset][r] = values
+    return Banded(bands)
 
 
 def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
@@ -335,12 +352,9 @@ class Propagator:
     vanishes on boundary rows, so A_k has identity and M_k zero boundary
     rows: the stepper writes the Dirichlet values into the right-hand side.
     The stencil is assembled once per distinct gamma level, and with it the
-    off-diagonal parts of A and M, which a level completes by writing only
-    their diagonals; A_k, its LU and M_k are kept once per distinct level
-    (once in all when neither q nor gamma depends on time).  In 1D they are
-    bands and _TridiagonalLU factors A_k.  In 2D SuperLU factors it, with
-    SYMMETRIC_LU when every row's diagonal is at least its off-diagonal
-    absolute sum, and with its default partial pivoting otherwise."""
+    off-diagonal bands of A and M, which a level completes by writing only
+    their diagonals; A_k, its LU (_BandLU) and M_k are kept once per
+    distinct level (once in all when neither q nor gamma depends on time)."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -362,44 +376,25 @@ class Propagator:
         g = self.grid
         ca, cm = g.dt * self.theta, g.dt * (1 - self.theta)
         q = np.where(self.interior_mask, self.q_levels, 0.0)
-        interior = np.flatnonzero(self.interior_mask)
-        patterns = {}
+        stencils = {}
 
-        def pattern(level):
-            """Per gamma level: the stencil's diagonal, and A's and M's
-            off-diagonal values dt theta L and -dt (1 - theta) L: in 1D as
-            bands, in 2D on the patterns of A (CSC, every row) and M (CSR,
-            interior rows), with A's off-diagonal absolute row sums."""
+        def stencil(level):
+            """Per gamma level: the stencil's diagonal, and A and M with the
+            off-diagonal bands dt theta L and -dt (1 - theta) L."""
             key = level if self.gamma_td else 0
-            if key not in patterns:
+            if key not in stencils:
                 S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
-                if g.dim == 1:
-                    patterns[key] = (S.d, (ca * S.dl, ca * S.du), (-(cm * S.dl), -(cm * S.du)))
-                else:
-                    A, a_diag = _pattern(ca * S, np.arange(g.n_space), "csc")
-                    off = np.bincount(np.delete(A.indices, a_diag),
-                                      np.abs(np.delete(A.data, a_diag)), minlength=g.n_space)
-                    patterns[key] = (S.diagonal(), (A, a_diag, off),
-                                     _pattern(-(cm * S), interior, "csr"))
-            return patterns[key]
+                stencils[key] = S.bands[0], S.scaled(ca), S.scaled(-cm)
+            return stencils[key]
 
         def step(new, old):
             # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
             # with L = stencil + diag(q): only the diagonals change per level
-            s_new, a_off, _ = pattern(new)
-            s_old, _, m_off = pattern(old)
-            a_vals = 1.0 + ca * (s_new + q[new])
-            m_vals = 1.0 - cm * (s_old + q[old])
-            if g.dim == 1:
-                A = Tridiagonal(a_off[0], a_vals, a_off[1])
-                M = Tridiagonal(m_off[0], np.where(self.interior_mask, m_vals, 0.0), m_off[1])
-                return A, M, _TridiagonalLU(A.dl, A.d, A.du, new)
-            import scipy.sparse.linalg as spla
-
-            (A, a_diag, off), (M, m_diag) = a_off, m_off
-            A = _with_diagonal(A, a_diag, a_vals)
-            M = _with_diagonal(M, m_diag, m_vals[interior])
-            return A, M, spla.splu(A, **(SYMMETRIC_LU if np.all(np.abs(a_vals) >= off) else {}))
+            s_new, A, _ = stencil(new)
+            s_old, _, M = stencil(old)
+            A = A.with_diagonal(1.0 + ca * (s_new + q[new]))
+            M = M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q[old]), 0.0))
+            return A, M, _BandLU(A, f"step matrix of time level {new}")
 
         if self.time_dependent:
             steps = [step(k + 1, k) for k in range(g.nt)]
@@ -642,13 +637,13 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     kron(I_m, I + dt theta L) + dt theta diag(d_u a), which already has
     identity boundary rows because L and d_u a vanish there; its off-diagonal
     part is built once per distinct gamma level, and each iteration rewrites
-    only its diagonal and makes one solve.  In 1D the Jacobian is one
-    tridiagonal matrix whose entries coupling the blocks are exact zeros,
-    solved by LAPACK's dgtsv (partial pivoting; an exactly singular one
-    raises SolverError), and L is applied from its bands; in 2D it is a CSC
-    matrix solved by spsolve.  A column whose scaled update passes the
-    tolerance is frozen for the rest of the level, so every column takes
-    exactly the iterates of its own single-column solve."""
+    only its diagonal and makes one solve.  The Jacobian and L0 are Banded,
+    L0 tiled m times so that one product over the columns end to end
+    applies it.  A 1D Jacobian is solved by LAPACK's dgtsv, a wider one
+    through _BandLU, both with partial pivoting; an exactly singular one
+    raises SolverError.  A column whose scaled update passes the tolerance
+    is frozen for the rest of the level, so every column takes exactly the
+    iterates of its own single-column solve."""
     theta = SCHEMES[scheme]
     n = grid.n_space
     m = 1 if f_vals is None else f_vals.shape[-1]
@@ -666,20 +661,15 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
         if not gamma_td:
             level = 0
         if level not in operators:
-            L0 = assemble_operator(grid, gamma, level * dt)
-            apply = L0.__matmul__
-            if grid.dim == 1:
-                def tiled(c, b0):
-                    """The bands of kron(I_m, b0 I + c L0), as the sparse sum
-                    gives them: the entries coupling the blocks are zeros."""
-                    dl, du = (np.tile(np.append(c * b, 0.0), m)[:-1] for b in (L0.dl, L0.du))
-                    return dl, np.tile(b0 + c * L0.d, m), du
+            Lm = assemble_operator(grid, gamma, level * dt).tiled(m)
+            J = Lm.scaled(dt * theta)
+            d0 = 1.0 + J.bands[0]
 
-                Lm = Tridiagonal(*tiled(1.0, 0.0))
-                dl, d0, du = tiled(dt * theta, 1.0)
+            def apply(v):
+                return (Lm @ v.T.ravel()).reshape(m, n).T
 
-                def apply(v):  # one long product over the columns end to end
-                    return (Lm @ v.T.ravel()).reshape(m, n).T
+            if list(J.bands) == [-1, 0, 1]:
+                dl, du = J.bands[-1][1:], J.bands[1][:-1]
 
                 def solve(shift, rhs, k):
                     x, info = _lapack().dgtsv(dl, d0 + shift, du, rhs)
@@ -687,20 +677,9 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
                         raise SolverError(f"newton Jacobian at time level {k} is exactly singular")
                     return x
             else:
-                import scipy.sparse as sp
-                import scipy.sparse.linalg as spla
-
-                block = sp.identity(n, format="csr") + dt * theta * L0
-                J = sp.kron(sp.identity(m), block, format="csc")
-                cols = np.repeat(np.arange(n * m), np.diff(J.indptr))
-                diag = np.flatnonzero(J.indices == cols)
-                if len(diag) != n * m:
-                    raise SolverError("newton Jacobian has a structural zero on its diagonal")
-                d0 = J.data[diag]
-
                 def solve(shift, rhs, k):
-                    J.data[diag] = d0 + shift
-                    return spla.spsolve(J, rhs)
+                    lu = _BandLU(J.with_diagonal(d0 + shift), f"newton Jacobian at time level {k}")
+                    return lu.solve(rhs)
             operators[level] = apply, solve
         return operators[level]
 

@@ -134,10 +134,13 @@ def null_control(
     initial data g to approximately zero at T - eps using boundary controls
     supported on the portion: at most 400 CG steps on the normal equations
     with control weight alpha = 1e-10, to a relative residual of 1e-12.  A
-    B_T structure bt (validated first) adds the free continuation on
-    [T - eps, T] under its tail."""
+    B_T structure bt (validated first, its eps equal to eps, else
+    GridError) adds the free continuation on [T - eps, T] under its tail."""
     resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
     if bt is not None:
+        if bt.eps != eps:
+            raise GridError(f"null_control eps = {eps!r} differs from the B_T structure's "
+                            f"eps = {bt.eps!r}")
         bt.validate(grid)
     horizon = grid.T - eps
     K = _horizon_level(grid, eps)

@@ -282,20 +282,41 @@ def test_spearman_matches_scipy_with_ties():
 
 
 def test_cli_1d_run_imports_no_scipy(tmp_path):
-    # scipy serves 2D solves and the LAPACK fallback only: importing the CLI
-    # and running shipped 1D configs (CGO probes and Newton) loads no scipy
-    # module
+    # scipy serves the LAPACK fallback only: importing the CLI and running
+    # shipped 1D configs (CGO probes and Newton) loads no scipy module, and
+    # neither does a fresh 2D API run (a Newton solve with a cross term and
+    # a potential recovery)
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def scipy_modules(code):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; "
+             "print([m for m in sys.modules if m.startswith('scipy')])"],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        return out.stdout.strip().splitlines()[-1]
+
     runs = "; ".join(
         f"codes.append(pipl.cli.main([{kind!r}, '--config', {str(CONFIGS / f'{kind}.ini')!r}, "
         f"'--check', '--out', {str(tmp_path / kind)!r}]))"
         for kind in ("recover-q", "linearize"))
-    code = f"import sys, pipl.cli; codes = []; {runs}; print(codes, [m for m in sys.modules if m.startswith('scipy')])"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+    assert scipy_modules(f"import pipl.cli; codes = []; {runs}; assert codes == [0, 0]") == "[]"
+    run_2d = (
+        "import numpy as np; "
+        "from pipl.grid import Field, SpaceTimeGrid, field_from_function; "
+        "from pipl.model import DiffusionTensor, Nonlinearity; "
+        "from pipl.forward import solve_semilinear; "
+        "from pipl.recon import recover_potential, synthesize_potential_probes; "
+        "g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 0.5); "
+        "gamma = DiffusionTensor.matrix2d('1', '0.1*x', '0.9'); "
+        "g0 = field_from_function(g, lambda x, y: np.sin(np.pi*x)*np.sin(np.pi*y), 'Omega'); "
+        "assert solve_semilinear(g, gamma, Nonlinearity.parse('u^3'), g=g0).converged; "
+        "dq = field_from_function(g, lambda x, y, t: 0*x + np.exp(-25*(t - 0.25)**2), 'Q'); "
+        "probes = synthesize_potential_probes(g, dq, None, rho=4.0, n_xi=1, n_tau=1); "
+        "res = recover_potential(g, probes, None, truth_difference=Field(g, -dq.values, 'Q')); "
+        "assert np.isfinite(res.truth_error)"
     )
-    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert scipy_modules(run_2d) == "[]"
 
 
 @functools.cache

@@ -481,7 +481,7 @@ def test_step_matrices_match_loop_oracle(
         assert np.array_equal(A.toarray()[bd], np.eye(grid.n_space)[bd])
         assert not np.any(M.toarray()[bd])
     if advection == STRONG_ADVECTION[:dim]:
-        # some row is not diagonally dominant: that step takes partial pivoting
+        # some row is not diagonally dominant: the LU below has to pivot
         assert not all(_row_dominant(A) for A in prop.A_list)
 
     # the sweep is linear: superposition of initial values, boundary traces
@@ -652,46 +652,49 @@ def test_batched_newton_matches_columns(
     assert batch.iterations == int(batch.column_iterations.sum())
 
 
-# -- the 1D LAPACK path against SuperLU -----------------------------------------
+# -- the LAPACK band paths against SuperLU and spsolve --------------------------
 
 
 def _splu_steps(prop, u, f, source):
     """Each step of Propagator.run redone from the levels u it produced: the
     node-loop step matrices, each A_k factored by SuperLU with partial
-    pivoting, stepping u[k] to the reference for u[k + 1]."""
+    pivoting, stepping u[k] to the reference for u[k + 1].  u and f carry
+    columns on a trailing axis, source is shared by them; a complex
+    right-hand side is solved as its real and imaginary parts."""
     g = prop.grid
     A_ref, M_ref = _loop_step_matrices(prop)
     ref = np.zeros_like(u)
     for k in range(g.nt):
-        rhs = M_ref[k] @ u[k] + g.dt * (prop.theta * source[k + 1] + (1 - prop.theta) * source[k])
+        s = g.dt * (prop.theta * source[k + 1] + (1 - prop.theta) * source[k])
+        rhs = M_ref[k] @ u[k] + s[:, None]
         rhs[prop.boundary_idx] = f[k + 1]
-        ref[k + 1] = spla.splu(A_ref[k]).solve(rhs)
+        lu = spla.splu(A_ref[k])
+        ref[k + 1] = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag) if np.iscomplexobj(rhs) else lu.solve(rhs)
     return ref
 
 
 def _spsolve_newton(grid, gamma, nl, f, g0, scheme, tol, max_iter):
     """_newton for one column, with the Jacobian I + dt theta (L + diag(d_u a))
-    built per iteration and solved by spsolve."""
+    built per iteration from the node-loop operator and solved by spsolve."""
     theta, dt, n = SCHEMES[scheme], grid.dt, grid.n_space
     bd = grid.boundary_flat_indices()
     interior = grid.interior_mask()
-    x = grid.axis(0)
+    x, *ys = (m.reshape(-1) for m in grid.meshes())
 
     def a(level, v, k):
-        return np.where(interior, np.broadcast_to(nl(x, level * dt, v, k=k), (n,)), 0.0)
+        return np.where(interior, np.broadcast_to(nl(x, level * dt, v, *ys, k=k), (n,)), 0.0)
 
     u = np.zeros((grid.n_levels, n))
-    u[0] = g0
+    u[0] = g0.reshape(-1)
     u[0, bd] = f[0]
     for k in range(grid.nt):
-        L0, L1 = (assemble_operator(grid, gamma, level * dt) for level in (k, k + 1))
+        L0, L1 = (_loop_operator(grid, gamma, np.zeros(n), level * dt) for level in (k, k + 1))
         rhs = u[k] - dt * (1 - theta) * (L0 @ u[k] + a(k, u[k], 0))
         v = u[k].copy()
         for _ in range(max_iter):
             res = v + dt * theta * (L1 @ v + a(k + 1, v, 0)) - rhs
             res[bd] = v[bd] - f[k + 1]
-            L1_sparse = sp.diags([L1.dl, L1.d, L1.du], [-1, 0, 1])
-            J = sp.identity(n) + dt * theta * (L1_sparse + sp.diags(a(k + 1, v, 1)))
+            J = sp.identity(n) + dt * theta * (L1 + sp.diags(a(k + 1, v, 1)))
             delta = spla.spsolve(J.tocsc(), res)
             v -= delta
             if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(v))):
@@ -700,35 +703,50 @@ def _spsolve_newton(grid, gamma, nl, f, g0, scheme, tol, max_iter):
     return u
 
 
-@settings(max_examples=60, deadline=None)
+# 1D grids of 4-24 nodes (3-40 for Newton) or 2D grids of 3-12 nodes per axis
+BAND_GRIDS = st.one_of(st.tuples(st.integers(4, 24)),
+                       st.tuples(st.integers(3, 12), st.integers(3, 12)))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    nx=st.integers(4, 24),
+    nx=BAND_GRIDS,
     nt=st.integers(2, 6),
     T=st.floats(0.05, 0.5),
     scheme=st.sampled_from(("be", "cn")),
-    gamma_kind=st.sampled_from(("identity", "scalar", "time")),
-    advection=st.sampled_from((None, (-3.5,), STRONG_ADVECTION[:1])),
+    gamma_kind=st.sampled_from(sorted(GAMMAS)),
+    advection=st.sampled_from((None, (-3.5, 1.25), STRONG_ADVECTION)),
     q_kind=st.sampled_from(("none", "time", "negative")),
+    m=st.integers(1, 3),
+    complex_columns=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_tridiagonal_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_kind, seed):
-    grid = SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
+def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_kind, m,
+                                  complex_columns, seed):
+    dim = len(nx)
+    assume(dim == 2 or gamma_kind != "matrix")
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, list(nx), nt, T)
     ca = grid.dt * SCHEMES[scheme]
     q = {
         "none": None,
-        "time": field_from_function(grid, lambda x, t: 1.0 + 3.0 * x * t, "Q"),
+        "time": field_from_function(grid, lambda *a: 1.0 + 3.0 * a[0] * a[-1], "Q"),
         # 1 + dt theta q < 0: no interior row is diagonally dominant; as the
-        # Dirichlet operator's least eigenvalue is >= 8 (gamma >= 1), without
-        # advection A_k's interior block stays positive definite, its
-        # condition below 2 / h^2
-        "negative": field_from_function(grid, lambda x, t: -1.0 / ca - 2.0 - 3.0 * x * t, "Q"),
+        # Dirichlet operator's least eigenvalue stays well above 5 for these
+        # gammas, without advection A_k's interior block stays positive
+        # definite, its condition below 4 / h^2
+        "negative": field_from_function(grid, lambda *a: -1.0 / ca - 2.0 - 3.0 * a[0] * a[-1], "Q"),
     }[q_kind]
-    prop = Propagator(grid, GAMMAS[gamma_kind](1), q, scheme, advection)
-    if q_kind == "negative" or advection == STRONG_ADVECTION[:1]:
+    advection = advection and advection[:dim]
+    prop = Propagator(grid, GAMMAS[gamma_kind](dim), q, scheme, advection)
+    if q_kind == "negative" or advection == STRONG_ADVECTION[:dim]:
         assert not all(_row_dominant(A) for A in prop.A_list)
     rng = np.random.default_rng(seed)
-    g0 = rng.standard_normal(grid.n_space)
-    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx)))
+
+    def data(*shape):
+        vals = rng.standard_normal((*shape, m))
+        return vals + 1j * rng.standard_normal(vals.shape) if complex_columns else vals
+
+    g0, f = data(grid.n_space), data(grid.n_levels, len(prop.boundary_idx))
     source = rng.standard_normal((grid.n_levels, grid.n_space))
     u = prop.run(g0=g0, f=f, source=source)
     ref = _splu_steps(prop, u, f, source)
@@ -736,26 +754,28 @@ def test_tridiagonal_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advectio
         assert np.max(np.abs(u[k] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    nx=st.integers(3, 40),
+    nx=st.one_of(st.tuples(st.integers(3, 40)), st.tuples(st.integers(3, 12), st.integers(3, 12))),
     nt=st.integers(2, 6),
     T=st.floats(0.01, 0.5),
     scheme=st.sampled_from(("be", "cn")),
-    gamma_src=st.sampled_from((None, "1 + 0.3*x", "1 + 0.2*t + 0.1*x")),
+    gamma_kind=st.sampled_from(sorted(GAMMAS)),
     # d_u a = 3 u^2 - 6 leaves the Jacobian's rows without dominance once
     # dt theta > 1/6, while -6 stays above minus the Dirichlet operator's
-    # least eigenvalue (>= 8 for gamma >= 1), so every step has one solution
+    # least eigenvalue, so every step has one solution
     nonaffine=st.sampled_from(NONAFFINE + ("u^3 - 6*u",)),
     m=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
-def test_tridiagonal_newton_matches_spsolve(nx, nt, T, scheme, gamma_src, nonaffine, m, seed):
-    grid = SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
-    gamma = None if gamma_src is None else DiffusionTensor.scalar(gamma_src)
+def test_band_newton_matches_spsolve(nx, nt, T, scheme, gamma_kind, nonaffine, m, seed):
+    dim = len(nx)
+    assume(dim == 2 or gamma_kind != "matrix")
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, list(nx), nt, T)
+    gamma = GAMMAS[gamma_kind](dim)
     nl = Nonlinearity.parse(nonaffine, tag=CLASS_A)
     g0 = zero_field(grid, "Omega")
-    g0.values[:] = 0.5 * np.sin(math.pi * grid.axis(0))
+    g0.values[:] = 0.5 * np.prod([np.sin(math.pi * x) for x in grid.meshes()], axis=0)
     rng = np.random.default_rng(seed)
     nb = len(grid.boundary_flat_indices())
     f = (grid.times() / T)[:, None, None] ** 2 * rng.uniform(0.0, 1.0, (nb, m))
@@ -766,20 +786,23 @@ def test_tridiagonal_newton_matches_spsolve(nx, nt, T, scheme, gamma_src, nonaff
 
 
 def test_singular_tridiagonal_step_raises():
-    # h = 1/2, dt = 1/4: the one interior row of A is 1 + (8 + q) / 4, exactly
-    # zero at q = -12, and so is the Newton Jacobian's at u = 0 for u^3 - 12 u
-    grid = SpaceTimeGrid.make([0.0], [1.0], [3], 2, 0.5)
-    with pytest.raises(forward.SolverError, match="time level 0 is exactly singular"):
-        Propagator(grid, None, -12.0)
-    nl = Nonlinearity.parse("u^3 - 12*u", tag=CLASS_A)
-    with pytest.raises(forward.SolverError, match="time level 1 is exactly singular"):
-        _newton(grid, None, nl, None, zero_field(grid, "Omega"), "be", 1e-10, 30)
+    # h = 1/2, dt = 1/4: the one interior row of A is 1 + (8 + q) / 4 in 1D
+    # and 1 + (16 + q) / 4 in 2D, exactly zero at q = -12 and q = -20, and so
+    # is the Newton Jacobian's at u = 0 for u^3 + q u
+    for nx, q in (([3], -12.0), ([3, 3], -20.0)):
+        grid = SpaceTimeGrid.make([0.0] * len(nx), [1.0] * len(nx), nx, 2, 0.5)
+        with pytest.raises(forward.SolverError, match="time level 0 is exactly singular"):
+            Propagator(grid, None, q)
+        nl = Nonlinearity.parse(f"u^3 - {-q}*u", tag=CLASS_A)
+        with pytest.raises(forward.SolverError, match="time level 1 is exactly singular"):
+            _newton(grid, None, nl, None, zero_field(grid, "Omega"), "be", 1e-10, 30)
 
 
 def test_tridiagonal_lapack_paths_agree(monkeypatch):
-    # the 1D LU and Newton solves run on the ILP64 OpenBLAS that numpy's wheel
-    # bundles; the scipy.linalg.lapack fallback gives bitwise the same
-    # factors, pivots and solves
+    # the band LU and Newton solves run on the ILP64 OpenBLAS that numpy's
+    # wheel bundles; the scipy.linalg.lapack fallback gives bitwise the same
+    # factors, pivots (scipy's dgbtrf counts them from 0) and solves, for the
+    # tridiagonal routines and the general band ones
     bundled = forward._lapack()
     assert isinstance(bundled, forward._NumpyLapack)
     rng = np.random.default_rng(3)
@@ -787,17 +810,26 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
     # a small main diagonal: partial pivoting swaps rows
     dl, d, du = rng.standard_normal(n - 1), 0.1 * rng.standard_normal(n), rng.standard_normal(n - 1)
     bands = [a.copy() for a in (dl, d, du)]
-    lu = forward._TridiagonalLU(dl, d, du, 0)
+    tri = forward.Banded({-1: np.append(0.0, dl), 0: d, 1: np.append(du, 0.0)})
+    wide = forward.Banded({o: rng.standard_normal(n) * (0.1 if o == 0 else 1.0)
+                           for o in (-6, -5, -1, 0, 1, 4)})
+    lus = [forward._BandLU(A, "A") for A in (tri, wide)]
     monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
     fallback = forward._lapack()
     assert isinstance(fallback, forward._ScipyLapack)
-    ref = forward._TridiagonalLU(dl, d, du, 0)
-    assert all(_same(a, b) for a, b in zip(lu.factors[:4], ref.factors[:4]))
-    assert np.array_equal(lu.factors[4], ref.factors[4])
-    assert not np.array_equal(ref.factors[4], np.arange(1, n + 1))
-    for shape in ((n,), (n, 1), (n, 7)):
-        rhs = rng.standard_normal(shape)
-        assert _same(lu.solve(rhs), ref.solve(rhs))
+    refs = [forward._BandLU(A, "A") for A in (tri, wide)]
+    assert all(_same(a, b) for a, b in zip(lus[0].factors[:4], refs[0].factors[:4]))
+    assert np.array_equal(lus[0].factors[4], refs[0].factors[4])
+    assert not np.array_equal(refs[0].factors[4], np.arange(1, n + 1))
+    assert _same(lus[1].factors[0], refs[1].factors[0])
+    assert np.array_equal(lus[1].factors[1], refs[1].factors[1] + 1)
+    assert not np.array_equal(refs[1].factors[1], np.arange(n))
+    for A, lu, ref in zip((tri, wide), lus, refs):
+        for shape in ((n,), (n, 1), (n, 7)):
+            rhs = rng.standard_normal(shape)
+            x = lu.solve(rhs)
+            assert _same(x, ref.solve(rhs))
+            assert np.max(np.abs(A.toarray() @ x - rhs)) <= 1e-10 * np.max(np.abs(x))
     b = rng.standard_normal(n)
     x, info = bundled.dgtsv(dl, d.copy(), du, b)
     x_ref, info_ref = fallback.dgtsv(dl, d.copy(), du, b)
@@ -806,8 +838,8 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
 
 
 def test_1d_paths_build_no_sparse_matrix(monkeypatch):
-    # a 1D Propagator, a 1D Newton solve and the normal-derivative gather work
-    # on bands and index arrays: no scipy.sparse object is made
+    # Propagators, Newton solves and the normal-derivative gather work on
+    # bands and index arrays, in 1D and in 2D: no scipy.sparse object is made
     built = []
     real_init = sp._base._spbase.__init__
 
@@ -816,18 +848,24 @@ def test_1d_paths_build_no_sparse_matrix(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(sp._base._spbase, "__init__", init)
-    g = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
-    q = field_from_function(g, lambda x, t: 1.0 + x * t, "Q")
-    prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), q, "cn", (1.0,))
-    g0 = np.sin(math.pi * g.axis(0))
-    u = prop.run(g0=np.column_stack([g0, 2 * g0]))
-    assert np.all(prop.residual(u) <= 1e-12)
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)
-    assert _newton(g, None, nl, None, Field(g, g0, "Omega"), "be", 1e-10, 30).converged.all()
-    B = normal_derivative_matrix(g, resolve_portion(g, BoundaryPortion.full()))
-    assert (B @ u[-1]).shape == (2, 2) and B.toarray().shape == (2, g.n_space)
+    for g, gamma, advection in (
+        (SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2), DiffusionTensor.scalar("1 + 0.2*t"), (1.0,)),
+        (SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [7, 6], 4, 0.2), GAMMAS["time"](2), (1.0, -2.0)),
+    ):
+        q = field_from_function(g, lambda *a: 1.0 + a[0] * a[-1], "Q")
+        prop = Propagator(g, gamma, q, "cn", advection)
+        g0 = np.prod([np.sin(math.pi * x) for x in g.meshes()], axis=0).reshape(-1)
+        u = prop.run(g0=np.column_stack([g0, 2 * g0]))
+        assert np.all(prop.residual(u) <= 1e-12)
+        assert _newton(g, gamma, nl, None, Field(g, g0.reshape(g.nx), "Omega"), "be", 1e-10,
+                       30).converged.all()
+        portion = resolve_portion(g, BoundaryPortion.full())
+        B = normal_derivative_matrix(g, portion)
+        assert (B @ u[-1]).shape == (portion.n_nodes, 2)
+        assert B.toarray().shape == (portion.n_nodes, g.n_space)
     assert built == []
-    Propagator(SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [5, 5], 2, 0.1))  # 2D: CSR
+    sp.identity(3)  # the hook sees a sparse matrix made
     assert built
 
 
@@ -842,14 +880,11 @@ def test_matrix_gamma_on_1d_grid_raises():
 
 
 def test_propagator_work_counts(monkeypatch):
-    # one stencil assembly per gamma level; one LU per distinct step matrix:
-    # in 2D SuperLU's, in its symmetric mode exactly when the rows are
-    # diagonally dominant, in 1D LAPACK's tridiagonal one whatever the rows.
-    # Newton makes one solve per iteration: dgtsv in 1D, spsolve in 2D.
-    # SuperLU is counted on scipy.sparse.linalg, LAPACK on forward's binding
+    # one stencil assembly per gamma level; one LU per distinct step matrix,
+    # LAPACK's band LU whatever the rows: dgbtrf in 2D, dgttrf in 1D.  Newton
+    # makes one solve per iteration: one dgbtrf (and its solve) in 2D, one
+    # dgtsv in 1D.  LAPACK is counted on forward's binding
     counts = {}
-    factored = []  # (splu keyword arguments, factors) per call
-    real_splu = spla.splu
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -861,40 +896,26 @@ def test_propagator_work_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    def splu(*args, **kwargs):
-        factored.append((kwargs, real_splu(*args, **kwargs)))
-        return factored[-1][1]
-
-    monkeypatch.setattr(spla, "splu", splu)
     count(forward, "assemble_operator")
-    count(spla, "splu")
-    count(spla, "spsolve")
-    count(forward._lapack(), "dgttrf")
-    count(forward._lapack(), "dgtsv")
+    for name in ("dgbtrf", "dgttrf", "dgtsv"):
+        count(forward._lapack(), name)
 
     def work(**expected):
         """Whether the counts since the last call are the expected ones, zero
         for the names not given."""
         seen = dict(counts)
         counts.update(dict.fromkeys(counts, 0))
-        factored.clear()
         return seen == dict(dict.fromkeys(seen, 0), **expected)
 
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     gamma = DiffusionTensor.scalar("1 + 0.3*x")
     # q = -200 leaves 1 + dt theta q < 0: no interior row is dominant
-    for q, expected, mode in ((q_time, (1, g.nt), forward.SYMMETRIC_LU),
-                              (2.0, (1, 1), forward.SYMMETRIC_LU),
-                              (None, (1, 1), forward.SYMMETRIC_LU), (-200.0, (1, 1), {})):
-        prop = Propagator(g, gamma, q, "cn", (1.0, -2.0))
-        assert all(kwargs == mode for kwargs, _ in factored)
-        assert all(_row_dominant(A) == bool(mode) for A in prop.A_list)
-        if mode:  # one symmetric permutation of rows and columns
-            assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in factored)
-        assert work(assemble_operator=expected[0], splu=expected[1])
+    for q, expected in ((q_time, (1, g.nt)), (2.0, (1, 1)), (None, (1, 1)), (-200.0, (1, 1))):
+        Propagator(g, gamma, q, "cn", (1.0, -2.0))
+        assert work(assemble_operator=expected[0], dgbtrf=expected[1])
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
-    assert work(assemble_operator=g.n_levels, splu=g.nt)
+    assert work(assemble_operator=g.n_levels, dgbtrf=g.nt)
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")
@@ -906,7 +927,7 @@ def test_propagator_work_counts(monkeypatch):
 
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)
     g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [6, 6], 4, 0.2)
-    for grid, solver in ((g1, "dgtsv"), (g2, "spsolve")):
+    for grid, solver in ((g1, "dgtsv"), (g2, "dgbtrf")):
         g0 = zero_field(grid, "Omega")
         g0.values[:] = 0.5
         res = _newton(grid, None, nl, None, g0, "be", 1e-10, 30)

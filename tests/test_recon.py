@@ -11,6 +11,7 @@ from pipl.forward import Propagator
 from pipl.grid import (
     BoundaryPortion,
     Field,
+    GridError,
     SpaceTimeGrid,
     field_from_function,
     norm,
@@ -435,6 +436,23 @@ def test_null_control_bt_continuation():
     )
     assert res.continuation["sup_norm_over_tail"] <= 10 * res.terminal_norm
 
+
+
+def test_null_control_eps_mismatch_raises(monkeypatch):
+    # the horizon eps and the B_T structure's eps are one time: a mismatch is
+    # named before any solve, not left to fail later in the continuation
+    import pipl.recon.control as control
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("null_control solved before checking eps")
+
+    monkeypatch.setattr(control, "Propagator", no_solve)
+    monkeypatch.setattr(control, "solve_semilinear", no_solve)
+    g = grid1d(17, 32, T=1.0)
+    g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
+    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse("u^3"), 0.25)
+    with pytest.raises(GridError, match=r"eps = 0\.03125 differs .* eps = 0\.25"):
+        null_control(g, None, None, g0, eps=1 / 32, bt=bt)
 
 # -- Runge fitting -----------------------------------------------------------
 
