@@ -65,7 +65,9 @@ class FourierSampleSet:
 
     def conjugate_symmetry_defect(self) -> float:
         """Relative defect between samples at (xi, tau) and conj at
-        (-xi, -tau); small for real integrands."""
+        (-xi, -tau); small for real integrands.  It is 0 by construction
+        for samples paired from the probe sweep's probes, which copies the
+        probe at (-xi, -tau) as the conjugate of the one at (xi, tau)."""
         index = {}
         for s in self.samples:
             key = (tuple(np.round(s.xi, 12)), round(s.tau, 12), s.rho, s.omega)

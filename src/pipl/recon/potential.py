@@ -17,14 +17,19 @@ without ever materializing an exponential carrier.  The functional
 approximates a phi_rho-weighted Fourier sample of c, which the
 FourierSampleSet synthesis inverts.
 
-The probes of one omega go in batches of at most cgo.batch_width lattice
-points (the cgo.BATCH_CAP memory cap): one CGOFactory.build_columns call
-and one multi-column difference sweep per batch.
+With a real operator, potential and sweep coefficient (checked), the probe
+at (-xi, -tau) is the complex conjugate of the probe at (xi, tau): per omega
+only one probe of each conjugate pair (and the self-conjugate xi = 0,
+tau = 0 point) is marched, and its partner is copied as its conjugate.  The
+marched probes of one omega go in batches of at most cgo.batch_width
+lattice points (the cgo.BATCH_CAP memory cap): one
+CGOFactory.build_columns call and one multi-column difference sweep per
+batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -92,13 +97,20 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial
     Per omega: one Propagator for q_sweep with the profile advection (the
     factory's own when q_sweep is the factory's potential) and one
     normal-derivative matrix on the observation portion (the faces outside
-    the omega aperture for partial data).  The lattice points go in batches
-    of at most cgo.batch_width columns; per batch, one build_columns call
-    makes the forward CGO profiles and one zero-data sweep of source
-    coefficient * profile makes their difference profiles.  volume, if
-    given, maps (forward CGOSolution, difference levels (n_levels, n_space))
-    to the probe's volume functional.
+    the omega aperture for partial data).  Only the first half of the
+    lattice and its middle point are marched: the lattice reversed is its
+    negation, and with a real potential and coefficient the probe of point
+    n - 1 - i is the conjugate of the probe of point i.  The marched points
+    go in batches of at most cgo.batch_width columns; per batch, one
+    build_columns call makes the forward CGO profiles and one zero-data
+    sweep of source coefficient * profile makes their difference profiles.
+    volume, if given, maps (forward CGOSolution, difference levels
+    (n_levels, n_space)) to the probe's volume functional.
     """
+    if any(np.iscomplexobj(v) for v in (coefficient, factory.q_levels,
+                                        potential_values(grid, q_sweep))):
+        raise GridError("probe sweeps copy each conjugate (xi, tau) pair's second probe "
+                        "from its first, which needs a real coefficient and potential")
     probes = []
     for omega in [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]:
         params = [CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
@@ -126,15 +138,26 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
     else:
         prop = Propagator(grid, None, q_sweep, factory.scheme,
                           tuple(-2.0 * first.rho * w for w in first.omega))
-    batches = np.array_split(np.arange(len(params)), -(-len(params) // batch_width(grid)))
+    n = len(params)
+    marched = n // 2 + 1
+    batches = np.array_split(np.arange(marched), -(-marched // batch_width(grid)))
     # one difference-sweep source buffer for all batches of the omega
     src = np.empty((grid.n_levels, grid.n_space, len(batches[0])), dtype=complex)
-    return [
+    probes = [
         probe
         for batch in batches
         for probe in _probe_batch(grid, factory, prop, B, portion, coefficient,
                                   [params[i] for i in batch], order, volume, src[..., :len(batch)])
     ]
+    for i in range(marched, n):
+        # the conjugate partner n - 1 - i was marched above; conj turns the
+        # exact zeros (level 0, corner nodes) into -0j, and + 0.0 makes them
+        # +0j again, as a marched probe has them
+        p = probes[n - 1 - i]
+        probes.append(replace(p, params=params[i], dn_difference=p.dn_difference.conj() + 0.0,
+                              volume_functional=None if p.volume_functional is None
+                              else p.volume_functional.conjugate()))
+    return probes
 
 
 def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, volume, src):

@@ -133,9 +133,10 @@ def grids(draw):
 
 def ref_sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial, aperture,
                      dq=None):
-    """One probe at a time: per lattice point a forward CGO build and a
-    one-column sweep of coefficient * profile; returns (params, DN
-    difference, volume functional or None) per probe."""
+    """One probe at a time: per lattice point (both probes of each conjugate
+    pair) a forward CGO build and a one-column sweep of coefficient *
+    profile; returns (params, DN difference, volume functional or None,
+    forward remainder norm, warnings) per probe."""
     omegas = [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]
     out = []
     for omega in omegas:
@@ -156,7 +157,8 @@ def ref_sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, part
                 w_bwd = factory.build(fwd.params.matched_backward()).profile().values
                 volume = l2q_inner(Field(grid, dq * w_bwd, "Q"),
                                    Field(grid, profile + d.reshape(profile.shape), "Q"))
-            out.append((fwd.params, (B @ d.T).T, volume))
+            out.append((fwd.params, (B @ d.T).T, volume, fwd.remainder_norm,
+                        tuple(fwd.warnings)))
     return out
 
 
@@ -263,14 +265,15 @@ def test_build_columns_rejects_mixed_probes():
 
 @settings(max_examples=25, deadline=None)
 @given(grid=grids(), scheme=st.sampled_from(("be", "cn")), partial=st.booleans(),
-       aperture=st.floats(0.0, 0.5), rho=st.floats(1.0, 32.0), n_xi=st.integers(0, 1),
+       aperture=st.floats(0.0, 0.5), rho=st.floats(1.0, 32.0), n_xi=st.integers(0, 2),
        n_tau=st.integers(0, 2), width=st.integers(1, 4), shared_q=st.booleans(),
        seed=st.integers(0, 2**16))
 def test_batched_sweep_matches_probe_loop(grid, scheme, partial, aperture, rho, n_xi, n_tau,
                                           width, shared_q, seed):
     # batches of `width` columns against the one-probe-at-a-time sweep: the
     # potential path (truth-side stepper, volume diagnostics) and the Taylor
-    # path (the factory's own stepper)
+    # path (the factory's own stepper); the reference marches every lattice
+    # point, so the probes copied as conjugates meet independently marched twins
     rng = np.random.default_rng(seed)
     q_truth = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
     q_ref = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
@@ -293,11 +296,26 @@ def test_batched_sweep_matches_probe_loop(grid, scheme, partial, aperture, rho, 
             ref = ref_sweep_probes(grid, factory, q_truth, coefficient, rho, n_xi, n_tau,
                                    partial, aperture, dq=coefficient)
     assert len(got) == len(ref)
-    for probe, (params, dn, volume) in zip(got, ref):
+    for probe, (params, dn, volume, remainder, warnings) in zip(got, ref):
         assert probe.params == params
+        assert probe.remainder_fwd == remainder
+        assert probe.warnings == warnings
         assert np.max(np.abs(probe.dn_difference - dn)) <= 1e-13 * max(1e-300, np.max(np.abs(dn)))
         if volume is not None:
             assert abs(probe.volume_functional - volume) <= 1e-13 * abs(volume)
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid=grids(), angle=st.floats(0.0, 2 * math.pi), n_xi=st.integers(0, 3),
+       n_tau=st.integers(0, 3))
+def test_frequency_lattice_reversed_is_negated(grid, angle, n_xi, n_tau):
+    # the probe sweep pairs lattice point i with its conjugate n - 1 - i
+    for omega in [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0),
+                                                 (math.cos(angle), math.sin(angle))]:
+        lattice = frequency_lattice(grid, omega, n_xi, n_tau)
+        assert len(lattice) == (2 * n_xi + 1 if grid.dim == 2 else 1) * (2 * n_tau + 1)
+        for (xi, tau), (xi_r, tau_r) in zip(lattice, lattice[::-1]):
+            assert xi_r == tuple(-v for v in xi) and tau_r == -tau
 
 
 @settings(max_examples=50, deadline=None)

@@ -121,15 +121,11 @@ def test_recover_potential_2d_temporal_truth():
     assert res.truth_error <= 0.30
 
 
-def test_probe_sweep_work_counts_2d(monkeypatch):
-    # the 2D temporal-truth lattice: 15 points per omega go in batches of at
-    # most cgo.batch_width columns (7 here), each one build_columns call and
-    # one difference sweep: two Propagator.run calls per batch, one plane
-    # wave per forward probe, and no batch buffer above cgo.BATCH_CAP
+def _sweep_events(monkeypatch, *args, **kwargs):
+    # synthesize_potential_probes with its build_columns batches, Propagator.run
+    # calls and plane waves recorded in call order
     from pipl import cgo, forward
 
-    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [33, 33], 64, 1.0)
-    dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.exp(-25 * (t - 0.5) ** 2), "Q")
     events = []
     real_run, real_build, real_wave = (forward.Propagator.run, cgo.CGOFactory.build_columns,
                                        cgo.plane_wave)
@@ -150,19 +146,67 @@ def test_probe_sweep_work_counts_2d(monkeypatch):
     monkeypatch.setattr(forward.Propagator, "run", run)
     monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
     monkeypatch.setattr(cgo, "plane_wave", plane_wave)
-    probes = synthesize_potential_probes(g, dq, None, rho=16.0, n_xi=1, n_tau=2)
-    assert len(probes) == 30
-    assert cgo.batch_width(g) == 7
-    batches = [e for e in events if e[0] == "batch"]
-    assert [m for _, _, m in batches] == [5, 5, 5, 5, 5, 5]
+    return synthesize_potential_probes(*args, **kwargs), events
+
+
+def _runs_per_omega(events):
     runs, omega = {}, None
     for e in events:  # a run belongs to the omega of the batch before it
         omega = e[1] if e[0] == "batch" else omega
         runs[omega] = runs.get(omega, 0) + (e[0] == "run")
-    assert runs == {(1.0, 0.0): 6, (0.0, 1.0): 6}
+    return runs
+
+
+def test_probe_sweep_work_counts_2d(monkeypatch):
+    # the 2D temporal-truth lattice: of the 15 points per omega, the first 8
+    # (one of each conjugate pair and the middle point) are marched, in
+    # batches of at most cgo.batch_width columns (7 here), each one
+    # build_columns call and one difference sweep: two Propagator.run calls
+    # per batch, one plane wave per marched forward probe, and no batch
+    # buffer above cgo.BATCH_CAP
+    from pipl import cgo
+
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [33, 33], 64, 1.0)
+    dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.exp(-25 * (t - 0.5) ** 2), "Q")
+    probes, events = _sweep_events(monkeypatch, g, dq, None, rho=16.0, n_xi=1, n_tau=2)
+    assert len(probes) == 30
+    assert cgo.batch_width(g) == 7
+    batches = [e for e in events if e[0] == "batch"]
+    assert [m for _, _, m in batches] == [4, 4, 4, 4]
+    assert _runs_per_omega(events) == {(1.0, 0.0): 4, (0.0, 1.0): 4}
     assert sum(e[0] == "run" for e in events) == 2 * len(batches)
-    assert sum(e[0] == "wave" for e in events) == len(probes)
+    assert sum(e[0] == "wave" for e in events) == 16
     assert max(e[1] for e in events if e[0] == "run") <= cgo.BATCH_CAP
+
+
+def test_probe_sweep_work_counts_1d(monkeypatch):
+    # the recover-q lattice (n_tau = 4, 9 points): 5 marched columns in one
+    # batch, and the other 4 probes copied as conjugates
+    g = grid1d(129, 128)
+    probes, events = _sweep_events(monkeypatch, g, bump_dq(g), None, rho=32.0, n_tau=4)
+    assert len(probes) == 9
+    assert [e[2] for e in events if e[0] == "batch"] == [5]
+    assert _runs_per_omega(events) == {(1.0,): 2}
+    assert sum(e[0] == "wave" for e in events) == 5
+    for p, partner in zip(probes, probes[::-1]):
+        assert p.params.tau == -partner.params.tau
+        assert np.array_equal(p.dn_difference, partner.dn_difference.conj())
+
+
+def test_probe_sweep_rejects_complex_inputs():
+    # the second probe of a conjugate pair is copied from the first, which
+    # holds only for a real coefficient and a real potential
+    from pipl.recon.potential import _sweep_probes
+
+    g = grid1d(9, 8)
+    factory = CGOFactory(g, 0.3)
+    real = np.ones((g.n_levels, *g.nx))
+    with pytest.raises(GridError, match="conjugate"):
+        _sweep_probes(g, factory, factory.q, real * (1 + 1j), 8.0, 0, 1)
+    with pytest.raises(GridError, match="conjugate"):
+        _sweep_probes(g, factory, Field(g, real * 1j, "Q"), real, 8.0, 0, 1)
+    with pytest.raises(GridError, match="conjugate"):
+        _sweep_probes(g, CGOFactory(g, Field(g, real * 1j, "Q")), 0.3, real, 8.0, 0, 1)
 
 
 def test_recover_potential_reports_distinct_modes_2d():
