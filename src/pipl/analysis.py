@@ -50,7 +50,7 @@ class CarlemanConfig:
 
     psi: positive weight base on the closure of Omega with nonvanishing
     gradient and nonpositive conormal flux on the unobserved boundary part
-    (sampled, not certified).  Second-weight parameters obey
+    (sampled, not certified).  Second-weight parameters obey K > 0 and
     K + t0 < min(1, 1/(2L)).
     """
 
@@ -63,6 +63,8 @@ class CarlemanConfig:
     lambdas2: tuple = (2.0, 4.0, 8.0)
 
     def __post_init__(self):
+        if self.K <= 0:  # the second weight 1/(K + t0 - t) needs K > 0 at t = t0
+            raise AnalysisError(f"parameter constraint violated: K = {self.K:.4g} must be positive")
         if self.K + self.t0 >= min(1.0, 1.0 / (2 * self.L)):
             raise AnalysisError(
                 f"parameter constraint violated: K + t0 = {self.K + self.t0:.4g} "

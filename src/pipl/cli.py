@@ -5,13 +5,14 @@ as quoted strings.  ``SCHEMA`` names, for every experiment kind, the
 sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
-does not read, a malformed or non-finite number, a value outside its
-choices, a non-integer ``PIPL_SEED``, a rho0 outside (0, 1), a diffusion
-key the run would not read (gamma beside g11; g12 or g22 without g11 or on a
-1D grid), a gamma whose sampled eigenvalues leave [rho0, 1/rho0], an
-analytic-class term nonzero at u = 0, a class A_T nonlinearity that breaks
-its growth condition, and a control eps or tail that fails
-``BTStructure.validate`` raise ConfigError, which names the section, the key
+does not read, a malformed or non-finite number, a negative noise level or
+stability delta, a value outside its choices, a non-integer ``PIPL_SEED``,
+a Carleman k outside (0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a
+diffusion key the run would not read (gamma beside g11; g12 or g22 without
+g11 or on a 1D grid), a gamma whose sampled eigenvalues leave [rho0,
+1/rho0], a nonlinearity that fails its class check
+(``Nonlinearity.validate``), and a control eps or tail that fails
+``recon.horizon_level`` raise ConfigError, which names the section, the key
 and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
@@ -35,6 +36,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -68,10 +70,10 @@ from .grid import (
     save_field_csv,
 )
 from .linearize import LinearizationSetup, higher_order, probe_trace
-from .model import CLASS_A, CLASSES, DiffusionTensor, ModelError, Nonlinearity, check_growth
+from .model import CLASSES, DiffusionTensor, ModelError, Nonlinearity
 from .recon import (
-    BTStructure,
     RegionMask,
+    horizon_level,
     null_control,
     positive_solution,
     recover_initial,
@@ -104,18 +106,20 @@ class ConfigError(ValueError):
 # Value parsers: each takes the unquoted text of one key and raises ValueError
 
 
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
+def _number(parse=float, low=-math.inf, what="a finite number"):
+    """A parser of one finite number no less than low."""
+    def number(text):
+        value = parse(text)
+        if not (abs(value) < math.inf and value >= low):  # isfinite fails on a huge int
+            raise ValueError(f"{text!r} is not {what}")
+        return value
+
+    return number
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not a positive integer")
-    return value
+_float = _number()
+_nonnegative = _number(low=0.0, what="a nonnegative finite number")
+_count = _number(int, 1, "a positive integer")
 
 
 def _list(parse):
@@ -128,7 +132,7 @@ def _list(parse):
     return parse_list
 
 
-_floats, _ints = _list(_float), _list(int)
+_floats, _nonnegatives, _ints = _list(_float), _list(_nonnegative), _list(int)
 
 
 def _expr(text: str) -> str:
@@ -217,7 +221,7 @@ SCHEMA = dict((
     _kind("dnmap", "dnmap", {
         "initial": (_expr, "sin(pi*x)"),
         "portion": (_portion, _LEFT),
-        "noise": (_float, 0.0),
+        "noise": (_nonnegative, 0.0),
         "noise_model": (_choice("gaussian-relative", "gaussian-absolute"), "gaussian-relative"),
         "oracle_dn": (_optional_expr, None),  # in t, at the first portion node
         "convergence": (_ints, _SIZES),
@@ -251,12 +255,12 @@ SCHEMA = dict((
     _kind("recover-g", "recover_g", {
         "truth": (_expr, "sin(pi*x)"),
         "portion": (_portion, _LEFT),
-        "noise": (_float, 0.0),
+        "noise": (_nonnegative, 0.0),
     }, _MODEL),
     _kind("stability", "stability", {
         "truth": (_expr, "sin(pi*x)"),
         "portion": (_portion, _LEFT),
-        "deltas": (_floats, (1e-1, 1e-2, 1e-3, 1e-4)),
+        "deltas": (_nonnegatives, (1e-1, 1e-2, 1e-3, 1e-4)),
         "trials": (_count, 5),
     }, _MODEL),
     _kind("carleman", "carleman", {
@@ -295,8 +299,8 @@ KINDS = tuple(SCHEMA)
 class Config:
     """A config file resolved against SCHEMA.  values[section][key] holds
     every key the kind reads, typed (what manifest.json records); the rest
-    is built from it.  gamma None is the identity, and nl is None for a kind
-    that reads no nonlinearity."""
+    is built from it.  gamma None is the identity; nl is the [model]
+    nonlinearity, control's B_T tail, or None for a kind that reads neither."""
 
     values: dict
     grid: SpaceTimeGrid
@@ -354,6 +358,15 @@ def load_config(path, kind: str) -> Config:
     def fault(message, section, key=None, offset=None):
         return ConfigError(message, section, key, lines.get((section, key)), offset)
 
+    @contextmanager
+    def located(section, key, error=ModelError):
+        """An error raised in the block, as a fault at section and key (an
+        expression's ParseError carries its byte offset)."""
+        try:
+            yield
+        except error as exc:
+            raise fault(str(exc), section, key, getattr(exc, "offset", None)) from exc
+
     tables = SCHEMA[kind]
     if cp.defaults():
         raise fault("unknown section", "DEFAULT")
@@ -365,10 +378,8 @@ def load_config(path, kind: str) -> Config:
         for key, raw in cp[name].items():
             if key not in tables[name]:
                 raise fault(f"unknown key; {kind} reads {', '.join(tables[name])} here", name, key)
-            try:
+            with located(name, key, ValueError):
                 values[name][key] = tables[name][key][0](_unquote(raw))
-            except ValueError as exc:  # an expression's ParseError carries its byte offset
-                raise fault(str(exc), name, key, getattr(exc, "offset", None)) from exc
     for name, table in tables.items():  # [grid] first: callable defaults read it
         for key, (_, default) in table.items():
             if key not in values[name]:
@@ -386,20 +397,10 @@ def load_config(path, kind: str) -> Config:
             raise ConfigError(f"{env!r} is not an integer", key="PIPL_SEED") from exc
     if kind == "carleman":
         s = values["carleman"]
-        try:
-            CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])  # checks K + t0 < min(1, 1/2L)
-        except AnalysisError as exc:
-            raise fault(str(exc), "carleman", "k") from exc
+        with located("carleman", "k", AnalysisError):  # checks 0 < K < min(1, 1/2L) - t0
+            CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])
 
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
-    if kind == "control":  # the B_T structure that run_control builds
-        s = values["control"]
-        try:
-            tail = Nonlinearity.parse(s["tail_nonlinearity"])
-            BTStructure(Nonlinearity.zero(), tail, s["eps"]).validate(grid)
-        except (GridError, ModelError) as exc:
-            key = "eps" if isinstance(exc, GridError) else "tail_nonlinearity"
-            raise fault(str(exc), "control", key) from exc
     # a diffusion key that the run would not read
     given = {key for section, key in lines if section == "model"}
     if {"gamma", "g11"} <= given:
@@ -407,29 +408,24 @@ def load_config(path, kind: str) -> Config:
     for key in sorted(given & {"g12", "g22"}):
         if grid.dim == 1 or "g11" not in given:
             raise fault(f"{key} is read only beside g11 on a 2D grid", "model", key)
-    # the hypotheses of the recovery results: a uniformly elliptic gamma, and
-    # the growth condition of class A_T
+    # the hypotheses of the recovery results: a uniformly elliptic gamma, the
+    # nonlinearity's class, and for control the horizon and the B_T tail
     m = values.get("model")
-    try:
+    with located("model", "rho0"):  # rho0 outside (0, 1)
         gamma = _gamma(m) if m else None
-    except ModelError as exc:  # rho0 outside (0, 1)
-        raise fault(str(exc), "model", "rho0") from exc
     if gamma is not None:
-        try:
+        with located("model", "g11" if gamma.is_matrix else "gamma"):
             gamma.check_ellipticity(grid)
-        except ModelError as exc:
-            raise fault(str(exc), "model", "g11" if gamma.is_matrix else "gamma") from exc
     nl = None
     if m and "nonlinearity" in m:
         nl = Nonlinearity.parse(m["nonlinearity"], tag=m["class"])
-        try:
-            nl.validate(grid)  # an analytic-class term or B_T tail must vanish at u = 0
-        except ModelError as exc:
-            raise fault(str(exc), "model", "nonlinearity") from exc
-        growth = check_growth(nl, grid) if nl.tag == CLASS_A else None
-        if growth is not None and not growth.satisfies:
-            raise fault(f"breaks the {CLASS_A} growth condition: {growth.note}", "model",
-                        "nonlinearity")
+        with located("model", "nonlinearity"):
+            nl.validate(grid)
+    if kind == "control":  # null_control's own check; a GridError names eps
+        s = values["control"]
+        nl = Nonlinearity.parse(s["tail_nonlinearity"])
+        with located("control", "eps", GridError), located("control", "tail_nonlinearity"):
+            horizon_level(grid, s["eps"], nl)
     exp = values["experiment"]
     return Config(values, grid, gamma, nl, exp.get("scheme"), exp["seed"])
 
@@ -881,11 +877,10 @@ def run_runge(c, outdir):
 
 def run_control(c, outdir):
     s = c.values["control"]
-    grid, eps = c.grid, s["eps"]
-    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse(s["tail_nonlinearity"]), eps)
+    grid = c.grid
     res = null_control(
-        grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=eps,
-        portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, bt=bt,
+        grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=s["eps"],
+        portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, tail=c.nl,
     )
     converged = res.continuation["converged"]
     reduction = res.uncontrolled_norm / max(res.terminal_norm, 1e-300)

@@ -354,11 +354,15 @@ class Propagator:
     The stencil is assembled once per distinct gamma level, and with it the
     off-diagonal bands of A and M, which a level completes by writing only
     their diagonals; A_k, its LU (_BandLU) and M_k are kept once per
-    distinct level (once in all when neither q nor gamma depends on time)."""
+    distinct level (once in all when neither q nor gamma depends on time).
+    A given gamma passes DiffusionTensor.check_ellipticity first, once per
+    Propagator, else ModelError."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
             raise SolverError(f"unknown scheme {scheme!r}")
+        if gamma is not None:
+            gamma.check_ellipticity(grid)
         self.grid = grid
         self.scheme = scheme
         self.theta = SCHEMES[scheme]
@@ -643,7 +647,10 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     through _BandLU, both with partial pivoting; an exactly singular one
     raises SolverError.  A column whose scaled update passes the tolerance
     is frozen for the rest of the level, so every column takes exactly the
-    iterates of its own single-column solve."""
+    iterates of its own single-column solve.  A given gamma passes
+    DiffusionTensor.check_ellipticity first, else ModelError."""
+    if gamma is not None:
+        gamma.check_ellipticity(grid)
     theta = SCHEMES[scheme]
     n = grid.n_space
     m = 1 if f_vals is None else f_vals.shape[-1]

@@ -5,7 +5,7 @@ terms as expression trees with exact u-derivatives, and admissibility checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -80,13 +80,16 @@ class DiffusionTensor:
     def check_ellipticity(self, grid: SpaceTimeGrid) -> None:
         """Sample eigenvalues on grid nodes at 5 times; reject those outside
         [rho0, 1/rho0] or not finite.  The 2x2 formula serves a scalar too:
-        a I has mean a and radius 0 (NaN where a is infinite, so rejected)."""
+        a I has mean a and radius 0 (NaN where a is infinite, so rejected).
+        On a 1D grid only g11 is judged, the one entry its operator reads."""
         meshes = grid.meshes()
         for t in np.linspace(0.0, grid.T, 5):
             a, b, c = (
                 np.broadcast_to(np.asarray(self.component(i, j, *meshes, t=t), float), grid.nx)
                 for i, j in ((0, 0), (0, 1), (1, 1))
             )
+            if grid.dim == 1:
+                b, c = 0.0, a
             mean = (a + c) / 2
             rad = np.sqrt(((a - c) / 2) ** 2 + b**2)
             lo, hi = float(np.min(mean - rad)), float(np.max(mean + rad))
@@ -104,14 +107,14 @@ class DiffusionTensor:
 class Nonlinearity:
     """Reaction term a(x[, y], t, u) as an expression tree plus a class tag.
 
-    Tags: A_T, B_T, admissible-analytic, linear-potential.  The analytic tag
-    (and the tail part of B_T) requires the term to vanish at u = 0; this is
-    checked on a sample of grid points at construction time via validate().
+    Tags: A_T, B_T, admissible-analytic, linear-potential.  A tag is a
+    hypothesis of the recovery results, not of solvability: the solvers do
+    not check it; validate(grid) does.  The B_T tail, glued on at T - eps,
+    is null_control's tail argument.
     """
 
     expr: Expression
     tag: str = CLASS_ANALYTIC
-    params: dict = dc_field(default_factory=dict)   # e.g. B_T: {"eps": ..., "tail": Expression}
 
     def __post_init__(self):
         self.expr = _as_expression(self.expr)
@@ -119,8 +122,8 @@ class Nonlinearity:
             raise ModelError(f"unknown class tag {self.tag!r}")
 
     @classmethod
-    def parse(cls, source: str, tag=CLASS_ANALYTIC, **params) -> "Nonlinearity":
-        return cls(Expression(source), tag, params)
+    def parse(cls, source: str, tag=CLASS_ANALYTIC) -> "Nonlinearity":
+        return cls(Expression(source), tag)
 
     @classmethod
     def zero(cls) -> "Nonlinearity":
@@ -132,15 +135,19 @@ class Nonlinearity:
         return cls(Expression(f"({e.source})*u"), CLASS_LINEAR)
 
     def validate(self, grid: SpaceTimeGrid) -> None:
-        """Class gating: analytic-class terms (and B_T tails) must vanish at
-        u = 0 on 64 seeded samples of (x, t)."""
+        """The class check, ModelError on failure: an A_T term must pass
+        check_growth, and an analytic or B_T term must vanish at u = 0 on 64
+        seeded samples of (x, t)."""
+        if self.tag == CLASS_A:
+            growth = check_growth(self, grid)
+            if not growth.satisfies:
+                raise ModelError(f"breaks the {CLASS_A} growth condition: {growth.note}")
         if self.tag not in (CLASS_ANALYTIC, CLASS_B):
             return
         rng = default_rng(0)
         xy = [rng.uniform(lo, up, 64) for lo, up in zip(grid.lower, grid.upper)]
         ts = rng.uniform(0.0, grid.T, 64)
-        expr = self.params["tail"] if (self.tag == CLASS_B and "tail" in self.params) else self.expr
-        vals = np.broadcast_to(np.asarray(expr(*xy, t=ts, u=0.0), dtype=float), (64,))
+        vals = np.broadcast_to(np.asarray(self.expr(*xy, t=ts, u=0.0), dtype=float), (64,))
         worst = float(np.max(np.abs(vals)))
         if worst > 1e-12:
             raise ModelError(f"class {self.tag}: term does not vanish at u=0 (max |b(x,t,0)| = {worst:.3g})")

@@ -4,7 +4,7 @@ filter factors, boundary null control, and Runge approximation fitting."""
 
 from .fourier import FourierSample, FourierSampleSet, frequency_lattice
 from .initial import InitialDataMap, recover_initial, stability_curve
-from .control import BTStructure, control_basis, null_control
+from .control import control_basis, horizon_level, null_control
 from .potential import (
     PotentialProbe,
     ReconstructionResult,
@@ -18,7 +18,6 @@ from .potential import (
 from .runge import RegionMask, runge_basis, runge_fit
 
 __all__ = [
-    "BTStructure",
     "FourierSample",
     "FourierSampleSet",
     "InitialDataMap",
@@ -27,6 +26,7 @@ __all__ = [
     "RegionMask",
     "control_basis",
     "frequency_lattice",
+    "horizon_level",
     "null_control",
     "positive_solution",
     "reciprocity_report",

@@ -4,9 +4,9 @@ The steering functional ||u(., T-eps)||^2 + alpha ||f||^2 is minimized over a
 finite control basis (boundary-node hats times time B-splines vanishing at
 t = 0) by conjugate-gradient iteration on the normal equations of the
 control-to-state columns, which one multi-column sweep forms.  The control
-is extended by zero on [T-eps, T]; for a B_T-structured nonlinearity whose
-tail vanishes at u = 0 the continued free solution then stays near zero,
-which the continuation check certifies.
+is extended by zero on [T-eps, T]; under a B_T tail, a nonlinearity glued
+on at T - eps that vanishes at u = 0, the continued free solution then
+stays near zero, which the continuation check certifies.
 """
 
 from __future__ import annotations
@@ -28,34 +28,23 @@ from ..grid import (
 from ..model import Nonlinearity
 
 
-@dataclass
-class BTStructure:
-    """Nonlinearity glued in time: a0 on [0, T-eps], tail on [T-eps, T] with
-    tail(x,t,0) = 0."""
-
-    a0: Nonlinearity
-    tail: Nonlinearity
-    eps: float
-
-    def validate(self, grid: SpaceTimeGrid):
-        """GridError unless eps lies in (0, T) with T - eps on a time level
-        that leaves at least 2 steps before it and 2 after it; ModelError
-        unless the tail vanishes at u = 0."""
-        if not 0 < self.eps < grid.T:
-            raise GridError(f"eps = {self.eps!r} must lie in (0, T) = (0, {grid.T!r})")
-        tail_steps = grid.nt - _horizon_level(grid, self.eps)
-        if tail_steps < 2:
-            raise GridError(f"eps = {self.eps!r} leaves {tail_steps} time step(s) after T - eps; "
-                            "the free continuation needs at least 2")
-        self.tail.validate(grid)
-
-
-def _horizon_level(grid: SpaceTimeGrid, eps: float) -> int:
-    """The time level K of T - eps; GridError unless it is one, with K >= 2."""
+def horizon_level(grid: SpaceTimeGrid, eps: float, tail: Nonlinearity | None = None) -> int:
+    """The time level K of T - eps, after null_control's checks: GridError
+    unless eps lies in (0, T) with T - eps on a time level that leaves at
+    least 2 steps before it and, when a B_T tail is given, 2 after it; then
+    the tail's class check, Nonlinearity.validate (a tail parsed with the
+    default admissible-analytic tag must vanish at u = 0)."""
+    if not 0 < eps < grid.T:
+        raise GridError(f"eps = {eps!r} must lie in (0, T) = (0, {grid.T!r})")
     horizon = grid.T - eps
     K = int(round(horizon / grid.dt))
     if abs(K * grid.dt - horizon) > 1e-12 * grid.T or K < 2:
         raise GridError("T - eps must sit on a time level with at least 2 steps")
+    if tail is not None:
+        if grid.nt - K < 2:
+            raise GridError(f"eps = {eps!r} leaves {grid.nt - K} time step(s) after T - eps; "
+                            "the free continuation needs at least 2")
+        tail.validate(grid)
     return K
 
 
@@ -128,22 +117,17 @@ def null_control(
     portion=None,
     n_time: int = 12,
     scheme: str = "be",
-    bt: BTStructure | None = None,
+    tail: Nonlinearity | None = None,
 ) -> ControlResult:
     """Steer the linear(ized) model u_t - div(gamma grad u) + q u = 0 from
     initial data g to approximately zero at T - eps using boundary controls
     supported on the portion: at most 400 CG steps on the normal equations
-    with control weight alpha = 1e-10, to a relative residual of 1e-12.  A
-    B_T structure bt (validated first, its eps equal to eps, else
-    GridError) adds the free continuation on [T - eps, T] under its tail."""
+    with control weight alpha = 1e-10, to a relative residual of 1e-12.  The
+    B_T tail, if given, adds the free continuation on [T - eps, T] under it.
+    eps and the tail pass horizon_level before any solve."""
     resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
-    if bt is not None:
-        if bt.eps != eps:
-            raise GridError(f"null_control eps = {eps!r} differs from the B_T structure's "
-                            f"eps = {bt.eps!r}")
-        bt.validate(grid)
+    K = horizon_level(grid, eps, tail)
     horizon = grid.T - eps
-    K = _horizon_level(grid, eps)
 
     prop = Propagator(grid, gamma, q, scheme)
     w_space = grid.space_weights().reshape(-1)
@@ -209,12 +193,12 @@ def null_control(
         trace, coeff, terminal_norm, free_norm, history, K, converged or terminal_norm <= 0.01 * free_norm, notes
     )
 
-    if bt is not None:
-        result.continuation = _continue_free(grid, gamma, bt, terminal, K, scheme)
+    if tail is not None:
+        result.continuation = _continue_free(grid, gamma, tail, terminal, K, scheme)
     return result
 
 
-def _continue_free(grid, gamma, bt: BTStructure, steered_terminal, K, scheme) -> dict:
+def _continue_free(grid, gamma, tail: Nonlinearity, steered_terminal, K, scheme) -> dict:
     """Free (f = 0) continuation on [T-eps, T] under the tail nonlinearity;
     reports how far the solution drifts from zero and whether its solve
     converged."""
@@ -225,7 +209,7 @@ def _continue_free(grid, gamma, bt: BTStructure, steered_terminal, K, scheme) ->
     # continuation with f = 0 needs exact compatibility
     init[grid.boundary_flat_indices()] = 0.0
     g0 = Field(tail_grid, init.reshape(grid.nx), DOMAIN_OMEGA)
-    rep = solve_semilinear(tail_grid, gamma, bt.tail, g=g0, scheme=scheme)
+    rep = solve_semilinear(tail_grid, gamma, tail, g=g0, scheme=scheme)
     w_space = tail_grid.space_weights().reshape(-1)
     flat = rep.solution.values.reshape(tail_grid.n_levels, -1)
     norms = np.sqrt((flat**2) @ w_space)

@@ -1,3 +1,4 @@
+import configparser
 import functools
 import importlib.util
 import json
@@ -13,6 +14,8 @@ import pytest
 from pipl import analysis, cgo, cli, dnmap
 from pipl.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SOLVER, emit_plotdata, main, run
 from pipl.forward import Propagator, solve_linear, solve_semilinear
+from pipl.grid import GridError, SpaceTimeGrid, field_from_function
+from pipl.model import DiffusionTensor, ModelError, Nonlinearity
 from pipl.recon import control, initial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -425,8 +428,14 @@ def _edit(kind, old, new):
         ("forward", "dim = 1", "dim = 2", "grid", "lower"),
         ("dnmap", "portion = left", "portion = lft", "dnmap", "portion"),
         ("linearize", "max_order = 3", "max_order = 4", "linearize", "max_order"),
-        # carleman weights need K + t0 < min(1, 1/(2L))
+        # carleman weights need 0 < K < min(1, 1/(2L)) - t0
         ("carleman", "a = 1.0", "a = 1.0\nk = 0.6", "carleman", "k"),
+        ("carleman", "a = 1.0", "a = 1.0\nk = -0.5", "carleman", "k"),
+        ("carleman", "a = 1.0", "a = 1.0\nk = 0", "carleman", "k"),
+        # noise levels are nonnegative
+        ("dnmap", "portion = left", "portion = left\nnoise = -0.01", "dnmap", "noise"),
+        ("recover-g", "noise = 0", "noise = -0.05", "recover_g", "noise"),
+        ("stability", "deltas = 1e-1", "deltas = -1e-1", "stability", "deltas"),
         # gamma's eigenvalues must lie in [rho0, 1/rho0] = [0.5, 2]
         ("forward", 'gamma = "1"', 'gamma = "-1"', "model", "gamma"),
         ("forward", 'gamma = "1"', 'gamma = "0.05"', "model", "gamma"),
@@ -462,6 +471,90 @@ def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
     assert (err["type"], err["section"], err["key"]) == ("ConfigError", section, key)
     marker = f"[{section}]" if key is None else key
     assert text.splitlines()[err["line"] - 1].strip().startswith(marker)
+
+
+# every number key of a kind's own section and its [model], whatever it reads
+SWEEP = [
+    (kind, section, key)
+    for kind, tables in cli.SCHEMA.items()
+    for section, table in tables.items()
+    if section not in ("grid", "experiment", "output")
+    for key, (parse, _) in table.items()
+    if parse in (cli._float, cli._floats, cli._nonnegative, cli._nonnegatives)
+]
+
+
+@pytest.mark.parametrize("kind, section, key", SWEEP)
+def test_negative_number_exits_with_a_documented_code(kind, section, key, tmp_path):
+    # -0.5 in any number key: a result, a config fault or a solver failure
+    # with error.json, or a failed check; never a traceback
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(CONFIGS / f"{kind}.ini")
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = "-0.5"
+    cfg = tmp_path / "negative.ini"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    code = run(kind, cfg, out, check=True)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_CHECK)
+    assert (out / "error.json").exists() == (code in (EXIT_PARSE, EXIT_SOLVER))
+
+
+def _grid1d(nx=33, nt=32, T=0.5):
+    return SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
+
+
+def _propagator(gamma):
+    return lambda: Propagator(_grid1d(), DiffusionTensor.scalar(gamma))
+
+
+def _tensor(gamma, rho0):
+    return lambda: DiffusionTensor.scalar(gamma, rho0=rho0)
+
+
+def _validate(source, tag):
+    return lambda: Nonlinearity.parse(source, tag=tag).validate(_grid1d())
+
+
+def _control(eps, tail="u^3"):
+    def call():
+        g = _grid1d(65, 96, 1.0)  # the shipped control grid
+        g0 = field_from_function(g, lambda x: np.sin(np.pi * x), "Omega")
+        control.null_control(g, None, None, g0, eps, tail=Nonlinearity.parse(tail))
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (_propagator("-1"), ModelError, "eigenvalues"),
+        (_propagator("0.05"), ModelError, "eigenvalues"),
+        (_tensor("1", 1.5), ModelError, "rho0"),
+        (_tensor("1 + 0.2*x", 1.5), ModelError, "rho0"),
+        (_validate("u^3", "A_T"), ModelError, "growth condition"),
+        (_validate("u + 1", "admissible-analytic"), ModelError, "vanish"),
+        (_control(-0.25), GridError, "must lie in"),
+        (_control(0.0), GridError, "must lie in"),
+        (_control(0.010416666666666666), GridError, "leaves 1 time step"),
+        (_control(0.25, "u^3 + 0.5"), ModelError, "vanish"),
+    ],
+    ids=["gamma=-1", "gamma=0.05", "rho0=1.5", "rho0=1.5-x", "A_T-u^3", "analytic-u+1",
+         "eps=-0.25", "eps=0", "eps=dt", "tail-u^3+0.5"],
+)
+def test_malformed_config_value_api_twin_raises(call, error, match, monkeypatch):
+    # each model and control case of test_malformed_config_value_exits_2
+    # raises from the library too, before any step matrix is built or solve made
+    def no_build(*args, **kwargs):
+        raise AssertionError("built or solved before checking the model")
+
+    monkeypatch.setattr(Propagator, "_build", no_build)
+    monkeypatch.setattr(control, "Propagator", no_build)
+    monkeypatch.setattr(control, "solve_semilinear", no_build)
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_non_integer_seed_exits_2_without_traceback(tmp_path):

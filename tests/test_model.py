@@ -55,16 +55,13 @@ def test_analytic_class_gating():
 
 
 def test_bt_tail_gating():
-    from pipl.expr import Expression
-    from pipl.model import CLASS_B
+    from pipl.recon import horizon_level
 
     g = grid1d()
-    # glued class: the tail part must vanish at u = 0
-    bad = Nonlinearity(Expression("sin(u)"), CLASS_B, {"eps": 0.25, "tail": Expression("u + 1")})
+    # the B_T tail, glued on at T - eps, must vanish at u = 0
     with pytest.raises(ModelError):
-        bad.validate(g)
-    good = Nonlinearity(Expression("sin(u)"), CLASS_B, {"eps": 0.25, "tail": Expression("u^3")})
-    good.validate(g)
+        horizon_level(g, 0.25, Nonlinearity.parse("u + 1"))
+    assert horizon_level(g, 0.25, Nonlinearity.parse("u^3")) == 6
 
 
 def test_growth_bounded_derivative_satisfied():

@@ -19,7 +19,6 @@ from pipl.grid import (
 )
 from pipl.model import Nonlinearity
 from pipl.recon import (
-    BTStructure,
     RegionMask,
     null_control,
     positive_solution,
@@ -473,30 +472,13 @@ def test_null_control_reduction_and_monotonicity():
 def test_null_control_bt_continuation():
     g = grid1d(65, 96, T=1.0)
     g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
-    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse("u^3"), 0.25)
     res = null_control(
         g, None, None, g0, eps=0.25,
-        portion=resolve_portion(g, BoundaryPortion.named("left")), n_time=12, bt=bt,
+        portion=resolve_portion(g, BoundaryPortion.named("left")), n_time=12,
+        tail=Nonlinearity.parse("u^3"),
     )
     assert res.continuation["sup_norm_over_tail"] <= 10 * res.terminal_norm
 
-
-
-def test_null_control_eps_mismatch_raises(monkeypatch):
-    # the horizon eps and the B_T structure's eps are one time: a mismatch is
-    # named before any solve, not left to fail later in the continuation
-    import pipl.recon.control as control
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("null_control solved before checking eps")
-
-    monkeypatch.setattr(control, "Propagator", no_solve)
-    monkeypatch.setattr(control, "solve_semilinear", no_solve)
-    g = grid1d(17, 32, T=1.0)
-    g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
-    bt = BTStructure(Nonlinearity.zero(), Nonlinearity.parse("u^3"), 0.25)
-    with pytest.raises(GridError, match=r"eps = 0\.03125 differs .* eps = 0\.25"):
-        null_control(g, None, None, g0, eps=1 / 32, bt=bt)
 
 # -- Runge fitting -----------------------------------------------------------
 
