@@ -300,7 +300,9 @@ class Config:
     """A config file resolved against SCHEMA.  values[section][key] holds
     every key the kind reads, typed (what manifest.json records); the rest
     is built from it.  gamma None is the identity; nl is the [model]
-    nonlinearity, control's B_T tail, or None for a kind that reads neither."""
+    nonlinearity, control's B_T tail, or None for a kind that reads neither;
+    weights is carleman's [carleman] k, t0 and l, checked, with the weight
+    base psi left for run_carleman to set, and None for every other kind."""
 
     values: dict
     grid: SpaceTimeGrid
@@ -308,6 +310,7 @@ class Config:
     nl: Nonlinearity | None
     scheme: str | None
     seed: int
+    weights: CarlemanConfig | None = None
 
 
 def _unquote(v: str) -> str:
@@ -395,10 +398,11 @@ def load_config(path, kind: str) -> Config:
             values["experiment"]["seed"] = int(env)
         except ValueError as exc:
             raise ConfigError(f"{env!r} is not an integer", key="PIPL_SEED") from exc
+    weights = None
     if kind == "carleman":
         s = values["carleman"]
         with located("carleman", "k", AnalysisError):  # checks 0 < K < min(1, 1/2L) - t0
-            CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])
+            weights = CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])
 
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
     # a diffusion key that the run would not read
@@ -427,7 +431,7 @@ def load_config(path, kind: str) -> Config:
         with located("control", "eps", GridError), located("control", "tail_nonlinearity"):
             horizon_level(grid, s["eps"], nl)
     exp = values["experiment"]
-    return Config(values, grid, gamma, nl, exp.get("scheme"), exp["seed"])
+    return Config(values, grid, gamma, nl, exp.get("scheme"), exp["seed"], weights)
 
 
 def _expr_field(grid, source, domain="Omega"):
@@ -782,19 +786,20 @@ def _spearman(x, y) -> float:
 
 def run_carleman(c, outdir):
     s = c.values["carleman"]
-    grid, gamma, portion = c.grid, c.gamma, s["portion"]
+    grid, gamma, portion, weights = c.grid, c.gamma, s["portion"], c.weights
+    # the default base reads the box, the horizon and the observed faces,
+    # which the refined grid below shares: one psi serves both grids
+    weights.psi = Expression(s["psi"]) if s["psi"] else default_weight_base(grid, portion.faces)
 
     def checks(g):
-        """The weights on grid g and both inequality checks of the solution there."""
+        """Both inequality checks of the solution on grid g."""
         u = _expr_field(g, s["solution"], "Q")
         F = Field(g, s["a"] * u.values, "Q")
-        psi = Expression(s["psi"]) if s["psi"] else default_weight_base(g, portion.faces)
-        weights = CarlemanConfig(psi, K=s["k"], t0=s["t0"], L=s["l"])
-        return weights, carleman_check_1(u, F, weights, portion, gamma), carleman_check_2(
+        return carleman_check_1(u, F, weights, portion, gamma), carleman_check_2(
             u, F, weights, gamma
         )
 
-    weights, rep1, rep2 = checks(grid)
+    rep1, rep2 = checks(grid)
     entries = [
         {**e, "check": 1} for e in rep1.entries
     ] + [{**e, "check": 2} for e in rep2.entries]
@@ -809,7 +814,7 @@ def run_carleman(c, outdir):
     _gate(report, "ratios_finite", rep1.all_finite() and rep2.all_finite(),
           note="non-finite inequality ratio")
     # refinement stability on one halved grid
-    _, rep1b, rep2b = checks(SpaceTimeGrid.make(
+    rep1b, rep2b = checks(SpaceTimeGrid.make(
         grid.lower, grid.upper, [2 * (n - 1) + 1 for n in grid.nx], 2 * grid.nt, grid.T
     ))
     drift = 0.0

@@ -13,7 +13,10 @@ any dimension each operator, step matrix and Newton Jacobian is a band
 matrix (Banded), factored by LAPACK's band LU with partial pivoting
 (_BandLU) from numpy's bundled OpenBLAS: ?gttrf for one band either side of
 the diagonal (1D), ?gbtrf for wider ones (2D, half-bandwidth the row
-stride, one more with a cross term).  A run imports no scipy.  A sweep
+stride, one more with a cross term).  ?gbtrf gets its Dirichlet rows scaled
+by a power of two, which pivoting leaves in place; when it makes no
+interchange at all, the factors drop the fill rows and U is solved at the
+stencil's half-bandwidth.  A run imports no scipy.  A sweep
 carries any number of columns, each with its own initial values, boundary
 trace and source, with one multi-column solve per step, and the residual
 of those steps is checked from the same right-hand sides.  Semilinear
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -121,7 +125,7 @@ class _NumpyLapack:
         factors = _bands(dl, d, du)
         n = len(factors[1])
         factors += [np.zeros(max(n - 2, 0)), np.zeros(n, dtype=np.int64)]
-        pointers = [f.ctypes.data_as(ctypes.c_void_p) for f in factors]
+        pointers = [_address(f) for f in factors]
         size, info = ctypes.c_int64(n), ctypes.c_int64()
         self.gttrf(ctypes.byref(size), *pointers, ctypes.byref(info))
         return factors, _solver(self.gttrs, size, (), pointers), info.value
@@ -130,19 +134,28 @@ class _NumpyLapack:
         """The LU factors of the band matrix in LAPACK's band storage ab
         (2 kl + ku + 1 rows, one column per matrix column, the diagonal in
         row kl + ku, the first kl rows left for the fill-in), their
-        solve(rhs) and LAPACK's info."""
-        lu = np.array(ab, dtype=float, order="F")
+        solve(rhs) and LAPACK's info.  A writable Fortran-ordered float ab
+        is factored in place, any other ab in a copy.  When dgbtrf made no
+        interchange and ku >= kl, no row of U reaches past its ku-th
+        superdiagonal, so the first kl rows stay zero: the factors keep only
+        the kl + ku + 1 rows below them, and the solve is dgbtrs told of
+        ku - kl superdiagonals, which solves U at bandwidth ku, not kl + ku.
+        After any interchange the full storage is kept."""
+        lu = np.require(ab, float, ("F", "W"))
         if lu.ndim != 2 or len(lu) != 2 * kl + ku + 1:
             raise ValueError(f"band storage of shape {lu.shape} for kl = {kl}, ku = {ku}")
-        factors = [lu, np.zeros(lu.shape[1], dtype=np.int64)]
-        pointers = [_address(f.T) for f in factors]
-        size, lower, upper, rows = (ctypes.c_int64(v) for v in (lu.shape[1], kl, ku, len(lu)))
+        n = lu.shape[1]
+        ipiv = np.zeros(n, dtype=np.int64)
+        size, lower, upper, rows = (ctypes.c_int64(v) for v in (n, kl, ku, len(lu)))
         info = ctypes.c_int64()
-        self.gbtrf(*map(ctypes.byref, (size, size, lower, upper)), pointers[0], ctypes.byref(rows),
-                   pointers[1], ctypes.byref(info))
+        self.gbtrf(*map(ctypes.byref, (size, size, lower, upper)), _address(lu.T),
+                   ctypes.byref(rows), _address(ipiv), ctypes.byref(info))
+        if ku >= kl and np.array_equal(ipiv, np.arange(1, n + 1)):
+            lu = np.array(lu[kl:], order="F")
+            upper.value, rows.value = ku - kl, len(lu)
         solve = _solver(self.gbtrs, size, map(ctypes.byref, (lower, upper)),
-                        (pointers[0], ctypes.byref(rows), pointers[1]))
-        return factors, solve, info.value
+                        (_address(lu.T), ctypes.byref(rows), _address(ipiv)))
+        return [lu, ipiv], solve, info.value
 
     def dgtsv(self, dl, d, du, b):
         """x solving the tridiagonal system (dl, d, du) x = b for one column
@@ -231,7 +244,15 @@ class _BandLU:
     """LAPACK's LU with partial pivoting of the Banded matrix A, and its
     solve(rhs) for one or more columns: dgttrf and dgttrs when A has one band
     either side of the diagonal, else dgbtrf and dgbtrs on A's band storage.
-    An exactly singular U raises SolverError naming what A is."""
+    There every row with no off-diagonal entry (a Dirichlet row) is scaled by
+    the least power of two above max |A|, and solve scales the same rows of
+    each right-hand side.  A power of two scales exactly, and the scaled
+    diagonal exceeds every entry of A, so partial pivoting keeps those rows
+    in place (unless elimination grows an entry of their column past it),
+    and the solution there is the right-hand side exactly.  When no interior
+    row is swapped either, as for a column dominant A, the factors keep
+    kl + ku + 1 rows (_NumpyLapack.dgbtrf).  An exactly singular U raises
+    SolverError naming what A is."""
 
     def __init__(self, A: Banded, what: str):
         kl, ku = -min(A.bands), max(A.bands)
@@ -240,9 +261,22 @@ class _BandLU:
                                                               A.bands[1][:-1])
         else:
             ab = np.zeros((2 * kl + ku + 1, A.n), order="F")
+            alone, top = np.ones(A.n, dtype=bool), 0.0  # rows with no off-diagonal entry, max |A|
             for offset, rows, cols, band in A._terms:
                 ab[kl + ku - offset, cols] = band
-            self.factors, self.solve, info = _lapack().dgbtrf(ab, kl, ku)
+                top = max(top, float(np.max(np.abs(band))))
+                if offset:
+                    alone[rows] &= band == 0.0
+            dirichlet, scale = np.flatnonzero(alone), 2.0 ** math.frexp(top)[1]
+            ab[kl + ku, dirichlet] *= scale
+            self.factors, solve, info = _lapack().dgbtrf(ab, kl, ku)
+
+            def scaled_solve(rhs):
+                b = np.array(rhs, dtype=float, order="F")
+                b[dirichlet] *= scale
+                return solve(b)
+
+            self.solve = scaled_solve
         if info > 0:
             raise SolverError(f"{what} is exactly singular (zero pivot in row {info})")
 

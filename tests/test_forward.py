@@ -434,6 +434,11 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _interchange_free(lu):
+    """Whether the band LU made no row interchange (the pivots count from 1)."""
+    return np.array_equal(lu.factors[1], np.arange(1, len(lu.factors[1]) + 1))
+
+
 GAMMAS = {
     "identity": lambda dim: DiffusionTensor.identity(),
     "scalar": lambda dim: DiffusionTensor.scalar("1 + 0.3*x"),
@@ -752,6 +757,10 @@ def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_ki
     ref = _splu_steps(prop, u, f, source)
     for k in range(1, grid.n_levels):
         assert np.max(np.abs(u[k] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
+        # a 2D step that made no interchange solves its scaled Dirichlet rows
+        # to the trace exactly
+        if dim == 2 and _interchange_free(prop.lu_list[k - 1]):
+            assert _same(u[k][prop.boundary_idx], f[k])
 
 
 @settings(max_examples=50, deadline=None)
@@ -837,6 +846,39 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
     assert all(_same(a, b) for a, b in zip((dl, d, du), bands))  # the bands are left alone
 
 
+def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
+    # scaled Dirichlet rows and dominant interior columns: dgbtrf makes no
+    # interchange, the factors keep the kl + ku + 1 rows that hold U and L,
+    # and the solves equal the full-storage ones of the scipy fallback, with
+    # the right-hand side itself on the Dirichlet rows.  With q = -200 no
+    # interior row is dominant: dgbtrf pivots, and the full storage is kept
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 7], 4, 0.2)
+    n, kl = g.n_space, g.nx[1]
+    q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
+    bd = g.boundary_flat_indices()
+    rng = np.random.default_rng(5)
+    rhs = [rng.standard_normal(shape) for shape in ((n,), (n, 1), (n, 7))]
+    cases = []
+    for q, free in ((q_time, True), (-200.0, False)):
+        A = Propagator(g, DiffusionTensor.scalar("1 + 0.3*x"), q, "cn", (1.0, -2.0)).A_list[-1]
+        assert -min(A.bands) == max(A.bands) == kl
+        lu = forward._BandLU(A, "A")
+        assert _interchange_free(lu) == free
+        assert lu.factors[0].shape == ((2 if free else 3) * kl + 1, n)
+        cases.append((A, lu, [lu.solve(b) for b in rhs]))
+    monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
+    for A, lu, xs in cases:
+        ref = forward._BandLU(A, "A")
+        assert ref.factors[0].shape == (3 * kl + 1, n)
+        assert np.array_equal(ref.factors[1], lu.factors[1] - 1)
+        for b, x in zip(rhs, xs):
+            assert x.shape == b.shape
+            assert np.array_equal(x, ref.solve(b))
+            assert np.max(np.abs(A @ x - b)) <= 1e-12 * np.max(np.abs(x))
+            if _interchange_free(lu):
+                assert _same(x[bd], b[bd])
+
+
 def test_1d_paths_build_no_sparse_matrix(monkeypatch):
     # Propagators, Newton solves and the normal-derivative gather work on
     # bands and index arrays, in 1D and in 2D: no scipy.sparse object is made
@@ -883,8 +925,10 @@ def test_propagator_work_counts(monkeypatch):
     # one stencil assembly per gamma level; one LU per distinct step matrix,
     # LAPACK's band LU whatever the rows: dgbtrf in 2D, dgttrf in 1D.  Newton
     # makes one solve per iteration: one dgbtrf (and its solve) in 2D, one
-    # dgtsv in 1D.  LAPACK is counted on forward's binding
-    counts = {}
+    # dgtsv in 1D.  LAPACK is counted on forward's binding, and so are the
+    # rows each dgbtrf keeps: kl + ku + 1 without an interchange, 2 kl + ku + 1
+    # after one
+    counts, band_rows = {}, []
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -892,7 +936,10 @@ def test_propagator_work_counts(monkeypatch):
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
-            return real(*args, **kwargs)
+            out = real(*args, **kwargs)
+            if name == "dgbtrf":
+                band_rows.append(len(out[0][0]))
+            return out
 
         monkeypatch.setattr(owner, name, wrapped)
 
@@ -900,22 +947,25 @@ def test_propagator_work_counts(monkeypatch):
     for name in ("dgbtrf", "dgttrf", "dgtsv"):
         count(forward._lapack(), name)
 
-    def work(**expected):
+    def work(rows=None, **expected):
         """Whether the counts since the last call are the expected ones, zero
-        for the names not given."""
-        seen = dict(counts)
+        for the names not given, and every dgbtrf since then kept rows rows."""
+        seen, kept = dict(counts), band_rows[:]
         counts.update(dict.fromkeys(counts, 0))
-        return seen == dict(dict.fromkeys(seen, 0), **expected)
+        band_rows.clear()
+        return seen == dict(dict.fromkeys(seen, 0), **expected) and kept == [rows] * len(kept)
 
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     gamma = DiffusionTensor.scalar("1 + 0.3*x")
-    # q = -200 leaves 1 + dt theta q < 0: no interior row is dominant
-    for q, expected in ((q_time, (1, g.nt)), (2.0, (1, 1)), (None, (1, 1)), (-200.0, (1, 1))):
+    # kl = ku = 9; q = -200 leaves 1 + dt theta q < 0: no interior row is
+    # dominant, and dgbtrf pivots
+    for q, expected in ((q_time, (1, g.nt, 19)), (2.0, (1, 1, 19)), (None, (1, 1, 19)),
+                        (-200.0, (1, 1, 28))):
         Propagator(g, gamma, q, "cn", (1.0, -2.0))
-        assert work(assemble_operator=expected[0], dgbtrf=expected[1])
+        assert work(assemble_operator=expected[0], dgbtrf=expected[1], rows=expected[2])
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
-    assert work(assemble_operator=g.n_levels, dgbtrf=g.nt)
+    assert work(assemble_operator=g.n_levels, dgbtrf=g.nt, rows=19)
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")
@@ -927,9 +977,9 @@ def test_propagator_work_counts(monkeypatch):
 
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)
     g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [6, 6], 4, 0.2)
-    for grid, solver in ((g1, "dgtsv"), (g2, "dgbtrf")):
+    for grid, solver, rows in ((g1, "dgtsv", None), (g2, "dgbtrf", 13)):  # 2D: kl = ku = 6
         g0 = zero_field(grid, "Omega")
         g0.values[:] = 0.5
         res = _newton(grid, None, nl, None, g0, "be", 1e-10, 30)
         assert res.iterations > grid.nt
-        assert work(assemble_operator=1, **{solver: res.iterations})
+        assert work(assemble_operator=1, rows=rows, **{solver: res.iterations})

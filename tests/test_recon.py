@@ -122,12 +122,15 @@ def test_recover_potential_2d_temporal_truth():
 
 def _sweep_events(monkeypatch, *args, **kwargs):
     # synthesize_potential_probes with its build_columns batches, Propagator.run
-    # calls and plane waves recorded in call order
+    # calls, plane waves and band LUs (the rows each keeps, and whether it made
+    # no interchange) recorded in call order
     from pipl import cgo, forward
 
     events = []
     real_run, real_build, real_wave = (forward.Propagator.run, cgo.CGOFactory.build_columns,
                                        cgo.plane_wave)
+    lapack = forward._lapack()
+    real_factor = lapack.dgbtrf
 
     def run(self, *args, **kwargs):
         u = real_run(self, *args, **kwargs)
@@ -142,7 +145,14 @@ def _sweep_events(monkeypatch, *args, **kwargs):
         events.append(("wave",))
         return real_wave(*args)
 
+    def dgbtrf(*args):
+        factors, solve, info = real_factor(*args)
+        lu, ipiv = factors
+        events.append(("factor", len(lu), np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))))
+        return factors, solve, info
+
     monkeypatch.setattr(forward.Propagator, "run", run)
+    monkeypatch.setattr(lapack, "dgbtrf", dgbtrf)
     monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
     monkeypatch.setattr(cgo, "plane_wave", plane_wave)
     return synthesize_potential_probes(*args, **kwargs), events
@@ -150,7 +160,9 @@ def _sweep_events(monkeypatch, *args, **kwargs):
 
 def _runs_per_omega(events):
     runs, omega = {}, None
-    for e in events:  # a run belongs to the omega of the batch before it
+    # a run belongs to the omega of the batch before it; an omega's step LUs
+    # are factored before its first batch
+    for e in (e for e in events if e[0] != "factor"):
         omega = e[1] if e[0] == "batch" else omega
         runs[omega] = runs.get(omega, 0) + (e[0] == "run")
     return runs
@@ -176,6 +188,10 @@ def test_probe_sweep_work_counts_2d(monkeypatch):
     assert sum(e[0] == "run" for e in events) == 2 * len(batches)
     assert sum(e[0] == "wave" for e in events) == 16
     assert max(e[1] for e in events if e[0] == "run") <= cgo.BATCH_CAP
+    # per omega the 64 step LUs of the truth-side sweep and the one of the
+    # forward-profile stepper, none with an interchange, each kept in
+    # kl + ku + 1 = 67 rows, not 2 kl + ku + 1 = 100
+    assert [e[1:] for e in events if e[0] == "factor"] == [(67, True)] * 130
 
 
 def test_probe_sweep_work_counts_1d(monkeypatch):
