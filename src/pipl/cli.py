@@ -11,9 +11,10 @@ a Carleman k outside (0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a
 diffusion key the run would not read (gamma beside g11; g12 or g22 without
 g11 or on a 1D grid), a gamma whose sampled eigenvalues leave [rho0,
 1/rho0], a nonlinearity that fails its class check
-(``Nonlinearity.validate``), and a control eps or tail that fails
-``recon.horizon_level`` raise ConfigError, which names the section, the key
-and the line.
+(``Nonlinearity.validate``), a control eps or tail that fails
+``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn`` on
+a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
+which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -404,6 +405,9 @@ def load_config(path, kind: str) -> Config:
         with located("carleman", "k", AnalysisError):  # checks 0 < K < min(1, 1/2L) - t0
             weights = CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])
 
+    oracle = {"forward": "oracle", "dnmap": "oracle_dn"}.get(kind)
+    if oracle and values[kind][oracle] and g["dim"] > 1:
+        raise fault("its convergence sweep refines 1D grids only", kind, oracle)
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
     # a diffusion key that the run would not read
     given = {key for section, key in lines if section == "model"}

@@ -14,11 +14,10 @@ from .expr import Expression, mentions
 from .grid import DOMAIN_Q, Field, SpaceTimeGrid
 
 CLASS_A = "A_T"                      # C^1 with sub-sqrt-log growth of the u-derivative
-CLASS_B = "B_T"                      # A_T on [0, T-eps] glued to a zero-at-zero tail
-CLASS_ANALYTIC = "admissible-analytic"
-CLASS_LINEAR = "linear-potential"
+CLASS_ANALYTIC = "admissible-analytic"  # analytic in u, vanishing at u = 0
+CLASS_LINEAR = "linear-potential"    # affine in u
 
-CLASSES = (CLASS_A, CLASS_B, CLASS_ANALYTIC, CLASS_LINEAR)
+CLASSES = (CLASS_A, CLASS_ANALYTIC, CLASS_LINEAR)
 
 
 class ModelError(ValueError):
@@ -107,10 +106,10 @@ class DiffusionTensor:
 class Nonlinearity:
     """Reaction term a(x[, y], t, u) as an expression tree plus a class tag.
 
-    Tags: A_T, B_T, admissible-analytic, linear-potential.  A tag is a
+    Tags: A_T, admissible-analytic, linear-potential.  A tag is a
     hypothesis of the recovery results, not of solvability: the solvers do
-    not check it; validate(grid) does.  The B_T tail, glued on at T - eps,
-    is null_control's tail argument.
+    not check it; validate(grid) does.  The paper's B_T terms have no tag:
+    their tail, glued on at T - eps, is null_control's tail argument.
     """
 
     expr: Expression
@@ -136,13 +135,16 @@ class Nonlinearity:
 
     def validate(self, grid: SpaceTimeGrid) -> None:
         """The class check, ModelError on failure: an A_T term must pass
-        check_growth, and an analytic or B_T term must vanish at u = 0 on 64
-        seeded samples of (x, t)."""
+        check_growth, a linear-potential term must be affine in u
+        (is_affine; a source a(x, t, 0) != 0 is allowed), and an analytic
+        term must vanish at u = 0 on 64 seeded samples of (x, t)."""
         if self.tag == CLASS_A:
             growth = check_growth(self, grid)
             if not growth.satisfies:
                 raise ModelError(f"breaks the {CLASS_A} growth condition: {growth.note}")
-        if self.tag not in (CLASS_ANALYTIC, CLASS_B):
+        if self.tag == CLASS_LINEAR and not self.is_affine():
+            raise ModelError(f"class {CLASS_LINEAR}: term is not affine in u")
+        if self.tag != CLASS_ANALYTIC:
             return
         rng = default_rng(0)
         xy = [rng.uniform(lo, up, 64) for lo, up in zip(grid.lower, grid.upper)]

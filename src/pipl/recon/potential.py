@@ -24,7 +24,9 @@ tau = 0 point) is marched, and its partner is copied as its conjugate.  The
 marched probes of one omega go in batches of at most cgo.batch_width
 lattice points (the cgo.BATCH_CAP memory cap): one
 CGOFactory.build_columns call and one multi-column difference sweep per
-batch.
+batch.  Each batch owns its difference source, allocated once its CGO
+profiles are built; unless the volume diagnostic needs them, the batch's
+CGO buffers are freed before its difference sweep starts.
 """
 
 from __future__ import annotations
@@ -141,13 +143,11 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
     n = len(params)
     marched = n // 2 + 1
     batches = np.array_split(np.arange(marched), -(-marched // batch_width(grid)))
-    # one difference-sweep source buffer for all batches of the omega
-    src = np.empty((grid.n_levels, grid.n_space, len(batches[0])), dtype=complex)
     probes = [
         probe
         for batch in batches
         for probe in _probe_batch(grid, factory, prop, B, portion, coefficient,
-                                  [params[i] for i in batch], order, volume, src[..., :len(batch)])
+                                  [params[i] for i in batch], order, volume)
     ]
     for i in range(marched, n):
         # the conjugate partner n - 1 - i was marched above; conj turns the
@@ -160,11 +160,13 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
     return probes
 
 
-def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, volume, src):
+def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, volume):
     """One batch: its forward CGO profiles W_ref from one build_columns call,
-    the sweep source coefficient * W_ref formed in src, and the difference
-    profiles from one multi-column sweep."""
+    the sweep source coefficient * W_ref in a buffer of the batch's own,
+    allocated once the profiles are built, and the difference profiles from
+    one multi-column sweep."""
     sols = factory.build_columns(params)
+    src = np.empty((grid.n_levels, grid.n_space, len(sols)), dtype=complex)
     for j, fwd in enumerate(sols):
         np.add(fwd.theta.reshape(grid.n_levels, -1), fwd.z.values.reshape(grid.n_levels, -1),
                out=src[..., j])
@@ -174,8 +176,12 @@ def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, vo
                        order=order)
         for fwd in sols
     ]
+    # every solution's theta and z are views of the batch's two CGO buffers:
+    # with no volume diagnostic, dropping the solutions (the loop variable
+    # included) frees both before the sweep
+    del fwd
     if volume is None:
-        sols = None  # frees the batch's theta and remainder buffers before the sweep
+        sols = None
     d = prop.run(source=src)
     for j, probe in enumerate(probes):
         probe.dn_difference = (B @ d[..., j].T).T

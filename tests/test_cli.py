@@ -445,6 +445,16 @@ def _edit(kind, old, new):
         # an admissible-analytic term must vanish at u = 0
         ("forward", 'nonlinearity = "0"\nclass = linear-potential',
          'nonlinearity = "u + 1"\nclass = admissible-analytic', "model", "nonlinearity"),
+        # a linear-potential term, the default class, must be affine in u
+        ("forward", 'nonlinearity = "0"\nclass = linear-potential', 'nonlinearity = "u^3 + 1"',
+         "model", "nonlinearity"),
+        # no tag checks the paper's B_T class
+        ("forward", "class = linear-potential", "class = B_T", "model", "class"),
+        # the convergence sweep behind an oracle refines 1D grids only
+        ("forward", "dim = 1\nlower = 0\nupper = 1\nnx = 33\nnt = 32",
+         "dim = 2\nlower = 0 0\nupper = 1 1\nnx = 17 17\nnt = 16", "forward", "oracle"),
+        ("dnmap", "[grid]\nnx = 33\nnt = 32", "[grid]\ndim = 2\nnx = 17 17\nnt = 16", "dnmap",
+         "oracle_dn"),
         # rho0 must lie in (0, 1), also for the identity gamma
         ("forward", 'gamma = "1"', 'gamma = "1"\nrho0 = 1.5', "model", "rho0"),
         ("forward", 'gamma = "1"', 'gamma = "1 + 0.2*x"\nrho0 = 1.5', "model", "rho0"),
@@ -536,12 +546,14 @@ def _control(eps, tail="u^3"):
         (_tensor("1 + 0.2*x", 1.5), ModelError, "rho0"),
         (_validate("u^3", "A_T"), ModelError, "growth condition"),
         (_validate("u + 1", "admissible-analytic"), ModelError, "vanish"),
+        (_validate("u^3 + 1", "linear-potential"), ModelError, "affine"),
         (_control(-0.25), GridError, "must lie in"),
         (_control(0.0), GridError, "must lie in"),
         (_control(0.010416666666666666), GridError, "leaves 1 time step"),
         (_control(0.25, "u^3 + 0.5"), ModelError, "vanish"),
     ],
     ids=["gamma=-1", "gamma=0.05", "rho0=1.5", "rho0=1.5-x", "A_T-u^3", "analytic-u+1",
+         "linear-u^3+1",
          "eps=-0.25", "eps=0", "eps=dt", "tail-u^3+0.5"],
 )
 def test_malformed_config_value_api_twin_raises(call, error, match, monkeypatch):

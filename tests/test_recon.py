@@ -194,6 +194,46 @@ def test_probe_sweep_work_counts_2d(monkeypatch):
     assert [e[1:] for e in events if e[0] == "factor"] == [(67, True)] * 130
 
 
+@pytest.mark.parametrize("keep_diagnostics", [False, True])
+def test_probe_sweep_frees_cgo_fields_before_difference_sweep(monkeypatch, keep_diagnostics):
+    # each batch's theta and z are views of two buffers of build_columns; the
+    # batch's difference sweep must start with both freed, unless the volume
+    # diagnostic still reads the batch's solutions
+    import weakref
+
+    from pipl import cgo
+
+    real_run, real_build = Propagator.run, cgo.CGOFactory.build_columns
+    batch, alive = [], []
+
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    def build_columns(self, params_list):
+        sols = real_build(self, params_list)
+        batch[:] = [weakref.ref(owner(a)) for s in sols for a in (s.theta, s.z.values)]
+        return sols
+
+    def run(self, *args, residual=None, **kwargs):
+        if residual is None and batch:  # a difference sweep; CGO builds pass a residual
+            alive.append([r() is not None for r in batch])
+            batch.clear()
+        return real_run(self, *args, residual=residual, **kwargs)
+
+    monkeypatch.setattr(Propagator, "run", run)
+    monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
+    monkeypatch.setattr(cgo, "BATCH_CAP", 3 * 9 * 81)  # 3 columns per batch
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
+    dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
+    synthesize_potential_probes(g, dq, None, rho=8.0, n_xi=1, n_tau=2,
+                                keep_diagnostics=keep_diagnostics)
+    # 8 marched points per omega in batches of 3, 3 and 2
+    assert [len(a) for a in alive] == [6, 6, 4] * 2
+    assert all(all(a) if keep_diagnostics else not any(a) for a in alive)
+
+
 def test_probe_sweep_work_counts_1d(monkeypatch):
     # the recover-q lattice (n_tau = 4, 9 points): 5 marched columns in one
     # batch, and the other 4 probes copied as conjugates
