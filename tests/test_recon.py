@@ -118,6 +118,28 @@ def test_recover_potential_2d_temporal_truth():
     assert len(probes) == 30  # 2 omegas x (3 xi) x (5 tau)
     res = recover_potential(g, probes, None, truth_difference=Field(g, -dq.values, "Q"))
     assert res.truth_error <= 0.30
+    # pinned at 1e-12 relative: the recovery error, and per probe its forward
+    # remainder and the summed |DN difference|
+    assert res.truth_error == pytest.approx(0.22093292856372904, rel=1e-12)
+    assert [p.remainder_fwd for p in probes] == pytest.approx(PIN_2D_REMAINDERS, rel=1e-12)
+    assert ([float(np.sum(np.abs(p.dn_difference))) for p in probes]
+            == pytest.approx(PIN_2D_DN_SUMS, rel=1e-12))
+
+
+# per omega, the 15 lattice points (xi = -2 pi, 0, 2 pi; tau = -4 pi .. 4 pi);
+# the two omegas agree to 1e-14 relative
+PIN_2D_REMAINDERS = 2 * [
+    0.36962928454576366, 0.36108804890371743, 0.3581032914606539, 0.3610880489037174,
+    0.36962928454576366, 0.1532465717096406, 0.08046536763511347, 0.02439504318633438,
+    0.08046536763511347, 0.1532465717096406, 0.36962928454576366, 0.3610880489037174,
+    0.3581032914606539, 0.36108804890371743, 0.36962928454576366,
+]
+PIN_2D_DN_SUMS = 2 * [
+    290.49255303778176, 292.870588985918, 293.67640304576634, 292.870588985918,
+    290.49255303778176, 615.0702478778243, 624.6252608538286, 627.8794081645254,
+    624.6252608538286, 615.0702478778243, 290.49255303778176, 292.870588985918,
+    293.67640304576634, 292.870588985918, 290.49255303778176,
+]
 
 
 def _sweep_events(monkeypatch, *args, **kwargs):
