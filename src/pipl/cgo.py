@@ -16,9 +16,9 @@ cancel them exactly, which is the only way the pipeline ever uses them.
 
 The profile operator depends on (rho, omega, direction) alone, so the
 remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
-one multi-column sweep (CGOFactory.build_columns).  Each of a batch's
-buffers (sources, theta values, remainders) is n_levels x n_space x columns;
-batch_width keeps it under BATCH_CAP values.
+one multi-column march (RemainderMarch), stepped level by level.
+CGOFactory.build_columns keeps every level; the probe sweep of
+recon.potential uses each level as it comes.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .grid import (
 
 OVERFLOW_LIMIT = np.exp(50.0)
 RESOLUTION_LIMIT = 0.5   # warn when rho^(3/4) * dt exceeds this
-# Most values one build_columns buffer should hold: its sources, its theta
-# values and its remainders are each n_levels x n_space x columns.
-BATCH_CAP = 2**19
 
 
 class CGOError(ValueError):
@@ -60,6 +57,8 @@ class CGOParameters:
     aperture: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.rho, *self.omega, *self.xi, self.tau, self.aperture])):
+            raise CGOError("rho, omega, xi, tau and aperture must be finite")
         if self.rho <= 0:
             raise CGOError("carrier strength rho must be positive")
         if self.direction not in ("forward", "backward"):
@@ -119,13 +118,6 @@ class CGOSolution:
         return Field(self.grid, self.theta + self.z.values, DOMAIN_Q)
 
 
-def batch_width(grid: SpaceTimeGrid) -> int:
-    """Most columns one build_columns call should take on this grid, so that
-    each of its (n_levels, n_space, columns) buffers stays under BATCH_CAP
-    (one column at least)."""
-    return max(1, BATCH_CAP // (grid.n_levels * grid.n_space))
-
-
 class CGOFactory:
     """Builds CGO remainders against a fixed potential, caching the stepper
     per (rho, omega, direction) since the profile operator is independent of
@@ -152,103 +144,137 @@ class CGOFactory:
             self._props[key] = Propagator(self.grid, None, qf, self.scheme, advection)
         return self._props[key]
 
-    def _portion_trace(self, params: CGOParameters, theta):
-        """Lateral data for z, per column of theta (n_levels, n_space, m):
-        zero everywhere (full variant, None) or -theta on the designated
-        aperture portion extended by zero (partial variant)."""
-        if not self.partial:
-            return None
-        grid = self.grid
-        sign = -1 if params.direction == "forward" else +1
-        portion = resolve_portion(
-            grid, BoundaryPortion.directional(params.omega, params.aperture, sign)
-        )
-        bd = grid.boundary_flat_indices()
-        pinned = np.isin(bd, portion.flat)
-        trace = np.zeros((grid.n_levels, len(bd), theta.shape[-1]), dtype=theta.dtype)
-        trace[:, pinned] = -theta[:, bd[pinned]]
-        return trace
-
     def build(self, params: CGOParameters) -> CGOSolution:
         """One probe: the one-column case of build_columns."""
         return self.build_columns([params])[0]
 
     def build_columns(self, params_list) -> list:
         """One CGOSolution per params, all sharing (rho, omega, direction,
-        aperture), from one multi-column sweep of their shared stepper; the
-        thetas and remainders of the solutions are columns of one array each.
-        Each column's remainder, norm, residual and warnings are those of its
-        own one-column build."""
+        aperture), from one RemainderMarch that forms and tallies every level
+        at once; the solutions' thetas and remainders are columns of one array
+        each, and each column is bitwise its own one-column build."""
+        grid = self.grid
+        march = RemainderMarch(self, params_list)
+        theta, src, trace = march.fields(slice(None))
+        z = np.empty_like(theta)
+        for level, _, z_level in march.steps(lambda level: (
+                theta[level], src[level], None if trace is None else trace[level])):
+            z[level] = z_level
+        march.tally(slice(None), z)
+        shape = (grid.n_levels, *grid.nx)
+        return [CGOSolution(params, grid, theta[..., j].reshape(shape),
+                            Field(grid, z[..., j].reshape(shape), DOMAIN_Q), remainder,
+                            list(march.warnings), residual)
+                for j, (params, remainder, residual)
+                in enumerate(zip(params_list, *march.finish()))]
+
+
+class RemainderMarch:
+    """The remainders z of probes sharing (rho, omega, direction, aperture),
+    a column per params, stepped together one time level at a time on the
+    factory's stepper: t = 0 first for forward probes, t = T first for
+    backward ones (in s = T - t their profile equation is the forward scheme
+    with advection +2 rho w).  Per level and column it records the peak
+    |source|, the peak |z| and the space integral of |z|^2, the same whether
+    a level is formed and tallied alone or with others; finish() turns them
+    into remainder norms and scaled residuals."""
+
+    def __init__(self, factory: CGOFactory, params_list):
         first = params_list[0]
         shared = (first.rho, first.omega, first.direction, first.aperture)
         if any((p.rho, p.omega, p.direction, p.aperture) != shared for p in params_list):
             raise CGOError("build_columns needs one (rho, omega, direction, aperture) for all")
-        grid = self.grid
-        warnings = []
+        grid = self.grid = factory.grid
+        self.params, self.prop = list(params_list), factory.propagator(first)
+        self.forward = first.direction == "forward"
+        self.levels = range(grid.n_levels) if self.forward else range(grid.nt, -1, -1)
         layer = first.rho**0.75 * grid.dt
-        if layer > RESOLUTION_LIMIT:
-            warnings.append(
-                f"boundary layer under-resolved: rho^(3/4)*dt = {layer:.3g} > {RESOLUTION_LIMIT}"
-            )
-        shape = (grid.n_levels, grid.n_space, len(params_list))
-        dtype = complex if first.direction == "forward" else float
-        theta, src = np.empty(shape, dtype), np.empty(shape, dtype)
-        for j, params in enumerate(params_list):
-            theta[..., j], src[..., j] = self._fields(params)
-        trace = self._portion_trace(first, theta)
-        prop = self.propagator(first)
-        if first.direction == "backward":
-            # time-reversed solve: s = T - t turns the backward profile
-            # equation into the forward scheme with advection +2 rho w
-            src = src[::-1]
-            trace = None if trace is None else trace[::-1]
-        # the stepped systems' residual, per column, over its source scale
-        residuals = np.zeros(len(params_list))
-        z = prop.run(f=trace, source=src, residual=residuals)
-        scale = np.ones(len(params_list))
-        for level in src:
-            scale = np.maximum(scale, np.max(np.abs(level), axis=0))
-        residuals /= scale
-        if first.direction == "backward":
-            z = z[::-1]
-        out = []
-        for j, params in enumerate(params_list):
-            zf = Field(grid, z[..., j].reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-            peak = float(np.max(np.abs(zf.values)))
-            if peak > OVERFLOW_LIMIT:
-                raise SolverError(
-                    f"CGO remainder at rho {params.rho} exceeded the overflow guard "
-                    f"(peak {peak:.3g} > e^50)"
-                )
-            out.append(CGOSolution(params, grid, theta[..., j].reshape(zf.values.shape), zf,
-                                   norm(zf, "L2Q"), list(warnings), float(residuals[j])))
-        return out
+        self.warnings = [
+            f"boundary layer under-resolved: rho^(3/4)*dt = {layer:.3g} > {RESOLUTION_LIMIT}"
+        ] if layer > RESOLUTION_LIMIT else []
+        self.t, self.space_weights = grid.times(), grid.space_weights().ravel()
+        rho34, t = first.rho**0.75, self.t if self.forward else grid.T - self.t
+        self.phi, self.dphi = ramp(first, t), rho34 * np.exp(-rho34 * t)
+        self.q_levels = factory.q_levels.reshape(grid.n_levels, -1, 1)
+        # per column: xi.x as plane_wave sums it, tau, and |xi|^2 - i tau
+        xi, x = np.array([p.xi for p in params_list]), [m.reshape(-1, 1) for m in grid.meshes()]
+        self.xi_x = xi[:, 0] * x[0] if grid.dim == 1 else xi[:, 0] * x[0] + xi[:, 1] * x[1]
+        self.tau = np.array([p.tau for p in params_list])
+        self.shift = np.array([float(np.dot(p.xi, p.xi)) - 1j * p.tau for p in params_list])
+        # per level and column: peak |z|, space integral of |z|^2, peak |source|
+        self.peak, self.sum_sq, self.scale = (np.zeros((grid.n_levels, len(params_list)))
+                                              for _ in range(3))
+        self.residual = np.zeros(len(params_list))
+        self.pinned = None
+        if factory.partial:
+            # z is -theta on the designated aperture portion, zero elsewhere
+            portion = resolve_portion(grid, BoundaryPortion.directional(
+                first.omega, first.aperture, -1 if self.forward else +1))
+            self.pinned = np.isin(self.prop.boundary_idx, portion.flat)
 
-    def _fields(self, params: CGOParameters):
-        """theta and the source of the profile equation for one probe, each
-        shaped (n_levels, n_space); a forward probe forms its plane wave
-        E once for both."""
-        grid = self.grid
-        rho34 = params.rho**0.75
-        t = grid.level_times()
-        if params.direction == "forward":
-            phi = ramp(params, t)
-            dphi = rho34 * np.exp(-rho34 * t)
-            xi2 = float(np.dot(params.xi, params.xi))
-            E = plane_wave(grid, params.xi, params.tau)
+    def steps(self, fields):
+        """(level, theta, z) for every level in marching order, with theta,
+        the source and the lateral data from fields(level)."""
+        prop = self.prop
+        for k, level in enumerate(self.levels):
+            theta, s_next, trace = fields(level)
+            if k == 0:
+                z = np.zeros_like(theta)
+                if trace is not None:
+                    z[prop.boundary_idx] = trace
+            else:
+                z = prop.step(k - 1, z, trace, s, s_next, self.residual)
+            s = s_next
+            yield level, theta, z
+
+    def tally(self, levels, z):
+        """Records the peak |z| and space integral of |z|^2 per level of z (a
+        level's block, or a slice's) and column; each a contiguous row of |z|,
+        which sums the same however many rows are tallied at once."""
+        rows = np.abs(np.swapaxes(z, -1, -2), order="C")
+        self.peak[levels] = rows.max(axis=-1)
+        rows *= rows
+        rows *= self.space_weights
+        self.sum_sq[levels] = rows.sum(axis=-1)
+
+    def finish(self):
+        """Per column, the remainder's L2(Q) norm and the steps' residual
+        over the source scale; SolverError if some |z| passed e^50 or is not
+        finite."""
+        for params, peak in zip(self.params, self.peak.max(axis=0)):
+            if not peak <= OVERFLOW_LIMIT:
+                raise SolverError(f"CGO remainder at rho {params.rho} exceeded the overflow "
+                                  f"guard (peak {peak:.3g}, limit e^50)")
+        sum_sq = (np.ascontiguousarray(self.sum_sq.T) * self.grid.time_weights()).sum(axis=1)
+        scale = np.maximum(1.0, self.scale.max(axis=0))
+        return np.sqrt(sum_sq).tolist(), (self.residual / scale).tolist()
+
+    def fields(self, levels):
+        """theta, the source and the lateral data of z (None for full data)
+        on a time level, (n_space, columns) each, or on a slice of levels,
+        with a leading level axis; a forward level forms its plane waves E,
+        each value the one plane_wave gives, once for both."""
+        phi, dphi, t = (a[levels, None, None] for a in (self.phi, self.dphi, self.t))
+        q, m = self.q_levels[levels], len(self.params)
+        if self.forward:
+            E = -1j * (self.xi_x + self.tau * t)
+            np.exp(E, out=E)
             theta = phi * E
-            # -(dphi + (xi2 - i tau + q) phi) E, operation by operation in place
-            vals = xi2 - 1j * params.tau + self.q_levels
+            # -(dphi + (|xi|^2 - i tau + q) phi) E, operation by operation in place
+            vals = self.shift + q
             vals *= phi
             vals += dphi
             np.negative(vals, out=vals)
             vals *= E
         else:
-            phi = ramp(params, grid.T - t)
-            dphi = rho34 * np.exp(-rho34 * (grid.T - t))
-            theta = phi * np.ones(grid.nx)
-            vals = -(dphi + self.q_levels * phi)
-        return theta.reshape(grid.n_levels, -1), vals.reshape(grid.n_levels, -1)
+            theta = np.repeat(phi * np.ones_like(q), m, axis=-1)
+            vals = np.repeat(-(dphi + q * phi), m, axis=-1)
+        self.scale[levels] = np.abs(vals).max(axis=-2)
+        if self.pinned is None:
+            return theta, vals, None
+        trace = np.zeros((*theta.shape[:-2], len(self.pinned), m), theta.dtype)
+        trace[..., self.pinned, :] = -theta[..., self.prop.boundary_idx[self.pinned], :]
+        return theta, vals, trace
 
 
 def phi_rho(rho, t, T):

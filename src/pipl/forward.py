@@ -387,10 +387,11 @@ class Propagator:
     rows: the stepper writes the Dirichlet values into the right-hand side.
     The stencil is assembled once per distinct gamma level, and with it the
     off-diagonal bands of A and M, which a level completes by writing only
-    their diagonals; A_k, its LU (_BandLU) and M_k are kept once per
-    distinct level (once in all when neither q nor gamma depends on time).
-    A given gamma passes DiffusionTensor.check_ellipticity first, once per
-    Propagator, else ModelError."""
+    their diagonals.  Step k's system, A_k, its LU (_BandLU) and M_k, is
+    built when a march first reaches it (step 0's at construction) and kept
+    until release(k); there is one for all steps when neither q nor gamma
+    depends on time.  A given gamma passes DiffusionTensor.check_ellipticity
+    first, once per Propagator, else ModelError."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -408,37 +409,40 @@ class Propagator:
         self.time_dependent = q_td or self.gamma_td
         self.boundary_idx = grid.boundary_flat_indices()
         self.interior_mask = grid.interior_mask()
-        self._build()
+        self._stencils, self._systems = {}, {}
+        self.system(0)
 
-    def _build(self):
+    def _stencil(self, level):
+        """Per gamma level: the stencil's diagonal, and A and M with the
+        off-diagonal bands dt theta L and -dt (1 - theta) L."""
         g = self.grid
-        ca, cm = g.dt * self.theta, g.dt * (1 - self.theta)
-        q = np.where(self.interior_mask, self.q_levels, 0.0)
-        stencils = {}
+        key = level if self.gamma_td else 0
+        if key not in self._stencils:
+            S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
+            self._stencils[key] = (S.bands[0], S.scaled(g.dt * self.theta),
+                                   S.scaled(-g.dt * (1 - self.theta)))
+        return self._stencils[key]
 
-        def stencil(level):
-            """Per gamma level: the stencil's diagonal, and A and M with the
-            off-diagonal bands dt theta L and -dt (1 - theta) L."""
-            key = level if self.gamma_td else 0
-            if key not in stencils:
-                S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
-                stencils[key] = S.bands[0], S.scaled(ca), S.scaled(-cm)
-            return stencils[key]
-
-        def step(new, old):
+    def system(self, k):
+        """(A_k, M_k, LU of A_k) of step k, built on first use and kept."""
+        key = k if self.time_dependent else 0
+        if key not in self._systems:
             # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
             # with L = stencil + diag(q): only the diagonals change per level
-            s_new, A, _ = stencil(new)
-            s_old, _, M = stencil(old)
-            A = A.with_diagonal(1.0 + ca * (s_new + q[new]))
-            M = M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q[old]), 0.0))
-            return A, M, _BandLU(A, f"step matrix of time level {new}")
+            new, old = (key + 1, key) if self.time_dependent else (0, 0)
+            ca, cm = self.grid.dt * self.theta, self.grid.dt * (1 - self.theta)
+            (s_new, A, _), (s_old, _, M) = self._stencil(new), self._stencil(old)
+            q = np.where(self.interior_mask, self.q_levels[[new, old]], 0.0)
+            A = A.with_diagonal(1.0 + ca * (s_new + q[0]))
+            M = M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q[1]), 0.0))
+            self._systems[key] = A, M, _BandLU(A, f"step matrix of time level {new}")
+        return self._systems[key]
 
+    def release(self, k):
+        """Forget step k's system, which frees its LU once no march holds it;
+        a stepper that is not time dependent keeps its one system."""
         if self.time_dependent:
-            steps = [step(k + 1, k) for k in range(g.nt)]
-        else:
-            steps = [step(0, 0)] * g.nt
-        self.A_list, self.M_list, self.lu_list = (list(m) for m in zip(*steps))
+            self._systems.pop(k, None)
 
     # -- sweeps ----------------------------------------------------------------
 
@@ -470,19 +474,31 @@ class Propagator:
             for a, c, shape in zip(ops, cols, shapes)
         )
 
-    def _step_rhs(self, k, z, f, src):
-        """Right-hand side of step k from the values z at level k: M_k z +
-        dt (theta s_{k+1} + (1 - theta) s_k) on interior rows, the boundary
-        values f_{k+1} (zero for f None) on boundary rows."""
-        rhs = self.M_list[k] @ z
-        if src is not None:  # on every row: the boundary rows are overwritten next
-            # at theta = 1 the s_k term is a signed zero, and adding one leaves
-            # M_k z, a sum started at +0, as it is
-            s = src[k + 1] if self.theta == 1.0 else (
-                self.theta * src[k + 1] + (1 - self.theta) * src[k])
-            rhs = rhs + self.grid.dt * s
-        rhs[self.boundary_idx] = f[k + 1] if f is not None else 0.0
+    def _rhs(self, M, z, f, s, s_next):
+        """Right-hand side of a step from the values z at its first level: M z
+        + dt (theta s_next + (1 - theta) s) on interior rows (no source for
+        s_next None), its second level's boundary values f (or 0) elsewhere."""
+        rhs = M @ z
+        if s_next is not None:  # on every row: the boundary rows are overwritten next
+            # at theta = 1 the s term is a signed zero, and adding one leaves
+            # M z, a sum started at +0, as it is
+            if self.theta != 1.0:
+                s_next = self.theta * s_next + (1 - self.theta) * s
+            rhs = rhs + self.grid.dt * s_next
+        rhs[self.boundary_idx] = f if f is not None else 0.0
         return rhs
+
+    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
+        """The values at level k + 1 from the values z (n_space[, m]) at level
+        k: f, the boundary values of level k + 1, and s and s_next, the source
+        at levels k and k + 1, as one level of run's operands.  worst, if
+        given, is raised in place to the per-column max of |A_k u - rhs|."""
+        A, M, lu = self.system(k)
+        rhs = self._rhs(M, z, f, s, s_next)
+        u = self._solve(lu, rhs)
+        if worst is not None:
+            np.maximum(worst, np.abs(A @ u - rhs).max(axis=0), out=worst)
+        return u
 
     def run(self, g0=None, f=None, source=None, residual=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
@@ -505,19 +521,17 @@ class Propagator:
             vals[0] = g0
         if f is not None:
             vals[0, self.boundary_idx] = f[0]
-        worst = np.zeros(vals.shape[2:])
+        worst = None if residual is None else np.zeros(vals.shape[2:])
         for k in range(grid.nt):
-            rhs = self._step_rhs(k, vals[k], f, src)
-            vals[k + 1] = self._solve(self.lu_list[k], rhs)
-            if residual is not None:
-                worst = self._worst(worst, k, vals[k + 1], rhs)
+            vals[k + 1] = self.step(k, vals[k], *self._level(k, f, src), worst)
         if residual is not None:
             residual[...] = worst.reshape(columns)
         return u
 
-    def _worst(self, worst, k, z, rhs):
-        """worst raised to the per-column max of |A_k z - rhs|."""
-        return np.maximum(worst, np.max(np.abs(self.A_list[k] @ z - rhs), axis=0))
+    @staticmethod
+    def _level(k, f, src):
+        """Step k's f, s and s_next from whole-march operands."""
+        return None if f is None else f[k + 1], *((None, None) if src is None else src[k:k + 2])
 
     def residual(self, u, f=None, source=None) -> np.ndarray:
         """Per column of u (n_levels, n_space[, m]), the largest
@@ -527,7 +541,9 @@ class Propagator:
         z = u[..., 0] if columns == (1,) else u
         worst = np.zeros(z.shape[2:])
         for k in range(self.grid.nt):
-            worst = self._worst(worst, k, z[k + 1], self._step_rhs(k, z[k], f, src))
+            A, M, _ = self.system(k)
+            rhs = self._rhs(M, z[k], *self._level(k, f, src))
+            worst = np.maximum(worst, np.max(np.abs(A @ z[k + 1] - rhs), axis=0))
         return worst.reshape(columns)
 
 

@@ -21,12 +21,13 @@ With a real operator, potential and sweep coefficient (checked), the probe
 at (-xi, -tau) is the complex conjugate of the probe at (xi, tau): per omega
 only one probe of each conjugate pair (and the self-conjugate xi = 0,
 tau = 0 point) is marched, and its partner is copied as its conjugate.  The
-marched probes of one omega go in batches of at most cgo.batch_width
-lattice points (the cgo.BATCH_CAP memory cap): one
-CGOFactory.build_columns call and one multi-column difference sweep per
-batch.  Each batch owns its difference source, allocated once its CGO
-profiles are built; unless the volume diagnostic needs them, the batch's
-CGO buffers are freed before its difference sweep starts.
+marched probes of one omega are stepped together, level by level: at each
+time level the forward CGO remainders take their step (cgo.RemainderMarch)
+and then the difference profiles take theirs, with the source coefficient
+* W_ref at that level.  Each difference step's band LU is made when the
+march reaches it and released after it (a Taylor sweep steps on the
+factory's stepper, whose LUs stay kept), and only per-level (n_space,
+probes) blocks are held, with each probe's DN trace.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from ..analysis import max_principle_check
-from ..cgo import CGOFactory, CGOParameters, batch_width
+from ..cgo import CGOFactory, CGOParameters, RemainderMarch
 from ..dnmap import normal_derivative_matrix
 from ..forward import Propagator, potential_values
 from ..grid import (
@@ -103,11 +104,10 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial
     lattice and its middle point are marched: the lattice reversed is its
     negation, and with a real potential and coefficient the probe of point
     n - 1 - i is the conjugate of the probe of point i.  The marched points
-    go in batches of at most cgo.batch_width columns; per batch, one
-    build_columns call makes the forward CGO profiles and one zero-data
-    sweep of source coefficient * profile makes their difference profiles.
-    volume, if given, maps (forward CGOSolution, difference levels
-    (n_levels, n_space)) to the probe's volume functional.
+    step together level by level: the forward CGO remainders, then the
+    zero-data difference profiles with source coefficient * profile.
+    volume, if given, maps (CGOParameters, truth-side profile W_ref + d
+    (n_levels, n_space)), which is then kept, to the volume functional.
     """
     if any(np.iscomplexobj(v) for v in (coefficient, factory.q_levels,
                                         potential_values(grid, q_sweep))):
@@ -117,8 +117,6 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial
     for omega in [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]:
         params = [CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
                   for xi, tau in frequency_lattice(grid, omega, n_xi, n_tau)]
-        # the omega's Propagator and batches live in _sweep_omega's frame
-        # alone, so they are freed before the next omega builds its own
         probes += _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order,
                                volume)
     return probes
@@ -134,20 +132,39 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
         else resolve_portion(grid, BoundaryPortion.full())
     )
     B = normal_derivative_matrix(grid, portion)
+    n = len(params)
+    marched = n // 2 + 1
+    march = RemainderMarch(factory, params[:marched])
     if q_sweep is factory.q:
-        # the factory's forward-profile stepper has this q and advection
-        prop = factory.propagator(first)
+        # the factory's forward-profile stepper has this q and advection:
+        # both steps of a level share its system
+        prop = march.prop
     else:
         prop = Propagator(grid, None, q_sweep, factory.scheme,
                           tuple(-2.0 * first.rho * w for w in first.omega))
-    n = len(params)
-    marched = n // 2 + 1
-    batches = np.array_split(np.arange(marched), -(-marched // batch_width(grid)))
+    c = coefficient.reshape(grid.n_levels, -1, 1)
+    dn = np.empty((grid.n_levels, portion.n_nodes, marched), dtype=complex)
+    w_truth = None if volume is None else np.empty((grid.n_levels, grid.n_space, marched),
+                                                   dtype=complex)
+    for k, (level, theta, z) in enumerate(march.steps(march.fields)):
+        march.tally(level, z)
+        w_ref = theta + z
+        s_next = w_ref * c[level]
+        if k == 0:
+            d = np.zeros_like(s_next)
+        else:
+            d = prop.step(k - 1, d, None, s, s_next)
+            if prop is not march.prop:
+                prop.release(k - 1)
+        s = s_next
+        dn[level] = B @ d
+        if w_truth is not None:
+            np.add(w_ref, d, out=w_truth[level])
+    remainders, _ = march.finish()
     probes = [
-        probe
-        for batch in batches
-        for probe in _probe_batch(grid, factory, prop, B, portion, coefficient,
-                                  [params[i] for i in batch], order, volume)
+        PotentialProbe(p, dn[..., j], portion, remainders[j], tuple(march.warnings), order=order,
+                       volume_functional=None if volume is None else volume(p, w_truth[..., j]))
+        for j, p in enumerate(params[:marched])
     ]
     for i in range(marched, n):
         # the conjugate partner n - 1 - i was marched above; conj turns the
@@ -157,36 +174,6 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
         probes.append(replace(p, params=params[i], dn_difference=p.dn_difference.conj() + 0.0,
                               volume_functional=None if p.volume_functional is None
                               else p.volume_functional.conjugate()))
-    return probes
-
-
-def _probe_batch(grid, factory, prop, B, portion, coefficient, params, order, volume):
-    """One batch: its forward CGO profiles W_ref from one build_columns call,
-    the sweep source coefficient * W_ref in a buffer of the batch's own,
-    allocated once the profiles are built, and the difference profiles from
-    one multi-column sweep."""
-    sols = factory.build_columns(params)
-    src = np.empty((grid.n_levels, grid.n_space, len(sols)), dtype=complex)
-    for j, fwd in enumerate(sols):
-        np.add(fwd.theta.reshape(grid.n_levels, -1), fwd.z.values.reshape(grid.n_levels, -1),
-               out=src[..., j])
-    src *= coefficient.reshape(grid.n_levels, -1, 1)
-    probes = [
-        PotentialProbe(fwd.params, None, portion, fwd.remainder_norm, tuple(fwd.warnings),
-                       order=order)
-        for fwd in sols
-    ]
-    # every solution's theta and z are views of the batch's two CGO buffers:
-    # with no volume diagnostic, dropping the solutions (the loop variable
-    # included) frees both before the sweep
-    del fwd
-    if volume is None:
-        sols = None
-    d = prop.run(source=src)
-    for j, probe in enumerate(probes):
-        probe.dn_difference = (B @ d[..., j].T).T
-        if sols is not None:
-            probe.volume_functional = volume(sols[j], d[..., j])
     return probes
 
 
@@ -243,14 +230,14 @@ def synthesize_potential_probes(
     dq_vals = potential_values(grid, q_ref) - potential_values(grid, q_truth)
     backward = {}
 
-    def volume(fwd, d):
+    def volume(params, w_truth):
         # volume side of the identity: integral (q_ref - q_truth) W_truth
         # w_bwd over Q, which must equal -boundary functional
-        key = fwd.params.matched_backward()
+        key = params.matched_backward()
         if key not in backward:
             backward[key] = factory.build(key).profile().values
-        w_truth = Field(grid, fwd.profile().values + d.reshape(dq_vals.shape), DOMAIN_Q)
-        return l2q_inner(Field(grid, dq_vals * backward[key], DOMAIN_Q), w_truth)
+        return l2q_inner(Field(grid, dq_vals * backward[key], DOMAIN_Q),
+                         Field(grid, w_truth.reshape(dq_vals.shape), DOMAIN_Q))
 
     return _sweep_probes(grid, factory, q_truth, dq_vals, rho, n_xi, n_tau, partial, aperture,
                          volume=volume if keep_diagnostics else None)

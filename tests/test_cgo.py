@@ -11,6 +11,7 @@ from pipl.cgo import (
     pairing,
     product_symbol,
 )
+from pipl.forward import Propagator, SolverError
 from pipl.grid import Field, SpaceTimeGrid, field_from_function
 
 
@@ -32,6 +33,31 @@ def test_parameter_validation():
     with pytest.raises(CGOError):
         CGOParameters.make(8.0, [1.0, 0.0], xi=[1.0, 0.0])  # xi not orthogonal
     CGOParameters.make(8.0, [1.0, 0.0], xi=[0.0, 2.0], tau=1.0)
+
+
+@pytest.mark.parametrize("key", ["rho", "xi", "tau", "aperture"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(key, value):
+    # an infinite tau used to build, with a nan remainder norm and residual;
+    # a nan rho surfaced as an exactly singular step matrix
+    args = dict(rho=8.0, omega=[1.0, 0.0], xi=[0.0, 2.0], tau=1.0, aperture=0.1)
+    args[key] = [0.0, value] if key == "xi" else value
+    with pytest.raises(CGOError, match="finite"):
+        CGOParameters.make(**args)
+
+
+def test_overflow_guard_trips_on_non_finite_remainder(monkeypatch):
+    # a remainder step gone nan fails no "peak > e^50" comparison; the guard
+    # asks for peak <= e^50 instead
+    real_step = Propagator.step
+
+    def step(self, *args, **kwargs):
+        return real_step(self, *args, **kwargs) * np.nan
+
+    monkeypatch.setattr(Propagator, "step", step)
+    g = grid1d(17, 8)
+    with pytest.raises(SolverError, match="overflow guard.*peak nan"):
+        CGOFactory(g, 1.0).build(CGOParameters.make(8.0, [1.0], tau=1.0))
 
 
 def test_carrier_identity():

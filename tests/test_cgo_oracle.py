@@ -8,7 +8,6 @@ and factors.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,9 +214,15 @@ def cgo_cases(draw):
 def test_cgo_fields_match_level_loop(case):
     grid, q, params, partial = case
     factory = CGOFactory(grid, q, partial=partial)
-    theta, source = factory._fields(params)
-    assert np.array_equal(theta, ref_theta(grid, params).reshape(grid.n_levels, -1))
-    assert np.array_equal(source, ref_source(grid, factory.q_levels, params))
+    march = cgo.RemainderMarch(factory, [params])
+    # level by level, as the probe sweep forms them, and every level at once,
+    # as build_columns does
+    per_level = [march.fields(level) for level in range(grid.n_levels)]
+    every = march.fields(slice(None))
+    for i, ref in enumerate((ref_theta(grid, params).reshape(grid.n_levels, -1),
+                             ref_source(grid, factory.q_levels, params))):
+        assert np.array_equal(np.array([f[i][:, 0] for f in per_level]), ref)
+        assert np.array_equal(every[i][..., 0], ref)
     if params.direction == "forward":
         bwd = params.matched_backward()
         assert np.array_equal(product_symbol(params, bwd, grid).values,
@@ -266,35 +271,33 @@ def test_build_columns_rejects_mixed_probes():
 @settings(max_examples=25, deadline=None)
 @given(grid=grids(), scheme=st.sampled_from(("be", "cn")), partial=st.booleans(),
        aperture=st.floats(0.0, 0.5), rho=st.floats(1.0, 32.0), n_xi=st.integers(0, 2),
-       n_tau=st.integers(0, 2), width=st.integers(1, 4), shared_q=st.booleans(),
-       seed=st.integers(0, 2**16))
+       n_tau=st.integers(0, 2), shared_q=st.booleans(), seed=st.integers(0, 2**16))
 def test_batched_sweep_matches_probe_loop(grid, scheme, partial, aperture, rho, n_xi, n_tau,
-                                          width, shared_q, seed):
-    # batches of `width` columns against the one-probe-at-a-time sweep: the
-    # potential path (truth-side stepper, volume diagnostics) and the Taylor
-    # path (the factory's own stepper); the reference marches every lattice
-    # point, so the probes copied as conjugates meet independently marched twins
+                                          shared_q, seed):
+    # the level-by-level march of every marched probe of an omega against
+    # the one-probe-at-a-time sweep: the potential path (truth-side stepper,
+    # volume diagnostics) and the Taylor path (the factory's own stepper);
+    # the reference marches every lattice point, so the probes copied as
+    # conjugates meet independently marched twins
     rng = np.random.default_rng(seed)
     q_truth = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
     q_ref = Field(grid, rng.uniform(0.0, 2.0, (grid.n_levels, *grid.nx)), "Q")
     factory = CGOFactory(grid, q_ref, scheme, partial=partial)
-    cap = width * grid.n_levels * grid.n_space
-    with mock.patch.object(cgo, "BATCH_CAP", cap):
-        if shared_q:
-            coefficient = rng.standard_normal((grid.n_levels, *grid.nx))
-            got = _sweep_probes(grid, factory, factory.q, coefficient, rho, n_xi, n_tau, partial,
-                                aperture)
-            ref = ref_sweep_probes(grid, factory, q_ref, coefficient, rho, n_xi, n_tau, partial,
-                                   aperture)
-        else:
-            coefficient = potential_values(grid, q_ref) - potential_values(grid, q_truth)
-            got = synthesize_potential_probes(
-                grid, q_truth, q_ref, rho=rho, scheme=scheme,
-                mode="partial" if partial else "full", aperture=aperture, n_xi=n_xi,
-                n_tau=n_tau, keep_diagnostics=True,
-            )
-            ref = ref_sweep_probes(grid, factory, q_truth, coefficient, rho, n_xi, n_tau,
-                                   partial, aperture, dq=coefficient)
+    if shared_q:
+        coefficient = rng.standard_normal((grid.n_levels, *grid.nx))
+        got = _sweep_probes(grid, factory, factory.q, coefficient, rho, n_xi, n_tau, partial,
+                            aperture)
+        ref = ref_sweep_probes(grid, factory, q_ref, coefficient, rho, n_xi, n_tau, partial,
+                               aperture)
+    else:
+        coefficient = potential_values(grid, q_ref) - potential_values(grid, q_truth)
+        got = synthesize_potential_probes(
+            grid, q_truth, q_ref, rho=rho, scheme=scheme,
+            mode="partial" if partial else "full", aperture=aperture, n_xi=n_xi,
+            n_tau=n_tau, keep_diagnostics=True,
+        )
+        ref = ref_sweep_probes(grid, factory, q_truth, coefficient, rho, n_xi, n_tau,
+                               partial, aperture, dq=coefficient)
     assert len(got) == len(ref)
     for probe, (params, dn, volume, remainder, warnings) in zip(got, ref):
         assert probe.params == params

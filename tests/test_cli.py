@@ -562,7 +562,7 @@ def test_malformed_config_value_api_twin_raises(call, error, match, monkeypatch)
     def no_build(*args, **kwargs):
         raise AssertionError("built or solved before checking the model")
 
-    monkeypatch.setattr(Propagator, "_build", no_build)
+    monkeypatch.setattr(Propagator, "system", no_build)
     monkeypatch.setattr(control, "Propagator", no_build)
     monkeypatch.setattr(control, "solve_semilinear", no_build)
     with pytest.raises(error, match=match):

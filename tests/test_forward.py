@@ -404,13 +404,13 @@ def test_step_matrices_drop_exact_zero_diagonals():
     _, M_ref = _loop_step_matrices(prop)
     rng = np.random.default_rng(0)
     for k in (0, g.nt - 1):
-        M = prop.M_list[k]
+        M = prop.system(k)[1]
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
         for shape in ((g.n_space,), (g.n_space, 3)):
             z = rng.standard_normal(shape)
             for z in (z, z + 1j * rng.standard_normal(shape)):
                 assert _same(M @ z, M_ref[k] @ z)
-    assert M_ref[0].nnz == np.count_nonzero(prop.M_list[0].toarray()) < M_ref[-1].nnz
+    assert M_ref[0].nnz == np.count_nonzero(prop.system(0)[1].toarray()) < M_ref[-1].nnz
 
 
 # cell Peclet numbers far above 1 on every grid drawn below: some rows of A
@@ -480,14 +480,14 @@ def test_step_matrices_match_loop_oracle(
     A_ref, M_ref = _loop_step_matrices(prop)
     bd = prop.boundary_idx
     for k in range(nt):
-        A, M = prop.A_list[k], prop.M_list[k]
+        A, M, _ = prop.system(k)
         assert np.array_equal(A.toarray(), A_ref[k].toarray())
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
         assert np.array_equal(A.toarray()[bd], np.eye(grid.n_space)[bd])
         assert not np.any(M.toarray()[bd])
     if advection == STRONG_ADVECTION[:dim]:
         # some row is not diagonally dominant: the LU below has to pivot
-        assert not all(_row_dominant(A) for A in prop.A_list)
+        assert not all(_row_dominant(prop.system(k)[0]) for k in range(grid.nt))
 
     # the sweep is linear: superposition of initial values, boundary traces
     # and sources
@@ -504,7 +504,7 @@ def test_step_matrices_match_loop_oracle(
     u_sum = prop.run(**{key: a[key] + b[key] for key in a})
     assert np.max(np.abs(ua + ub - u_sum)) <= 1e-12 * np.max(np.abs(u_sum))
     # either factorization solves its steps to rounding
-    norm_A = _norm_inf(prop.A_list)
+    norm_A = _norm_inf([prop.system(k)[0] for k in range(grid.nt)])
     residual = prop.residual(ua, a["f"], a["source"])
     assert residual <= 1e-13 * norm_A * max(1.0, np.max(np.abs(ua)))
 
@@ -560,7 +560,7 @@ def test_batched_run_matches_columns(
         assert np.max(np.abs(u[..., j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     # per column, the stepped systems hold to rounding, and an interior value
     # moved by 1 at the last level (where A's diagonal is >= 1) shows up in full
-    norm_A = _norm_inf(prop.A_list)
+    norm_A = _norm_inf([prop.system(k)[0] for k in range(grid.nt)])
     assert np.all(prop.residual(u, f, source) <= 1e-13 * norm_A * max(1.0, np.max(np.abs(u))))
     # the sweep's own residual is the same, bitwise
     swept = np.empty(m)
@@ -603,7 +603,7 @@ def test_discrete_maximum_principle(dim, nx, ny, nt, scheme, peclet, q_max, dt_f
     q = Field(grid, q_max * rng.random((grid.n_levels, *grid.nx)), "Q")
     advection = tuple(p * GAMMA_MIN / hi for p, hi in zip(peclet, h))
     prop = Propagator(grid, MAX_PRINCIPLE_GAMMAS[dim], q, scheme, advection)
-    for A, M in zip(prop.A_list, prop.M_list):
+    for A, M, _ in map(prop.system, range(grid.nt)):
         A = A.toarray()
         assert np.all(A - np.diag(np.diag(A)) <= 0.0)
         assert np.all(M.toarray() >= 0.0)
@@ -744,7 +744,7 @@ def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_ki
     advection = advection and advection[:dim]
     prop = Propagator(grid, GAMMAS[gamma_kind](dim), q, scheme, advection)
     if q_kind == "negative" or advection == STRONG_ADVECTION[:dim]:
-        assert not all(_row_dominant(A) for A in prop.A_list)
+        assert not all(_row_dominant(prop.system(k)[0]) for k in range(grid.nt))
     rng = np.random.default_rng(seed)
 
     def data(*shape):
@@ -759,7 +759,7 @@ def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_ki
         assert np.max(np.abs(u[k] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
         # a 2D step that made no interchange solves its scaled Dirichlet rows
         # to the trace exactly
-        if dim == 2 and _interchange_free(prop.lu_list[k - 1]):
+        if dim == 2 and _interchange_free(prop.system(k - 1)[2]):
             assert _same(u[k][prop.boundary_idx], f[k])
 
 
@@ -860,7 +860,8 @@ def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
     rhs = [rng.standard_normal(shape) for shape in ((n,), (n, 1), (n, 7))]
     cases = []
     for q, free in ((q_time, True), (-200.0, False)):
-        A = Propagator(g, DiffusionTensor.scalar("1 + 0.3*x"), q, "cn", (1.0, -2.0)).A_list[-1]
+        prop = Propagator(g, DiffusionTensor.scalar("1 + 0.3*x"), q, "cn", (1.0, -2.0))
+        A = prop.system(g.nt - 1)[0]
         assert -min(A.bands) == max(A.bands) == kl
         lu = forward._BandLU(A, "A")
         assert _interchange_free(lu) == free
@@ -922,7 +923,8 @@ def test_matrix_gamma_on_1d_grid_raises():
 
 
 def test_propagator_work_counts(monkeypatch):
-    # one stencil assembly per gamma level; one LU per distinct step matrix,
+    # a Propagator builds step 0's system and a march the rest: per run, one
+    # stencil assembly per gamma level; one LU per distinct step matrix,
     # LAPACK's band LU whatever the rows: dgbtrf in 2D, dgttrf in 1D.  Newton
     # makes one solve per iteration: one dgbtrf (and its solve) in 2D, one
     # dgtsv in 1D.  LAPACK is counted on forward's binding, and so are the
@@ -962,17 +964,26 @@ def test_propagator_work_counts(monkeypatch):
     # dominant, and dgbtrf pivots
     for q, expected in ((q_time, (1, g.nt, 19)), (2.0, (1, 1, 19)), (None, (1, 1, 19)),
                         (-200.0, (1, 1, 28))):
-        Propagator(g, gamma, q, "cn", (1.0, -2.0))
+        Propagator(g, gamma, q, "cn", (1.0, -2.0)).run()
         assert work(assemble_operator=expected[0], dgbtrf=expected[1], rows=expected[2])
-    Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None)
+    Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None).run()
     assert work(assemble_operator=g.n_levels, dgbtrf=g.nt, rows=19)
+    # a second run reuses every kept LU; a released step is factored again
+    prop = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
+    prop.run()
+    assert work(assemble_operator=1, dgbtrf=g.nt, rows=19)
+    prop.run()
+    assert work()
+    prop.release(2)
+    prop.run()
+    assert work(dgbtrf=1, rows=19)
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")
     for q, expected in ((q_time, (1, g1.nt)), (2.0, (1, 1)), (-200.0, (1, 1))):
-        Propagator(g1, gamma, q, "cn", (1.0,))
+        Propagator(g1, gamma, q, "cn", (1.0,)).run()
         assert work(assemble_operator=expected[0], dgttrf=expected[1])
-    Propagator(g1, DiffusionTensor.scalar("1 + 0.2*t"), None)
+    Propagator(g1, DiffusionTensor.scalar("1 + 0.2*t"), None).run()
     assert work(assemble_operator=g1.n_levels, dgttrf=g1.nt)
 
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)

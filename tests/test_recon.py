@@ -142,132 +142,143 @@ PIN_2D_DN_SUMS = 2 * [
 ]
 
 
-def _sweep_events(monkeypatch, *args, **kwargs):
-    # synthesize_potential_probes with its build_columns batches, Propagator.run
-    # calls, plane waves and band LUs (the rows each keeps, and whether it made
-    # no interchange) recorded in call order
+def _sweep_events(monkeypatch):
+    # the probe sweeps' remainder marches (omega, columns),
+    # Propagator steps (remainder steps tally a residual, difference steps
+    # do not) with their columns, runs, and band LUs (dgbtrf: the rows each
+    # keeps, and whether it made no interchange) recorded in call order; a
+    # step is recorded when it starts
     from pipl import cgo, forward
 
     events = []
-    real_run, real_build, real_wave = (forward.Propagator.run, cgo.CGOFactory.build_columns,
-                                       cgo.plane_wave)
+    real_init, real_step, real_run = (cgo.RemainderMarch.__init__, forward.Propagator.step,
+                                      forward.Propagator.run)
     lapack = forward._lapack()
-    real_factor = lapack.dgbtrf
+    real_gb, real_gt = lapack.dgbtrf, lapack.dgttrf
+
+    def init(self, factory, params_list):
+        events.append(("march", params_list[0].omega, len(params_list)))
+        real_init(self, factory, params_list)
+
+    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
+        events.append(("difference" if worst is None else "remainder", z.shape[-1]))
+        return real_step(self, k, z, f, s, s_next, worst)
 
     def run(self, *args, **kwargs):
-        u = real_run(self, *args, **kwargs)
-        events.append(("run", u.size))
-        return u
-
-    def build_columns(self, params_list):
-        events.append(("batch", params_list[0].omega, len(params_list)))
-        return real_build(self, params_list)
-
-    def plane_wave(*args):
-        events.append(("wave",))
-        return real_wave(*args)
+        events.append(("run",))
+        return real_run(self, *args, **kwargs)
 
     def dgbtrf(*args):
-        factors, solve, info = real_factor(*args)
+        factors, solve, info = real_gb(*args)
         lu, ipiv = factors
         events.append(("factor", len(lu), np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))))
         return factors, solve, info
 
+    def dgttrf(*args):
+        events.append(("factor", 3, None))
+        return real_gt(*args)
+
+    monkeypatch.setattr(cgo.RemainderMarch, "__init__", init)
+    monkeypatch.setattr(forward.Propagator, "step", step)
     monkeypatch.setattr(forward.Propagator, "run", run)
     monkeypatch.setattr(lapack, "dgbtrf", dgbtrf)
-    monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
-    monkeypatch.setattr(cgo, "plane_wave", plane_wave)
-    return synthesize_potential_probes(*args, **kwargs), events
+    monkeypatch.setattr(lapack, "dgttrf", dgttrf)
+    return events
 
 
-def _runs_per_omega(events):
-    runs, omega = {}, None
-    # a run belongs to the omega of the batch before it; an omega's step LUs
-    # are factored before its first batch
-    for e in (e for e in events if e[0] != "factor"):
-        omega = e[1] if e[0] == "batch" else omega
-        runs[omega] = runs.get(omega, 0) + (e[0] == "run")
-    return runs
+def _march_order(grid):
+    """The events of one omega of a potential sweep whose forward-profile
+    stepper is not time dependent: the march and the two steppers' step-0
+    LUs, then per step the remainder step and the difference step, which
+    factors its own LU from the second step on."""
+    return (["march", "factor", "factor", "remainder", "difference"]
+            + ["remainder", "difference", "factor"] * (grid.nt - 1))
 
 
 def test_probe_sweep_work_counts_2d(monkeypatch):
     # the 2D temporal-truth lattice: of the 15 points per omega, the first 8
-    # (one of each conjugate pair and the middle point) are marched, in
-    # batches of at most cgo.batch_width columns (7 here), each one
-    # build_columns call and one difference sweep: two Propagator.run calls
-    # per batch, one plane wave per marched forward probe, and no batch
-    # buffer above cgo.BATCH_CAP
-    from pipl import cgo
-
+    # (one of each conjugate pair and the middle point) are marched together,
+    # level by level, with no whole-march run: one remainder step and then
+    # one difference step per level, 8 columns each
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [33, 33], 64, 1.0)
     dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.exp(-25 * (t - 0.5) ** 2), "Q")
-    probes, events = _sweep_events(monkeypatch, g, dq, None, rho=16.0, n_xi=1, n_tau=2)
+    events = _sweep_events(monkeypatch)
+    probes = synthesize_potential_probes(g, dq, None, rho=16.0, n_xi=1, n_tau=2)
     assert len(probes) == 30
-    assert cgo.batch_width(g) == 7
-    batches = [e for e in events if e[0] == "batch"]
-    assert [m for _, _, m in batches] == [4, 4, 4, 4]
-    assert _runs_per_omega(events) == {(1.0, 0.0): 4, (0.0, 1.0): 4}
-    assert sum(e[0] == "run" for e in events) == 2 * len(batches)
-    assert sum(e[0] == "wave" for e in events) == 16
-    assert max(e[1] for e in events if e[0] == "run") <= cgo.BATCH_CAP
-    # per omega the 64 step LUs of the truth-side sweep and the one of the
-    # forward-profile stepper, none with an interchange, each kept in
+    assert [e[0] for e in events] == 2 * _march_order(g)
+    assert [e[1:] for e in events if e[0] == "march"] == [((1.0, 0.0), 8), ((0.0, 1.0), 8)]
+    assert {e[1] for e in events if e[0] in ("remainder", "difference")} == {8}
+    # per omega the one LU of the forward-profile stepper and the 64 of the
+    # truth-side difference steps, none with an interchange, each kept in
     # kl + ku + 1 = 67 rows, not 2 kl + ku + 1 = 100
     assert [e[1:] for e in events if e[0] == "factor"] == [(67, True)] * 130
 
 
 @pytest.mark.parametrize("keep_diagnostics", [False, True])
-def test_probe_sweep_frees_cgo_fields_before_difference_sweep(monkeypatch, keep_diagnostics):
-    # each batch's theta and z are views of two buffers of build_columns; the
-    # batch's difference sweep must start with both freed, unless the volume
-    # diagnostic still reads the batch's solutions
+def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_diagnostics):
+    # at every step of the sweep at most one LU of the truth-side difference
+    # steps is alive: each is made when the march reaches its step and
+    # released after it.  Without the volume diagnostic, which keeps every
+    # marched probe's truth-side profile, no block alive at any step spans
+    # all levels x n_space x the marched columns
+    import tracemalloc
     import weakref
 
-    from pipl import cgo
+    real_system, real_step = Propagator.system, Propagator.step
+    made, alive, biggest = {}, [], []
 
-    real_run, real_build = Propagator.run, cgo.CGOFactory.build_columns
-    batch, alive = [], []
+    def system(self, k):
+        out = real_system(self, k)
+        made.setdefault(self, []).append(weakref.ref(out[2]))
+        return out
 
-    def owner(a):
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        return a
+    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
+        out = real_step(self, k, z, f, s, s_next, worst)
+        if worst is None:
+            alive.append(len({id(r()) for r in made[self] if r() is not None}))
+        biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return out
 
-    def build_columns(self, params_list):
-        sols = real_build(self, params_list)
-        batch[:] = [weakref.ref(owner(a)) for s in sols for a in (s.theta, s.z.values)]
-        return sols
-
-    def run(self, *args, residual=None, **kwargs):
-        if residual is None and batch:  # a difference sweep; CGO builds pass a residual
-            alive.append([r() is not None for r in batch])
-            batch.clear()
-        return real_run(self, *args, residual=residual, **kwargs)
-
-    monkeypatch.setattr(Propagator, "run", run)
-    monkeypatch.setattr(cgo.CGOFactory, "build_columns", build_columns)
-    monkeypatch.setattr(cgo, "BATCH_CAP", 3 * 9 * 81)  # 3 columns per batch
-    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
+    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "step", step)
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [13, 13], 16, 1.0)
     dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
-    synthesize_potential_probes(g, dq, None, rho=8.0, n_xi=1, n_tau=2,
-                                keep_diagnostics=keep_diagnostics)
-    # 8 marched points per omega in batches of 3, 3 and 2
-    assert [len(a) for a in alive] == [6, 6, 4] * 2
-    assert all(all(a) if keep_diagnostics else not any(a) for a in alive)
+    tracemalloc.start()
+    try:
+        synthesize_potential_probes(g, dq, None, rho=8.0, n_xi=1, n_tau=2,
+                                    keep_diagnostics=keep_diagnostics)
+    finally:
+        tracemalloc.stop()
+    assert alive == [1] * (2 * g.nt)
+    # 8 marched columns per omega; a real array of them on every level
+    if not keep_diagnostics:
+        assert max(biggest) < g.n_levels * g.n_space * 8 * 8
 
 
 def test_probe_sweep_work_counts_1d(monkeypatch):
     # the recover-q lattice (n_tau = 4, 9 points): 5 marched columns in one
-    # batch, and the other 4 probes copied as conjugates
+    # march, and the other 4 probes copied as conjugates; per omega one LU
+    # of the forward-profile stepper and one per truth-side difference step
     g = grid1d(129, 128)
-    probes, events = _sweep_events(monkeypatch, g, bump_dq(g), None, rho=32.0, n_tau=4)
+    events = _sweep_events(monkeypatch)
+    probes = synthesize_potential_probes(g, bump_dq(g), None, rho=32.0, n_tau=4)
     assert len(probes) == 9
-    assert [e[2] for e in events if e[0] == "batch"] == [5]
-    assert _runs_per_omega(events) == {(1.0,): 2}
-    assert sum(e[0] == "wave" for e in events) == 5
+    assert [e[0] for e in events] == _march_order(g)
+    assert [e[1:] for e in events if e[0] == "march"] == [((1.0,), 5)]
+    assert {e[1] for e in events if e[0] in ("remainder", "difference")} == {5}
+    assert sum(e[0] == "factor" for e in events) == 1 + g.nt
     for p, partner in zip(probes, probes[::-1]):
         assert p.params.tau == -partner.params.tau
         assert np.array_equal(p.dn_difference, partner.dn_difference.conj())
+    # a Taylor sweep steps its differences on the factory's stepper: with a
+    # time-dependent potential, each level's one LU serves both steps
+    from pipl.recon.potential import _sweep_probes
+
+    events.clear()
+    factory = CGOFactory(g, bump_dq(g))
+    _sweep_probes(g, factory, factory.q, np.ones((g.n_levels, *g.nx)), 32.0, 0, 4)
+    assert [e[0] for e in events] == (["march", "factor", "remainder", "difference"]
+                                      + ["remainder", "factor", "difference"] * (g.nt - 1))
 
 
 def test_probe_sweep_rejects_complex_inputs():
