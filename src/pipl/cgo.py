@@ -223,7 +223,7 @@ class RemainderMarch:
                 if trace is not None:
                     z[prop.boundary_idx] = trace
             else:
-                z = prop.step(k - 1, z, trace, s, s_next, self.residual)
+                z = prop.step(k - 1, z, trace, (s, s_next), self.residual)
             s = s_next
             yield level, theta, z
 

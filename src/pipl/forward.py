@@ -474,27 +474,26 @@ class Propagator:
             for a, c, shape in zip(ops, cols, shapes)
         )
 
-    def _rhs(self, M, z, f, s, s_next):
+    def _rhs(self, M, z, f, s):
         """Right-hand side of a step from the values z at its first level: M z
-        + dt (theta s_next + (1 - theta) s) on interior rows (no source for
-        s_next None), its second level's boundary values f (or 0) elsewhere."""
+        + dt (theta s[1] + (1 - theta) s[0]) on interior rows (no source for s
+        None), its second level's boundary values f (or 0) elsewhere."""
         rhs = M @ z
-        if s_next is not None:  # on every row: the boundary rows are overwritten next
-            # at theta = 1 the s term is a signed zero, and adding one leaves
-            # M z, a sum started at +0, as it is
-            if self.theta != 1.0:
-                s_next = self.theta * s_next + (1 - self.theta) * s
-            rhs = rhs + self.grid.dt * s_next
+        if s is not None:  # on every row: the boundary rows are overwritten next
+            # at theta = 1 the s[0] term is a signed zero, and adding one
+            # leaves M z, a sum started at +0, as it is
+            s = s[1] if self.theta == 1.0 else self.theta * s[1] + (1 - self.theta) * s[0]
+            rhs = rhs + self.grid.dt * s
         rhs[self.boundary_idx] = f if f is not None else 0.0
         return rhs
 
-    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
+    def step(self, k, z, f=None, s=None, worst=None):
         """The values at level k + 1 from the values z (n_space[, m]) at level
-        k: f, the boundary values of level k + 1, and s and s_next, the source
-        at levels k and k + 1, as one level of run's operands.  worst, if
-        given, is raised in place to the per-column max of |A_k u - rhs|."""
+        k: f, the boundary values of level k + 1, and s, the source at levels
+        k and k + 1, as one level of run's operands.  worst, if given, is
+        raised in place to the per-column max of |A_k u - rhs|."""
         A, M, lu = self.system(k)
-        rhs = self._rhs(M, z, f, s, s_next)
+        rhs = self._rhs(M, z, f, s)
         u = self._solve(lu, rhs)
         if worst is not None:
             np.maximum(worst, np.abs(A @ u - rhs).max(axis=0), out=worst)
@@ -523,15 +522,11 @@ class Propagator:
             vals[0, self.boundary_idx] = f[0]
         worst = None if residual is None else np.zeros(vals.shape[2:])
         for k in range(grid.nt):
-            vals[k + 1] = self.step(k, vals[k], *self._level(k, f, src), worst)
+            vals[k + 1] = self.step(k, vals[k], None if f is None else f[k + 1],
+                                    None if src is None else src[k:k + 2], worst)
         if residual is not None:
             residual[...] = worst.reshape(columns)
         return u
-
-    @staticmethod
-    def _level(k, f, src):
-        """Step k's f, s and s_next from whole-march operands."""
-        return None if f is None else f[k + 1], *((None, None) if src is None else src[k:k + 2])
 
     def residual(self, u, f=None, source=None) -> np.ndarray:
         """Per column of u (n_levels, n_space[, m]), the largest
@@ -542,7 +537,8 @@ class Propagator:
         worst = np.zeros(z.shape[2:])
         for k in range(self.grid.nt):
             A, M, _ = self.system(k)
-            rhs = self._rhs(M, z[k], *self._level(k, f, src))
+            rhs = self._rhs(M, z[k], None if f is None else f[k + 1],
+                            None if src is None else src[k:k + 2])
             worst = np.maximum(worst, np.max(np.abs(A @ z[k + 1] - rhs), axis=0))
         return worst.reshape(columns)
 

@@ -153,7 +153,7 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
         if k == 0:
             d = np.zeros_like(s_next)
         else:
-            d = prop.step(k - 1, d, None, s, s_next)
+            d = prop.step(k - 1, d, None, (s, s_next))
             if prop is not march.prop:
                 prop.release(k - 1)
         s = s_next

@@ -160,9 +160,9 @@ def _sweep_events(monkeypatch):
         events.append(("march", params_list[0].omega, len(params_list)))
         real_init(self, factory, params_list)
 
-    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
+    def step(self, k, z, f=None, s=None, worst=None):
         events.append(("difference" if worst is None else "remainder", z.shape[-1]))
-        return real_step(self, k, z, f, s, s_next, worst)
+        return real_step(self, k, z, f, s, worst)
 
     def run(self, *args, **kwargs):
         events.append(("run",))
@@ -232,8 +232,8 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
         made.setdefault(self, []).append(weakref.ref(out[2]))
         return out
 
-    def step(self, k, z, f=None, s=None, s_next=None, worst=None):
-        out = real_step(self, k, z, f, s, s_next, worst)
+    def step(self, k, z, f=None, s=None, worst=None):
+        out = real_step(self, k, z, f, s, worst)
         if worst is None:
             alive.append(len({id(r()) for r in made[self] if r() is not None}))
         biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
