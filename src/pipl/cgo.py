@@ -35,7 +35,6 @@ from .grid import (
     GridError,
     SpaceTimeGrid,
     l2q_inner,
-    norm,
     resolve_portion,
 )
 
