@@ -16,9 +16,10 @@ cancel them exactly, which is the only way the pipeline ever uses them.
 
 The profile operator depends on (rho, omega, direction) alone, so the
 remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
-one multi-column march (RemainderMarch), stepped level by level.
-CGOFactory.build_columns keeps every level; the probe sweep of
-recon.potential uses each level as it comes.
+one multi-column march (RemainderMarch), stepped level by level, whose
+plane waves are space waves times time waves, both formed once per march.
+CGOFactory.build_columns keeps every level and reports the step residual;
+the probe sweep of recon.potential uses each level as it comes.
 """
 
 from __future__ import annotations
@@ -91,15 +92,14 @@ def ramp(params: CGOParameters, t):
 
 
 def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
-    """exp(-i (xi.x + tau t)) on every node of Q, shaped (n_levels, *nx), from
-    one exp of the summed phase (not a product of space and time factors),
-    so each value is the one a per-level evaluation gives."""
+    """exp(-i (xi.x + tau t)) on every node of Q, shaped (n_levels, *nx), as
+    the space wave exp(-i xi.x) times the time wave exp(-i tau t), the
+    product RemainderMarch forms, so each value is the one a march gives."""
     meshes = grid.meshes()
     s = xi[0] * meshes[0]
     if grid.dim == 2:
         s = s + xi[1] * meshes[1]
-    phase = -1j * (s + tau * grid.level_times())
-    return np.exp(phase, out=phase)
+    return np.exp(-1j * s) * np.exp(-1j * (tau * grid.level_times()))
 
 
 @dataclass
@@ -151,21 +151,24 @@ class CGOFactory:
         """One CGOSolution per params, all sharing (rho, omega, direction,
         aperture), from one RemainderMarch that forms and tallies every level
         at once; the solutions' thetas and remainders are columns of one array
-        each, and each column is bitwise its own one-column build."""
+        each, and each column is bitwise its own one-column build.  A residual
+        is the largest step |A_k z - rhs| over max(1, max |source|)."""
         grid = self.grid
         march = RemainderMarch(self, params_list)
         theta, src, trace = march.fields(slice(None))
         z = np.empty_like(theta)
+        worst = np.zeros(len(params_list))
         for level, _, z_level in march.steps(lambda level: (
-                theta[level], src[level], None if trace is None else trace[level])):
+                theta[level], src[level], None if trace is None else trace[level]), worst):
             z[level] = z_level
         march.tally(slice(None), z)
+        residuals = worst / np.maximum(1.0, np.abs(src).max(axis=(0, 1)))
         shape = (grid.n_levels, *grid.nx)
         return [CGOSolution(params, grid, theta[..., j].reshape(shape),
                             Field(grid, z[..., j].reshape(shape), DOMAIN_Q), remainder,
                             list(march.warnings), residual)
                 for j, (params, remainder, residual)
-                in enumerate(zip(params_list, *march.finish()))]
+                in enumerate(zip(params_list, march.finish(), residuals.tolist()))]
 
 
 class RemainderMarch:
@@ -173,10 +176,10 @@ class RemainderMarch:
     a column per params, stepped together one time level at a time on the
     factory's stepper: t = 0 first for forward probes, t = T first for
     backward ones (in s = T - t their profile equation is the forward scheme
-    with advection +2 rho w).  Per level and column it records the peak
-    |source|, the peak |z| and the space integral of |z|^2, the same whether
-    a level is formed and tallied alone or with others; finish() turns them
-    into remainder norms and scaled residuals."""
+    with advection +2 rho w).  Per level and column it records the peak |z|
+    and the space integral of |z|^2, the same whether a level is formed and
+    tallied alone or with others; finish() turns them into remainder
+    norms."""
 
     def __init__(self, factory: CGOFactory, params_list):
         first = params_list[0]
@@ -195,15 +198,15 @@ class RemainderMarch:
         rho34, t = first.rho**0.75, self.t if self.forward else grid.T - self.t
         self.phi, self.dphi = ramp(first, t), rho34 * np.exp(-rho34 * t)
         self.q_levels = factory.q_levels.reshape(grid.n_levels, -1, 1)
-        # per column: xi.x as plane_wave sums it, tau, and |xi|^2 - i tau
+        # per column: space wave exp(-i xi.x), time wave exp(-i tau t) per
+        # level (as plane_wave forms them), and |xi|^2 - i tau
         xi, x = np.array([p.xi for p in params_list]), [m.reshape(-1, 1) for m in grid.meshes()]
-        self.xi_x = xi[:, 0] * x[0] if grid.dim == 1 else xi[:, 0] * x[0] + xi[:, 1] * x[1]
-        self.tau = np.array([p.tau for p in params_list])
+        xi_x = xi[:, 0] * x[0] if grid.dim == 1 else xi[:, 0] * x[0] + xi[:, 1] * x[1]
+        self.wave_x = np.exp(-1j * xi_x)
+        self.wave_t = np.exp(-1j * (np.array([p.tau for p in params_list]) * self.t[:, None, None]))
         self.shift = np.array([float(np.dot(p.xi, p.xi)) - 1j * p.tau for p in params_list])
-        # per level and column: peak |z|, space integral of |z|^2, peak |source|
-        self.peak, self.sum_sq, self.scale = (np.zeros((grid.n_levels, len(params_list)))
-                                              for _ in range(3))
-        self.residual = np.zeros(len(params_list))
+        # per level and column: peak |z| and space integral of |z|^2
+        self.peak, self.sum_sq = (np.zeros((grid.n_levels, len(params_list))) for _ in range(2))
         self.pinned = None
         if factory.partial:
             # z is -theta on the designated aperture portion, zero elsewhere
@@ -211,9 +214,9 @@ class RemainderMarch:
                 first.omega, first.aperture, -1 if self.forward else +1))
             self.pinned = np.isin(self.prop.boundary_idx, portion.flat)
 
-    def steps(self, fields):
+    def steps(self, fields, worst=None):
         """(level, theta, z) for every level in marching order, with theta,
-        the source and the lateral data from fields(level)."""
+        the source and lateral data from fields(level); worst as Propagator.step takes it."""
         prop = self.prop
         for k, level in enumerate(self.levels):
             theta, s_next, trace = fields(level)
@@ -222,7 +225,7 @@ class RemainderMarch:
                 if trace is not None:
                     z[prop.boundary_idx] = trace
             else:
-                z = prop.step(k - 1, z, trace, (s, s_next), self.residual)
+                z = prop.step(k - 1, z, trace, (s, s_next), worst)
             s = s_next
             yield level, theta, z
 
@@ -237,27 +240,24 @@ class RemainderMarch:
         self.sum_sq[levels] = rows.sum(axis=-1)
 
     def finish(self):
-        """Per column, the remainder's L2(Q) norm and the steps' residual
-        over the source scale; SolverError if some |z| passed e^50 or is not
-        finite."""
+        """Per column, the remainder's L2(Q) norm; SolverError if some |z|
+        passed e^50 or is not finite."""
         for params, peak in zip(self.params, self.peak.max(axis=0)):
             if not peak <= OVERFLOW_LIMIT:
                 raise SolverError(f"CGO remainder at rho {params.rho} exceeded the overflow "
                                   f"guard (peak {peak:.3g}, limit e^50)")
         sum_sq = (np.ascontiguousarray(self.sum_sq.T) * self.grid.time_weights()).sum(axis=1)
-        scale = np.maximum(1.0, self.scale.max(axis=0))
-        return np.sqrt(sum_sq).tolist(), (self.residual / scale).tolist()
+        return np.sqrt(sum_sq).tolist()
 
     def fields(self, levels):
         """theta, the source and the lateral data of z (None for full data)
         on a time level, (n_space, columns) each, or on a slice of levels,
         with a leading level axis; a forward level forms its plane waves E,
-        each value the one plane_wave gives, once for both."""
-        phi, dphi, t = (a[levels, None, None] for a in (self.phi, self.dphi, self.t))
+        one product of the march's waves as plane_wave forms it, once for both."""
+        phi, dphi = (a[levels, None, None] for a in (self.phi, self.dphi))
         q, m = self.q_levels[levels], len(self.params)
         if self.forward:
-            E = -1j * (self.xi_x + self.tau * t)
-            np.exp(E, out=E)
+            E = self.wave_x * self.wave_t[levels]
             theta = phi * E
             # -(dphi + (|xi|^2 - i tau + q) phi) E, operation by operation in place
             vals = self.shift + q
@@ -268,7 +268,6 @@ class RemainderMarch:
         else:
             theta = np.repeat(phi * np.ones_like(q), m, axis=-1)
             vals = np.repeat(-(dphi + q * phi), m, axis=-1)
-        self.scale[levels] = np.abs(vals).max(axis=-2)
         if self.pinned is None:
             return theta, vals, None
         trace = np.zeros((*theta.shape[:-2], len(self.pinned), m), theta.dtype)

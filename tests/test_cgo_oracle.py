@@ -2,9 +2,9 @@
 separable Fourier synthesis against reference code on random grids.
 
 The reference functions below build each plane wave once per time level,
-sweep the probes one at a time, and build the synthesis design matrix by a
-samples x modes x levels loop: the plain code the production code batches
-and factors.
+as the space wave times the time wave, sweep the probes one at a time, and
+build the synthesis design matrix by a samples x modes x levels loop: the
+plain code the production code batches and factors.
 """
 
 import math
@@ -46,7 +46,7 @@ def ref_spatial_phase(params, grid):
 
 
 def ref_phase(params, s, t):
-    return np.exp(-1j * (s + params.tau * t))
+    return np.exp(-1j * s) * np.exp(-1j * (params.tau * t))
 
 
 def ref_theta(grid, params):
@@ -119,6 +119,11 @@ def ref_synthesize(sset, alpha):
         for k in range(grid.n_levels):
             out[k] += (c * basis_levels[j][k]).real
     return out.reshape(grid.n_levels, *grid.nx)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -221,12 +226,20 @@ def test_cgo_fields_match_level_loop(case):
     every = march.fields(slice(None))
     for i, ref in enumerate((ref_theta(grid, params).reshape(grid.n_levels, -1),
                              ref_source(grid, factory.q_levels, params))):
-        assert np.array_equal(np.array([f[i][:, 0] for f in per_level]), ref)
-        assert np.array_equal(every[i][..., 0], ref)
+        assert _same(np.array([f[i][:, 0] for f in per_level]), ref)
+        assert _same(every[i][..., 0], ref)
     if params.direction == "forward":
         bwd = params.matched_backward()
-        assert np.array_equal(product_symbol(params, bwd, grid).values,
-                              ref_product_symbol(params, grid))
+        assert _same(product_symbol(params, bwd, grid).values, ref_product_symbol(params, grid))
+    # the factored wave is the summed-phase one up to rounding (|E| = 1),
+    # and equal to it where xi = 0, as on every 1D grid (where tau t = 0 and
+    # x < 0, the zero imaginary part may differ in sign)
+    t, s = grid.level_times(), ref_spatial_phase(params, grid)
+    summed = np.exp(-1j * (s + params.tau * t))
+    assert np.max(np.abs(cgo.plane_wave(grid, params.xi, params.tau) - summed)) <= 1e-14
+    still = CGOParameters.make(params.rho, params.omega, tau=params.tau)
+    assert np.array_equal(cgo.plane_wave(grid, still.xi, still.tau),
+                          np.exp(-1j * (ref_spatial_phase(still, grid) + still.tau * t)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,6 +265,24 @@ def test_build_columns_matches_single_builds(case):
         assert sol.remainder_norm == ref.remainder_norm
         assert sol.residual == ref.residual
         assert sol.warnings == ref.warnings
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cgo_batches())
+def test_build_columns_residual_is_scaled_step_residual(case):
+    # each reported residual is Propagator.residual over the column's kept
+    # levels in marching order, over max(1, max |source|) of the column
+    grid, scheme, q, params, partial = case
+    factory = CGOFactory(grid, q, scheme, partial=partial)
+    batch = factory.build_columns(params)
+    order = slice(None) if params[0].direction == "forward" else slice(None, None, -1)
+    _, src, trace = cgo.RemainderMarch(factory, params).fields(slice(None))
+    prop = factory.propagator(params[0])
+    for j, sol in enumerate(batch):
+        source = src[order, :, j]
+        residual = prop.residual(sol.z.values.reshape(grid.n_levels, -1)[order],
+                                 None if trace is None else trace[order, :, j], source)
+        assert _same(sol.residual, residual / max(1.0, np.max(np.abs(source))))
 
 
 def test_build_columns_rejects_mixed_probes():

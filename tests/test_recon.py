@@ -142,15 +142,39 @@ PIN_2D_DN_SUMS = 2 * [
 ]
 
 
+def _marching(monkeypatch):
+    """A list that is non-empty exactly while RemainderMarch.steps runs, so
+    that a Propagator step inside it is a remainder step, and any other a
+    difference step, even when both share one stepper (a Taylor sweep)."""
+    from pipl import cgo
+
+    marching, real_steps = [], cgo.RemainderMarch.steps
+
+    def steps(self, fields, worst=None):
+        inner = real_steps(self, fields, worst)
+        while True:
+            marching.append(True)
+            try:
+                item = next(inner, None)
+            finally:
+                marching.pop()
+            if item is None:
+                return
+            yield item
+
+    monkeypatch.setattr(cgo.RemainderMarch, "steps", steps)
+    return marching
+
+
 def _sweep_events(monkeypatch):
     # the probe sweeps' remainder marches (omega, columns),
-    # Propagator steps (remainder steps tally a residual, difference steps
-    # do not) with their columns, runs, and band LUs (dgbtrf: the rows each
-    # keeps, and whether it made no interchange) recorded in call order; a
-    # step is recorded when it starts
+    # Propagator steps (remainder or difference, _marching) with their
+    # columns, runs, and band LUs (dgbtrf: the rows each keeps, and whether
+    # it made no interchange) recorded in call order; a step is recorded
+    # when it starts
     from pipl import cgo, forward
 
-    events = []
+    events, marching = [], _marching(monkeypatch)
     real_init, real_step, real_run = (cgo.RemainderMarch.__init__, forward.Propagator.step,
                                       forward.Propagator.run)
     lapack = forward._lapack()
@@ -161,7 +185,7 @@ def _sweep_events(monkeypatch):
         real_init(self, factory, params_list)
 
     def step(self, k, z, f=None, s=None, worst=None):
-        events.append(("difference" if worst is None else "remainder", z.shape[-1]))
+        events.append(("remainder" if marching else "difference", z.shape[-1]))
         return real_step(self, k, z, f, s, worst)
 
     def run(self, *args, **kwargs):
@@ -225,7 +249,7 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
     import weakref
 
     real_system, real_step = Propagator.system, Propagator.step
-    made, alive, biggest = {}, [], []
+    made, alive, biggest, marching = {}, [], [], _marching(monkeypatch)
 
     def system(self, k):
         out = real_system(self, k)
@@ -234,7 +258,7 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
 
     def step(self, k, z, f=None, s=None, worst=None):
         out = real_step(self, k, z, f, s, worst)
-        if worst is None:
+        if not marching:
             alive.append(len({id(r()) for r in made[self] if r() is not None}))
         biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
         return out
@@ -253,6 +277,49 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
     # 8 marched columns per omega; a real array of them on every level
     if not keep_diagnostics:
         assert max(biggest) < g.n_levels * g.n_space * 8 * 8
+
+
+def test_probe_sweep_forms_no_step_residual(monkeypatch):
+    # the sweep keeps no step residual: none of its steps gets a worst array
+    # or multiplies a step matrix A_k by a solution, in a potential sweep
+    # (2D) or a Taylor one (1D, both steps on the factory's stepper);
+    # build_columns, which reports the residual, does both at every step
+    from pipl import forward
+    from pipl.recon.potential import _sweep_probes
+
+    real_system, real_step, real_matmul = (Propagator.system, Propagator.step,
+                                           forward.Banded.__matmul__)
+    step_matrices, worsts, products = {}, [], []
+
+    def system(self, k):
+        out = real_system(self, k)
+        step_matrices[id(out[0])] = out[0]  # held, so no later matrix takes its id
+        return out
+
+    def step(self, k, z, f=None, s=None, worst=None):
+        worsts.append(worst is not None)
+        return real_step(self, k, z, f, s, worst)
+
+    def matmul(self, z):
+        if step_matrices.get(id(self)) is self:
+            products.append(z.shape)
+        return real_matmul(self, z)
+
+    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "step", step)
+    monkeypatch.setattr(forward.Banded, "__matmul__", matmul)
+    g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
+    dq = field_from_function(g2, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
+    synthesize_potential_probes(g2, dq, None, rho=8.0, n_xi=1, n_tau=1)
+    g = grid1d(17, 16)
+    factory = CGOFactory(g, bump_dq(g))
+    _sweep_probes(g, factory, factory.q, np.ones((g.n_levels, *g.nx)), 8.0, 0, 2)
+    assert len(worsts) == 2 * 2 * g2.nt + 2 * g.nt
+    assert not any(worsts) and products == []
+    params = [CGOParameters.make(8.0, (1.0,), tau=tau) for tau in (0.0, 2 * math.pi)]
+    factory.build_columns(params)
+    assert worsts[-g.nt:] == [True] * g.nt
+    assert products == [(g.n_space, 2)] * g.nt
 
 
 def test_probe_sweep_work_counts_1d(monkeypatch):
