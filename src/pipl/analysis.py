@@ -189,6 +189,7 @@ def carleman_check_1(
     w_time = grid.time_weights()
     times = grid.times()
     clip = (times >= ENDPOINT_CLIP * grid.T) & (times <= (1 - ENDPOINT_CLIP) * grid.T)
+    tt_max = max((t**2) * (grid.T - t) ** 2 for t in times[clip])
 
     entries = []
     notes = []
@@ -196,14 +197,9 @@ def carleman_check_1(
         for mu in cfg.mus:
             # common scale M = max of 2 lambda eta over the clipped cylinder:
             # both sides carry theta_1^2, so working with exp(2 lam eta - M)
-            # leaves the ratio unchanged and never underflows
-            M = -np.inf
-            for k, t in enumerate(times):
-                if not clip[k]:
-                    continue
-                tt = (t**2) * (grid.T - t) ** 2
-                eta_max = (math.exp(mu * psi_max) - math.exp(2 * mu * psi_max)) / tt
-                M = max(M, 2 * lam * eta_max)
+            # leaves the ratio unchanged and never underflows.  eta's
+            # numerator is negative, so the max is at the largest t^2 (T - t)^2
+            M = 2 * lam * ((math.exp(mu * psi_max) - math.exp(2 * mu * psi_max)) / tt_max)
             if M < -700.0:
                 notes.append(
                     f"(lambda={lam}, mu={mu}): unscaled weight would underflow "
@@ -362,8 +358,6 @@ class NonUniquenessDemo:
     g2: Field
     source1: Field               # the u-independent nonlinearity value A_1(x,t)
     source2: Field
-    trace1: np.ndarray
-    trace2: np.ndarray
     trace_sup: float
     g_gap: float
     sup_fields: float
@@ -443,8 +437,6 @@ def nonuniqueness_demo(
         Field(grid, s2, DOMAIN_OMEGA),
         sources[0],
         sources[1],
-        m1.values,
-        m2.values,
         trace_sup,
         gap,
         sup_fields,

@@ -5,16 +5,16 @@ as quoted strings.  ``SCHEMA`` names, for every experiment kind, the
 sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
-does not read, a malformed or non-finite number, a negative noise level or
-stability delta, a value outside its choices, a non-integer ``PIPL_SEED``,
-a Carleman k outside (0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a
-diffusion key the run would not read (gamma beside g11; g12 or g22 without
-g11 or on a 1D grid), a gamma whose sampled eigenvalues leave [rho0,
-1/rho0], a nonlinearity that fails its class check
-(``Nonlinearity.validate``), a control eps or tail that fails
-``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn`` on
-a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
-which names the section, the key and the line.
+does not read, a [grid] that SpaceTimeGrid rejects, a malformed or
+non-finite number, a negative noise level or stability delta, a value
+outside its choices, a non-integer ``PIPL_SEED``, a Carleman k outside (0,
+min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a diffusion key the run would
+not read (gamma beside g11; g12 or g22 without g11 or on a 1D grid), a
+gamma whose sampled eigenvalues leave [rho0, 1/rho0], a nonlinearity that
+fails its class check (``Nonlinearity.validate``), a control eps or tail
+that fails ``recon.horizon_level``, and a forward ``oracle`` or dnmap
+``oracle_dn`` on a 2D grid (its convergence sweep refines 1D grids) raise
+ConfigError, which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -390,9 +390,16 @@ def load_config(path, kind: str) -> Config:
                 values[name][key] = default(values["grid"]) if callable(default) else default
 
     g = values["grid"]
-    for key in ("lower", "upper", "nx"):
-        if len(g[key]) != g["dim"]:
-            raise fault(f"needs {g['dim']} entries for dim {g['dim']}", "grid", key)
+    for key, bad, message in (  # SpaceTimeGrid's checks, located
+        *((key, len(g[key]) != g["dim"], f"needs {g['dim']} entries for dim {g['dim']}")
+          for key in ("lower", "upper", "nx")),
+        ("nx", min(g["nx"]) < 3, "needs at least 3 nodes per axis"),
+        ("nt", g["nt"] < 2, "needs at least 2 time steps"),
+        ("t", g["t"] <= 0, "the horizon T must be positive"),
+        ("upper", any(u <= l for l, u in zip(g["lower"], g["upper"])), "must exceed lower"),
+    ):
+        if bad:
+            raise fault(message, "grid", key)
     env = os.environ.get("PIPL_SEED")
     if env is not None:
         try:
@@ -448,6 +455,18 @@ def _expr_field(grid, source, domain="Omega"):
 # Tidy CSV emission
 
 
+# kind -> (file, report key, columns): one row per entry of report[key]
+_CONVERGENCE = ("convergence.csv", "convergence", ("nx", "nt", "h", "error"))
+_PLOT_TABLES = {
+    "forward": _CONVERGENCE,
+    "dnmap": _CONVERGENCE,
+    "cgo-verify": ("remainder_decay.csv", "sweep", ("rho", "remainder_norm", "residual")),
+    "stability": ("stability_curve.csv", "trials", ("delta", "trial", "error", "dn_diff_norm")),
+    "linearize": ("linearization_gaps.csv", "gaps", ("order", "eps", "gap")),
+    "runge": ("runge_gaps.csv", "fits", ("mode", "n_basis", "gap")),
+}
+
+
 def emit_plotdata(report: dict, kind: str, outdir: Path) -> list:
     """One observation per row; empty reports produce header-only files."""
     written = []
@@ -462,39 +481,15 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list:
                                   for v in row) + "\n")
         written.append(str(path))
 
-    if kind in ("forward", "dnmap"):
-        rows = [
-            (r["nx"], r["nt"], r["h"], r["error"])
-            for r in report.get("convergence", [])
-        ]
-        write("convergence.csv", ("nx", "nt", "h", "error"), rows)
-    elif kind == "cgo-verify":
-        rows = [
-            (r["rho"], r["remainder_norm"], r["residual"])
-            for r in report.get("sweep", [])
-        ]
-        write("remainder_decay.csv", ("rho", "remainder_norm", "residual"), rows)
-    elif kind == "stability":
-        rows = [
-            (r["delta"], r["trial"], r["error"], r["dn_diff_norm"])
-            for r in report.get("trials", [])
-        ]
-        write("stability_curve.csv", ("delta", "trial", "error", "dn_diff_norm"), rows)
+    if kind in _PLOT_TABLES:
+        name, key, columns = _PLOT_TABLES[kind]
+        write(name, columns, ([r[c] for c in columns] for r in report.get(key, [])))
     elif kind == "carleman":
         rows = [
             (e.get("lambda"), e.get("mu", e.get("L")), e["lhs"], e["rhs"], e["ratio"])
             for e in report.get("entries", [])
         ]
         write("ratio_sweep.csv", ("lambda", "mu_or_L", "lhs", "rhs", "ratio"), rows)
-    elif kind == "linearize":
-        rows = [
-            (r["order"], r["eps"], r["gap"])
-            for r in report.get("gaps", [])
-        ]
-        write("linearization_gaps.csv", ("order", "eps", "gap"), rows)
-    elif kind == "runge":
-        rows = [(r["mode"], r["n_basis"], r["gap"]) for r in report.get("fits", [])]
-        write("runge_gaps.csv", ("mode", "n_basis", "gap"), rows)
     elif kind == "control":
         rows = [(i, v) for i, v in enumerate(report.get("terminal_history", []))]
         write("terminal_history.csv", ("iteration", "terminal_norm"), rows)
@@ -685,7 +680,7 @@ def run_recover_q(c, outdir):
     zero_err = norm(res0.recovered, "L2Q") / max(norm(dq, "L2Q"), 1e-300)
     report = {"metrics": {"rel_l2q_error": res.truth_error, "zero_difference_error": zero_err,
                           "conjugate_symmetry_defect": res.residuals["conjugate_symmetry_defect"]},
-              "regularization": res.regularization}
+              "regularization": res.regularization, "notes": res.notes}
     _gate(report, "rel_l2q_error", res.truth_error, "<=", 0.20)
     _gate(report, "zero_difference_error", zero_err, "<=", 1e-6)
     return report
@@ -708,7 +703,7 @@ def run_recover_b(c, outdir):
     )
     save_field_csv(res.recovered, outdir / "recovered_taylor_difference.csv")
     report = {"metrics": {"rel_l2q_error": res.truth_error, "order": order},
-              "regularization": res.regularization}
+              "regularization": res.regularization, "notes": res.notes}
     _gate(report, "rel_l2q_error", res.truth_error, "<=", 0.25)
     return report
 
@@ -888,7 +883,7 @@ def run_control(c, outdir):
     s = c.values["control"]
     grid = c.grid
     res = null_control(
-        grid, c.gamma, None, _expr_field(grid, s["initial"]), eps=s["eps"],
+        grid, c.gamma, _expr_field(grid, s["initial"]), eps=s["eps"],
         portion=resolve_portion(grid, s["portion"]), n_time=s["n_time"], scheme=c.scheme, tail=c.nl,
     )
     converged = res.continuation["converged"]

@@ -65,9 +65,6 @@ class Const(Node):
     def diff(self, var):
         return Const(self.offset, 0.0)
 
-    def __str__(self):
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class Var(Node):
@@ -79,9 +76,6 @@ class Var(Node):
     def diff(self, var):
         return Const(self.offset, 1.0 if var == self.name else 0.0)
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -92,9 +86,6 @@ class Neg(Node):
 
     def diff(self, var):
         return _neg(self.offset, self.arg.diff(var))
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
@@ -153,10 +144,6 @@ class BinOp(Node):
         term = _add(o, _mul(o, db, Call(o, "ln", a)), _div(o, _mul(o, b, da), a))
         return _mul(o, self, term)
 
-    def __str__(self):
-        sym = "^" if self.op == "^" else self.op
-        return f"({self.left} {sym} {self.right})"
-
 
 @dataclass(frozen=True)
 class Call(Node):
@@ -198,9 +185,6 @@ class Call(Node):
             inner = Sign(o, a)
         return _mul(o, inner, da)
 
-    def __str__(self):
-        return f"{self.func}({self.arg})"
-
 
 @dataclass(frozen=True)
 class Sign(Node):
@@ -211,9 +195,6 @@ class Sign(Node):
 
     def diff(self, var):
         return Const(self.offset, 0.0)
-
-    def __str__(self):
-        return f"sign({self.arg})"
 
 
 # -- constructors with constant folding; keeps repeated differentiation from

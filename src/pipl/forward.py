@@ -287,7 +287,6 @@ class SolveReport:
     iterations: int = 1
     residual_history: list = dc_field(default_factory=list)
     converged: bool = True
-    scheme: str = "be"
     warnings: list = dc_field(default_factory=list)
 
     def require_converged(self, what: str) -> "SolveReport":
@@ -399,7 +398,6 @@ class Propagator:
         if gamma is not None:
             gamma.check_ellipticity(grid)
         self.grid = grid
-        self.scheme = scheme
         self.theta = SCHEMES[scheme]
         self.gamma = gamma
         self.advection = advection
@@ -499,7 +497,7 @@ class Propagator:
             np.maximum(worst, np.abs(A @ u - rhs).max(axis=0), out=worst)
         return u
 
-    def run(self, g0=None, f=None, source=None, residual=None) -> np.ndarray:
+    def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
 
         g0: initial values (n_space,) or space-shaped; f: boundary trace
@@ -507,9 +505,6 @@ class Propagator:
         (n_levels, n_space) added as +source on the right-hand side.  Each may
         carry m columns on a trailing axis, marched at once into (n_levels,
         n_space, m); one without that axis is shared by every column.
-        residual, an array shaped like one level's columns, receives what
-        residual(u, f, source) returns, from the right-hand sides the sweep
-        formed rather than forming them again.
         """
         grid = self.grid
         dtype = complex if any(np.iscomplexobj(a) for a in (g0, f, source)) else float
@@ -520,12 +515,9 @@ class Propagator:
             vals[0] = g0
         if f is not None:
             vals[0, self.boundary_idx] = f[0]
-        worst = None if residual is None else np.zeros(vals.shape[2:])
         for k in range(grid.nt):
             vals[k + 1] = self.step(k, vals[k], None if f is None else f[k + 1],
-                                    None if src is None else src[k:k + 2], worst)
-        if residual is not None:
-            residual[...] = worst.reshape(columns)
+                                    None if src is None else src[k:k + 2])
         return u
 
     def residual(self, u, f=None, source=None) -> np.ndarray:
@@ -605,7 +597,7 @@ def solve_linear(
     if not np.all(np.isfinite(vals)):
         raise SolverError("linear solve produced non-finite values")
     sol = Field(grid, vals.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
-    return SolveReport(sol, iterations=1, converged=True, scheme=scheme)
+    return SolveReport(sol, iterations=1, converged=True)
 
 
 def solve_semilinear(
@@ -637,7 +629,7 @@ def solve_semilinear(
     warnings += [f"newton stalled at time level {k + 1}" for k in np.flatnonzero(res.stalled)]
     sol = Field(grid, res.values.reshape(grid.n_levels, *grid.nx), DOMAIN_Q)
     return SolveReport(sol, res.iterations, res.history[:, 0].tolist(), bool(res.converged[0]),
-                       scheme, warnings)
+                       warnings)
 
 
 @dataclass
@@ -663,7 +655,10 @@ def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10,
     boundary trace column of f_vals (n_levels, n_boundary, m), or one with
     u|Sigma = 0 for f_vals None.  A term affine in u (Nonlinearity.is_affine)
     is one m-column linear sweep with the potential d_u nl(x,t,0) and the
-    source -nl(x,t,0); any other is one batched _newton."""
+    source -nl(x,t,0); any other is one batched _newton.  An unknown scheme
+    raises SolverError."""
+    if scheme not in SCHEMES:
+        raise SolverError(f"unknown scheme {scheme!r}")
     if max_iter < 1:
         raise SolverError(f"max_iter must be >= 1, got {max_iter}")
     check_compatibility(grid, g, f_vals)

@@ -11,7 +11,7 @@ fields share one Propagator, one multi-column sweep per subset size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -93,14 +93,17 @@ class LinearizationSetup:
         return res.values
 
 
-def probe_trace(grid: SpaceTimeGrid, spatial_fn) -> Field:
-    """Boundary probe spatial(x) * (t/T)^2 on the full boundary: vanishing
-    value and slope at t = 0 keeps the discrete compatibility conditions."""
+def probe_trace(grid: SpaceTimeGrid, spatial_fn, ramp=None) -> Field:
+    """Boundary probe spatial(x) * ramp(t) on the full boundary, the ramp
+    (t/T)^2 by default: vanishing value and slope at t = 0 keeps the
+    discrete compatibility conditions."""
     resolved = resolve_portion(grid, BoundaryPortion.full())
     coords = resolved.coords()
     args = [coords[:, i] for i in range(grid.dim)]
     spatial = np.broadcast_to(np.asarray(spatial_fn(*args), dtype=float), (resolved.n_nodes,))
-    rows = [spatial * (t / grid.T) ** 2 for t in grid.times()]
+    if ramp is None:
+        ramp = lambda t: (t / grid.T) ** 2
+    rows = [spatial * ramp(t) for t in grid.times()]
     return Field(grid, np.array(rows), DOMAIN_SIGMA, resolved)
 
 
@@ -134,9 +137,6 @@ class MixedOrderResult:
     direct: Field | None
     gap: float | None
     rate: RateReport | None
-    noise_floor: float
-    noise_flagged: bool
-    notes: list = dc_field(default_factory=list)
     corner_solves: int = 0  # corner columns solved; a skipped amplitude level adds none
 
 
@@ -195,7 +195,9 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
     collapses to the leading term -d_u^M b(base) prod v_l.
 
     eps_schedule: list of amplitude tuples (one tuple per refinement level);
-    a scalar level is broadcast to all probes.
+    a scalar level is broadcast to all probes.  Returns the last level's
+    quotient, the direct field, the last level's gap, the gap rate over two
+    or more levels and the number of corner columns solved.
     """
     M = len(probes)
     if M < 1:
@@ -213,15 +215,6 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
             levels.append(tuple(float(x) for x in lvl))
 
     zero_probe = any(np.max(np.abs(f.values)) == 0.0 for f in probes)
-
-    notes = []
-    inter_max = [float(np.max(np.abs(setup.coefficient(k).values))) for k in range(2, M)]
-    leading_only = all(v < 1e-12 for v in inter_max)
-    if M > 1 and not leading_only:
-        notes.append(
-            "intermediate u-derivatives are nonzero along the base; "
-            "direct solve includes the lower-order partition terms"
-        )
     traces = np.stack([trace_values(grid, p) for p in probes], axis=-1)
     direct = _direct_mixed_fields(setup, traces)[tuple(range(M))]
 
@@ -238,34 +231,18 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
         solved = (values[..., j].reshape(base.values.shape) for j in range(len(batch)))
 
     quotient = None
-    gaps, eps_size, floors = [], [], []
+    gaps, eps_size = [], []
     for amps in levels:
-        if amps not in live:
+        if amps in live:
+            acc = np.zeros_like(base.values)
+            for s in corners:
+                acc = acc + (-1.0) ** (M - len(s)) * (base.values if not s else next(solved))
+            quotient = Field(grid, acc / float(np.prod(amps)), DOMAIN_Q)
+        else:
             quotient = zero_field(grid)
-            gaps.append(norm(quotient - direct, "L2Q"))
-            eps_size.append(max(amps) if amps else 0.0)
-            floors.append(0.0)
-            continue
-        acc = np.zeros_like(base.values)
-        corner_peak = 0.0
-        for s in corners:
-            vals = base.values if not s else next(solved)
-            corner_peak = max(corner_peak, float(np.max(np.abs(vals))))
-            acc = acc + (-1.0) ** (M - len(s)) * vals
-        denom = float(np.prod(amps))
-        quotient = Field(grid, acc / denom, DOMAIN_Q)
-        floors.append(np.finfo(float).eps * corner_peak * 2**M / denom)
-        eps_size.append(max(amps))
+        eps_size.append(max(amps) if amps else 0.0)
         gaps.append(norm(quotient - direct, "L2Q"))
 
     rate = _rate_report(eps_size, gaps) if len(levels) >= 2 else None
     gap = gaps[-1] if gaps else None
-    qmag = norm(quotient, "L2Q")
-    floor = floors[-1] if floors else 0.0
-    flagged = bool(qmag > 0 and floor > 0.1 * qmag)
-    if flagged:
-        notes.append(
-            f"rounding noise floor {floor:.3g} exceeds 10% of quotient magnitude {qmag:.3g}"
-        )
-    return MixedOrderResult(quotient, direct, gap, rate, floor, flagged, notes, len(batch))
-
+    return MixedOrderResult(quotient, direct, gap, rate, len(batch))

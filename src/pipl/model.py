@@ -225,12 +225,7 @@ class TaylorTable:
     """u-derivative fields of a nonlinearity along a base solution:
     coefficients[k][x,t] = d_u^k b(x, t, ubase(x, t)) for k = 0..order."""
 
-    base: Field
     coefficients: list          # list of Q Fields, index = derivative order
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> Field:
         return self.coefficients[k]
@@ -247,4 +242,4 @@ def taylor_table(nl: Nonlinearity, base: Field, order: int) -> TaylorTable:
         v = np.asarray(nl(x, t, base.values, *y, k=k), dtype=float)
         return Field(g, np.broadcast_to(v, (g.n_levels, *g.nx)).copy(), DOMAIN_Q)
 
-    return TaylorTable(base, [coefficient(k) for k in range(order + 1)])
+    return TaylorTable([coefficient(k) for k in range(order + 1)])

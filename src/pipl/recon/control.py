@@ -98,11 +98,9 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
 @dataclass
 class ControlResult:
     control: np.ndarray                # (n_levels, n_boundary) trace, zero past horizon
-    coefficients: np.ndarray
     terminal_norm: float
     uncontrolled_norm: float
     terminal_history: list
-    horizon_level: int
     converged: bool
     notes: list = dc_field(default_factory=list)
     continuation: dict = dc_field(default_factory=dict)
@@ -111,7 +109,6 @@ class ControlResult:
 def null_control(
     grid: SpaceTimeGrid,
     gamma,
-    q,
     g: Field,
     eps: float,
     portion=None,
@@ -119,17 +116,18 @@ def null_control(
     scheme: str = "be",
     tail: Nonlinearity | None = None,
 ) -> ControlResult:
-    """Steer the linear(ized) model u_t - div(gamma grad u) + q u = 0 from
-    initial data g to approximately zero at T - eps using boundary controls
-    supported on the portion: at most 400 CG steps on the normal equations
-    with control weight alpha = 1e-10, to a relative residual of 1e-12.  The
-    B_T tail, if given, adds the free continuation on [T - eps, T] under it.
-    eps and the tail pass horizon_level before any solve."""
+    """Steer the model u_t - div(gamma grad u) = 0, linear up to T - eps,
+    from initial data g to approximately zero at T - eps using boundary
+    controls supported on the portion: at most 400 CG steps on the normal
+    equations with control weight alpha = 1e-10, to a relative residual of
+    1e-12.  The B_T tail, if given, adds the free continuation on
+    [T - eps, T] under it.  eps and the tail pass horizon_level before any
+    solve."""
     resolved = portion if portion is not None else resolve_portion(grid, BoundaryPortion.full())
     K = horizon_level(grid, eps, tail)
     horizon = grid.T - eps
 
-    prop = Propagator(grid, gamma, q, scheme)
+    prop = Propagator(grid, gamma, scheme=scheme)
     w_space = grid.space_weights().reshape(-1)
     basis = control_basis(grid, resolved, n_time, horizon)
     n_b = len(basis)
@@ -190,7 +188,7 @@ def null_control(
     if not converged and terminal_norm > 0.01 * free_norm:
         notes.append("partial steering: terminal norm above target after max_iter")
     result = ControlResult(
-        trace, coeff, terminal_norm, free_norm, history, K, converged or terminal_norm <= 0.01 * free_norm, notes
+        trace, terminal_norm, free_norm, history, converged or terminal_norm <= 0.01 * free_norm, notes
     )
 
     if tail is not None:

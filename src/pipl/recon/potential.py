@@ -43,7 +43,6 @@ from ..dnmap import normal_derivative_matrix
 from ..forward import Propagator, potential_values
 from ..grid import (
     DOMAIN_Q,
-    DOMAIN_SIGMA,
     BoundaryPortion,
     Field,
     GridError,
@@ -90,11 +89,10 @@ class PotentialProbe:
     remainder_fwd: float
     warnings: tuple = ()
     volume_functional: complex | None = None   # truth-side diagnostic
-    order: int = 1
 
 
 def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial=False,
-                  aperture=0.0, order=1, volume=None):
+                  aperture=0.0, volume=None):
     """Probe sweep shared by potential and Taylor synthesis: a list of
     PotentialProbe, omega by omega (e_1 in 1D, e_1 and e_2 in 2D).
 
@@ -118,12 +116,11 @@ def _sweep_probes(grid, factory, q_sweep, coefficient, rho, n_xi, n_tau, partial
     for omega in [(1.0,)] if grid.dim == 1 else [(1.0, 0.0), (0.0, 1.0)]:
         params = [CGOParameters.make(rho, omega, xi=xi, tau=tau, aperture=aperture)
                   for xi, tau in frequency_lattice(grid, omega, n_xi, n_tau)]
-        probes += _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order,
-                               volume)
+        probes += _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, volume)
     return probes
 
 
-def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, volume):
+def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, volume):
     if not params:
         return []
     first = params[0]
@@ -163,8 +160,8 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, order, vo
             np.add(w_ref, d, out=w_truth[level])
     remainders = march.finish()
     probes = [
-        PotentialProbe(p, dn[..., j], portion, remainders[j], tuple(march.warnings), order=order,
-                       volume_functional=None if volume is None else volume(p, w_truth[..., j]))
+        PotentialProbe(p, dn[..., j], portion, remainders[j], tuple(march.warnings),
+                       None if volume is None else volume(p, w_truth[..., j]))
         for j, p in enumerate(params[:marched])
     ]
     for i in range(marched, n):
@@ -251,6 +248,11 @@ def assemble_samples(
     return FourierSampleSet(grid, list(_pairings(grid, probes, q_ref, scheme, mode == "partial")))
 
 
+def _sample_warnings(sset: FourierSampleSet) -> list:
+    """The distinct CGO warnings of the samples, in their first order."""
+    return list(dict.fromkeys(w for s in sset.samples for w in s.warnings))
+
+
 def recover_potential(
     grid: SpaceTimeGrid,
     probes,
@@ -260,10 +262,11 @@ def recover_potential(
     truth_difference: Field | None = None,
 ) -> ReconstructionResult:
     """Recover q_ref - q_truth from profile DN differences by CGO pairing and
-    regularized Fourier synthesis."""
+    regularized Fourier synthesis.  The notes carry the samples' distinct
+    CGO warnings and a note of a large remainder."""
     sset = assemble_samples(grid, probes, q_ref, scheme, mode)
     big_remainder = max((max(s.remainder_fwd, s.remainder_bwd) for s in sset.samples), default=0.0)
-    notes = []
+    notes = _sample_warnings(sset)
     if big_remainder > 0.5:
         notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
     defect = sset.conjugate_symmetry_defect()
@@ -314,25 +317,18 @@ def positive_solution(
 ):
     """Bounded positive solution of the linearized equation driven by
     nonnegative ramped boundary data on the full boundary (zero initial
-    data).  Returns (field, certificate); raises if the discrete maximum
-    principle fails.
-
-    ramp_time switches the (t/T)^2 ramp to a smoothstep that saturates at 1
-    for t >= ramp_time, keeping the solution bounded away from zero on most
-    of the cylinder (useful as a division weight).
+    data): probe_trace's trace of shape_fn, under its (t/T)^2 ramp, or
+    under a smoothstep that saturates at 1 for t >= ramp_time when
+    ramp_time is given, keeping the solution bounded away from zero on most
+    of the cylinder (useful as a division weight).  Returns (field,
+    certificate); raises if the discrete maximum principle fails.
     """
     from ..linearize import probe_trace
 
-    resolved = resolve_portion(grid, BoundaryPortion.full())
     if shape_fn is None:
         shape_fn = lambda *args: np.ones_like(np.asarray(args[0], dtype=float))
-    trace = probe_trace(grid, shape_fn)
-    if ramp_time is not None:
-        coords = resolved.coords()
-        args = [coords[:, i] for i in range(grid.dim)]
-        spatial = np.broadcast_to(np.asarray(shape_fn(*args), dtype=float), (resolved.n_nodes,))
-        rows = [spatial * _smoothstep(t / ramp_time) for t in grid.times()]
-        trace = Field(grid, np.array(rows), DOMAIN_SIGMA, resolved)
+    ramp = None if ramp_time is None else lambda t: _smoothstep(t / ramp_time)
+    trace = probe_trace(grid, shape_fn, ramp)
     if np.min(trace.values) < 0:
         raise GridError("boundary shape must be nonnegative")
     if np.max(trace.values) <= 0:
@@ -394,7 +390,7 @@ def synthesize_taylor_probes(
         pos_prod = pos_prod * v.values
     coefficient = -(delta1.values - delta2.values) * pos_prod
     factory = CGOFactory(grid, qbar, scheme)
-    return _sweep_probes(grid, factory, qbar, coefficient, rho, n_xi, n_tau, order=order)
+    return _sweep_probes(grid, factory, qbar, coefficient, rho, n_xi, n_tau)
 
 
 def recover_taylor(
@@ -414,7 +410,8 @@ def recover_taylor(
     at most 1e-6 max(P) are skipped outright (degenerate corner); the
     recovered field is additionally zeroed where P is at most 0.05 max(P):
     there the measurements carry no usable information and dividing only
-    amplifies synthesis error.
+    amplifies synthesis error.  The notes carry the samples' distinct CGO
+    warnings and the count of masked nodes.
     """
     qbar = _coefficient_field(grid, nl_ref, 1)
     sset = FourierSampleSet(grid)
@@ -444,7 +441,8 @@ def recover_taylor(
             "mask_threshold": threshold,
             "division_floor": floor,
         },
-        notes=[f"{masked} nodes masked below the positive-product threshold"] if masked else [],
+        notes=_sample_warnings(sset)
+        + ([f"{masked} nodes masked below the positive-product threshold"] if masked else []),
         samples=sset,
     )
     if truth_difference is not None:

@@ -24,6 +24,10 @@ from ..grid import (
 )
 from .control import control_basis
 
+# relative Tikhonov shift of the Gram matrix, and the inverse condition
+# number below which the fit notes a rank-deficient Gram matrix
+RCOND = 1e-10
+
 
 @dataclass
 class RegionMask:
@@ -51,15 +55,14 @@ def _region_l2(grid, w_space, w_time, values) -> float:
     return float(np.sqrt(np.dot(w_time, flat @ w_space)))
 
 
-def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None,
-                aperture: float = 0.0):
+def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None):
     """First n elements of the nested boundary-data family.  In partial mode
-    candidate data vanish on Gamma_{-,omega,eps}: the basis lives on the
-    complementary faces only."""
+    candidate data vanish on Gamma_{-,omega}: the basis lives on the faces
+    outside it only."""
     if mode == "partial":
         if omega is None:
             raise GridError("partial mode needs omega")
-        portion = complement_portion(grid, BoundaryPortion.directional(omega, aperture, -1))
+        portion = complement_portion(grid, BoundaryPortion.directional(omega, sign=-1))
     else:
         portion = resolve_portion(grid, BoundaryPortion.full())
     n_nodes = len(set(portion.flat.tolist()))
@@ -75,7 +78,6 @@ class RungeFit:
     coefficients: np.ndarray
     gap: float
     target_norm: float
-    basis_size: int
     notes: list = dc_field(default_factory=list)
 
 
@@ -86,18 +88,16 @@ def runge_fit(
     n_basis: int = 8,
     mode: str = "full",
     omega=None,
-    aperture: float = 0.0,
     region: RegionMask | None = None,
-    rcond: float = 1e-10,
-    basis=None,
 ) -> RungeFit:
     """Least-squares fit of sum c_i V_{f_i} to the target in L2 of the region,
     where V_{f_i} solves the linear model that prop steps (its q, gamma and
-    scheme) with boundary data f_i and zero initial data."""
+    scheme) with boundary data f_i, the first n_basis elements of
+    runge_basis(grid, n_basis, mode, omega), and zero initial data.  The Gram
+    matrix is shifted by RCOND times its mean diagonal."""
     if target.domain != DOMAIN_Q:
         raise GridError("target must live on Q")
-    family = basis if basis is not None else runge_basis(grid, n_basis, mode, omega, aperture)
-    family = family[:n_basis]
+    family = runge_basis(grid, n_basis, mode, omega)
     w_space = _region_weights(grid, region)
     w_time = grid.time_weights()
 
@@ -119,10 +119,10 @@ def runge_fit(
 
     notes = []
     cond = np.linalg.cond(A) if n else 0.0
-    if not np.isfinite(cond) or cond > 1.0 / rcond:
+    if not np.isfinite(cond) or cond > 1.0 / RCOND:
         notes.append(f"rank-deficient Gram matrix (cond {cond:.3g}); regularized solve")
-    coeff, *_ = np.linalg.lstsq(A + rcond * np.trace(A) / max(n, 1) * np.eye(n), b, rcond=None)
+    coeff, *_ = np.linalg.lstsq(A + RCOND * np.trace(A) / max(n, 1) * np.eye(n), b, rcond=None)
 
     approx = np.tensordot(coeff, fields, axes=(0, 0))
     gap = _region_l2(grid, w_space, w_time, approx - tgt.real)
-    return RungeFit(coeff, gap, _region_l2(grid, w_space, w_time, tgt.real), n, notes)
+    return RungeFit(coeff, gap, _region_l2(grid, w_space, w_time, tgt.real), notes)

@@ -300,7 +300,7 @@ def test_criterion_13_null_control():
     g = SpaceTimeGrid.make([0.0], [1.0], [65], 96, 1.0)
     g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     portion = resolve_portion(g, LEFT)
-    res = null_control(g, None, None, g0, eps=0.25, portion=portion, n_time=12,
+    res = null_control(g, None, g0, eps=0.25, portion=portion, n_time=12,
                        tail=Nonlinearity.parse("u^3"))
     factor = res.uncontrolled_norm / res.terminal_norm
     tail_ok = res.continuation["sup_norm_over_tail"] <= 10 * res.terminal_norm

@@ -191,6 +191,17 @@ rhos = 8 16 32 64
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("kind", ["recover-q", "recover-b"])
+def test_recovery_reports_cgo_warnings(kind, tmp_path):
+    # rho^(3/4) dt = 32^(3/4) / 16 = 0.841 > 0.5: every probe warns once
+    text = _edit(kind, "nx = 129\nnt = 128", "nx = 33\nnt = 16")
+    cfg = write_config(tmp_path, f"{kind}.ini", text)
+    run(kind, cfg, tmp_path / "out")
+    notes = json.loads((tmp_path / "out" / "report.json").read_text())["notes"]
+    assert notes[0] == "boundary layer under-resolved: rho^(3/4)*dt = 0.841 > 0.5"
+    assert sum("under-resolved" in n for n in notes) == 1
+
+
 def test_maxprin_and_nonunique(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -426,6 +437,11 @@ def _edit(kind, old, new):
         ("forward", "scheme = cn", "scheme = bee", "experiment", "scheme"),
         ("forward", "kind = forward", "kind = dnmap", "experiment", "kind"),
         ("forward", "dim = 1", "dim = 2", "grid", "lower"),
+        # the grid's own checks, located
+        ("forward", "nt = 32", "nt = 1", "grid", "nt"),
+        ("forward", "nx = 33", "nx = 2", "grid", "nx"),
+        ("forward", "T = 0.5", "t = 0", "grid", "t"),
+        ("forward", "upper = 1", "upper = 0", "grid", "upper"),
         ("dnmap", "portion = left", "portion = lft", "dnmap", "portion"),
         ("linearize", "max_order = 3", "max_order = 4", "linearize", "max_order"),
         # carleman weights need 0 < K < min(1, 1/(2L)) - t0
@@ -532,7 +548,7 @@ def _control(eps, tail="u^3"):
     def call():
         g = _grid1d(65, 96, 1.0)  # the shipped control grid
         g0 = field_from_function(g, lambda x: np.sin(np.pi * x), "Omega")
-        control.null_control(g, None, None, g0, eps, tail=Nonlinearity.parse(tail))
+        control.null_control(g, None, g0, eps, tail=Nonlinearity.parse(tail))
 
     return call
 

@@ -183,6 +183,15 @@ def test_semilinear_cubic_self_convergence():
     assert rel < 0.01
 
 
+@pytest.mark.parametrize("term", ["u + x", "u^3"])
+def test_semilinear_unknown_scheme_raises_solver_error(term):
+    # the affine term takes the linear sweep, the cubic one Newton: both
+    # reject the scheme before either runs
+    g = grid1d(nx=9, nt=4)
+    with pytest.raises(forward.SolverError, match="unknown scheme 'bee'"):
+        solve_semilinear(g, None, Nonlinearity.parse(term), scheme="bee")
+
+
 def test_newton_residual_history_per_level():
     g = grid1d(nx=33, nt=32, T=0.1)
     nl = Nonlinearity.parse("u^3 + 0.5*u^2")
@@ -562,10 +571,6 @@ def test_batched_run_matches_columns(
     # moved by 1 at the last level (where A's diagonal is >= 1) shows up in full
     norm_A = _norm_inf([prop.system(k)[0] for k in range(grid.nt)])
     assert np.all(prop.residual(u, f, source) <= 1e-13 * norm_A * max(1.0, np.max(np.abs(u))))
-    # the sweep's own residual is the same, bitwise
-    swept = np.empty(m)
-    assert _same(prop.run(g0=g0, f=f, source=source, residual=swept), u)
-    assert _same(swept, prop.residual(u, f, source))
     u[-1, np.flatnonzero(prop.interior_mask)[0]] += 1.0
     assert np.all(prop.residual(u, f, source) >= 1.0 - 1e-9)
 

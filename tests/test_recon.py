@@ -610,7 +610,7 @@ def test_stability_curve_shapes():
 def test_null_control_zero_initial():
     g = grid1d(33, 48, T=1.0)
     z = Field(g, np.zeros(g.nx), "Omega")
-    res = null_control(g, None, None, z, eps=0.25, n_time=6)
+    res = null_control(g, None, z, eps=0.25, n_time=6)
     assert res.terminal_norm <= 1e-14
     assert float(np.max(np.abs(res.control))) <= 1e-9
 
@@ -619,7 +619,7 @@ def test_null_control_reduction_and_monotonicity():
     g = grid1d(65, 96, T=1.0)
     g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     portion = resolve_portion(g, BoundaryPortion.named("left"))
-    res = null_control(g, None, None, g0, eps=0.25, portion=portion, n_time=12)
+    res = null_control(g, None, g0, eps=0.25, portion=portion, n_time=12)
     assert res.uncontrolled_norm / res.terminal_norm >= 100
     hist = res.terminal_history
     assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
@@ -629,7 +629,7 @@ def test_null_control_bt_continuation():
     g = grid1d(65, 96, T=1.0)
     g0 = field_from_function(g, lambda x: np.sin(math.pi * x), "Omega")
     res = null_control(
-        g, None, None, g0, eps=0.25,
+        g, None, g0, eps=0.25,
         portion=resolve_portion(g, BoundaryPortion.named("left")), n_time=12,
         tail=Nonlinearity.parse("u^3"),
     )
