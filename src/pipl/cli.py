@@ -5,16 +5,17 @@ as quoted strings.  ``SCHEMA`` names, for every experiment kind, the
 sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
-does not read, a [grid] that SpaceTimeGrid rejects, a malformed or
+does not read, a [grid] that SpaceTimeGrid would reject, a malformed or
 non-finite number, a negative noise level or stability delta, a value
-outside its choices, a non-integer ``PIPL_SEED``, a Carleman k outside (0,
-min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a diffusion key the run would
-not read (gamma beside g11; g12 or g22 without g11 or on a 1D grid), a
-gamma whose sampled eigenvalues leave [rho0, 1/rho0], a nonlinearity that
-fails its class check (``Nonlinearity.validate``), a control eps or tail
-that fails ``recon.horizon_level``, and a forward ``oracle`` or dnmap
-``oracle_dn`` on a 2D grid (its convergence sweep refines 1D grids) raise
-ConfigError, which names the section, the key and the line.
+outside its choices, a non-integer ``PIPL_SEED``, a Carleman k outside
+(0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a
+diffusion key the run would not read (gamma beside g11; g12 or g22 without
+g11 or on a 1D grid), a gamma whose sampled eigenvalues leave [rho0,
+1/rho0], a nonlinearity that fails its class check
+(``Nonlinearity.validate``), a control eps or tail that fails
+``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn`` on
+a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
+which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
