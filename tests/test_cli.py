@@ -193,7 +193,7 @@ rhos = 8 16 32 64
 
 @pytest.mark.parametrize("kind", ["recover-q", "recover-b"])
 def test_recovery_reports_cgo_warnings(kind, tmp_path):
-    # rho^(3/4) dt = 32^(3/4) / 16 = 0.841 > 0.5: every probe warns once
+    # rho^(3/4) dt = 32^(3/4) / 16 = 0.841 > 0.5: every probe warns, the notes once
     text = _edit(kind, "nx = 129\nnt = 128", "nx = 33\nnt = 16")
     cfg = write_config(tmp_path, f"{kind}.ini", text)
     run(kind, cfg, tmp_path / "out")
