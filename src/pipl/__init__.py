@@ -7,8 +7,8 @@ data, potentials, and nonlinearity Taylor coefficients from them.
 
 __version__ = "0.1.0"
 
-from .grid import BoundaryPortion, Field, SpaceTimeGrid, classify_boundary, norm
-from .model import DiffusionTensor, Nonlinearity, TaylorTable
+from .grid import BoundaryPortion, Field, SpaceTimeGrid, norm
+from .model import DiffusionTensor, Nonlinearity
 
 __all__ = [
     "BoundaryPortion",
@@ -16,8 +16,6 @@ __all__ = [
     "Field",
     "Nonlinearity",
     "SpaceTimeGrid",
-    "TaylorTable",
-    "classify_boundary",
     "norm",
     "__version__",
 ]

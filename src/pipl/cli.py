@@ -6,13 +6,15 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a [grid] that SpaceTimeGrid would reject, a malformed or
-non-finite number, a negative noise level or stability delta, a value
-outside its choices, a non-integer ``PIPL_SEED``, a Carleman k outside
-(0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a
-diffusion key the run would not read (gamma beside g11; g12 or g22 without
-g11 or on a 1D grid), a gamma whose sampled eigenvalues leave [rho0,
-1/rho0], a nonlinearity that fails its class check
-(``Nonlinearity.validate``), a control eps or tail that fails
+non-finite number, a negative noise level or stability delta, a sweep
+whose gate reads a trend (a convergence list, [cgo] rhos, [stability]
+deltas, [runge] sizes) of fewer than two distinct values, a convergence
+size below 3 nodes, a value outside its choices, a non-integer
+``PIPL_SEED``, a Carleman k outside (0, min(1, 1/(2l)) - t0), a rho0
+outside (0, 1), a diffusion key the run would not read (gamma beside
+g11; g12 or g22 without g11 or on a 1D grid), a gamma whose sampled
+eigenvalues leave [rho0, 1/rho0], a nonlinearity that fails its class
+check (``Nonlinearity.validate``), a control eps or tail that fails
 ``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn`` on
 a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
 which names the section, the key and the line.
@@ -134,7 +136,8 @@ def _list(parse):
     return parse_list
 
 
-_floats, _nonnegatives, _ints = _list(_float), _list(_nonnegative), _list(int)
+_floats, _nonnegatives = _list(_float), _list(_nonnegative)
+_nodes = _list(_number(int, 3, "a node count of at least 3"))  # nodes per grid axis
 
 
 def _expr(text: str) -> str:
@@ -175,12 +178,16 @@ def _portion(text: str) -> BoundaryPortion:
 
 _LEFT = BoundaryPortion.named("left")
 _SIZES = (33, 65, 129, 257)  # nx of the refined grids of a convergence sweep
+# the sweeps whose gates read a trend: a step ratio or an observed order
+# compares at least two distinct values
+_SWEEPS = (("forward", "convergence"), ("dnmap", "convergence"), ("cgo", "rhos"),
+           ("stability", "deltas"), ("runge", "sizes"))
 
 _GRID = {
     "dim": (_choice(1, 2, parse=int), 1),
     "lower": (_floats, lambda g: (0.0,) * g["dim"]),
     "upper": (_floats, lambda g: (1.0,) * g["dim"]),
-    "nx": (_ints, lambda g: (65,) if g["dim"] == 1 else (17,) * g["dim"]),
+    "nx": (_nodes, lambda g: (65,) if g["dim"] == 1 else (17,) * g["dim"]),
     "nt": (int, 64),
     "t": (_float, 1.0),
 }
@@ -218,7 +225,7 @@ SCHEMA = dict((
     _kind("forward", "forward", {
         "initial": (_optional_expr, "sin(pi*x)"),  # empty: zero initial data
         "oracle": (_optional_expr, None),
-        "convergence": (_ints, _SIZES),
+        "convergence": (_nodes, _SIZES),
     }, _MODEL, scheme="cn"),
     _kind("dnmap", "dnmap", {
         "initial": (_expr, "sin(pi*x)"),
@@ -226,7 +233,7 @@ SCHEMA = dict((
         "noise": (_nonnegative, 0.0),
         "noise_model": (_choice("gaussian-relative", "gaussian-absolute"), "gaussian-relative"),
         "oracle_dn": (_optional_expr, None),  # in t, at the first portion node
-        "convergence": (_ints, _SIZES),
+        "convergence": (_nodes, _SIZES),
     }, _MODEL, scheme="cn"),
     _kind("cgo-verify", "cgo", {
         "q": (_expr, "exp(-40*(x-0.5)^2)"),
@@ -394,13 +401,15 @@ def load_config(path, kind: str) -> Config:
     for key, bad, message in (  # SpaceTimeGrid's checks, located
         *((key, len(g[key]) != g["dim"], f"needs {g['dim']} entries for dim {g['dim']}")
           for key in ("lower", "upper", "nx")),
-        ("nx", min(g["nx"]) < 3, "needs at least 3 nodes per axis"),
         ("nt", g["nt"] < 2, "needs at least 2 time steps"),
         ("t", g["t"] <= 0, "the horizon T must be positive"),
         ("upper", any(u <= l for l, u in zip(g["lower"], g["upper"])), "must exceed lower"),
     ):
         if bad:
             raise fault(message, "grid", key)
+    for section, key in _SWEEPS:
+        if section in values and len(set(values[section][key])) < 2:
+            raise fault("a trend needs at least two distinct values", section, key)
     env = os.environ.get("PIPL_SEED")
     if env is not None:
         try:

@@ -44,7 +44,7 @@ from .grid import (
     norm,
     zero_field,
 )
-from .model import CLASS_ANALYTIC, DiffusionTensor, ModelError, Nonlinearity, taylor_table
+from .model import CLASS_ANALYTIC, DiffusionTensor, ModelError, Nonlinearity
 
 SCHEMES = {"be": 1.0, "cn": 0.5}
 
@@ -655,8 +655,9 @@ def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10,
     boundary trace column of f_vals (n_levels, n_boundary, m), or one with
     u|Sigma = 0 for f_vals None.  A term affine in u (Nonlinearity.is_affine)
     is one m-column linear sweep with the potential d_u nl(x,t,0) and the
-    source -nl(x,t,0); any other is one batched _newton.  An unknown scheme
-    raises SolverError."""
+    source -nl(x,t,0), its Taylor coefficients of orders 1 and 0 along u = 0
+    (Nonlinearity.along); any other is one batched _newton.  An unknown
+    scheme raises SolverError."""
     if scheme not in SCHEMES:
         raise SolverError(f"unknown scheme {scheme!r}")
     if max_iter < 1:
@@ -664,7 +665,7 @@ def semilinear_columns(grid, gamma, nl, f_vals, g=None, scheme="be", tol=1e-10,
     check_compatibility(grid, g, f_vals)
     if not nl.is_affine():
         return _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter)
-    a0, q = taylor_table(nl, zero_field(grid), 1).coefficients
+    a0, q = (nl.along(zero_field(grid), k) for k in (0, 1))
     src = -a0.values if np.any(a0.values != 0.0) else None
     vals = Propagator(grid, gamma, q, scheme).run(
         g0=None if g is None else g.values.reshape(-1), f=f_vals, source=src

@@ -146,9 +146,6 @@ class SpaceTimeGrid:
         ranges[axis] = [self.nx[axis] - 1 if side else 0]
         return list(itertools.product(*ranges))
 
-    def flat_index(self, mi) -> int:
-        return int(np.ravel_multi_index(tuple(mi), self.nx))
-
     def node_coords(self, mi) -> tuple:
         return tuple(self.lower[i] + mi[i] * self.h[i] for i in range(self.dim))
 
@@ -278,11 +275,6 @@ def complement_portion(grid: SpaceTimeGrid, portion: BoundaryPortion) -> Resolve
     if not rest:
         raise GridError("no faces left for candidate data")
     return resolve_portion(grid, BoundaryPortion.named(*rest))
-
-
-def classify_boundary(grid: SpaceTimeGrid, portion: BoundaryPortion) -> set:
-    """Flat spatial indices of the boundary nodes selected by the portion."""
-    return set(resolve_portion(grid, portion).flat.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .grid import (
     resolve_portion,
     zero_field,
 )
-from .model import Nonlinearity, taylor_table
+from .model import Nonlinearity
 
 EXACT_GAP = 1e-9          # below this the model is linear in the probe to solver accuracy
 
@@ -42,7 +42,9 @@ class LinearizationSetup:
     Corner sums divide by products of the amplitudes, so the nonlinear
     solves run at a tighter tolerance than the solver default.
     newton_calls and newton_iterations count the batched Newton solves and
-    their per-column iterations.
+    their per-column iterations.  coefficient(k) forms the Taylor
+    coefficient field of order k along the base solution once, on first
+    use (Nonlinearity.along).
     """
 
     grid: SpaceTimeGrid
@@ -54,7 +56,7 @@ class LinearizationSetup:
 
     def __post_init__(self):
         self._base = None
-        self._tables = {}
+        self._coefficients = {}
         self.newton_calls = 0
         self.newton_iterations = 0
 
@@ -66,11 +68,9 @@ class LinearizationSetup:
 
     def coefficient(self, k: int) -> Field:
         """d_u^k nl along the base solution."""
-        if k not in self._tables:
-            table = taylor_table(self.nl, self.base_solution(), k)
-            for j in range(k + 1):
-                self._tables[j] = table.coefficient(j)
-        return self._tables[k]
+        if k not in self._coefficients:
+            self._coefficients[k] = self.nl.along(self.base_solution(), k)
+        return self._coefficients[k]
 
     @cached_property
     def propagator(self) -> Propagator:

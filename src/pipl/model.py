@@ -167,6 +167,16 @@ class Nonlinearity:
             raise ModelError("derivative order must be >= 0")
         return self.expr(x=x, y=y, t=t, u=u, var="u", order=k)
 
+    def along(self, base: Field, k: int) -> Field:
+        """The Taylor coefficient field d_u^k a(x, t, base(x, t)) over Q,
+        along a Q base field."""
+        if base.domain != DOMAIN_Q:
+            raise ModelError("a Taylor coefficient needs a Q base field")
+        g = base.grid
+        x, *y = g.meshes()
+        v = np.asarray(self(x, g.level_times(), base.values, *y, k=k), dtype=float)
+        return Field(g, np.broadcast_to(v, (g.n_levels, *g.nx)).copy(), DOMAIN_Q)
+
 
 # ---------------------------------------------------------------------------
 # Growth condition check (sampled heuristic; FALSE verdicts carry a witness)
@@ -215,31 +225,3 @@ def check_growth(nl: Nonlinearity, grid: SpaceTimeGrid, y_max: float = 1e6) -> G
     )
     return GrowthReport(ok, y_grid, curve, note)
 
-
-# ---------------------------------------------------------------------------
-# Taylor tables
-
-
-@dataclass
-class TaylorTable:
-    """u-derivative fields of a nonlinearity along a base solution:
-    coefficients[k][x,t] = d_u^k b(x, t, ubase(x, t)) for k = 0..order."""
-
-    coefficients: list          # list of Q Fields, index = derivative order
-
-    def coefficient(self, k: int) -> Field:
-        return self.coefficients[k]
-
-
-def taylor_table(nl: Nonlinearity, base: Field, order: int) -> TaylorTable:
-    if base.domain != DOMAIN_Q:
-        raise ModelError("taylor_table expects a Q base field")
-    g = base.grid
-    x, *y = g.meshes()
-    t = g.level_times()
-
-    def coefficient(k):
-        v = np.asarray(nl(x, t, base.values, *y, k=k), dtype=float)
-        return Field(g, np.broadcast_to(v, (g.n_levels, *g.nx)).copy(), DOMAIN_Q)
-
-    return TaylorTable([coefficient(k) for k in range(order + 1)])

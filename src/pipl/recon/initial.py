@@ -26,7 +26,7 @@ from ..grid import (
     SpaceTimeGrid,
     norm,
 )
-from ..model import Nonlinearity, taylor_table
+from ..model import Nonlinearity
 from .potential import ReconstructionResult
 
 # Most values one dense build may hold: its sweep's n_levels x n_space x n_interior.
@@ -75,7 +75,7 @@ class _Linearization:
         rep = solve_semilinear(grid, gamma, nl, g=g, scheme=scheme)
         self.converged = rep.converged
         self.base_trace = measure(rep.solution, portion).values
-        q = taylor_table(nl, rep.solution, 1).coefficient(1)
+        q = nl.along(rep.solution, 1)
         lin_map = InitialDataMap(grid, gamma, q, portion, scheme)
         self.interior = lin_map.prop.interior_mask
         self.sqrt_w = np.sqrt(np.outer(lin_map.w_time, lin_map.w_portion)).reshape(-1)

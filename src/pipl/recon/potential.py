@@ -15,7 +15,10 @@ once per (rho, omega, aperture), gives the boundary functional
 
 without ever materializing an exponential carrier.  The functional
 approximates a phi_rho-weighted Fourier sample of c, which the
-FourierSampleSet synthesis inverts.
+FourierSampleSet synthesis inverts.  Taylor recovery is potential recovery
+followed by a division: its samples, paired against the shared base
+potential qbar = d_u b(., 0), flip sign, pass through the same synthesis
+and notes, and the synthesized delta P is divided by P.
 
 With a real operator, potential and sweep coefficient (checked), the probe
 at (-xi, -tau) is the complex conjugate of the probe at (xi, tau): per omega
@@ -33,6 +36,7 @@ are held, with each probe's DN trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -54,7 +58,7 @@ from ..grid import (
     resolve_portion,
     zero_field,
 )
-from ..model import Nonlinearity, taylor_table
+from ..model import Nonlinearity
 from .fourier import FourierSample, FourierSampleSet, frequency_lattice
 
 # Tikhonov weight of the Fourier synthesis in potential and Taylor recovery.
@@ -248,9 +252,23 @@ def assemble_samples(
     return FourierSampleSet(grid, list(_pairings(grid, probes, q_ref, scheme, mode == "partial")))
 
 
-def _sample_warnings(sset: FourierSampleSet) -> list:
-    """The distinct CGO warnings of the samples, in their first order."""
-    return list(dict.fromkeys(w for s in sset.samples for w in s.warnings))
+def _synthesis(sset: FourierSampleSet) -> ReconstructionResult:
+    """The tail of potential and Taylor recovery: the Fourier synthesis of
+    the samples, with the samples' distinct CGO warnings (in their first
+    order) and a note of a large remainder."""
+    notes = list(dict.fromkeys(w for s in sset.samples for w in s.warnings))
+    big_remainder = max((max(s.remainder_fwd, s.remainder_bwd) for s in sset.samples), default=0.0)
+    if big_remainder > 0.5:
+        notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
+    defect = sset.conjugate_symmetry_defect()
+    return ReconstructionResult(
+        sset.synthesize(alpha=SYNTHESIS_ALPHA),
+        residuals={"conjugate_symmetry_defect": defect},
+        regularization={"method": "tikhonov-fourier-synthesis", "alpha": SYNTHESIS_ALPHA,
+                        "modes": len(sset.modes())},
+        notes=notes,
+        samples=sset,
+    )
 
 
 def recover_potential(
@@ -264,21 +282,7 @@ def recover_potential(
     """Recover q_ref - q_truth from profile DN differences by CGO pairing and
     regularized Fourier synthesis.  The notes carry the samples' distinct
     CGO warnings and a note of a large remainder."""
-    sset = assemble_samples(grid, probes, q_ref, scheme, mode)
-    big_remainder = max((max(s.remainder_fwd, s.remainder_bwd) for s in sset.samples), default=0.0)
-    notes = _sample_warnings(sset)
-    if big_remainder > 0.5:
-        notes.append(f"large CGO remainder diagnostics (max {big_remainder:.3g})")
-    defect = sset.conjugate_symmetry_defect()
-    recovered = sset.synthesize(alpha=SYNTHESIS_ALPHA)
-    result = ReconstructionResult(
-        recovered,
-        residuals={"conjugate_symmetry_defect": defect},
-        regularization={"method": "tikhonov-fourier-synthesis", "alpha": SYNTHESIS_ALPHA,
-                        "modes": len(sset.modes())},
-        notes=notes,
-        samples=sset,
-    )
+    result = _synthesis(assemble_samples(grid, probes, q_ref, scheme, mode))
     if truth_difference is not None:
         result.compare_truth(truth_difference)
     return result
@@ -346,14 +350,14 @@ def positive_solution(
 # Taylor-coefficient recovery (orders k >= 2; k = 1 is potential recovery)
 
 
-def _check_shared_base_potential(grid, nl1, nl2):
-    if np.max(np.abs(_coefficient_field(grid, nl1, 1).values
-                     - _coefficient_field(grid, nl2, 1).values)) > 1e-10:
-        raise GridError("first-order coefficients differ at the base; recover order 1 first")
-
-
-def _coefficient_field(grid, nl, order) -> Field:
-    return taylor_table(nl, zero_field(grid), order).coefficient(order)
+def _positive_product(order, positive_fields) -> np.ndarray:
+    """P, the product of the order - 1 positive auxiliary solutions of a
+    Taylor probe of order at least 2."""
+    if order < 2:
+        raise GridError("orders below 2 reduce to potential recovery")
+    if len(positive_fields) != order - 1:
+        raise GridError("need order-1 positive auxiliary solutions")
+    return math.prod(v.values for v in positive_fields)
 
 
 def synthesize_taylor_probes(
@@ -376,21 +380,16 @@ def synthesize_taylor_probes(
 
     with zero data.  The measured object is d_nu(W_truth - W_ref); by
     linearity it is one sweep with coefficient -(delta_truth - delta_ref) P.
+    Both models must share qbar = d_u b(., 0), which is checked.
     """
-    if order < 2:
-        raise GridError("orders below 2 reduce to potential recovery")
-    if len(positive_fields) != order - 1:
-        raise GridError("need order-1 positive auxiliary solutions")
-    _check_shared_base_potential(grid, nl_truth, nl_ref)
-    qbar = _coefficient_field(grid, nl_truth, 1)
-    delta1 = _coefficient_field(grid, nl_truth, order)
-    delta2 = _coefficient_field(grid, nl_ref, order)
-    pos_prod = np.ones_like(qbar.values)
-    for v in positive_fields:
-        pos_prod = pos_prod * v.values
-    coefficient = -(delta1.values - delta2.values) * pos_prod
+    pos_prod = _positive_product(order, positive_fields)
+    base = zero_field(grid)
+    qbar = nl_truth.along(base, 1)
+    if np.max(np.abs(qbar.values - nl_ref.along(base, 1).values)) > 1e-10:
+        raise GridError("first-order coefficients differ at the base; recover order 1 first")
+    delta = nl_truth.along(base, order).values - nl_ref.along(base, order).values
     factory = CGOFactory(grid, qbar, scheme)
-    return _sweep_probes(grid, factory, qbar, coefficient, rho, n_xi, n_tau)
+    return _sweep_probes(grid, factory, qbar, -delta * pos_prod, rho, n_xi, n_tau)
 
 
 def recover_taylor(
@@ -402,7 +401,9 @@ def recover_taylor(
     scheme: str = "be",
     truth_difference: Field | None = None,
 ) -> ReconstructionResult:
-    """Recover delta_k = d_u^k b_truth(.,0) - d_u^k b_ref(.,0) for k >= 2.
+    """Recover delta_k = d_u^k b_truth(.,0) - d_u^k b_ref(.,0) for k >= 2:
+    potential recovery of the probes against qbar = d_u b_ref(., 0), whose
+    samples flip sign, followed by a division.
 
     The boundary functional equals integral delta_k * P over Q against the
     CGO pair kernel, with P the positive-solution product; synthesis returns
@@ -411,40 +412,33 @@ def recover_taylor(
     recovered field is additionally zeroed where P is at most 0.05 max(P):
     there the measurements carry no usable information and dividing only
     amplifies synthesis error.  The notes carry the samples' distinct CGO
-    warnings and the count of masked nodes.
+    warnings, a note of a large remainder and the count of masked nodes.
     """
-    qbar = _coefficient_field(grid, nl_ref, 1)
-    sset = FourierSampleSet(grid)
-    for sample in _pairings(grid, probes, qbar, scheme):
-        # sign: the sweep coefficient is -delta * P, so the sample flips once more
+    pos_prod = _positive_product(order, positive_fields)
+    sset = assemble_samples(grid, probes, nl_ref.along(zero_field(grid), 1), scheme)
+    for sample in sset.samples:
+        # the sweep coefficient is -delta * P, so the sample flips once more
         sample.value = -sample.value
-        sset.add(sample)
-    product = sset.synthesize(alpha=SYNTHESIS_ALPHA)
-    pos_prod = np.ones_like(product.values)
-    for v in positive_fields:
-        pos_prod = pos_prod * v.values
+    result = _synthesis(sset)
+    product = result.recovered.values
     peak = float(np.max(pos_prod))
     threshold = 1e-6 * peak
     mask = pos_prod > threshold
-    recovered_vals = np.zeros_like(product.values)
-    recovered_vals[mask] = product.values[mask] / pos_prod[mask]
+    recovered_vals = np.zeros_like(product)
+    recovered_vals[mask] = product[mask] / pos_prod[mask]
     floor = 0.05 * peak
     recovered_vals[pos_prod <= floor] = 0.0
     masked = int(np.sum(~mask))
-    result = ReconstructionResult(
-        Field(grid, recovered_vals, DOMAIN_Q),
-        residuals={"conjugate_symmetry_defect": sset.conjugate_symmetry_defect()},
-        regularization={
-            "method": "tikhonov-fourier-synthesis + positive-product division",
-            "alpha": SYNTHESIS_ALPHA,
-            "masked_nodes": masked,
-            "mask_threshold": threshold,
-            "division_floor": floor,
-        },
-        notes=_sample_warnings(sset)
-        + ([f"{masked} nodes masked below the positive-product threshold"] if masked else []),
-        samples=sset,
-    )
+    result.recovered = Field(grid, recovered_vals, DOMAIN_Q)
+    result.regularization = {
+        "method": "tikhonov-fourier-synthesis + positive-product division",
+        "alpha": SYNTHESIS_ALPHA,
+        "masked_nodes": masked,
+        "mask_threshold": threshold,
+        "division_floor": floor,
+    }
+    if masked:
+        result.notes.append(f"{masked} nodes masked below the positive-product threshold")
     if truth_difference is not None:
         result.compare_truth(truth_difference)
     return result

@@ -489,6 +489,17 @@ def _edit(kind, old, new):
         ("control", "eps = 0.25", "eps = 0.010416666666666666", "control", "eps"),
         ("control", 'tail_nonlinearity = "u^3"', 'tail_nonlinearity = "u^3 + 0.5"', "control",
          "tail_nonlinearity"),
+        # a sweep whose gate reads a trend needs two distinct values, and a
+        # convergence grid at least 3 nodes
+        ("runge", "sizes = 4 8 16 32", "sizes = 8", "runge", "sizes"),
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = 16 16", "cgo", "rhos"),
+        ("stability", "deltas = 1e-1 1e-2 1e-3 1e-4", "deltas = 1e-2", "stability", "deltas"),
+        ("forward", "convergence = 33 65 129 257", "convergence = 33", "forward", "convergence"),
+        ("forward", "convergence = 33 65 129 257", "convergence = 33 33", "forward",
+         "convergence"),
+        ("forward", "convergence = 33 65 129 257", "convergence = 2 33", "forward",
+         "convergence"),
+        ("dnmap", "convergence = 33 65 129 257", "convergence = 65", "dnmap", "convergence"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
@@ -651,6 +662,21 @@ def test_linearize_counts_solved_corners(tmp_path):
     assert corner_solves(LINEARIZE_CFG + "eps1 = 0 1e-2\n", "skip") == 1 + 2 * 3
 
 
+def test_each_taylor_coefficient_is_formed_once(tmp_path, monkeypatch):
+    # linearize reads d_u^k b along its base for k = 1, 2, 3; recover-b reads
+    # d_u b(., 0) of both models (they must agree; the reference's pairs the
+    # samples) and d_u^3 b(., 0) of both
+    orders = []
+    along = Nonlinearity.along
+    monkeypatch.setattr(Nonlinearity, "along",
+                        lambda nl, base, k: orders.append(k) or along(nl, base, k))
+    assert run("linearize", CONFIGS / "linearize.ini", tmp_path / "linearize") == EXIT_OK
+    assert sorted(orders) == [1, 2, 3]
+    orders.clear()
+    assert run("recover-b", CONFIGS / "recover-b.ini", tmp_path / "recover-b") == EXIT_OK
+    assert sorted(orders) == [1, 1, 1, 3, 3]
+
+
 RECOVER_G_CFG = """
 [grid]
 nx = 17
@@ -721,7 +747,7 @@ class = admissible-analytic
     [
         ("dnmap", '[dnmap]\ninitial = "8*sin(pi*x)"\n'),
         ("recover-g", '[recover_g]\ntruth = "8*sin(pi*x)"\n'),
-        ("stability", '[stability]\ntruth = "8*sin(pi*x)"\ndeltas = 1e-2\ntrials = 1\n'),
+        ("stability", '[stability]\ntruth = "8*sin(pi*x)"\ndeltas = 1e-1 1e-2\ntrials = 1\n'),
     ],
 )
 def test_unconverged_passive_map_exits_3(kind, section, tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from pipl.grid import (
     Field,
     GridError,
     SpaceTimeGrid,
-    classify_boundary,
     field_from_function,
     load_field_csv,
     norm,
@@ -51,16 +50,16 @@ def test_grid_validation():
 
 def test_classify_1d_directional():
     g = grid1d()
-    right = classify_boundary(g, BoundaryPortion.directional([1.0], 0.0, +1))
+    right = set(resolve_portion(g, BoundaryPortion.directional([1.0], 0.0, +1)).flat.tolist())
     assert right == {g.nx[0] - 1}
-    left = classify_boundary(g, BoundaryPortion.directional([1.0], 0.0, -1))
+    left = set(resolve_portion(g, BoundaryPortion.directional([1.0], 0.0, -1)).flat.tolist())
     assert left == {0}
 
 
 def test_classify_2d_aperture_selects_right_face_only():
     g = grid2d()
-    got = classify_boundary(g, BoundaryPortion.directional([1.0, 0.0], 0.5, +1))
-    expected = {g.flat_index(mi) for mi in g.face_multi_indices((0, 1))}
+    got = set(resolve_portion(g, BoundaryPortion.directional([1.0, 0.0], 0.5, +1)).flat.tolist())
+    expected = {np.ravel_multi_index(mi, g.nx) for mi in g.face_multi_indices((0, 1))}
     assert got == expected
 
 
@@ -73,12 +72,13 @@ def test_classify_2d_minus_covers_left_top_bottom():
 
 def test_portion_partition_covers_boundary():
     g = grid2d()
-    plus = classify_boundary(g, BoundaryPortion.directional([1.0, 0.0], 0.0, +1))
-    minus = classify_boundary(g, BoundaryPortion.directional([1.0, 0.0], 0.0, -1))
-    full = classify_boundary(g, BoundaryPortion.full())
+    plus = set(resolve_portion(g, BoundaryPortion.directional([1.0, 0.0], 0.0, +1)).flat.tolist())
+    minus = set(resolve_portion(g, BoundaryPortion.directional([1.0, 0.0], 0.0, -1)).flat.tolist())
+    full = set(resolve_portion(g, BoundaryPortion.full()).flat.tolist())
     assert plus | minus == full
     # overlap only on tangential faces (nu . omega = 0)
-    tang = {g.flat_index(mi) for f in [(1, 0), (1, 1)] for mi in g.face_multi_indices(f)}
+    tang = {np.ravel_multi_index(mi, g.nx)
+            for f in [(1, 0), (1, 1)] for mi in g.face_multi_indices(f)}
     assert plus & minus == tang
     # the interior mask is the complement of the boundary nodes, 1D and 2D
     for gg in (grid1d(), g):
@@ -90,7 +90,7 @@ def test_portion_partition_covers_boundary():
 def test_non_unit_omega_rejected():
     g = grid1d()
     with pytest.raises(GridError):
-        classify_boundary(g, BoundaryPortion.directional([2.0], 0.0, +1))
+        resolve_portion(g, BoundaryPortion.directional([2.0], 0.0, +1))
 
 
 def test_norm_zero_and_constant():
@@ -301,7 +301,7 @@ def test_node_sets_match_face_loop(data, dim, nx, lower, width, kind):
     got = resolve_portion(g, portion)
     assert got.face_of_node == faces and got.multi_indices == mis
     assert _same(got.flat, flat) and _same(got.weights, weights)
-    assert all(g.flat_index(mi) == f for mi, f in zip(mis, flat))
+    assert all(np.ravel_multi_index(mi, g.nx) == f for mi, f in zip(mis, flat))
     if got.n_nodes:
         # the gather's columns and weights are the CSR rows', and so is its
         # product, bitwise
