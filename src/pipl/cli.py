@@ -538,8 +538,9 @@ def _gate(report, name, value, op=None, bound=None, passed=None, note=None):
 
 
 def _step_ratio(values):
-    """Largest ratio of consecutive values: below 1 when they strictly decrease."""
-    return max((b / a if a else math.inf for a, b in zip(values, values[1:])), default=0.0)
+    """Largest ratio of consecutive values: below 1 when they strictly decrease.
+    load_config gives every swept list at least two values."""
+    return max(b / a if a else math.inf for a, b in zip(values, values[1:]))
 
 
 def _convergence(grid, sizes, error, report):
