@@ -73,7 +73,7 @@ from .grid import (
     resolve_portion,
     save_field_csv,
 )
-from .linearize import LinearizationSetup, higher_order, probe_trace
+from .linearize import LinearizationSetup, higher_orders, probe_trace
 from .model import CLASSES, DiffusionTensor, ModelError, Nonlinearity
 from .recon import (
     RegionMask,
@@ -644,20 +644,18 @@ def run_linearize(c, outdir):
         probe_trace(grid, lambda x, k=shift: np.cos(k * x) + 1.5)
         for shift in (1.0, 2.0, 3.0)
     ]
+    orders = range(1, s["max_order"] + 1)
+    results = higher_orders(setup, [(shapes[:order], s[f"eps{order}"]) for order in orders])
     gaps_rows = []
     slopes = {}
-    corner_solves = 0
-    for order in range(1, s["max_order"] + 1):
-        eps_sched = s[f"eps{order}"]
-        res = higher_order(setup, shapes[:order], eps_sched)
-        corner_solves += res.corner_solves
-        for e, gap in zip(eps_sched, res.rate.gaps if res.rate else []):
+    for order, res in zip(orders, results):
+        for e, gap in zip(s[f"eps{order}"], res.rate.gaps if res.rate else []):
             gaps_rows.append({"order": order, "eps": e, "gap": gap})
         slopes[order] = res.rate.slope if res.rate else None
     report = {
         "gaps": gaps_rows,
         "slopes": {str(k): v for k, v in slopes.items()},
-        "corner_solves": corner_solves,
+        "corner_solves": sum(res.corner_solves for res in results),
         "newton_calls": setup.newton_calls,
         "newton_iterations": setup.newton_iterations,
         "metrics": {f"slope_order_{k}": (v if v is not None else 0.0) for k, v in slopes.items()},

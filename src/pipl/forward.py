@@ -402,7 +402,7 @@ class Propagator:
         self.gamma = gamma
         self.advection = advection
         self.q_levels = potential_values(grid, q).reshape(grid.n_levels, -1)
-        q_td = any(not np.array_equal(self.q_levels[0], lvl) for lvl in self.q_levels[1:])
+        q_td = bool(np.any(self.q_levels[1:] != self.q_levels[0]))
         self.gamma_td = gamma.time_dependent() if gamma is not None else False
         self.time_dependent = q_td or self.gamma_td
         self.boundary_idx = grid.boundary_flat_indices()
@@ -683,14 +683,15 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     kron(I_m, I + dt theta L) + dt theta diag(d_u a), which already has
     identity boundary rows because L and d_u a vanish there; its off-diagonal
     part is built once per distinct gamma level, and each iteration rewrites
-    only its diagonal and makes one solve.  The Jacobian and L0 are Banded,
-    L0 tiled m times so that one product over the columns end to end
-    applies it.  A 1D Jacobian is solved by LAPACK's dgtsv, a wider one
-    through _BandLU, both with partial pivoting; an exactly singular one
-    raises SolverError.  A column whose scaled update passes the tolerance
-    is frozen for the rest of the level, so every column takes exactly the
-    iterates of its own single-column solve.  A given gamma passes
-    DiffusionTensor.check_ellipticity first, else ModelError."""
+    only its diagonal and makes one solve.  L0 is Banded and applied to the
+    (n, m) block of columns; the Jacobian is L0 tiled m times.  A 1D
+    Jacobian is solved by LAPACK's dgtsv, a wider one through _BandLU, both
+    with partial pivoting; an exactly singular one raises SolverError.  At
+    theta = 1 the explicit term, whose factor dt (1 - theta) is zero, is not
+    formed, as in Propagator._rhs.  A column whose scaled update passes the
+    tolerance is frozen for the rest of the level, so every column takes
+    exactly the iterates of its own single-column solve.  A given gamma
+    passes DiffusionTensor.check_ellipticity first, else ModelError."""
     if gamma is not None:
         gamma.check_ellipticity(grid)
     theta = SCHEMES[scheme]
@@ -704,19 +705,15 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     operators = {}
 
     def operator(level):
-        """apply(v), L0 v for the columns v at a level, and solve(shift, rhs,
-        k), the solution of (kron(I_m, I + dt theta L0) + diag(shift)) x = rhs
-        at time level k, shift, rhs and x stacked column after column."""
+        """L0 at a level, and solve(shift, rhs, k), the solution of
+        (kron(I_m, I + dt theta L0) + diag(shift)) x = rhs at time level k,
+        shift, rhs and x stacked column after column."""
         if not gamma_td:
             level = 0
         if level not in operators:
-            Lm = assemble_operator(grid, gamma, level * dt).tiled(m)
-            J = Lm.scaled(dt * theta)
+            L = assemble_operator(grid, gamma, level * dt)
+            J = L.tiled(m).scaled(dt * theta)
             d0 = 1.0 + J.bands[0]
-
-            def apply(v):
-                return (Lm @ v.T.ravel()).reshape(m, n).T
-
             if list(J.bands) == [-1, 0, 1]:
                 dl, du = J.bands[-1][1:], J.bands[1][:-1]
 
@@ -729,13 +726,14 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
                 def solve(shift, rhs, k):
                     lu = _BandLU(J.with_diagonal(d0 + shift), f"newton Jacobian at time level {k}")
                     return lu.solve(rhs)
-            operators[level] = apply, solve
+            operators[level] = L, solve
         return operators[level]
+
+    zeros = np.zeros((n, m))
 
     def a_of(level, v, k):
         """k-th u-derivative of nl at the columns v, zero off the interior."""
-        out = np.broadcast_to(np.asarray(nl(xs, level * dt, v, *ys, k=k), dtype=float), (n, m))
-        return np.where(interior, out, 0.0)
+        return np.where(interior, nl(xs, level * dt, v, *ys, k=k), zeros)
 
     u = np.zeros((grid.n_levels, n, m))
     if g is not None:
@@ -746,21 +744,23 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
     stalled = np.zeros((grid.nt, m), dtype=bool)
     history = np.zeros((grid.nt, m))
     for k in range(grid.nt):
-        rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0](u[k]) + a_of(k, u[k], 0))
+        rhs_expl = u[k]
+        if theta != 1.0:
+            rhs_expl = u[k] - dt * (1 - theta) * (operator(k)[0] @ u[k] + a_of(k, u[k], 0))
         v = u[k].copy()
         fb = f_vals[k + 1] if f_vals is not None else 0.0
-        apply, solve = operator(k + 1)
+        L, solve = operator(k + 1)
         active = np.ones(m, dtype=bool)
         for _ in range(max_iter):
-            res = v + dt * theta * (apply(v) + a_of(k + 1, v, 0)) - rhs_expl
+            res = v + dt * theta * (L @ v + a_of(k + 1, v, 0)) - rhs_expl
             res[bd] = v[bd] - fb
             shift = dt * theta * a_of(k + 1, v, 1).ravel("F")
             delta = solve(shift, res.ravel("F"), k + 1).reshape(m, n).T
-            v[:, active] -= delta[:, active]
+            np.subtract(v, delta, out=v, where=active)
             iterations += active
             scale = np.maximum(1.0, np.max(np.abs(v), axis=0))
             step = np.max(np.abs(delta), axis=0)
-            history[k, active] = step[active] / scale[active]
+            np.divide(step, scale, out=history[k], where=active)
             active &= ~(step <= tol * scale)
             if not active.any():
                 break

@@ -5,8 +5,9 @@ quotients of the nonlinear solver (corner sums over amplitude cubes) and
 direct solves of the linearized equations with frozen Taylor coefficients.
 The quotient is what an experimenter could actually form from data; the
 direct solve is its oracle, and the gap between them shrinks at O(eps).
-All corners of one order are one batched nonlinear solve; the direct
-fields share one Propagator, one multi-column sweep per subset size.
+The base solution and all corners of every order of a run are one batched
+nonlinear solve; the direct fields share one Propagator, one multi-column
+sweep per subset size.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ class LinearizationSetup:
 
     Corner sums divide by products of the amplitudes, so the nonlinear
     solves run at a tighter tolerance than the solver default.
-    newton_calls and newton_iterations count the batched Newton solves and
-    their per-column iterations.  coefficient(k) forms the Taylor
-    coefficient field of order k along the base solution once, on first
-    use (Nonlinearity.along).
+    newton_calls counts the batched Newton solves of a non-affine term, at
+    most one per higher_orders call (its corners, and the base while it is
+    unsolved); newton_iterations counts their per-column iterations.
+    coefficient(k) forms the Taylor coefficient field of order k along the
+    base solution once, on first use (Nonlinearity.along).
     """
 
     grid: SpaceTimeGrid
@@ -62,8 +64,7 @@ class LinearizationSetup:
 
     def base_solution(self) -> Field:
         if self._base is None:
-            vals = self.solve_columns(None, ["base solve"])
-            self._base = Field(self.grid, vals.reshape(self.grid.n_levels, *self.grid.nx), DOMAIN_Q)
+            self.solve_columns([], [])
         return self._base
 
     def coefficient(self, k: int) -> Field:
@@ -79,10 +80,23 @@ class LinearizationSetup:
 
     def solve_columns(self, traces, labels) -> np.ndarray:
         """Nonlinear solves from the base initial data, one per boundary
-        trace column of traces (n_levels, n_boundary, m), in one batch;
-        values (n_levels, n_space, m).  A column that stalls raises
-        SolverError with its label and first stalled time level."""
-        res = semilinear_columns(self.grid, self.gamma, self.nl, traces, self.g,
+        trace (n_levels, n_boundary) in the list traces, in one batch;
+        values (n_levels, n_space, len(traces)).  While the base solution is
+        unsolved it joins the batch as a first column whose trace is g on
+        the boundary at t = 0 and zero after, bitwise the solve with no
+        trace.  A column that stalls raises SolverError with its label and
+        first stalled time level."""
+        grid = self.grid
+        fresh = self._base is None
+        if fresh:
+            bd = grid.boundary_flat_indices()
+            base = np.zeros((grid.n_levels, len(bd)))
+            if self.g is not None:
+                base[0] = self.g.values.reshape(-1)[bd]
+            traces, labels = [base, *traces], ["base solve", *labels]
+        if not traces:
+            return np.zeros((grid.n_levels, grid.n_space, 0))
+        res = semilinear_columns(grid, self.gamma, self.nl, np.stack(traces, axis=-1), self.g,
                                  self.scheme, self.tol)
         if not self.nl.is_affine():
             self.newton_calls += 1
@@ -90,6 +104,10 @@ class LinearizationSetup:
         for j in np.flatnonzero(~res.converged):
             level = int(np.argmax(res.stalled[:, j])) + 1
             raise SolverError(f"{labels[j]}: newton stalled at time level {level}")
+        if fresh:
+            base = np.ascontiguousarray(res.values[..., 0]).reshape(grid.n_levels, *grid.nx)
+            self._base = Field(grid, base, DOMAIN_Q)
+            return res.values[..., 1:]
         return res.values
 
 
@@ -164,7 +182,6 @@ def _direct_mixed_fields(setup: LinearizationSetup, traces):
     grid = setup.grid
     shape = (grid.n_levels, *grid.nx)
     M = traces.shape[-1]
-    check_compatibility(grid, None, traces)
     first = setup.propagator.run(f=traces)
     fields = {(i,): first[..., i].reshape(shape) for i in range(M)}
     for size in range(2, M + 1):
@@ -186,8 +203,16 @@ def _direct_mixed_fields(setup: LinearizationSetup, traces):
 
 
 def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderResult:
-    """Order-M mixed quotient (alternating corner sum over {0, eps_l}^M divided
-    by prod eps_l) against the direct solve of the M-th linearized equation.
+    """The one-job case of higher_orders."""
+    return higher_orders(setup, [(probes, eps_schedule)])[0]
+
+
+def higher_orders(setup: LinearizationSetup, jobs) -> list[MixedOrderResult]:
+    """Per (probes, eps_schedule) job, the order-M mixed quotient
+    (alternating corner sum over {0, eps_l}^M divided by prod eps_l, M the
+    number of probes) against the direct solve of the M-th linearized
+    equation.  Every corner of every job, and the base solution while it is
+    unsolved, is one batched nonlinear solve.
 
     The direct source carries every partition term
     -sum_pi d_u^{|pi|} b(base) prod_{B in pi} w^B; with distinct single-probe
@@ -195,54 +220,53 @@ def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderR
     collapses to the leading term -d_u^M b(base) prod v_l.
 
     eps_schedule: list of amplitude tuples (one tuple per refinement level);
-    a scalar level is broadcast to all probes.  Returns the last level's
-    quotient, the direct field, the last level's gap, the gap rate over two
-    or more levels and the number of corner columns solved.
+    a scalar level is broadcast to all probes.  A level with a zero
+    amplitude, or a job with an all-zero probe, solves no corner and gets a
+    zero quotient.  Each result holds the last level's quotient, the direct
+    field, the last level's gap, the gap rate over two or more levels and
+    the number of corner columns solved.
     """
-    M = len(probes)
-    if M < 1:
-        raise GridError("need at least one probe")
     grid = setup.grid
+    plans, columns, labels = [], [], []
+    for probes, eps_schedule in jobs:
+        M = len(probes)
+        if M < 1:
+            raise GridError("need at least one probe")
+        levels = [tuple(map(float, (lvl,) * M if np.isscalar(lvl) else lvl))
+                  for lvl in eps_schedule]
+        if any(len(amps) != M for amps in levels):
+            raise GridError("amplitude tuple length must match probe count")
+        traces = np.stack([trace_values(grid, p) for p in probes], axis=-1)
+        check_compatibility(grid, None, traces)
+        zero_probe = any(np.max(np.abs(f.values)) == 0.0 for f in probes)
+        live = [amps for amps in levels if not (zero_probe or float(np.prod(amps)) == 0.0)]
+        # the empty corner is the base
+        corners = [s for size in range(M + 1) for s in combinations(range(M), size)]
+        batch = [(amps, s) for amps in live for s in corners[1:]]
+        columns += [sum(amps[i] * traces[..., i] for i in s) for amps, s in batch]
+        labels += [f"order-{M} corner {s} at amplitudes {amps}" for amps, s in batch]
+        plans.append((traces, levels, live, corners, len(batch)))
+
+    values = setup.solve_columns(columns, labels)
     base = setup.base_solution()
-
-    levels = []
-    for lvl in eps_schedule:
-        if np.isscalar(lvl):
-            levels.append(tuple(float(lvl) for _ in range(M)))
-        else:
-            if len(lvl) != M:
-                raise GridError("amplitude tuple length must match probe count")
-            levels.append(tuple(float(x) for x in lvl))
-
-    zero_probe = any(np.max(np.abs(f.values)) == 0.0 for f in probes)
-    traces = np.stack([trace_values(grid, p) for p in probes], axis=-1)
-    direct = _direct_mixed_fields(setup, traces)[tuple(range(M))]
-
-    # every corner of every amplitude level in one batch; the empty corner is the base
-    corners = [s for size in range(M + 1) for s in combinations(range(M), size)]
-    live = [amps for amps in levels if not (zero_probe or float(np.prod(amps)) == 0.0)]
-    batch = [(amps, s) for amps in live for s in corners[1:]]
-    solved = iter(())
-    if batch:
-        values = setup.solve_columns(
-            np.stack([sum(amps[i] * traces[..., i] for i in s) for amps, s in batch], axis=-1),
-            [f"order-{M} corner {s} at amplitudes {amps}" for amps, s in batch],
-        )
-        solved = (values[..., j].reshape(base.values.shape) for j in range(len(batch)))
-
-    quotient = None
-    gaps, eps_size = [], []
-    for amps in levels:
-        if amps in live:
-            acc = np.zeros_like(base.values)
-            for s in corners:
-                acc = acc + (-1.0) ** (M - len(s)) * (base.values if not s else next(solved))
-            quotient = Field(grid, acc / float(np.prod(amps)), DOMAIN_Q)
-        else:
-            quotient = zero_field(grid)
-        eps_size.append(max(amps) if amps else 0.0)
-        gaps.append(norm(quotient - direct, "L2Q"))
-
-    rate = _rate_report(eps_size, gaps) if len(levels) >= 2 else None
-    gap = gaps[-1] if gaps else None
-    return MixedOrderResult(quotient, direct, gap, rate, len(batch))
+    solved = (values[..., j].reshape(base.values.shape) for j in range(len(columns)))
+    results = []
+    for traces, levels, live, corners, corner_solves in plans:
+        M = traces.shape[-1]
+        direct = _direct_mixed_fields(setup, traces)[tuple(range(M))]
+        quotient = None
+        gaps, eps_size = [], []
+        for amps in levels:
+            if amps in live:
+                acc = np.zeros_like(base.values)
+                for s in corners:
+                    acc = acc + (-1.0) ** (M - len(s)) * (base.values if not s else next(solved))
+                quotient = Field(grid, acc / float(np.prod(amps)), DOMAIN_Q)
+            else:
+                quotient = zero_field(grid)
+            eps_size.append(max(amps))
+            gaps.append(norm(quotient - direct, "L2Q"))
+        rate = _rate_report(eps_size, gaps) if len(levels) >= 2 else None
+        gap = gaps[-1] if gaps else None
+        results.append(MixedOrderResult(quotient, direct, gap, rate, corner_solves))
+    return results

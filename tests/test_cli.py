@@ -662,6 +662,19 @@ def test_linearize_counts_solved_corners(tmp_path):
     assert corner_solves(LINEARIZE_CFG + "eps1 = 0 1e-2\n", "skip") == 1 + 2 * 3
 
 
+def test_shipped_linearize_work(tmp_path, monkeypatch):
+    # the base and all 22 corners of the shipped run are one Newton batch:
+    # one dgtsv per batched iteration (counted on forward's LAPACK binding),
+    # where one batch per order made 620
+    from pipl import forward
+
+    dgtsv, calls = forward._lapack().dgtsv, []
+    monkeypatch.setattr(forward._lapack(), "dgtsv", lambda *a: calls.append(1) or dgtsv(*a))
+    assert run("linearize", CONFIGS / "linearize.ini", tmp_path) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (len(calls), report["newton_calls"], report["newton_iterations"]) == (155, 1, 3565)
+
+
 def test_each_taylor_coefficient_is_formed_once(tmp_path, monkeypatch):
     # linearize reads d_u^k b along its base for k = 1, 2, 3; recover-b reads
     # d_u b(., 0) of both models (they must agree; the reference's pairs the

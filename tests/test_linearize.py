@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pipl.grid import Field, SpaceTimeGrid, field_from_function, norm
-from pipl.linearize import LinearizationSetup, higher_order, probe_trace
+from pipl.linearize import LinearizationSetup, higher_order, higher_orders, probe_trace
 from pipl.model import Nonlinearity
 
 
@@ -152,7 +152,7 @@ def test_zero_probe_annihilates():
 
 def test_linearize_work_counts(monkeypatch):
     # one Propagator per setup, shared by the direct fields of every order;
-    # one batched Newton for the base and one per higher_order call
+    # one batched Newton per higher_orders call, which solves the base too
     from pipl import forward
 
     built, newton_iterations = [], []
@@ -171,12 +171,39 @@ def test_linearize_work_counts(monkeypatch):
     monkeypatch.setattr(forward, "_newton", newton)
     setup = make_setup("u^3", nx=17, nt=16, g_amp=0.5)
     probes = [probe_trace(setup.grid, lambda x, s=s: np.cos(s * x) + 1.5) for s in (1.0, 2.0, 3.0)]
-    for order in (1, 2, 3):
-        higher_order(setup, probes[:order], [3e-3, 1e-3])
+    higher_orders(setup, [(probes[:order], [3e-3, 1e-3]) for order in (1, 2, 3)])
+    setup.base_solution()  # solved in the batch, not again
     assert len(built) == 1
-    assert len(newton_iterations) == 1 + 3
-    assert setup.newton_calls == 4
+    assert len(newton_iterations) == 1
+    assert setup.newton_calls == 1
     assert setup.newton_iterations == sum(newton_iterations)
+
+
+def test_higher_orders_matches_separate_calls(monkeypatch):
+    # one batch over orders 1-3, base included, gives each order bitwise
+    # what a base solve of its own and one higher_order call per order give
+    from pipl import forward
+
+    calls = []
+    real_newton = forward._newton
+    monkeypatch.setattr(forward, "_newton", lambda *a, **k: calls.append(1) or real_newton(*a, **k))
+    separate, batched = (make_setup("u^3", nx=17, nt=16, g_amp=0.5) for _ in range(2))
+    probes = [probe_trace(separate.grid, lambda x, s=s: np.cos(s * x) + 1.5)
+              for s in (1.0, 2.0, 3.0)]
+    schedules = {1: [1e-2, 1e-3], 2: [(1e-2, 2e-2), 1e-3], 3: [3e-3, 0.0, 1e-3]}
+    separate.base_solution()
+    refs = [higher_order(separate, probes[:order], schedules[order]) for order in (1, 2, 3)]
+    assert len(calls) == 4
+    calls.clear()
+    results = higher_orders(batched, [(probes[:order], schedules[order]) for order in (1, 2, 3)])
+    assert len(calls) == 1
+    assert batched.base_solution().values.tobytes() == separate.base_solution().values.tobytes()
+    for res, ref in zip(results, refs):
+        assert res.quotient.values.tobytes() == ref.quotient.values.tobytes()
+        assert res.direct.values.tobytes() == ref.direct.values.tobytes()
+        assert (res.gap, res.rate.gaps, res.rate.slope) == (ref.gap, ref.rate.gaps, ref.rate.slope)
+        assert res.corner_solves == ref.corner_solves
+    assert [res.corner_solves for res in results] == [2, 3 * 2, 7 * 2]
 
 
 def test_stalled_corner_names_order_amplitudes_and_level():
