@@ -17,9 +17,10 @@ cancel them exactly, which is the only way the pipeline ever uses them.
 The profile operator depends on (rho, omega, direction) alone, so the
 remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
 one multi-column march (RemainderMarch), stepped level by level, whose
-plane waves are space waves times time waves, both formed once per march.
-CGOFactory.build_columns keeps every level and reports the step residual;
-the probe sweep of recon.potential uses each level as it comes.
+plane waves are space waves times time waves, both formed once per march
+(real ones when every xi and tau is zero).  CGOFactory.build_columns keeps
+every level and the probe sweep of recon.potential uses each as it comes;
+neither forms a step residual, which CGOFactory.residual forms on request.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class CGOSolution:
     z: Field                           # remainder profile on Q
     remainder_norm: float
     warnings: list = dc_field(default_factory=list)
-    residual: float = 0.0              # discrete-system residual of the z solve
 
     def profile(self) -> Field:
         """theta + z on Q."""
@@ -123,12 +123,8 @@ class CGOFactory:
     (xi, tau)."""
 
     def __init__(self, grid: SpaceTimeGrid, q=None, scheme: str = "be", partial: bool = False):
-        self.grid = grid
-        self.q = q
-        self.q_levels = potential_values(grid, q)
-        self.scheme = scheme
-        self.partial = partial
-        self._props: dict = {}
+        self.grid, self.q, self.scheme, self.partial = grid, q, scheme, partial
+        self.q_levels, self._props = potential_values(grid, q), {}
 
     def propagator(self, params: CGOParameters) -> Propagator:
         """The profile stepper for (rho, omega, direction), built on first use."""
@@ -136,10 +132,8 @@ class CGOFactory:
         if key not in self._props:
             sign = -2.0 if params.direction == "forward" else +2.0
             advection = tuple(sign * params.rho * w for w in params.omega)
-            if params.direction == "forward":
-                qf = self.q
-            else:
-                qf = Field(self.grid, self.q_levels[::-1].copy(), DOMAIN_Q)
+            qf = (self.q if params.direction == "forward"
+                  else Field(self.grid, self.q_levels[::-1].copy(), DOMAIN_Q))
             self._props[key] = Propagator(self.grid, None, qf, self.scheme, advection)
         return self._props[key]
 
@@ -151,24 +145,32 @@ class CGOFactory:
         """One CGOSolution per params, all sharing (rho, omega, direction,
         aperture), from one RemainderMarch that forms and tallies every level
         at once; the solutions' thetas and remainders are columns of one array
-        each, and each column is bitwise its own one-column build.  A residual
-        is the largest step |A_k z - rhs| over max(1, max |source|)."""
+        each (real when the march is), and each column is bitwise its own
+        one-column build."""
         grid = self.grid
         march = RemainderMarch(self, params_list)
         theta, src, trace = march.fields(slice(None))
         z = np.empty_like(theta)
-        worst = np.zeros(len(params_list))
         for level, _, z_level in march.steps(lambda level: (
-                theta[level], src[level], None if trace is None else trace[level]), worst):
+                theta[level], src[level], None if trace is None else trace[level])):
             z[level] = z_level
         march.tally(slice(None), z)
-        residuals = worst / np.maximum(1.0, np.abs(src).max(axis=(0, 1)))
         shape = (grid.n_levels, *grid.nx)
         return [CGOSolution(params, grid, theta[..., j].reshape(shape),
                             Field(grid, z[..., j].reshape(shape), DOMAIN_Q), remainder,
-                            list(march.warnings), residual)
-                for j, (params, remainder, residual)
-                in enumerate(zip(params_list, march.finish(), residuals.tolist()))]
+                            list(march.warnings))
+                for j, (params, remainder) in enumerate(zip(params_list, march.finish()))]
+
+    def residual(self, sol: CGOSolution) -> float:
+        """The largest step |A_k z - rhs| of sol's remainder over max(1, max
+        |source|): one Propagator.residual over the levels in marching order,
+        on the march's fields formed again, every level at once."""
+        march = RemainderMarch(self, [sol.params])
+        _, src, trace = march.fields(slice(None))
+        order = slice(None, None, 1 if march.forward else -1)
+        z = sol.z.values.reshape(self.grid.n_levels, -1, 1)[order]
+        worst = march.prop.residual(z, None if trace is None else trace[order], src[order])[0]
+        return float(worst / max(1.0, np.abs(src).max()))
 
 
 class RemainderMarch:
@@ -176,10 +178,12 @@ class RemainderMarch:
     a column per params, stepped together one time level at a time on the
     factory's stepper: t = 0 first for forward probes, t = T first for
     backward ones (in s = T - t their profile equation is the forward scheme
-    with advection +2 rho w).  Per level and column it records the peak |z|
-    and the space integral of |z|^2, the same whether a level is formed and
-    tallied alone or with others; finish() turns them into remainder
-    norms."""
+    with advection +2 rho w).  With every xi and tau zero, exp(-i 0) = 1 and
+    the march runs on float blocks, each value bytewise the real part of the
+    complex march's (whose imaginary parts are exact zeros).  Per level and
+    column it records the peak |z| and the space integral of |z|^2, the same
+    whether a level is formed and tallied alone or with others; finish()
+    turns them into remainder norms."""
 
     def __init__(self, factory: CGOFactory, params_list):
         first = params_list[0]
@@ -201,10 +205,12 @@ class RemainderMarch:
         # per column: space wave exp(-i xi.x), time wave exp(-i tau t) per
         # level (as plane_wave forms them), and |xi|^2 - i tau
         xi, x = np.array([p.xi for p in params_list]), [m.reshape(-1, 1) for m in grid.meshes()]
+        tau = np.array([p.tau for p in params_list])
+        i = 1j if np.any(xi) or np.any(tau) else 0.0  # exp(-i 0) = 1: a real march
         xi_x = xi[:, 0] * x[0] if grid.dim == 1 else xi[:, 0] * x[0] + xi[:, 1] * x[1]
-        self.wave_x = np.exp(-1j * xi_x)
-        self.wave_t = np.exp(-1j * (np.array([p.tau for p in params_list]) * self.t[:, None, None]))
-        self.shift = np.array([float(np.dot(p.xi, p.xi)) - 1j * p.tau for p in params_list])
+        self.wave_x = np.exp(-i * xi_x)
+        self.wave_t = np.exp(-i * (tau * self.t[:, None, None]))
+        self.shift = np.array([float(np.dot(p.xi, p.xi)) - i * p.tau for p in params_list])
         # per level and column: peak |z| and space integral of |z|^2
         self.peak, self.sum_sq = (np.zeros((grid.n_levels, len(params_list))) for _ in range(2))
         self.pinned = None
@@ -214,9 +220,9 @@ class RemainderMarch:
                 first.omega, first.aperture, -1 if self.forward else +1))
             self.pinned = np.isin(self.prop.boundary_idx, portion.flat)
 
-    def steps(self, fields, worst=None):
+    def steps(self, fields):
         """(level, theta, z) for every level in marching order, with theta,
-        the source and lateral data from fields(level); worst as Propagator.step takes it."""
+        the source and lateral data from fields(level)."""
         prop = self.prop
         for k, level in enumerate(self.levels):
             theta, s_next, trace = fields(level)
@@ -225,7 +231,7 @@ class RemainderMarch:
                 if trace is not None:
                     z[prop.boundary_idx] = trace
             else:
-                z = prop.step(k - 1, z, trace, (s, s_next), worst)
+                z = prop.step(k - 1, z, trace, (s, s_next))
             s = s_next
             yield level, theta, z
 

@@ -618,7 +618,7 @@ def run_cgo_verify(c, outdir):
         sweep.append({
             "rho": rho,
             "remainder_norm": sol.remainder_norm,
-            "residual": sol.residual,
+            "residual": factory.residual(sol),
             "warnings": list(sol.warnings),
             "profile_peak": float(np.max(np.abs(sol.profile().values))),
         })

@@ -18,8 +18,8 @@ by a power of two, which pivoting leaves in place; when it makes no
 interchange at all, the factors drop the fill rows and U is solved at the
 stencil's half-bandwidth.  A run imports no scipy.  A sweep
 carries any number of columns, each with its own initial values, boundary
-trace and source, with one multi-column solve per step, and the residual
-of those steps is checked from the same right-hand sides.  Semilinear
+trace and source, with one multi-column solve per step, and
+Propagator.residual checks their residual afterwards on request.  Semilinear
 solves march columns too: a term affine in u is one linear sweep, any
 other one per-step Newton whose columns share a block-diagonal Jacobian and
 one band solve per iteration (?gtsv in 1D, ?gbtrf in 2D).
@@ -94,6 +94,8 @@ class Banded:
         each row sums from zero in ascending column order, and an exact zero
         that CSR would drop adds a signed zero, which leaves a sum started
         at +0 as it is (an all-zero band is skipped)."""
+        if z.ndim > 2:  # more trailing axes: as one axis of m columns
+            return (self @ z.reshape(len(z), -1)).reshape(z.shape)
         out = np.zeros(z.shape, dtype=np.result_type(float, z))
         for _, rows, cols, band in self._terms:
             out[rows] += (band[:, None] if z.ndim == 2 else band) * z[cols]
@@ -397,16 +399,13 @@ class Propagator:
             raise SolverError(f"unknown scheme {scheme!r}")
         if gamma is not None:
             gamma.check_ellipticity(grid)
-        self.grid = grid
+        self.grid, self.gamma, self.advection = grid, gamma, advection
         self.theta = SCHEMES[scheme]
-        self.gamma = gamma
-        self.advection = advection
         self.q_levels = potential_values(grid, q).reshape(grid.n_levels, -1)
         q_td = bool(np.any(self.q_levels[1:] != self.q_levels[0]))
         self.gamma_td = gamma.time_dependent() if gamma is not None else False
         self.time_dependent = q_td or self.gamma_td
-        self.boundary_idx = grid.boundary_flat_indices()
-        self.interior_mask = grid.interior_mask()
+        self.boundary_idx, self.interior_mask = grid.boundary_flat_indices(), grid.interior_mask()
         self._stencils, self._systems = {}, {}
         self.system(0)
 
@@ -445,12 +444,11 @@ class Propagator:
     # -- sweeps ----------------------------------------------------------------
 
     def _solve(self, lu, rhs):
-        if np.iscomplexobj(rhs):
-            both = lu.solve(np.column_stack([rhs.real, rhs.imag]))
-            if rhs.ndim == 2:  # m columns: real parts, then imaginary parts
-                return both[:, : rhs.shape[1]] + 1j * both[:, rhs.shape[1] :]
-            return both[:, 0] + 1j * both[:, 1]
-        return lu.solve(rhs)
+        if not np.iscomplexobj(rhs):
+            return lu.solve(rhs)
+        both = lu.solve(np.column_stack([rhs.real, rhs.imag]))  # real parts, then imaginary
+        m = both.shape[1] // 2
+        return (both[:, :m] + 1j * both[:, m:]).reshape(rhs.shape)
 
     def _operands(self, g0, f, source):
         """The column shape of g0, f and source, and the three as the steps
@@ -485,17 +483,12 @@ class Propagator:
         rhs[self.boundary_idx] = f if f is not None else 0.0
         return rhs
 
-    def step(self, k, z, f=None, s=None, worst=None):
+    def step(self, k, z, f=None, s=None):
         """The values at level k + 1 from the values z (n_space[, m]) at level
         k: f, the boundary values of level k + 1, and s, the source at levels
-        k and k + 1, as one level of run's operands.  worst, if given, is
-        raised in place to the per-column max of |A_k u - rhs|."""
-        A, M, lu = self.system(k)
-        rhs = self._rhs(M, z, f, s)
-        u = self._solve(lu, rhs)
-        if worst is not None:
-            np.maximum(worst, np.abs(A @ u - rhs).max(axis=0), out=worst)
-        return u
+        k and k + 1, as one level of run's operands."""
+        _, M, lu = self.system(k)
+        return self._solve(lu, self._rhs(M, z, f, s))
 
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
@@ -523,15 +516,19 @@ class Propagator:
     def residual(self, u, f=None, source=None) -> np.ndarray:
         """Per column of u (n_levels, n_space[, m]), the largest
         |A_k u_{k+1} - rhs_k| over the steps k, with rhs_k formed from f and
-        source as run forms it; shaped like one level's columns."""
+        source as run forms it; shaped like one level's columns.  The steps
+        sharing a system (all, unless it is time dependent) are one product
+        with A and one with M, bitwise the per-step maximum."""
         columns, _, f, src = self._operands(u[0], f, source)  # u[0] sets the columns
         z = u[..., 0] if columns == (1,) else u
-        worst = np.zeros(z.shape[2:])
-        for k in range(self.grid.nt):
+        z, f, src = (None if a is None else np.moveaxis(a, 1, 0) for a in (z, f, src))
+        worst, nt = np.zeros(z.shape[2:]), self.grid.nt
+        for k, stop in zip(range(nt), range(1, nt + 1)) if self.time_dependent else [(0, nt)]:
             A, M, _ = self.system(k)
-            rhs = self._rhs(M, z[k], None if f is None else f[k + 1],
-                            None if src is None else src[k:k + 2])
-            worst = np.maximum(worst, np.max(np.abs(A @ z[k + 1] - rhs), axis=0))
+            now, ahead = slice(k, stop), slice(k + 1, stop + 1)
+            rhs = self._rhs(M, z[:, now], None if f is None else f[:, ahead],
+                            None if src is None else (src[:, now], src[:, ahead]))
+            worst = np.maximum(worst, np.max(np.abs(A @ z[:, ahead] - rhs), axis=(0, 1)))
         return worst.reshape(columns)
 
 

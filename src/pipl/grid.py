@@ -341,23 +341,21 @@ def zero_field(grid: SpaceTimeGrid, domain=DOMAIN_Q) -> Field:
 
 
 def field_from_function(grid: SpaceTimeGrid, fn, domain=DOMAIN_Q, portion=None) -> Field:
-    """Sample fn on grid nodes.  fn takes (x[, y], t) for Q/Sigma and
-    (x[, y]) for Omega, vectorized over numpy arrays."""
+    """Sample fn on grid nodes in one call: fn takes (x[, y], t) for Q/Sigma
+    and (x[, y]) for Omega, vectorized over numpy arrays, with t shaped to
+    broadcast against the space arguments (level_times() on Q, a column on
+    Sigma).  A Sigma field needs its resolved boundary portion."""
     if domain == DOMAIN_OMEGA:
         return Field(grid, np.asarray(fn(*grid.meshes()), dtype=float), domain)
     if domain == DOMAIN_Q:
-        meshes = grid.meshes()
-        levels = []
-        for t in grid.times():
-            levels.append(np.broadcast_to(np.asarray(fn(*meshes, t)), grid.nx).copy())
-        return Field(grid, np.array(levels), domain)
+        vals = np.asarray(fn(*grid.meshes(), grid.level_times()))
+        return Field(grid, np.broadcast_to(vals, (grid.n_levels, *grid.nx)).copy(), domain)
     if domain == DOMAIN_SIGMA:
-        coords = portion.coords()
-        args = [coords[:, i] for i in range(grid.dim)]
-        rows = []
-        for t in grid.times():
-            rows.append(np.broadcast_to(np.asarray(fn(*args, t)), (portion.n_nodes,)).copy())
-        return Field(grid, np.array(rows), domain, portion)
+        if portion is None:
+            raise GridError("a Sigma field needs its boundary portion (portion=None)")
+        vals = np.asarray(fn(*portion.coords().T, grid.times()[:, None]))
+        return Field(grid, np.broadcast_to(vals, (grid.n_levels, portion.n_nodes)).copy(), domain,
+                     portion)
     raise GridError(f"unknown field domain {domain!r}")
 
 

@@ -111,8 +111,8 @@ def test_backward_remainder_decays_too():
 
 def test_discrete_residual_small():
     g = grid1d(nx=65, nt=64)
-    sol = CGOFactory(g, bump_q(g)).build(CGOParameters.make(16.0, [1.0], tau=2 * math.pi))
-    assert sol.residual < 1e-10
+    factory = CGOFactory(g, bump_q(g))
+    assert factory.residual(factory.build(CGOParameters.make(16.0, [1.0], tau=2 * math.pi))) < 1e-10
 
 
 def test_resolution_warning():

@@ -675,6 +675,54 @@ def test_shipped_linearize_work(tmp_path, monkeypatch):
     assert (len(calls), report["newton_calls"], report["newton_iterations"]) == (155, 1, 3565)
 
 
+def test_shipped_cgo_verify_work(tmp_path, monkeypatch):
+    # the shipped probes have xi = 0 and tau = 0, so the four rho builds
+    # march real: 4 x 256 steps, each on a float block with a float band
+    # solve and no product with its step matrix A.  Each reported residual
+    # is one A product over all 256 steps (q does not depend on t), and q's
+    # expression is sampled in one call
+    from pipl import expr, forward
+
+    real_system, real_step, real_solve, real_matmul, real_call = (
+        Propagator.system, Propagator.step, Propagator._solve, forward.Banded.__matmul__,
+        expr.Expression.__call__)
+    step_matrices, steps, solves, products, evals = {}, [], [], [], []
+
+    def system(self, k):
+        out = real_system(self, k)
+        step_matrices[id(out[0])] = out[0]  # held, so no later matrix takes its id
+        return out
+
+    def step(self, k, z, f=None, s=None):
+        steps.append(z.dtype)
+        products.append("step")
+        return real_step(self, k, z, f, s)
+
+    def solve(self, lu, rhs):
+        solves.append(rhs.dtype)
+        return real_solve(self, lu, rhs)
+
+    def matmul(self, z):
+        if step_matrices.get(id(self)) is self:
+            products.append(z.shape)
+        return real_matmul(self, z)
+
+    def call(self, *args, **kwargs):
+        evals.append(self.source)
+        return real_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "step", step)
+    monkeypatch.setattr(Propagator, "_solve", solve)
+    monkeypatch.setattr(forward.Banded, "__matmul__", matmul)
+    monkeypatch.setattr(expr.Expression, "__call__", call)
+    assert run("cgo-verify", CONFIGS / "cgo-verify.ini", tmp_path, check=True) == EXIT_OK
+    assert steps == solves == [np.dtype(float)] * (4 * 256)
+    # per rho its 256 steps, then one A product covering them all (129 nodes)
+    assert products == (["step"] * 256 + [(129, 256)]) * 4
+    assert evals.count("exp(-40*(x-0.5)^2)") == 1  # "1.0", the identity tensor, once per stepper
+
+
 def test_each_taylor_coefficient_is_formed_once(tmp_path, monkeypatch):
     # linearize reads d_u^k b along its base for k = 1, 2, 3; recover-b reads
     # d_u b(., 0) of both models (they must agree; the reference's pairs the

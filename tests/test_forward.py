@@ -575,6 +575,69 @@ def test_batched_run_matches_columns(
     assert np.all(prop.residual(u, f, source) >= 1.0 - 1e-9)
 
 
+def _loop_residual(prop, u, f, source):
+    """Propagator.residual one step at a time, as plain code: per step k one
+    product with A_k and one with M_k, rhs_k formed as run forms it; u, f
+    and source each carry the same trailing column axis, or none."""
+    grid, worst = prop.grid, np.zeros(u.shape[2:])
+    for k in range(grid.nt):
+        A, M, _ = prop.system(k)
+        rhs = M @ u[k]
+        if source is not None:
+            s = source[k + 1] if prop.theta == 1.0 else (
+                prop.theta * source[k + 1] + (1 - prop.theta) * source[k])
+            rhs = rhs + grid.dt * s
+        rhs[prop.boundary_idx] = 0.0 if f is None else f[k + 1]
+        worst = np.maximum(worst, np.max(np.abs(A @ u[k + 1] - rhs), axis=0))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.integers(4, 9),
+    ny=st.integers(4, 9),
+    nt=st.integers(2, 6),
+    T=st.floats(0.05, 0.5),
+    scheme=st.sampled_from(("be", "cn")),
+    q_kind=st.sampled_from(("none", "scalar", "time")),
+    m=st.sampled_from((None, 1, 3)),
+    complex_values=st.booleans(),
+    f_kind=st.sampled_from((None, "shared", "columns")),
+    source_kind=st.sampled_from((None, "shared", "columns")),
+    seed=st.integers(0, 2**16),
+)
+def test_grouped_residual_matches_step_loop(dim, nx, ny, nt, T, scheme, q_kind, m,
+                                            complex_values, f_kind, source_kind, seed):
+    # one A and one M product per distinct step system (all steps of a
+    # time-independent stepper, one step each otherwise) gives bytewise the
+    # residual of one product per step, for values that solve nothing
+    grid = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, [nx, ny][:dim], nt, T)
+    q = {"none": None, "scalar": 1.3,
+         "time": field_from_function(grid, lambda *a: 1.0 + a[0] * a[-1], "Q")}[q_kind]
+    prop = Propagator(grid, None, q, scheme, (1.5, -0.5)[:dim])
+    assert prop.time_dependent == (q_kind == "time")
+    rng = np.random.default_rng(seed)
+    columns = () if m is None else (m,)
+
+    def data(kind, *shape):
+        if kind is None:
+            return None
+        vals = rng.standard_normal(shape + (columns if kind == "columns" else ()))
+        return vals + 1j * rng.standard_normal(vals.shape) if complex_values else vals
+
+    u = data("columns", grid.n_levels, grid.n_space)
+    f = data(f_kind, grid.n_levels, len(prop.boundary_idx))
+    source = data(source_kind, grid.n_levels, grid.n_space)
+    got = prop.residual(u, f, source)
+    # a shared operand meets the loop on every column
+    lift = (Ellipsis,) if m is None else (Ellipsis, None)
+    ref = _loop_residual(prop, u, *(a[lift] if kind == "shared" else a
+                                    for a, kind in ((f, f_kind), (source, source_kind))))
+    assert got.shape == ref.shape == columns and got.dtype == ref.dtype == float
+    assert got.tobytes() == ref.tobytes()
+
+
 # time-dependent diagonal diffusion, each entry within [GAMMA_MIN, GAMMA_MAX]
 MAX_PRINCIPLE_GAMMAS = {
     1: DiffusionTensor.scalar("1 + 0.3*sin(5*t)*x"),

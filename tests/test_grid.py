@@ -151,6 +151,36 @@ def test_field_shape_checked():
         Field(g, np.zeros(5), "Omega")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_from_function_samples_in_one_call(dim):
+    # fn is called once: on Q with level_times(), on Sigma with a column of
+    # times, and each level holds what a call at that level's time gives
+    g = grid1d(nx=9, nt=4) if dim == 1 else grid2d()
+    calls = []
+
+    def fn(*args):
+        calls.append(np.shape(args[-1]))
+        return 2.0 * args[0] + args[-1] ** 2
+
+    q = field_from_function(g, fn, "Q")
+    portion = resolve_portion(g, BoundaryPortion.full())
+    sigma = field_from_function(g, fn, "Sigma", portion)
+    assert calls == [g.level_times().shape, (g.n_levels, 1)]
+    x, coords = g.meshes()[0], portion.coords()
+    for k, t in enumerate(g.times()):
+        assert np.array_equal(q.values[k], np.broadcast_to(2.0 * x + t**2, g.nx))
+        assert np.array_equal(sigma.values[k], 2.0 * coords[:, 0] + t**2)
+    # a function of t alone, or a constant, fills every node
+    assert np.array_equal(field_from_function(g, lambda *a: 1.5, "Q").values,
+                          np.full((g.n_levels, *g.nx), 1.5))
+
+
+def test_sigma_field_needs_portion():
+    g = grid1d()
+    with pytest.raises(GridError, match="boundary portion"):
+        field_from_function(g, lambda x, t: x + t, "Sigma")
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),

@@ -150,8 +150,8 @@ def _marching(monkeypatch):
 
     marching, real_steps = [], cgo.RemainderMarch.steps
 
-    def steps(self, fields, worst=None):
-        inner = real_steps(self, fields, worst)
+    def steps(self, fields):
+        inner = real_steps(self, fields)
         while True:
             marching.append(True)
             try:
@@ -184,9 +184,9 @@ def _sweep_events(monkeypatch):
         events.append(("march", params_list[0].omega, len(params_list)))
         real_init(self, factory, params_list)
 
-    def step(self, k, z, f=None, s=None, worst=None):
+    def step(self, k, z, f=None, s=None):
         events.append(("remainder" if marching else "difference", z.shape[-1]))
-        return real_step(self, k, z, f, s, worst)
+        return real_step(self, k, z, f, s)
 
     def run(self, *args, **kwargs):
         events.append(("run",))
@@ -256,8 +256,8 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
         made.setdefault(self, []).append(weakref.ref(out[2]))
         return out
 
-    def step(self, k, z, f=None, s=None, worst=None):
-        out = real_step(self, k, z, f, s, worst)
+    def step(self, k, z, f=None, s=None):
+        out = real_step(self, k, z, f, s)
         if not marching:
             alive.append(len({id(r()) for r in made[self] if r() is not None}))
         biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
@@ -280,25 +280,26 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
 
 
 def test_probe_sweep_forms_no_step_residual(monkeypatch):
-    # the sweep keeps no step residual: none of its steps gets a worst array
-    # or multiplies a step matrix A_k by a solution, in a potential sweep
-    # (2D) or a Taylor one (1D, both steps on the factory's stepper);
-    # build_columns, which reports the residual, does both at every step
+    # no step multiplies a step matrix A_k by a solution: not in a potential
+    # sweep (2D), a Taylor one (1D, both steps on the factory's stepper) or
+    # build_columns.  The residual on request makes one A product per
+    # distinct step system: one per step on a time-dependent stepper, one
+    # for every step otherwise
     from pipl import forward
     from pipl.recon.potential import _sweep_probes
 
     real_system, real_step, real_matmul = (Propagator.system, Propagator.step,
                                            forward.Banded.__matmul__)
-    step_matrices, worsts, products = {}, [], []
+    step_matrices, steps, products = {}, [], []
 
     def system(self, k):
         out = real_system(self, k)
         step_matrices[id(out[0])] = out[0]  # held, so no later matrix takes its id
         return out
 
-    def step(self, k, z, f=None, s=None, worst=None):
-        worsts.append(worst is not None)
-        return real_step(self, k, z, f, s, worst)
+    def step(self, k, z, f=None, s=None):
+        steps.append(k)
+        return real_step(self, k, z, f, s)
 
     def matmul(self, z):
         if step_matrices.get(id(self)) is self:
@@ -314,12 +315,16 @@ def test_probe_sweep_forms_no_step_residual(monkeypatch):
     g = grid1d(17, 16)
     factory = CGOFactory(g, bump_dq(g))
     _sweep_probes(g, factory, factory.q, np.ones((g.n_levels, *g.nx)), 8.0, 0, 2)
-    assert len(worsts) == 2 * 2 * g2.nt + 2 * g.nt
-    assert not any(worsts) and products == []
     params = [CGOParameters.make(8.0, (1.0,), tau=tau) for tau in (0.0, 2 * math.pi)]
-    factory.build_columns(params)
-    assert worsts[-g.nt:] == [True] * g.nt
-    assert products == [(g.n_space, 2)] * g.nt
+    sol = factory.build_columns(params)[1]
+    still = CGOFactory(g, 2.0)
+    real_sol = still.build(params[0])
+    assert len(steps) == 2 * 2 * g2.nt + 2 * g.nt + 2 * g.nt
+    assert products == []
+    factory.residual(sol)
+    assert products == [(g.n_space, 1)] * g.nt
+    still.residual(real_sol)
+    assert products[g.nt:] == [(g.n_space, g.nt)]
 
 
 def test_probe_sweep_work_counts_1d(monkeypatch):
