@@ -10,10 +10,10 @@ The q-free operator leaves boundary rows zero; a potential enters as a
 diagonal on interior rows, so Dirichlet rows need no rewriting.  Every
 interior row couples a node to neighbours at the same flat offsets, so in
 any dimension each operator, step matrix and Newton Jacobian is a band
-matrix (Banded), factored by LAPACK's band LU with partial pivoting
-(_BandLU) from numpy's bundled OpenBLAS: ?gttrf for one band either side of
-the diagonal (1D), ?gbtrf for wider ones (2D, half-bandwidth the row
-stride, one more with a cross term).  ?gbtrf gets its Dirichlet rows scaled
+matrix (Banded), factored by LAPACK's band LU with partial pivoting from
+numpy's bundled OpenBLAS: the tridiagonal step matrices of all levels of a
+1D stepper by one ?gttrf call, a 2D one by ?gbtrf (_BandLU, half-bandwidth
+the row stride, one more with a cross term) with its Dirichlet rows scaled
 by a power of two, which pivoting leaves in place; when it makes no
 interchange at all, the factors drop the fill rows and U is solved at the
 stencil's half-bandwidth.  A run imports no scipy.  A sweep
@@ -32,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,18 +62,18 @@ class Banded:
     """A square band matrix as {offset: band} in ascending offset order, each
     band as long as the matrix: band[i] is the entry (i, i + offset), zero
     where i + offset falls outside.  The form of every operator, step matrix
-    and Newton Jacobian."""
+    and Newton Jacobian; bands shaped (levels, n) stack one per level."""
 
     def __init__(self, bands):
         self.bands = bands
-        self.n = len(bands[0])
+        self.n = np.shape(bands[0])[-1]
         # (offset, rows, columns, values on those rows) of each band that is
-        # not all zero, by offset
+        # not all zero (at every level of a stack), by offset
         self._terms = [self._term(o, b) for o, b in bands.items() if np.any(b)]
 
     def _term(self, offset, band):
         rows = slice(max(-offset, 0), self.n - max(offset, 0))
-        return offset, rows, slice(rows.start + offset, rows.stop + offset), band[rows]
+        return offset, rows, slice(rows.start + offset, rows.stop + offset), band[..., rows]
 
     def with_diagonal(self, d) -> "Banded":
         """This matrix with d on its diagonal, sharing its other bands."""
@@ -89,17 +90,20 @@ class Banded:
         """kron(I_m, self): the entries coupling the blocks are zeros."""
         return Banded({o: np.tile(b, m) for o, b in self.bands.items()})
 
-    def __matmul__(self, z):
-        """The product with z, shaped (n,) or (n, m), bitwise the CSR one:
-        each row sums from zero in ascending column order, and an exact zero
-        that CSR would drop adds a signed zero, which leaves a sum started
-        at +0 as it is (an all-zero band is skipped)."""
+    def product(self, z, level=None):
+        """The product with z, shaped (n,) or (n, m), bitwise the CSR one (of a
+        stack's matrix at level): each row sums from zero in ascending column
+        order, and an exact zero that CSR would drop adds a signed zero, which
+        leaves a sum started at +0 as it is (an all-zero band is skipped)."""
         if z.ndim > 2:  # more trailing axes: as one axis of m columns
-            return (self @ z.reshape(len(z), -1)).reshape(z.shape)
+            return self.product(z.reshape(len(z), -1), level).reshape(z.shape)
         out = np.zeros(z.shape, dtype=np.result_type(float, z))
         for _, rows, cols, band in self._terms:
+            band = band if level is None else band[level]
             out[rows] += (band[:, None] if z.ndim == 2 else band) * z[cols]
         return out
+
+    __matmul__ = product
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -123,14 +127,22 @@ class _NumpyLapack:
             fn.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * (fn in (self.gttrs, self.gbtrs))
 
     def dgttrf(self, dl, d, du):
-        """The LU factors of the bands, their solve(rhs) and LAPACK's info."""
+        """The LU factors, solve(rhs, block=0) with the block-th diagonal block of
+        len(rhs) rows (pivots counted from its first row), and LAPACK's info."""
         factors = _bands(dl, d, du)
         n = len(factors[1])
         factors += [np.zeros(max(n - 2, 0)), np.zeros(n, dtype=np.int64)]
-        pointers = [_address(f) for f in factors]
-        size, info = ctypes.c_int64(n), ctypes.c_int64()
-        self.gttrf(ctypes.byref(size), *pointers, ctypes.byref(info))
-        return factors, _solver(self.gttrs, size, (), pointers), info.value
+        size, info, addresses = ctypes.c_int64(n), ctypes.c_int64(), [f.ctypes.data for f in factors]
+        self.gttrf(ctypes.byref(size), *addresses, ctypes.byref(info))
+
+        def solve(rhs, block=0):
+            m = len(rhs)
+            if block < 0 or (block + 1) * m > len(factors[1]):
+                raise ValueError(f"no block {block} of {m} rows in {n}")
+            after = [a + 8 * m * block for a in addresses] if block else addresses  # 8-byte items
+            return _trs(self.gttrs, m, (), after, rhs)
+
+        return factors, solve, info.value
 
     def dgbtrf(self, ab, kl, ku):
         """The LU factors of the band matrix in LAPACK's band storage ab
@@ -155,9 +167,9 @@ class _NumpyLapack:
         if ku >= kl and np.array_equal(ipiv, np.arange(1, n + 1)):
             lu = np.array(lu[kl:], order="F")
             upper.value, rows.value = ku - kl, len(lu)
-        solve = _solver(self.gbtrs, size, map(ctypes.byref, (lower, upper)),
-                        (_address(lu.T), ctypes.byref(rows), _address(ipiv)))
-        return [lu, ipiv], solve, info.value
+        before = tuple(map(ctypes.byref, (lower, upper)))
+        after = (_address(lu.T), ctypes.byref(rows), _address(ipiv))
+        return [lu, ipiv], lambda rhs: _trs(self.gbtrs, n, before, after, rhs), info.value
 
     def dgtsv(self, dl, d, du, b):
         """x solving the tridiagonal system (dl, d, du) x = b for one column
@@ -172,23 +184,16 @@ class _NumpyLapack:
         return x, info.value
 
 
-def _solver(trs, size, before, after):
-    """solve(rhs) for one or more columns of size rows: a Fortran-ordered
-    copy of rhs that trs("N", n, *before, nrhs, *after, b, ldb, info)
-    overwrites.  before and after hold the factors' references, which keep
-    them alive."""
-    n, size_ref, before, after = size.value, ctypes.byref(size), tuple(before), tuple(after)
-
-    def solve(rhs):
-        b = np.array(rhs, dtype=float, order="F")
-        if b.ndim not in (1, 2) or len(b) != n:
-            raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
-        nrhs, status = ctypes.c_int64(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int64()
-        trs(b"N", size_ref, *before, ctypes.byref(nrhs), *after, _address(b.T), size_ref,
-            ctypes.byref(status), 1)
-        return b
-
-    return solve
+def _trs(trs, n, before, after, rhs):
+    """A Fortran-ordered copy of rhs, n rows and one or more columns, that
+    trs("N", n, *before, nrhs, *after, b, ldb, info) overwrites."""
+    b = np.array(rhs, dtype=float, order="F")
+    if b.ndim not in (1, 2) or len(b) != n:
+        raise ValueError(f"right-hand side of shape {b.shape} for {n} unknowns")
+    size, b_ref = ctypes.byref(ctypes.c_int64(n)), _address(b.T)
+    nrhs, status = ctypes.c_int64(b.shape[1] if b.ndim == 2 else 1), ctypes.c_int64()
+    trs(b"N", size, *before, ctypes.byref(nrhs), *after, b_ref, size, ctypes.byref(status), 1)
+    return b
 
 
 def _address(a):
@@ -217,7 +222,13 @@ class _ScipyLapack:
 
     def dgttrf(self, dl, d, du):
         *factors, info = self.lapack.dgttrf(dl, d, du)
-        return factors, lambda rhs: self.lapack.dgttrs(*factors, rhs)[0], info
+
+        def solve(rhs, block=0):
+            start = len(rhs) * block
+            return self.lapack.dgttrs(*(f[start:start + len(rhs) - c] for f, c in
+                                        zip(factors, (1, 0, 1, 2, 0))), rhs)[0]
+
+        return factors, solve, info
 
     def dgbtrf(self, ab, kl, ku):
         lu, piv, info = self.lapack.dgbtrf(ab, kl, ku)
@@ -244,43 +255,38 @@ def _lapack():
 
 class _BandLU:
     """LAPACK's LU with partial pivoting of the Banded matrix A, and its
-    solve(rhs) for one or more columns: dgttrf and dgttrs when A has one band
-    either side of the diagonal, else dgbtrf and dgbtrs on A's band storage.
-    There every row with no off-diagonal entry (a Dirichlet row) is scaled by
-    the least power of two above max |A|, and solve scales the same rows of
-    each right-hand side.  A power of two scales exactly, and the scaled
-    diagonal exceeds every entry of A, so partial pivoting keeps those rows
-    in place (unless elimination grows an entry of their column past it),
-    and the solution there is the right-hand side exactly.  When no interior
-    row is swapped either, as for a column dominant A, the factors keep
-    kl + ku + 1 rows (_NumpyLapack.dgbtrf).  An exactly singular U raises
-    SolverError naming what A is."""
+    solve(rhs) for one or more columns: dgbtrf and dgbtrs on A's band
+    storage.  There every row with no off-diagonal entry (a Dirichlet row) is
+    scaled by the least power of two above max |A|, and solve scales the same
+    rows of each right-hand side.  A power of two scales exactly, and the
+    scaled diagonal exceeds every entry of A, so partial pivoting keeps those
+    rows in place (unless elimination grows an entry of their column past
+    it), and the solution there is the right-hand side exactly.  When no
+    interior row is swapped either, as for a column dominant A, the factors
+    keep kl + ku + 1 rows (_NumpyLapack.dgbtrf).  An exactly singular U
+    raises SolverError naming what A is."""
 
     def __init__(self, A: Banded, what: str):
         kl, ku = -min(A.bands), max(A.bands)
-        if kl == ku == 1:
-            self.factors, self.solve, info = _lapack().dgttrf(A.bands[-1][1:], A.bands[0],
-                                                              A.bands[1][:-1])
-        else:
-            ab = np.zeros((2 * kl + ku + 1, A.n), order="F")
-            alone, top = np.ones(A.n, dtype=bool), 0.0  # rows with no off-diagonal entry, max |A|
-            for offset, rows, cols, band in A._terms:
-                ab[kl + ku - offset, cols] = band
-                top = max(top, float(np.max(np.abs(band))))
-                if offset:
-                    alone[rows] &= band == 0.0
-            dirichlet, scale = np.flatnonzero(alone), 2.0 ** math.frexp(top)[1]
-            ab[kl + ku, dirichlet] *= scale
-            self.factors, solve, info = _lapack().dgbtrf(ab, kl, ku)
-
-            def scaled_solve(rhs):
-                b = np.array(rhs, dtype=float, order="F")
-                b[dirichlet] *= scale
-                return solve(b)
-
-            self.solve = scaled_solve
+        ab = np.zeros((2 * kl + ku + 1, A.n), order="F")
+        alone, top = np.ones(A.n, dtype=bool), 0.0  # rows with no off-diagonal entry, max |A|
+        for offset, rows, cols, band in A._terms:
+            ab[kl + ku - offset, cols] = band
+            top = max(top, float(np.max(np.abs(band))))
+            if offset:
+                alone[rows] &= band == 0.0
+        dirichlet, scale = np.flatnonzero(alone), 2.0 ** math.frexp(top)[1]
+        ab[kl + ku, dirichlet] *= scale
+        self.factors, solve, info = _lapack().dgbtrf(ab, kl, ku)
         if info > 0:
             raise SolverError(f"{what} is exactly singular (zero pivot in row {info})")
+
+        def scaled_solve(rhs):
+            b = np.array(rhs, dtype=float, order="F")
+            b[dirichlet] *= scale
+            return solve(b)
+
+        self.solve = scaled_solve
 
 
 @dataclass
@@ -386,13 +392,13 @@ class Propagator:
     where L_k is the q-free operator plus diag(q_k) on interior rows.  L_k
     vanishes on boundary rows, so A_k has identity and M_k zero boundary
     rows: the stepper writes the Dirichlet values into the right-hand side.
-    The stencil is assembled once per distinct gamma level, and with it the
-    off-diagonal bands of A and M, which a level completes by writing only
-    their diagonals.  Step k's system, A_k, its LU (_BandLU) and M_k, is
-    built when a march first reaches it (step 0's at construction) and kept
-    until release(k); there is one for all steps when neither q nor gamma
-    depends on time.  A given gamma passes DiffusionTensor.check_ellipticity
-    first, once per Propagator, else ModelError."""
+    One step system serves all steps unless q or gamma depends on time.  A
+    1D stepper forms every step's A and M at construction, their bands
+    stacked (steps, n_space), and factors every A_k in one dgttrf call on
+    their block-diagonal stack; step k solves with block k.  In 2D step k's
+    system, A_k, its LU (_BandLU) and M_k, is built when a march first
+    reaches it (step 0's at construction) and kept until release(k).  A
+    gamma passes DiffusionTensor.check_ellipticity first, else ModelError."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -404,15 +410,31 @@ class Propagator:
         self.q_levels = potential_values(grid, q).reshape(grid.n_levels, -1)
         q_td = bool(np.any(self.q_levels[1:] != self.q_levels[0]))
         self.gamma_td = gamma.time_dependent() if gamma is not None else False
-        self.time_dependent = q_td or self.gamma_td
+        self.time_dependent = td = q_td or self.gamma_td
         self.boundary_idx, self.interior_mask = grid.boundary_flat_indices(), grid.interior_mask()
         self._stencils, self._systems = {}, {}
-        self.system(0)
+        if grid.dim == 2:
+            self.system(0)
+            return
+        A, self._M = self._matrices(*((slice(1, None), slice(-1)) if td else (0, 0)))
+        # zero couplings: each block factors (pivots rebased) as with its own dgttrf
+        lower, diagonal, upper = (np.ravel(A.bands[o]) for o in (-1, 0, 1))
+        self._factors, self._gttrs, info = _lapack().dgttrf(lower[1:], diagonal, upper[:-1])
+        if info > 0:
+            level, row = divmod(info - 1, grid.n_space)
+            raise SolverError(f"step matrix of time level {level + td} is exactly singular "
+                              f"(zero pivot in row {row + 1})")
+        self._factors[4] -= np.arange(diagonal.size) // grid.n_space * grid.n_space
 
     def _stencil(self, level):
-        """Per gamma level: the stencil's diagonal, and A and M with the
-        off-diagonal bands dt theta L and -dt (1 - theta) L."""
+        """Per gamma level, or stacked over a slice: the stencil's diagonal, and
+        A and M with the off-diagonal bands dt theta L and -dt (1 - theta) L."""
         g = self.grid
+        if isinstance(level, slice):
+            diag, A, M = zip(*(self._stencil(k) for k in range(g.n_levels)[level]))
+            stack = np.array if self.gamma_td else lambda b: np.broadcast_to(b[0], (len(b), g.n_space))
+            stacks = [{o: stack([S.bands[o] for S in Ss]) for o in Ss[0].bands} for Ss in (A, M)]
+            return stack(diag), Banded(stacks[0]), Banded(stacks[1])
         key = level if self.gamma_td else 0
         if key not in self._stencils:
             S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
@@ -420,33 +442,42 @@ class Propagator:
                                    S.scaled(-g.dt * (1 - self.theta)))
         return self._stencils[key]
 
+    def _matrices(self, new, old):
+        """A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
+        with L = stencil + diag(q) at the levels new and old (indices, or
+        slices whose matrices stack): only the diagonals change per level."""
+        ca, cm = self.grid.dt * self.theta, self.grid.dt * (1 - self.theta)
+        (s_new, A, _), (s_old, _, M) = self._stencil(new), self._stencil(old)
+        q_new, q_old = (np.where(self.interior_mask, self.q_levels[i], 0.0) for i in (new, old))
+        return (A.with_diagonal(1.0 + ca * (s_new + q_new)),
+                M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q_old), 0.0)))
+
     def system(self, k):
-        """(A_k, M_k, LU of A_k) of step k, built on first use and kept."""
+        """(A_k, M_k, LU of A_k) of step k, built on first use; kept in 2D."""
         key = k if self.time_dependent else 0
         if key not in self._systems:
-            # A = I + dt theta L_new and M = I_interior - dt (1 - theta) L_old
-            # with L = stencil + diag(q): only the diagonals change per level
-            new, old = (key + 1, key) if self.time_dependent else (0, 0)
-            ca, cm = self.grid.dt * self.theta, self.grid.dt * (1 - self.theta)
-            (s_new, A, _), (s_old, _, M) = self._stencil(new), self._stencil(old)
-            q = np.where(self.interior_mask, self.q_levels[[new, old]], 0.0)
-            A = A.with_diagonal(1.0 + ca * (s_new + q[0]))
-            M = M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q[1]), 0.0))
+            new = key + self.time_dependent  # A's level: k + 1, or 0 for every step
+            A, M = self._matrices(new, key)
+            if self.grid.dim == 1:
+                start, n = key * self.grid.n_space, self.grid.n_space
+                return A, M, SimpleNamespace(solve=functools.partial(self._gttrs, block=key),
+                                             factors=[f[start:start + n - c] for f, c in
+                                                      zip(self._factors, (1, 0, 1, 2, 0))])
             self._systems[key] = A, M, _BandLU(A, f"step matrix of time level {new}")
         return self._systems[key]
 
     def release(self, k):
-        """Forget step k's system, which frees its LU once no march holds it;
-        a stepper that is not time dependent keeps its one system."""
+        """Forget step k's 2D system, which frees its LU once no march holds
+        it; a stepper that is not time dependent, or 1D, keeps its systems."""
         if self.time_dependent:
             self._systems.pop(k, None)
 
     # -- sweeps ----------------------------------------------------------------
 
-    def _solve(self, lu, rhs):
+    def _solve(self, solve, rhs):
         if not np.iscomplexobj(rhs):
-            return lu.solve(rhs)
-        both = lu.solve(np.column_stack([rhs.real, rhs.imag]))  # real parts, then imaginary
+            return solve(rhs)
+        both = solve(np.column_stack([rhs.real, rhs.imag]))  # real parts, then imaginary
         m = both.shape[1] // 2
         return (both[:, :m] + 1j * both[:, m:]).reshape(rhs.shape)
 
@@ -470,11 +501,12 @@ class Propagator:
             for a, c, shape in zip(ops, cols, shapes)
         )
 
-    def _rhs(self, M, z, f, s):
+    def _rhs(self, M, z, f, s, level=None):
         """Right-hand side of a step from the values z at its first level: M z
-        + dt (theta s[1] + (1 - theta) s[0]) on interior rows (no source for s
-        None), its second level's boundary values f (or 0) elsewhere."""
-        rhs = M @ z
+        (M at level of a stack) + dt (theta s[1] + (1 - theta) s[0]) on interior
+        rows (no source for s None), its second level's boundary values f (or
+        0) elsewhere."""
+        rhs = M.product(z, level)
         if s is not None:  # on every row: the boundary rows are overwritten next
             # at theta = 1 the s[0] term is a signed zero, and adding one
             # leaves M z, a sum started at +0, as it is
@@ -487,8 +519,12 @@ class Propagator:
         """The values at level k + 1 from the values z (n_space[, m]) at level
         k: f, the boundary values of level k + 1, and s, the source at levels
         k and k + 1, as one level of run's operands."""
+        if self.grid.dim == 1:
+            level = k if self.time_dependent else None
+            solve = self._gttrs if level is None else functools.partial(self._gttrs, block=k)
+            return self._solve(solve, self._rhs(self._M, z, f, s, level))
         _, M, lu = self.system(k)
-        return self._solve(lu, self._rhs(M, z, f, s))
+        return self._solve(lu.solve, self._rhs(M, z, f, s))
 
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).

@@ -406,20 +406,20 @@ def l2q_inner(a: Field, b: Field) -> complex:
 
 
 def save_field_csv(f: Field, path) -> None:
-    if f.domain == DOMAIN_OMEGA:
-        levels = [f.values]
-    elif f.domain == DOMAIN_Q:
-        levels = list(f.values)
-    else:
+    """Each level's rows of value reprs; a row of bitwise equal values (-0.0
+    is not 0.0) repeats one repr."""
+    if f.domain not in (DOMAIN_OMEGA, DOMAIN_Q):
         raise GridError("CSV field format covers Q and Omega fields")
-    shape_bits = [str(n) for n in f.grid.nx] + [str(f.grid.nt)]
+    values = np.array([f.values] if f.domain == DOMAIN_OMEGA else f.values, dtype=float)
+    levels = values.reshape(len(values), -1, values.shape[-1])
+    constant = np.all(levels.view(np.int64) == levels[..., :1].view(np.int64), axis=-1).tolist()
     buf = io.StringIO()
-    buf.write(f"# shape: {','.join(shape_bits)}\n")
-    for k, level in enumerate(levels):
+    buf.write(f"# shape: {','.join(map(str, (*f.grid.nx, f.grid.nt)))}\n")
+    for k, (level, flags) in enumerate(zip(levels.tolist(), constant)):
         if k:
             buf.write("\n")
-        for row in np.atleast_2d(np.asarray(level, dtype=float)).tolist():
-            buf.write(",".join(map(repr, row)))
+        for row, same in zip(level, flags):
+            buf.write(",".join([repr(row[0])] * len(row) if same else map(repr, row)))
             buf.write("\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())

@@ -6,8 +6,8 @@ direct solves of the linearized equations with frozen Taylor coefficients.
 The quotient is what an experimenter could actually form from data; the
 direct solve is its oracle, and the gap between them shrinks at O(eps).
 The base solution and all corners of every order of a run are one batched
-nonlinear solve; the direct fields share one Propagator, one multi-column
-sweep per subset size.
+nonlinear solve; the direct fields of every order share one Propagator,
+one multi-column sweep per subset size over the distinct probe subsets.
 """
 
 from __future__ import annotations
@@ -173,33 +173,32 @@ def _partitions_with_first(elements):
             yield [block] + tail
 
 
-def _direct_mixed_fields(setup: LinearizationSetup, traces):
-    """All mixed linearized fields w^S for subsets S of the probe index set
-    (probe traces on the last axis of traces), solved bottom-up with one sweep
-    per subset size on the setup's Propagator: the order-|S| equation carries
-    the frozen potential and the partition-structured source sum over lower
-    blocks."""
+def _direct_mixed_fields(setup: LinearizationSetup, traces, subsets):
+    """The mixed linearized fields w^S for the subsets S (tuples of indices of
+    the probe traces on the last axis of traces, closed under sub-tuples),
+    solved bottom-up with one sweep per subset size on the setup's
+    Propagator: the order-|S| equation carries the frozen potential and the
+    partition-structured source sum over lower blocks."""
     grid = setup.grid
     shape = (grid.n_levels, *grid.nx)
-    M = traces.shape[-1]
     first = setup.propagator.run(f=traces)
-    fields = {(i,): first[..., i].reshape(shape) for i in range(M)}
-    for size in range(2, M + 1):
-        subsets = list(combinations(range(M), size))
+    fields = {(i,): first[..., i].reshape(shape) for i in range(traces.shape[-1])}
+    for size in range(2, max(map(len, subsets)) + 1):
+        group = [s for s in subsets if len(s) == size]
         sources = []
-        for subset in subsets:
+        for subset in group:
             src = np.zeros(shape)
             for part in _partitions_with_first(subset):
                 if len(part) < 2:
                     continue  # the single-block term is the lhs potential term
                 prod = setup.coefficient(len(part)).values.copy()
                 for block in part:
-                    prod = prod * fields[tuple(sorted(block))]
+                    prod = prod * fields[block]
                 src += prod
             sources.append(-src.reshape(grid.n_levels, -1))
         solved = setup.propagator.run(source=np.stack(sources, axis=-1))
-        fields.update({s: solved[..., j].reshape(shape) for j, s in enumerate(subsets)})
-    return {s: Field(grid, v, DOMAIN_Q) for s, v in fields.items()}
+        fields.update({s: solved[..., j].reshape(shape) for j, s in enumerate(group)})
+    return fields
 
 
 def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderResult:
@@ -228,6 +227,7 @@ def higher_orders(setup: LinearizationSetup, jobs) -> list[MixedOrderResult]:
     """
     grid = setup.grid
     plans, columns, labels = [], [], []
+    distinct, subsets = {}, {}  # distinct traces' indices; needed fields as tuples of them
     for probes, eps_schedule in jobs:
         M = len(probes)
         if M < 1:
@@ -245,15 +245,19 @@ def higher_orders(setup: LinearizationSetup, jobs) -> list[MixedOrderResult]:
         batch = [(amps, s) for amps in live for s in corners[1:]]
         columns += [sum(amps[i] * traces[..., i] for i in s) for amps, s in batch]
         labels += [f"order-{M} corner {s} at amplitudes {amps}" for amps, s in batch]
-        plans.append((traces, levels, live, corners, len(batch)))
+        index = [distinct.setdefault(traces[..., i].tobytes(), (len(distinct), traces[..., i]))[0]
+                 for i in range(M)]
+        subsets.update(dict.fromkeys(tuple(index[i] for i in s) for s in corners[1:]))
+        plans.append((traces, levels, live, corners, len(batch), tuple(index)))
 
     values = setup.solve_columns(columns, labels)
+    fields = _direct_mixed_fields(setup, np.stack([t for _, t in distinct.values()], -1), subsets)
     base = setup.base_solution()
     solved = (values[..., j].reshape(base.values.shape) for j in range(len(columns)))
     results = []
-    for traces, levels, live, corners, corner_solves in plans:
+    for traces, levels, live, corners, corner_solves, probes in plans:
         M = traces.shape[-1]
-        direct = _direct_mixed_fields(setup, traces)[tuple(range(M))]
+        direct = Field(grid, fields[probes], DOMAIN_Q)
         quotient = None
         gaps, eps_size = [], []
         for amps in levels:

@@ -27,10 +27,10 @@ tau = 0 point) is marched, and its partner is copied as its conjugate.  The
 marched probes of one omega are stepped together, level by level: at each
 time level the forward CGO remainders take their step (cgo.RemainderMarch)
 and then the difference profiles take theirs, with the source coefficient
-* W_ref at that level; no step residual is formed.  Each difference step's
-band LU is made when the march reaches it and released after it (a Taylor
-sweep steps on the factory's stepper, whose LUs stay kept), and only
-per-level (n_space, probes) blocks are held, with each probe's DN trace.
+* W_ref at that level; no step residual is formed.  A 2D difference step's
+band LU is made when the march reaches it and released after it (1D: all at
+once; a Taylor sweep steps on the factory's stepper, whose LUs stay kept),
+and only per-level (n_space, probes) blocks are held, with DN traces.
 """
 
 from __future__ import annotations

@@ -675,6 +675,21 @@ def test_shipped_linearize_work(tmp_path, monkeypatch):
     assert (len(calls), report["newton_calls"], report["newton_iterations"]) == (155, 1, 3565)
 
 
+def test_shipped_1d_steppers_factor_once(tmp_path, monkeypatch):
+    # a 1D stepper factors all its step matrices in one dgttrf call (counted
+    # on forward's LAPACK binding): the shipped recover-q makes one per
+    # stepper, 5, where one per time level made 386, and linearize's one
+    # stepper of the direct fields makes 1, not 48
+    from pipl import forward
+
+    dgttrf, calls = forward._lapack().dgttrf, []
+    monkeypatch.setattr(forward._lapack(), "dgttrf", lambda *a: calls.append(1) or dgttrf(*a))
+    for kind, expected in (("recover-q", 5), ("linearize", 1)):
+        calls.clear()
+        assert run(kind, CONFIGS / f"{kind}.ini", tmp_path / kind) == EXIT_OK
+        assert len(calls) == expected
+
+
 def test_shipped_cgo_verify_work(tmp_path, monkeypatch):
     # the shipped probes have xi = 0 and tau = 0, so the four rho builds
     # march real: 4 x 256 steps, each on a float block with a float band

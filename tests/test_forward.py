@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -878,7 +879,8 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
     # the band LU and Newton solves run on the ILP64 OpenBLAS that numpy's
     # wheel bundles; the scipy.linalg.lapack fallback gives bitwise the same
     # factors, pivots (scipy's dgbtrf counts them from 0) and solves, for the
-    # tridiagonal routines and the general band ones
+    # tridiagonal routines (dgttrf taken as is, the stepper's 1D LU) and the
+    # general band ones (_BandLU)
     bundled = forward._lapack()
     assert isinstance(bundled, forward._NumpyLapack)
     rng = np.random.default_rng(3)
@@ -889,11 +891,17 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
     tri = forward.Banded({-1: np.append(0.0, dl), 0: d, 1: np.append(du, 0.0)})
     wide = forward.Banded({o: rng.standard_normal(n) * (0.1 if o == 0 else 1.0)
                            for o in (-6, -5, -1, 0, 1, 4)})
-    lus = [forward._BandLU(A, "A") for A in (tri, wide)]
+
+    def factor():
+        factors, solve, info = forward._lapack().dgttrf(dl, d, du)
+        assert info == 0
+        return [SimpleNamespace(factors=factors, solve=solve), forward._BandLU(wide, "A")]
+
+    lus = factor()
     monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
     fallback = forward._lapack()
     assert isinstance(fallback, forward._ScipyLapack)
-    refs = [forward._BandLU(A, "A") for A in (tri, wide)]
+    refs = factor()
     assert all(_same(a, b) for a, b in zip(lus[0].factors[:4], refs[0].factors[:4]))
     assert np.array_equal(lus[0].factors[4], refs[0].factors[4])
     assert not np.array_equal(refs[0].factors[4], np.arange(1, n + 1))
@@ -911,6 +919,113 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
     x_ref, info_ref = fallback.dgtsv(dl, d.copy(), du, b)
     assert info == info_ref == 0 and _same(x, x_ref)
     assert all(_same(a, b) for a, b in zip((dl, d, du), bands))  # the bands are left alone
+
+
+def _per_level_march(prop, g0, f, source):
+    """run's march with each step's A_k and M_k formed from the stencils of
+    levels k + 1 and k and each A_k factored by a dgttrf call of its own:
+    the reference for the stacked 1D stepper.  Returns the values and each
+    step's (A_k, M_k, factors)."""
+    g, theta, mask = prop.grid, prop.theta, prop.interior_mask
+    dt, td = g.dt, prop.time_dependent
+
+    def stencil(level):
+        return assemble_operator(g, prop.gamma, (level if prop.gamma_td else 0) * dt,
+                                 prop.advection)
+
+    u = np.zeros((g.n_levels, *np.shape(g0)))
+    u[0] = g0
+    u[0, prop.boundary_idx] = f[0]
+    steps = []
+    for k in range(g.nt):
+        new, old = (k + 1, k) if td else (0, 0)
+        s_new, s_old = stencil(new), stencil(old)
+        q = np.where(mask, prop.q_levels[[new, old]], 0.0)
+        A = s_new.scaled(dt * theta).with_diagonal(1.0 + dt * theta * (s_new.bands[0] + q[0]))
+        M = s_old.scaled(-dt * (1 - theta)).with_diagonal(
+            np.where(mask, 1.0 - dt * (1 - theta) * (s_old.bands[0] + q[1]), 0.0))
+        factors, solve, info = forward._lapack().dgttrf(A.bands[-1][1:], A.bands[0],
+                                                        A.bands[1][:-1])
+        assert info == 0
+        s = source[k + 1] if theta == 1.0 else theta * source[k + 1] + (1 - theta) * source[k]
+        rhs = M @ u[k] + dt * s
+        rhs[prop.boundary_idx] = f[k + 1]
+        u[k + 1] = solve(rhs)
+        steps.append((A, M, factors))
+    return u, steps
+
+
+def _negative_q(grid, theta):
+    """A potential near -(2 / h^2 + 1 / (dt theta)), which leaves the interior
+    diagonal of the step matrices small against their off-diagonals."""
+    c = 2 / grid.h[0] ** 2 + 1 / (grid.dt * theta)
+    return field_from_function(grid, lambda x, t: -c * (1 + 0.1 * np.sin(7 * x + 3 * t)), "Q")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(3, 24),
+    nt=st.integers(2, 8),
+    T=st.floats(0.05, 1.0),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_kind=st.sampled_from(("identity", "scalar", "time")),
+    q_kind=st.sampled_from(("none", "time", "negative")),
+    advection=st.sampled_from((None, (5.0,), (-120.0,))),
+    columns=st.sampled_from(((), (1,), (3,))),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_1d_stepper_matches_per_level_lu(nx, nt, T, scheme, gamma_kind, q_kind, advection,
+                                                  columns, seed):
+    # a 1D stepper factors every step matrix in one dgttrf call over their
+    # block-diagonal stack; its march equals, byte for byte, the march whose
+    # steps each form their own A_k and M_k and factor A_k alone, and each
+    # step's system holds that step's own matrices and dgttrf factors and
+    # pivots (rebased to count from the block's first row)
+    grid = SpaceTimeGrid.make([0.0], [1.0], [nx], nt, T)
+    q = {"none": None,
+         "time": field_from_function(grid, lambda x, t: 1.0 + x * t + 0.5 * x, "Q"),
+         "negative": _negative_q(grid, SCHEMES[scheme])}[q_kind]
+    prop = Propagator(grid, GAMMAS[gamma_kind](1), q, scheme, advection)
+    rng = np.random.default_rng(seed)
+    g0 = rng.standard_normal((grid.n_space, *columns))
+    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx), *columns))
+    source = rng.standard_normal((grid.n_levels, grid.n_space, *columns))
+    u = prop.run(g0, f, source)
+    ref, steps = _per_level_march(prop, g0, f, source)
+    assert _same(u, ref)
+    for k, (A_ref, M_ref, factors) in enumerate(steps):
+        A, M, lu = prop.system(k)
+        for a, b in ((A, A_ref), (M, M_ref)):
+            assert all(_same(a.bands[o], b.bands[o]) for o in (-1, 0, 1))
+        assert all(_same(x, y) for x, y in zip(lu.factors, factors))
+        assert _same(lu.solve(source[k]), forward._lapack().dgttrf(
+            A_ref.bands[-1][1:], A_ref.bands[0], A_ref.bands[1][:-1])[1](source[k]))
+    prop.release(0)
+    assert _same(prop.run(g0, f, source), u)
+
+
+def test_stacked_1d_march_through_scipy_binding(monkeypatch):
+    # one time-dependent 1D march whose steps swap rows, through numpy's
+    # bundled LAPACK and through the scipy.linalg.lapack fallback: the same
+    # factors, pivots and values, byte for byte
+    g = SpaceTimeGrid.make([0.0], [1.0], [33], 12, 0.5)
+    rng = np.random.default_rng(7)
+    g0, source = rng.standard_normal((g.n_space, 2)), rng.standard_normal((g.n_levels, g.n_space))
+    f = rng.standard_normal((g.n_levels, 2, 2))
+
+    def march():
+        prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), _negative_q(g, 0.5), "cn")
+        return prop.run(g0, f, source), [prop.system(k)[2].factors for k in range(g.nt)]
+
+    u, factors = march()
+    assert isinstance(forward._lapack(), forward._NumpyLapack)
+    monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
+    u_ref, factors_ref = march()
+    assert _same(u, u_ref)
+    for a, b in zip(factors, factors_ref):
+        assert all(_same(x, y) for x, y in zip(a[:4], b[:4]))
+        assert np.array_equal(a[4], b[4])
+    assert all(not np.array_equal(a[4], np.arange(1, g.n_space + 1)) for a in factors)
 
 
 def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
@@ -990,9 +1105,10 @@ def test_matrix_gamma_on_1d_grid_raises():
 
 
 def test_propagator_work_counts(monkeypatch):
-    # a Propagator builds step 0's system and a march the rest: per run, one
-    # stencil assembly per gamma level; one LU per distinct step matrix,
-    # LAPACK's band LU whatever the rows: dgbtrf in 2D, dgttrf in 1D.  Newton
+    # a 2D Propagator builds step 0's system and a march the rest: per run,
+    # one stencil assembly per gamma level; one dgbtrf per distinct step
+    # matrix.  A 1D one factors every step matrix at construction in one
+    # dgttrf call, and a second run or a release factors nothing.  Newton
     # makes one solve per iteration: one dgbtrf (and its solve) in 2D, one
     # dgtsv in 1D.  LAPACK is counted on forward's binding, and so are the
     # rows each dgbtrf keeps: kl + ku + 1 without an interchange, 2 kl + ku + 1
@@ -1047,11 +1163,16 @@ def test_propagator_work_counts(monkeypatch):
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")
-    for q, expected in ((q_time, (1, g1.nt)), (2.0, (1, 1)), (-200.0, (1, 1))):
+    for q in (q_time, 2.0, -200.0):
         Propagator(g1, gamma, q, "cn", (1.0,)).run()
-        assert work(assemble_operator=expected[0], dgttrf=expected[1])
+        assert work(assemble_operator=1, dgttrf=1)
     Propagator(g1, DiffusionTensor.scalar("1 + 0.2*t"), None).run()
-    assert work(assemble_operator=g1.n_levels, dgttrf=g1.nt)
+    assert work(assemble_operator=g1.n_levels, dgttrf=1)
+    prop = Propagator(g1, gamma, q_time, "cn", (1.0,))
+    assert work(assemble_operator=1, dgttrf=1)
+    prop.release(2)
+    prop.run()
+    assert work()
 
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)
     g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [6, 6], 4, 0.2)

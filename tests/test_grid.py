@@ -208,6 +208,32 @@ def test_csv_roundtrip_q_field(data, dim, nx, nt, lower, width, T, domain, tmp_p
     assert p.read_text().splitlines()[0] == "# shape: " + ",".join(map(str, (*g.nx, nt)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from((1, 2)),
+    nx=st.tuples(st.integers(3, 6), st.integers(3, 6)),
+    domain=st.sampled_from(("Q", "Omega")),
+)
+def test_csv_constant_rows_write_every_repr(data, dim, nx, domain, tmp_path_factory):
+    # values from a small pool, so that many rows are constant and some mix
+    # 0.0 with -0.0: the file holds each value's own repr, as a writer that
+    # formats every value does
+    g = SpaceTimeGrid.make([0.0] * dim, [1.0] * dim, nx[:dim], 2, 1.0)
+    shape = (g.n_levels, *g.nx) if domain == "Q" else g.nx
+    pool = st.sampled_from((0.0, -0.0, 1.5, 1e-300, -2.0 / 3.0))
+    fill, first, last = data.draw(st.tuples(pool, pool, pool))
+    values = np.full(shape, fill)
+    values.reshape(-1)[0], values.reshape(-1)[-1] = first, last
+    p = tmp_path_factory.mktemp("csv") / "field.csv"
+    save_field_csv(Field(g, values, domain), p)
+    levels = values if domain == "Q" else [values]
+    blocks = ["\n".join(",".join(map(repr, row)) for row in np.atleast_2d(level).tolist())
+              for level in levels]
+    assert p.read_text() == "# shape: " + ",".join(map(str, (*g.nx, 2))) + "\n" + (
+        "\n\n".join(blocks) + "\n")
+
+
 # -- node sets against the face-loop construction ------------------------------
 # The reference builds every node set face by face with explicit 1D and 2D
 # cases: faces, their nodes, flat indices, the boundary as a sorted set, the

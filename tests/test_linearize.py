@@ -151,16 +151,23 @@ def test_zero_probe_annihilates():
 
 
 def test_linearize_work_counts(monkeypatch):
-    # one Propagator per setup, shared by the direct fields of every order;
-    # one batched Newton per higher_orders call, which solves the base too
+    # one Propagator per setup, shared by the direct fields of every order,
+    # which it marches in one sweep per subset size over the distinct subsets
+    # of all orders (3 sweeps of 3, 3 and 1 columns, not 6); one batched
+    # Newton per higher_orders call, which solves the base too
     from pipl import forward
 
-    built, newton_iterations = [], []
-    real_init, real_newton = forward.Propagator.__init__, forward._newton
+    built, newton_iterations, sweeps = [], [], []
+    real_init, real_newton, real_run = (forward.Propagator.__init__, forward._newton,
+                                        forward.Propagator.run)
 
     def init(self, *args, **kwargs):
         built.append(1)
         real_init(self, *args, **kwargs)
+
+    def run(self, g0=None, f=None, source=None):
+        sweeps.append(np.shape(f if source is None else source)[-1])
+        return real_run(self, g0, f, source)
 
     def newton(*args, **kwargs):
         res = real_newton(*args, **kwargs)
@@ -169,11 +176,13 @@ def test_linearize_work_counts(monkeypatch):
 
     monkeypatch.setattr(forward.Propagator, "__init__", init)
     monkeypatch.setattr(forward, "_newton", newton)
+    monkeypatch.setattr(forward.Propagator, "run", run)
     setup = make_setup("u^3", nx=17, nt=16, g_amp=0.5)
     probes = [probe_trace(setup.grid, lambda x, s=s: np.cos(s * x) + 1.5) for s in (1.0, 2.0, 3.0)]
     higher_orders(setup, [(probes[:order], [3e-3, 1e-3]) for order in (1, 2, 3)])
     setup.base_solution()  # solved in the batch, not again
     assert len(built) == 1
+    assert sweeps == [3, 3, 1]
     assert len(newton_iterations) == 1
     assert setup.newton_calls == 1
     assert setup.newton_iterations == sum(newton_iterations)

@@ -330,27 +330,28 @@ def test_probe_sweep_forms_no_step_residual(monkeypatch):
 def test_probe_sweep_work_counts_1d(monkeypatch):
     # the recover-q lattice (n_tau = 4, 9 points): 5 marched columns in one
     # march, and the other 4 probes copied as conjugates; per omega one LU
-    # of the forward-profile stepper and one per truth-side difference step
+    # of the forward-profile stepper and one dgttrf for all the truth-side
+    # difference steps, made when their stepper is built
     g = grid1d(129, 128)
     events = _sweep_events(monkeypatch)
     probes = synthesize_potential_probes(g, bump_dq(g), None, rho=32.0, n_tau=4)
     assert len(probes) == 9
-    assert [e[0] for e in events] == _march_order(g)
+    assert [e[0] for e in events] == (["march", "factor", "factor"]
+                                      + ["remainder", "difference"] * g.nt)
     assert [e[1:] for e in events if e[0] == "march"] == [((1.0,), 5)]
     assert {e[1] for e in events if e[0] in ("remainder", "difference")} == {5}
-    assert sum(e[0] == "factor" for e in events) == 1 + g.nt
+    assert sum(e[0] == "factor" for e in events) == 2
     for p, partner in zip(probes, probes[::-1]):
         assert p.params.tau == -partner.params.tau
         assert np.array_equal(p.dn_difference, partner.dn_difference.conj())
     # a Taylor sweep steps its differences on the factory's stepper: with a
-    # time-dependent potential, each level's one LU serves both steps
+    # time-dependent potential, its one dgttrf serves both steps of every level
     from pipl.recon.potential import _sweep_probes
 
     events.clear()
     factory = CGOFactory(g, bump_dq(g))
     _sweep_probes(g, factory, factory.q, np.ones((g.n_levels, *g.nx)), 32.0, 0, 4)
-    assert [e[0] for e in events] == (["march", "factor", "remainder", "difference"]
-                                      + ["remainder", "factor", "difference"] * (g.nt - 1))
+    assert [e[0] for e in events] == ["march", "factor"] + ["remainder", "difference"] * g.nt
 
 
 def test_probe_sweep_rejects_complex_inputs():
