@@ -30,15 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .forward import Propagator, SolverError, potential_values
-from .grid import (
-    DOMAIN_Q,
-    BoundaryPortion,
-    Field,
-    GridError,
-    SpaceTimeGrid,
-    l2q_inner,
-    resolve_portion,
-)
+from .grid import DOMAIN_Q, BoundaryPortion, Field, SpaceTimeGrid, resolve_portion
 
 OVERFLOW_LIMIT = np.exp(50.0)
 RESOLUTION_LIMIT = 0.5   # warn when rho^(3/4) * dt exceeds this
@@ -90,17 +82,6 @@ def ramp(params: CGOParameters, t):
     """Boundary-layer ramp 1 - exp(-rho^(3/4) s) with s = t (forward) or
     T - t handled by the caller."""
     return 1.0 - np.exp(-params.rho**0.75 * t)
-
-
-def plane_wave(grid: SpaceTimeGrid, xi, tau) -> np.ndarray:
-    """exp(-i (xi.x + tau t)) on every node of Q, shaped (n_levels, *nx), as
-    the space wave exp(-i xi.x) times the time wave exp(-i tau t), the
-    product RemainderMarch forms, so each value is the one a march gives."""
-    meshes = grid.meshes()
-    s = xi[0] * meshes[0]
-    if grid.dim == 2:
-        s = s + xi[1] * meshes[1]
-    return np.exp(-1j * s) * np.exp(-1j * (tau * grid.level_times()))
 
 
 @dataclass
@@ -203,7 +184,7 @@ class RemainderMarch:
         self.phi, self.dphi = ramp(first, t), rho34 * np.exp(-rho34 * t)
         self.q_levels = factory.q_levels.reshape(grid.n_levels, -1, 1)
         # per column: space wave exp(-i xi.x), time wave exp(-i tau t) per
-        # level (as plane_wave forms them), and |xi|^2 - i tau
+        # level, and |xi|^2 - i tau
         xi, x = np.array([p.xi for p in params_list]), [m.reshape(-1, 1) for m in grid.meshes()]
         tau = np.array([p.tau for p in params_list])
         i = 1j if np.any(xi) or np.any(tau) else 0.0  # exp(-i 0) = 1: a real march
@@ -259,7 +240,7 @@ class RemainderMarch:
         """theta, the source and the lateral data of z (None for full data)
         on a time level, (n_space, columns) each, or on a slice of levels,
         with a leading level axis; a forward level forms its plane waves E,
-        one product of the march's waves as plane_wave forms it, once for both."""
+        one product of the march's waves, once for both."""
         phi, dphi = (a[levels, None, None] for a in (self.phi, self.dphi))
         q, m = self.q_levels[levels], len(self.params)
         if self.forward:
@@ -286,39 +267,3 @@ def phi_rho(rho, t, T):
     the backward ramp at T - t."""
     rho34 = rho**0.75
     return 1.0 - np.exp(-rho34 * t) - np.exp(-rho34 * (T - t)) + np.exp(-rho34 * T)
-
-
-def product_symbol(fwd: CGOParameters, bwd: CGOParameters, grid: SpaceTimeGrid) -> Field:
-    """Leading profile product phi_rho(t) exp(-i(x,t).(xi,tau)) of a matched
-    pair; the carrier product is identically one."""
-    if fwd.direction != "forward" or bwd.direction != "backward":
-        raise CGOError("need a (forward, backward) pair")
-    if fwd.rho != bwd.rho or fwd.omega != bwd.omega:
-        raise CGOError("pair must share rho and omega")
-    t = grid.level_times()
-    vals = phi_rho(fwd.rho, t, grid.T) * plane_wave(grid, fwd.xi, fwd.tau)
-    return Field(grid, vals, DOMAIN_Q)
-
-
-def pairing(f: Field, sol_fwd: CGOSolution, sol_bwd: CGOSolution):
-    """Integral of f times the carrier-cancelled product of a matched pair.
-
-    Returns (value, leading) where value uses the full profiles
-    (theta+z)_+ (theta+z)_- and leading is the phi_rho E term alone.
-    """
-    if f.domain != DOMAIN_Q:
-        raise GridError("pairing expects f on Q")
-    if sol_fwd.params.direction != "forward" or sol_bwd.params.direction != "backward":
-        raise CGOError("need a (forward, backward) pair")
-    if sol_fwd.params.rho != sol_bwd.params.rho or sol_fwd.params.omega != sol_bwd.params.omega:
-        raise CGOError("pair must share rho and omega")
-    prod = Field(f.grid, sol_fwd.profile().values * sol_bwd.profile().values, DOMAIN_Q)
-    value = l2q_inner(f, prod)
-    leading = l2q_inner(f, product_symbol(sol_fwd.params, sol_bwd.params, f.grid))
-    return complex(value), complex(leading)
-
-
-def fourier_integral(f: Field, xi, tau) -> complex:
-    """Direct trapezoidal quadrature of integral f exp(-i(x,t).(xi,tau)),
-    the oracle the pairing converges to as rho grows."""
-    return complex(l2q_inner(f, Field(f.grid, plane_wave(f.grid, xi, tau), DOMAIN_Q)))

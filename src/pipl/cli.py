@@ -6,18 +6,20 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a [grid] that SpaceTimeGrid would reject, a malformed or
-non-finite number, a negative noise level or stability delta, a sweep
-whose gate reads a trend (a convergence list, [cgo] rhos, [stability]
-deltas, [runge] sizes) of fewer than two distinct values, a convergence
-size below 3 nodes, a value outside its choices, a non-integer
-``PIPL_SEED``, a Carleman k outside (0, min(1, 1/(2l)) - t0), a rho0
-outside (0, 1), a diffusion key the run would not read (gamma beside
-g11; g12 or g22 without g11 or on a 1D grid), a gamma whose sampled
-eigenvalues leave [rho0, 1/rho0], a nonlinearity that fails its class
-check (``Nonlinearity.validate``), a control eps or tail that fails
-``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn`` on
-a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
-which names the section, the key and the line.
+non-finite number, a negative noise level, stability delta or seed, a
+CGO strength rho (or [cgo] rhos entry) that is not positive, a [recover_b]
+order below 2, a sweep whose gate reads a trend (a convergence list, [cgo]
+rhos, [stability] deltas, [runge] sizes) of fewer than two distinct
+values, a convergence size below 3 nodes, a value outside its choices, a
+``PIPL_SEED`` that is not a nonnegative integer, a Carleman k outside
+(0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a diffusion key the run
+would not read (gamma beside g11; g12 or g22 without g11 or on a 1D
+grid), a gamma whose sampled eigenvalues leave [rho0, 1/rho0], a
+nonlinearity that fails its class check (``Nonlinearity.validate``), a
+control eps or tail that fails ``recon.horizon_level``, and a forward
+``oracle`` or dnmap ``oracle_dn`` on a 2D grid (its convergence sweep
+refines 1D grids) raise ConfigError, which names the section, the key and
+the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -123,7 +125,10 @@ def _number(parse=float, low=-math.inf, what="a finite number"):
 
 _float = _number()
 _nonnegative = _number(low=0.0, what="a nonnegative finite number")
+_positive = _number(low=math.ulp(0.0), what="a positive finite number")  # the least double > 0
 _count = _number(int, 1, "a positive integer")
+_seed = _number(int, 0, "a nonnegative integer")
+_order = _number(int, 2, "an integer of at least 2")
 
 
 def _list(parse):
@@ -136,7 +141,7 @@ def _list(parse):
     return parse_list
 
 
-_floats, _nonnegatives = _list(_float), _list(_nonnegative)
+_floats, _nonnegatives, _positives, _counts = map(_list, (_float, _nonnegative, _positive, _count))
 _nodes = _list(_number(int, 3, "a node count of at least 3"))  # nodes per grid axis
 
 
@@ -211,7 +216,7 @@ def _kind(kind, section, keys, model=None, scheme="be"):
     """(kind, its tables): [grid] first, so that callable defaults can read
     it, then [experiment] (with scheme when the kind reads one), [output],
     [model] when the kind reads it, and the kind's own section."""
-    experiment = {"kind": (_choice(kind), kind), "seed": (int, 0)}
+    experiment = {"kind": (_choice(kind), kind), "seed": (_seed, 0)}
     if scheme:
         experiment["scheme"] = (_choice(*SCHEMES), scheme)
     tables = {"grid": _GRID, "experiment": experiment, "output": {"dir": (str, f"out/{kind}")}}
@@ -237,7 +242,7 @@ SCHEMA = dict((
     }, _MODEL, scheme="cn"),
     _kind("cgo-verify", "cgo", {
         "q": (_expr, "exp(-40*(x-0.5)^2)"),
-        "rhos": (_floats, (8.0, 16.0, 32.0, 64.0)),
+        "rhos": (_positives, (8.0, 16.0, 32.0, 64.0)),
         "omega": (_floats, lambda g: (1.0,) + (0.0,) * (g["dim"] - 1)),
     }),
     _kind("linearize", "linearize", {
@@ -250,14 +255,14 @@ SCHEMA = dict((
         "eps3": (_floats, (3e-3, 1e-3)),
     }, _MODEL),
     _kind("recover-q", "recover_q", {
-        "rho": (_float, 32.0),
+        "rho": (_positive, 32.0),
         "n_tau": (_count, 4),
         "truth_difference": (_expr, "(1 + 0.4*sin(pi*x))*exp(-25*(t-0.5)^2)"),
         "mode": (_choice("full", "partial"), "full"),
     }),
     _kind("recover-b", "recover_b", {
-        "rho": (_float, 32.0),
-        "order": (int, 3),
+        "rho": (_positive, 32.0),
+        "order": (_order, 3),
         "n_tau": (_count, 4),
         "coefficient": (_expr, "(1 + 0.2*sin(pi*x))*exp(-16*(t-0.65)^2)"),
     }),
@@ -284,8 +289,8 @@ SCHEMA = dict((
     _kind("maxprin", "maxprin", {"q": (_float, 0.0)}, _GAMMA, scheme=None),
     _kind("runge", "runge", {
         "q": (_expr, "0.5*exp(-30*(x-0.4)^2)"),
-        "sizes": (_list(_count), (4, 8, 16, 32)),
-        "rho": (_float, 2.0),
+        "sizes": (_counts, (4, 8, 16, 32)),
+        "rho": (_positive, 2.0),
     }),
     _kind("control", "control", {
         "initial": (_expr, "sin(pi*x)"),
@@ -413,9 +418,9 @@ def load_config(path, kind: str) -> Config:
     env = os.environ.get("PIPL_SEED")
     if env is not None:
         try:
-            values["experiment"]["seed"] = int(env)
+            values["experiment"]["seed"] = _seed(env)
         except ValueError as exc:
-            raise ConfigError(f"{env!r} is not an integer", key="PIPL_SEED") from exc
+            raise ConfigError(f"{env!r} is not a nonnegative integer", key="PIPL_SEED") from exc
     weights = None
     if kind == "carleman":
         s = values["carleman"]

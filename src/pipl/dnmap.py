@@ -154,21 +154,3 @@ def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
         }
         with open(sidecar_path, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def load_measurement(grid: SpaceTimeGrid, portion, csv_path) -> DNMeasurement:
-    """The rows in save_measurement's order: level by level, the portion's
-    nodes in order within a level.  A corner on two faces has two rows that
-    its node id alone does not tell apart."""
-    resolved = portion if isinstance(portion, ResolvedPortion) else resolve_portion(grid, portion)
-    shape = (grid.n_levels, resolved.n_nodes)
-    with open(csv_path) as fh:
-        rows = [line.strip().split(",") for line in fh][1:]
-    if len(rows) != shape[0] * shape[1]:
-        raise GridError(f"{len(rows)} rows for {shape[0]} levels x {shape[1]} portion nodes")
-    t = np.array([float(r[0]) for r in rows]).reshape(shape)
-    node = np.array([int(r[1]) for r in rows]).reshape(shape)
-    if np.any(node != resolved.flat) or np.any(
-            np.abs(t - grid.times()[:, None]) > 1e-12 * max(1.0, grid.T)):
-        raise GridError("rows are not the portion's nodes at each grid level in turn")
-    return DNMeasurement(grid, resolved, np.array([float(r[-1]) for r in rows]).reshape(shape))

@@ -10,19 +10,20 @@ The q-free operator leaves boundary rows zero; a potential enters as a
 diagonal on interior rows, so Dirichlet rows need no rewriting.  Every
 interior row couples a node to neighbours at the same flat offsets, so in
 any dimension each operator, step matrix and Newton Jacobian is a band
-matrix (Banded), factored by LAPACK's band LU with partial pivoting from
-numpy's bundled OpenBLAS: the tridiagonal step matrices of all levels of a
-1D stepper by one ?gttrf call, a 2D one by ?gbtrf (_BandLU, half-bandwidth
-the row stride, one more with a cross term) with its Dirichlet rows scaled
-by a power of two, which pivoting leaves in place; when it makes no
-interchange at all, the factors drop the fill rows and U is solved at the
-stencil's half-bandwidth.  A run imports no scipy.  A sweep
-carries any number of columns, each with its own initial values, boundary
-trace and source, with one multi-column solve per step, and
-Propagator.residual checks their residual afterwards on request.  Semilinear
-solves march columns too: a term affine in u is one linear sweep, any
-other one per-step Newton whose columns share a block-diagonal Jacobian and
-one band solve per iteration (?gtsv in 1D, ?gbtrf in 2D).
+matrix (Banded; a stepper stacks those of all its steps), factored by
+LAPACK's band LU with partial pivoting from numpy's bundled OpenBLAS: the
+tridiagonal step matrices of all levels of a 1D stepper by one ?gttrf
+call, a 2D one per level by ?gbtrf (_BandLU, half-bandwidth the row
+stride, one more with a cross term) with its Dirichlet rows scaled by a
+power of two, which pivoting leaves in place; when it makes no interchange
+at all, the factors drop the fill rows and U is solved at the stencil's
+half-bandwidth.  A run imports no scipy.  A sweep carries any number of
+columns, each with its own initial values, boundary trace and source, with
+one multi-column solve per step; Propagator.residual checks them afterwards
+on request from the stacked bands.  Semilinear solves march columns too: a
+term affine in u is one linear sweep, any other one per-step Newton whose
+columns share a block-diagonal Jacobian and one band solve per iteration
+(?gtsv in 1D, ?gbtrf in 2D).
 """
 
 from __future__ import annotations
@@ -69,19 +70,15 @@ class Banded:
         self.n = np.shape(bands[0])[-1]
         # (offset, rows, columns, values on those rows) of each band that is
         # not all zero (at every level of a stack), by offset
-        self._terms = [self._term(o, b) for o, b in bands.items() if np.any(b)]
+        self._terms = []
+        for o, b in bands.items():
+            if b.any():
+                rows = slice(max(-o, 0), self.n - max(o, 0))
+                self._terms.append((o, rows, slice(rows.start + o, rows.stop + o), b[..., rows]))
 
-    def _term(self, offset, band):
-        rows = slice(max(-offset, 0), self.n - max(offset, 0))
-        return offset, rows, slice(rows.start + offset, rows.stop + offset), band[..., rows]
-
-    def with_diagonal(self, d) -> "Banded":
-        """This matrix with d on its diagonal, sharing its other bands."""
-        out = object.__new__(Banded)
-        out.bands, out.n = {**self.bands, 0: d}, self.n
-        out._terms = ([t for t in self._terms if t[0] < 0] + [self._term(0, d)] * bool(np.any(d))
-                      + [t for t in self._terms if t[0] > 0])
-        return out
+    def at(self, level) -> "Banded":
+        """The matrix at level of a stack, its bands views; level None: this one."""
+        return self if level is None else Banded({o: b[level] for o, b in self.bands.items()})
 
     def scaled(self, c) -> "Banded":
         return Banded({o: c * b for o, b in self.bands.items()})
@@ -126,23 +123,20 @@ class _NumpyLapack:
             fn.restype = None
             fn.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * (fn in (self.gttrs, self.gbtrs))
 
-    def dgttrf(self, dl, d, du):
-        """The LU factors, solve(rhs, block=0) with the block-th diagonal block of
-        len(rhs) rows (pivots counted from its first row), and LAPACK's info."""
+    def dgttrf(self, dl, d, du, blocks=1):
+        """The LU factors of the tridiagonal matrix (dl, d, du) of `blocks`
+        diagonal blocks, as _blocks, and LAPACK's info."""
         factors = _bands(dl, d, du)
         n = len(factors[1])
         factors += [np.zeros(max(n - 2, 0)), np.zeros(n, dtype=np.int64)]
         size, info, addresses = ctypes.c_int64(n), ctypes.c_int64(), [f.ctypes.data for f in factors]
         self.gttrf(ctypes.byref(size), *addresses, ctypes.byref(info))
 
-        def solve(rhs, block=0):
-            m = len(rhs)
-            if block < 0 or (block + 1) * m > len(factors[1]):
-                raise ValueError(f"no block {block} of {m} rows in {n}")
-            after = [a + 8 * m * block for a in addresses] if block else addresses  # 8-byte items
-            return _trs(self.gttrs, m, (), after, rhs)
+        def solver(views, start):
+            m, after = len(views[1]), [a + 8 * start for a in addresses]  # 8-byte items
+            return lambda rhs: _trs(self.gttrs, m, (), after, rhs)
 
-        return factors, solve, info.value
+        return _blocks(factors, blocks, solver), info.value
 
     def dgbtrf(self, ab, kl, ku):
         """The LU factors of the band matrix in LAPACK's band storage ab
@@ -196,6 +190,17 @@ def _trs(trs, n, before, after, rhs):
     return b
 
 
+def _blocks(factors, blocks, solver):
+    """Per one of `blocks` equal diagonal blocks that no entry couples: its
+    dgttrf factors dl, d, du, du2, ipiv as views, pivots rebased to count
+    from its first row (so each is its own dgttrf's), and solver(views,
+    first row), its solve(rhs) for one or more columns."""
+    n, m = len(factors[1]), len(factors[1]) // blocks
+    factors[4] -= np.arange(n) // m * m
+    views = [[f[s:s + m - c] for f, c in zip(factors, (1, 0, 1, 2, 0))] for s in range(0, n, m)]
+    return [SimpleNamespace(factors=v, solve=solver(v, s)) for v, s in zip(views, range(0, n, m))]
+
+
 def _address(a):
     """A reference to the first byte of the C-contiguous array a, which keeps
     a alive; cheaper to form than a.ctypes.data."""
@@ -220,15 +225,10 @@ class _ScipyLapack:
 
         self.lapack = lapack
 
-    def dgttrf(self, dl, d, du):
+    def dgttrf(self, dl, d, du, blocks=1):
         *factors, info = self.lapack.dgttrf(dl, d, du)
-
-        def solve(rhs, block=0):
-            start = len(rhs) * block
-            return self.lapack.dgttrs(*(f[start:start + len(rhs) - c] for f, c in
-                                        zip(factors, (1, 0, 1, 2, 0))), rhs)[0]
-
-        return factors, solve, info
+        return _blocks(factors, blocks,
+                       lambda views, start: lambda rhs: self.lapack.dgttrs(*views, rhs)[0]), info
 
     def dgbtrf(self, ab, kl, ku):
         lu, piv, info = self.lapack.dgbtrf(ab, kl, ku)
@@ -267,7 +267,7 @@ class _BandLU:
     raises SolverError naming what A is."""
 
     def __init__(self, A: Banded, what: str):
-        kl, ku = -min(A.bands), max(A.bands)
+        kl, ku = -A._terms[0][0], A._terms[-1][0]  # of the bands not all zero
         ab = np.zeros((2 * kl + ku + 1, A.n), order="F")
         alone, top = np.ones(A.n, dtype=bool), 0.0  # rows with no off-diagonal entry, max |A|
         for offset, rows, cols, band in A._terms:
@@ -393,11 +393,12 @@ class Propagator:
     vanishes on boundary rows, so A_k has identity and M_k zero boundary
     rows: the stepper writes the Dirichlet values into the right-hand side.
     One step system serves all steps unless q or gamma depends on time.  A
-    1D stepper forms every step's A and M at construction, their bands
-    stacked (steps, n_space), and factors every A_k in one dgttrf call on
-    their block-diagonal stack; step k solves with block k.  In 2D step k's
-    system, A_k, its LU (_BandLU) and M_k, is built when a march first
-    reaches it (step 0's at construction) and kept until release(k).  A
+    stepper forms every step's A and M at construction, their bands stacked
+    (steps, n_space), and keeps one LU per step, which only the bandwidth
+    picks: tridiagonal (1D) A_k are all factored at construction by one
+    dgttrf call on their block-diagonal stack, and step k solves with block
+    k; a wider (2D) A_k gets its band LU (_BandLU) when a march first
+    reaches step k (step 0's at construction), kept until release(k).  A
     gamma passes DiffusionTensor.check_ellipticity first, else ModelError."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
@@ -412,34 +413,38 @@ class Propagator:
         self.gamma_td = gamma.time_dependent() if gamma is not None else False
         self.time_dependent = td = q_td or self.gamma_td
         self.boundary_idx, self.interior_mask = grid.boundary_flat_indices(), grid.interior_mask()
-        self._stencils, self._systems = {}, {}
-        if grid.dim == 2:
-            self.system(0)
-            return
-        A, self._M = self._matrices(*((slice(1, None), slice(-1)) if td else (0, 0)))
-        # zero couplings: each block factors (pivots rebased) as with its own dgttrf
-        lower, diagonal, upper = (np.ravel(A.bands[o]) for o in (-1, 0, 1))
-        self._factors, self._gttrs, info = _lapack().dgttrf(lower[1:], diagonal, upper[:-1])
-        if info > 0:
-            level, row = divmod(info - 1, grid.n_space)
-            raise SolverError(f"step matrix of time level {level + td} is exactly singular "
-                              f"(zero pivot in row {row + 1})")
-        self._factors[4] -= np.arange(diagonal.size) // grid.n_space * grid.n_space
+        self._stencils, self._lus = {}, {}
+        self._A, self._M = self._matrices(*((slice(1, None), slice(-1)) if td else (0, 0)))
+        A = self._A  # closed over below: a closure over self would make a reference cycle
+        if max(A.bands) > 1:
+            self._factor = lambda k: _BandLU(A.at(k if td else None),
+                                             f"step matrix of time level {k + td}")
+        else:  # zero couplings: each block factors as with its own dgttrf
+            lower, diagonal, upper = (np.ravel(A.bands[o]) for o in (-1, 0, 1))
+            blocks, info = _lapack().dgttrf(lower[1:], diagonal, upper[:-1],
+                                            diagonal.size // grid.n_space)
+            if info > 0:
+                level, row = divmod(info - 1, grid.n_space)
+                raise SolverError(f"step matrix of time level {level + td} is exactly singular "
+                                  f"(zero pivot in row {row + 1})")
+            self._factor = blocks.__getitem__
+        self._lu(0)
 
     def _stencil(self, level):
-        """Per gamma level, or stacked over a slice: the stencil's diagonal, and
-        A and M with the off-diagonal bands dt theta L and -dt (1 - theta) L."""
+        """Per gamma level, or stacked over a slice (zero where a level lacks an
+        offset): the diagonal, and the bands of dt theta L and -dt (1 - theta) L."""
         g = self.grid
         if isinstance(level, slice):
-            diag, A, M = zip(*(self._stencil(k) for k in range(g.n_levels)[level]))
+            diag, *parts = zip(*(self._stencil(k) for k in range(g.n_levels)[level]))
             stack = np.array if self.gamma_td else lambda b: np.broadcast_to(b[0], (len(b), g.n_space))
-            stacks = [{o: stack([S.bands[o] for S in Ss]) for o in Ss[0].bands} for Ss in (A, M)]
-            return stack(diag), Banded(stacks[0]), Banded(stacks[1])
+            offsets, zero = sorted(set().union(*parts[0])), np.zeros(g.n_space)
+            return stack(diag), *({o: stack([b.get(o, zero) for b in bs]) for o in offsets}
+                                  for bs in parts)
         key = level if self.gamma_td else 0
         if key not in self._stencils:
             S = assemble_operator(g, self.gamma, key * g.dt, self.advection)
-            self._stencils[key] = (S.bands[0], S.scaled(g.dt * self.theta),
-                                   S.scaled(-g.dt * (1 - self.theta)))
+            self._stencils[key] = S.bands[0], *({o: c * b for o, b in S.bands.items()} for c in
+                                                (g.dt * self.theta, -g.dt * (1 - self.theta)))
         return self._stencils[key]
 
     def _matrices(self, new, old):
@@ -449,28 +454,24 @@ class Propagator:
         ca, cm = self.grid.dt * self.theta, self.grid.dt * (1 - self.theta)
         (s_new, A, _), (s_old, _, M) = self._stencil(new), self._stencil(old)
         q_new, q_old = (np.where(self.interior_mask, self.q_levels[i], 0.0) for i in (new, old))
-        return (A.with_diagonal(1.0 + ca * (s_new + q_new)),
-                M.with_diagonal(np.where(self.interior_mask, 1.0 - cm * (s_old + q_old), 0.0)))
+        return (Banded({**A, 0: 1.0 + ca * (s_new + q_new)}),
+                Banded({**M, 0: np.where(self.interior_mask, 1.0 - cm * (s_old + q_old), 0.0)}))
+
+    def _lu(self, k):
+        """Step k's LU from the table, which _factor fills on first use."""
+        key = k if self.time_dependent else 0
+        return self._lus.get(key) or self._lus.setdefault(key, self._factor(key))
 
     def system(self, k):
-        """(A_k, M_k, LU of A_k) of step k, built on first use; kept in 2D."""
-        key = k if self.time_dependent else 0
-        if key not in self._systems:
-            new = key + self.time_dependent  # A's level: k + 1, or 0 for every step
-            A, M = self._matrices(new, key)
-            if self.grid.dim == 1:
-                start, n = key * self.grid.n_space, self.grid.n_space
-                return A, M, SimpleNamespace(solve=functools.partial(self._gttrs, block=key),
-                                             factors=[f[start:start + n - c] for f, c in
-                                                      zip(self._factors, (1, 0, 1, 2, 0))])
-            self._systems[key] = A, M, _BandLU(A, f"step matrix of time level {new}")
-        return self._systems[key]
+        """(A_k, M_k, LU of A_k) of step k: level k of the stacks, and _lu(k)."""
+        level = k if self.time_dependent else None
+        return self._A.at(level), self._M.at(level), self._lu(k)
 
     def release(self, k):
-        """Forget step k's 2D system, which frees its LU once no march holds
-        it; a stepper that is not time dependent, or 1D, keeps its systems."""
+        """Drop step k's LU, if time dependent: a 2D band LU is freed once no
+        march holds it (and made again at step k); 1D blocks stay stacked."""
         if self.time_dependent:
-            self._systems.pop(k, None)
+            self._lus.pop(k, None)
 
     # -- sweeps ----------------------------------------------------------------
 
@@ -501,12 +502,12 @@ class Propagator:
             for a, c, shape in zip(ops, cols, shapes)
         )
 
-    def _rhs(self, M, z, f, s, level=None):
+    def _rhs(self, z, f, s, level):
         """Right-hand side of a step from the values z at its first level: M z
-        (M at level of a stack) + dt (theta s[1] + (1 - theta) s[0]) on interior
-        rows (no source for s None), its second level's boundary values f (or
-        0) elsewhere."""
-        rhs = M.product(z, level)
+        (M at level of the stack, or None) + dt (theta s[1] + (1 - theta) s[0])
+        on interior rows (no source for s None), its second level's boundary
+        values f (or 0) elsewhere."""
+        rhs = self._M.product(z, level)
         if s is not None:  # on every row: the boundary rows are overwritten next
             # at theta = 1 the s[0] term is a signed zero, and adding one
             # leaves M z, a sum started at +0, as it is
@@ -519,12 +520,10 @@ class Propagator:
         """The values at level k + 1 from the values z (n_space[, m]) at level
         k: f, the boundary values of level k + 1, and s, the source at levels
         k and k + 1, as one level of run's operands."""
-        if self.grid.dim == 1:
-            level = k if self.time_dependent else None
-            solve = self._gttrs if level is None else functools.partial(self._gttrs, block=k)
-            return self._solve(solve, self._rhs(self._M, z, f, s, level))
-        _, M, lu = self.system(k)
-        return self._solve(lu.solve, self._rhs(M, z, f, s))
+        # the LU first: a 2D one made after the right-hand side's temporaries
+        # lands above them on the heap, which freeing both then trims each step
+        lu = self._lu(k)
+        return self._solve(lu.solve, self._rhs(z, f, s, k if self.time_dependent else None))
 
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).
@@ -554,17 +553,17 @@ class Propagator:
         |A_k u_{k+1} - rhs_k| over the steps k, with rhs_k formed from f and
         source as run forms it; shaped like one level's columns.  The steps
         sharing a system (all, unless it is time dependent) are one product
-        with A and one with M, bitwise the per-step maximum."""
+        with A and one with M of the stacks (no LU), bitwise the per-step max."""
         columns, _, f, src = self._operands(u[0], f, source)  # u[0] sets the columns
         z = u[..., 0] if columns == (1,) else u
         z, f, src = (None if a is None else np.moveaxis(a, 1, 0) for a in (z, f, src))
-        worst, nt = np.zeros(z.shape[2:]), self.grid.nt
-        for k, stop in zip(range(nt), range(1, nt + 1)) if self.time_dependent else [(0, nt)]:
-            A, M, _ = self.system(k)
-            now, ahead = slice(k, stop), slice(k + 1, stop + 1)
-            rhs = self._rhs(M, z[:, now], None if f is None else f[:, ahead],
-                            None if src is None else (src[:, now], src[:, ahead]))
-            worst = np.maximum(worst, np.max(np.abs(A @ z[:, ahead] - rhs), axis=(0, 1)))
+        worst, nt, td = np.zeros(z.shape[2:]), self.grid.nt, self.time_dependent
+        for k, stop in zip(range(nt), range(1, nt + 1)) if td else [(0, nt)]:
+            level, now, ahead = k if td else None, slice(k, stop), slice(k + 1, stop + 1)
+            rhs = self._rhs(z[:, now], None if f is None else f[:, ahead],
+                            None if src is None else (src[:, now], src[:, ahead]), level)
+            worst = np.maximum(worst, np.max(np.abs(self._A.product(z[:, ahead], level) - rhs),
+                                             axis=(0, 1)))
         return worst.reshape(columns)
 
 
@@ -757,7 +756,8 @@ def _newton(grid, gamma, nl, f_vals, g, scheme, tol, max_iter) -> ColumnSolves:
                     return x
             else:
                 def solve(shift, rhs, k):
-                    lu = _BandLU(J.with_diagonal(d0 + shift), f"newton Jacobian at time level {k}")
+                    lu = _BandLU(Banded({**J.bands, 0: d0 + shift}),
+                                 f"newton Jacobian at time level {k}")
                     return lu.solve(rhs)
             operators[level] = L, solve
         return operators[level]

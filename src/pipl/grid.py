@@ -384,13 +384,6 @@ def norm(f: Field, space: str) -> float:
     raise GridError(f"unknown norm space {space!r}")
 
 
-def omega_slice(f: Field, level: int) -> Field:
-    """Extract one time level of a Q field as an Omega field."""
-    if f.domain != DOMAIN_Q:
-        raise GridError("omega_slice needs a Q field")
-    return Field(f.grid, f.values[level].copy(), DOMAIN_OMEGA)
-
-
 def l2q_inner(a: Field, b: Field) -> complex:
     """Trapezoidal integral of a*b over Q (no conjugation)."""
     g = a.grid
@@ -423,24 +416,3 @@ def save_field_csv(f: Field, path) -> None:
             buf.write("\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def load_field_csv(grid: SpaceTimeGrid, path, domain=DOMAIN_Q) -> Field:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# shape:"):
-        raise GridError("missing '# shape:' header")
-    blocks, current = [], []
-    for line in lines[1:]:
-        if not line.strip():
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        current.append([float(v) for v in line.split(",")])
-    if current:
-        blocks.append(current)
-    arrays = [np.array(b).reshape(grid.nx) for b in blocks]
-    if domain == DOMAIN_OMEGA:
-        return Field(grid, arrays[0], DOMAIN_OMEGA)
-    return Field(grid, np.array(arrays), DOMAIN_Q)

@@ -201,11 +201,6 @@ def _direct_mixed_fields(setup: LinearizationSetup, traces, subsets):
     return fields
 
 
-def higher_order(setup: LinearizationSetup, probes, eps_schedule) -> MixedOrderResult:
-    """The one-job case of higher_orders."""
-    return higher_orders(setup, [(probes, eps_schedule)])[0]
-
-
 def higher_orders(setup: LinearizationSetup, jobs) -> list[MixedOrderResult]:
     """Per (probes, eps_schedule) job, the order-M mixed quotient
     (alternating corner sum over {0, eps_l}^M divided by prod eps_l, M the

@@ -128,11 +128,6 @@ class Nonlinearity:
     def zero(cls) -> "Nonlinearity":
         return cls(Expression.constant(0.0), CLASS_LINEAR)
 
-    @classmethod
-    def linear_potential(cls, q_expr) -> "Nonlinearity":
-        e = _as_expression(q_expr)
-        return cls(Expression(f"({e.source})*u"), CLASS_LINEAR)
-
     def validate(self, grid: SpaceTimeGrid) -> None:
         """The class check, ModelError on failure: an A_T term must pass
         check_growth, a linear-potential term must be affine in u

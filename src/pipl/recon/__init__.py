@@ -11,7 +11,6 @@ from .potential import (
     positive_solution,
     recover_potential,
     recover_taylor,
-    reciprocity_report,
     synthesize_potential_probes,
     synthesize_taylor_probes,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "horizon_level",
     "null_control",
     "positive_solution",
-    "reciprocity_report",
     "recover_initial",
     "recover_potential",
     "recover_taylor",

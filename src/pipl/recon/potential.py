@@ -287,20 +287,6 @@ def recover_potential(
     return result
 
 
-def reciprocity_report(grid: SpaceTimeGrid, probes, q_ref) -> dict:
-    """Relative gap between the volume functional (truth-side diagnostic) and
-    the boundary functional, per probe, for full-data probes of the "be"
-    scheme.  Needs probes synthesized with keep_diagnostics=True."""
-    if any(p.volume_functional is None for p in probes):
-        raise GridError("probe lacks the volume diagnostic")
-    gaps = []
-    for p, s in zip(probes, _pairings(grid, probes, q_ref)):
-        vol = p.volume_functional
-        scale = max(abs(vol), abs(s.value))
-        gaps.append(abs(vol - s.value) / scale if scale > 0 else 0.0)
-    return {"per_probe": gaps, "max": max(gaps) if gaps else 0.0}
-
-
 # ---------------------------------------------------------------------------
 # Positive auxiliary solutions
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from oracles import fourier_integral, pairing, reciprocity_report
 from pipl.analysis import (
     CarlemanConfig,
     carleman_check_1,
@@ -19,7 +20,7 @@ from pipl.analysis import (
     max_principle_check,
     nonuniqueness_demo,
 )
-from pipl.cgo import CGOFactory, CGOParameters, fourier_integral, pairing
+from pipl.cgo import CGOFactory, CGOParameters
 from pipl.dnmap import measure, passive_map
 from pipl.forward import Propagator, solve_linear
 from pipl.grid import (
@@ -30,13 +31,12 @@ from pipl.grid import (
     norm,
     resolve_portion,
 )
-from pipl.linearize import LinearizationSetup, higher_order, probe_trace
+from pipl.linearize import LinearizationSetup, higher_orders, probe_trace
 from pipl.model import Nonlinearity
 from pipl.recon import (
     RegionMask,
     null_control,
     positive_solution,
-    reciprocity_report,
     recover_initial,
     recover_potential,
     recover_taylor,
@@ -172,7 +172,7 @@ def test_criterion_06_linearization_rates():
     schedules = {1: [1e-2, 1e-3], 2: [1e-2, 1e-3], 3: [3e-3, 1e-3]}
     slopes = {}
     for order in (1, 2, 3):
-        res = higher_order(setup, shapes[:order], schedules[order])
+        res = higher_orders(setup, [(shapes[:order], schedules[order])])[0]
         slopes[order] = res.rate.slope
     ok = all(s is not None and 0.8 <= s <= 1.2 for s in slopes.values())
     _criterion(

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pipl.cgo import (
-    CGOError,
-    CGOFactory,
-    CGOParameters,
-    fourier_integral,
-    pairing,
-    product_symbol,
-)
+from oracles import fourier_integral, pairing, product_symbol
+from pipl.cgo import CGOError, CGOFactory, CGOParameters
 from pipl.forward import Propagator, SolverError
 from pipl.grid import Field, SpaceTimeGrid, field_from_function
 

@@ -500,6 +500,17 @@ def _edit(kind, old, new):
         ("forward", "convergence = 33 65 129 257", "convergence = 2 33", "forward",
          "convergence"),
         ("dnmap", "convergence = 33 65 129 257", "convergence = 65", "dnmap", "convergence"),
+        # a seed is nonnegative, a Taylor order at least 2 and a CGO rho positive
+        ("stability", "seed = 20260809", "seed = -2", "experiment", "seed"),
+        ("recover-b", "order = 3", "order = 1", "recover_b", "order"),
+        ("recover-b", "order = 3", "order = 0", "recover_b", "order"),
+        ("recover-b", "order = 3", "order = -2", "recover_b", "order"),
+        ("recover-q", "rho = 32", "rho = -32", "recover_q", "rho"),
+        ("recover-q", "rho = 32", "rho = 0", "recover_q", "rho"),
+        ("recover-b", "rho = 32", "rho = -1", "recover_b", "rho"),
+        ("runge", "rho = 2.0", "rho = -2.0", "runge", "rho"),
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = -8 16", "cgo", "rhos"),
+        ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 -16 32 64", "cgo", "rhos"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
@@ -511,25 +522,28 @@ def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
 
 
 # every number key of a kind's own section and its [model], whatever it reads
+INTEGER_PARSERS = (cli._count, cli._counts, cli._order)
 SWEEP = [
     (kind, section, key)
     for kind, tables in cli.SCHEMA.items()
     for section, table in tables.items()
     if section not in ("grid", "experiment", "output")
     for key, (parse, _) in table.items()
-    if parse in (cli._float, cli._floats, cli._nonnegative, cli._nonnegatives)
+    if parse in (cli._float, cli._floats, cli._nonnegative, cli._nonnegatives, cli._positive,
+                 cli._positives, *INTEGER_PARSERS)
 ]
 
 
 @pytest.mark.parametrize("kind, section, key", SWEEP)
 def test_negative_number_exits_with_a_documented_code(kind, section, key, tmp_path):
-    # -0.5 in any number key: a result, a config fault or a solver failure
-    # with error.json, or a failed check; never a traceback
+    # -0.5 in any number key, -2 in an integer one: a result, a config fault
+    # or a solver failure with error.json, or a failed check; never a
+    # traceback
     cp = configparser.ConfigParser(interpolation=None)
     cp.read(CONFIGS / f"{kind}.ini")
     if not cp.has_section(section):
         cp.add_section(section)
-    cp[section][key] = "-0.5"
+    cp[section][key] = "-2" if cli.SCHEMA[kind][section][key][0] in INTEGER_PARSERS else "-0.5"
     cfg = tmp_path / "negative.ini"
     with open(cfg, "w") as fh:
         cp.write(fh)
@@ -589,7 +603,7 @@ def test_malformed_config_value_api_twin_raises(call, error, match, monkeypatch)
     def no_build(*args, **kwargs):
         raise AssertionError("built or solved before checking the model")
 
-    monkeypatch.setattr(Propagator, "system", no_build)
+    monkeypatch.setattr(Propagator, "_matrices", no_build)
     monkeypatch.setattr(control, "Propagator", no_build)
     monkeypatch.setattr(control, "solve_semilinear", no_build)
     with pytest.raises(error, match=match):
@@ -597,17 +611,19 @@ def test_malformed_config_value_api_twin_raises(call, error, match, monkeypatch)
 
 
 def test_non_integer_seed_exits_2_without_traceback(tmp_path):
-    out = subprocess.run(
-        [sys.executable, "-m", "pipl.cli", "forward", "--config", str(CONFIGS / "forward.ini"),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-        env={**os.environ, "PIPL_SEED": "x",
-             "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
-    )
-    assert out.returncode == EXIT_PARSE
-    assert "Traceback" not in out.stderr
-    err = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert err["key"] == "PIPL_SEED"
+    # a seed that numpy's generator would refuse, a negative one, too
+    for seed in ("x", "-3"):
+        out = subprocess.run(
+            [sys.executable, "-m", "pipl.cli", "stability", "--config",
+             str(CONFIGS / "stability.ini"), "--out", str(tmp_path / seed)],
+            capture_output=True, text=True,
+            env={**os.environ, "PIPL_SEED": seed,
+                 "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert out.returncode == EXIT_PARSE
+        assert "Traceback" not in out.stderr
+        err = json.loads((tmp_path / seed / "error.json").read_text())
+        assert err["key"] == "PIPL_SEED"
 
 
 def test_nonunique_collar_too_wide_exits_2(tmp_path):
@@ -698,13 +714,13 @@ def test_shipped_cgo_verify_work(tmp_path, monkeypatch):
     # expression is sampled in one call
     from pipl import expr, forward
 
-    real_system, real_step, real_solve, real_matmul, real_call = (
-        Propagator.system, Propagator.step, Propagator._solve, forward.Banded.__matmul__,
+    real_matrices, real_step, real_solve, real_product, real_call = (
+        Propagator._matrices, Propagator.step, Propagator._solve, forward.Banded.product,
         expr.Expression.__call__)
     step_matrices, steps, solves, products, evals = {}, [], [], [], []
 
-    def system(self, k):
-        out = real_system(self, k)
+    def matrices(self, new, old):
+        out = real_matrices(self, new, old)
         step_matrices[id(out[0])] = out[0]  # held, so no later matrix takes its id
         return out
 
@@ -717,19 +733,19 @@ def test_shipped_cgo_verify_work(tmp_path, monkeypatch):
         solves.append(rhs.dtype)
         return real_solve(self, lu, rhs)
 
-    def matmul(self, z):
+    def product(self, z, level=None):
         if step_matrices.get(id(self)) is self:
             products.append(z.shape)
-        return real_matmul(self, z)
+        return real_product(self, z, level)
 
     def call(self, *args, **kwargs):
         evals.append(self.source)
         return real_call(self, *args, **kwargs)
 
-    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "_matrices", matrices)
     monkeypatch.setattr(Propagator, "step", step)
     monkeypatch.setattr(Propagator, "_solve", solve)
-    monkeypatch.setattr(forward.Banded, "__matmul__", matmul)
+    monkeypatch.setattr(forward.Banded, "product", product)
     monkeypatch.setattr(expr.Expression, "__call__", call)
     assert run("cgo-verify", CONFIGS / "cgo-verify.ini", tmp_path, check=True) == EXIT_OK
     assert steps == solves == [np.dtype(float)] * (4 * 256)
@@ -787,9 +803,7 @@ def test_recover_g_unconverged_inner_solve_fails_check(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "kind, old, new",
     [
-        ("cgo-verify", "rhos = 8 16 32 64", "rhos = -8 16"),
         ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 16 32 64\nomega = 2"),
-        ("recover-q", "rho = 32", "rho = 0"),
     ],
 )
 def test_invalid_cgo_parameters_exit_2(kind, old, new, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipl.dnmap import add_noise, load_measurement, measure, passive_map, save_measurement
+from oracles import load_measurement
+from pipl.dnmap import add_noise, measure, passive_map, save_measurement
 from pipl.grid import (
     FACE_IDS,
     BoundaryPortion,

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +13,12 @@ from pipl.grid import (
     SpaceTimeGrid,
     field_from_function,
     norm,
-    omega_slice,
     resolve_portion,
     zero_field,
 )
 from pipl import forward
 from pipl.dnmap import normal_derivative_matrix
-from pipl.model import CLASS_A, DiffusionTensor, ModelError, Nonlinearity
+from pipl.model import CLASS_A, CLASS_LINEAR, DiffusionTensor, ModelError, Nonlinearity
 from pipl.forward import (
     SCHEMES,
     CompatibilityError,
@@ -96,7 +94,7 @@ def test_energy_decay():
     g = grid1d(nx=33, nt=32, T=0.5)
     g0 = field_from_function(g, lambda x: np.sin(math.pi * x) + 0.5 * np.sin(3 * math.pi * x), "Omega")
     rep = solve_linear(g, q=1.0, g=g0)
-    norms = [norm(omega_slice(rep.solution, k), "L2Omega") for k in range(g.n_levels)]
+    norms = [norm(Field(g, rep.solution.values[k], "Omega"), "L2Omega") for k in range(g.n_levels)]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -161,7 +159,7 @@ def test_semilinear_linear_potential_consistency():
     g = grid1d(nx=33, nt=16)
     q = field_from_function(g, lambda x, t: 1.0 + x + 0 * t, "Q")
     lin = solve_linear(g, q=q, g=sin_initial(g))
-    nl = Nonlinearity.linear_potential("1 + x")
+    nl = Nonlinearity.parse("(1 + x)*u", tag=CLASS_LINEAR)
     semi = solve_semilinear(g, None, nl, g=sin_initial(g))
     assert semi.converged
     assert norm(semi.solution - lin.solution, "L2Q") < 1e-8
@@ -299,7 +297,7 @@ def test_semilinear_propagator_builds(monkeypatch):
     monkeypatch.setattr(forward, "Propagator", Counting)
     g = grid1d(nx=17, nt=8, T=0.1)
     g0 = sin_initial(g)
-    solve_semilinear(g, None, Nonlinearity.linear_potential("1 + x"), g=g0)
+    solve_semilinear(g, None, Nonlinearity.parse("(1 + x)*u", tag=CLASS_LINEAR), g=g0)
     assert len(built) == 1
     solve_semilinear(g, None, Nonlinearity.parse("u^3"), g=g0)
     assert len(built) == 1
@@ -893,9 +891,9 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
                            for o in (-6, -5, -1, 0, 1, 4)})
 
     def factor():
-        factors, solve, info = forward._lapack().dgttrf(dl, d, du)
+        (lu,), info = forward._lapack().dgttrf(dl, d, du)
         assert info == 0
-        return [SimpleNamespace(factors=factors, solve=solve), forward._BandLU(wide, "A")]
+        return [lu, forward._BandLU(wide, "A")]
 
     lus = factor()
     monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
@@ -923,9 +921,9 @@ def test_tridiagonal_lapack_paths_agree(monkeypatch):
 
 def _per_level_march(prop, g0, f, source):
     """run's march with each step's A_k and M_k formed from the stencils of
-    levels k + 1 and k and each A_k factored by a dgttrf call of its own:
-    the reference for the stacked 1D stepper.  Returns the values and each
-    step's (A_k, M_k, factors)."""
+    levels k + 1 and k and each A_k factored alone, by a dgttrf call of its
+    own in 1D and a _BandLU in 2D: the reference for the stacked stepper.
+    Returns the values and each step's (A_k, M_k, LU)."""
     g, theta, mask = prop.grid, prop.theta, prop.interior_mask
     dt, td = g.dt, prop.time_dependent
 
@@ -941,18 +939,44 @@ def _per_level_march(prop, g0, f, source):
         new, old = (k + 1, k) if td else (0, 0)
         s_new, s_old = stencil(new), stencil(old)
         q = np.where(mask, prop.q_levels[[new, old]], 0.0)
-        A = s_new.scaled(dt * theta).with_diagonal(1.0 + dt * theta * (s_new.bands[0] + q[0]))
-        M = s_old.scaled(-dt * (1 - theta)).with_diagonal(
-            np.where(mask, 1.0 - dt * (1 - theta) * (s_old.bands[0] + q[1]), 0.0))
-        factors, solve, info = forward._lapack().dgttrf(A.bands[-1][1:], A.bands[0],
-                                                        A.bands[1][:-1])
-        assert info == 0
+        A = forward.Banded({**s_new.scaled(dt * theta).bands,
+                            0: 1.0 + dt * theta * (s_new.bands[0] + q[0])})
+        M = forward.Banded({**s_old.scaled(-dt * (1 - theta)).bands, 0: np.where(
+            mask, 1.0 - dt * (1 - theta) * (s_old.bands[0] + q[1]), 0.0)})
+        if g.dim == 1:
+            (lu,), info = forward._lapack().dgttrf(A.bands[-1][1:], A.bands[0], A.bands[1][:-1])
+            assert info == 0
+        else:
+            lu = forward._BandLU(A, "A")
         s = source[k + 1] if theta == 1.0 else theta * source[k + 1] + (1 - theta) * source[k]
         rhs = M @ u[k] + dt * s
         rhs[prop.boundary_idx] = f[k + 1]
-        u[k + 1] = solve(rhs)
-        steps.append((A, M, factors))
+        u[k + 1] = lu.solve(rhs)
+        steps.append((A, M, lu))
     return u, steps
+
+
+def _matches_per_level_march(prop, columns, seed):
+    """Whether prop's march, and each step's bands (an offset that the
+    level's own matrix lacks all zero) and LU, equal the per-level
+    reference byte for byte; a release and a second march change nothing."""
+    g = prop.grid
+    rng = np.random.default_rng(seed)
+    g0 = rng.standard_normal((g.n_space, *columns))
+    f = rng.standard_normal((g.n_levels, len(prop.boundary_idx), *columns))
+    source = rng.standard_normal((g.n_levels, g.n_space, *columns))
+    u = prop.run(g0, f, source)
+    ref, steps = _per_level_march(prop, g0, f, source)
+    same = _same(u, ref)
+    for k, (A_ref, M_ref, lu_ref) in enumerate(steps):
+        A, M, lu = prop.system(k)
+        for a, b in ((A, A_ref), (M, M_ref)):
+            same &= all(_same(band, b.bands[o]) if o in b.bands else not np.any(band)
+                        for o, band in a.bands.items())
+        same &= all(_same(x, y) for x, y in zip(lu.factors, lu_ref.factors))
+        same &= _same(lu.solve(source[k]), lu_ref.solve(source[k]))
+    prop.release(0)
+    return same and _same(prop.run(g0, f, source), u)
 
 
 def _negative_q(grid, theta):
@@ -986,22 +1010,37 @@ def test_stacked_1d_stepper_matches_per_level_lu(nx, nt, T, scheme, gamma_kind, 
          "time": field_from_function(grid, lambda x, t: 1.0 + x * t + 0.5 * x, "Q"),
          "negative": _negative_q(grid, SCHEMES[scheme])}[q_kind]
     prop = Propagator(grid, GAMMAS[gamma_kind](1), q, scheme, advection)
-    rng = np.random.default_rng(seed)
-    g0 = rng.standard_normal((grid.n_space, *columns))
-    f = rng.standard_normal((grid.n_levels, len(prop.boundary_idx), *columns))
-    source = rng.standard_normal((grid.n_levels, grid.n_space, *columns))
-    u = prop.run(g0, f, source)
-    ref, steps = _per_level_march(prop, g0, f, source)
-    assert _same(u, ref)
-    for k, (A_ref, M_ref, factors) in enumerate(steps):
-        A, M, lu = prop.system(k)
-        for a, b in ((A, A_ref), (M, M_ref)):
-            assert all(_same(a.bands[o], b.bands[o]) for o in (-1, 0, 1))
-        assert all(_same(x, y) for x, y in zip(lu.factors, factors))
-        assert _same(lu.solve(source[k]), forward._lapack().dgttrf(
-            A_ref.bands[-1][1:], A_ref.bands[0], A_ref.bands[1][:-1])[1](source[k]))
-    prop.release(0)
-    assert _same(prop.run(g0, f, source), u)
+    assert _matches_per_level_march(prop, columns, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=st.integers(3, 8),
+    ny=st.integers(3, 8),
+    nt=st.integers(2, 5),
+    scheme=st.sampled_from(("be", "cn")),
+    gamma_kind=st.sampled_from(("identity", "scalar", "matrix", "time", "vanishing")),
+    q_kind=st.sampled_from(("none", "time", "negative")),
+    advection=st.sampled_from((None, (5.0, -3.0))),
+    columns=st.sampled_from(((), (1,), (3,))),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_2d_stepper_matches_per_level_lu(nx, ny, nt, scheme, gamma_kind, q_kind,
+                                                  advection, columns, seed):
+    # a 2D stepper forms the bands of every step at construction, stacked,
+    # and a band LU per step when a march reaches it: the march, each step's
+    # bands and its LU equal those formed level by level, byte for byte.
+    # The "vanishing" tensor has no cross term at t = 0.5, a level for an
+    # even nt, so the stacks carry offsets that its own matrices lack;
+    # q = -200 makes dgbtrf pivot
+    grid = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [nx, ny], nt, 1.0)
+    gamma = (DiffusionTensor.matrix2d("1", "0.2*(t - 0.5)", "0.9") if gamma_kind == "vanishing"
+             else GAMMAS[gamma_kind](2))
+    q = {"none": None,
+         "time": field_from_function(grid, lambda x, y, t: 1.0 + x * t + 0.5 * y, "Q"),
+         "negative": -200.0}[q_kind]
+    prop = Propagator(grid, gamma, q, scheme, advection)
+    assert _matches_per_level_march(prop, columns, seed)
 
 
 def test_stacked_1d_march_through_scipy_binding(monkeypatch):
@@ -1026,6 +1065,42 @@ def test_stacked_1d_march_through_scipy_binding(monkeypatch):
         assert all(_same(x, y) for x, y in zip(a[:4], b[:4]))
         assert np.array_equal(a[4], b[4])
     assert all(not np.array_equal(a[4], np.arange(1, g.n_space + 1)) for a in factors)
+
+
+def test_time_dependent_1d_march_builds_no_step_object(monkeypatch):
+    # every step of a time-dependent 1D march solves with the block solve
+    # that its stepper made at construction, in a second march and after a
+    # release too: no solve, partial or LU object is built per step
+    g = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
+    prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None, "cn")
+    real_solve, seen = Propagator._solve, []
+    monkeypatch.setattr(Propagator, "_solve",
+                        lambda self, solve, rhs: seen.append(solve) or real_solve(self, solve, rhs))
+    prop.run()
+    prop.release(2)
+    prop.run(g0=np.ones((g.n_space, 2)))
+    made = [prop.system(k)[2].solve for k in range(g.nt)]
+    assert len(seen) == 2 * g.nt
+    assert all(a is b for a, b in zip(seen, made * 2))
+
+
+def test_stepper_is_freed_without_the_cycle_collector():
+    # a time-dependent stepper holds its stacked bands and LU table in no
+    # reference cycle, so they go when its last reference does
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for g in (SpaceTimeGrid.make([0.0], [1.0], [9], 4, 0.2),
+                  SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [5, 5], 4, 0.2)):
+            prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None, "cn")
+            prop.run()
+            ref = weakref.ref(prop)
+            del prop
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
@@ -1105,14 +1180,14 @@ def test_matrix_gamma_on_1d_grid_raises():
 
 
 def test_propagator_work_counts(monkeypatch):
-    # a 2D Propagator builds step 0's system and a march the rest: per run,
-    # one stencil assembly per gamma level; one dgbtrf per distinct step
-    # matrix.  A 1D one factors every step matrix at construction in one
-    # dgttrf call, and a second run or a release factors nothing.  Newton
-    # makes one solve per iteration: one dgbtrf (and its solve) in 2D, one
-    # dgtsv in 1D.  LAPACK is counted on forward's binding, and so are the
-    # rows each dgbtrf keeps: kl + ku + 1 without an interchange, 2 kl + ku + 1
-    # after one
+    # a 2D Propagator makes step 0's band LU and a march the rest, and a
+    # residual none: per run, one stencil assembly per gamma level; one
+    # dgbtrf per distinct step matrix.  A 1D one factors every step matrix at
+    # construction in one dgttrf call, and a second run or a release factors
+    # nothing.  Newton makes one solve per iteration: one dgbtrf (and its
+    # solve) in 2D, one dgtsv in 1D.  LAPACK is counted on forward's binding,
+    # and so are the rows each dgbtrf keeps: kl + ku + 1 without an
+    # interchange, 2 kl + ku + 1 after one
     counts, band_rows = {}, []
 
     def count(owner, name):
@@ -1160,6 +1235,11 @@ def test_propagator_work_counts(monkeypatch):
     prop.release(2)
     prop.run()
     assert work(dgbtrf=1, rows=19)
+    # the residual reads the stacked bands and factors nothing
+    fresh = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
+    assert work(assemble_operator=1, dgbtrf=1, rows=19)
+    assert np.all(fresh.residual(prop.run()) <= 1e-12)
+    assert work()
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     q_time = field_from_function(g1, lambda x, t: 1.0 + x * t, "Q")

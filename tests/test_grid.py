@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import load_field_csv
 from pipl.dnmap import normal_derivative_matrix
 from pipl.grid import (
     FACE_NAMES,
@@ -15,7 +16,6 @@ from pipl.grid import (
     GridError,
     SpaceTimeGrid,
     field_from_function,
-    load_field_csv,
     norm,
     resolve_portion,
     save_field_csv,

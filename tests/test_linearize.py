@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pipl.grid import Field, SpaceTimeGrid, field_from_function, norm
-from pipl.linearize import LinearizationSetup, higher_order, higher_orders, probe_trace
+from pipl.linearize import LinearizationSetup, higher_orders, probe_trace
 from pipl.model import Nonlinearity
 
 
@@ -36,7 +36,7 @@ def test_probe_trace_compatible():
 def test_first_order_linear_model_exact():
     setup = make_setup("(1 + x)*u")
     probe = ramp_probe(setup.grid)
-    res = higher_order(setup, [probe], (1e-1, 1e-2))
+    res = higher_orders(setup, [([probe], (1e-1, 1e-2))])[0]
     assert res.rate.linear_exact
     assert norm(res.quotient - res.direct, "L2Q") < 1e-9
 
@@ -46,7 +46,7 @@ def test_first_order_quadratic_free_heat():
     # the free heat equation with the probe data
     setup = make_setup("u^2")
     probe = ramp_probe(setup.grid)
-    res = higher_order(setup, [probe], (1e-2, 1e-3, 1e-4))
+    res = higher_orders(setup, [([probe], (1e-2, 1e-3, 1e-4))])[0]
     from pipl.forward import solve_linear
 
     free = solve_linear(setup.grid, None, None, f=probe).solution
@@ -57,7 +57,7 @@ def test_first_order_quadratic_free_heat():
 def test_first_order_rate_in_band_cubic_base():
     setup = make_setup("u^3", g_amp=0.3)
     probe = ramp_probe(setup.grid)
-    res = higher_order(setup, [probe], (1e-2, 1e-3, 1e-4))
+    res = higher_orders(setup, [([probe], (1e-2, 1e-3, 1e-4))])[0]
     assert res.rate.slope is not None
     # O(eps^2)-clean quotients appear for odd nonlinearities; cubic at a
     # nonzero base has a genuine second-order term, slope ~ 1
@@ -68,7 +68,7 @@ def test_second_order_linear_model_vanishes():
     setup = make_setup("2*u")
     f1 = ramp_probe(setup.grid, "left")
     f2 = ramp_probe(setup.grid, "right")
-    res = higher_order(setup, [f1, f2], [(1e-2, 1e-2)])
+    res = higher_orders(setup, [([f1, f2], [(1e-2, 1e-2)])])[0]
     assert norm(res.direct, "L2Q") < 1e-12
     assert norm(res.quotient, "L2Q") < 1e-6
 
@@ -78,7 +78,7 @@ def test_second_order_quadratic_source_structure():
     setup = make_setup("u^2")
     f1 = ramp_probe(setup.grid, "left")
     f2 = ramp_probe(setup.grid, "right")
-    res = higher_order(setup, [f1, f2], [(1e-3, 1e-3)])
+    res = higher_orders(setup, [([f1, f2], [(1e-3, 1e-3)])])[0]
     from pipl.forward import solve_linear
 
     v1 = solve_linear(setup.grid, None, None, f=f1).solution
@@ -93,8 +93,8 @@ def test_second_order_symmetry():
     setup = make_setup("u^2 + u^3")
     f1 = ramp_probe(setup.grid, "left")
     f2 = ramp_probe(setup.grid, "right")
-    a = higher_order(setup, [f1, f2], [(1e-3, 2e-3)])
-    b = higher_order(setup, [f2, f1], [(2e-3, 1e-3)])
+    a = higher_orders(setup, [([f1, f2], [(1e-3, 2e-3)])])[0]
+    b = higher_orders(setup, [([f2, f1], [(2e-3, 1e-3)])])[0]
     assert norm(a.quotient - b.quotient, "L2Q") < 1e-9
 
 
@@ -102,7 +102,7 @@ def test_second_order_mixed_gap_rate():
     setup = make_setup("u^2")
     f1 = ramp_probe(setup.grid, "left")
     f2 = ramp_probe(setup.grid, "right")
-    res = higher_order(setup, [f1, f2], [1e-2, 1e-3])
+    res = higher_orders(setup, [([f1, f2], [1e-2, 1e-3])])[0]
     assert res.rate is not None and res.rate.slope is not None
     assert 0.8 <= res.rate.slope <= 1.3
 
@@ -115,7 +115,7 @@ def test_third_order_cubic_source():
         ramp_probe(setup.grid, "right"),
         ramp_probe(setup.grid, "both"),
     ]
-    res = higher_order(setup, probes, [3e-2])
+    res = higher_orders(setup, [(probes, [3e-2])])[0]
     from pipl.forward import solve_linear
 
     vs = [solve_linear(setup.grid, None, None, f=f).solution for f in probes]
@@ -135,8 +135,8 @@ def test_third_order_quartic_term_invisible():
         ramp_probe(setup3.grid, "right"),
         ramp_probe(setup3.grid, "both"),
     ]
-    r3 = higher_order(setup3, probes, [1e-2])
-    r34 = higher_order(setup34, probes, [1e-2])
+    r3 = higher_orders(setup3, [(probes, [1e-2])])[0]
+    r34 = higher_orders(setup34, [(probes, [1e-2])])[0]
     assert norm(r3.direct - r34.direct, "L2Q") < 1e-12
     # quotients differ only by the higher-order influence, O(eps)
     assert norm(r3.quotient - r34.quotient, "L2Q") < 1e-1 * max(norm(r3.quotient, "L2Q"), 1e-12)
@@ -146,7 +146,7 @@ def test_zero_probe_annihilates():
     setup = make_setup("u^2", nx=17, nt=8)
     z = Field(setup.grid, np.zeros((setup.grid.n_levels, ramp_probe(setup.grid).portion.n_nodes)),
               "Sigma", ramp_probe(setup.grid).portion)
-    res = higher_order(setup, [ramp_probe(setup.grid), z], [1e-2])
+    res = higher_orders(setup, [([ramp_probe(setup.grid), z], [1e-2])])[0]
     assert norm(res.quotient, "L2Q") == 0.0
 
 
@@ -201,7 +201,7 @@ def test_higher_orders_matches_separate_calls(monkeypatch):
               for s in (1.0, 2.0, 3.0)]
     schedules = {1: [1e-2, 1e-3], 2: [(1e-2, 2e-2), 1e-3], 3: [3e-3, 0.0, 1e-3]}
     separate.base_solution()
-    refs = [higher_order(separate, probes[:order], schedules[order]) for order in (1, 2, 3)]
+    refs = [higher_orders(separate, [(probes[:order], schedules[order])])[0] for order in (1, 2, 3)]
     assert len(calls) == 4
     calls.clear()
     results = higher_orders(batched, [(probes[:order], schedules[order]) for order in (1, 2, 3)])
@@ -223,5 +223,5 @@ def test_stalled_corner_names_order_amplitudes_and_level():
     setup.tol = -1.0  # no update can meet it: every corner stalls at level 1
     with pytest.raises(SolverError, match=r"order-2 corner \(0,\) at amplitudes \(0\.01, 0\.02\): "
                                           r"newton stalled at time level 1"):
-        higher_order(setup, [ramp_probe(setup.grid, "left"), ramp_probe(setup.grid, "right")],
-                     [(1e-2, 2e-2)])
+        higher_orders(setup, [([ramp_probe(setup.grid, "left"), ramp_probe(setup.grid, "right")],
+                               [(1e-2, 2e-2)])])

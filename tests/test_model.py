@@ -7,6 +7,7 @@ from pipl.grid import Field, SpaceTimeGrid, field_from_function
 from pipl.model import (
     CLASS_A,
     CLASS_ANALYTIC,
+    CLASS_LINEAR,
     DiffusionTensor,
     ModelError,
     Nonlinearity,
@@ -24,7 +25,7 @@ def test_evaluate_cubic():
 
 
 def test_evaluate_linear_potential():
-    nl = Nonlinearity.linear_potential("x*t + 1")
+    nl = Nonlinearity.parse("(x*t + 1)*u", tag=CLASS_LINEAR)
     for u in (-3.0, 0.0, 5.0):
         assert nl(0.5, 2.0, u, k=1) == pytest.approx(2.0)
 

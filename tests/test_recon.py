@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reciprocity_report
 from pipl.cgo import CGOFactory, CGOParameters
 from pipl.dnmap import DNMeasurement, add_noise, passive_map
 from pipl.forward import Propagator
@@ -22,7 +23,6 @@ from pipl.recon import (
     RegionMask,
     null_control,
     positive_solution,
-    reciprocity_report,
     recover_initial,
     recover_potential,
     recover_taylor,
@@ -248,12 +248,12 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
     import tracemalloc
     import weakref
 
-    real_system, real_step = Propagator.system, Propagator.step
+    real_lu, real_step = Propagator._lu, Propagator.step
     made, alive, biggest, marching = {}, [], [], _marching(monkeypatch)
 
-    def system(self, k):
-        out = real_system(self, k)
-        made.setdefault(self, []).append(weakref.ref(out[2]))
+    def lu(self, k):
+        out = real_lu(self, k)
+        made.setdefault(self, []).append(weakref.ref(out))
         return out
 
     def step(self, k, z, f=None, s=None):
@@ -263,7 +263,7 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
         biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
         return out
 
-    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "_lu", lu)
     monkeypatch.setattr(Propagator, "step", step)
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [13, 13], 16, 1.0)
     dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
@@ -288,12 +288,12 @@ def test_probe_sweep_forms_no_step_residual(monkeypatch):
     from pipl import forward
     from pipl.recon.potential import _sweep_probes
 
-    real_system, real_step, real_matmul = (Propagator.system, Propagator.step,
-                                           forward.Banded.__matmul__)
+    real_matrices, real_step, real_product = (Propagator._matrices, Propagator.step,
+                                              forward.Banded.product)
     step_matrices, steps, products = {}, [], []
 
-    def system(self, k):
-        out = real_system(self, k)
+    def matrices(self, new, old):
+        out = real_matrices(self, new, old)
         step_matrices[id(out[0])] = out[0]  # held, so no later matrix takes its id
         return out
 
@@ -301,14 +301,14 @@ def test_probe_sweep_forms_no_step_residual(monkeypatch):
         steps.append(k)
         return real_step(self, k, z, f, s)
 
-    def matmul(self, z):
+    def product(self, z, level=None):
         if step_matrices.get(id(self)) is self:
             products.append(z.shape)
-        return real_matmul(self, z)
+        return real_product(self, z, level)
 
-    monkeypatch.setattr(Propagator, "system", system)
+    monkeypatch.setattr(Propagator, "_matrices", matrices)
     monkeypatch.setattr(Propagator, "step", step)
-    monkeypatch.setattr(forward.Banded, "__matmul__", matmul)
+    monkeypatch.setattr(forward.Banded, "product", product)
     g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 8, 1.0)
     dq = field_from_function(g2, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
     synthesize_potential_probes(g2, dq, None, rho=8.0, n_xi=1, n_tau=1)
