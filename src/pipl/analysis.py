@@ -3,15 +3,20 @@ discrete maximum principle, and the non-uniqueness construction for passive
 measurements.
 
 These checks witness inequalities on concrete discrete solutions; they never
-certify the estimates.  Weight functions degenerate at the time endpoints
-(first weight) and grow like (1/K)^(2 lambda) (second weight), so endpoint
-cells are clipped and the second check runs in log-scaled arithmetic.
+certify the estimates.  Each Carleman check is one trapezoid integral over
+the grid's quadrature per weight parameter: the first over Omega and the
+levels in [ENDPOINT_CLIP T, (1 - ENDPOINT_CLIP) T], the second over Omega
+and the levels of [0, t0].  Weight functions degenerate at the time
+endpoints (first weight, hence the clip) and grow like (1/K)^(2 lambda)
+(second weight), so both checks split a common exponential scale off their
+weights, which leaves each ratio unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 import numpy as np
 
@@ -21,10 +26,13 @@ from .forward import assemble_operator, solve_linear
 from .grid import (
     DOMAIN_OMEGA,
     DOMAIN_Q,
+    FACE_IDS,
+    FACE_NAMES,
     BoundaryPortion,
     Field,
     ResolvedPortion,
     SpaceTimeGrid,
+    _trapezoid,
     norm,
     resolve_portion,
 )
@@ -34,6 +42,10 @@ from .model import DiffusionTensor
 ENDPOINT_CLIP = 0.02        # clip t in [kT, (1-k)T]; the weight vanishes there anyway
 LOG_RANGE_FLAG = 690.0      # ~ 1e300 dynamic range in natural log
 UNDERSHOOT_TOL = 1e-8       # a nonnegative solution's interior min is >= -UNDERSHOOT_TOL * sup
+# the sampled weight parameters: (lambda, mu) of the first check, lambda of the second
+LAMBDAS = (1.0, 2.0, 4.0)
+MUS = (0.5, 1.0)
+LAMBDAS2 = (2.0, 4.0, 8.0)
 
 
 class AnalysisError(ValueError):
@@ -55,21 +67,17 @@ class CarlemanConfig:
     """
 
     psi: Expression
-    lambdas: tuple = (1.0, 2.0, 4.0)
-    mus: tuple = (0.5, 1.0)
     K: float = 0.15
     t0: float = 0.15625
     L: float = 1.0
-    lambdas2: tuple = (2.0, 4.0, 8.0)
 
     def __post_init__(self):
         if self.K <= 0:  # the second weight 1/(K + t0 - t) needs K > 0 at t = t0
             raise AnalysisError(f"parameter constraint violated: K = {self.K:.4g} must be positive")
-        if self.K + self.t0 >= min(1.0, 1.0 / (2 * self.L)):
-            raise AnalysisError(
-                f"parameter constraint violated: K + t0 = {self.K + self.t0:.4g} "
-                f">= min(1, 1/(2L)) = {min(1.0, 1.0 / (2 * self.L)):.4g}"
-            )
+        bound = min(1.0, 1.0 / (2 * self.L))
+        if self.K + self.t0 >= bound:
+            raise AnalysisError(f"parameter constraint violated: K + t0 = {self.K + self.t0:.4g} "
+                                f">= min(1, 1/(2L)) = {bound:.4g}")
 
     def psi_values(self, grid: SpaceTimeGrid) -> np.ndarray:
         vals = np.broadcast_to(np.asarray(self.psi(*grid.meshes()), dtype=float), grid.nx).copy()
@@ -77,72 +85,72 @@ class CarlemanConfig:
             raise AnalysisError("psi must be positive on the closure of Omega")
         return vals
 
+    @staticmethod
+    def first_weight(psi, t, T, lam, mu):
+        """(theta_1^2 e^-M, eta, phi) at weight-base values psi and times t
+        that broadcast against them: phi = e^(mu psi) / (t^2 (T - t)^2),
+        eta = (e^(mu psi) - e^(2 mu max psi)) / (t^2 (T - t)^2), theta_1 =
+        e^(lam eta) and M = max 2 lam eta.  Both sides of the first check
+        carry theta_1^2, so the scale e^-M leaves their ratio unchanged and
+        keeps the weight from underflowing."""
+        tt = t**2 * (T - t) ** 2
+        e = np.exp(mu * psi)
+        eta = (e - math.exp(2 * mu * float(np.max(psi)))) / tt
+        two = 2 * lam * eta
+        return np.exp(two - np.max(two)), eta, e / tt
+
     def check_weight_conditions(self, grid: SpaceTimeGrid, gamma, gamma0: ResolvedPortion) -> dict:
-        """Sampled |grad psi| > 0 interior and conormal-flux sign on the
-        complement of the observation portion."""
-        meshes, names = grid.meshes(), "xy"[:grid.dim]
-        grads = (np.asarray(self.psi(*meshes, var=v, order=1), dtype=float) for v in names)
-        grad2 = sum(np.broadcast_to(g, grid.nx) ** 2 for g in grads)
-        grad_ok = bool(np.min(grad2) > 0)
-        gamma = gamma if gamma is not None else DiffusionTensor.identity()
-        full = resolve_portion(grid, BoundaryPortion.full())
-        observed = set(
-            zip((tuple(f) for f in gamma0.face_of_node), gamma0.multi_indices)
-        )
-        worst_flux = -np.inf
-        for face, mi in zip(full.face_of_node, full.multi_indices):
-            if (tuple(face), mi) in observed:
-                continue
-            xy = grid.node_coords(mi)
-            grad = [float(self.psi(*xy, var=v, order=1)) for v in names]
-            nu = grid.face_normal(face)
-            flux = 0.0
-            for i in range(grid.dim):
-                for j in range(grid.dim):
-                    flux += float(gamma.component(i, j, *xy, t=0.0)) * grad[i] * nu[j]
-            worst_flux = max(worst_flux, flux)
+        """Sampled |grad psi| > 0 on Omega, and the largest conormal flux
+        gamma grad psi . nu at t = 0 over the faces gamma0 leaves unobserved
+        (None, and the condition holds, when it observes every face)."""
+        meshes = grid.meshes()
+        grads = [np.broadcast_to(np.asarray(self.psi(*meshes, var=v, order=1), dtype=float),
+                                 grid.nx).reshape(-1) for v in "xy"[:grid.dim]]
+        rest = [FACE_NAMES[f] for f in grid.faces() if f not in gamma0.faces]
+        worst = None
+        if rest:
+            nodes = resolve_portion(grid, BoundaryPortion.named(*rest))
+            xy = [m.reshape(-1)[nodes.flat] for m in meshes]
+            axis, side = np.array(nodes.face_of_node, dtype=int).reshape(-1, 2).T
+            sign = np.where(side == 1, 1.0, -1.0)  # the outward normal is sign * e_axis
+            gamma = gamma if gamma is not None else DiffusionTensor.identity()
+            worst = float(np.max(sum(
+                gamma.component(i, j, *xy, t=0.0) * grads[i][nodes.flat]
+                * np.where(axis == j, sign, 0.0) for i, j in product(range(grid.dim), repeat=2)
+            )))
         return {
-            "grad_nonvanishing": grad_ok,
-            "max_flux_on_unobserved": worst_flux,
-            "flux_condition_holds": bool(worst_flux <= 1e-12),
+            "grad_nonvanishing": bool(np.min(sum(g**2 for g in grads)) > 0),
+            "max_flux_on_unobserved": worst,
+            "flux_condition_holds": worst is None or worst <= 1e-12,
         }
 
 
 def default_weight_base(grid: SpaceTimeGrid, gamma0_faces=("left",)) -> Expression:
-    """Quadratic weight base amp * (c0 + |x - x0|^2) with the center placed
-    outside the domain beyond the face opposite the observation portion.
-    With that placement the conormal flux condition holds on the sampled
-    unobserved faces of an interval; on rectangles the tangential faces are
-    checked and reported, not guaranteed.
+    """Quadratic weight base amp * (c0 + |x - x0|^2).  The center x0 lies a
+    quarter span beyond the face opposite the first observed face, and
+    mid-box along the other axis.  With that placement the conormal flux
+    condition holds on the sampled unobserved faces of an interval; on
+    rectangles the tangential faces are checked and reported, not
+    guaranteed.
 
     The amplitude is chosen so the exponent 2 lambda eta spans at most about
-    90 natural-log units over the clipped cylinder for CarlemanConfig's
-    default (lambda, mu) grids: the weight keeps its shape but stays
-    resolvable in double precision, which keeps inequality ratios stable
-    under refinement.
+    90 natural-log units over the clipped cylinder for the sampled (lambda,
+    mu) of LAMBDAS and MUS: the weight keeps its shape but stays resolvable
+    in double precision, which keeps inequality ratios stable under
+    refinement.
     """
-    from .grid import FACE_IDS
-
-    faces = [FACE_IDS[name] for name in gamma0_faces]
-    axis, side = faces[0]
+    axis, side = FACE_IDS[gamma0_faces[0]]
     span = grid.upper[axis] - grid.lower[axis]
-    # center beyond the face opposite Gamma_0
-    x0 = (grid.upper[axis] + 0.25 * span) if side == 0 else (grid.lower[axis] - 0.25 * span)
+    center = [0.5 * (lo + hi) for lo, hi in zip(grid.lower, grid.upper)]
+    center[axis] = grid.upper[axis] + 0.25 * span if side == 0 else grid.lower[axis] - 0.25 * span
     # exponent scale at the clip edge: |eta| ~ mu * 2 psi_max / (clip-time factor)
     tmin = ENDPOINT_CLIP * grid.T * (1 - ENDPOINT_CLIP) * grid.T
-    # CarlemanConfig's class attributes are its field defaults
-    amp = 90.0 * tmin**2 / (2 * max(CarlemanConfig.lambdas) * max(CarlemanConfig.mus) * 2.0)
-    if grid.dim == 1:
-        far = max(abs(grid.lower[0] - x0), abs(grid.upper[0] - x0))
-        scale = (far**2 + 1.0) / amp
-        return Expression(f"(0.5 + (x - {x0!r})^2) / {scale!r}")
-    var = "x" if axis == 0 else "y"
-    other = "y" if axis == 0 else "x"
-    oc = 0.5 * (grid.lower[1 - axis] + grid.upper[1 - axis])
-    far = max(abs(grid.lower[axis] - x0), abs(grid.upper[axis] - x0)) ** 2
-    far += (0.5 * (grid.upper[1 - axis] - grid.lower[1 - axis])) ** 2
+    amp = 90.0 * tmin**2 / (2 * max(LAMBDAS) * max(MUS) * 2.0)
+    far = sum(max(abs(lo - c), abs(hi - c)) ** 2
+              for lo, hi, c in zip(grid.lower, grid.upper, center))
     scale = (far + 1.0) / amp
-    return Expression(f"(0.5 + ({var} - {x0!r})^2 + ({other} - {oc!r})^2) / {scale!r}")
+    terms = " + ".join(f"({v} - {c!r})^2" for v, c in zip("xy", center))
+    return Expression(f"(0.5 + {terms}) / {scale!r}")
 
 
 @dataclass
@@ -162,146 +170,91 @@ class InequalityReport:
 def _gradient_fields(u: Field):
     """Central-difference spatial gradient per time level (one-sided at the
     boundary)."""
-    g = u.grid
-    grads = []
-    for axis in range(g.dim):
-        grads.append(np.gradient(u.values, g.h[axis], axis=1 + axis))
-    return grads
+    return [np.gradient(u.values, h, axis=1 + axis) for axis, h in enumerate(u.grid.h)]
 
 
-def carleman_check_1(
-    u: Field,
-    F: Field,
-    cfg: CarlemanConfig,
-    gamma0,
-    gamma=None,
-) -> InequalityReport:
+def _entry(lhs, rhs, **params) -> dict:
+    """params, both sides and lhs / rhs: 0 when both vanish, inf when only rhs does."""
+    ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else (lhs / rhs if rhs > 0 else np.inf)
+    return {**params, "lhs": lhs, "rhs": rhs, "ratio": ratio}
+
+
+def carleman_check_1(u: Field, F: Field, cfg: CarlemanConfig, gamma0) -> InequalityReport:
     """Interior-weight inequality: weighted interior energy vs weighted
-    source plus observed-flux terms, per (lambda, mu)."""
+    source plus observed-flux terms, per (lambda, mu) of LAMBDAS x MUS."""
     grid = u.grid
-    psi = cfg.psi_values(grid)
-    psi_max = float(np.max(psi))
     resolved = gamma0 if isinstance(gamma0, ResolvedPortion) else resolve_portion(grid, gamma0)
-    dn = measure(u, resolved)
-    grads = _gradient_fields(u)
-    grad2 = sum(gv**2 for gv in grads)
-    w_space = grid.space_weights().reshape(-1)
-    w_time = grid.time_weights()
     times = grid.times()
     clip = (times >= ENDPOINT_CLIP * grid.T) & (times <= (1 - ENDPOINT_CLIP) * grid.T)
-    tt_max = max((t**2) * (grid.T - t) ** 2 for t in times[clip])
+    t, w_time = grid.level_times()[clip], grid.time_weights()[clip]
+    w_space = grid.space_weights().reshape(-1)
 
-    entries = []
-    notes = []
-    for lam in cfg.lambdas:
-        for mu in cfg.mus:
-            # common scale M = max of 2 lambda eta over the clipped cylinder:
-            # both sides carry theta_1^2, so working with exp(2 lam eta - M)
-            # leaves the ratio unchanged and never underflows.  eta's
-            # numerator is negative, so the max is at the largest t^2 (T - t)^2
-            M = 2 * lam * ((math.exp(mu * psi_max) - math.exp(2 * mu * psi_max)) / tt_max)
-            if M < -700.0:
-                notes.append(
-                    f"(lambda={lam}, mu={mu}): unscaled weight would underflow "
-                    f"(peak exponent {M:.3g}); scale-shifted arithmetic used"
-                )
-            lhs = 0.0
-            rhs = 0.0
-            for k, t in enumerate(times):
-                if not clip[k]:
-                    continue
-                tt = (t**2) * (grid.T - t) ** 2
-                phi = np.exp(mu * psi) / tt
-                eta = (np.exp(mu * psi) - math.exp(2 * mu * psi_max)) / tt
-                theta2 = np.exp(2 * lam * eta - M)
-                integrand = theta2 * (
-                    lam * mu**2 * phi * grad2[k] + lam**3 * mu**4 * phi**3 * u.values[k] ** 2
-                )
-                lhs += w_time[k] * float(np.dot(integrand.reshape(-1), w_space))
-                rhs += w_time[k] * float(
-                    np.dot((theta2 * F.values[k] ** 2).reshape(-1), w_space)
-                )
-                # boundary term on the observation portion
-                th_b = theta2.reshape(-1)[resolved.flat]
-                phi_b = phi.reshape(-1)[resolved.flat]
-                rhs += w_time[k] * float(
-                    np.dot(lam * mu * th_b * phi_b * np.abs(dn.values[k]) ** 2, resolved.weights)
-                )
-            ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else (lhs / rhs if rhs > 0 else np.inf)
-            entries.append({"lambda": lam, "mu": mu, "lhs": lhs, "rhs": rhs, "ratio": ratio})
-    degenerate = all(e["lhs"] == 0.0 and e["rhs"] == 0.0 for e in entries) and norm(
-        u, "L2Q"
-    ) > 0
+    def integral(values):
+        return float(w_time @ (values.reshape(len(w_time), -1) @ w_space))
+
+    def on_portion(values):
+        return values.reshape(len(w_time), -1)[:, resolved.flat]
+
+    grad2 = sum(g**2 for g in _gradient_fields(u))[clip]
+    u2, F2 = u.values[clip] ** 2, F.values[clip] ** 2
+    dn2 = np.abs(measure(u, resolved).values[clip]) ** 2
+    psi = cfg.psi_values(grid)
+    entries, notes = [], []
+    for lam, mu in product(LAMBDAS, MUS):
+        theta2, eta, phi = cfg.first_weight(psi, t, grid.T, lam, mu)
+        M = 2 * lam * float(np.max(eta))
+        if M < -700.0:
+            notes.append(f"(lambda={lam}, mu={mu}): unscaled weight would underflow "
+                         f"(peak exponent {M:.3g}); scale-shifted arithmetic used")
+        lhs = integral(theta2 * (lam * mu**2 * phi * grad2 + lam**3 * mu**4 * phi**3 * u2))
+        flux = (lam * mu * on_portion(theta2) * on_portion(phi) * dn2) @ resolved.weights
+        rhs = integral(theta2 * F2) + float(w_time @ flux)
+        entries.append(_entry(lhs, rhs, **{"lambda": lam, "mu": mu}))
+    degenerate = all(e["lhs"] == 0.0 and e["rhs"] == 0.0 for e in entries) and norm(u, "L2Q") > 0
     if degenerate:
         notes.append("weight underflowed everywhere")
     return InequalityReport(entries, degenerate, notes)
 
 
-def carleman_check_2(
-    u: Field,
-    F: Field,
-    cfg: CarlemanConfig,
-    gamma=None,
-) -> InequalityReport:
-    """Initial-slice weight inequality on [0, t0], per (lambda, L), computed
-    with a common exponential scaling split off so that theta_2^(2 lambda)
-    never overflows."""
+def carleman_check_2(u: Field, F: Field, cfg: CarlemanConfig, gamma=None) -> InequalityReport:
+    """Initial-slice weight inequality on [0, t0], per lambda of LAMBDAS2,
+    computed with a common exponential scaling split off so that
+    theta_2^(2 lambda) never overflows."""
     grid = u.grid
     if cfg.t0 >= grid.T:
         raise AnalysisError("t0 must lie inside (0, T)")
     gamma = gamma if gamma is not None else DiffusionTensor.identity()
-    times = grid.times()
     k_t0 = int(round(cfg.t0 / grid.dt))
-    if abs(times[k_t0] - cfg.t0) > 1e-9 * grid.T:
+    if abs(grid.times()[k_t0] - cfg.t0) > 1e-9 * grid.T:
         raise AnalysisError("t0 must sit on a time level")
-    grads = _gradient_fields(u)
-    meshes = grid.meshes()
+    levels = slice(k_t0 + 1)
     w_space = grid.space_weights().reshape(-1)
 
-    # quadratic form sum gamma_ij du_i du_j per level
-    def gamma_quad(k, t):
-        acc = np.zeros(grid.nx)
-        for i in range(grid.dim):
-            for j in range(grid.dim):
-                gij = np.broadcast_to(
-                    np.asarray(gamma.component(i, j, *meshes, t=t), dtype=float), grid.nx
-                )
-                acc = acc + gij * grads[i][k] * grads[j][k]
-        return acc
+    def per_level(values):
+        return values.reshape(k_t0 + 1, -1) @ w_space
 
-    w_time = np.full(k_t0 + 1, grid.dt)
-    w_time[0] *= 0.5
-    w_time[-1] *= 0.5
+    grads = [g[levels] for g in _gradient_fields(u)]
+    meshes, t = grid.meshes(), grid.level_times()[levels]
+    # the quadratic form sum gamma_ij du_i du_j
+    quad = per_level(sum(gamma.component(i, j, *meshes, t=t) * grads[i] * grads[j]
+                         for i, j in product(range(grid.dim), repeat=2)))
+    u2, F2 = per_level(u.values[levels] ** 2), per_level(F.values[levels] ** 2)
+    w_time = _trapezoid(k_t0 + 1, grid.dt)
+    d = cfg.K + cfg.t0 - grid.times()[levels]  # 1 / theta_2
 
-    entries = []
-    notes = []
-    theta_log_max = -2.0 * math.log(cfg.K)          # log theta2^2 at t = t0
-    for lam in cfg.lambdas2:
-        log_peak = lam * theta_log_max
-        log_floor = -2.0 * lam * math.log(cfg.K + cfg.t0)
-        if log_peak - log_floor > LOG_RANGE_FLAG:
+    entries, notes = [], []
+    for lam in LAMBDAS2:
+        M = -2.0 * lam * math.log(cfg.K)  # log theta_2^(2 lambda) at t = t0: scale by exp(-M)
+        if M + 2.0 * lam * math.log(cfg.K + cfg.t0) > LOG_RANGE_FLAG:
             notes.append(f"lambda {lam}: dynamic range beyond 1e300-equivalent; scaled arithmetic")
-        M = log_peak  # scale everything by exp(-M)
-        lhs = 0.0
-        rhs = 0.0
-        for k in range(k_t0 + 1):
-            t = times[k]
-            log_th2lam = -2.0 * lam * math.log(cfg.K + cfg.t0 - t)
-            s = math.exp(log_th2lam - M)
-            theta2sq = 1.0 / (cfg.K + cfg.t0 - t) ** 2
-            integrand = s * (lam * theta2sq * u.values[k] ** 2 + cfg.L * gamma_quad(k, t))
-            lhs += w_time[k] * float(np.dot(integrand.reshape(-1), w_space))
-            rhs += w_time[k] * s * float(np.dot((F.values[k] ** 2).reshape(-1), w_space))
-        # initial-slice term on the lhs
-        s0 = math.exp(-(2 * lam + 1) * math.log(cfg.K + cfg.t0) - M)
-        lhs += lam * s0 * float(np.dot((u.values[0] ** 2).reshape(-1), w_space))
-        # rhs slice terms at t0 and the initial gradient
-        st0 = math.exp(-(2 * lam + 1) * math.log(cfg.K) - M)
-        rhs += lam * st0 * float(np.dot((u.values[k_t0] ** 2).reshape(-1), w_space))
-        sg = math.exp(-2 * lam * math.log(cfg.K + cfg.t0) - M)
-        rhs += sg * float(np.dot(gamma_quad(0, 0.0).reshape(-1), w_space))
-        ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else (lhs / rhs if rhs > 0 else np.inf)
-        entries.append({"lambda": lam, "L": cfg.L, "lhs": lhs, "rhs": rhs, "ratio": ratio})
+        s = np.exp(-2.0 * lam * np.log(d) - M)
+        # the initial slice on the lhs; the slice at t0 and the initial gradient on the rhs
+        lhs = float(w_time @ (s * (lam * u2 / d**2 + cfg.L * quad))) + lam * math.exp(
+            -(2 * lam + 1) * math.log(cfg.K + cfg.t0) - M) * u2[0]
+        rhs = (float(w_time @ (s * F2))
+               + lam * math.exp(-(2 * lam + 1) * math.log(cfg.K) - M) * u2[-1]
+               + math.exp(-2 * lam * math.log(cfg.K + cfg.t0) - M) * quad[0])
+        entries.append(_entry(float(lhs), float(rhs), **{"lambda": lam, "L": cfg.L}))
     return InequalityReport(entries, False, notes)
 
 

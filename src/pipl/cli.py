@@ -6,20 +6,20 @@ sections and keys that kind reads, each with its parser and default.
 ``load_config`` resolves a file against it before any runner starts, and
 runners read only the resolved values.  An unknown section, a key the kind
 does not read, a [grid] that SpaceTimeGrid would reject, a malformed or
-non-finite number, a negative noise level, stability delta or seed, a
-CGO strength rho (or [cgo] rhos entry) that is not positive, a [recover_b]
+non-finite number, a negative noise level, stability delta or seed, a CGO
+strength rho (or [cgo] rhos entry) that is not positive, a [recover_b]
 order below 2, a sweep whose gate reads a trend (a convergence list, [cgo]
 rhos, [stability] deltas, [runge] sizes) of fewer than two distinct
 values, a convergence size below 3 nodes, a value outside its choices, a
 ``PIPL_SEED`` that is not a nonnegative integer, a Carleman k outside
-(0, min(1, 1/(2l)) - t0), a rho0 outside (0, 1), a diffusion key the run
-would not read (gamma beside g11; g12 or g22 without g11 or on a 1D
-grid), a gamma whose sampled eigenvalues leave [rho0, 1/rho0], a
-nonlinearity that fails its class check (``Nonlinearity.validate``), a
-control eps or tail that fails ``recon.horizon_level``, and a forward
-``oracle`` or dnmap ``oracle_dn`` on a 2D grid (its convergence sweep
-refines 1D grids) raise ConfigError, which names the section, the key and
-the line.
+(0, min(1, 1/(2l)) - t0), a portion naming a face the grid lacks, a rho0
+outside (0, 1), a diffusion key the run would not read (gamma beside g11;
+g12 or g22 without g11 or on a 1D grid), a gamma whose sampled eigenvalues
+leave [rho0, 1/rho0], a nonlinearity that fails its class check
+(``Nonlinearity.validate``), a control eps or tail that fails
+``recon.horizon_level``, and a forward ``oracle`` or dnmap ``oracle_dn``
+on a 2D grid (its convergence sweep refines 1D grids) raise ConfigError,
+which names the section, the key and the line.
 
 Every run writes a manifest (resolved config, tool version, seed, wall
 time) plus reports and tidy CSVs into the output directory.  Each runner
@@ -51,6 +51,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    LAMBDAS,
+    MUS,
     UNDERSHOOT_TOL,
     AnalysisError,
     CarlemanConfig,
@@ -315,8 +317,8 @@ class Config:
     every key the kind reads, typed (what manifest.json records); the rest
     is built from it.  gamma None is the identity; nl is the [model]
     nonlinearity, control's B_T tail, or None for a kind that reads neither;
-    weights is carleman's [carleman] k, t0 and l, checked, with the weight
-    base psi left for run_carleman to set, and None for every other kind."""
+    weights is carleman's CarlemanConfig, psi included, and None for every
+    other kind."""
 
     values: dict
     grid: SpaceTimeGrid
@@ -421,16 +423,23 @@ def load_config(path, kind: str) -> Config:
             values["experiment"]["seed"] = _seed(env)
         except ValueError as exc:
             raise ConfigError(f"{env!r} is not a nonnegative integer", key="PIPL_SEED") from exc
-    weights = None
-    if kind == "carleman":
-        s = values["carleman"]
-        with located("carleman", "k", AnalysisError):  # checks 0 < K < min(1, 1/2L) - t0
-            weights = CarlemanConfig(None, K=s["k"], t0=s["t0"], L=s["l"])
 
     oracle = {"forward": "oracle", "dnmap": "oracle_dn"}.get(kind)
     if oracle and values[kind][oracle] and g["dim"] > 1:
         raise fault("its convergence sweep refines 1D grids only", kind, oracle)
     grid = SpaceTimeGrid.make(g["lower"], g["upper"], g["nx"], g["nt"], g["t"])
+    for name, section in values.items():  # a face the grid lacks
+        if "portion" in section:
+            with located(name, "portion", GridError):
+                resolve_portion(grid, section["portion"])
+    weights = None
+    if kind == "carleman":
+        # the default base reads the box, the horizon and the observed faces,
+        # which run_carleman's refined grid shares: one psi serves both grids
+        s = values["carleman"]
+        psi = Expression(s["psi"]) if s["psi"] else default_weight_base(grid, s["portion"].faces)
+        with located("carleman", "k", AnalysisError):  # checks 0 < K < min(1, 1/2L) - t0
+            weights = CarlemanConfig(psi, K=s["k"], t0=s["t0"], L=s["l"])
     # a diffusion key that the run would not read
     given = {key for section, key in lines if section == "model"}
     if {"gamma", "g11"} <= given:
@@ -800,57 +809,41 @@ def _spearman(x, y) -> float:
 def run_carleman(c, outdir):
     s = c.values["carleman"]
     grid, gamma, portion, weights = c.grid, c.gamma, s["portion"], c.weights
-    # the default base reads the box, the horizon and the observed faces,
-    # which the refined grid below shares: one psi serves both grids
-    weights.psi = Expression(s["psi"]) if s["psi"] else default_weight_base(grid, portion.faces)
 
     def checks(g):
         """Both inequality checks of the solution on grid g."""
         u = _expr_field(g, s["solution"], "Q")
         F = Field(g, s["a"] * u.values, "Q")
-        return carleman_check_1(u, F, weights, portion, gamma), carleman_check_2(
-            u, F, weights, gamma
-        )
+        return carleman_check_1(u, F, weights, portion), carleman_check_2(u, F, weights, gamma)
 
     rep1, rep2 = checks(grid)
-    entries = [
-        {**e, "check": 1} for e in rep1.entries
-    ] + [{**e, "check": 2} for e in rep2.entries]
     report = {
-        "entries": entries,
-        "weight_conditions": weights.check_weight_conditions(
-            grid, gamma, resolve_portion(grid, portion)
-        ),
+        "entries": [{**e, "check": 1} for e in rep1.entries]
+        + [{**e, "check": 2} for e in rep2.entries],
+        "weight_conditions": weights.check_weight_conditions(grid, gamma,
+                                                             resolve_portion(grid, portion)),
         "metrics": {"max_ratio_1": rep1.max_ratio(), "max_ratio_2": rep2.max_ratio()},
         "notes": rep1.notes + rep2.notes,
     }
     _gate(report, "ratios_finite", rep1.all_finite() and rep2.all_finite(),
           note="non-finite inequality ratio")
     # refinement stability on one halved grid
-    rep1b, rep2b = checks(SpaceTimeGrid.make(
-        grid.lower, grid.upper, [2 * (n - 1) + 1 for n in grid.nx], 2 * grid.nt, grid.T
-    ))
-    drift = 0.0
-    for a, b in zip(rep1.entries + rep2.entries, rep1b.entries + rep2b.entries):
-        if a["ratio"] > 0:
-            drift = max(drift, abs(b["ratio"] - a["ratio"]) / a["ratio"])
+    rep1b, rep2b = checks(SpaceTimeGrid.make(grid.lower, grid.upper,
+                                             [2 * n - 1 for n in grid.nx], 2 * grid.nt, grid.T))
+    pairs = zip(rep1.entries + rep2.entries, rep1b.entries + rep2b.entries)
+    drift = max((abs(b["ratio"] - a["ratio"]) / a["ratio"] for a, b in pairs if a["ratio"] > 0),
+                default=0.0)
     report["metrics"]["refinement_drift"] = drift
     _gate(report, "refinement_drift", drift, "<", 0.20)
 
-    # weight-function slice along x at mid-time, for plotting
+    # the first weight along x at mid-time, for plotting
     x = grid.axis(0)
-    psi_vals = np.broadcast_to(np.asarray(weights.psi(x=x), dtype=float), (grid.nx[0],))
-    tmid = grid.T / 2
-    tt = tmid**2 * (grid.T - tmid) ** 2
-    mu = weights.mus[0]
-    eta = (np.exp(mu * psi_vals) - math.exp(2 * mu * float(np.max(psi_vals)))) / tt
+    psi = np.broadcast_to(np.asarray(weights.psi(x=x), dtype=float), x.shape)
+    theta2, eta, _ = weights.first_weight(psi, grid.T / 2, grid.T, LAMBDAS[0], MUS[0])
     with open(outdir / "weight_slices.csv", "w") as fh:
         fh.write("x,psi,eta_mid,theta1_sq_scaled\n")
-        lam = weights.lambdas[0]
-        scale = float(np.max(2 * lam * eta))
-        for xi, pv, ev in zip(x, psi_vals, eta):
-            fh.write(f"{float(xi)!r},{float(pv)!r},{float(ev)!r},"
-                     f"{float(np.exp(2 * lam * ev - scale))!r}\n")
+        for row in zip(x, psi, eta, theta2):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return report
 
 

@@ -1,9 +1,10 @@
 """Runge approximation fitting: least-squares approximation of an interior
-solution by boundary-driven solutions over a nested basis family.
+solution by boundary-driven solutions.
 
-The nested ordering guarantees the achieved gap is non-increasing in the
-basis size; for generic targets it is strictly decreasing, which is the
-numerical face of the density lemmas.
+The basis of size n is drawn from a family whose B-spline count grows with
+n, so bases of different sizes are not nested and nothing guarantees that
+the achieved gap is non-increasing in the basis size.  For the shipped
+targets it decreases, which is the numerical face of the density lemmas.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ def _region_l2(grid, w_space, w_time, values) -> float:
 
 
 def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None):
-    """First n elements of the nested boundary-data family.  In partial mode
-    candidate data vanish on Gamma_{-,omega}: the basis lives on the faces
-    outside it only."""
+    """First n elements of the boundary-data family of control_basis with
+    max(4, ceil(n / nodes) + 3) B-splines per portion node.  The spline
+    count, and with it the family, changes with n: a basis is not a prefix
+    of a larger one.  In partial mode candidate data vanish on
+    Gamma_{-,omega}: the basis lives on the faces outside it only."""
     if mode == "partial":
         if omega is None:
             raise GridError("partial mode needs omega")

@@ -1,8 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import carleman_check_1_levels, carleman_check_2_levels, weight_conditions_nodes
 
+from pipl import cli
 from pipl.analysis import (
     AnalysisError,
     CarlemanConfig,
@@ -13,6 +19,7 @@ from pipl.analysis import (
     nonuniqueness_demo,
 )
 from pipl.forward import solve_linear
+from pipl.model import DiffusionTensor
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -38,6 +45,7 @@ def heat_pair(grid, A=1.0):
 
 
 LEFT = BoundaryPortion.named("left")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_default_weight_base_conditions_1d():
@@ -121,6 +129,93 @@ def test_carleman2_scaling_invariance():
     r2 = carleman_check_2(Field(g, 2 * u.values, "Q"), Field(g, 2 * F.values, "Q"), cfg)
     for a, b in zip(r1.entries, r2.entries):
         assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-10)
+
+
+def _same_report(new, old):
+    assert (new.degenerate, new.notes) == (old.degenerate, old.notes)
+    for a, b in zip(new.entries, old.entries, strict=True):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key] == pytest.approx(b[key], rel=1e-12, abs=0.0), key
+
+
+GAMMAS = {
+    "identity": None,
+    "scalar": DiffusionTensor.scalar("1 + 0.3*x*(1 + t)"),
+    "matrix": DiffusionTensor.matrix2d("1 + 0.2*x", "0.1*y + 0.05*t", "1.2 - 0.1*x*y"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_carleman_checks_match_the_level_by_level_oracles(data):
+    # the array products against HEAD-era sums level by level and node by
+    # node, on random grids, portions, K, t0, gamma and fields
+    dim = data.draw(st.sampled_from([1, 2]), "dim")
+    nx = data.draw(st.lists(st.integers(4, 12), min_size=dim, max_size=dim), "nx")
+    nt = data.draw(st.integers(6, 24), "nt")
+    T = data.draw(st.sampled_from([0.5, 1.0]), "T")
+    upper = data.draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=dim, max_size=dim))
+    g = SpaceTimeGrid.make([0.0] * dim, upper, nx, nt, T)
+    names = ["left", "right", "bottom", "top"][: 2 * dim]
+    faces = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2 * dim,
+                               unique=True), "faces")
+    L = data.draw(st.sampled_from([0.5, 1.0]), "L")
+    bound = min(1.0, 1.0 / (2 * L))
+    k_t0 = data.draw(st.integers(1, max(1, min(nt - 1, int(0.6 * bound / g.dt)))), "k_t0")
+    t0 = k_t0 * g.dt
+    K = data.draw(st.floats(0.01, bound - t0 - 0.01), "K")
+    gamma = GAMMAS[data.draw(st.sampled_from(["identity", "scalar"]
+                                             + ["matrix"] * (dim == 2)), "gamma")]
+    cfg = CarlemanConfig(default_weight_base(g, faces), K=K, t0=t0, L=L)
+    portion = BoundaryPortion.named(*faces)
+    if data.draw(st.booleans(), "zero"):
+        u, F = zero_field(g), zero_field(g)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        u = Field(g, rng.standard_normal((g.n_levels, *g.nx)), "Q")
+        F = Field(g, rng.standard_normal((g.n_levels, *g.nx)), "Q")
+    _same_report(carleman_check_1(u, F, cfg, portion), carleman_check_1_levels(u, F, cfg, portion))
+    _same_report(carleman_check_2(u, F, cfg, gamma), carleman_check_2_levels(u, F, cfg, gamma))
+    resolved = resolve_portion(g, portion)
+    new = cfg.check_weight_conditions(g, gamma, resolved)
+    old = weight_conditions_nodes(cfg, g, gamma, resolved)
+    assert (new["grad_nonvanishing"], new["flux_condition_holds"]) == (
+        old["grad_nonvanishing"], old["flux_condition_holds"])
+    if new["max_flux_on_unobserved"] is None:
+        assert old["max_flux_on_unobserved"] == -np.inf
+    else:  # psi is about 1e-4, so its gradient rounds at about 1e-20
+        assert new["max_flux_on_unobserved"] == pytest.approx(
+            old["max_flux_on_unobserved"], rel=1e-12, abs=1e-16)
+
+
+def test_first_weight_is_scaled_to_peak_one():
+    g = grid1d(33, 32)
+    psi = CarlemanConfig(default_weight_base(g)).psi_values(g)
+    theta2, eta, phi = CarlemanConfig.first_weight(psi, g.level_times()[1:-1], g.T, 2.0, 0.5)
+    assert theta2.shape == eta.shape == phi.shape == (31, 33)
+    assert np.max(theta2) == 1.0 and np.all(eta < 0) and np.all(phi > 0)
+
+
+def test_carleman_2d_checks_and_cli_gates(tmp_path):
+    # on 17x17x64 both checks are finite and the CLI refinement gate holds
+    # (drift 0.064); on 17x17x16 the same run drifts 3.29, as a 1D grid of
+    # 16 steps does (3.30): the time grid, not the 2D weight
+    text = (CONFIGS / "carleman.ini").read_text().replace(
+        "nx = 65\nnt = 64", "dim = 2\nnx = 17 17\nnt = 64")
+    cfg = tmp_path / "carleman2d.ini"
+    cfg.write_text(text)
+    c = cli.load_config(cfg, "carleman")
+    g = c.grid
+    assert (g.dim, g.nx, g.nt) == (2, (17, 17), 64)
+    u = field_from_function(g, lambda x, y, t: np.exp(-math.pi**2 * t) * np.sin(math.pi * x))
+    F = Field(g, u.values, "Q")
+    rep1, rep2 = carleman_check_1(u, F, c.weights, LEFT), carleman_check_2(u, F, c.weights)
+    assert rep1.all_finite() and rep2.all_finite()
+    assert rep1.max_ratio() > 0 and rep2.max_ratio() > 0
+    assert cli.run("carleman", cfg, tmp_path / "out", check=True) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metrics"]["refinement_drift"] == pytest.approx(0.064, abs=5e-4)
 
 
 def test_max_principle_ramped_data():

@@ -511,6 +511,12 @@ def _edit(kind, old, new):
         ("runge", "rho = 2.0", "rho = -2.0", "runge", "rho"),
         ("cgo-verify", "rhos = 8 16 32 64", "rhos = -8 16", "cgo", "rhos"),
         ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 -16 32 64", "cgo", "rhos"),
+        # a portion names faces of the grid: a 1D grid has no top
+        ("carleman", "portion = left", "portion = top", "carleman", "portion"),
+        ("dnmap", "portion = left", "portion = top", "dnmap", "portion"),
+        ("recover-g", "portion = left", "portion = top", "recover_g", "portion"),
+        ("stability", "portion = left", "portion = top", "stability", "portion"),
+        ("control", "portion = left", "portion = top", "control", "portion"),
     ],
 )
 def test_malformed_config_value_exits_2(kind, old, new, section, key, tmp_path):
@@ -641,6 +647,21 @@ def test_2d_defaults_from_dim(kind, tmp_path):
     assert run(kind, cfg, out, check=True) == EXIT_OK
     grid = json.loads((out / "manifest.json").read_text())["config"]["grid"]
     assert (grid["lower"], grid["upper"], grid["nx"]) == ([0.0, 0.0], [1.0, 1.0], [17, 17])
+
+
+def test_carleman_report_is_json_when_every_face_is_observed(tmp_path):
+    # no face is left to bound the flux on: null, and the condition holds
+    cfg = write_config(tmp_path, "lr.ini", _edit("carleman", "portion = left",
+                                                  "portion = left, right"))
+    assert run("carleman", cfg, tmp_path / "out", check=True) == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (tmp_path / "out" / "report.json").read_text()
+    conditions = json.loads(text, parse_constant=reject)["weight_conditions"]
+    assert conditions["max_flux_on_unobserved"] is None
+    assert conditions["flux_condition_holds"] is True
 
 
 def test_manifest_records_resolved_values(tmp_path):

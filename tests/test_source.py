@@ -25,3 +25,23 @@ def test_every_src_definition_is_named_in_src():
                 if owner.get(id(node)) != name:
                     named.add(name)
     assert sorted(defined - named) == []
+
+
+def test_every_defaulted_parameter_is_read():
+    # a parameter with a default that its function's body never names (as a
+    # Name, nested functions included) is a setting that changes nothing
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{getattr(node, 'name', 'lambda')}({a.arg})"
+                       for a in defaulted if a.arg not in names]
+    assert unread == []
