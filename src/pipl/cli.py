@@ -10,7 +10,8 @@ non-finite number, a negative noise level, stability delta or seed, a CGO
 strength rho (or [cgo] rhos entry) that is not positive, a [recover_b]
 order below 2, a sweep whose gate reads a trend (a convergence list, [cgo]
 rhos, [stability] deltas, [runge] sizes) of fewer than two distinct
-values, a convergence size below 3 nodes, a value outside its choices, a
+values, [runge] sizes that do not rise with each dividing the next, a
+convergence size below 3 nodes, a value outside its choices, a
 ``PIPL_SEED`` that is not a nonnegative integer, a Carleman k outside
 (0, min(1, 1/(2l)) - t0), a portion naming a face the grid lacks, a rho0
 outside (0, 1), a diffusion key the run would not read (gamma beside g11;
@@ -81,6 +82,7 @@ from .linearize import LinearizationSetup, higher_orders, probe_trace
 from .model import CLASSES, DiffusionTensor, ModelError, Nonlinearity
 from .recon import (
     RegionMask,
+    check_sizes,
     horizon_level,
     null_control,
     positive_solution,
@@ -291,7 +293,7 @@ SCHEMA = dict((
     _kind("maxprin", "maxprin", {"q": (_float, 0.0)}, _GAMMA, scheme=None),
     _kind("runge", "runge", {
         "q": (_expr, "0.5*exp(-30*(x-0.4)^2)"),
-        "sizes": (_counts, (4, 8, 16, 32)),
+        "sizes": (_counts, (1, 2, 4, 8)),  # time intervals per node, each dividing the next
         "rho": (_positive, 2.0),
     }),
     _kind("control", "control", {
@@ -417,6 +419,9 @@ def load_config(path, kind: str) -> Config:
     for section, key in _SWEEPS:
         if section in values and len(set(values[section][key])) < 2:
             raise fault("a trend needs at least two distinct values", section, key)
+    if kind == "runge":
+        with located("runge", "sizes", GridError):
+            check_sizes(values["runge"]["sizes"])
     env = os.environ.get("PIPL_SEED")
     if env is not None:
         try:
@@ -869,15 +874,9 @@ def run_runge(c, outdir):
     if grid.dim == 1:  # the target carries its carrier exp(rho x + rho^2 t) in 1D
         vals = np.exp(rho * grid.axis(0) + rho**2 * grid.level_times()) * vals
     target = Field(grid, vals.real / np.max(np.abs(vals.real)), "Q")
-    prop = Propagator(grid, None, q, scheme)
-    fits = []
-    for mode, kw in (
-        ("full", {}),
-        ("partial", {"omega": omega, "region": RegionMask.subinterval(grid, 0.55, 1.0)}),
-    ):
-        for N in s["sizes"]:
-            fit = runge_fit(grid, target, prop, n_basis=N, mode=mode, **kw)
-            fits.append({"mode": mode, "n_basis": N, "gap": fit.gap})
+    fits = [{"mode": fit.mode, "n_basis": fit.n_basis, "gap": fit.gap} for fit in runge_fit(
+        grid, target, Propagator(grid, None, q, scheme), s["sizes"], omega,
+        RegionMask.subinterval(grid, 0.55, 1.0))]
     report = {"fits": fits, "metrics": {}}
     for mode in ("full", "partial"):
         gaps = [f["gap"] for f in fits if f["mode"] == mode]

@@ -14,7 +14,7 @@ from .potential import (
     synthesize_potential_probes,
     synthesize_taylor_probes,
 )
-from .runge import RegionMask, runge_basis, runge_fit
+from .runge import RegionMask, check_sizes, runge_family, runge_fit
 
 __all__ = [
     "FourierSample",
@@ -23,6 +23,7 @@ __all__ = [
     "PotentialProbe",
     "ReconstructionResult",
     "RegionMask",
+    "check_sizes",
     "control_basis",
     "frequency_lattice",
     "horizon_level",
@@ -31,7 +32,7 @@ __all__ = [
     "recover_initial",
     "recover_potential",
     "recover_taylor",
-    "runge_basis",
+    "runge_family",
     "runge_fit",
     "stability_curve",
     "synthesize_potential_probes",

@@ -67,9 +67,11 @@ def bspline_element(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, horizon: float):
-    """Tensor basis: hat per portion node x quadratic B-splines on [0, horizon]
-    that vanish at t = 0.  Returns trace arrays over the FULL boundary node
-    ordering, zero off the portion, zero beyond the horizon."""
+    """Tensor basis, node-major: hat per portion node x quadratic B-splines on
+    [0, horizon] that vanish at t = 0.  Returns trace arrays over the FULL
+    boundary node ordering, zero off the portion, zero beyond the horizon.
+    The last span is closed when the horizon is T, so the family reaches the
+    final level; a control before T vanishes at its horizon."""
     bd = grid.boundary_flat_indices()
     times = grid.times()
     degree = 2
@@ -79,6 +81,8 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
     splines = []
     for j in range(n_time):
         vals = bspline_element(knots[j : j + degree + 2], times)
+        if horizon == grid.T:  # clamped knots: only the last spline is nonzero at T, where it is 1
+            vals[-1] = float(j == n_time - 1)
         if abs(vals[0]) > 1e-14:  # drop splines active at t = 0 (compatibility)
             continue
         if np.max(np.abs(vals)) == 0.0:
@@ -90,9 +94,7 @@ def control_basis(grid: SpaceTimeGrid, portion: ResolvedPortion, n_time: int, ho
             tr = np.zeros((grid.n_levels, len(bd)))
             tr[:, col] = s
             basis.append(tr)
-    # interleave so truncation keeps a balanced node/time mix
-    order = sorted(range(len(basis)), key=lambda i: (i % max(1, len(splines)), i))
-    return [basis[i] for i in order]
+    return basis
 
 
 @dataclass
@@ -143,11 +145,8 @@ def null_control(
     bd = grid.boundary_flat_indices()
     bweights = np.zeros(len(bd))
     np.add.at(bweights, np.searchsorted(bd, resolved.flat), resolved.weights)
-    G = np.zeros((n_b, n_b))
-    for i in range(n_b):
-        for j in range(i, n_b):
-            val = float(np.einsum("kb,kb,k,b->", basis[i], basis[j], w_time, bweights))
-            G[i, j] = G[j, i] = val
+    B = np.stack(basis).reshape(n_b, -1)
+    G = (B * np.outer(w_time, bweights).ravel()) @ B.T
 
     # control-to-state columns at T - eps, one per basis trace, from one sweep
     cols = prop.run(f=np.stack(basis, axis=-1))[K]

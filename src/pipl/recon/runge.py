@@ -1,10 +1,12 @@
 """Runge approximation fitting: least-squares approximation of an interior
 solution by boundary-driven solutions.
 
-The basis of size n is drawn from a family whose B-spline count grows with
-n, so bases of different sizes are not nested and nothing guarantees that
-the achieved gap is non-increasing in the basis size.  For the shipped
-targets it decreases, which is the numerical face of the density lemmas.
+The basis of size n is runge_family(grid, portion, n): a hat per portion
+node times the quadratic B-splines on n uniform time intervals that vanish
+at t = 0 and reach t = T.  When each size divides the next, the spline
+spaces are nested (knot insertion), so every basis is an exact combination
+of the finest one and the best gap cannot grow with the size.  One march of
+the finest full-boundary family serves every size and both modes.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..forward import Propagator, check_compatibility, trace_values
+from ..forward import Propagator, check_compatibility
 from ..grid import (
     DOMAIN_Q,
     BoundaryPortion,
     Field,
     GridError,
+    ResolvedPortion,
     SpaceTimeGrid,
     complement_portion,
     resolve_portion,
@@ -51,33 +54,32 @@ def _region_weights(grid: SpaceTimeGrid, region: RegionMask | None) -> np.ndarra
     return w.reshape(-1)
 
 
-def _region_l2(grid, w_space, w_time, values) -> float:
-    flat = (np.abs(values) ** 2).reshape(grid.n_levels, -1)
-    return float(np.sqrt(np.dot(w_time, flat @ w_space)))
+def check_sizes(sizes) -> None:
+    """GridError unless the interval counts rise strictly, each dividing the
+    next: only then are their spline spaces nested."""
+    if any(b <= a or b % a for a, b in zip(sizes, sizes[1:])):
+        raise GridError(f"sizes {' '.join(map(str, sizes))} are not nested: each must be "
+                        "smaller than the next and divide it")
 
 
-def runge_basis(grid: SpaceTimeGrid, n: int, mode: str = "full", omega=None):
-    """First n elements of the boundary-data family of control_basis with
-    max(4, ceil(n / nodes) + 3) B-splines per portion node.  The spline
-    count, and with it the family, changes with n: a basis is not a prefix
-    of a larger one.  In partial mode candidate data vanish on
-    Gamma_{-,omega}: the basis lives on the faces outside it only."""
-    if mode == "partial":
-        if omega is None:
-            raise GridError("partial mode needs omega")
-        portion = complement_portion(grid, BoundaryPortion.directional(omega, sign=-1))
-    else:
-        portion = resolve_portion(grid, BoundaryPortion.full())
-    n_nodes = len(set(portion.flat.tolist()))
-    n_time = max(4, -(-n // n_nodes) + 3)
-    family = control_basis(grid, portion, n_time, grid.T)
-    if len(family) < n:
-        raise GridError(f"basis family holds only {len(family)} elements; asked for {n}")
-    return family[:n]
+def runge_family(grid: SpaceTimeGrid, portion: ResolvedPortion, n: int) -> np.ndarray:
+    """The boundary data of n uniform time intervals on the portion,
+    control_basis(grid, portion, n + 2, T), stacked (n_levels, n_boundary,
+    size)."""
+    return np.stack(control_basis(grid, portion, n + 2, grid.T), axis=-1)
+
+
+def refinement(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """R with fine @ R = coarse on every level, by least squares over the
+    stacked traces: the knot-insertion matrix when the coarse space lies in
+    the fine one and the fine traces are independent on the levels."""
+    return np.linalg.lstsq(*(a.reshape(-1, a.shape[-1]) for a in (fine, coarse)), rcond=None)[0]
 
 
 @dataclass
 class RungeFit:
+    mode: str
+    n_basis: int
     coefficients: np.ndarray
     gap: float
     target_norm: float
@@ -88,44 +90,42 @@ def runge_fit(
     grid: SpaceTimeGrid,
     target: Field,
     prop: Propagator,
-    n_basis: int = 8,
-    mode: str = "full",
-    omega=None,
+    sizes,
+    omega,
     region: RegionMask | None = None,
-) -> RungeFit:
-    """Least-squares fit of sum c_i V_{f_i} to the target in L2 of the region,
-    where V_{f_i} solves the linear model that prop steps (its q, gamma and
-    scheme) with boundary data f_i, the first n_basis elements of
-    runge_basis(grid, n_basis, mode, omega), and zero initial data.  The Gram
-    matrix is shifted by RCOND times its mean diagonal."""
+) -> list:
+    """Least-squares fits of sum c_i V_{f_i} to the target, one per mode and
+    size in sizes (time intervals, each dividing the next): "full" in L2(Q)
+    with data on the whole boundary, then "partial" in L2 of the region with
+    data vanishing on Gamma_{-,omega}.  V_f solves the linear model that
+    prop steps (its q, gamma and scheme) with boundary data f and zero
+    initial data, and the data of size n span runge_family(grid, portion, n).
+    One prop.run of the finest full family gives every field; a size with
+    refinement R solves R^T G R c = R^T b, the Gram matrix shifted by RCOND
+    times its mean diagonal."""
     if target.domain != DOMAIN_Q:
         raise GridError("target must live on Q")
-    family = runge_basis(grid, n_basis, mode, omega)
-    w_space = _region_weights(grid, region)
-    w_time = grid.time_weights()
+    check_sizes(sizes)
+    full = resolve_portion(grid, BoundaryPortion.full())
+    partial = complement_portion(grid, BoundaryPortion.directional(omega, sign=-1))
+    fine = runge_family(grid, full, sizes[-1])
+    check_compatibility(grid, None, fine)
+    fields = prop.run(f=fine).reshape(-1, fine.shape[-1])
+    tgt = target.values.real.reshape(-1)
 
-    traces = np.stack([trace_values(grid, tr) for tr in family], axis=-1)
-    check_compatibility(grid, None, traces)
-    swept = prop.run(f=traces)
-    fields = np.ascontiguousarray(np.moveaxis(swept, -1, 0))
-    tgt = target.values.reshape(grid.n_levels, -1)
-
-    n = len(fields)
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    for i in range(n):
-        wi = fields[i] * w_space[None, :]
-        for j in range(i, n):
-            val = float(np.dot(w_time, np.sum(wi * fields[j], axis=1)))
-            A[i, j] = A[j, i] = val
-        b[i] = float(np.dot(w_time, np.sum(wi * tgt.real, axis=1)))
-
-    notes = []
-    cond = np.linalg.cond(A) if n else 0.0
-    if not np.isfinite(cond) or cond > 1.0 / RCOND:
-        notes.append(f"rank-deficient Gram matrix (cond {cond:.3g}); regularized solve")
-    coeff, *_ = np.linalg.lstsq(A + RCOND * np.trace(A) / max(n, 1) * np.eye(n), b, rcond=None)
-
-    approx = np.tensordot(coeff, fields, axes=(0, 0))
-    gap = _region_l2(grid, w_space, w_time, approx - tgt.real)
-    return RungeFit(coeff, gap, _region_l2(grid, w_space, w_time, tgt.real), notes)
+    fits = []
+    for mode, portion, mask in (("full", full, None), ("partial", partial, region)):
+        w = np.outer(grid.time_weights(), _region_weights(grid, mask)).ravel()
+        weighted = fields.T * w
+        G, b = weighted @ fields, weighted @ tgt
+        target_norm = float(np.sqrt(np.dot(w, tgt**2)))
+        for n in sizes:
+            R = refinement(runge_family(grid, portion, n), fine)
+            A, k = R.T @ G @ R, R.shape[1]
+            cond = np.linalg.cond(A)  # inf or nan when A is singular
+            notes = [] if cond <= 1.0 / RCOND else [
+                f"rank-deficient Gram matrix (cond {cond:.3g}); regularized solve"]
+            coeff, *_ = np.linalg.lstsq(A + RCOND * np.trace(A) / k * np.eye(k), R.T @ b, rcond=None)
+            gap = float(np.sqrt(np.dot(w, (fields @ (R @ coeff) - tgt) ** 2)))
+            fits.append(RungeFit(mode, k, coeff, gap, target_norm, notes))
+    return fits

@@ -1,8 +1,9 @@
 """Test oracles and readers that the library itself never calls: the plane
 wave and the direct CGO pairing with its Fourier-integral limit, the
 volume/boundary reciprocity of potential probes, the readers of the field
-and DN-measurement CSV files that the library writes, and the Carleman
-checks written level by level and node by node."""
+and DN-measurement CSV files that the library writes, the Carleman
+checks written level by level and node by node, and the Runge fit of one
+basis from its own march with its Gram matrix filled entry by entry."""
 
 import math
 
@@ -281,3 +282,25 @@ def weight_conditions_nodes(cfg, grid: SpaceTimeGrid, gamma, gamma0: ResolvedPor
         "max_flux_on_unobserved": worst_flux,
         "flux_condition_holds": bool(worst_flux <= 1e-12),
     }
+
+
+def runge_fit_columns(grid: SpaceTimeGrid, target: Field, prop, family, w_space) -> float:
+    """The L2 gap of the least-squares fit of the target by the fields that
+    prop marches from the stacked boundary data family (n_levels,
+    n_boundary, n), in the space weights w_space: the Gram matrix filled
+    entry by entry and shifted by RCOND times its mean diagonal."""
+    from pipl.recon.runge import RCOND
+
+    fields = np.moveaxis(prop.run(f=family), -1, 0)
+    tgt = target.values.real.reshape(grid.n_levels, -1)
+    w_time = grid.time_weights()
+    n = len(fields)
+    A, b = np.zeros((n, n)), np.zeros(n)
+    for i in range(n):
+        wi = fields[i] * w_space[None, :]
+        for j in range(i, n):
+            A[i, j] = A[j, i] = float(np.dot(w_time, np.sum(wi * fields[j], axis=1)))
+        b[i] = float(np.dot(w_time, np.sum(wi * tgt, axis=1)))
+    coeff, *_ = np.linalg.lstsq(A + RCOND * np.trace(A) / n * np.eye(n), b, rcond=None)
+    resid = np.tensordot(coeff, fields, axes=(0, 0)) - tgt
+    return float(np.sqrt(np.dot(w_time, resid**2 @ w_space)))

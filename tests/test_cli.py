@@ -392,6 +392,26 @@ def test_runge_builds_two_propagators(tmp_path, monkeypatch):
     assert len(built) == 2
 
 
+def test_runge_marches_once(tmp_path, monkeypatch):
+    # every size and mode of the fit from one run of the finest family: its
+    # 64 steps beside the 64 of the CGO target
+    runs, steps = [], []
+    real_run, real_step = Propagator.run, Propagator.step
+
+    def run_(self, *args, **kwargs):
+        runs.append(1)
+        return real_run(self, *args, **kwargs)
+
+    def step(self, *args, **kwargs):
+        steps.append(1)
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Propagator, "run", run_)
+    monkeypatch.setattr(Propagator, "step", step)
+    assert run("runge", CONFIGS / "runge.ini", tmp_path / "out", check=True) == EXIT_OK
+    assert (len(runs), len(steps)) == (1, 128)
+
+
 def test_every_kind_has_a_shipped_config():
     assert SHIPPED == sorted(cli.KINDS) == sorted(OWN_SECTION)
 
@@ -432,7 +452,7 @@ def _edit(kind, old, new):
         ("recover-q", "nt = 128", "nt = 6x4", "grid", "nt"),
         ("maxprin", "q = 0", "q = nan", "maxprin", "q"),
         ("cgo-verify", "rhos = 8 16 32 64", "rhos = 8 16 inf", "cgo", "rhos"),
-        ("runge", "sizes = 4 8 16 32", "sizes =", "runge", "sizes"),
+        ("runge", "sizes = 1 2 4 8", "sizes =", "runge", "sizes"),
         ("control", "n_time = 12", "n_time = 0", "control", "n_time"),
         ("forward", "scheme = cn", "scheme = bee", "experiment", "scheme"),
         ("forward", "kind = forward", "kind = dnmap", "experiment", "kind"),
@@ -491,7 +511,11 @@ def _edit(kind, old, new):
          "tail_nonlinearity"),
         # a sweep whose gate reads a trend needs two distinct values, and a
         # convergence grid at least 3 nodes
-        ("runge", "sizes = 4 8 16 32", "sizes = 8", "runge", "sizes"),
+        ("runge", "sizes = 1 2 4 8", "sizes = 8", "runge", "sizes"),
+        # nested spline spaces: each size below the next and dividing it
+        ("runge", "sizes = 1 2 4 8", "sizes = 2 3", "runge", "sizes"),
+        ("runge", "sizes = 1 2 4 8", "sizes = 4 2", "runge", "sizes"),
+        ("runge", "sizes = 1 2 4 8", "sizes = 2 2 4", "runge", "sizes"),
         ("cgo-verify", "rhos = 8 16 32 64", "rhos = 16 16", "cgo", "rhos"),
         ("stability", "deltas = 1e-1 1e-2 1e-3 1e-4", "deltas = 1e-2", "stability", "deltas"),
         ("forward", "convergence = 33 65 129 257", "convergence = 33", "forward", "convergence"),

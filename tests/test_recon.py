@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reciprocity_report
+from oracles import reciprocity_report, runge_fit_columns
 from pipl.cgo import CGOFactory, CGOParameters
 from pipl.dnmap import DNMeasurement, add_noise, passive_map
 from pipl.forward import Propagator
@@ -14,6 +14,7 @@ from pipl.grid import (
     Field,
     GridError,
     SpaceTimeGrid,
+    complement_portion,
     field_from_function,
     norm,
     resolve_portion,
@@ -26,6 +27,7 @@ from pipl.recon import (
     recover_initial,
     recover_potential,
     recover_taylor,
+    runge_family,
     runge_fit,
     stability_curve,
     synthesize_potential_probes,
@@ -668,11 +670,10 @@ def _cgo_target(g, q, rho=2.0, tau=2 * math.pi):
 
 def test_runge_exact_member_recovered(monkeypatch):
     from pipl.forward import solve_linear
-    from pipl.recon import runge_basis
 
     g = grid1d(33, 32, T=0.5)
-    basis = runge_basis(g, 6)
-    target = solve_linear(g, None, None, f=basis[2]).solution
+    member = runge_family(g, resolve_portion(g, BoundaryPortion.full()), 2)[..., 2]
+    target = solve_linear(g, None, None, f=member).solution
     prop = Propagator(g)
     runs = []
     real_run = Propagator.run
@@ -682,9 +683,11 @@ def test_runge_exact_member_recovered(monkeypatch):
         return real_run(self, *args, **kwargs)
 
     monkeypatch.setattr(Propagator, "run", run)
-    fit = runge_fit(g, target, prop, n_basis=6)
-    assert fit.gap < 1e-8 * max(1.0, fit.target_norm)
-    assert runs == [prop]   # all basis columns in one sweep of the given Propagator
+    fits = [fit for fit in runge_fit(g, target, prop, (2, 4), [1.0]) if fit.mode == "full"]
+    assert [fit.n_basis for fit in fits] == [6, 10]
+    for fit in fits:  # a member of the 2-interval space lies in the 4-interval one too
+        assert fit.gap < 1e-8 * max(1.0, fit.target_norm)
+    assert runs == [prop]   # every size and mode from one sweep of the given Propagator
 
 
 def test_runge_nested_gaps_decrease_full_and_partial():
@@ -692,12 +695,44 @@ def test_runge_nested_gaps_decrease_full_and_partial():
     q = field_from_function(g, lambda x, t: 0.5 * np.exp(-30 * (x - 0.4) ** 2) + 0 * t, "Q")
     target = _cgo_target(g, q)
     prop = Propagator(g, None, q)
-    for mode, kw in (
-        ("full", {}),
-        ("partial", {"omega": [1.0], "region": RegionMask.subinterval(g, 0.55, 1.0)}),
-    ):
-        gaps = [runge_fit(g, target, prop, n_basis=N, mode=mode, **kw).gap for N in (4, 8, 16, 32)]
+    region = RegionMask.subinterval(g, 0.55, 1.0)
+    fits = runge_fit(g, target, prop, (1, 2, 4, 8), [1.0], region)
+    portions = {"full": resolve_portion(g, BoundaryPortion.full()),
+                "partial": complement_portion(g, BoundaryPortion.directional([1.0], sign=-1))}
+    for mode, w_space in (("full", g.space_weights().ravel()),
+                          ("partial", np.where(region.mask, g.space_weights(), 0.0).ravel())):
+        gaps = [fit.gap for fit in fits if fit.mode == mode]
+        assert len(gaps) == 4
         assert all(b < a for a, b in zip(gaps, gaps[1:])), (mode, gaps)
+        # each size as if it marched its own basis and filled its Gram matrix entry by entry
+        for n, gap in zip((1, 2, 4, 8), gaps):
+            ref = runge_fit_columns(g, target, prop, runge_family(g, portions[mode], n), w_space)
+            assert abs(gap - ref) <= 1e-12 * ref, (mode, n, gap, ref)
+
+
+def test_runge_families_nest_and_reach_the_final_level():
+    from pathlib import Path
+
+    from pipl.cli import load_config
+    from pipl.recon.runge import refinement
+
+    c = load_config(Path(__file__).resolve().parents[1] / "configs" / "runge.ini", "runge")
+    g, sizes = c.grid, c.values["runge"]["sizes"]
+    full = resolve_portion(g, BoundaryPortion.full())
+    fine = runge_family(g, full, sizes[-1])
+    for portion in (full, complement_portion(g, BoundaryPortion.directional([1.0], sign=-1))):
+        families = [runge_family(g, portion, n) for n in sizes]
+        for coarse, finer in zip(families, families[1:] + [fine]):
+            for span in (finer, fine):  # each space lies in the next and in the finest
+                R = refinement(coarse, span)
+                assert np.max(np.abs(span @ R - coarse)) <= 1e-12
+        for family in families:  # each node's last spline is 1 at t = T
+            assert np.max(family[-1]) == 1.0
+    # spaces that are not nested leave a residual the check would see
+    two, three = (runge_family(g, full, n) for n in (2, 3))
+    assert np.max(np.abs(three @ refinement(two, three) - two)) > 1e-3
+    with pytest.raises(GridError, match="not nested"):
+        runge_fit(g, Field(g, np.zeros((g.n_levels, *g.nx)), "Q"), Propagator(g), (2, 3), [1.0])
 
 
 def test_synthesis_and_morozov_work_counts(monkeypatch):
