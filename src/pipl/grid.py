@@ -385,12 +385,18 @@ def norm(f: Field, space: str) -> float:
 
 
 def l2q_inner(a: Field, b: Field) -> complex:
-    """Trapezoidal integral of a*b over Q (no conjugation)."""
+    """Trapezoidal integral of a*b over Q (no conjugation).  A complex
+    product is summed as its real and imaginary parts apart, by the same
+    real reductions as a real product, so the value does not hang on the
+    dtype: a real product held in a complex array integrates bit for bit
+    as the real array does."""
     g = a.grid
-    w = g.space_weights().reshape(-1)
-    per_level = (a.values * b.values).reshape(g.n_levels, -1) @ w
-    out = np.dot(g.time_weights(), per_level)
-    return complex(out) if np.iscomplexobj(per_level) else float(out)
+    w, w_time = g.space_weights().reshape(-1), g.time_weights()
+    prod = (a.values * b.values).reshape(g.n_levels, -1)
+    real = float(np.dot(w_time, np.ascontiguousarray(prod.real) @ w))
+    if not np.iscomplexobj(prod):
+        return real
+    return complex(real, float(np.dot(w_time, np.ascontiguousarray(prod.imag) @ w)))
 
 
 # ---------------------------------------------------------------------------
