@@ -18,9 +18,10 @@ The profile operator depends on (rho, omega, direction) alone, so the
 remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
 one multi-column march (RemainderMarch), stepped level by level, whose
 plane waves are space waves times time waves, both formed once per march
-(real ones when every xi and tau is zero).  CGOFactory.build_columns keeps
-every level and the probe sweep of recon.potential uses each as it comes;
-neither forms a step residual, which CGOFactory.residual forms on request.
+(real ones when every xi and tau is zero).  CGOFactory.build keeps every
+level of its one-probe march; the probe sweep of recon.potential drives a
+march of many probes itself and uses each level as it comes.  Neither forms
+a step residual, which CGOFactory.residual forms on request.
 """
 
 from __future__ import annotations
@@ -119,17 +120,11 @@ class CGOFactory:
         return self._props[key]
 
     def build(self, params: CGOParameters) -> CGOSolution:
-        """One probe: the one-column case of build_columns."""
-        return self.build_columns([params])[0]
-
-    def build_columns(self, params_list) -> list:
-        """One CGOSolution per params, all sharing (rho, omega, direction,
-        aperture), from one RemainderMarch that forms and tallies every level
-        at once; the solutions' thetas and remainders are columns of one array
-        each (real when the march is), and each column is bitwise its own
-        one-column build."""
+        """One probe, from a one-column RemainderMarch that forms and tallies
+        every level at once; theta and the remainder are real when the march
+        is."""
         grid = self.grid
-        march = RemainderMarch(self, params_list)
+        march = RemainderMarch(self, [params])
         theta, src, trace = march.fields(slice(None))
         z = np.empty_like(theta)
         for level, _, z_level in march.steps(lambda level: (
@@ -137,10 +132,9 @@ class CGOFactory:
             z[level] = z_level
         march.tally(slice(None), z)
         shape = (grid.n_levels, *grid.nx)
-        return [CGOSolution(params, grid, theta[..., j].reshape(shape),
-                            Field(grid, z[..., j].reshape(shape), DOMAIN_Q), remainder,
-                            list(march.warnings))
-                for j, (params, remainder) in enumerate(zip(params_list, march.finish()))]
+        return CGOSolution(params, grid, theta[..., 0].reshape(shape),
+                           Field(grid, z[..., 0].reshape(shape), DOMAIN_Q), march.finish()[0],
+                           march.warnings)
 
     def residual(self, sol: CGOSolution) -> float:
         """The largest step |A_k z - rhs| of sol's remainder over max(1, max
@@ -170,7 +164,7 @@ class RemainderMarch:
         first = params_list[0]
         shared = (first.rho, first.omega, first.direction, first.aperture)
         if any((p.rho, p.omega, p.direction, p.aperture) != shared for p in params_list):
-            raise CGOError("build_columns needs one (rho, omega, direction, aperture) for all")
+            raise CGOError("a march needs one (rho, omega, direction, aperture) for all probes")
         grid = self.grid = factory.grid
         self.params, self.prop = list(params_list), factory.propagator(first)
         self.forward = first.direction == "forward"

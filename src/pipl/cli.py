@@ -64,7 +64,7 @@ from .analysis import (
     nonuniqueness_demo,
 )
 from .cgo import CGOError, CGOFactory, CGOParameters
-from .dnmap import DNMeasurement, add_noise, passive_map, save_measurement
+from .dnmap import add_noise, passive_map, save_measurement
 from .expr import Expression, ExprError
 from .forward import SCHEMES, Propagator, SolverError, solve_linear, solve_semilinear
 from .grid import (
@@ -254,9 +254,9 @@ SCHEMA = dict((
         "max_order": (_choice(1, 2, 3, parse=int), 3),  # one probe shape per order
         # per-order amplitude windows balancing truncation against the eps^-M
         # rounding floor of the corner sums
-        "eps1": (_floats, (1e-2, 1e-3)),
-        "eps2": (_floats, (1e-2, 1e-3)),
-        "eps3": (_floats, (3e-3, 1e-3)),
+        "eps1": (_nonnegatives, (1e-2, 1e-3)),
+        "eps2": (_nonnegatives, (1e-2, 1e-3)),
+        "eps3": (_nonnegatives, (3e-3, 1e-3)),
     }, _MODEL),
     _kind("recover-q", "recover_q", {
         "rho": (_positive, 32.0),
@@ -610,10 +610,12 @@ def run_dnmap(c, outdir):
     s = c.values["dnmap"]
     m = passive_map(c.grid, c.gamma, c.nl, _expr_field(c.grid, s["initial"]), s["portion"],
                     scheme=c.scheme)
+    noise = {}
     if s["noise"] > 0:
+        noise = {"model": s["noise_model"], "level": s["noise"], "seed": c.seed}
         m = add_noise(m, s["noise_model"], s["noise"], c.seed)
-    save_measurement(m, outdir / "measurement.csv", outdir / "measurement.json")
-    report = {"metrics": {"trace_l2": m.l2()}}
+    save_measurement(m, outdir / "measurement.csv", outdir / "measurement.json", noise)
+    report = {"metrics": {"trace_l2": norm(m, "L2Sigma")}}
 
     if s["oracle_dn"]:
         e = Expression(s["oracle_dn"])
@@ -744,7 +746,7 @@ def run_recover_g(c, outdir):
     noise_norm = 0.0
     if s["noise"] > 0:
         noisy = add_noise(data, "gaussian-relative", s["noise"], c.seed)
-        noise_norm = DNMeasurement(grid, data.portion, noisy.values - data.values).l2()
+        noise_norm = norm(noisy - data, "L2Sigma")
         data = noisy
     res = recover_initial(
         grid, c.gamma, c.nl, data, noise_norm=noise_norm, scheme=c.scheme, truth=truth

@@ -1,46 +1,31 @@
 """Dirichlet-to-Neumann measurement synthesis.
 
-The normal derivative is taken with a 3-point one-sided stencil (second
-order) at each boundary node of the requested portion, so measurement
-accuracy matches the interior discretization without ghost nodes, and
-applied as a gather (NormalDerivative), not a sparse matrix.  Noise is
-applied to synthesized measurements only, never inside a solver.
+A DN trace is a Sigma Field.  The normal derivative is taken with a 3-point
+one-sided stencil (second order) at each boundary node of the requested
+portion, so measurement accuracy matches the interior discretization
+without ghost nodes, and applied as a gather (NormalDerivative), not a
+sparse matrix.  Noise is applied to synthesized measurements only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import replace
 
 import numpy as np
 from numpy.random import default_rng
 
 from .grid import (
     DOMAIN_Q,
+    DOMAIN_SIGMA,
     Field,
     GridError,
     ResolvedPortion,
     SpaceTimeGrid,
+    norm,
     resolve_portion,
 )
 from .forward import solve_semilinear
-
-
-@dataclass
-class DNMeasurement:
-    """Normal-derivative trace on a boundary portion, one row per time level."""
-
-    grid: SpaceTimeGrid
-    portion: ResolvedPortion
-    values: np.ndarray                      # (n_levels, n_portion_nodes)
-    noise: dict = dc_field(default_factory=dict)
-
-    def l2(self) -> float:
-        per_level = (np.abs(self.values) ** 2) @ self.portion.weights
-        return float(np.sqrt(np.dot(self.grid.time_weights(), per_level)))
-
-    def copy(self) -> "DNMeasurement":
-        return DNMeasurement(self.grid, self.portion, self.values.copy(), dict(self.noise))
 
 
 class NormalDerivative:
@@ -76,8 +61,8 @@ def normal_derivative_matrix(grid: SpaceTimeGrid, portion: ResolvedPortion) -> N
     return NormalDerivative(cols, vals, grid.n_space)
 
 
-def measure(u: Field, portion) -> DNMeasurement:
-    """One-sided second-order d_nu u on the portion, every time level."""
+def measure(u: Field, portion) -> Field:
+    """One-sided second-order d_nu u on the portion, a Sigma field."""
     if u.domain != DOMAIN_Q:
         raise GridError("measure expects a field on Q")
     resolved = portion if isinstance(portion, ResolvedPortion) else resolve_portion(u.grid, portion)
@@ -86,7 +71,7 @@ def measure(u: Field, portion) -> DNMeasurement:
     B = normal_derivative_matrix(u.grid, resolved)
     flat = u.values.reshape(u.grid.n_levels, -1)
     values = (B @ flat.T).T
-    return DNMeasurement(u.grid, resolved, values)
+    return Field(u.grid, values, DOMAIN_SIGMA, resolved)
 
 
 def passive_map(
@@ -96,7 +81,7 @@ def passive_map(
     g: Field,
     portion,
     scheme: str = "be",
-) -> DNMeasurement:
+) -> Field:
     """Passive measurement: solve the semilinear equation (solve_semilinear)
     with f = 0 driven by the initial data g and measure the DN trace on the
     portion.  A solve that did not converge raises SolverError naming its
@@ -105,37 +90,34 @@ def passive_map(
     return measure(report.require_converged("passive map").solution, portion)
 
 
-def add_noise(m: DNMeasurement, model: str, level: float, seed: int) -> DNMeasurement:
-    """Reproducible Gaussian observation noise.
+def add_noise(m: Field, model: str, level: float, seed: int) -> Field:
+    """Reproducible Gaussian observation noise on a DN trace.
 
     gaussian-relative: per-node iid with standard deviation level * RMS(m),
     so the relative L2 perturbation is ~level in expectation.
     gaussian-absolute: per-node iid with standard deviation level.
     """
+    if model not in ("gaussian-relative", "gaussian-absolute"):
+        raise ValueError(f"unknown noise model {model!r}")
     if level < 0:
         raise ValueError("noise level must be >= 0")
-    out = m.copy()
-    out.noise = {"model": model, "level": level, "seed": int(seed)}
     if level == 0.0:
-        return out
-    rng = default_rng(seed)
-    xi = rng.standard_normal(m.values.shape)
+        return replace(m, values=m.values.copy())
+    xi = default_rng(seed).standard_normal(m.values.shape)
+    scale = level
     if model == "gaussian-relative":
-        total_w = float(np.sum(m.portion.weights) * np.sum(m.grid.time_weights()))
-        rms = m.l2() / np.sqrt(total_w) if total_w > 0 else 0.0
-        out.values = m.values + level * rms * xi
-    elif model == "gaussian-absolute":
-        out.values = m.values + level * xi
-    else:
-        raise ValueError(f"unknown noise model {model!r}")
-    return out
+        ones = replace(m, values=np.ones(m.values.shape))
+        scale = level * (norm(m, "L2Sigma") / norm(ones, "L2Sigma"))
+    return replace(m, values=m.values + scale * xi)
 
 
 # ---------------------------------------------------------------------------
 # Persistence: CSV columns t, node_id, x[, y], value with a JSON sidecar.
 
 
-def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
+def save_measurement(m: Field, csv_path, sidecar_path=None, noise=None) -> None:
+    """Rows t, node_id, coordinates, value, and a JSON sidecar with the
+    portion, the grid digest and the caller's noise record ({} when None)."""
     coords = m.portion.coords()
     with open(csv_path, "w") as fh:
         fh.write(f"t,node_id,{','.join('xy'[:m.grid.dim])},value\n")
@@ -149,7 +131,7 @@ def save_measurement(m: DNMeasurement, csv_path, sidecar_path=None) -> None:
                 "faces": [list(f) for f in m.portion.faces],
                 "n_nodes": m.portion.n_nodes,
             },
-            "noise": m.noise,
+            "noise": noise or {},
             "grid_digest": m.grid.digest(),
         }
         with open(sidecar_path, "w") as fh:

@@ -359,44 +359,44 @@ def field_from_function(grid: SpaceTimeGrid, fn, domain=DOMAIN_Q, portion=None) 
     raise GridError(f"unknown field domain {domain!r}")
 
 
-def norm(f: Field, space: str) -> float:
-    """Trapezoidal L2 norm over Q, Omega, or a Sigma portion."""
+_NORM_DOMAINS = {"L2Q": DOMAIN_Q, "L2Omega": DOMAIN_OMEGA, "L2Sigma": DOMAIN_SIGMA}
+
+
+def integral(f: Field):
+    """The trapezoid rule over f's domain, the one whole-domain integral: on
+    Omega the pairwise sum of f times the space weights; on Q and Sigma each
+    level against the space (or portion node) weights, then the levels
+    against the time weights.  A complex field's real and imaginary parts
+    are summed apart by the contiguous real reductions, so a real field held
+    as complex integrates bit for bit as the real one does, and its conjugate
+    negates the imaginary part exactly."""
     g = f.grid
-    if space == "L2Q":
-        if f.domain != DOMAIN_Q:
-            raise GridError("L2Q norm needs a Q field")
-        w = g.space_weights().reshape(-1)
-        per_level = (np.abs(f.values) ** 2).reshape(g.n_levels, -1) @ w
-        return float(np.sqrt(np.dot(g.time_weights(), per_level)))
-    if space == "L2Omega":
+
+    def rule(part):
+        part = np.ascontiguousarray(part)
         if f.domain == DOMAIN_OMEGA:
-            vals = f.values
-        elif f.domain == DOMAIN_Q:
-            raise GridError("pass an Omega slice, not the full Q field")
-        else:
-            raise GridError("L2Omega norm needs an Omega field")
-        return float(np.sqrt(np.sum(np.abs(vals) ** 2 * g.space_weights())))
-    if space == "L2Sigma":
-        if f.domain != DOMAIN_SIGMA:
-            raise GridError("L2Sigma norm needs a Sigma field")
-        per_level = (np.abs(f.values) ** 2) @ f.portion.weights
-        return float(np.sqrt(np.dot(g.time_weights(), per_level)))
-    raise GridError(f"unknown norm space {space!r}")
+            return float(np.sum(part * g.space_weights()))
+        w = f.portion.weights if f.domain == DOMAIN_SIGMA else g.space_weights().reshape(-1)
+        return float(np.dot(g.time_weights(), part.reshape(g.n_levels, -1) @ w))
+
+    if not np.iscomplexobj(f.values):
+        return rule(f.values)
+    return complex(rule(f.values.real), rule(f.values.imag))
+
+
+def norm(f: Field, space: str) -> float:
+    """Trapezoidal L2 norm over Q, Omega, or a Sigma portion: the square root
+    of the integral of |f|^2."""
+    if space not in _NORM_DOMAINS:
+        raise GridError(f"unknown norm space {space!r}")
+    if f.domain != _NORM_DOMAINS[space]:
+        raise GridError(f"{space} norm needs a field on {_NORM_DOMAINS[space]}, not {f.domain}")
+    return float(np.sqrt(integral(Field(f.grid, np.abs(f.values) ** 2, f.domain, f.portion))))
 
 
 def l2q_inner(a: Field, b: Field) -> complex:
-    """Trapezoidal integral of a*b over Q (no conjugation).  A complex
-    product is summed as its real and imaginary parts apart, by the same
-    real reductions as a real product, so the value does not hang on the
-    dtype: a real product held in a complex array integrates bit for bit
-    as the real array does."""
-    g = a.grid
-    w, w_time = g.space_weights().reshape(-1), g.time_weights()
-    prod = (a.values * b.values).reshape(g.n_levels, -1)
-    real = float(np.dot(w_time, np.ascontiguousarray(prod.real) @ w))
-    if not np.iscomplexobj(prod):
-        return real
-    return complex(real, float(np.dot(w_time, np.ascontiguousarray(prod.imag) @ w)))
+    """Trapezoidal integral of a*b over Q (no conjugation)."""
+    return integral(Field(a.grid, a.values * b.values, DOMAIN_Q))
 
 
 # ---------------------------------------------------------------------------

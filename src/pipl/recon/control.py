@@ -23,6 +23,7 @@ from ..grid import (
     GridError,
     ResolvedPortion,
     SpaceTimeGrid,
+    norm,
     resolve_portion,
 )
 from ..model import Nonlinearity
@@ -138,7 +139,7 @@ def null_control(
 
     u_free = prop.run(g0=g.values.reshape(-1))
     free_terminal = u_free[K]
-    free_norm = float(np.sqrt(np.dot(free_terminal**2, w_space)))
+    free_norm = norm(Field(grid, free_terminal.reshape(grid.nx), DOMAIN_OMEGA), "L2Omega")
 
     # Gramian of the basis in L2(Sigma_0 x (0, T-eps)) for the alpha term
     w_time = grid.time_weights()
@@ -170,7 +171,7 @@ def null_control(
         a = rs / denom
         coeff = coeff + a * p
         terminal = free_terminal + cols @ coeff
-        history.append(float(np.sqrt(np.dot(terminal**2, w_space))))
+        history.append(norm(Field(grid, terminal.reshape(grid.nx), DOMAIN_OMEGA), "L2Omega"))
         r = r - a * Ap
         rs_new = float(np.dot(r, r))
         if np.sqrt(rs_new) <= 1e-12 * max(1.0, float(np.linalg.norm(rhs))):
@@ -182,7 +183,7 @@ def null_control(
 
     trace = sum(c * b for c, b in zip(coeff, basis))
     terminal = free_terminal + cols @ coeff
-    terminal_norm = float(np.sqrt(np.dot(terminal**2, w_space)))
+    terminal_norm = norm(Field(grid, terminal.reshape(grid.nx), DOMAIN_OMEGA), "L2Omega")
     notes = []
     if not converged and terminal_norm > 0.01 * free_norm:
         notes.append("partial steering: terminal norm above target after max_iter")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dnmap import DNMeasurement, add_noise, measure, normal_derivative_matrix, passive_map
+from ..dnmap import add_noise, measure, normal_derivative_matrix, passive_map
 from ..forward import Propagator, SolverError, solve_semilinear
 from ..grid import (
     DOMAIN_OMEGA,
@@ -115,7 +115,7 @@ def recover_initial(
     grid: SpaceTimeGrid,
     gamma,
     nl: Nonlinearity,
-    data: DNMeasurement,
+    data: Field,
     noise_norm: float = 0.0,
     alpha: float | None = None,
     scheme: str = "be",
@@ -180,7 +180,7 @@ def _recover(at_zero, grid, gamma, nl, data, noise_norm, alpha, scheme, outer_it
     g_field = Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA)
     result = ReconstructionResult(
         g_field,
-        residuals={"data_misfit": discrepancy(g_vec), "data_norm": data.l2()},
+        residuals={"data_misfit": discrepancy(g_vec), "data_norm": norm(data, "L2Sigma")},
         regularization={
             "method": "tikhonov-dense-svd",
             "alpha": alpha,
@@ -198,8 +198,7 @@ def _recover(at_zero, grid, gamma, nl, data, noise_norm, alpha, scheme, outer_it
 
 def _discrepancy(grid, gamma, nl, g_vec, data, scheme) -> float:
     g = Field(grid, g_vec.reshape(grid.nx), DOMAIN_OMEGA)
-    trace = passive_map(grid, gamma, nl, g, data.portion, scheme).values
-    return DNMeasurement(grid, data.portion, trace - data.values).l2()
+    return norm(passive_map(grid, gamma, nl, g, data.portion, scheme) - data, "L2Sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def stability_curve(
     for i, delta in enumerate(deltas):
         for trial in range(trials):
             noisy = add_noise(clean, "gaussian-relative", delta, seed + 1000 * i + trial)
-            m = DNMeasurement(grid, clean.portion, noisy.values - clean.values).l2()
+            m = norm(noisy - clean, "L2Sigma")
             rec = _recover(
                 at_zero, grid, gamma, nl, noisy, m if m > 0 else 0.0, None, scheme, None, None
             )

@@ -46,12 +46,14 @@ from ..dnmap import normal_derivative_matrix
 from ..forward import Propagator, potential_values
 from ..grid import (
     DOMAIN_Q,
+    DOMAIN_SIGMA,
     BoundaryPortion,
     Field,
     GridError,
     ResolvedPortion,
     SpaceTimeGrid,
     complement_portion,
+    integral,
     l2q_inner,
     norm,
     resolve_portion,
@@ -178,14 +180,6 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, volume):
     return probes
 
 
-def _sigma_integral(grid, portion, a_vals, b_vals) -> complex:
-    # real and imaginary parts apart: a complex @ real product is far slower
-    # under threaded BLAS than two real ones
-    prod = a_vals * b_vals
-    per_level = prod.real @ portion.weights + 1j * (np.imag(prod) @ portion.weights)
-    return complex(np.dot(grid.time_weights(), per_level))
-
-
 def _pairings(grid, probes, q, scheme="be", partial=False):
     """One Fourier sample per probe: minus the Sigma integral of the matched
     backward profile against the probe's DN difference, which equals the
@@ -200,9 +194,10 @@ def _pairings(grid, probes, q, scheme="be", partial=False):
             bwd = factory.build(key)
             backward[key] = (bwd.profile().values.reshape(grid.n_levels, -1), bwd.remainder_norm)
         w_bwd, remainder_bwd = backward[key]
-        boundary = _sigma_integral(grid, p.portion, w_bwd[:, p.portion.flat], p.dn_difference)
+        boundary = Field(grid, w_bwd[:, p.portion.flat] * p.dn_difference, DOMAIN_SIGMA,
+                         p.portion)
         yield FourierSample(
-            p.params.omega, p.params.xi, p.params.tau, -boundary, p.params.rho,
+            p.params.omega, p.params.xi, p.params.tau, -integral(boundary), p.params.rho,
             p.remainder_fwd, remainder_bwd, p.warnings,
         )
 

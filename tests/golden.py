@@ -8,7 +8,8 @@ lists what moved past the pin file's relative tolerance: 1e-12 unless the
 file sets "rtol" with a "reason".
 
 Rewrite tests/golden/<kind>.json from configs/<kind>.ini (all kinds when
-none is named):
+none is named), first printing each pin that moved past the file's
+tolerance with its old and new value:
 
     PYTHONPATH=src python tests/golden.py [kind ...]
 """
@@ -118,8 +119,10 @@ def regenerate(kinds) -> None:
                 raise SystemExit(f"{kind}: exit {code}, pins not written")
             path = GOLDEN / f"{kind}.json"
             pins = summarize(out)
-            if path.exists():  # keep a loosened tolerance and its reason
+            if path.exists():  # say what moved; keep a loosened tolerance and its reason
                 old = json.loads(path.read_text())
+                for moved in mismatches(old, out):
+                    print(f"{kind}: {moved}")
                 pins.update({k: old[k] for k in ("rtol", "reason") if k in old})
             path.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.relative_to(ROOT)}")

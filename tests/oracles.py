@@ -20,10 +20,11 @@ from pipl.analysis import (
     _gradient_fields,
 )
 from pipl.cgo import CGOError, CGOParameters, CGOSolution, phi_rho
-from pipl.dnmap import DNMeasurement, measure
+from pipl.dnmap import measure
 from pipl.grid import (
     DOMAIN_OMEGA,
     DOMAIN_Q,
+    DOMAIN_SIGMA,
     BoundaryPortion,
     Field,
     GridError,
@@ -120,7 +121,7 @@ def load_field_csv(grid: SpaceTimeGrid, path, domain=DOMAIN_Q) -> Field:
     return Field(grid, np.array(arrays), DOMAIN_Q)
 
 
-def load_measurement(grid: SpaceTimeGrid, portion, csv_path) -> DNMeasurement:
+def load_measurement(grid: SpaceTimeGrid, portion, csv_path) -> Field:
     """The rows in save_measurement's order: level by level, the portion's
     nodes in order within a level.  A corner on two faces has two rows that
     its node id alone does not tell apart."""
@@ -135,7 +136,8 @@ def load_measurement(grid: SpaceTimeGrid, portion, csv_path) -> DNMeasurement:
     if np.any(node != resolved.flat) or np.any(
             np.abs(t - grid.times()[:, None]) > 1e-12 * max(1.0, grid.T)):
         raise GridError("rows are not the portion's nodes at each grid level in turn")
-    return DNMeasurement(grid, resolved, np.array([float(r[-1]) for r in rows]).reshape(shape))
+    return Field(grid, np.array([float(r[-1]) for r in rows]).reshape(shape), DOMAIN_SIGMA,
+                 resolved)
 
 
 def carleman_check_1_levels(u: Field, F: Field, cfg, gamma0) -> InequalityReport:

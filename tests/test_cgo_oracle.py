@@ -1,4 +1,4 @@
-"""Broadcast CGO fields, column-batched CGO builds and probe sweeps, and the
+"""Broadcast CGO fields, column-batched CGO marches and probe sweeps, and the
 separable Fourier synthesis against reference code on random grids.
 
 The reference functions below build each plane wave once per time level,
@@ -237,7 +237,7 @@ def test_cgo_fields_match_level_loop(case):
     factory = CGOFactory(grid, q, partial=partial)
     march = cgo.RemainderMarch(factory, [params])
     # level by level, as the probe sweep forms them, and every level at once,
-    # as build_columns does; real where xi = 0 and tau = 0
+    # as a build does; real where xi = 0 and tau = 0
     per_level = [march.fields(level) for level in range(grid.n_levels)]
     every = march.fields(slice(None))
     for i, ref in enumerate((ref_theta(grid, params).reshape(grid.n_levels, -1),
@@ -268,33 +268,37 @@ def test_cgo_discrete_residual_small(case):
 
 @settings(max_examples=40, deadline=None)
 @given(case=cgo_batches())
-def test_build_columns_matches_single_builds(case):
+def test_remainder_march_columns_match_single_builds(case):
+    # the probes of a batch marched together level by level, as the probe
+    # sweep marches them: each column's remainder, its norm and the warnings
+    # are bitwise its own build's
     grid, scheme, q, params, partial = case
     factory = CGOFactory(grid, q, scheme, partial=partial)
-    batch = factory.build_columns(params)
-    assert len({id(sol.warnings) for sol in batch}) == len(params)
+    march = cgo.RemainderMarch(factory, params)
+    z = np.empty((grid.n_levels, grid.n_space, len(params)), dtype=complex)
+    for level, _, z_level in march.steps(march.fields):
+        march.tally(level, z_level)
+        z[level] = z_level
     # a forward batch is complex unless every probe has xi = 0 and tau = 0
     real = params[0].direction == "backward" or not any(np.any(p.xi) or p.tau for p in params)
-    for p, sol in zip(params, batch):
+    assert np.iscomplexobj(z_level) != real
+    for j, (p, remainder) in enumerate(zip(params, march.finish())):
         ref = factory.build(p)
-        assert sol.params == p
-        assert np.iscomplexobj(sol.z.values) != real
-        assert np.array_equal(sol.z.values, ref.z.values)
-        assert np.array_equal(sol.profile().values, ref.profile().values)
-        assert sol.remainder_norm == ref.remainder_norm
-        assert factory.residual(sol) == factory.residual(ref)
-        assert sol.warnings == ref.warnings
+        assert ref.params == p
+        assert np.array_equal(z[..., j], ref.z.values.reshape(grid.n_levels, -1))
+        assert remainder == ref.remainder_norm
+        assert march.warnings == ref.warnings
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=cgo_batches())
-def test_build_columns_residual_is_scaled_step_residual(case):
-    # the residual on request of each column of a build is the largest step
-    # |A_k z_(k+1) - rhs_k| over the column's kept levels in marching order,
-    # one step at a time as below, over max(1, max |source|) of the column
+def test_build_residual_is_scaled_step_residual(case):
+    # the residual on request of a build is the largest step |A_k z_(k+1) -
+    # rhs_k| over its kept levels in marching order, one step at a time as
+    # below, over max(1, max |source|), the source a column of the batch's
     grid, scheme, q, params, partial = case
     factory = CGOFactory(grid, q, scheme, partial=partial)
-    batch = factory.build_columns(params)
+    batch = [factory.build(p) for p in params]
     order = slice(None) if params[0].direction == "forward" else slice(None, None, -1)
     _, src, trace = cgo.RemainderMarch(factory, params).fields(slice(None))
     prop = factory.propagator(params[0])
@@ -310,7 +314,7 @@ def test_build_columns_residual_is_scaled_step_residual(case):
         assert _same(factory.residual(sol), float(worst / max(1.0, np.max(np.abs(source)))))
 
 
-def test_build_columns_rejects_mixed_probes():
+def test_remainder_march_rejects_mixed_probes():
     grid = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [5, 5], 4, 0.5)
     factory = CGOFactory(grid, 1.0)
     first = CGOParameters.make(8.0, (1.0, 0.0))
@@ -321,7 +325,7 @@ def test_build_columns_rejects_mixed_probes():
         first.matched_backward(),
     ):
         with pytest.raises(CGOError, match="one \\(rho, omega, direction, aperture\\)"):
-            factory.build_columns([first, other])
+            cgo.RemainderMarch(factory, [first, other])
 
 
 @settings(max_examples=25, deadline=None)

@@ -464,6 +464,10 @@ def _edit(kind, old, new):
         ("forward", "upper = 1", "upper = 0", "grid", "upper"),
         ("dnmap", "portion = left", "portion = lft", "dnmap", "portion"),
         ("linearize", "max_order = 3", "max_order = 4", "linearize", "max_order"),
+        # an amplitude window is nonnegative (0 skips its level)
+        ("linearize", "max_order = 3", "max_order = 3\neps1 = -1e-2 1e-3", "linearize", "eps1"),
+        ("linearize", "max_order = 3", "max_order = 3\neps2 = 1e-2 -1e-3", "linearize", "eps2"),
+        ("linearize", "max_order = 3", "max_order = 3\neps3 = -3e-3 -1e-3", "linearize", "eps3"),
         # carleman weights need 0 < K < min(1, 1/(2L)) - t0
         ("carleman", "a = 1.0", "a = 1.0\nk = 0.6", "carleman", "k"),
         ("carleman", "a = 1.0", "a = 1.0\nk = -0.5", "carleman", "k"),

@@ -112,6 +112,13 @@ def test_noise_zero_level_identity():
     assert np.array_equal(m.values, m2.values)
 
 
+@pytest.mark.parametrize("level", [0.0, 0.1])
+def test_noise_model_checked_at_every_level(level):
+    m = measure(heat_field(grid1d(nx=17, nt=4)), LEFT)
+    with pytest.raises(ValueError, match="unknown noise model 'bogus'"):
+        add_noise(m, "bogus", level, 1)
+
+
 def test_noise_reproducible_and_scaled():
     g = grid1d(nx=33, nt=64)
     m = measure(heat_field(g), BoundaryPortion.full())
@@ -161,14 +168,15 @@ def test_measurement_roundtrip(dim, nx, nt, lower, width, T, faces, full, noise_
     portion = BoundaryPortion.full() if full else BoundaryPortion.named(*names)
     u = Field(g, np.random.default_rng(seed).standard_normal((g.n_levels, *g.nx)), "Q")
     m = add_noise(measure(u, portion), noise_model, level, seed)
+    noise = {"model": noise_model, "level": level, "seed": seed}
     out = tmp_path_factory.mktemp("dn")
-    save_measurement(m, out / "dn.csv", out / "dn.json")
+    save_measurement(m, out / "dn.csv", out / "dn.json", noise)
     back = load_measurement(g, portion, out / "dn.csv")
     assert back.values.shape == m.values.shape and back.values.tobytes() == m.values.tobytes()
     assert back.portion.faces == m.portion.faces
     assert back.portion.flat.tobytes() == m.portion.flat.tobytes()
     meta = json.loads((out / "dn.json").read_text())
-    assert meta["noise"] == m.noise == {"model": noise_model, "level": level, "seed": seed}
+    assert meta["noise"] == noise
     assert meta["portion"] == {"faces": [list(f) for f in m.portion.faces],
                                "n_nodes": m.portion.n_nodes}
     assert meta["grid_digest"] == g.digest()

@@ -10,12 +10,14 @@ from hypothesis.extra.numpy import arrays
 from oracles import load_field_csv
 from pipl.dnmap import normal_derivative_matrix
 from pipl.grid import (
+    FACE_IDS,
     FACE_NAMES,
     BoundaryPortion,
     Field,
     GridError,
     SpaceTimeGrid,
     field_from_function,
+    integral,
     norm,
     resolve_portion,
     save_field_csv,
@@ -143,6 +145,75 @@ def test_norm_refinement_second_order():
         errs.append(abs(norm(f, "L2Omega") - math.sqrt(0.5)))
     rate = math.log(errs[0] / errs[2]) / math.log(4.0)
     assert rate >= 2.0 - 0.1
+
+
+def _fsum_square_integral(f):
+    # the trapezoid rule node by node: a node's weight is its level's time
+    # weight (none on Omega) times the axis weights off its face's axis (every
+    # axis off the boundary), each term that weight times |f|^2, summed by fsum
+    g = f.grid
+    axis_w = [[h / 2 if i in (0, n - 1) else h for i in range(n)] for n, h in zip(g.nx, g.h)]
+    time_w = [g.dt / 2 if k in (0, g.nt) else g.dt for k in range(g.n_levels)]
+
+    def space_w(mi, skip=None):
+        return math.prod(axis_w[i][m] for i, m in enumerate(mi) if i != skip)
+
+    sq = np.abs(f.values) ** 2
+    if f.domain == "Omega":
+        return math.fsum(space_w(mi) * sq[mi] for mi in np.ndindex(*g.nx))
+    if f.domain == "Q":
+        return math.fsum(time_w[k] * space_w(mi) * sq[(k, *mi)]
+                         for k in range(g.n_levels) for mi in np.ndindex(*g.nx))
+    nodes = list(zip(f.portion.multi_indices, f.portion.face_of_node))
+    return math.fsum(time_w[k] * space_w(mi, face[0]) * sq[k, j]
+                     for k in range(g.n_levels) for j, (mi, face) in enumerate(nodes))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    nx=st.lists(st.integers(3, 9), min_size=2, max_size=2),
+    nt=st.integers(2, 8),
+    lower=st.floats(-5.0, 5.0),
+    width=st.floats(0.1, 10.0),
+    T=st.floats(0.01, 5.0),
+    domain=st.sampled_from(("Q", "Omega", "Sigma")),
+    faces=st.sets(st.sampled_from(("left", "right", "bottom", "top")), min_size=1),
+    full=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integral_sums_every_dtype_by_one_real_rule(dim, nx, nt, lower, width, T, domain, faces,
+                                                    full, seed):
+    g = SpaceTimeGrid.make([lower] * dim, [lower + width] * dim, nx[:dim], nt, T)
+    portion, shape = None, {"Q": (g.n_levels, *g.nx), "Omega": g.nx}.get(domain)
+    if domain == "Sigma":
+        names = sorted(f for f in faces if FACE_IDS[f][0] < dim) or ["right"]
+        portion = resolve_portion(g, BoundaryPortion.full() if full
+                                  else BoundaryPortion.named(*names))
+        shape = (g.n_levels, portion.n_nodes)
+    re, im = np.random.default_rng(seed).standard_normal((2, *shape))
+    z = re + 1j * im
+
+    def integrate(values):
+        return integral(Field(g, values, domain, portion))
+
+    # a real field held as complex: the same real part, bit for bit
+    real, held = integrate(re), integrate(re.astype(complex))
+    assert isinstance(real, float) and _bits(held.real) == _bits(real) and held.imag == 0.0
+    # each part by the real rule; the conjugate negates the imaginary part
+    value, conjugate = integrate(z), integrate(z.conj())
+    assert _bits(value.real) == _bits(real) and _bits(value.imag) == _bits(integrate(im))
+    assert _bits(conjugate.real) == _bits(value.real)
+    assert _bits(conjugate.imag) == _bits(-value.imag)
+    space = {"Q": "L2Q", "Omega": "L2Omega", "Sigma": "L2Sigma"}[domain]
+    for values in (re, z):
+        f = Field(g, values, domain, portion)
+        ref = _fsum_square_integral(f)
+        assert abs(norm(f, space) ** 2 - ref) <= 1e-13 * ref
 
 
 def test_field_shape_checked():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import reciprocity_report, runge_fit_columns
 from pipl.cgo import CGOFactory, CGOParameters
-from pipl.dnmap import DNMeasurement, add_noise, passive_map
+from pipl.dnmap import add_noise, passive_map
 from pipl.forward import Propagator
 from pipl.grid import (
     BoundaryPortion,
@@ -284,9 +284,9 @@ def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_
 def test_probe_sweep_forms_no_step_residual(monkeypatch):
     # no step multiplies a step matrix A_k by a solution: not in a potential
     # sweep (2D), a Taylor one (1D, both steps on the factory's stepper) or
-    # build_columns.  The residual on request makes one A product per
-    # distinct step system: one per step on a time-dependent stepper, one
-    # for every step otherwise
+    # a build.  The residual on request makes one A product per distinct
+    # step system: one per step on a time-dependent stepper, one for every
+    # step otherwise
     from pipl import forward
     from pipl.recon.potential import _sweep_probes
 
@@ -318,7 +318,7 @@ def test_probe_sweep_forms_no_step_residual(monkeypatch):
     factory = CGOFactory(g, bump_dq(g))
     _sweep_probes(g, factory, factory.q, np.ones((g.n_levels, *g.nx)), 8.0, 0, 2)
     params = [CGOParameters.make(8.0, (1.0,), tau=tau) for tau in (0.0, 2 * math.pi)]
-    sol = factory.build_columns(params)[1]
+    sol = factory.build(params[1])
     still = CGOFactory(g, 2.0)
     real_sol = still.build(params[0])
     assert len(steps) == 2 * 2 * g2.nt + 2 * g.nt + 2 * g.nt
@@ -393,8 +393,11 @@ def _per_probe_pairing(g, probes, q_ref, mode):
             )
         )
         w_bwd = bwd.profile().values.reshape(g.n_levels, -1)[:, p.portion.flat]
-        per_level = ((w_bwd * p.dn_difference) @ p.portion.weights).astype(complex)
-        values.append(-complex(np.dot(g.time_weights(), per_level)))
+        prod = w_bwd * p.dn_difference
+        # the real and imaginary parts apart, each a contiguous real array
+        real, imag = (np.dot(g.time_weights(), np.ascontiguousarray(part) @ p.portion.weights)
+                      for part in (prod.real, prod.imag))
+        values.append(-complex(real, imag))
     return values
 
 
@@ -858,7 +861,7 @@ def test_stability_trials_equal_standalone_recoveries(seed):
         for k, err in enumerate(curve.errors):
             i, trial = divmod(k, trials)
             noisy = add_noise(clean, "gaussian-relative", deltas[i], seed + 1000 * i + trial)
-            m = DNMeasurement(g, clean.portion, noisy.values - clean.values).l2()
+            m = norm(noisy - clean, "L2Sigma")
             rec = recover_initial(g, None, nl, noisy, noise_norm=m)
             assert curve.magnitudes[k] == m
             assert err == norm(rec.recovered - truth, "L2Omega")
