@@ -15,15 +15,16 @@ LAPACK's band LU with partial pivoting from numpy's bundled OpenBLAS: the
 tridiagonal step matrices of all levels of a 1D stepper by one ?gttrf
 call, a 2D one per level by ?gbtrf (_BandLU, half-bandwidth the row
 stride, one more with a cross term) with its Dirichlet rows scaled by a
-power of two, which pivoting leaves in place; when it makes no interchange
-at all, the factors drop the fill rows and U is solved at the stencil's
-half-bandwidth.  A run imports no scipy.  A sweep carries any number of
-columns, each with its own initial values, boundary trace and source, with
-one multi-column solve per step; Propagator.residual checks them afterwards
-on request from the stacked bands.  Semilinear solves march columns too: a
-term affine in u is one linear sweep, any other one per-step Newton whose
-columns share a block-diagonal Jacobian and one band solve per iteration
-(?gtsv in 1D, ?gbtrf in 2D).
+power of two, which pivoting leaves in place, the factors kept in the band
+storage that ?gbtrf factored in place; when it makes no interchange at
+all, U is solved there at the stencil's half-bandwidth.  A run imports no
+scipy.  A sweep carries any number of columns, each with its own initial
+values, boundary trace and source, with one multi-column solve per step;
+Propagator.residual checks them afterwards on request from the stacked
+bands.  Semilinear solves march columns too: a term affine in u is one
+linear sweep, any other one per-step Newton whose columns share a
+block-diagonal Jacobian and one band solve per iteration (?gtsv in 1D,
+?gbtrf in 2D).
 """
 
 from __future__ import annotations
@@ -143,12 +144,13 @@ class _NumpyLapack:
         (2 kl + ku + 1 rows, one column per matrix column, the diagonal in
         row kl + ku, the first kl rows left for the fill-in), their
         solve(rhs) and LAPACK's info.  A writable Fortran-ordered float ab
-        is factored in place, any other ab in a copy.  When dgbtrf made no
-        interchange and ku >= kl, no row of U reaches past its ku-th
-        superdiagonal, so the first kl rows stay zero: the factors keep only
-        the kl + ku + 1 rows below them, and the solve is dgbtrs told of
-        ku - kl superdiagonals, which solves U at bandwidth ku, not kl + ku.
-        After any interchange the full storage is kept."""
+        is factored in place, and the factors are that array; any other ab
+        is factored in a copy.  When dgbtrf made no interchange and
+        ku >= kl, no row of U reaches past its ku-th superdiagonal, so the
+        first kl rows stay zero: the solve is dgbtrs told of ku - kl
+        superdiagonals and handed the storage from row kl on, at its full
+        leading dimension (2 kl + ku + 1 >= 2 kl + (ku - kl) + 1), which
+        solves U at bandwidth ku, not kl + ku."""
         lu = np.require(ab, float, ("F", "W"))
         if lu.ndim != 2 or len(lu) != 2 * kl + ku + 1:
             raise ValueError(f"band storage of shape {lu.shape} for kl = {kl}, ku = {ku}")
@@ -158,11 +160,11 @@ class _NumpyLapack:
         info = ctypes.c_int64()
         self.gbtrf(*map(ctypes.byref, (size, size, lower, upper)), _address(lu.T),
                    ctypes.byref(rows), _address(ipiv), ctypes.byref(info))
+        first = 0  # the row of lu that dgbtrs reads as its first
         if ku >= kl and np.array_equal(ipiv, np.arange(1, n + 1)):
-            lu = np.array(lu[kl:], order="F")
-            upper.value, rows.value = ku - kl, len(lu)
+            first, upper.value = kl, ku - kl
         before = tuple(map(ctypes.byref, (lower, upper)))
-        after = (_address(lu.T), ctypes.byref(rows), _address(ipiv))
+        after = (_address(lu.T, 8 * first), ctypes.byref(rows), _address(ipiv))  # 8-byte items
         return [lu, ipiv], lambda rhs: _trs(self.gbtrs, n, before, after, rhs), info.value
 
     def dgtsv(self, dl, d, du, b):
@@ -201,10 +203,10 @@ def _blocks(factors, blocks, solver):
     return [SimpleNamespace(factors=v, solve=solver(v, s)) for v, s in zip(views, range(0, n, m))]
 
 
-def _address(a):
-    """A reference to the first byte of the C-contiguous array a, which keeps
-    a alive; cheaper to form than a.ctypes.data."""
-    return ctypes.byref(ctypes.c_char.from_buffer(a))
+def _address(a, offset=0):
+    """A reference to byte offset of the C-contiguous array a, which keeps a
+    alive; cheaper to form than a.ctypes.data."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a), offset)
 
 
 def _bands(dl, d, du):
@@ -261,10 +263,11 @@ class _BandLU:
     rows of each right-hand side.  A power of two scales exactly, and the
     scaled diagonal exceeds every entry of A, so partial pivoting keeps those
     rows in place (unless elimination grows an entry of their column past
-    it), and the solution there is the right-hand side exactly.  When no
-    interior row is swapped either, as for a column dominant A, the factors
-    keep kl + ku + 1 rows (_NumpyLapack.dgbtrf).  An exactly singular U
-    raises SolverError naming what A is."""
+    it), and the solution there is the right-hand side exactly.  The
+    factors are that storage, factored in place; when no interior row is
+    swapped either, as for a column dominant A, U is solved at bandwidth ku
+    (_NumpyLapack.dgbtrf).  An exactly singular U raises SolverError naming
+    what A is."""
 
     def __init__(self, A: Banded, what: str):
         kl, ku = -A._terms[0][0], A._terms[-1][0]  # of the bands not all zero
@@ -520,10 +523,7 @@ class Propagator:
         """The values at level k + 1 from the values z (n_space[, m]) at level
         k: f, the boundary values of level k + 1, and s, the source at levels
         k and k + 1, as one level of run's operands."""
-        # the LU first: a 2D one made after the right-hand side's temporaries
-        # lands above them on the heap, which freeing both then trims each step
-        lu = self._lu(k)
-        return self._solve(lu.solve, self._rhs(z, f, s, k if self.time_dependent else None))
+        return self._solve(self._lu(k).solve, self._rhs(z, f, s, k if self.time_dependent else None))
 
     def run(self, g0=None, f=None, source=None) -> np.ndarray:
         """March the scheme; returns values shaped (n_levels, n_space).

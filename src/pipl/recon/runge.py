@@ -72,8 +72,15 @@ def runge_family(grid: SpaceTimeGrid, portion: ResolvedPortion, n: int) -> np.nd
 def refinement(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     """R with fine @ R = coarse on every level, by least squares over the
     stacked traces: the knot-insertion matrix when the coarse space lies in
-    the fine one and the fine traces are independent on the levels."""
-    return np.linalg.lstsq(*(a.reshape(-1, a.shape[-1]) for a in (fine, coarse)), rcond=None)[0]
+    the fine one and the fine traces are independent on the levels.  Both
+    families are node-major (control_basis): a column is one node's trace
+    times a time spline, the same splines at every node, so R is kron(S,
+    R_t), with S[i, j] whether fine node i is coarse node j and R_t the
+    least-squares fit of one node's coarse splines by its fine ones."""
+    c, f = (np.abs(a).max(axis=0).argmax(axis=0) for a in (coarse, fine))  # node per column
+    sc, sf = (np.count_nonzero(n == n[0]) for n in (c, f))  # splines per node
+    fit = np.linalg.lstsq(fine[:, f[0], :sf], coarse[:, c[0], :sc], rcond=None)[0]
+    return np.kron(f[::sf, None] == c[None, ::sc], fit)
 
 
 @dataclass

@@ -1103,27 +1103,44 @@ def test_stepper_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
+def test_band_lu_factors_in_place_and_solves_at_bandwidth_ku(monkeypatch):
     # scaled Dirichlet rows and dominant interior columns: dgbtrf makes no
-    # interchange, the factors keep the kl + ku + 1 rows that hold U and L,
-    # and the solves equal the full-storage ones of the scipy fallback, with
-    # the right-hand side itself on the Dirichlet rows.  With q = -200 no
-    # interior row is dominant: dgbtrf pivots, and the full storage is kept
+    # interchange, the factors are the storage handed to it, and the solve
+    # is told of ku - kl superdiagonals; the solves equal the full-storage
+    # ones of the scipy fallback, with the right-hand side itself on the
+    # Dirichlet rows.  With q = -200 no interior row is dominant: dgbtrf
+    # pivots, and the solve is told of all ku superdiagonals
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 7], 4, 0.2)
     n, kl = g.n_space, g.nx[1]
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     bd = g.boundary_flat_indices()
     rng = np.random.default_rng(5)
     rhs = [rng.standard_normal(shape) for shape in ((n,), (n, 1), (n, 7))]
+    lapack = forward._lapack()
+    real_gbtrf, real_gbtrs, handed, told = lapack.dgbtrf, lapack.gbtrs, [], []
+
+    def dgbtrf(ab, *args):
+        handed.append(ab)
+        return real_gbtrf(ab, *args)
+
+    def gbtrs(*args):
+        told.append((args[2]._obj.value, args[3]._obj.value))  # kl, ku by reference
+        return real_gbtrs(*args)
+
+    monkeypatch.setattr(lapack, "dgbtrf", dgbtrf)
+    monkeypatch.setattr(lapack, "gbtrs", gbtrs)
     cases = []
     for q, free in ((q_time, True), (-200.0, False)):
         prop = Propagator(g, DiffusionTensor.scalar("1 + 0.3*x"), q, "cn", (1.0, -2.0))
         A = prop.system(g.nt - 1)[0]
         assert -min(A.bands) == max(A.bands) == kl
+        handed.clear()
         lu = forward._BandLU(A, "A")
         assert _interchange_free(lu) == free
-        assert lu.factors[0].shape == ((2 if free else 3) * kl + 1, n)
+        assert lu.factors[0] is handed[0] and lu.factors[0].shape == (3 * kl + 1, n)
+        told.clear()
         cases.append((A, lu, [lu.solve(b) for b in rhs]))
+        assert told == [(kl, 0 if free else kl)] * len(rhs)
     monkeypatch.setattr(forward, "_lapack", forward._ScipyLapack)
     for A, lu, xs in cases:
         ref = forward._BandLU(A, "A")
@@ -1135,6 +1152,27 @@ def test_band_lu_without_interchanges_keeps_kl_ku_1_rows(monkeypatch):
             assert np.max(np.abs(A @ x - b)) <= 1e-12 * np.max(np.abs(x))
             if _interchange_free(lu):
                 assert _same(x[bd], b[bd])
+
+
+def test_band_lu_allocates_one_band_storage():
+    # a band LU without interchanges holds its factors where dgbtrf made
+    # them: building one allocates the 2 kl + ku + 1 rows of band storage
+    # and no second block of the kl + ku + 1 rows that hold L and U
+    import tracemalloc
+
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [17, 17], 4, 0.2)
+    A = Propagator(g, None, 1.0, "be", (1.0, -2.0)).system(0)[0]
+    kl, ku, n = -min(A.bands), max(A.bands), g.n_space
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lu = forward._BandLU(A, "A")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert _interchange_free(lu)
+    storage, block = 8 * (2 * kl + ku + 1) * n, 8 * (kl + ku + 1) * n
+    assert storage <= peak < storage + block
 
 
 def test_1d_paths_build_no_sparse_matrix(monkeypatch):
@@ -1186,9 +1224,9 @@ def test_propagator_work_counts(monkeypatch):
     # construction in one dgttrf call, and a second run or a release factors
     # nothing.  Newton makes one solve per iteration: one dgbtrf (and its
     # solve) in 2D, one dgtsv in 1D.  LAPACK is counted on forward's binding,
-    # and so are the rows each dgbtrf keeps: kl + ku + 1 without an
-    # interchange, 2 kl + ku + 1 after one
-    counts, band_rows = {}, []
+    # and every dgbtrf, with or without an interchange, keeps its factors in
+    # the band storage it was handed
+    counts, in_place = {}, []
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -1198,7 +1236,7 @@ def test_propagator_work_counts(monkeypatch):
             counts[name] += 1
             out = real(*args, **kwargs)
             if name == "dgbtrf":
-                band_rows.append(len(out[0][0]))
+                in_place.append(out[0][0] is args[0])
             return out
 
         monkeypatch.setattr(owner, name, wrapped)
@@ -1207,37 +1245,36 @@ def test_propagator_work_counts(monkeypatch):
     for name in ("dgbtrf", "dgttrf", "dgtsv"):
         count(forward._lapack(), name)
 
-    def work(rows=None, **expected):
+    def work(**expected):
         """Whether the counts since the last call are the expected ones, zero
-        for the names not given, and every dgbtrf since then kept rows rows."""
-        seen, kept = dict(counts), band_rows[:]
+        for the names not given, and every dgbtrf since then factored in place."""
+        seen, kept = dict(counts), in_place[:]
         counts.update(dict.fromkeys(counts, 0))
-        band_rows.clear()
-        return seen == dict(dict.fromkeys(seen, 0), **expected) and kept == [rows] * len(kept)
+        in_place.clear()
+        return seen == dict(dict.fromkeys(seen, 0), **expected) and all(kept)
 
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [9, 9], 6, 0.2)
     q_time = field_from_function(g, lambda x, y, t: 1.0 + x * t, "Q")
     gamma = DiffusionTensor.scalar("1 + 0.3*x")
-    # kl = ku = 9; q = -200 leaves 1 + dt theta q < 0: no interior row is
-    # dominant, and dgbtrf pivots
-    for q, expected in ((q_time, (1, g.nt, 19)), (2.0, (1, 1, 19)), (None, (1, 1, 19)),
-                        (-200.0, (1, 1, 28))):
+    # q = -200 leaves 1 + dt theta q < 0: no interior row is dominant, and
+    # dgbtrf pivots
+    for q, factored in ((q_time, g.nt), (2.0, 1), (None, 1), (-200.0, 1)):
         Propagator(g, gamma, q, "cn", (1.0, -2.0)).run()
-        assert work(assemble_operator=expected[0], dgbtrf=expected[1], rows=expected[2])
+        assert work(assemble_operator=1, dgbtrf=factored)
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None).run()
-    assert work(assemble_operator=g.n_levels, dgbtrf=g.nt, rows=19)
+    assert work(assemble_operator=g.n_levels, dgbtrf=g.nt)
     # a second run reuses every kept LU; a released step is factored again
     prop = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
     prop.run()
-    assert work(assemble_operator=1, dgbtrf=g.nt, rows=19)
+    assert work(assemble_operator=1, dgbtrf=g.nt)
     prop.run()
     assert work()
     prop.release(2)
     prop.run()
-    assert work(dgbtrf=1, rows=19)
+    assert work(dgbtrf=1)
     # the residual reads the stacked bands and factors nothing
     fresh = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
-    assert work(assemble_operator=1, dgbtrf=1, rows=19)
+    assert work(assemble_operator=1, dgbtrf=1)
     assert np.all(fresh.residual(prop.run()) <= 1e-12)
     assert work()
 
@@ -1256,9 +1293,9 @@ def test_propagator_work_counts(monkeypatch):
 
     nl = Nonlinearity.parse("u^3", tag=CLASS_A)
     g2 = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [6, 6], 4, 0.2)
-    for grid, solver, rows in ((g1, "dgtsv", None), (g2, "dgbtrf", 13)):  # 2D: kl = ku = 6
+    for grid, solver in ((g1, "dgtsv"), (g2, "dgbtrf")):
         g0 = zero_field(grid, "Omega")
         g0.values[:] = 0.5
         res = _newton(grid, None, nl, None, g0, "be", 1e-10, 30)
         assert res.iterations > grid.nt
-        assert work(assemble_operator=1, rows=rows, **{solver: res.iterations})
+        assert work(assemble_operator=1, **{solver: res.iterations})

@@ -171,9 +171,9 @@ def _marching(monkeypatch):
 def _sweep_events(monkeypatch):
     # the probe sweeps' remainder marches (omega, columns),
     # Propagator steps (remainder or difference, _marching) with their
-    # columns, runs, and band LUs (dgbtrf: the rows each keeps, and whether
-    # it made no interchange) recorded in call order; a step is recorded
-    # when it starts
+    # columns, runs, and band LUs (dgbtrf: whether its factors are the band
+    # storage it was handed, and whether it made no interchange) recorded in
+    # call order; a step is recorded when it starts
     from pipl import cgo, forward
 
     events, marching = [], _marching(monkeypatch)
@@ -194,14 +194,14 @@ def _sweep_events(monkeypatch):
         events.append(("run",))
         return real_run(self, *args, **kwargs)
 
-    def dgbtrf(*args):
-        factors, solve, info = real_gb(*args)
+    def dgbtrf(ab, *args):
+        factors, solve, info = real_gb(ab, *args)
         lu, ipiv = factors
-        events.append(("factor", len(lu), np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))))
+        events.append(("factor", lu is ab, np.array_equal(ipiv, np.arange(1, len(ipiv) + 1))))
         return factors, solve, info
 
     def dgttrf(*args):
-        events.append(("factor", 3, None))
+        events.append(("factor", None, None))
         return real_gt(*args)
 
     monkeypatch.setattr(cgo.RemainderMarch, "__init__", init)
@@ -236,49 +236,62 @@ def test_probe_sweep_work_counts_2d(monkeypatch):
     assert {e[1] for e in events if e[0] in ("remainder", "difference")} == {8}
     # per omega the one LU of the forward-profile stepper and the 64 of the
     # truth-side difference steps, none with an interchange, each kept in
-    # kl + ku + 1 = 67 rows, not 2 kl + ku + 1 = 100
-    assert [e[1:] for e in events if e[0] == "factor"] == [(67, True)] * 130
+    # the band storage that dgbtrf factored
+    assert [e[1:] for e in events if e[0] == "factor"] == [(True, True)] * 130
 
 
 @pytest.mark.parametrize("keep_diagnostics", [False, True])
 def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_diagnostics):
-    # at every step of the sweep at most one LU of the truth-side difference
-    # steps is alive: each is made when the march reaches its step and
-    # released after it.  Without the volume diagnostic, which keeps every
-    # marched probe's truth-side profile, no block alive at any step spans
-    # all levels x n_space x the marched columns
+    # at every step of a sweep each stepper holds at most one LU: a
+    # time-dependent one's LU is made when the march reaches its step and
+    # released after it, for the truth-side difference steps, for a
+    # time-dependent q_ref's remainder steps and for a Taylor sweep, whose
+    # difference steps share the factory's stepper with a time-dependent
+    # qbar.  Without the volume diagnostic, which keeps every marched
+    # probe's truth-side profile, no block alive at any step spans all
+    # levels x n_space x the marched columns
     import tracemalloc
     import weakref
 
     real_lu, real_step = Propagator._lu, Propagator.step
-    made, alive, biggest, marching = {}, [], [], _marching(monkeypatch)
+    made, alive, biggest = {}, [], []
 
     def lu(self, k):
         out = real_lu(self, k)
         made.setdefault(self, []).append(weakref.ref(out))
+        alive.append(len({id(r()) for r in made[self] if r() is not None}))
         return out
 
     def step(self, k, z, f=None, s=None):
         out = real_step(self, k, z, f, s)
-        if not marching:
-            alive.append(len({id(r()) for r in made[self] if r() is not None}))
-        biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        if tracemalloc.is_tracing():
+            biggest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
         return out
 
     monkeypatch.setattr(Propagator, "_lu", lu)
     monkeypatch.setattr(Propagator, "step", step)
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [13, 13], 16, 1.0)
     dq = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(math.pi * t), "Q")
+    q_ref = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(3 * t), "Q")
     tracemalloc.start()
     try:
-        synthesize_potential_probes(g, dq, None, rho=8.0, n_xi=1, n_tau=2,
-                                    keep_diagnostics=keep_diagnostics)
+        for ref in (None, q_ref):
+            synthesize_potential_probes(g, dq, ref, rho=8.0, n_xi=1, n_tau=2,
+                                        keep_diagnostics=keep_diagnostics)
     finally:
         tracemalloc.stop()
-    assert alive == [1] * (2 * g.nt)
-    # 8 marched columns per omega; a real array of them on every level
     if not keep_diagnostics:
+        # 8 marched columns per omega; a real array of them on every level
         assert max(biggest) < g.n_levels * g.n_space * 8 * 8
+        v2, _ = positive_solution(g, None, None, ramp_time=0.15)
+        synthesize_taylor_probes(g, Nonlinearity.parse("sin(3*t)*u + 0.7*u^2"),
+                                 Nonlinearity.parse("sin(3*t)*u"), 2, [v2], rho=8.0, n_xi=1,
+                                 n_tau=2)
+    # per omega the time-dependent steppers: the difference steppers of both
+    # potential sweeps, q_ref's forward profile stepper, and its backward one
+    # for the diagnostic or else the Taylor sweep's
+    assert sum(p.time_dependent for p in made) == 2 * 4
+    assert set(alive) == {1}
 
 
 def test_probe_sweep_forms_no_step_residual(monkeypatch):
@@ -736,6 +749,25 @@ def test_runge_families_nest_and_reach_the_final_level():
     assert np.max(np.abs(three @ refinement(two, three) - two)) > 1e-3
     with pytest.raises(GridError, match="not nested"):
         runge_fit(g, Field(g, np.zeros((g.n_levels, *g.nx)), "Q"), Propagator(g), (2, 3), [1.0])
+
+
+def test_refinement_per_node_matches_stacked_lstsq():
+    # R = kron(node selection, time-spline fit) equals the least-squares fit
+    # over every stacked trace, on 1D and 2D grids, for the full and the
+    # partial portion against the finest full family and the next partial one
+    from pipl.recon.runge import refinement
+
+    for g, omega in ((grid1d(33, 32, T=0.5), [1.0]),
+                     (SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [7, 6], 16, 0.5), [1.0, 0.0])):
+        full = resolve_portion(g, BoundaryPortion.full())
+        partial = complement_portion(g, BoundaryPortion.directional(omega, sign=-1))
+        fine = runge_family(g, full, 8)
+        for portion in (full, partial):
+            for n, span in ((1, fine), (2, fine), (4, runge_family(g, portion, 8))):
+                coarse = runge_family(g, portion, n)
+                ref = np.linalg.lstsq(span.reshape(-1, span.shape[-1]),
+                                      coarse.reshape(-1, coarse.shape[-1]), rcond=None)[0]
+                assert np.max(np.abs(refinement(coarse, span) - ref)) <= 1e-12
 
 
 def test_synthesis_and_morozov_work_counts(monkeypatch):
