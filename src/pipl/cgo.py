@@ -18,12 +18,11 @@ The profile operator depends on (rho, omega, direction) alone, so the
 remainders of many (xi, tau) of one (rho, omega, direction, aperture) are
 one multi-column march (RemainderMarch), stepped level by level, whose
 plane waves are space waves times time waves, both formed once per march
-(real ones when every xi and tau is zero).  A march releases each step's
-LU once the level's consumer is done with it, so it holds one LU of a
-time-dependent 2D stepper at a time.  CGOFactory.build keeps every level of
-its one-probe march; the probe sweep of recon.potential drives a march of
-many probes itself and uses each level as it comes.  Neither forms a step
-residual, which CGOFactory.residual forms on request.
+(real ones when every xi and tau is zero); its stepper holds the LU of its
+last step.  CGOFactory.build keeps every level of its one-probe march; the
+probe sweep of recon.potential drives a march of many probes itself and
+uses each level as it comes.  Neither forms a step residual, which
+CGOFactory.residual forms on request.
 """
 
 from __future__ import annotations
@@ -199,9 +198,9 @@ class RemainderMarch:
 
     def steps(self, fields):
         """(level, theta, z) for every level in marching order, with theta,
-        the source and lateral data from fields(level).  A step's LU is
-        released once its level's consumer is done with it, so a caller may
-        take its own step on the same stepper there; a march holds one LU."""
+        the source and lateral data from fields(level).  A caller may take
+        its own step k - 1 on the march's stepper at level k, which solves
+        with the LU that the stepper holds from the march's step."""
         prop = self.prop
         for k, level in enumerate(self.levels):
             theta, s_next, trace = fields(level)
@@ -213,8 +212,6 @@ class RemainderMarch:
                 z = prop.step(k - 1, z, trace, (s, s_next))
             s = s_next
             yield level, theta, z
-            if k:
-                prop.release(k - 1)
 
     def tally(self, levels, z):
         """Records the peak |z| and space integral of |z|^2 per level of z (a

@@ -388,7 +388,7 @@ def potential_values(grid: SpaceTimeGrid, q) -> np.ndarray:
 
 
 class Propagator:
-    """theta-scheme time stepper with cached LU factorizations.
+    """theta-scheme time stepper.
 
     Step k solves A_k u_{k+1} = M_k u_k (+ source, + boundary values) with
     A_k = I + dt theta L_{k+1} and M_k = I_interior - dt (1 - theta) L_k,
@@ -397,12 +397,12 @@ class Propagator:
     rows: the stepper writes the Dirichlet values into the right-hand side.
     One step system serves all steps unless q or gamma depends on time.  A
     stepper forms every step's A and M at construction, their bands stacked
-    (steps, n_space), and keeps one LU per step, which only the bandwidth
-    picks: tridiagonal (1D) A_k are all factored at construction by one
-    dgttrf call on their block-diagonal stack, and step k solves with block
-    k; a wider (2D) A_k gets its band LU (_BandLU) when a march first
-    reaches step k (step 0's at construction), kept until release(k).  A
-    gamma passes DiffusionTensor.check_ellipticity first, else ModelError."""
+    (steps, n_space); only the bandwidth picks the LU: tridiagonal (1D) A_k
+    are all factored at construction by one dgttrf call on their
+    block-diagonal stack, and step k solves with block k; a wider (2D) A_k
+    gets its band LU (_BandLU) when a step reaches it (step 0's at
+    construction).  A stepper holds the LU of its last step.  A gamma passes
+    DiffusionTensor.check_ellipticity first, else ModelError."""
 
     def __init__(self, grid: SpaceTimeGrid, gamma=None, q=None, scheme="be", advection=None):
         if scheme not in SCHEMES:
@@ -416,7 +416,7 @@ class Propagator:
         self.gamma_td = gamma.time_dependent() if gamma is not None else False
         self.time_dependent = td = q_td or self.gamma_td
         self.boundary_idx, self.interior_mask = grid.boundary_flat_indices(), grid.interior_mask()
-        self._stencils, self._lus = {}, {}
+        self._stencils, self._held = {}, (None, None)  # (step, its LU)
         self._A, self._M = self._matrices(*((slice(1, None), slice(-1)) if td else (0, 0)))
         A = self._A  # closed over below: a closure over self would make a reference cycle
         if max(A.bands) > 1:
@@ -461,20 +461,14 @@ class Propagator:
                 Banded({**M, 0: np.where(self.interior_mask, 1.0 - cm * (s_old + q_old), 0.0)}))
 
     def _lu(self, k):
-        """Step k's LU from the table, which _factor fills on first use."""
+        """Step k's LU.  The stepper holds one, every step's unless it is
+        time dependent; one of another step is dropped before step k's is
+        factored, so that no two are alive at once."""
         key = k if self.time_dependent else 0
-        return self._lus.get(key) or self._lus.setdefault(key, self._factor(key))
-
-    def system(self, k):
-        """(A_k, M_k, LU of A_k) of step k: level k of the stacks, and _lu(k)."""
-        level = k if self.time_dependent else None
-        return self._A.at(level), self._M.at(level), self._lu(k)
-
-    def release(self, k):
-        """Drop step k's LU, if time dependent: a 2D band LU is freed once no
-        march holds it (and made again at step k); 1D blocks stay stacked."""
-        if self.time_dependent:
-            self._lus.pop(k, None)
+        if self._held[0] != key:
+            self._held = None, None
+            self._held = key, self._factor(key)
+        return self._held[1]
 
     # -- sweeps ----------------------------------------------------------------
 

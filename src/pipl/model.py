@@ -184,10 +184,6 @@ class GrowthReport:
     curve: np.ndarray          # sup over sampled (x,t) of d_u a / ln^(1/2) y
     note: str
 
-    def witness(self):
-        """(y, value) pairs along the sampled decay curve."""
-        return np.column_stack([self.y_samples, self.curve])
-
 
 def check_growth(nl: Nonlinearity, grid: SpaceTimeGrid, y_max: float = 1e6) -> GrowthReport:
     """Sample sup_(x,t) d_y a(x,t,y) / ln^(1/2)|y| at 40 values of y in

@@ -57,9 +57,6 @@ class FourierSampleSet:
     grid: SpaceTimeGrid
     samples: list = dc_field(default_factory=list)
 
-    def add(self, sample: FourierSample):
-        self.samples.append(sample)
-
     def __len__(self):
         return len(self.samples)
 

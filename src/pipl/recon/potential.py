@@ -27,11 +27,10 @@ tau = 0 point) is marched, and its partner is copied as its conjugate.  The
 marched probes of one omega are stepped together, level by level: at each
 time level the forward CGO remainders take their step (cgo.RemainderMarch)
 and then the difference profiles take theirs, with the source coefficient
-* W_ref at that level; no step residual is formed.  A 2D step's band LU is
-made when the march reaches it and released once its level is used, so
-each stepper holds one LU (1D: all at once); a Taylor sweep's difference
-step, on the factory's stepper, solves with the remainder step's LU of its
-level.  Only per-level (n_space, probes) blocks are held, with DN traces.
+* W_ref at that level; no step residual is formed.  A stepper holds the LU
+of its last step, so a Taylor sweep's difference step, on the factory's
+stepper, solves with the remainder step's LU of its level.  Only per-level
+(n_space, probes) blocks are held, with DN traces.
 """
 
 from __future__ import annotations
@@ -158,7 +157,6 @@ def _sweep_omega(grid, factory, q_sweep, coefficient, params, partial, volume):
             d = np.zeros_like(s_next)
         else:
             d = prop.step(k - 1, d, None, (s, s_next))
-            prop.release(k - 1)
         s = s_next
         dn[level] = B @ d
         if w_truth is not None:

@@ -2,8 +2,9 @@
 wave and the direct CGO pairing with its Fourier-integral limit, the
 volume/boundary reciprocity of potential probes, the readers of the field
 and DN-measurement CSV files that the library writes, the Carleman
-checks written level by level and node by node, and the Runge fit of one
-basis from its own march with its Gram matrix filled entry by entry."""
+checks written level by level and node by node, the Runge fit of one
+basis from its own march with its Gram matrix filled entry by entry, and
+the step system of a Propagator."""
 
 import math
 
@@ -306,3 +307,11 @@ def runge_fit_columns(grid: SpaceTimeGrid, target: Field, prop, family, w_space)
     coeff, *_ = np.linalg.lstsq(A + RCOND * np.trace(A) / n * np.eye(n), b, rcond=None)
     resid = np.tensordot(coeff, fields, axes=(0, 0)) - tgt
     return float(np.sqrt(np.dot(w_time, resid**2 @ w_space)))
+
+
+def system(prop, k):
+    """(A_k, M_k, LU of A_k) of the Propagator prop's step k: level k of its
+    stacked bands (its one system if it does not depend on time), and the
+    LU that its step k solves with."""
+    level = k if prop.time_dependent else None
+    return prop._A.at(level), prop._M.at(level), prop._lu(k)

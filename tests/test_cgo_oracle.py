@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import plane_wave, product_symbol
+from oracles import plane_wave, product_symbol, system
 from pipl import cgo
 from pipl.cgo import (
     CGOError,
@@ -306,7 +306,7 @@ def test_build_residual_is_scaled_step_residual(case):
         z, source = sol.z.values.reshape(grid.n_levels, -1)[order], src[order, :, j]
         worst = 0.0
         for k in range(grid.nt):
-            A, M, _ = prop.system(k)
+            A, M, _ = system(prop, k)
             s = source[k + 1] if scheme == "be" else 0.5 * source[k + 1] + 0.5 * source[k]
             rhs = M @ z[k] + grid.dt * s
             rhs[prop.boundary_idx] = 0.0 if trace is None else trace[order, :, j][k + 1]
@@ -396,7 +396,7 @@ def test_separable_synthesis_matches_triple_loop(grid, n_xi, n_tau, alpha, seed)
         rho = float(rng.uniform(4.0, 64.0))
         for xi, tau in frequency_lattice(grid, omega, n_xi, n_tau):
             value = complex(rng.standard_normal(), rng.standard_normal())
-            sset.add(FourierSample(omega, xi, tau, value, rho))
+            sset.samples.append(FourierSample(omega, xi, tau, value, rho))
     ref = ref_synthesize(sset, alpha)
     got = sset.synthesize(alpha).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import system
 from pipl.grid import (
     BoundaryPortion,
     Field,
@@ -412,13 +413,13 @@ def test_step_matrices_drop_exact_zero_diagonals():
     _, M_ref = _loop_step_matrices(prop)
     rng = np.random.default_rng(0)
     for k in (0, g.nt - 1):
-        M = prop.system(k)[1]
+        M = system(prop, k)[1]
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
         for shape in ((g.n_space,), (g.n_space, 3)):
             z = rng.standard_normal(shape)
             for z in (z, z + 1j * rng.standard_normal(shape)):
                 assert _same(M @ z, M_ref[k] @ z)
-    assert M_ref[0].nnz == np.count_nonzero(prop.system(0)[1].toarray()) < M_ref[-1].nnz
+    assert M_ref[0].nnz == np.count_nonzero(system(prop, 0)[1].toarray()) < M_ref[-1].nnz
 
 
 # cell Peclet numbers far above 1 on every grid drawn below: some rows of A
@@ -488,14 +489,14 @@ def test_step_matrices_match_loop_oracle(
     A_ref, M_ref = _loop_step_matrices(prop)
     bd = prop.boundary_idx
     for k in range(nt):
-        A, M, _ = prop.system(k)
+        A, M, _ = system(prop, k)
         assert np.array_equal(A.toarray(), A_ref[k].toarray())
         assert np.array_equal(M.toarray(), M_ref[k].toarray())
         assert np.array_equal(A.toarray()[bd], np.eye(grid.n_space)[bd])
         assert not np.any(M.toarray()[bd])
     if advection == STRONG_ADVECTION[:dim]:
         # some row is not diagonally dominant: the LU below has to pivot
-        assert not all(_row_dominant(prop.system(k)[0]) for k in range(grid.nt))
+        assert not all(_row_dominant(system(prop, k)[0]) for k in range(grid.nt))
 
     # the sweep is linear: superposition of initial values, boundary traces
     # and sources
@@ -512,7 +513,7 @@ def test_step_matrices_match_loop_oracle(
     u_sum = prop.run(**{key: a[key] + b[key] for key in a})
     assert np.max(np.abs(ua + ub - u_sum)) <= 1e-12 * np.max(np.abs(u_sum))
     # either factorization solves its steps to rounding
-    norm_A = _norm_inf([prop.system(k)[0] for k in range(grid.nt)])
+    norm_A = _norm_inf([system(prop, k)[0] for k in range(grid.nt)])
     residual = prop.residual(ua, a["f"], a["source"])
     assert residual <= 1e-13 * norm_A * max(1.0, np.max(np.abs(ua)))
 
@@ -568,7 +569,7 @@ def test_batched_run_matches_columns(
         assert np.max(np.abs(u[..., j] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     # per column, the stepped systems hold to rounding, and an interior value
     # moved by 1 at the last level (where A's diagonal is >= 1) shows up in full
-    norm_A = _norm_inf([prop.system(k)[0] for k in range(grid.nt)])
+    norm_A = _norm_inf([system(prop, k)[0] for k in range(grid.nt)])
     assert np.all(prop.residual(u, f, source) <= 1e-13 * norm_A * max(1.0, np.max(np.abs(u))))
     u[-1, np.flatnonzero(prop.interior_mask)[0]] += 1.0
     assert np.all(prop.residual(u, f, source) >= 1.0 - 1e-9)
@@ -580,7 +581,7 @@ def _loop_residual(prop, u, f, source):
     and source each carry the same trailing column axis, or none."""
     grid, worst = prop.grid, np.zeros(u.shape[2:])
     for k in range(grid.nt):
-        A, M, _ = prop.system(k)
+        A, M, _ = system(prop, k)
         rhs = M @ u[k]
         if source is not None:
             s = source[k + 1] if prop.theta == 1.0 else (
@@ -670,7 +671,7 @@ def test_discrete_maximum_principle(dim, nx, ny, nt, scheme, peclet, q_max, dt_f
     q = Field(grid, q_max * rng.random((grid.n_levels, *grid.nx)), "Q")
     advection = tuple(p * GAMMA_MIN / hi for p, hi in zip(peclet, h))
     prop = Propagator(grid, MAX_PRINCIPLE_GAMMAS[dim], q, scheme, advection)
-    for A, M, _ in map(prop.system, range(grid.nt)):
+    for A, M, _ in (system(prop, k) for k in range(grid.nt)):
         A = A.toarray()
         assert np.all(A - np.diag(np.diag(A)) <= 0.0)
         assert np.all(M.toarray() >= 0.0)
@@ -810,7 +811,7 @@ def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_ki
     advection = advection and advection[:dim]
     prop = Propagator(grid, GAMMAS[gamma_kind](dim), q, scheme, advection)
     if q_kind == "negative" or advection == STRONG_ADVECTION[:dim]:
-        assert not all(_row_dominant(prop.system(k)[0]) for k in range(grid.nt))
+        assert not all(_row_dominant(system(prop, k)[0]) for k in range(grid.nt))
     rng = np.random.default_rng(seed)
 
     def data(*shape):
@@ -825,7 +826,7 @@ def test_band_run_matches_superlu(nx, nt, T, scheme, gamma_kind, advection, q_ki
         assert np.max(np.abs(u[k] - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
         # a 2D step that made no interchange solves its scaled Dirichlet rows
         # to the trace exactly
-        if dim == 2 and _interchange_free(prop.system(k - 1)[2]):
+        if dim == 2 and _interchange_free(system(prop, k - 1)[2]):
             assert _same(u[k][prop.boundary_idx], f[k])
 
 
@@ -959,7 +960,7 @@ def _per_level_march(prop, g0, f, source):
 def _matches_per_level_march(prop, columns, seed):
     """Whether prop's march, and each step's bands (an offset that the
     level's own matrix lacks all zero) and LU, equal the per-level
-    reference byte for byte; a release and a second march change nothing."""
+    reference byte for byte; a second march changes nothing."""
     g = prop.grid
     rng = np.random.default_rng(seed)
     g0 = rng.standard_normal((g.n_space, *columns))
@@ -969,13 +970,12 @@ def _matches_per_level_march(prop, columns, seed):
     ref, steps = _per_level_march(prop, g0, f, source)
     same = _same(u, ref)
     for k, (A_ref, M_ref, lu_ref) in enumerate(steps):
-        A, M, lu = prop.system(k)
+        A, M, lu = system(prop, k)
         for a, b in ((A, A_ref), (M, M_ref)):
             same &= all(_same(band, b.bands[o]) if o in b.bands else not np.any(band)
                         for o, band in a.bands.items())
         same &= all(_same(x, y) for x, y in zip(lu.factors, lu_ref.factors))
         same &= _same(lu.solve(source[k]), lu_ref.solve(source[k]))
-    prop.release(0)
     return same and _same(prop.run(g0, f, source), u)
 
 
@@ -1054,7 +1054,7 @@ def test_stacked_1d_march_through_scipy_binding(monkeypatch):
 
     def march():
         prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), _negative_q(g, 0.5), "cn")
-        return prop.run(g0, f, source), [prop.system(k)[2].factors for k in range(g.nt)]
+        return prop.run(g0, f, source), [system(prop, k)[2].factors for k in range(g.nt)]
 
     u, factors = march()
     assert isinstance(forward._lapack(), forward._NumpyLapack)
@@ -1069,23 +1069,22 @@ def test_stacked_1d_march_through_scipy_binding(monkeypatch):
 
 def test_time_dependent_1d_march_builds_no_step_object(monkeypatch):
     # every step of a time-dependent 1D march solves with the block solve
-    # that its stepper made at construction, in a second march and after a
-    # release too: no solve, partial or LU object is built per step
+    # that its stepper made at construction, in a second march too: no
+    # solve, partial or LU object is built per step
     g = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
     prop = Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None, "cn")
     real_solve, seen = Propagator._solve, []
     monkeypatch.setattr(Propagator, "_solve",
                         lambda self, solve, rhs: seen.append(solve) or real_solve(self, solve, rhs))
     prop.run()
-    prop.release(2)
     prop.run(g0=np.ones((g.n_space, 2)))
-    made = [prop.system(k)[2].solve for k in range(g.nt)]
+    made = [system(prop, k)[2].solve for k in range(g.nt)]
     assert len(seen) == 2 * g.nt
     assert all(a is b for a, b in zip(seen, made * 2))
 
 
 def test_stepper_is_freed_without_the_cycle_collector():
-    # a time-dependent stepper holds its stacked bands and LU table in no
+    # a time-dependent stepper holds its stacked bands and LU in no
     # reference cycle, so they go when its last reference does
     import gc
     import weakref
@@ -1132,7 +1131,7 @@ def test_band_lu_factors_in_place_and_solves_at_bandwidth_ku(monkeypatch):
     cases = []
     for q, free in ((q_time, True), (-200.0, False)):
         prop = Propagator(g, DiffusionTensor.scalar("1 + 0.3*x"), q, "cn", (1.0, -2.0))
-        A = prop.system(g.nt - 1)[0]
+        A = system(prop, g.nt - 1)[0]
         assert -min(A.bands) == max(A.bands) == kl
         handed.clear()
         lu = forward._BandLU(A, "A")
@@ -1161,7 +1160,7 @@ def test_band_lu_allocates_one_band_storage():
     import tracemalloc
 
     g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [17, 17], 4, 0.2)
-    A = Propagator(g, None, 1.0, "be", (1.0, -2.0)).system(0)[0]
+    A = system(Propagator(g, None, 1.0, "be", (1.0, -2.0)), 0)[0]
     kl, ku, n = -min(A.bands), max(A.bands), g.n_space
     tracemalloc.start()
     try:
@@ -1173,6 +1172,25 @@ def test_band_lu_allocates_one_band_storage():
     assert _interchange_free(lu)
     storage, block = 8 * (2 * kl + ku + 1) * n, 8 * (kl + ku + 1) * n
     assert storage <= peak < storage + block
+
+
+def test_time_dependent_2d_run_holds_one_band_lu():
+    # a time-dependent 2D stepper holds the LU of its last step alone: a run
+    # allocates its solution and one band LU at a time, not one per level
+    import tracemalloc
+
+    g = SpaceTimeGrid.make([0.0, 0.0], [1.0, 1.0], [17, 17], 32, 1.0)
+    q = field_from_function(g, lambda x, y, t: 0 * x + 0 * y + np.sin(3 * t), "Q")
+    prop = Propagator(g, None, q, "be")
+    kl, ku, n = -min(prop._A.bands), max(prop._A.bands), g.n_space
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        u = prop.run(f=np.ones((g.n_levels, len(prop.boundary_idx))))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes + 2 * 8 * (2 * kl + ku + 1) * n
 
 
 def test_1d_paths_build_no_sparse_matrix(monkeypatch):
@@ -1220,12 +1238,14 @@ def test_matrix_gamma_on_1d_grid_raises():
 def test_propagator_work_counts(monkeypatch):
     # a 2D Propagator makes step 0's band LU and a march the rest, and a
     # residual none: per run, one stencil assembly per gamma level; one
-    # dgbtrf per distinct step matrix.  A 1D one factors every step matrix at
-    # construction in one dgttrf call, and a second run or a release factors
-    # nothing.  Newton makes one solve per iteration: one dgbtrf (and its
-    # solve) in 2D, one dgtsv in 1D.  LAPACK is counted on forward's binding,
-    # and every dgbtrf, with or without an interchange, keeps its factors in
-    # the band storage it was handed
+    # dgbtrf per distinct step matrix.  It holds the LU of its last step, so
+    # a second run of a time-dependent one factors every step again, and of
+    # one that is not, nothing.  A 1D one factors every step matrix at
+    # construction in one dgttrf call, and a second run factors nothing.
+    # Newton makes one solve per iteration: one dgbtrf (and its solve) in
+    # 2D, one dgtsv in 1D.  LAPACK is counted on forward's binding, and every
+    # dgbtrf, with or without an interchange, keeps its factors in the band
+    # storage it was handed
     counts, in_place = {}, []
 
     def count(owner, name):
@@ -1263,19 +1283,16 @@ def test_propagator_work_counts(monkeypatch):
         assert work(assemble_operator=1, dgbtrf=factored)
     Propagator(g, DiffusionTensor.scalar("1 + 0.2*t"), None).run()
     assert work(assemble_operator=g.n_levels, dgbtrf=g.nt)
-    # a second run reuses every kept LU; a released step is factored again
-    prop = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
-    prop.run()
-    assert work(assemble_operator=1, dgbtrf=g.nt)
-    prop.run()
-    assert work()
-    prop.release(2)
-    prop.run()
-    assert work(dgbtrf=1)
+    for q, first, again in ((2.0, 1, 0), (q_time, g.nt, g.nt)):
+        prop = Propagator(g, gamma, q, "cn", (1.0, -2.0))
+        prop.run()
+        assert work(assemble_operator=1, dgbtrf=first)
+        u = prop.run()
+        assert work(dgbtrf=again)
     # the residual reads the stacked bands and factors nothing
     fresh = Propagator(g, gamma, q_time, "cn", (1.0, -2.0))
     assert work(assemble_operator=1, dgbtrf=1)
-    assert np.all(fresh.residual(prop.run()) <= 1e-12)
+    assert np.all(fresh.residual(u) <= 1e-12)
     assert work()
 
     g1 = SpaceTimeGrid.make([0.0], [1.0], [17], 6, 0.2)
@@ -1287,7 +1304,7 @@ def test_propagator_work_counts(monkeypatch):
     assert work(assemble_operator=g1.n_levels, dgttrf=1)
     prop = Propagator(g1, gamma, q_time, "cn", (1.0,))
     assert work(assemble_operator=1, dgttrf=1)
-    prop.release(2)
+    prop.run()
     prop.run()
     assert work()
 

@@ -82,8 +82,8 @@ def test_growth_quadratic_violated_with_witness():
     g = grid1d()
     rep = check_growth(Nonlinearity.parse("u^2", tag=CLASS_A), g)
     assert not rep.satisfies
-    w = rep.witness()
-    assert w.shape[1] == 2 and np.all(np.diff(w[:, 0]) > 0)
+    # the witness: (y, value) pairs along the sampled decay curve
+    assert rep.curve.shape == rep.y_samples.shape and np.all(np.diff(rep.y_samples) > 0)
 
 
 @pytest.mark.parametrize(

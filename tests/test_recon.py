@@ -244,10 +244,10 @@ def test_probe_sweep_work_counts_2d(monkeypatch):
 def test_probe_sweep_holds_one_difference_lu_and_level_blocks(monkeypatch, keep_diagnostics):
     # at every step of a sweep each stepper holds at most one LU: a
     # time-dependent one's LU is made when the march reaches its step and
-    # released after it, for the truth-side difference steps, for a
-    # time-dependent q_ref's remainder steps and for a Taylor sweep, whose
-    # difference steps share the factory's stepper with a time-dependent
-    # qbar.  Without the volume diagnostic, which keeps every marched
+    # dropped when the next is made, for the truth-side difference steps,
+    # for a time-dependent q_ref's remainder steps and for a Taylor sweep,
+    # whose difference steps share the factory's stepper with a
+    # time-dependent qbar.  Without the volume diagnostic, which keeps every marched
     # probe's truth-side profile, no block alive at any step spans all
     # levels x n_space x the marched columns
     import tracemalloc
@@ -448,10 +448,9 @@ def test_underresolved_lattice_rejected():
     from pipl.recon.fourier import FourierSample, FourierSampleSet
 
     g = grid1d(17, 8)
-    sset = FourierSampleSet(g)
-    sset.add(FourierSample((1.0,), (0.0,), 0.0, 1.0 + 0j, 8.0))
     # duplicate modes collapse: two samples sharing one mode are fine
-    sset.add(FourierSample((1.0,), (0.0,), 0.0, 1.1 + 0j, 16.0))
+    sset = FourierSampleSet(g, [FourierSample((1.0,), (0.0,), 0.0, 1.0 + 0j, 8.0),
+                                FourierSample((1.0,), (0.0,), 0.0, 1.1 + 0j, 16.0)])
     f = sset.synthesize()
     assert f.values.shape == (g.n_levels, *g.nx)
 
